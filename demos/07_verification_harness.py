@@ -8,9 +8,9 @@ the ``tmlab verify`` command.
 
 import json
 
-from tmlab.harness import default_config, reports_to_json, run_suite, run_suites
+from tmlab.harness import ExperimentConfig, reports_to_json, run_suite, run_suites
 
-cfg = default_config(trials=100, seed=20260809)
+cfg = ExperimentConfig(trials=100, seed=20260809)
 
 print("single suite:")
 report = run_suite("T1_AndoHiaiGeneralized", cfg)
@@ -26,13 +26,13 @@ for sid in ("L1_PowerMonotone", "T2_LieTrotterLimit", "T63_PsdLimit", "APP_Fusio
 
 # Suites whose underlying orderings genuinely fail for noncommuting draws
 # report that honestly in the notes rather than hiding it.
-r = run_suite("T3_LieTrotterTail", default_config(trials=60))
+r = run_suite("T3_LieTrotterTail", ExperimentConfig(trials=60))
 print(f"\n{r.suite}: violations of the tail rule = {r.violations}")
 for note in r.regime_notes:
     if "chain" in note or "top-eigenvalue" in note:
         print(f"  {note}")
 
 # Reports serialize as a stable JSON array (same bytes for same config).
-text = reports_to_json(run_suites(default_config(trials=30, suites=("L3_MarkovChebyshev",))))
+text = reports_to_json(run_suites(ExperimentConfig(trials=30, suites=("L3_MarkovChebyshev",))))
 payload = json.loads(text)
 print(f"\nreport version: {payload[0]['version']}, fields: {list(payload[0])}")

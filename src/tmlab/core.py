@@ -113,7 +113,8 @@ class HermitianTensor:
     mixed-radix index groups, i.e. the square unfolding is a Hermitian
     matrix.  Construction accepts input within a relative Frobenius
     tolerance of Hermitian and symmetrizes it; anything farther raises
-    :class:`HermiticityError`.  Instances are immutable.
+    :class:`HermiticityError`, and non-finite entries raise ``ValueError``.
+    Instances are immutable.
     """
 
     __slots__ = ("_shape", "_matrix")
@@ -133,6 +134,10 @@ class HermitianTensor:
         matrix = arr.reshape(d, d)
         scale = max(1.0, float(np.linalg.norm(matrix)))
         defect = float(np.linalg.norm(matrix - matrix.conj().T))
+        # A non-finite entry makes the defect NaN or infinite; the negated
+        # test rejects NaN, since every comparison with NaN is false.
+        if not defect < math.inf:
+            raise ValueError("entries must be finite")
         if defect > HERMITICITY_RTOL * scale:
             raise HermiticityError(
                 f"entries deviate from conjugate symmetry by {defect:.3e} "

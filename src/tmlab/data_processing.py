@@ -119,7 +119,7 @@ def apply_map(lmap: PositiveLinearMap, h: HermitianTensor) -> HermitianTensor:
         m = h.unfold()
         out = np.zeros_like(m)
         for group in lmap.partition:
-            idx = np.asarray(group)
+            idx = np.asarray(group, dtype=np.intp)
             out[np.ix_(idx, idx)] = m[np.ix_(idx, idx)]
         return HermitianTensor.from_matrix(out, h.shape)
     acc = np.zeros((h.shape.square_dim,) * 2, dtype=np.complex128)
@@ -244,8 +244,8 @@ def fusion_gap(
     fused = DominationPair(p1.x + p2.x, p1.y + p2.y, p1.side)
     lhs = mean_on_pair(fused, g)
     rhs = mean_on_pair(p1, g) + mean_on_pair(p2, g)
-    gap = float(np.linalg.eigvalsh(rhs.unfold() - lhs.unfold())[0])
-    return gap, loewner_compare(lhs, rhs, tol)
+    verdict = loewner_compare(lhs, rhs, tol)
+    return verdict.lam_min, verdict
 
 
 def transform_gap(

@@ -404,7 +404,9 @@ class PmiCertificate:
     probe_grid: str
 
 
-def _power_ratio_extreme(f, q_grid, x_grid, direction: str) -> tuple[bool, float]:
+def _power_certificate(f, q_grid, x_grid, direction: str) -> PmiCertificate:
+    if not q_grid or not len(x_grid):
+        raise ValueError("grids must be nonempty")
     worst = 1.0
     holds = True
     for q in q_grid:
@@ -416,7 +418,8 @@ def _power_ratio_extreme(f, q_grid, x_grid, direction: str) -> tuple[bool, float
                 holds = False
                 continue
             worst = max(worst, ratio)
-    return holds, worst
+    desc = f"q in {tuple(float(q) for q in q_grid)}, x grid of {len(x_grid)} points"
+    return PmiCertificate(holds, worst, direction, desc)
 
 
 def check_pmi(
@@ -425,11 +428,7 @@ def check_pmi(
     x_grid=DEFAULT_X_GRID,
 ) -> PmiCertificate:
     """Least grid constant for ``f(x**q) <= M * f(x)**q`` (working definition)."""
-    if not q_grid or not len(x_grid):
-        raise ValueError("grids must be nonempty")
-    holds, worst = _power_ratio_extreme(f, q_grid, x_grid, "pmi")
-    desc = f"q in {tuple(float(q) for q in q_grid)}, x grid of {len(x_grid)} points"
-    return PmiCertificate(holds, worst, "pmi", desc)
+    return _power_certificate(f, q_grid, x_grid, "pmi")
 
 
 def check_pmd(
@@ -438,11 +437,7 @@ def check_pmd(
     x_grid=DEFAULT_X_GRID,
 ) -> PmiCertificate:
     """Dual certificate: least grid constant for ``f(x)**q <= M * f(x**q)``."""
-    if not q_grid or not len(x_grid):
-        raise ValueError("grids must be nonempty")
-    holds, worst = _power_ratio_extreme(f, q_grid, x_grid, "pmd")
-    desc = f"q in {tuple(float(q) for q in q_grid)}, x grid of {len(x_grid)} points"
-    return PmiCertificate(holds, worst, "pmd", desc)
+    return _power_certificate(f, q_grid, x_grid, "pmd")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import tmlab as tm
-from tmlab.harness import default_config, run_suite
+from tmlab.harness import ExperimentConfig, run_suite
 
 from conftest import SHAPE2, SHAPE22, rand_hermitian, rand_pd, rand_psd_rank, rand_spectrum
 
@@ -90,7 +90,7 @@ def test_criterion_05_lifted_ando_hiai_suite():
     t0 = time.time()
     for m in (2, 3):
         for q in (0.5, 1.0, 2.0):
-            cfg = default_config(trials=500, exponents={"q": q, "m": m}, function="power:0.5")
+            cfg = ExperimentConfig(trials=500, exponents={"q": q, "m": m}, function="power:0.5")
             report = run_suite("T1_AndoHiaiGeneralized", cfg)
             assert report.violations == 0, (m, q, report.regime_notes)
     _announce(5, time.time() - t0, 60.0, "zero violations across m in {2,3}, q in {0.5,1,2}, 500 trials each")
@@ -178,7 +178,7 @@ def test_criterion_09_linear_transform_inequality(rng):
 
 def test_criterion_10_trace_tail_bounds():
     t0 = time.time()
-    report = run_suite("L3_MarkovChebyshev", default_config(trials=2000))
+    report = run_suite("L3_MarkovChebyshev", ExperimentConfig(trials=2000))
     assert report.violations == 0, report.regime_notes
     _announce(10, time.time() - t0, 60.0, "empirical tail frequencies below the clamped trace bounds (2000 trials)")
 

@@ -7,6 +7,7 @@ import pytest
 
 import tmlab as tm
 from tmlab.cli import main, resolve_suite
+from tmlab.harness import ConfigError, ExperimentConfig
 
 
 def run_cli(args):
@@ -60,6 +61,26 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--suite", "L3", "--config", "/nonexistent/cfg.json"])
         assert code == 2
         assert "cannot read config" in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"tolerance": float("inf")},
+            {"tolerance": float("nan")},
+            {"tolerance": "1e-8"},
+            {"trials": True},
+            {"seed": 1.5},
+            {"exponents": {"n": 4}},
+            {"ensembles": {"x": {"kind": "wishart", "dof": 4.5}, "y": {"kind": "spectrum"}}},
+        ],
+        ids=["tolerance-inf", "tolerance-nan", "tolerance-str", "trials-bool", "seed-float", "exponent-n", "dof-float"],
+    )
+    def test_bad_config_value_exits_two(self, payload, tmp_path, capsys):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(payload)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["verify", "--config", str(cfg_path), "--suite", "L1"]) == 2
 
     def test_config_file_and_overrides(self, tmp_path):
         cfg = {"trials": 500, "seed": 3, "suites": ["APP_Fusion"]}

@@ -262,6 +262,15 @@ class TestHermiticity:
         with pytest.raises(HermiticityError):
             tm.fold(a + a.conj().T + 0.5j * np.eye(2), SHAPE2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("cells", [((0, 0),), ((0, 1),), ((0, 1), (1, 0))], ids=["diag", "off", "pair"])
+    def test_rejects_non_finite_entries(self, value, cells):
+        m = np.eye(2, dtype=complex)
+        for cell in cells:
+            m[cell] = value
+        with pytest.raises(ValueError, match="finite"):
+            tm.fold(m, SHAPE2)
+
     def test_symmetrizes_small_noise(self, rng):
         a = rng.normal(size=(2, 2))
         m = (a + a.T).astype(complex)

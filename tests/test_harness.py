@@ -9,7 +9,6 @@ from tmlab.harness import (
     EnsembleSpec,
     ExperimentConfig,
     SuiteId,
-    default_config,
     dominated_sample,
     enforce_premise,
     reports_to_json,
@@ -109,7 +108,7 @@ class TestEnforcePremise:
 
 class TestConfig:
     def test_defaults_valid(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         assert cfg.trials == 200
         assert len(cfg.suites) == 17
 
@@ -145,7 +144,7 @@ class TestConfig:
             ExperimentConfig.from_dict({"function": "sinh:1"})
 
     def test_round_trip(self):
-        cfg = default_config(trials=17, seed=5)
+        cfg = ExperimentConfig(trials=17, seed=5)
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
@@ -165,7 +164,7 @@ ORDERING_SUITES = [
 
 class TestSuites:
     def test_every_suite_runs_on_default_config(self):
-        cfg = default_config(trials=10)
+        cfg = ExperimentConfig(trials=10)
         for sid in SuiteId:
             report = run_suite(sid, cfg)
             assert report.trials == 10
@@ -173,43 +172,57 @@ class TestSuites:
             assert 0.0 <= report.empirical_prob <= 1.0
             assert report.violations <= max(report.trials, 6 * 17)
 
+    def test_every_suite_runs_at_d1(self):
+        cfg = ExperimentConfig(trials=3, shape=(1,))
+        for sid in SuiteId:
+            assert run_suite(sid, cfg).trials == 3
+
+    def test_fusion_has_no_false_failures_at_large_d(self):
+        # Means at D = 36 reach scale ~1e7: the verdict's relative rule applies.
+        report = run_suite("APP_Fusion", ExperimentConfig(trials=3, shape=(6, 6)))
+        assert report.violations == 0, report.regime_notes
+
+    def test_majorization_tc_reports_finite_fields_at_d64(self):
+        report = run_suite("C4_MajorizationTC", ExperimentConfig(trials=2, shape=(8, 8))).to_dict()
+        assert all(math.isfinite(v) for v in report.values() if isinstance(v, float))
+
     @pytest.mark.parametrize("suite", ORDERING_SUITES)
     def test_ordering_suites_zero_violations(self, suite):
-        cfg = default_config(trials=120)
+        cfg = ExperimentConfig(trials=120)
         report = run_suite(suite, cfg)
         assert report.violations == 0, report.regime_notes
 
     def test_l3_tail_bound_passes(self):
-        report = run_suite("L3_MarkovChebyshev", default_config(trials=300))
+        report = run_suite("L3_MarkovChebyshev", ExperimentConfig(trials=300))
         assert report.violations == 0
 
     def test_reports_deterministic(self):
-        cfg = default_config(trials=25)
+        cfg = ExperimentConfig(trials=25)
         a = reports_to_json(run_suites(cfg))
         b = reports_to_json(run_suites(cfg))
         assert a == b
 
     def test_seed_changes_reports(self):
-        a = reports_to_json(run_suites(default_config(trials=25, suites=("APP_Fusion",))))
-        b = reports_to_json(run_suites(default_config(trials=25, seed=1, suites=("APP_Fusion",))))
+        a = reports_to_json(run_suites(ExperimentConfig(trials=25, suites=("APP_Fusion",))))
+        b = reports_to_json(run_suites(ExperimentConfig(trials=25, seed=1, suites=("APP_Fusion",))))
         assert a != b
 
     def test_incompatible_function_raises(self):
-        cfg = default_config(trials=5, function="psi:1.0")
+        cfg = ExperimentConfig(trials=5, function="psi:1.0")
         with pytest.raises(ConfigError, match="cannot run"):
             run_suite("T1_AndoHiaiGeneralized", cfg)
-        cfg = default_config(trials=5, function="geometric")
+        cfg = ExperimentConfig(trials=5, function="geometric")
         with pytest.raises(ConfigError, match="cannot run"):
             run_suite("APP_Fusion", cfg)
 
     def test_explicit_compatible_function_used(self):
-        cfg = default_config(trials=5, function="power:0.5")
+        cfg = ExperimentConfig(trials=5, function="power:0.5")
         report = run_suite("T1_AndoHiaiGeneralized", cfg)
         assert any("power:0.5" in note for note in report.regime_notes)
 
     def test_unknown_suite_name(self):
         with pytest.raises(ConfigError, match="unknown suite"):
-            run_suite("T99_Nope", default_config())
+            run_suite("T99_Nope", ExperimentConfig())
 
     @pytest.mark.parametrize("suite", ["T1_AndoHiaiGeneralized", "T7_Psi", "T9_TC"])
     def test_premise_suites_reject_singular_ensembles(self, suite):
@@ -227,7 +240,7 @@ class TestSuites:
             run_suite(suite, cfg)
 
     def test_report_fields_and_version(self):
-        report = run_suite("APP_Fusion", default_config(trials=5))
+        report = run_suite("APP_Fusion", ExperimentConfig(trials=5))
         payload = report.to_dict()
         assert payload["version"] == "tmlab-report/1"
         assert list(payload.keys()) == [
@@ -247,7 +260,7 @@ class TestSuites:
     def test_ordering_suites_clean_at_larger_shape(self):
         # D = 8: premise rescaling must stay well conditioned (dof scales
         # with the unfolding dimension in the default ensembles)
-        cfg = default_config(trials=60, shape=(2, 2, 2))
+        cfg = ExperimentConfig(trials=60, shape=(2, 2, 2))
         for suite in ("T1_AndoHiaiGeneralized", "C1_AndoHiaiDual", "T65_JointConvexity", "APP_Fusion"):
             report = run_suite(suite, cfg)
             assert report.violations == 0, (suite, report.regime_notes)
