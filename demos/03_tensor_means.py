@@ -40,7 +40,7 @@ print("recursion vs direct lift (n=4): rel diff =",
 # PSD extension: a rank-deficient second slot.
 y_sing = tm.HermitianTensor.diag([1.0, 0.5, 0.25, 0.0], shape)
 w = rand_pd()
-root = tm.apply_spectral(y_sing, lambda v: np.sqrt(max(v, 0.0)))
+root = tm.apply_spectral(y_sing, lambda v: np.sqrt(np.maximum(v, 0.0)))
 x_dom = tm.fold(root.unfold() @ w.unfold() @ root.unfold(), shape)
 res = tm.eta(x_dom, y_sing)
 print("\neta solves x = y^(1/2) eta y^(1/2); least domination constant =",

@@ -52,6 +52,7 @@ from .functions import (
     identity,
     invert_fn,
     power,
+    power_exponent,
     power_lift,
     psi,
     square,

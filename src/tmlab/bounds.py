@@ -15,10 +15,9 @@ import numpy as np
 
 from .core import (
     HermitianTensor,
-    NotPositiveDefiniteError,
-    NotPositiveSemidefiniteError,
-    PSD_RTOL,
     RANK_RTOL,
+    require_pd,
+    require_psd,
     spectral_power,
 )
 from .functions import ConnectionFunction
@@ -80,7 +79,8 @@ def kantorovich(m: float, big_m: float, p: float) -> float:
 
     Returns 1 for ``p`` in [0, 1] (where plain power monotonicity applies)
     and for the degenerate spectrum ``m == M``; otherwise evaluates the
-    closed form, which is always >= 1.
+    closed form, which is always >= 1.  Raises ``ValueError`` when the
+    closed form over- or underflows double precision.
     """
     m, big_m, p = float(m), float(big_m), float(p)
     if m <= 0.0:
@@ -89,12 +89,18 @@ def kantorovich(m: float, big_m: float, p: float) -> float:
         raise ValueError(f"need M >= m, got M = {big_m} < m = {m}")
     if m == big_m or 0.0 <= p <= 1.0:
         return 1.0
-    mp = m**p
-    big_mp = big_m**p
-    cross = m * big_mp - big_m * mp
-    first = ((p - 1.0) * (big_mp - mp) / (p * cross)) ** p
-    second = cross / ((p - 1.0) * (big_m - m))
-    return max(1.0, first * second)
+    try:
+        mp = m**p
+        big_mp = big_m**p
+        cross = m * big_mp - big_m * mp
+        first = ((p - 1.0) * (big_mp - mp) / (p * cross)) ** p
+        second = cross / ((p - 1.0) * (big_m - m))
+        k = first * second
+    except (OverflowError, ZeroDivisionError):
+        k = math.nan
+    if not math.isfinite(k):
+        raise ValueError(f"K({m:g}, {big_m:g}, {p:g}) is out of floating-point range")
+    return max(1.0, k)
 
 
 def kk_factors(
@@ -114,13 +120,11 @@ def kk_factors(
     m = int(m)
     if k_start not in (1, 2):
         raise ValueError("k_start must be 1 or 2")
-    lam = np.linalg.eigvalsh(x.unfold())
-    if float(lam[0]) <= 0.0:
-        raise NotPositiveDefiniteError(f"x must be PD, lambda_min = {lam[0]:.3e}")
+    lam = require_pd(x, "x")
+    g_lam = g.fn(lam)
     factors = []
     for k in range(k_start, m + 1):
-        e = m - k
-        ratios = np.array([g(float(v)) ** e / float(v) for v in lam])
+        ratios = g_lam ** (m - k) / lam
         factors.append(kantorovich(1.0 / float(ratios.max()), 1.0 / float(ratios.min()), 2.0 * q))
     return BoundFactors(kk_list=tuple(factors))
 
@@ -150,29 +154,33 @@ def dyadic_decompose(q: float) -> tuple[int, float]:
 def _ratio_extremes(z: HermitianTensor, f: ConnectionFunction, a: float) -> tuple[float, float]:
     """Extremes of ``f(z**a) f(z)**(-a)`` over the spectrum of PSD ``z``."""
     lam = np.linalg.eigvalsh(z.unfold())
-    cutoff = RANK_RTOL * max(float(lam[-1]), 0.0)
-    ratios = []
-    for v in lam:
-        v = float(v)
-        if v > cutoff:
-            ratios.append(f(v**a) / f(v) ** a)
-        else:
-            f0 = f.value_at_0plus
-            if f0 is None or not math.isfinite(f0) or f0 <= 0.0:
-                raise ValueError(
-                    f"{f.label}: spectral ratio undefined on the null space "
-                    f"(limit at 0+ is {f0!r})"
-                )
-            ratios.append(f0 ** (1.0 - a))
-    return float(min(ratios)), float(max(ratios))
+    live = lam > RANK_RTOL * max(float(lam[-1]), 0.0)
+    ratios = f.fn(lam[live] ** a) / f.fn(lam[live]) ** a
+    if not live.all():
+        f0 = f.value_at_0plus
+        if f0 is None or not math.isfinite(f0) or f0 <= 0.0:
+            raise ValueError(
+                f"{f.label}: spectral ratio undefined on the null space "
+                f"(limit at 0+ is {f0!r})"
+            )
+        ratios = np.append(ratios, f0 ** (1.0 - a))
+    return float(ratios.min()), float(ratios.max())
 
 
-def _dyadic_factors(
+def psi_factors(
     q: float,
     f: ConnectionFunction,
     x: HermitianTensor,
     y: HermitianTensor,
 ) -> tuple[float, float]:
+    """Dyadic spectral-ratio factors (lower, upper) of a generator.
+
+    Uses the quotients ``Z_k = eta(y**(2**k), x**(2**k))`` for
+    ``k = 0 .. n`` from the decomposition ``q = 2**n q0``; domination of
+    each dyadic power pair is required and checked.  Exactly 1 for power
+    generators.  The same factors serve an increasing generator (the
+    psi factors) and a decreasing one (``phi_factors``).
+    """
     n, q0 = dyadic_decompose(q)
     levels = []
     for k in range(n + 1):
@@ -187,30 +195,7 @@ def _dyadic_factors(
     return lower, upper
 
 
-def psi_factors(
-    q: float,
-    f: ConnectionFunction,
-    x: HermitianTensor,
-    y: HermitianTensor,
-) -> tuple[float, float]:
-    """Dyadic spectral-ratio factors (lower, upper) for an increasing generator.
-
-    Uses the quotients ``Z_k = eta(y**(2**k), x**(2**k))`` for
-    ``k = 0 .. n`` from the decomposition ``q = 2**n q0``; domination of
-    each dyadic power pair is required and checked.  Exactly 1 for power
-    generators.
-    """
-    return _dyadic_factors(q, f, x, y)
-
-
-def phi_factors(
-    q: float,
-    h: ConnectionFunction,
-    x: HermitianTensor,
-    y: HermitianTensor,
-) -> tuple[float, float]:
-    """Mirror of :func:`psi_factors` for a decreasing generator."""
-    return _dyadic_factors(q, h, x, y)
+phi_factors = psi_factors
 
 
 def prop310_factors(x: HermitianTensor, q: float) -> tuple[float, float]:
@@ -220,9 +205,7 @@ def prop310_factors(x: HermitianTensor, q: float) -> tuple[float, float]:
     q = float(q)
     if q < 1.0:
         raise ValueError("need q >= 1")
-    lam = np.linalg.eigvalsh(x.unfold())
-    if float(lam[0]) <= 0.0:
-        raise NotPositiveDefiniteError(f"x must be PD, lambda_min = {lam[0]:.3e}")
+    lam = require_pd(x, "x")
     lo = 1.0 / float(lam[-1])
     hi = 1.0 / float(lam[0])
     return kantorovich(lo, hi, q - 1.0), kantorovich(lo, hi, 2.0 * q - 1.0)
@@ -242,16 +225,12 @@ def trace_tail_bound(
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample")
-    ev = np.linalg.eigvalsh(c.unfold())
-    if float(ev[0]) <= 0.0:
-        raise NotPositiveDefiniteError(f"c must be PD, lambda_min = {ev[0]:.3e}")
+    require_pd(c, "c")
     c_inv = np.linalg.inv(c.unfold())
     stats = []
     for z in samples:
         z._check_same_shape(c)
-        scale = max(1.0, z.spectral_scale())
-        if z.lambda_min() < -PSD_RTOL * scale:
-            raise NotPositiveSemidefiniteError(f"sample not PSD, lambda_min = {z.lambda_min():.3e}")
+        require_psd(z, "sample")
         zq = spectral_power(z, q)
         stats.append(float(np.trace(zq.unfold() @ c_inv).real))
     n = len(stats)

@@ -40,6 +40,8 @@ __all__ = [
     "spectral_decompose",
     "apply_spectral",
     "spectral_power",
+    "require_pd",
+    "require_psd",
     "loewner_compare",
     "gauge_norm",
     "range_projector",
@@ -120,16 +122,7 @@ class HermitianTensor:
     __slots__ = ("_shape", "_matrix")
 
     def __init__(self, entries, shape=None):
-        arr = np.asarray(entries, dtype=np.complex128)
-        if shape is None:
-            if arr.ndim % 2 != 0 or arr.ndim == 0:
-                raise ValueError("cannot infer shape from entries of odd order")
-            n = arr.ndim // 2
-            shape = TensorShape(arr.shape[:n])
-        shape = _as_shape(shape)
-        expected = shape.dims + shape.dims
-        if arr.shape != expected:
-            raise ValueError(f"entries have shape {arr.shape}, expected {expected}")
+        arr, shape = _coerce_entries(entries, None if shape is None else _as_shape(shape))
         d = shape.square_dim
         matrix = arr.reshape(d, d)
         scale = max(1.0, float(np.linalg.norm(matrix)))
@@ -288,7 +281,7 @@ def fold(matrix, shape) -> HermitianTensor:
 
 def _coerce_entries(a, shape: TensorShape | None):
     if isinstance(a, HermitianTensor):
-        return a.entries, a.shape
+        a, shape = a.entries, a.shape if shape is None else shape
     arr = np.asarray(a, dtype=np.complex128)
     if shape is None:
         if arr.ndim % 2 != 0 or arr.ndim == 0:
@@ -378,28 +371,19 @@ def spectral_decompose(h: HermitianTensor, rank_rtol: float = RANK_RTOL) -> Spec
 
 def apply_spectral(
     h: HermitianTensor,
-    phi: Callable[[float], float],
+    phi: Callable[[np.ndarray], np.ndarray],
     domain_check: bool = True,
 ) -> HermitianTensor:
     """Spectral function calculus: map eigenvalues through ``phi``.
 
-    With ``domain_check`` set, a non-finite ``phi(lambda)`` raises
-    ``ValueError`` (e.g. ``x**-0.5`` on a spectrum touching zero).
+    ``phi`` is elementwise on float64 arrays and maps the whole spectrum in
+    one call.  With ``domain_check`` set, a non-finite ``phi(lambda)``
+    (NaN or inf, e.g. ``x**-0.5`` on a spectrum touching zero) raises
+    ``ValueError``.
     """
     dec = spectral_decompose(h)
-
-    def _eval(lam: float) -> float:
-        # Complex results and evaluation failures both mean the spectrum
-        # left the function's real domain.
-        try:
-            out = phi(lam)
-        except (ValueError, TypeError, OverflowError, ZeroDivisionError):
-            return math.nan
-        if isinstance(out, complex):
-            return float(out.real) if out.imag == 0.0 else math.nan
-        return float(out)
-
-    mapped = np.array([_eval(float(lam)) for lam in dec.eigenvalues])
+    with np.errstate(all="ignore"):
+        mapped = phi(dec.eigenvalues)
     if domain_check and not np.all(np.isfinite(mapped)):
         bad = dec.eigenvalues[~np.isfinite(mapped)]
         raise ValueError(f"spectrum outside function domain at eigenvalues {bad}")
@@ -417,8 +401,32 @@ def spectral_power(h: HermitianTensor, p: float, psd_clip: bool = True) -> Hermi
     if float(p) == 1.0:
         return h
     if psd_clip and p > 0 and float(p) != int(p):
-        return apply_spectral(h, lambda x: max(x, 0.0) ** p)
-    return apply_spectral(h, lambda x: float(x) ** p)
+        return apply_spectral(h, lambda x: np.maximum(x, 0.0) ** p)
+    return apply_spectral(h, lambda x: x**p)
+
+
+def require_pd(t: HermitianTensor, name: str) -> np.ndarray:
+    """Gate for positive definite inputs: the ascending eigenvalues of ``t``,
+    all strictly positive, else :class:`NotPositiveDefiniteError`."""
+    ev = np.linalg.eigvalsh(t.unfold())
+    _check_pd(float(ev[0]), name)
+    return ev
+
+
+def _check_pd(lam_min: float, name: str) -> None:
+    if lam_min <= 0.0:
+        raise NotPositiveDefiniteError(f"{name} must be PD, lambda_min = {lam_min:.3e}")
+
+
+def require_psd(t: HermitianTensor, name: str) -> np.ndarray:
+    """Gate for positive semidefinite inputs: the ascending eigenvalues of
+    ``t``, none below ``-PSD_RTOL * max(1, |t|_sp)``, else
+    :class:`NotPositiveSemidefiniteError`."""
+    ev = np.linalg.eigvalsh(t.unfold())
+    lam_min = float(ev[0])
+    if lam_min < -PSD_RTOL * max(1.0, abs(lam_min), abs(float(ev[-1]))):
+        raise NotPositiveSemidefiniteError(f"{name} must be PSD, lambda_min = {lam_min:.3e}")
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +562,9 @@ def range_projector(h: HermitianTensor, rank_rtol: float = RANK_RTOL) -> Hermiti
     Eigenvalues are kept iff ``lambda > rank_rtol * lambda_max``; the result
     is idempotent and commutes with ``h`` by construction.
     """
-    scale = max(1.0, h.spectral_scale())
+    require_psd(h, "range projector input")
     dec = spectral_decompose(h, rank_rtol)
-    if dec.eigenvalues.size and float(dec.eigenvalues[-1]) < -PSD_RTOL * scale:
-        raise NotPositiveSemidefiniteError(
-            f"range projector needs a PSD input, lambda_min = {dec.eigenvalues[-1]:.3e}"
-        )
-    lam_max = float(dec.eigenvalues[0]) if dec.eigenvalues.size else 0.0
-    keep = dec.eigenvalues > rank_rtol * max(lam_max, 0.0)
+    keep = dec.eigenvalues > rank_rtol * max(float(dec.eigenvalues[0]), 0.0)
     u = dec.eigenvectors[:, keep]
     return HermitianTensor.from_matrix(u @ u.conj().T, h.shape)
 
@@ -573,13 +576,10 @@ def range_projector(h: HermitianTensor, rank_rtol: float = RANK_RTOL) -> Hermiti
 
 def tensor_to_json_dict(entries, dims) -> dict:
     """JSON payload ``{"dims", "re", "im"}`` with row-major entry order."""
-    arr = np.asarray(entries, dtype=np.complex128)
-    dims = tuple(int(d) for d in dims)
-    if arr.shape != dims + dims:
-        raise ValueError(f"entries have shape {arr.shape}, expected {dims + dims}")
+    arr, shape = _coerce_entries(entries, TensorShape(tuple(dims)))
     flat = arr.reshape(-1)
     return {
-        "dims": list(dims),
+        "dims": list(shape.dims),
         "re": [float(v) for v in flat.real],
         "im": [float(v) for v in flat.imag],
     }

@@ -1,18 +1,20 @@
-"""Scalar connection functions on (0, inf) with classification metadata.
+"""Connection functions on (0, inf) with classification metadata.
 
 A connection function generates a bivariate tensor mean through the spectral
-calculus (see :mod:`tmlab.means`).  Instances carry class tags from
-``{"TMI", "TMD", "TC"}`` (monotone increasing / decreasing / convex, each
-positive), a normalized-at-1 flag, and analytic values where known.  Tags are
-caller-asserted but validated against scalar probes on a logarithmic grid;
-scalar probes cannot certify the tensor (operator) versions of these
-properties, they only reject gross misuse.
+calculus (see :mod:`tmlab.means`).  Its ``fn`` is elementwise on float64
+arrays, so a whole spectrum maps in one call.  Instances carry class tags
+from ``{"TMI", "TMD", "TC"}`` (monotone increasing / decreasing / convex,
+each positive), a normalized-at-1 flag, and analytic values where known.
+Tags are caller-asserted but validated against scalar probes on a
+logarithmic grid; scalar probes cannot certify the tensor (operator)
+versions of these properties, they only reject gross misuse.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,6 +34,7 @@ __all__ = [
     "invert_fn",
     "ando_hiai_g",
     "derivative_at_one",
+    "power_exponent",
     "check_pmi",
     "check_pmd",
     "DEFAULT_Q_GRID",
@@ -55,7 +58,8 @@ class ConnectionFunction:
     Parameters
     ----------
     fn : callable
-        Scalar evaluation; must be reentrant.
+        Elementwise evaluation on float64 arrays (numpy expressions); must
+        be reentrant.  Points outside the domain may give NaN or inf.
     label : str
         Display / config id.
     tags : frozenset of {"TMI", "TMD", "TC"}
@@ -71,7 +75,7 @@ class ConnectionFunction:
         at ``x = 1e-12`` and recorded as ``inf`` above 1e10.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     label: str
     tags: frozenset = frozenset()
     normalized: bool = False
@@ -88,61 +92,58 @@ class ConnectionFunction:
             raise ValueError("class tags require a positive function")
         self._run_probes()
         if self.value_at_0plus is None:
-            probe = self.fn(1e-12)
-            limit = math.inf if probe > 1e10 else float(probe)
+            probe = self(1e-12)
+            limit = math.inf if probe > 1e10 else probe
             object.__setattr__(self, "value_at_0plus", limit)
 
     def _run_probes(self) -> None:
-        values = np.array([self.fn(float(x)) for x in PROBE_GRID], dtype=float)
+        values = self.fn(PROBE_GRID)
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{self.label}: non-finite values on probe grid")
         if self.positive and np.any(values <= 0.0):
             raise ValueError(f"{self.label}: not positive on probe grid")
-        if self.normalized and abs(self.fn(1.0) - 1.0) > 1e-12:
-            raise ValueError(f"{self.label}: normalized flag set but fn(1) = {self.fn(1.0)!r}")
-        scale = max(1.0, float(np.max(np.abs(values))))
-        diffs = np.diff(values)
-        if "TMI" in self.tags and np.any(diffs < -PROBE_TOL * scale):
-            raise ValueError(f"{self.label}: TMI tag fails monotonicity probe")
-        if "TMD" in self.tags and np.any(diffs > PROBE_TOL * scale):
-            raise ValueError(f"{self.label}: TMD tag fails monotonicity probe")
-        if "TC" in self.tags and not _midpoint_convex(self.fn, values, scale):
-            raise ValueError(f"{self.label}: TC tag fails midpoint convexity probe")
+        if self.normalized and abs(self.value_at_1 - 1.0) > 1e-12:
+            raise ValueError(f"{self.label}: normalized flag set but fn(1) = {self.value_at_1!r}")
+        failed = self.tags - _probe_tags(self.fn, values, self.tags)
+        for tag, what in _PROBE_NAMES.items():
+            if tag in failed:
+                raise ValueError(f"{self.label}: {tag} tag fails {what} probe")
 
     def __call__(self, x: float) -> float:
-        return float(self.fn(float(x)))
+        """Scalar convenience: ``fn`` at one point, through the array path."""
+        return float(self.fn(np.asarray(x, dtype=np.float64)))
 
     @property
     def value_at_1(self) -> float:
-        return float(self.fn(1.0))
+        return self(1.0)
 
-    def eval_extended(self, x: float) -> float:
-        """Evaluation extended to the boundary: ``x <= 0`` maps to the 0+ limit."""
-        if x <= 0.0:
-            return float(self.value_at_0plus)
-        return float(self.fn(float(x)))
+    def eval_extended(self, x, cutoff: float = 0.0) -> np.ndarray:
+        """``fn`` over an array, extended to the boundary: entries
+        ``<= cutoff`` map to the 0+ limit."""
+        x = np.asarray(x, dtype=np.float64)
+        live = x > cutoff
+        return np.where(live, self.fn(np.where(live, x, 1.0)), self.value_at_0plus)
 
     def __repr__(self) -> str:
         return f"ConnectionFunction({self.label!r})"
 
 
+_PROBE_NAMES = {"TMI": "monotonicity", "TMD": "monotonicity", "TC": "midpoint convexity"}
+
+
 def _midpoint_convex(fn, grid_values, scale) -> bool:
     for stride in (1, 4):
-        for i in range(len(PROBE_GRID) - stride):
-            a, b = float(PROBE_GRID[i]), float(PROBE_GRID[i + stride])
-            mid = fn((a + b) / 2.0)
-            chord = (grid_values[i] + grid_values[i + stride]) / 2.0
-            if mid > chord + PROBE_TOL * max(scale, abs(chord)):
-                return False
+        mid = fn((PROBE_GRID[:-stride] + PROBE_GRID[stride:]) / 2.0)
+        chord = (grid_values[:-stride] + grid_values[stride:]) / 2.0
+        if np.any(mid > chord + PROBE_TOL * np.maximum(scale, np.abs(chord))):
+            return False
     return True
 
 
-def _probe_tags(fn, candidates) -> frozenset:
-    """Subset of candidate tags that survive the scalar probes."""
+def _probe_tags(fn, values, candidates) -> frozenset:
+    """Subset of candidate tags that survive the scalar probes, given the
+    values ``fn(PROBE_GRID)``."""
     kept = set()
-    values = np.array([fn(float(x)) for x in PROBE_GRID], dtype=float)
-    if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-        return frozenset()
     scale = max(1.0, float(np.max(np.abs(values))))
     diffs = np.diff(values)
     if "TMI" in candidates and np.all(diffs >= -PROBE_TOL * scale):
@@ -159,6 +160,10 @@ def _probe_tags(fn, candidates) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
+def _power(x, a):
+    return x**a
+
+
 def power(alpha: float) -> ConnectionFunction:
     """``x**alpha``;  alpha in [0, 1] is the operator monotone range."""
     a = float(alpha)
@@ -170,7 +175,7 @@ def power(alpha: float) -> ConnectionFunction:
     if 1.0 <= a <= 2.0 or -1.0 <= a <= 0.0:
         tags.add("TC")
     return ConnectionFunction(
-        fn=lambda x, a=a: x**a,
+        fn=partial(_power, a=a),
         label=f"power:{a:g}",
         tags=frozenset(tags),
         normalized=True,
@@ -179,32 +184,25 @@ def power(alpha: float) -> ConnectionFunction:
     )
 
 
+def power_exponent(f: ConnectionFunction) -> float | None:
+    """``alpha`` when ``f`` evaluates as the power ``x**alpha`` (the builtins
+    ``power``, ``identity``, ``square`` and ``geometric``), else None."""
+    fn = f.fn
+    if isinstance(fn, partial) and fn.func is _power:
+        return fn.keywords["a"]
+    return None
+
+
 def identity() -> ConnectionFunction:
     return power(1.0)
 
 
 def square() -> ConnectionFunction:
-    cf = power(2.0)
-    return ConnectionFunction(
-        fn=cf.fn,
-        label="square",
-        tags=cf.tags,
-        normalized=True,
-        derivative_at_1=2.0,
-        value_at_0plus=0.0,
-    )
+    return replace(power(2.0), label="square")
 
 
 def geometric() -> ConnectionFunction:
-    cf = power(0.5)
-    return ConnectionFunction(
-        fn=cf.fn,
-        label="geometric",
-        tags=cf.tags,
-        normalized=True,
-        derivative_at_1=0.5,
-        value_at_0plus=0.0,
-    )
+    return replace(power(0.5), label="geometric")
 
 
 def harmonic_like() -> ConnectionFunction:
@@ -280,7 +278,7 @@ def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
     if "TC" in g.tags or "TMD" in g.tags:
         candidates.add("TC")
 
-    def h(x: float, g=g.fn) -> float:
+    def h(x, g=g.fn):
         return x * g(1.0 / x)
 
     deriv = None
@@ -289,52 +287,52 @@ def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
     return ConnectionFunction(
         fn=h,
         label=f"transpose:{g.label}",
-        tags=_probe_tags(h, candidates) if g.positive else frozenset(),
+        tags=_probe_tags(h, h(PROBE_GRID), candidates) if g.positive else frozenset(),
         normalized=g.normalized,
         positive=g.positive,
         derivative_at_1=deriv,
     )
 
 
-def invert_fn(g: ConnectionFunction, y: float, max_exp: int = 64) -> float:
-    """Solve ``g(x) = y`` for strictly monotone ``g`` on (0, inf).
+def invert_fn(g: ConnectionFunction, y, max_exp: int = 64):
+    """Solve ``g(x) = y`` for strictly monotone ``g`` on (0, inf), elementwise
+    over an array of targets.
 
     Exponential bracket expansion over ``2**(-max_exp) .. 2**max_exp``
     followed by bisection; ties resolve toward the lower root.  Raises
-    ``ValueError`` when ``y`` cannot be bracketed.
+    ``ValueError`` when a target cannot be bracketed.
     """
-    y = float(y)
-    if not math.isfinite(y):
+    y = np.asarray(y, dtype=np.float64)
+    if not np.all(np.isfinite(y)):
         raise ValueError("target must be finite")
-    increasing = g(2.0) > g(0.5)
-    sign = 1.0 if increasing else -1.0
+    shape, targets = y.shape, y.reshape(-1)
+    sign = 1.0 if g(2.0) > g(0.5) else -1.0
 
-    def resid(x: float) -> float:
-        return sign * (g(x) - y)
+    def resid(x, t=targets):
+        return sign * (g.fn(x) - t)
 
-    lo, hi = 1.0, 1.0
-    r_lo, r_hi = resid(lo), resid(hi)
-    k = 0
-    while r_lo > 0.0 and k < max_exp:
-        k += 1
-        lo = 2.0**-k
-        r_lo = resid(lo)
-    k = 0
-    while r_hi < 0.0 and k < max_exp:
-        k += 1
-        hi = 2.0**k
-        r_hi = resid(hi)
-    if r_lo > 0.0 or r_hi < 0.0:
-        raise ValueError(f"cannot bracket {y!r} within 2**(+-{max_exp}) for {g.label}")
+    # Brackets: the first of 1, 1/2, 1/4, .. with resid <= 0 and the first
+    # of 1, 2, 4, .. with resid >= 0.
+    steps = 2.0 ** np.arange(max_exp + 1)
+    with np.errstate(over="ignore"):
+        r_lo = resid(1.0 / steps, targets[:, None]) <= 0.0
+        r_hi = resid(steps, targets[:, None]) >= 0.0
+    found = r_lo.any(axis=1) & r_hi.any(axis=1)
+    if not found.all():
+        raise ValueError(f"cannot bracket {targets[~found][0]!r} within 2**(+-{max_exp}) for {g.label}")
+    lo = 1.0 / steps[np.argmax(r_lo, axis=1)]
+    hi = steps[np.argmax(r_hi, axis=1)]
+    active = np.ones(targets.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        active &= (mid != lo) & (mid != hi)
+        if not active.any():
             break
-        if resid(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return lo if resid(lo) == 0.0 else 0.5 * (lo + hi)
+        upper = resid(mid) >= 0.0
+        hi = np.where(active & upper, mid, hi)
+        lo = np.where(active & ~upper, mid, lo)
+    root = np.where(resid(lo) == 0.0, lo, 0.5 * (lo + hi))
+    return root.reshape(shape)[()]
 
 
 def ando_hiai_g(f: ConnectionFunction, m: int) -> ConnectionFunction:
@@ -348,10 +346,16 @@ def ando_hiai_g(f: ConnectionFunction, m: int) -> ConnectionFunction:
         raise ValueError("need m >= 2")
     if not f.positive:
         raise ValueError("needs a positive generator")
-    big_f = power_lift(f, m - 1)
+    alpha = power_exponent(f)
+    if alpha is not None:
+        if m - 1 + alpha == 0.0:
+            raise ValueError(f"x**(m-1) {f.label} is constant, hence not invertible")
+        g = partial(_power, a=1.0 / (m - 1 + alpha))
+    else:
+        big_f = power_lift(f, m - 1)
 
-    def g(x: float) -> float:
-        return 1.0 / invert_fn(big_f, 1.0 / x)
+        def g(x):
+            return 1.0 / invert_fn(big_f, 1.0 / x)
 
     deriv = None
     if f.derivative_at_1 is not None and f.normalized:
@@ -374,10 +378,10 @@ def derivative_at_one(g: ConnectionFunction) -> float:
         return float(g.derivative_at_1)
 
     def central(h: float) -> float:
-        pts = (g(1.0 - 2 * h), g(1.0 - h), g(1.0 + h), g(1.0 + 2 * h))
-        if not all(math.isfinite(p) for p in pts):
+        pts = g.fn(1.0 + h * np.array([-2.0, -1.0, 1.0, 2.0]))
+        if not np.all(np.isfinite(pts)):
             raise ValueError(f"{g.label}: non-finite probes near 1")
-        return (pts[0] - 8.0 * pts[1] + 8.0 * pts[2] - pts[3]) / (12.0 * h)
+        return float(pts[0] - 8.0 * pts[1] + 8.0 * pts[2] - pts[3]) / (12.0 * h)
 
     h = 1e-5
     d1, d2 = central(h), central(h / 2.0)
@@ -407,19 +411,16 @@ class PmiCertificate:
 def _power_certificate(f, q_grid, x_grid, direction: str) -> PmiCertificate:
     if not q_grid or not len(x_grid):
         raise ValueError("grids must be nonempty")
-    worst = 1.0
-    holds = True
-    for q in q_grid:
-        for x in x_grid:
-            num = f(float(x) ** float(q))
-            den = f(float(x)) ** float(q)
-            ratio = num / den if direction == "pmi" else den / num
-            if not math.isfinite(ratio):
-                holds = False
-                continue
-            worst = max(worst, ratio)
+    q = np.asarray(q_grid, dtype=np.float64)[:, None]
+    x = np.asarray(x_grid, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        num = f.fn(x**q)
+        den = f.fn(x) ** q
+        ratio = num / den if direction == "pmi" else den / num
+    finite = np.isfinite(ratio)
+    worst = max(1.0, float(ratio[finite].max())) if finite.any() else 1.0
     desc = f"q in {tuple(float(q) for q in q_grid)}, x grid of {len(x_grid)} points"
-    return PmiCertificate(holds, worst, direction, desc)
+    return PmiCertificate(bool(finite.all()), worst, direction, desc)
 
 
 def check_pmi(

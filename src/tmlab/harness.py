@@ -42,7 +42,6 @@ from .core import (
     TensorShape,
     gauge_norm,
     loewner_compare,
-    spectral_decompose,
     spectral_power,
 )
 from .functions import (
@@ -52,10 +51,11 @@ from .functions import (
     check_pmi,
     derivative_at_one,
     from_id,
+    power_exponent,
     power_lift,
 )
-from .means import epsilon_mean_limit, eta, mean_pd
-from .bounds import kantorovich, kk_factors, phi_factors, prop310_factors, psi_factors, trace_tail_bound
+from .means import _psd_root, epsilon_mean_limit, eta, mean_pd
+from .bounds import kantorovich, kk_factors, prop310_factors, psi_factors, trace_tail_bound
 from .lie_trotter import convergence_study, tensor_exp, tensor_log
 from .data_processing import DominationPair, congruence, fusion_gap, pinching, transform_gap
 
@@ -112,6 +112,9 @@ class EnsembleSpec:
         for name in ("dof", "rank"):
             if not _is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("m", "M"):
+            if not _is_finite_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.kind == "wishart" and self.dof < 1:
             raise ConfigError("wishart needs dof >= 1")
         if self.kind == "spectrum" and self.M < self.m:
@@ -122,6 +125,10 @@ class EnsembleSpec:
 
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _trial_rng(seed: int, trial: int, role: int = 0) -> np.random.Generator:
@@ -167,10 +174,7 @@ def dominated_sample(y: HermitianTensor, spec: EnsembleSpec, trial: int, role: i
     pair is admissible for the PSD mean extension by construction.
     """
     w = sample(EnsembleSpec(y.shape, "wishart", spec.seed, dof=max(spec.dof, 1)), trial, role).unfold()
-    dec = spectral_decompose(y)
-    lam = np.maximum(dec.eigenvalues, 0.0)
-    lam[lam <= 1e-10 * max(float(lam[0]), 0.0)] = 0.0
-    root = (dec.eigenvectors * np.sqrt(lam)) @ dec.eigenvectors.conj().T
+    root = _psd_root(y)
     m = root @ w @ root
     return HermitianTensor.from_matrix((m + m.conj().T) / 2.0, y.shape)
 
@@ -253,23 +257,24 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not _is_integer(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        tol = self.tolerance
-        # Written so that NaN fails: every comparison with NaN is false.
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-            raise ConfigError(f"tolerance must be positive and finite, got {tol!r}")
+        if not (_is_finite_real(self.tolerance) and self.tolerance > 0):
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
         TensorShape(self.shape)
-        exps = dict(_EXPONENT_DEFAULTS)
-        exps.update(self.exponents)
+        if not isinstance(self.exponents, dict):
+            raise ConfigError(f"exponents must be an object, got {self.exponents!r}")
+        exps = {**_EXPONENT_DEFAULTS, **self.exponents}
         if set(exps) != set(_EXPONENT_DEFAULTS):
             raise ConfigError(f"exponents accepts keys {sorted(_EXPONENT_DEFAULTS)}")
-        exps["q"] = float(exps["q"])
-        exps["p"] = float(exps["p"])
+        for name in ("q", "p"):
+            if not (_is_finite_real(exps[name]) and exps[name] > 0):
+                raise ConfigError(f"exponent {name} must be positive and finite, got {exps[name]!r}")
+            exps[name] = float(exps[name])
+        if not (_is_integer(exps["m"]) and exps["m"] >= 2):
+            raise ConfigError(f"exponent m must be an integer >= 2, got {exps['m']!r}")
         exps["m"] = int(exps["m"])
-        if exps["q"] <= 0 or exps["p"] <= 0 or exps["m"] < 2:
-            raise ConfigError("need q > 0, p > 0, m >= 2")
         object.__setattr__(self, "exponents", exps)
         GaugeNormKind.parse(self.norm)
         bad = [s for s in self.suites if s not in SuiteId.__members__]
@@ -279,7 +284,7 @@ class ExperimentConfig:
         if self.function is not None:
             from_id(self.function)
         if self.ensembles is not None:
-            if set(self.ensembles) != {"x", "y"}:
+            if not isinstance(self.ensembles, dict) or set(self.ensembles) != {"x", "y"}:
                 raise ConfigError("ensembles needs exactly the keys 'x' and 'y'")
             for params in self.ensembles.values():
                 self._ensemble_from_params(params, seed=0)
@@ -589,7 +594,7 @@ def _suite_ando_hiai(sid, cfg, direction):
     half, k_start = _ando_hiai_bound_parts(m)
     g_aux = ando_hiai_g(fn, m)
     name = "m1" if leq else "m2"
-    if fn.label.startswith("power:") or fn.label in ("geometric", "square", "identity"):
+    if power_exponent(fn) is not None:
         const = 1.0
         notes.append(f"{name}=1 exactly (power generator)")
     else:
@@ -698,7 +703,7 @@ def _dyadic_trials(sid, cfg, notes, direction):
     for t in range(cfg.trials):
         xp, yp = _premise_pair(sid, sample(ex, t), sample(ey, t), fn, direction)
         base = mean_pd(xp, yp, fn)
-        lo, up = (psi_factors if direction == "geq" else phi_factors)(q, fn, xp, yp)
+        lo, up = psi_factors(q, fn, xp, yp)
         mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
         trials.append(((lo * base.lambda_max() ** (q - 1.0)) * base, mean_q,
                        (up * base.lambda_min() ** (q - 1.0)) * base))
@@ -746,7 +751,8 @@ def _cap_floor_trials(sid, cfg, notes):
                     "use PD ensembles for both slots"
                 )
             z = HermitianTensor.from_matrix(np.linalg.inv(z_res.eta.unfold()), x.shape)
-            ratio = max(fn(float(lam) ** q) / fn(float(lam)) ** q for lam in z.eigenvalues())
+            lam = z.eigenvalues()
+            ratio = float(np.max(fn.fn(lam**q) / fn.fn(lam) ** q))
             mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
             scalar = base.lambda_min() ** (1.0 - q) * ratio
             row += [mean_q, k1 * k2 * scalar if direction == "leq" else scalar / k2]

@@ -13,7 +13,6 @@ exponential and the q-th-root mean of lifted generators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +22,11 @@ from .core import (
     GaugeNormKind,
     HermitianTensor,
     LoewnerVerdict,
-    NotPositiveDefiniteError,
     PSD_RTOL,
     apply_spectral,
     gauge_norm,
     loewner_compare,
+    require_pd,
     spectral_power,
 )
 from .functions import ConnectionFunction, derivative_at_one, power_lift
@@ -51,14 +50,13 @@ class PremiseError(ValueError):
 
 def tensor_exp(h: HermitianTensor) -> HermitianTensor:
     """Spectral exponential; always PD."""
-    return apply_spectral(h, math.exp)
+    return apply_spectral(h, np.exp)
 
 
 def tensor_log(p: HermitianTensor) -> HermitianTensor:
     """Spectral logarithm of a PD tensor."""
-    if p.lambda_min() <= 0.0:
-        raise NotPositiveDefiniteError(f"log needs a PD input, lambda_min = {p.lambda_min():.3e}")
-    return apply_spectral(p, math.log)
+    require_pd(p, "log input")
+    return apply_spectral(p, np.log)
 
 
 def lt_expression(

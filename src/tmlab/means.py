@@ -23,12 +23,12 @@ from .core import (
     FROBENIUS,
     GaugeNormKind,
     HermitianTensor,
-    NotPositiveDefiniteError,
-    NotPositiveSemidefiniteError,
-    PSD_RTOL,
     RANK_RTOL,
+    _check_pd,
     _symmetrize,
     gauge_norm,
+    require_pd,
+    require_psd,
     spectral_decompose,
 )
 from .functions import ConnectionFunction, power_lift
@@ -54,13 +54,6 @@ class UnsupportedFunctionError(ValueError):
     """The connection function has no finite limit at 0+ (PSD extension)."""
 
 
-def _require_pd(t: HermitianTensor, name: str) -> np.ndarray:
-    ev = np.linalg.eigvalsh(t.unfold())
-    if float(ev[0]) <= 0.0:
-        raise NotPositiveDefiniteError(f"{name} must be PD, lambda_min = {ev[0]:.3e}")
-    return ev
-
-
 def _pd_decompose(t: HermitianTensor, name: str):
     """Spectral decomposition gated on its own eigenvalues.
 
@@ -68,16 +61,27 @@ def _pd_decompose(t: HermitianTensor, name: str):
     separate LAPACK drivers can disagree in the last ulp around zero.
     """
     dec = spectral_decompose(t)
-    if float(dec.eigenvalues[-1]) <= 0.0:
-        raise NotPositiveDefiniteError(f"{name} must be PD, lambda_min = {dec.eigenvalues[-1]:.3e}")
+    _check_pd(float(dec.eigenvalues[-1]), name)
     return dec
 
 
-def _require_psd(t: HermitianTensor, name: str) -> None:
-    scale = max(1.0, t.spectral_scale())
-    lam_min = t.lambda_min()
-    if lam_min < -PSD_RTOL * scale:
-        raise NotPositiveSemidefiniteError(f"{name} must be PSD, lambda_min = {lam_min:.3e}")
+def _congruence_mean(x: HermitianTensor, dec, g: ConnectionFunction) -> HermitianTensor:
+    """``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` from the gated decomposition
+    ``dec`` of a PD ``y``, ``g`` extended at 0+.  Shared by :func:`mean_pd`,
+    :func:`mean_recursive` and the right-slot limit of
+    :func:`epsilon_mean_limit`, whose first slot is only PSD."""
+    root = np.sqrt(dec.eigenvalues)
+    u = dec.eigenvectors
+    y_half = (u * root) @ u.conj().T
+    y_ihalf = (u / root) @ u.conj().T
+    quotient = _symmetrize(y_ihalf @ x.unfold() @ y_ihalf)
+    qw, qv = np.linalg.eigh(quotient)
+    mapped = g.eval_extended(qw)
+    if not np.all(np.isfinite(mapped)):
+        bad = qw[~np.isfinite(mapped)]
+        raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
+    core = (qv * mapped) @ qv.conj().T
+    return HermitianTensor.from_matrix(_symmetrize(y_half @ core @ y_half), x.shape)
 
 
 def mean_pd(x: HermitianTensor, y: HermitianTensor, g: ConnectionFunction) -> HermitianTensor:
@@ -87,21 +91,8 @@ def mean_pd(x: HermitianTensor, y: HermitianTensor, g: ConnectionFunction) -> He
     on the spectrum of the congruence quotient.
     """
     x._check_same_shape(y)
-    _require_pd(x, "x")
-    dec = _pd_decompose(y, "y")
-    root = np.sqrt(dec.eigenvalues)
-    u = dec.eigenvectors
-    y_half = (u * root) @ u.conj().T
-    y_ihalf = (u / root) @ u.conj().T
-    quotient = _symmetrize(y_ihalf @ x.unfold() @ y_ihalf)
-    qw, qv = np.linalg.eigh(quotient)
-    mapped = np.array([g.eval_extended(max(float(lam), 0.0)) for lam in qw])
-    if not np.all(np.isfinite(mapped)):
-        bad = qw[~np.isfinite(mapped)]
-        raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
-    core = (qv * mapped) @ qv.conj().T
-    out = _symmetrize(y_half @ core @ y_half)
-    return HermitianTensor.from_matrix(out, x.shape)
+    require_pd(x, "x")
+    return _congruence_mean(x, _pd_decompose(y, "y"), g)
 
 
 def mean_recursive(
@@ -121,16 +112,14 @@ def mean_recursive(
     n = int(n)
     if n < 0:
         raise ValueError("lift exponent must be >= 0")
-    if n <= 1:
-        return mean_pd(x, y, power_lift(f, n))
-    _require_pd(x, "x")
-    xm = x.unfold()
+    x._check_same_shape(y)
+    require_pd(x, "x")
     dec = _pd_decompose(y, "y")
+    out = _congruence_mean(x, dec, power_lift(f, n % 2)).unfold()
     u = dec.eigenvectors
-    y_inv = (u / dec.eigenvalues) @ u.conj().T
-    wing = xm @ y_inv
-    inner = mean_recursive(x, y, f, n - 2).unfold()
-    out = _symmetrize(wing @ inner @ wing.conj().T)
+    wing = x.unfold() @ ((u / dec.eigenvalues) @ u.conj().T)
+    for _ in range(n // 2):
+        out = _symmetrize(wing @ out @ wing.conj().T)
     return HermitianTensor.from_matrix(out, x.shape)
 
 
@@ -162,17 +151,16 @@ def eta(
     range(y) beyond ``domination_rtol`` relative to the scale of ``x``.
     """
     x._check_same_shape(y)
-    _require_psd(x, "x")
-    _require_psd(y, "y")
+    x_ev = require_psd(x, "x")
+    require_psd(y, "y")
     dec = spectral_decompose(y, rank_tol)
-    lam_max = float(dec.eigenvalues[0]) if dec.eigenvalues.size else 0.0
-    keep = dec.eigenvalues > rank_tol * max(lam_max, 0.0)
+    keep = dec.eigenvalues > rank_tol * max(float(dec.eigenvalues[0]), 0.0)
     u_r = dec.eigenvectors[:, keep]
     lam_r = dec.eigenvalues[keep]
     d = x.shape.square_dim
 
     xm = x.unfold()
-    x_scale = max(1.0, x.spectral_scale())
+    x_scale = max(1.0, float(np.abs(x_ev).max()))
     # Range containment: the part of x living outside range(y) must vanish.
     u_c = dec.eigenvectors[:, ~keep]
     if u_c.shape[1] > 0:
@@ -217,19 +205,20 @@ def mean_psd(
         raise DominationError("y = 0 dominates only x = 0")
     res = eta(x, y, rank_tol)
     dec = spectral_decompose(res.eta, rank_tol)
-    lam_max = float(dec.eigenvalues[0]) if dec.eigenvalues.size else 0.0
-    cutoff = rank_tol * max(lam_max, 0.0)
-    mapped = np.array(
-        [g.eval_extended(float(lam)) if lam > cutoff else float(g.value_at_0plus) for lam in dec.eigenvalues]
-    )
+    mapped = g.eval_extended(dec.eigenvalues, rank_tol * max(float(dec.eigenvalues[0]), 0.0))
     core = (dec.eigenvectors * mapped) @ dec.eigenvectors.conj().T
-
-    ydec = spectral_decompose(y, rank_tol)
-    ylam = np.maximum(ydec.eigenvalues, 0.0)
-    ylam[ylam <= rank_tol * float(ylam[0])] = 0.0
-    y_half = (ydec.eigenvectors * np.sqrt(ylam)) @ ydec.eigenvectors.conj().T
+    y_half = _psd_root(y, rank_tol)
     out = _symmetrize(y_half @ core @ y_half)
     return HermitianTensor.from_matrix(out, x.shape)
+
+
+def _psd_root(y: HermitianTensor, rank_tol: float = RANK_RTOL) -> np.ndarray:
+    """Rank-truncated square root of a PSD tensor as a raw matrix: negative
+    noise and eigenvalues at or below ``rank_tol * lambda_max`` map to 0."""
+    dec = spectral_decompose(y, rank_tol)
+    lam = np.maximum(dec.eigenvalues, 0.0)
+    lam[lam <= rank_tol * float(lam[0])] = 0.0
+    return (dec.eigenvectors * np.sqrt(lam)) @ dec.eigenvectors.conj().T
 
 
 @dataclass(frozen=True)
@@ -275,6 +264,7 @@ def epsilon_mean_limit(
     """
     if mode not in ("joint", "right"):
         raise ValueError(f"unknown mode {mode!r}")
+    # mean_psd gates x as PSD, which is all the right-slot mode needs of it.
     limit = mean_psd(x, y, g)
     ident = HermitianTensor.identity(x.shape)
     errors = []
@@ -283,7 +273,7 @@ def epsilon_mean_limit(
         if mode == "joint":
             approx = mean_pd(x + bump, y + bump, g)
         else:
-            approx = _mean_psd_left(x, y + bump, g)
+            approx = _congruence_mean(x, _pd_decompose(y + bump, "y"), g)
         errors.append(gauge_norm(approx - limit, norm))
     scale = max(gauge_norm(limit, norm), 1e-300)
     nonincreasing = all(b <= a * (1.0 + 1e-9) + 1e-14 * scale for a, b in zip(errors, errors[1:]))
@@ -291,19 +281,3 @@ def epsilon_mean_limit(
     diag = RttDiagnostic(tuple(float(e) for e in eps_grid), tuple(errors), converged)
     return limit, diag
 
-
-def _mean_psd_left(x: HermitianTensor, y: HermitianTensor, g: ConnectionFunction) -> HermitianTensor:
-    """Mean with PSD first slot and PD second slot, ``g`` extended at 0+."""
-    _require_psd(x, "x")
-    dec = _pd_decompose(y, "y")
-    root = np.sqrt(dec.eigenvalues)
-    u = dec.eigenvectors
-    y_half = (u * root) @ u.conj().T
-    y_ihalf = (u / root) @ u.conj().T
-    quotient = _symmetrize(y_ihalf @ x.unfold() @ y_ihalf)
-    qw, qv = np.linalg.eigh(quotient)
-    mapped = np.array([g.eval_extended(max(float(lam), 0.0)) for lam in qw])
-    if not np.all(np.isfinite(mapped)):
-        raise UnsupportedFunctionError(f"{g.label} not finite on quotient spectrum")
-    core = (qv * mapped) @ qv.conj().T
-    return HermitianTensor.from_matrix(_symmetrize(y_half @ core @ y_half), x.shape)

@@ -72,8 +72,16 @@ class TestVerifyCommand:
             {"seed": 1.5},
             {"exponents": {"n": 4}},
             {"ensembles": {"x": {"kind": "wishart", "dof": 4.5}, "y": {"kind": "spectrum"}}},
+            {"exponents": {"m": 2.5}},
+            {"exponents": {"q": True}},
+            {"exponents": {"q": "2"}},
+            {"exponents": {"q": float("nan")}},
+            {"exponents": {"p": float("inf")}},
+            {"ensembles": {"x": {"kind": "spectrum", "m": float("nan"), "M": 1.0}, "y": {"kind": "spectrum"}}},
+            {"ensembles": {"x": {"kind": "spectrum", "m": 0.1, "M": float("inf")}, "y": {"kind": "spectrum"}}},
         ],
-        ids=["tolerance-inf", "tolerance-nan", "tolerance-str", "trials-bool", "seed-float", "exponent-n", "dof-float"],
+        ids=["tolerance-inf", "tolerance-nan", "tolerance-str", "trials-bool", "seed-float", "exponent-n", "dof-float",
+             "m-float", "q-bool", "q-str", "q-nan", "p-inf", "ensemble-m-nan", "ensemble-M-inf"],
     )
     def test_bad_config_value_exits_two(self, payload, tmp_path, capsys):
         with pytest.raises(ConfigError):

@@ -162,7 +162,7 @@ class TestPmiCertificates:
         assert cert.m1_estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_log_like_probe(self):
-        f = ConnectionFunction(fn=lambda x: 1.0 + math.log1p(x), label="logish", positive=True)
+        f = ConnectionFunction(fn=lambda x: 1.0 + np.log1p(x), label="logish", positive=True)
         q_grid = (1.5, 2.0)
         x_grid = tuple(np.logspace(-2, 2, 21))
         cert = tm.check_pmi(f, q_grid, x_grid)
@@ -196,7 +196,7 @@ class TestProbeValidation:
 
     def test_concave_with_tc_tag_rejected(self):
         with pytest.raises(ValueError, match="convexity"):
-            ConnectionFunction(fn=math.sqrt, label="bad", tags=frozenset({"TC"}))
+            ConnectionFunction(fn=np.sqrt, label="bad", tags=frozenset({"TC"}))
 
     def test_tags_require_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -240,3 +240,42 @@ def test_power_lift_pointwise_property(n, x):
     f = tm.harmonic_like()
     lifted = tm.power_lift(f, n)
     assert lifted(x) == pytest.approx(x**n * f(x), rel=1e-12)
+
+
+ARRAY_PATH_FNS = {
+    **{fid: tm.from_id(fid) for fid in (
+        "identity", "square", "geometric", "harmonic_like", "power:0.3", "power:-0.5", "psi:0.5",
+        "liftn:2:harmonic_like", "transpose:harmonic_like", "transpose:power:2",
+    )},
+    "andohiai:3:power:0.5": tm.ando_hiai_g(tm.power(0.5), 3),
+    "andohiai:2:harmonic_like": tm.ando_hiai_g(tm.harmonic_like(), 2),
+}
+
+
+@pytest.mark.parametrize("fid", sorted(ARRAY_PATH_FNS))
+def test_fn_over_array_matches_scalar_call(fid):
+    g = ARRAY_PATH_FNS[fid]
+    grid = np.concatenate([PROBE_GRID, GRID])
+    np.testing.assert_array_max_ulp(g.fn(grid), np.array([g(float(x)) for x in grid]), maxulp=4)
+
+
+@pytest.mark.parametrize("alpha, m", [(0.5, 2), (0.3, 3), (1.0, 5), (2.0, 2), (-0.5, 3)])
+def test_ando_hiai_closed_form_matches_bisection(alpha, m):
+    closed = tm.ando_hiai_g(tm.power(alpha), m).fn(PROBE_GRID)
+    bisected = 1.0 / tm.invert_fn(tm.power_lift(tm.power(alpha), m - 1), 1.0 / PROBE_GRID)
+    np.testing.assert_allclose(closed, bisected, rtol=1e-12, atol=0.0)
+
+
+def test_power_exponent_recognises_power_generators():
+    assert tm.power_exponent(tm.power(0.3)) == 0.3
+    assert tm.power_exponent(tm.identity()) == 1.0
+    assert tm.power_exponent(tm.square()) == 2.0
+    assert tm.power_exponent(tm.geometric()) == 0.5
+    assert tm.power_exponent(tm.harmonic_like()) is None
+    assert tm.power_exponent(tm.power_lift(tm.geometric(), 1)) is None
+    assert tm.power_exponent(ConnectionFunction(fn=np.sqrt, label="power:0.5")) is None
+
+
+def test_ando_hiai_rejects_constant_lift():
+    with pytest.raises(ValueError, match="constant"):
+        tm.ando_hiai_g(tm.power(-1.0), 2)

@@ -20,13 +20,17 @@ def test_default_report_matches_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     reports = [r.to_dict() for r in run_suites(ExperimentConfig(trials=40))]
     assert [r["suite"] for r in reports] == [g["suite"] for g in golden]
+    mismatches = []
     for got, want in zip(reports, golden):
-        assert got["version"] == want["version"]
-        assert got["violations"] == want["violations"], got["suite"]
-        assert got["regime_notes"] == want["regime_notes"], got["suite"]
+        for name in ("version", "violations", "regime_notes"):
+            if got[name] != want[name]:
+                mismatches.append((got["suite"], name, want[name], got[name]))
         for name in NUMERIC_FIELDS:
             a, b = got[name], want[name]
-            if b is None:
-                assert a is None, (got["suite"], name)
-            else:
-                assert math.isclose(a, b, rel_tol=1e-9), (got["suite"], name, a, b)
+            if (a is None or b is None) and a is not b:
+                mismatches.append((got["suite"], name, b, a))
+            elif b is not None and not math.isclose(a, b, rel_tol=1e-9):
+                mismatches.append((got["suite"], name, b, a))
+    assert not mismatches, "\n".join(
+        f"{suite}.{name}: golden {want!r}, got {got!r}" for suite, name, want, got in mismatches
+    )
