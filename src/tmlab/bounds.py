@@ -153,7 +153,7 @@ def dyadic_decompose(q: float) -> tuple[int, float]:
 
 def _ratio_extremes(z: HermitianTensor, f: ConnectionFunction, a: float) -> tuple[float, float]:
     """Extremes of ``f(z**a) f(z)**(-a)`` over the spectrum of PSD ``z``."""
-    lam = np.linalg.eigvalsh(z.unfold())
+    lam = z._spectrum()[0]
     live = lam > RANK_RTOL * max(float(lam[-1]), 0.0)
     ratios = f.fn(lam[live] ** a) / f.fn(lam[live]) ** a
     if not live.all():
@@ -220,7 +220,9 @@ def trace_tail_bound(
 
     ``samples`` are PSD tensors; small negative eigenvalues are clamped at
     zero before the power.  The standard error is that of the per-sample
-    trace statistic (zero for constant samples).
+    trace statistic (zero for constant samples).  Deviations are scaled by
+    the least power of two above ``max |s|`` (an exact scaling), so finite
+    statistics cannot overflow when squared.
     """
     samples = list(samples)
     if not samples:
@@ -237,8 +239,9 @@ def trace_tail_bound(
     mean = math.fsum(stats) / n
     if n == 1:
         return mean, 0.0
-    var = math.fsum((s - mean) ** 2 for s in stats) / (n - 1)
-    return mean, math.sqrt(var / n)
+    e = math.frexp(max(abs(s) for s in stats))[1]
+    var = math.fsum((math.ldexp(s, -e) - math.ldexp(mean, -e)) ** 2 for s in stats) / (n - 1)
+    return mean, math.ldexp(math.sqrt(var / n), e)
 
 
 def kyfan_stats(h: HermitianTensor, k: int) -> tuple[float, float]:

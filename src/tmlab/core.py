@@ -116,10 +116,11 @@ class HermitianTensor:
     matrix.  Construction accepts input within a relative Frobenius
     tolerance of Hermitian and symmetrizes it; anything farther raises
     :class:`HermiticityError`, and non-finite entries raise ``ValueError``.
-    Instances are immutable.
+    Instances are immutable; the eigendecomposition of the unfolding is
+    computed once, on first use, and shared by every spectral query.
     """
 
-    __slots__ = ("_shape", "_matrix")
+    __slots__ = ("_shape", "_matrix", "_eig")
 
     def __init__(self, entries, shape=None):
         arr, shape = _coerce_entries(entries, None if shape is None else _as_shape(shape))
@@ -140,6 +141,7 @@ class HermitianTensor:
         matrix.flags.writeable = False
         self._shape = shape
         self._matrix = matrix
+        self._eig = None
 
     # -- constructors -------------------------------------------------
 
@@ -218,23 +220,37 @@ class HermitianTensor:
 
     # -- spectral conveniences -------------------------------------------
 
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ascending eigenvalues and eigenvectors of the unfolding.
+
+        One ``eigh`` call, made on first use and cached: the only write into
+        an instance, and an idempotent one.  Eigenvector phases are those
+        LAPACK returns; :func:`spectral_decompose` fixes them.
+        """
+        if self._eig is None:
+            w, v = np.linalg.eigh(self._matrix)
+            w.flags.writeable = False
+            v.flags.writeable = False
+            self._eig = (w, v)
+        return self._eig
+
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues of the unfolding, descending."""
-        return np.linalg.eigvalsh(self._matrix)[::-1].copy()
+        return self._spectrum()[0][::-1].copy()
 
     def lambda_min(self) -> float:
-        return float(np.linalg.eigvalsh(self._matrix)[0])
+        return float(self._spectrum()[0][0])
 
     def lambda_max(self) -> float:
-        return float(np.linalg.eigvalsh(self._matrix)[-1])
+        return float(self._spectrum()[0][-1])
 
     def trace(self) -> float:
         return float(np.trace(self._matrix).real)
 
     def spectral_scale(self) -> float:
         """max(|lambda|), i.e. the spectral norm."""
-        ev = np.linalg.eigvalsh(self._matrix)
-        return float(max(abs(ev[0]), abs(ev[-1]))) if ev.size else 0.0
+        ev = self._spectrum()[0]
+        return float(max(abs(ev[0]), abs(ev[-1])))
 
     def is_pd(self, tol: float = PSD_RTOL) -> bool:
         return self.lambda_min() > tol * max(1.0, self.spectral_scale())
@@ -348,20 +364,21 @@ class SpectralDecomposition:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        mag = abs(pivot)
-        if mag > 0.0:
-            out[:, k] = col * (pivot.conjugate() / mag)
-    return out
+    """Rotate each column so its largest-magnitude component is real
+    positive; zero columns stay as they are."""
+    mags = np.abs(vectors)
+    rows = np.argmax(mags, axis=0)
+    cols = np.arange(vectors.shape[1])
+    pivot, mag = vectors[rows, cols], mags[rows, cols]
+    live = mag > 0.0
+    phase = np.where(live, pivot.conjugate() / np.where(live, mag, 1.0), 1.0)
+    return vectors * phase
 
 
 def spectral_decompose(h: HermitianTensor, rank_rtol: float = RANK_RTOL) -> SpectralDecomposition:
-    """Eigendecomposition of the unfolding, eigenvalues descending."""
-    w, v = np.linalg.eigh(h.unfold())
+    """Eigendecomposition of the unfolding, eigenvalues descending, with
+    deterministic eigenvector phases (see :class:`SpectralDecomposition`)."""
+    w, v = h._spectrum()
     w = w[::-1].copy()
     v = _fix_phases(v[:, ::-1])
     w.flags.writeable = False
@@ -381,13 +398,13 @@ def apply_spectral(
     (NaN or inf, e.g. ``x**-0.5`` on a spectrum touching zero) raises
     ``ValueError``.
     """
-    dec = spectral_decompose(h)
+    w, v = h._spectrum()
     with np.errstate(all="ignore"):
-        mapped = phi(dec.eigenvalues)
+        mapped = phi(w)
     if domain_check and not np.all(np.isfinite(mapped)):
-        bad = dec.eigenvalues[~np.isfinite(mapped)]
+        bad = w[~np.isfinite(mapped)]
         raise ValueError(f"spectrum outside function domain at eigenvalues {bad}")
-    m = (dec.eigenvectors * mapped) @ dec.eigenvectors.conj().T
+    m = (v * mapped) @ v.conj().T
     return HermitianTensor.from_matrix(_symmetrize(m), h.shape)
 
 
@@ -406,23 +423,20 @@ def spectral_power(h: HermitianTensor, p: float, psd_clip: bool = True) -> Hermi
 
 
 def require_pd(t: HermitianTensor, name: str) -> np.ndarray:
-    """Gate for positive definite inputs: the ascending eigenvalues of ``t``,
-    all strictly positive, else :class:`NotPositiveDefiniteError`."""
-    ev = np.linalg.eigvalsh(t.unfold())
-    _check_pd(float(ev[0]), name)
+    """Gate for positive definite inputs: the cached ascending eigenvalues
+    of ``t``, all strictly positive, else :class:`NotPositiveDefiniteError`."""
+    ev = t._spectrum()[0]
+    lam_min = float(ev[0])
+    if lam_min <= 0.0:
+        raise NotPositiveDefiniteError(f"{name} must be PD, lambda_min = {lam_min:.3e}")
     return ev
 
 
-def _check_pd(lam_min: float, name: str) -> None:
-    if lam_min <= 0.0:
-        raise NotPositiveDefiniteError(f"{name} must be PD, lambda_min = {lam_min:.3e}")
-
-
 def require_psd(t: HermitianTensor, name: str) -> np.ndarray:
-    """Gate for positive semidefinite inputs: the ascending eigenvalues of
-    ``t``, none below ``-PSD_RTOL * max(1, |t|_sp)``, else
+    """Gate for positive semidefinite inputs: the cached ascending
+    eigenvalues of ``t``, none below ``-PSD_RTOL * max(1, |t|_sp)``, else
     :class:`NotPositiveSemidefiniteError`."""
-    ev = np.linalg.eigvalsh(t.unfold())
+    ev = t._spectrum()[0]
     lam_min = float(ev[0])
     if lam_min < -PSD_RTOL * max(1.0, abs(lam_min), abs(float(ev[-1]))):
         raise NotPositiveSemidefiniteError(f"{name} must be PSD, lambda_min = {lam_min:.3e}")
@@ -539,7 +553,7 @@ def ky_fan(k: int) -> GaugeNormKind:
 
 def gauge_norm(h: HermitianTensor, kind: GaugeNormKind = FROBENIUS) -> float:
     """Unitarily invariant norm ``rho(|lambda|(h))`` of a Hermitian tensor."""
-    ev = np.sort(np.abs(np.linalg.eigvalsh(h.unfold())))[::-1]
+    ev = np.sort(np.abs(h._spectrum()[0]))[::-1]
     if kind.kind == "spectral":
         return float(ev[0])
     if kind.kind == "frobenius":
@@ -562,10 +576,9 @@ def range_projector(h: HermitianTensor, rank_rtol: float = RANK_RTOL) -> Hermiti
     Eigenvalues are kept iff ``lambda > rank_rtol * lambda_max``; the result
     is idempotent and commutes with ``h`` by construction.
     """
-    require_psd(h, "range projector input")
-    dec = spectral_decompose(h, rank_rtol)
-    keep = dec.eigenvalues > rank_rtol * max(float(dec.eigenvalues[0]), 0.0)
-    u = dec.eigenvectors[:, keep]
+    w = require_psd(h, "range projector input")
+    keep = w > rank_rtol * max(float(w[-1]), 0.0)
+    u = h._spectrum()[1][:, keep]
     return HermitianTensor.from_matrix(u @ u.conj().T, h.shape)
 
 

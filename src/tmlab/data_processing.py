@@ -264,5 +264,5 @@ def transform_gap(
     lx = apply_map(lmap, pair.x)
     ly = apply_map(lmap, pair.y)
     mean_mapped = mean_on_pair(DominationPair(lx, ly, pair.side), g)
-    gap = float(np.linalg.eigvalsh(mapped_mean.unfold() - mean_mapped.unfold())[0])
-    return gap, loewner_compare(mapped_mean, mean_mapped, tol)
+    verdict = loewner_compare(mapped_mean, mean_mapped, tol)
+    return -verdict.lam_max, verdict

@@ -750,8 +750,7 @@ def _cap_floor_trials(sid, cfg, notes):
                     "the Kantorovich cap/floor suite needs an invertible quotient of (y, x); "
                     "use PD ensembles for both slots"
                 )
-            z = HermitianTensor.from_matrix(np.linalg.inv(z_res.eta.unfold()), x.shape)
-            lam = z.eigenvalues()
+            lam = 1.0 / z_res.eta.eigenvalues()
             ratio = float(np.max(fn.fn(lam**q) / fn.fn(lam) ** q))
             mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
             scalar = base.lambda_min() ** (1.0 - q) * ratio

@@ -24,12 +24,10 @@ from .core import (
     GaugeNormKind,
     HermitianTensor,
     RANK_RTOL,
-    _check_pd,
     _symmetrize,
     gauge_norm,
     require_pd,
     require_psd,
-    spectral_decompose,
 )
 from .functions import ConnectionFunction, power_lift
 
@@ -54,24 +52,13 @@ class UnsupportedFunctionError(ValueError):
     """The connection function has no finite limit at 0+ (PSD extension)."""
 
 
-def _pd_decompose(t: HermitianTensor, name: str):
-    """Spectral decomposition gated on its own eigenvalues.
-
-    The gate must look at the same numbers the caller will take roots of:
-    separate LAPACK drivers can disagree in the last ulp around zero.
-    """
-    dec = spectral_decompose(t)
-    _check_pd(float(dec.eigenvalues[-1]), name)
-    return dec
-
-
-def _congruence_mean(x: HermitianTensor, dec, g: ConnectionFunction) -> HermitianTensor:
-    """``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` from the gated decomposition
-    ``dec`` of a PD ``y``, ``g`` extended at 0+.  Shared by :func:`mean_pd`,
-    :func:`mean_recursive` and the right-slot limit of
-    :func:`epsilon_mean_limit`, whose first slot is only PSD."""
-    root = np.sqrt(dec.eigenvalues)
-    u = dec.eigenvectors
+def _congruence_mean(x: HermitianTensor, y: HermitianTensor, g: ConnectionFunction) -> HermitianTensor:
+    """``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` for a PD ``y`` (gated here),
+    ``g`` extended at 0+.  Shared by :func:`mean_pd`, :func:`mean_recursive`
+    and the right-slot limit of :func:`epsilon_mean_limit`, whose first slot
+    is only PSD."""
+    root = np.sqrt(require_pd(y, "y"))
+    u = y._spectrum()[1]
     y_half = (u * root) @ u.conj().T
     y_ihalf = (u / root) @ u.conj().T
     quotient = _symmetrize(y_ihalf @ x.unfold() @ y_ihalf)
@@ -92,7 +79,7 @@ def mean_pd(x: HermitianTensor, y: HermitianTensor, g: ConnectionFunction) -> He
     """
     x._check_same_shape(y)
     require_pd(x, "x")
-    return _congruence_mean(x, _pd_decompose(y, "y"), g)
+    return _congruence_mean(x, y, g)
 
 
 def mean_recursive(
@@ -114,10 +101,9 @@ def mean_recursive(
         raise ValueError("lift exponent must be >= 0")
     x._check_same_shape(y)
     require_pd(x, "x")
-    dec = _pd_decompose(y, "y")
-    out = _congruence_mean(x, dec, power_lift(f, n % 2)).unfold()
-    u = dec.eigenvectors
-    wing = x.unfold() @ ((u / dec.eigenvalues) @ u.conj().T)
+    out = _congruence_mean(x, y, power_lift(f, n % 2)).unfold()
+    w, u = y._spectrum()
+    wing = x.unfold() @ ((u / w) @ u.conj().T)
     for _ in range(n // 2):
         out = _symmetrize(wing @ out @ wing.conj().T)
     return HermitianTensor.from_matrix(out, x.shape)
@@ -153,16 +139,15 @@ def eta(
     x._check_same_shape(y)
     x_ev = require_psd(x, "x")
     require_psd(y, "y")
-    dec = spectral_decompose(y, rank_tol)
-    keep = dec.eigenvalues > rank_tol * max(float(dec.eigenvalues[0]), 0.0)
-    u_r = dec.eigenvectors[:, keep]
-    lam_r = dec.eigenvalues[keep]
-    d = x.shape.square_dim
+    lam, v = y._spectrum()
+    keep = lam > rank_tol * max(float(lam[-1]), 0.0)
+    u_r = v[:, keep]
+    lam_r = lam[keep]
 
     xm = x.unfold()
     x_scale = max(1.0, float(np.abs(x_ev).max()))
     # Range containment: the part of x living outside range(y) must vanish.
-    u_c = dec.eigenvectors[:, ~keep]
+    u_c = v[:, ~keep]
     if u_c.shape[1] > 0:
         leak = float(np.linalg.norm(xm @ u_c))
         if leak > domination_rtol * x_scale:
@@ -203,10 +188,9 @@ def mean_psd(
         if x.spectral_scale() == 0.0:
             return HermitianTensor.zero(x.shape)
         raise DominationError("y = 0 dominates only x = 0")
-    res = eta(x, y, rank_tol)
-    dec = spectral_decompose(res.eta, rank_tol)
-    mapped = g.eval_extended(dec.eigenvalues, rank_tol * max(float(dec.eigenvalues[0]), 0.0))
-    core = (dec.eigenvectors * mapped) @ dec.eigenvectors.conj().T
+    w, v = eta(x, y, rank_tol).eta._spectrum()
+    mapped = g.eval_extended(w, rank_tol * max(float(w[-1]), 0.0))
+    core = (v * mapped) @ v.conj().T
     y_half = _psd_root(y, rank_tol)
     out = _symmetrize(y_half @ core @ y_half)
     return HermitianTensor.from_matrix(out, x.shape)
@@ -215,10 +199,10 @@ def mean_psd(
 def _psd_root(y: HermitianTensor, rank_tol: float = RANK_RTOL) -> np.ndarray:
     """Rank-truncated square root of a PSD tensor as a raw matrix: negative
     noise and eigenvalues at or below ``rank_tol * lambda_max`` map to 0."""
-    dec = spectral_decompose(y, rank_tol)
-    lam = np.maximum(dec.eigenvalues, 0.0)
-    lam[lam <= rank_tol * float(lam[0])] = 0.0
-    return (dec.eigenvectors * np.sqrt(lam)) @ dec.eigenvectors.conj().T
+    w, v = y._spectrum()
+    lam = np.maximum(w, 0.0)
+    lam[lam <= rank_tol * float(lam[-1])] = 0.0
+    return (v * np.sqrt(lam)) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -273,7 +257,7 @@ def epsilon_mean_limit(
         if mode == "joint":
             approx = mean_pd(x + bump, y + bump, g)
         else:
-            approx = _congruence_mean(x, _pd_decompose(y + bump, "y"), g)
+            approx = _congruence_mean(x, y + bump, g)
         errors.append(gauge_norm(approx - limit, norm))
     scale = max(gauge_norm(limit, norm), 1e-300)
     nonincreasing = all(b <= a * (1.0 + 1e-9) + 1e-14 * scale for a, b in zip(errors, errors[1:]))

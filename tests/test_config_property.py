@@ -10,7 +10,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmlab.harness import ConfigError, ExperimentConfig, SuiteId, run_suites
@@ -32,6 +32,8 @@ exponents = st.fixed_dictionaries({}, optional={"q": positive, "p": positive, "m
     suite=st.sampled_from([s.value for s in SuiteId]),
     exps=exponents,
 )
+# Per-sample trace statistics near 1e155, whose squared deviations exceed double range.
+@example(shape=(4, 4), trials=2, suite="T9_TC", exps={"q": 6.0, "p": 5.0})
 def test_valid_config_reports_finite_or_raises_value_error(shape, trials, suite, exps):
     cfg = ExperimentConfig(shape=shape, trials=trials, suites=(suite,), exponents=exps)
     try:

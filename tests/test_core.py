@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmlab as tm
-from tmlab.core import HermiticityError
+from tmlab.core import HermiticityError, _fix_phases, require_pd
 
 from conftest import SHAPE2, SHAPE22, rand_hermitian, rand_pd, rand_psd_rank, rand_unitary
 
@@ -114,6 +114,48 @@ class TestSpectralDecompose:
             col = a.eigenvectors[:, k]
             pivot = col[np.argmax(np.abs(col))]
             assert pivot.real > 0 and abs(pivot.imag) <= 1e-12 * abs(pivot)
+
+    def test_fix_phases_leaves_zero_columns(self):
+        vectors = np.array([[0.0, 1j], [0.0, 0.5]])
+        fixed = _fix_phases(vectors)
+        assert np.array_equal(fixed[:, 0], [0.0, 0.0])
+        assert np.allclose(fixed[:, 1], [1.0, -0.5j])
+
+
+class TestSpectrumCache:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_spectral_queries_share_one_eigh(self, rng, counts):
+        t = rand_pd(rng)
+        t.lambda_min(), t.lambda_max(), t.spectral_scale(), t.eigenvalues(), t.is_pd()
+        require_pd(t, "t")
+        assert counts == {"eigh": 1, "eigvalsh": 0}
+
+    def test_mean_pd_decomposes_each_operand_once(self, rng, counts):
+        x, y = rand_pd(rng), rand_pd(rng)
+        tm.mean_pd(x, y, tm.geometric())
+        assert counts == {"eigh": 3, "eigvalsh": 0}
+        tm.mean_pd(x, y, tm.geometric())
+        assert counts == {"eigh": 4, "eigvalsh": 0}
+
+    def test_cache_is_read_only(self, rng):
+        t = rand_pd(rng)
+        w, v = t._spectrum()
+        assert not w.flags.writeable and not v.flags.writeable
+        ev = t.eigenvalues()
+        ev[:] = 0.0
+        assert t.lambda_max() > 0.0 and np.array_equal(t.eigenvalues(), w[::-1])
 
 
 class TestApplySpectral:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tmlab as tm
-from tmlab.means import DominationError, UnsupportedFunctionError, _congruence_mean, _pd_decompose
+from tmlab.means import DominationError, UnsupportedFunctionError, _congruence_mean
 
 from conftest import SHAPE2, SHAPE22, rand_pd, rand_psd_rank
 
@@ -282,10 +282,10 @@ def test_mean_psd_left_helper_matches_joint_on_pd(rng):
     # slot it agrees with the PSD extension (for a generator with a finite
     # slope at 0+, which does not magnify rounding noise in the null space).
     x, y = rand_pd(rng), rand_pd(rng)
-    a = _congruence_mean(x, _pd_decompose(y, "y"), tm.geometric())
+    a = _congruence_mean(x, y, tm.geometric())
     b = tm.mean_pd(x, y, tm.geometric())
     assert np.max(np.abs(a.unfold() - b.unfold())) <= 1e-12
     x_psd = tm.HermitianTensor.diag([2.0, 1.0, 0.5, 0.0], x.shape)
-    c = _congruence_mean(x_psd, _pd_decompose(y, "y"), tm.harmonic_like())
+    c = _congruence_mean(x_psd, y, tm.harmonic_like())
     d = tm.mean_psd(x_psd, y, tm.harmonic_like())
     assert np.max(np.abs(c.unfold() - d.unfold())) <= 1e-10 * max(1.0, d.spectral_scale())
