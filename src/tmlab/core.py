@@ -53,6 +53,12 @@ __all__ = [
 
 # Relative tolerance for accepting nearly-Hermitian input before symmetrizing.
 HERMITICITY_RTOL = 1e-9
+# Entries up to _NORM_SAFE keep the squares summed by the Hermiticity check
+# below 2**1002, so its norms cannot overflow for D up to 2048.  Larger
+# entries are scaled by the exact power of two _NORM_UNIT first, which maps
+# every finite double below 2**424.
+_NORM_SAFE = 2.0**500
+_NORM_UNIT = 2.0**-600
 # Default relative tolerance for PSD / Loewner-order decisions.
 PSD_RTOL = 1e-8
 # Default relative eigenvalue cutoff for rank decisions (projectors, eta).
@@ -116,6 +122,8 @@ class HermitianTensor:
     matrix.  Construction accepts input within a relative Frobenius
     tolerance of Hermitian and symmetrizes it; anything farther raises
     :class:`HermiticityError`, and non-finite entries raise ``ValueError``.
+    Results of the package's own calculus are exactly Hermitian by
+    construction and skip the tolerance check (:meth:`_trusted`).
     Instances are immutable; the eigendecomposition of the unfolding is
     computed once, on first use, and shared by every spectral query.
     """
@@ -126,18 +134,40 @@ class HermitianTensor:
         arr, shape = _coerce_entries(entries, None if shape is None else _as_shape(shape))
         d = shape.square_dim
         matrix = arr.reshape(d, d)
-        scale = max(1.0, float(np.linalg.norm(matrix)))
-        defect = float(np.linalg.norm(matrix - matrix.conj().T))
-        # A non-finite entry makes the defect NaN or infinite; the negated
-        # test rejects NaN, since every comparison with NaN is false.
-        if not defect < math.inf:
+        if not np.isfinite(matrix).all():
             raise ValueError("entries must be finite")
+        # The floor 1 of the scale is scaled alike, so the decision on a
+        # scaled matrix is the unscaled one.
+        unit = 1.0
+        if float(np.abs(matrix).max()) > _NORM_SAFE:
+            unit = _NORM_UNIT
+            matrix = matrix * unit
+        scale = max(unit, float(np.linalg.norm(matrix)))
+        defect = float(np.linalg.norm(matrix - matrix.conj().T))
         if defect > HERMITICITY_RTOL * scale:
             raise HermiticityError(
-                f"entries deviate from conjugate symmetry by {defect:.3e} "
-                f"(allowed {HERMITICITY_RTOL * scale:.3e})"
+                f"entries deviate from conjugate symmetry by {defect / unit:.3e} "
+                f"(allowed {HERMITICITY_RTOL * scale / unit:.3e})"
             )
-        matrix = np.ascontiguousarray(_symmetrize(matrix))
+        matrix = _symmetrize(matrix)
+        self._seal(matrix if unit == 1.0 else matrix * (1.0 / unit), shape)
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, shape: TensorShape) -> "HermitianTensor":
+        """Wrap a fresh ``D x D`` matrix that is exactly Hermitian by
+        construction (a symmetrized result, or a sum or real multiple of
+        such tensors): only finiteness is checked, and the matrix is frozen
+        in place.  Public input goes through ``__init__`` instead."""
+        if not np.isfinite(matrix).all():
+            raise ValueError("entries must be finite")
+        t = cls.__new__(cls)
+        t._seal(matrix, shape)
+        return t
+
+    def _seal(self, matrix: np.ndarray, shape: TensorShape) -> None:
+        """The step every construction ends in: read-only contiguous
+        storage of a checked matrix and an empty spectrum cache."""
+        matrix = np.ascontiguousarray(matrix)
         matrix.flags.writeable = False
         self._shape = shape
         self._matrix = matrix
@@ -158,13 +188,13 @@ class HermitianTensor:
     @classmethod
     def identity(cls, shape) -> "HermitianTensor":
         shape = _as_shape(shape)
-        return cls.from_matrix(np.eye(shape.square_dim, dtype=np.complex128), shape)
+        return cls._trusted(np.eye(shape.square_dim, dtype=np.complex128), shape)
 
     @classmethod
     def zero(cls, shape) -> "HermitianTensor":
         shape = _as_shape(shape)
         d = shape.square_dim
-        return cls.from_matrix(np.zeros((d, d), dtype=np.complex128), shape)
+        return cls._trusted(np.zeros((d, d), dtype=np.complex128), shape)
 
     @classmethod
     def diag(cls, values, shape) -> "HermitianTensor":
@@ -173,7 +203,7 @@ class HermitianTensor:
         vals = np.asarray(values, dtype=np.float64)
         if vals.shape != (shape.square_dim,):
             raise ValueError("need one diagonal value per unfolding index")
-        return cls.from_matrix(np.diag(vals).astype(np.complex128), shape)
+        return cls._trusted(np.diag(vals).astype(np.complex128), shape)
 
     # -- views ---------------------------------------------------------
 
@@ -194,15 +224,15 @@ class HermitianTensor:
 
     def __add__(self, other: "HermitianTensor") -> "HermitianTensor":
         self._check_same_shape(other)
-        return HermitianTensor.from_matrix(self._matrix + other._matrix, self._shape)
+        return HermitianTensor._trusted(self._matrix + other._matrix, self._shape)
 
     def __sub__(self, other: "HermitianTensor") -> "HermitianTensor":
         self._check_same_shape(other)
-        return HermitianTensor.from_matrix(self._matrix - other._matrix, self._shape)
+        return HermitianTensor._trusted(self._matrix - other._matrix, self._shape)
 
     def __mul__(self, scalar) -> "HermitianTensor":
         c = float(scalar)
-        return HermitianTensor.from_matrix(self._matrix * c, self._shape)
+        return HermitianTensor._trusted(self._matrix * c, self._shape)
 
     __rmul__ = __mul__
 
@@ -405,7 +435,7 @@ def apply_spectral(
         bad = w[~np.isfinite(mapped)]
         raise ValueError(f"spectrum outside function domain at eigenvalues {bad}")
     m = (v * mapped) @ v.conj().T
-    return HermitianTensor.from_matrix(_symmetrize(m), h.shape)
+    return HermitianTensor._trusted(_symmetrize(m), h.shape)
 
 
 def spectral_power(h: HermitianTensor, p: float, psd_clip: bool = True) -> HermitianTensor:
@@ -579,7 +609,7 @@ def range_projector(h: HermitianTensor, rank_rtol: float = RANK_RTOL) -> Hermiti
     w = require_psd(h, "range projector input")
     keep = w > rank_rtol * max(float(w[-1]), 0.0)
     u = h._spectrum()[1][:, keep]
-    return HermitianTensor.from_matrix(u @ u.conj().T, h.shape)
+    return HermitianTensor._trusted(_symmetrize(u @ u.conj().T), h.shape)
 
 
 # ---------------------------------------------------------------------------

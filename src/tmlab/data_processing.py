@@ -11,7 +11,7 @@ positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +20,12 @@ from .core import (
     LoewnerVerdict,
     PSD_RTOL,
     TensorShape,
+    _symmetrize,
     loewner_compare,
     tensor_from_json_dict,
 )
 from .functions import ConnectionFunction, transpose_fn
-from .means import DominationError, UnsupportedFunctionError, eta, mean_psd
+from .means import DominationError, EtaResult, UnsupportedFunctionError, _extended_mean, eta
 
 __all__ = [
     "PositiveLinearMap",
@@ -114,18 +115,19 @@ def apply_map(lmap: PositiveLinearMap, h: HermitianTensor) -> HermitianTensor:
         raise ValueError(f"shape mismatch: map on {lmap.shape.dims}, tensor {h.shape.dims}")
     if lmap.kind == "congruence":
         k = lmap.matrix
-        return HermitianTensor.from_matrix(k.conj().T @ h.unfold() @ k, h.shape)
+        return HermitianTensor._trusted(_symmetrize(k.conj().T @ h.unfold() @ k), h.shape)
     if lmap.kind == "pinching":
         m = h.unfold()
         out = np.zeros_like(m)
         for group in lmap.partition:
             idx = np.asarray(group, dtype=np.intp)
             out[np.ix_(idx, idx)] = m[np.ix_(idx, idx)]
-        return HermitianTensor.from_matrix(out, h.shape)
+        # Diagonal blocks of a Hermitian matrix: exactly Hermitian.
+        return HermitianTensor._trusted(out, h.shape)
     acc = np.zeros((h.shape.square_dim,) * 2, dtype=np.complex128)
     for w, comp in zip(lmap.weights, lmap.components):
         acc = acc + w * apply_map(comp, h).unfold()
-    return HermitianTensor.from_matrix(acc, h.shape)
+    return HermitianTensor._trusted(acc, h.shape)
 
 
 def parse_map_spec(spec: str, shape, loader=None) -> PositiveLinearMap:
@@ -173,23 +175,24 @@ class DominationPair:
     """PSD pair with a verified one-sided domination.
 
     ``side = "left"`` certifies ``x <= c y`` (the mean extends through the
-    quotient of x by y); ``side = "right"`` certifies ``c x >= y``.
+    quotient of x by y); ``side = "right"`` certifies ``c x >= y``.  The
+    certifying quotient (``eta(x, y)``, or ``eta(y, x)`` on the right) is
+    kept as ``quotient``, and :func:`mean_on_pair` finishes the mean from it.
     """
 
     x: HermitianTensor
     y: HermitianTensor
     side: str
     constant: float = 0.0
+    quotient: EtaResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
         self.x._check_same_shape(self.y)
-        if self.side == "left":
-            c = eta(self.x, self.y).domination_constant
-        else:
-            c = eta(self.y, self.x).domination_constant
-        object.__setattr__(self, "constant", float(c))
+        q = eta(self.x, self.y) if self.side == "left" else eta(self.y, self.x)
+        object.__setattr__(self, "quotient", q)
+        object.__setattr__(self, "constant", float(q.domination_constant))
 
 
 def mean_on_pair(pair: DominationPair, g: ConnectionFunction) -> HermitianTensor:
@@ -200,8 +203,8 @@ def mean_on_pair(pair: DominationPair, g: ConnectionFunction) -> HermitianTensor
     infinity).
     """
     if pair.side == "left":
-        return mean_psd(pair.x, pair.y, g)
-    return mean_psd(pair.y, pair.x, transpose_fn(g))
+        return _extended_mean(pair.x, pair.y, g, quotient=pair.quotient)
+    return _extended_mean(pair.y, pair.x, transpose_fn(g), quotient=pair.quotient)
 
 
 def _require_convex_finite(g: ConnectionFunction, side: str) -> None:

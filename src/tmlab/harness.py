@@ -40,6 +40,7 @@ from .core import (
     HermitianTensor,
     NotPositiveDefiniteError,
     TensorShape,
+    _symmetrize,
     gauge_norm,
     loewner_compare,
     spectral_power,
@@ -175,8 +176,7 @@ def dominated_sample(y: HermitianTensor, spec: EnsembleSpec, trial: int, role: i
     """
     w = sample(EnsembleSpec(y.shape, "wishart", spec.seed, dof=max(spec.dof, 1)), trial, role).unfold()
     root = _psd_root(y)
-    m = root @ w @ root
-    return HermitianTensor.from_matrix((m + m.conj().T) / 2.0, y.shape)
+    return HermitianTensor._trusted(_symmetrize(root @ w @ root), y.shape)
 
 
 def _premise_pair(sid, x, y, big_f, direction):

@@ -68,7 +68,7 @@ def _congruence_mean(x: HermitianTensor, y: HermitianTensor, g: ConnectionFuncti
         bad = qw[~np.isfinite(mapped)]
         raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
     core = (qv * mapped) @ qv.conj().T
-    return HermitianTensor.from_matrix(_symmetrize(y_half @ core @ y_half), x.shape)
+    return HermitianTensor._trusted(_symmetrize(y_half @ core @ y_half), x.shape)
 
 
 def mean_pd(x: HermitianTensor, y: HermitianTensor, g: ConnectionFunction) -> HermitianTensor:
@@ -101,12 +101,15 @@ def mean_recursive(
         raise ValueError("lift exponent must be >= 0")
     x._check_same_shape(y)
     require_pd(x, "x")
-    out = _congruence_mean(x, y, power_lift(f, n % 2)).unfold()
+    base = _congruence_mean(x, y, power_lift(f, n % 2))
+    if n < 2:
+        return base
+    out = base.unfold()
     w, u = y._spectrum()
     wing = x.unfold() @ ((u / w) @ u.conj().T)
     for _ in range(n // 2):
         out = _symmetrize(wing @ out @ wing.conj().T)
-    return HermitianTensor.from_matrix(out, x.shape)
+    return HermitianTensor._trusted(out, x.shape)
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ def eta(
     inv_root = 1.0 / np.sqrt(lam_r)
     compressed = _symmetrize((inv_root[:, None] * (u_r.conj().T @ xm @ u_r)) * inv_root[None, :])
     eta_m = u_r @ compressed @ u_r.conj().T
-    eta_t = HermitianTensor.from_matrix(_symmetrize(eta_m), x.shape)
+    eta_t = HermitianTensor._trusted(_symmetrize(eta_m), x.shape)
     domination = float(np.linalg.eigvalsh(compressed)[-1])
     residual = float(np.linalg.norm(eta_m @ u_c)) if u_c.shape[1] else 0.0
     return EtaResult(eta_t, max(domination, 0.0), residual <= 1e-12 * max(1.0, domination))
@@ -181,6 +184,18 @@ def mean_psd(
     the rank cutoff map through the 0+ limit rather than through ``g`` at a
     tiny argument.  Reduces to :func:`mean_pd` on PD inputs.
     """
+    return _extended_mean(x, y, g, rank_tol)
+
+
+def _extended_mean(
+    x: HermitianTensor,
+    y: HermitianTensor,
+    g: ConnectionFunction,
+    rank_tol: float = RANK_RTOL,
+    quotient: EtaResult | None = None,
+) -> HermitianTensor:
+    """Body of :func:`mean_psd`; a caller holding ``eta(x, y, rank_tol)``
+    passes it as ``quotient`` instead of having it computed again."""
     if g.value_at_0plus is None or not math.isfinite(g.value_at_0plus):
         raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
     x._check_same_shape(y)
@@ -188,12 +203,13 @@ def mean_psd(
         if x.spectral_scale() == 0.0:
             return HermitianTensor.zero(x.shape)
         raise DominationError("y = 0 dominates only x = 0")
-    w, v = eta(x, y, rank_tol).eta._spectrum()
+    if quotient is None:
+        quotient = eta(x, y, rank_tol)
+    w, v = quotient.eta._spectrum()
     mapped = g.eval_extended(w, rank_tol * max(float(w[-1]), 0.0))
     core = (v * mapped) @ v.conj().T
     y_half = _psd_root(y, rank_tol)
-    out = _symmetrize(y_half @ core @ y_half)
-    return HermitianTensor.from_matrix(out, x.shape)
+    return HermitianTensor._trusted(_symmetrize(y_half @ core @ y_half), x.shape)
 
 
 def _psd_root(y: HermitianTensor, rank_tol: float = RANK_RTOL) -> np.ndarray:

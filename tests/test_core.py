@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import tmlab as tm
 from tmlab.core import HermiticityError, _fix_phases, require_pd
+from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 
 from conftest import SHAPE2, SHAPE22, rand_hermitian, rand_pd, rand_psd_rank, rand_unitary
 
@@ -298,6 +299,7 @@ class TestSerialization:
         assert np.array_equal(tm.load_tensor(path).entries, t.entries)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestHermiticity:
     def test_rejects_non_hermitian(self, rng):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -320,6 +322,126 @@ class TestHermiticity:
         t = tm.fold(m, SHAPE2)
         u = t.unfold()
         assert np.array_equal(u, u.conj().T)
+
+    @pytest.mark.parametrize(
+        "m", [[[1e155, 5e153], [0.0, 1e155]], [[1e160, 1e160], [0.0, 1e160]]], ids=["1e155", "1e160"]
+    )
+    def test_rejects_non_hermitian_beyond_norm_range(self, m):
+        # Frobenius norms of these finite matrices overflow unless scaled.
+        with pytest.raises(HermiticityError):
+            tm.fold(np.array(m, dtype=complex), SHAPE2)
+
+    @pytest.mark.parametrize("top", [1e200, 1.7e308])
+    def test_accepts_exact_hermitian_at_large_scale(self, rng, top):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = a + a.conj().T
+        m = m * (top / np.abs(m).max())
+        assert np.array_equal(tm.fold(m, SHAPE22).unfold(), m)
+
+
+class TestTrustedConstruction:
+    @pytest.fixture
+    def trusted(self, monkeypatch):
+        """Patch the trusted constructor to assert what it relies on: every
+        matrix it receives is finite and exactly Hermitian.  Yields the list
+        of received matrix shapes."""
+        real = tm.HermitianTensor._trusted.__func__
+        seen = []
+
+        def checked(cls, matrix, shape):
+            assert np.all(np.isfinite(matrix))
+            assert np.array_equal(matrix, matrix.conj().T)
+            seen.append(matrix.shape)
+            return real(cls, matrix, shape)
+
+        monkeypatch.setattr(tm.HermitianTensor, "_trusted", classmethod(checked))
+        return seen
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,)], ids=["2x2", "3"])
+    def test_every_suite_feeds_exactly_hermitian_results(self, trusted, shape):
+        cfg = ExperimentConfig(trials=3, shape=shape)
+        for sid in SuiteId:
+            assert run_suite(sid, cfg).trials == 3
+        d = int(np.prod(shape))
+        assert trusted and set(trusted) == {(d, d)}
+
+    def test_library_results_are_exactly_hermitian(self, rng, trusted):
+        x, y = rand_pd(rng), rand_pd(rng)
+        low = rand_psd_rank(rng, 2)
+        k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        cong = tm.congruence(k, SHAPE22)
+        pinch = tm.pinching([(0, 1), (2, 3)], SHAPE22)
+        tm.mean_pd(x, y, tm.geometric())
+        tm.mean_psd(low, y, tm.geometric())
+        tm.mean_recursive(x, y, tm.power(0.5), 3)
+        tm.eta(low, y)
+        tm.range_projector(low)
+        tm.lt_expression(0.5, x, y, tm.geometric())
+        for lmap in (cong, pinch, tm.convex_combination([cong, pinch], [0.25, 0.75])):
+            tm.apply_map(lmap, x)
+        assert len(trusted) >= 10
+
+    def test_overflowing_results_raise(self):
+        t = tm.HermitianTensor.diag([1e308, 1.0], SHAPE2)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                (t * 1e308) * 1e308
+            with pytest.raises(ValueError, match="finite"):
+                t + t
+
+
+class TestValidationCounts:
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        calls = {"init": 0}
+        real = tm.HermitianTensor.__init__
+
+        def counted(self, *args, **kwargs):
+            calls["init"] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(tm.HermitianTensor, "__init__", counted)
+        return calls
+
+    @pytest.fixture
+    def eta_calls(self, monkeypatch):
+        calls = {"eta": 0}
+        real = tm.means.eta
+
+        def counted(*args, **kwargs):
+            calls["eta"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tm.means, "eta", counted)
+        monkeypatch.setattr(tm.data_processing, "eta", counted)
+        return calls
+
+    def test_mean_pd_makes_no_validated_construction(self, rng, validated):
+        x, y = rand_pd(rng), rand_pd(rng)
+        before = validated["init"]
+        tm.mean_pd(x, y, tm.geometric())
+        assert validated["init"] == before
+
+    def test_fusion_gap_reuses_the_pair_quotients(self, rng, eta_calls):
+        p1 = tm.DominationPair(rand_pd(rng), rand_pd(rng), "left")
+        p2 = tm.DominationPair(rand_pd(rng), rand_pd(rng), "left")
+        tm.fusion_gap(p1, p2, tm.square())
+        assert eta_calls["eta"] == 3
+
+    def test_public_constructors_reject_non_hermitian(self, rng, tmp_path):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        entries = a.reshape(2, 2, 2, 2)
+        payload = tm.core.tensor_to_json_dict(entries, (2, 2))
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(HermiticityError):
+            tm.HermitianTensor(entries, SHAPE22)
+        with pytest.raises(HermiticityError):
+            tm.fold(a, SHAPE22)
+        with pytest.raises(HermiticityError):
+            tm.HermitianTensor.from_json_dict(payload)
+        with pytest.raises(HermiticityError):
+            tm.load_tensor(path)
 
 
 @settings(deadline=None, max_examples=50)
