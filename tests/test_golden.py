@@ -1,9 +1,15 @@
-"""Golden report gate for the verification harness.
+"""Golden report gates for the verification harness.
 
-``data/golden_d4.json`` is the all-suite report at the default config with
-40 trials (D = 4, seed 20260809).  A rewrite of the suite layer must keep
-every violation count and regime note, and every numeric field within a
-relative 1e-9.  The fixture keeps the by-design failures of T8, C2 and C3.
+Each fixture is the all-suite report at the default config except for its
+trial count and shape (seed 20260809):
+
+- ``data/golden_d4.json``: shape ``(2, 2)`` (D = 4), 40 trials;
+- ``data/golden_d16.json``: shape ``(4, 4)`` (D = 16), 70 trials, enough
+  that the harness's trial stacks at D = 16 span two chunks.
+
+A rewrite of the suite layer must keep every violation count and regime
+note, and every numeric field within a relative 1e-9.  The fixtures keep the
+by-design failures of T8, C2 and C3.
 """
 
 import json
@@ -12,25 +18,36 @@ from pathlib import Path
 
 from tmlab.harness import ExperimentConfig, run_suites
 
-GOLDEN = Path(__file__).parent / "data" / "golden_d4.json"
+DATA = Path(__file__).parent / "data"
 NUMERIC_FIELDS = ("trials", "max_violation", "empirical_prob", "bound_value", "mc_stderr", "seed", "tolerance")
+# Byte budget of one trial stack in the harness (complex128 D x D matrices).
+STACK_BYTES = 256 * 1024
+GOLDEN = {"golden_d4.json": ((2, 2), 40), "golden_d16.json": ((4, 4), 70)}
+
+
+def test_d16_fixture_spans_two_stack_chunks():
+    shape, trials = GOLDEN["golden_d16.json"]
+    d = math.prod(shape)
+    assert trials * d * d * 16 > STACK_BYTES
 
 
 def test_default_report_matches_golden():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    reports = [r.to_dict() for r in run_suites(ExperimentConfig(trials=40))]
-    assert [r["suite"] for r in reports] == [g["suite"] for g in golden]
     mismatches = []
-    for got, want in zip(reports, golden):
-        for name in ("version", "violations", "regime_notes"):
-            if got[name] != want[name]:
-                mismatches.append((got["suite"], name, want[name], got[name]))
-        for name in NUMERIC_FIELDS:
-            a, b = got[name], want[name]
-            if (a is None or b is None) and a is not b:
-                mismatches.append((got["suite"], name, b, a))
-            elif b is not None and not math.isclose(a, b, rel_tol=1e-9):
-                mismatches.append((got["suite"], name, b, a))
+    for name, (shape, trials) in GOLDEN.items():
+        golden = json.loads((DATA / name).read_text(encoding="utf-8"))
+        reports = [r.to_dict() for r in run_suites(ExperimentConfig(trials=trials, shape=shape))]
+        assert [r["suite"] for r in reports] == [g["suite"] for g in golden], name
+        for got, want in zip(reports, golden):
+            where = f"{name}:{got['suite']}"
+            for field in ("version", "violations", "regime_notes"):
+                if got[field] != want[field]:
+                    mismatches.append((where, field, want[field], got[field]))
+            for field in NUMERIC_FIELDS:
+                a, b = got[field], want[field]
+                if (a is None or b is None) and a is not b:
+                    mismatches.append((where, field, b, a))
+                elif b is not None and not math.isclose(a, b, rel_tol=1e-9):
+                    mismatches.append((where, field, b, a))
     assert not mismatches, "\n".join(
-        f"{suite}.{name}: golden {want!r}, got {got!r}" for suite, name, want, got in mismatches
+        f"{where}.{field}: golden {want!r}, got {got!r}" for where, field, want, got in mismatches
     )
