@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    HermitianStack,
     HermitianTensor,
     RANK_RTOL,
+    _per_item,
     require_pd,
     require_psd,
     spectral_power,
@@ -117,16 +119,26 @@ def kk_factors(
     through the shared eigenbasis).  ``k_start`` is 1 for even lifted
     exponents and 2 for odd ones.
     """
+    return BoundFactors(kk_list=_kk_lists(x, g, m, q, k_start)[0])
+
+
+def _kk_lists(x: HermitianStack, g: ConnectionFunction, m: int, q: float, k_start: int = 1) -> list:
+    """Body of :func:`kk_factors` over a stack: one tuple of ``K_k`` per
+    matrix.  The ratio spectra are stacked; the closed form stays scalar."""
     m = int(m)
     if k_start not in (1, 2):
         raise ValueError("k_start must be 1 or 2")
     lam = require_pd(x, "x")
+    lam = lam.reshape(-1, lam.shape[-1])
     g_lam = g.fn(lam)
-    factors = []
+    extremes = []
     for k in range(k_start, m + 1):
         ratios = g_lam ** (m - k) / lam
-        factors.append(kantorovich(1.0 / float(ratios.max()), 1.0 / float(ratios.min()), 2.0 * q))
-    return BoundFactors(kk_list=tuple(factors))
+        extremes.append((ratios.max(axis=-1).tolist(), ratios.min(axis=-1).tolist()))
+    return [
+        tuple(kantorovich(1.0 / hi[i], 1.0 / lo[i], 2.0 * q) for hi, lo in extremes)
+        for i in range(len(lam))
+    ]
 
 
 def dyadic_decompose(q: float) -> tuple[int, float]:
@@ -151,11 +163,16 @@ def dyadic_decompose(q: float) -> tuple[int, float]:
     return n, q0
 
 
-def _ratio_extremes(z: HermitianTensor, f: ConnectionFunction, a: float) -> tuple[float, float]:
-    """Extremes of ``f(z**a) f(z)**(-a)`` over the spectrum of PSD ``z``."""
+def _ratio_extremes(z: HermitianStack, f: ConnectionFunction, a: float):
+    """Extremes of ``f(z**a) f(z)**(-a)`` over the spectrum of each PSD
+    matrix ``z``; eigenvalues at or below ``RANK_RTOL * lambda_max`` count
+    through the 0+ limit of ``f``."""
     lam = z._spectrum()[0]
-    live = lam > RANK_RTOL * max(float(lam[-1]), 0.0)
-    ratios = f.fn(lam[live] ** a) / f.fn(lam[live]) ** a
+    live = lam > RANK_RTOL * np.maximum(lam[..., -1:], 0.0)
+    with np.errstate(all="ignore"):
+        ratios = f.fn(lam**a) / f.fn(lam) ** a
+    lo = np.where(live, ratios, np.inf).min(axis=-1)
+    hi = np.where(live, ratios, -np.inf).max(axis=-1)
     if not live.all():
         f0 = f.value_at_0plus
         if f0 is None or not math.isfinite(f0) or f0 <= 0.0:
@@ -163,17 +180,21 @@ def _ratio_extremes(z: HermitianTensor, f: ConnectionFunction, a: float) -> tupl
                 f"{f.label}: spectral ratio undefined on the null space "
                 f"(limit at 0+ is {f0!r})"
             )
-        ratios = np.append(ratios, f0 ** (1.0 - a))
-    return float(ratios.min()), float(ratios.max())
+        dead = ~live.all(axis=-1)
+        at_zero = f0 ** (1.0 - a)
+        lo = np.where(dead, np.minimum(lo, at_zero), lo)
+        hi = np.where(dead, np.maximum(hi, at_zero), hi)
+    return _per_item(lo), _per_item(hi)
 
 
 def psi_factors(
     q: float,
     f: ConnectionFunction,
-    x: HermitianTensor,
-    y: HermitianTensor,
-) -> tuple[float, float]:
-    """Dyadic spectral-ratio factors (lower, upper) of a generator.
+    x: HermitianStack,
+    y: HermitianStack,
+):
+    """Dyadic spectral-ratio factors (lower, upper) of a generator: floats
+    for a pair of tensors, arrays over a pair of stacks.
 
     Uses the quotients ``Z_k = eta(y**(2**k), x**(2**k))`` for
     ``k = 0 .. n`` from the decomposition ``q = 2**n q0``; domination of
@@ -198,17 +219,21 @@ def psi_factors(
 phi_factors = psi_factors
 
 
-def prop310_factors(x: HermitianTensor, q: float) -> tuple[float, float]:
+def prop310_factors(x: HermitianStack, q: float):
     """Kantorovich pair ``(K1, K2)`` at exponents ``q - 1`` and ``2q - 1``
-    over the reciprocal spectrum of a PD tensor.
+    over the reciprocal spectrum of a PD tensor (arrays over a stack).
     """
     q = float(q)
     if q < 1.0:
         raise ValueError("need q >= 1")
     lam = require_pd(x, "x")
-    lo = 1.0 / float(lam[-1])
-    hi = 1.0 / float(lam[0])
-    return kantorovich(lo, hi, q - 1.0), kantorovich(lo, hi, 2.0 * q - 1.0)
+    lows = (1.0 / lam[..., -1]).tolist()
+    highs = (1.0 / lam[..., 0]).tolist()
+    if lam.ndim == 1:
+        return kantorovich(lows, highs, q - 1.0), kantorovich(lows, highs, 2.0 * q - 1.0)
+    k1 = np.array([kantorovich(lo, hi, q - 1.0) for lo, hi in zip(lows, highs)])
+    k2 = np.array([kantorovich(lo, hi, 2.0 * q - 1.0) for lo, hi in zip(lows, highs)])
+    return k1, k2
 
 
 def trace_tail_bound(
@@ -227,14 +252,27 @@ def trace_tail_bound(
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample")
-    require_pd(c, "c")
-    c_inv = np.linalg.inv(c.unfold())
-    stats = []
     for z in samples:
         z._check_same_shape(c)
-        require_psd(z, "sample")
-        zq = spectral_power(z, q)
-        stats.append(float(np.trace(zq.unfold() @ c_inv).real))
+    stack = HermitianStack._trusted(np.stack([z.unfold() for z in samples]))
+    return _tail_summary(_tail_statistics(stack, q, [c])[0].tolist())
+
+
+def _tail_statistics(z: HermitianStack, q: float, thresholds) -> list:
+    """Per-sample statistics ``Tr(z**q c^{-1})`` of a PSD stack, one array
+    per threshold tensor ``c``; the powers are taken once for all ``c``."""
+    c_invs = []
+    for c in thresholds:
+        require_pd(c, "c")
+        c_invs.append(np.linalg.inv(c.unfold()))
+    require_psd(z, "sample")
+    zq = spectral_power(z, q)._matrix
+    return [np.trace(zq @ c_inv, axis1=-2, axis2=-1).real for c_inv in c_invs]
+
+
+def _tail_summary(stats: list) -> tuple[float, float]:
+    """Mean of per-sample statistics and its standard error (see
+    :func:`trace_tail_bound`)."""
     n = len(stats)
     mean = math.fsum(stats) / n
     if n == 1:

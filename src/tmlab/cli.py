@@ -4,6 +4,7 @@ Subcommands:
 
 - ``verify``: run Monte Carlo suites from a JSON config and write a report
   file; exits 0 only when every requested suite reports zero violations.
+  Each suite's summary line on stderr ends with its wall time.
 - ``lie-trotter --study``: print a convergence table for the product-formula
   limit on seeded random pairs.
 - ``bounds --kantorovich m M p``: print the Kantorovich constant.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .core import HermitianTensor, TensorShape, load_tensor
 from .functions import from_id
@@ -24,7 +26,7 @@ from .harness import (
     ExperimentConfig,
     SuiteId,
     reports_to_json,
-    run_suites,
+    run_suite,
     sample,
 )
 from .lie_trotter import convergence_study
@@ -77,7 +79,11 @@ def _cmd_verify(args) -> int:
         payload = cfg.to_dict()
         payload.update(overrides)
         cfg = ExperimentConfig.from_dict(payload)
-    reports = run_suites(cfg)
+    reports, walls = [], []
+    for name in cfg.suites:
+        start = time.perf_counter()
+        reports.append(run_suite(name, cfg))
+        walls.append(time.perf_counter() - start)
     text = reports_to_json(reports) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -85,9 +91,9 @@ def _cmd_verify(args) -> int:
     else:
         sys.stdout.write(text)
     total = 0
-    for r in reports:
-        print(f"{r.suite}: trials={r.trials} violations={r.violations} max_violation={r.max_violation:.3e}",
-              file=sys.stderr)
+    for r, wall in zip(reports, walls):
+        print(f"{r.suite}: trials={r.trials} violations={r.violations} max_violation={r.max_violation:.3e} "
+              f"wall_s={wall:.3f}", file=sys.stderr)
         total += r.violations
     print(f"total violations: {total}", file=sys.stderr)
     return 0 if total == 0 else 1

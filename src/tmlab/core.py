@@ -13,6 +13,7 @@ matrix-view.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -110,11 +111,195 @@ def _as_shape(shape) -> TensorShape:
     return TensorShape(tuple(shape))
 
 
+def _ct(matrix: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the trailing two axes of a ``(..., D, D)`` stack."""
+    return matrix.conj().swapaxes(-1, -2)
+
+
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + matrix.conj().T) / 2.0
+    return (matrix + _ct(matrix)) / 2.0
 
 
-class HermitianTensor:
+def _check_finite(matrix: np.ndarray) -> None:
+    if not np.isfinite(matrix).all():
+        raise ValueError("entries must be finite")
+
+
+def _quiet(fn):
+    """Run a kernel with numpy's overflow and invalid-value warnings off.
+
+    Its matrix outputs pass the finiteness gate of ``_derive``, so an
+    overflow raises ``ValueError("entries must be finite")`` there instead
+    of warning first.
+    """
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return run
+
+
+def _any(mask) -> bool:
+    """Whether a boolean array has a true entry; a single numpy bool is
+    read directly (no reduction on the batch-of-one path)."""
+    return bool(mask.any()) if np.ndim(mask) else bool(mask)
+
+
+def _first(mask: np.ndarray):
+    """Index of the first true entry of a boolean array (C order)."""
+    return np.unravel_index(int(np.argmax(mask)), mask.shape)
+
+
+def _frobenius(matrix: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix of a ``(..., D, D)`` stack."""
+    flat = matrix.reshape(matrix.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat).real)
+
+
+def _validated(matrix: np.ndarray) -> np.ndarray:
+    """Body of public construction over a ``(..., D, D)`` stack.
+
+    Entries must be finite, and each matrix must lie within a relative
+    Frobenius distance ``HERMITICITY_RTOL`` of Hermitian; the Hermitian
+    part is returned.  Matrices with entries above ``_NORM_SAFE`` are
+    checked scaled by the exact power of two ``_NORM_UNIT`` (the floor 1 of
+    the scale is scaled alike, so the decision is the unscaled one).
+    """
+    _check_finite(matrix)
+    big = np.abs(matrix).max(axis=(-2, -1)) > _NORM_SAFE
+    scaled = _any(big)
+    unit = np.where(big, _NORM_UNIT, 1.0) if scaled else 1.0
+    if scaled:
+        matrix = matrix * unit[..., None, None]
+    adjoint = _ct(matrix)
+    scale = np.maximum(unit, _frobenius(matrix))
+    defect = _frobenius(matrix - adjoint)
+    bad = defect > HERMITICITY_RTOL * scale
+    if _any(bad):
+        i = _first(bad)
+        unit = np.broadcast_to(unit, bad.shape)[i]
+        raise HermiticityError(
+            f"entries deviate from conjugate symmetry by {defect[i] / unit:.3e} "
+            f"(allowed {HERMITICITY_RTOL * scale[i] / unit:.3e})"
+        )
+    matrix = (matrix + adjoint) / 2.0
+    return matrix * (1.0 / unit)[..., None, None] if scaled else matrix
+
+
+class HermitianStack:
+    """Stack of exactly Hermitian ``D x D`` matrices, shape ``(..., D, D)``.
+
+    The operand of the numerical kernels (the spectral calculus, the means,
+    ``eta``, the bound factors, the Loewner extremes): each kernel maps the
+    whole stack in one call per LAPACK routine or ufunc, and per-matrix
+    scalars come back as arrays over the leading axes.
+    :class:`HermitianTensor` is the batch of one, a single ``D x D`` matrix
+    with its tensor shape, so each operation has one body.  Stacks are
+    immutable; one stacked ``eigh``, made on first use, serves every
+    spectral query.
+    """
+
+    __slots__ = ("_matrix", "_eig")
+    # numpy defers to the reflected operators: array * stack scales per matrix.
+    __array_ufunc__ = None
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "HermitianStack":
+        """Wrap a fresh stack that is exactly Hermitian by construction;
+        only finiteness is checked (see :meth:`HermitianTensor._trusted`)."""
+        _check_finite(matrix)
+        s = cls.__new__(cls)
+        s._seal(matrix)
+        return s
+
+    @staticmethod
+    def from_matrices(matrices) -> "HermitianStack":
+        """Validated stack of raw ``(..., D, D)`` matrices: the check of
+        public tensor construction, applied to every matrix at once."""
+        s = HermitianStack.__new__(HermitianStack)
+        s._seal(_validated(np.asarray(matrices, dtype=np.complex128)))
+        return s
+
+    def _seal(self, matrix: np.ndarray) -> None:
+        """The step every construction ends in: read-only contiguous
+        storage of a checked matrix and an empty spectrum cache."""
+        matrix = np.ascontiguousarray(matrix)
+        matrix.flags.writeable = False
+        self._matrix = matrix
+        self._eig = None
+
+    def _derive(self, matrix: np.ndarray) -> "HermitianStack":
+        """A kernel result of the same kind as ``self`` (finiteness-gated)."""
+        return HermitianStack._trusted(matrix)
+
+    def unfold(self) -> np.ndarray:
+        """Read-only ``(..., D, D)`` Hermitian matrices."""
+        return self._matrix
+
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ascending eigenvalues and eigenvectors of every matrix.
+
+        One ``eigh`` call over the stack, made on first use and cached: the
+        only write into an instance, and an idempotent one.  Eigenvector
+        phases are those LAPACK returns; :func:`spectral_decompose` fixes
+        them.
+        """
+        if self._eig is None:
+            w, v = np.linalg.eigh(self._matrix)
+            w.flags.writeable = False
+            v.flags.writeable = False
+            self._eig = (w, v)
+        return self._eig
+
+    # -- algebra --------------------------------------------------------
+
+    def _check_same_shape(self, other: "HermitianStack") -> None:
+        if not isinstance(other, HermitianStack):
+            raise TypeError(f"expected HermitianStack, got {type(other).__name__}")
+        if other._matrix.shape[-1] != self._matrix.shape[-1]:
+            raise ValueError(f"size mismatch: {self._matrix.shape} vs {other._matrix.shape}")
+
+    def _coefficient(self, scalar):
+        """Per-matrix real coefficients, broadcast over the matrix axes."""
+        return np.asarray(scalar, dtype=np.float64)[..., None, None]
+
+    @_quiet
+    def __add__(self, other: "HermitianStack") -> "HermitianStack":
+        self._check_same_shape(other)
+        return self._derive(self._matrix + other._matrix)
+
+    @_quiet
+    def __sub__(self, other: "HermitianStack") -> "HermitianStack":
+        self._check_same_shape(other)
+        return self._derive(self._matrix - other._matrix)
+
+    @_quiet
+    def __mul__(self, scalar) -> "HermitianStack":
+        return self._derive(self._matrix * self._coefficient(scalar))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "HermitianStack":
+        return self * (1.0 / np.asarray(scalar, dtype=np.float64))
+
+    def __neg__(self) -> "HermitianStack":
+        return self * (-1.0)
+
+
+def _per_item(values):
+    """Per-matrix scalars: a Python scalar for a single matrix, else the array."""
+    return values.item() if np.ndim(values) == 0 else values
+
+
+def _spectral_scale(h: HermitianStack) -> np.ndarray:
+    """max(|lambda|) of every matrix, from the cached spectrum."""
+    w = h._spectrum()[0]
+    return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+
+
+class HermitianTensor(HermitianStack):
     """Even-order complex tensor with conjugate pairing symmetry.
 
     Entries satisfy ``entry(i, j) == conj(entry(j, i))`` for the two
@@ -128,29 +313,13 @@ class HermitianTensor:
     computed once, on first use, and shared by every spectral query.
     """
 
-    __slots__ = ("_shape", "_matrix", "_eig")
+    __slots__ = ("_shape",)
 
     def __init__(self, entries, shape=None):
         arr, shape = _coerce_entries(entries, None if shape is None else _as_shape(shape))
         d = shape.square_dim
-        matrix = arr.reshape(d, d)
-        if not np.isfinite(matrix).all():
-            raise ValueError("entries must be finite")
-        # The floor 1 of the scale is scaled alike, so the decision on a
-        # scaled matrix is the unscaled one.
-        unit = 1.0
-        if float(np.abs(matrix).max()) > _NORM_SAFE:
-            unit = _NORM_UNIT
-            matrix = matrix * unit
-        scale = max(unit, float(np.linalg.norm(matrix)))
-        defect = float(np.linalg.norm(matrix - matrix.conj().T))
-        if defect > HERMITICITY_RTOL * scale:
-            raise HermiticityError(
-                f"entries deviate from conjugate symmetry by {defect / unit:.3e} "
-                f"(allowed {HERMITICITY_RTOL * scale / unit:.3e})"
-            )
-        matrix = _symmetrize(matrix)
-        self._seal(matrix if unit == 1.0 else matrix * (1.0 / unit), shape)
+        self._shape = shape
+        self._seal(_validated(arr.reshape(d, d)))
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray, shape: TensorShape) -> "HermitianTensor":
@@ -158,20 +327,14 @@ class HermitianTensor:
         construction (a symmetrized result, or a sum or real multiple of
         such tensors): only finiteness is checked, and the matrix is frozen
         in place.  Public input goes through ``__init__`` instead."""
-        if not np.isfinite(matrix).all():
-            raise ValueError("entries must be finite")
+        _check_finite(matrix)
         t = cls.__new__(cls)
-        t._seal(matrix, shape)
+        t._shape = shape
+        t._seal(matrix)
         return t
 
-    def _seal(self, matrix: np.ndarray, shape: TensorShape) -> None:
-        """The step every construction ends in: read-only contiguous
-        storage of a checked matrix and an empty spectrum cache."""
-        matrix = np.ascontiguousarray(matrix)
-        matrix.flags.writeable = False
-        self._shape = shape
-        self._matrix = matrix
-        self._eig = None
+    def _derive(self, matrix: np.ndarray) -> "HermitianTensor":
+        return HermitianTensor._trusted(matrix, self._shape)
 
     # -- constructors -------------------------------------------------
 
@@ -222,25 +385,11 @@ class HermitianTensor:
 
     # -- algebra --------------------------------------------------------
 
-    def __add__(self, other: "HermitianTensor") -> "HermitianTensor":
-        self._check_same_shape(other)
-        return HermitianTensor._trusted(self._matrix + other._matrix, self._shape)
-
-    def __sub__(self, other: "HermitianTensor") -> "HermitianTensor":
-        self._check_same_shape(other)
-        return HermitianTensor._trusted(self._matrix - other._matrix, self._shape)
-
-    def __mul__(self, scalar) -> "HermitianTensor":
-        c = float(scalar)
-        return HermitianTensor._trusted(self._matrix * c, self._shape)
-
-    __rmul__ = __mul__
+    def _coefficient(self, scalar) -> float:
+        return float(scalar)
 
     def __truediv__(self, scalar) -> "HermitianTensor":
         return self * (1.0 / float(scalar))
-
-    def __neg__(self) -> "HermitianTensor":
-        return self * (-1.0)
 
     def _check_same_shape(self, other: "HermitianTensor") -> None:
         if not isinstance(other, HermitianTensor):
@@ -249,20 +398,6 @@ class HermitianTensor:
             raise ValueError(f"shape mismatch: {self._shape.dims} vs {other._shape.dims}")
 
     # -- spectral conveniences -------------------------------------------
-
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ascending eigenvalues and eigenvectors of the unfolding.
-
-        One ``eigh`` call, made on first use and cached: the only write into
-        an instance, and an idempotent one.  Eigenvector phases are those
-        LAPACK returns; :func:`spectral_decompose` fixes them.
-        """
-        if self._eig is None:
-            w, v = np.linalg.eigh(self._matrix)
-            w.flags.writeable = False
-            v.flags.writeable = False
-            self._eig = (w, v)
-        return self._eig
 
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues of the unfolding, descending."""
@@ -279,8 +414,7 @@ class HermitianTensor:
 
     def spectral_scale(self) -> float:
         """max(|lambda|), i.e. the spectral norm."""
-        ev = self._spectrum()[0]
-        return float(max(abs(ev[0]), abs(ev[-1])))
+        return float(_spectral_scale(self))
 
     def is_pd(self, tol: float = PSD_RTOL) -> bool:
         return self.lambda_min() > tol * max(1.0, self.spectral_scale())
@@ -384,8 +518,7 @@ class SpectralDecomposition:
         return int(np.sum(ev > self.rank_rtol * ev.max()))
 
     def reconstruct(self) -> HermitianTensor:
-        u = self.eigenvectors
-        m = (u * self.eigenvalues) @ u.conj().T
+        m = _spectral_map(self.eigenvectors, self.eigenvalues)
         return HermitianTensor.from_matrix(_symmetrize(m), self.shape)
 
     def eigenbasis_entries(self) -> np.ndarray:
@@ -416,17 +549,23 @@ def spectral_decompose(h: HermitianTensor, rank_rtol: float = RANK_RTOL) -> Spec
     return SpectralDecomposition(h.shape, w, v, rank_rtol)
 
 
+def _spectral_map(v: np.ndarray, mapped: np.ndarray) -> np.ndarray:
+    """``v diag(mapped) v^H`` for every matrix of a stack (not symmetrized)."""
+    return (v * mapped[..., None, :]) @ _ct(v)
+
+
+@_quiet
 def apply_spectral(
-    h: HermitianTensor,
+    h: HermitianStack,
     phi: Callable[[np.ndarray], np.ndarray],
     domain_check: bool = True,
-) -> HermitianTensor:
+) -> HermitianStack:
     """Spectral function calculus: map eigenvalues through ``phi``.
 
-    ``phi`` is elementwise on float64 arrays and maps the whole spectrum in
-    one call.  With ``domain_check`` set, a non-finite ``phi(lambda)``
-    (NaN or inf, e.g. ``x**-0.5`` on a spectrum touching zero) raises
-    ``ValueError``.
+    ``phi`` is elementwise on float64 arrays and maps the spectra of the
+    whole stack in one call.  With ``domain_check`` set, a non-finite
+    ``phi(lambda)`` (NaN or inf, e.g. ``x**-0.5`` on a spectrum touching
+    zero) raises ``ValueError``.
     """
     w, v = h._spectrum()
     with np.errstate(all="ignore"):
@@ -434,11 +573,10 @@ def apply_spectral(
     if domain_check and not np.all(np.isfinite(mapped)):
         bad = w[~np.isfinite(mapped)]
         raise ValueError(f"spectrum outside function domain at eigenvalues {bad}")
-    m = (v * mapped) @ v.conj().T
-    return HermitianTensor._trusted(_symmetrize(m), h.shape)
+    return h._derive(_symmetrize(_spectral_map(v, mapped)))
 
 
-def spectral_power(h: HermitianTensor, p: float, psd_clip: bool = True) -> HermitianTensor:
+def spectral_power(h: HermitianStack, p: float, psd_clip: bool = True) -> HermitianStack:
     """``h**p`` through the spectral calculus.
 
     For non-integer ``p`` the spectrum must be nonnegative; with ``psd_clip``
@@ -452,24 +590,27 @@ def spectral_power(h: HermitianTensor, p: float, psd_clip: bool = True) -> Hermi
     return apply_spectral(h, lambda x: x**p)
 
 
-def require_pd(t: HermitianTensor, name: str) -> np.ndarray:
+def require_pd(t: HermitianStack, name: str) -> np.ndarray:
     """Gate for positive definite inputs: the cached ascending eigenvalues
-    of ``t``, all strictly positive, else :class:`NotPositiveDefiniteError`."""
+    of ``t``, all strictly positive, else :class:`NotPositiveDefiniteError`
+    (naming the first failing matrix of a stack)."""
     ev = t._spectrum()[0]
-    lam_min = float(ev[0])
-    if lam_min <= 0.0:
-        raise NotPositiveDefiniteError(f"{name} must be PD, lambda_min = {lam_min:.3e}")
+    lam_min = ev[..., 0]
+    bad = lam_min <= 0.0
+    if _any(bad):
+        raise NotPositiveDefiniteError(f"{name} must be PD, lambda_min = {lam_min[_first(bad)]:.3e}")
     return ev
 
 
-def require_psd(t: HermitianTensor, name: str) -> np.ndarray:
+def require_psd(t: HermitianStack, name: str) -> np.ndarray:
     """Gate for positive semidefinite inputs: the cached ascending
     eigenvalues of ``t``, none below ``-PSD_RTOL * max(1, |t|_sp)``, else
     :class:`NotPositiveSemidefiniteError`."""
     ev = t._spectrum()[0]
-    lam_min = float(ev[0])
-    if lam_min < -PSD_RTOL * max(1.0, abs(lam_min), abs(float(ev[-1]))):
-        raise NotPositiveSemidefiniteError(f"{name} must be PSD, lambda_min = {lam_min:.3e}")
+    lam_min = ev[..., 0]
+    bad = lam_min < -PSD_RTOL * np.maximum(np.maximum(1.0, np.abs(lam_min)), np.abs(ev[..., -1]))
+    if _any(bad):
+        raise NotPositiveSemidefiniteError(f"{name} must be PSD, lambda_min = {lam_min[_first(bad)]:.3e}")
     return ev
 
 
@@ -508,6 +649,23 @@ class LoewnerVerdict:
         return self.relation in (Relation.GEQ, Relation.EQ)
 
 
+def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL):
+    """Loewner kernel: ``(lam_min, lam_max, leq, geq)`` per matrix pair.
+
+    ``lam_min``/``lam_max`` are the extreme eigenvalues of ``y - x`` (one
+    ``eigvalsh`` over the stack); ``leq`` is ``lam_min >= -tol * scale`` and
+    ``geq`` is ``lam_max <= tol * scale`` with
+    ``scale = max(|x|_sp, |y|_sp, 1)``.  ``y`` may be a single tensor
+    broadcast against a stack ``x``.
+    """
+    x._check_same_shape(y)
+    scale = np.maximum(np.maximum(_spectral_scale(x), _spectral_scale(y)), 1.0)
+    ev = np.linalg.eigvalsh(y._matrix - x._matrix)
+    lam_min, lam_max = ev[..., 0], ev[..., -1]
+    slack = tol * scale
+    return lam_min, lam_max, lam_min >= -slack, lam_max <= slack
+
+
 def loewner_compare(x: HermitianTensor, y: HermitianTensor, tol: float = PSD_RTOL) -> LoewnerVerdict:
     """Classify ``x`` against ``y`` in the Loewner order at relative tolerance.
 
@@ -515,13 +673,12 @@ def loewner_compare(x: HermitianTensor, y: HermitianTensor, tol: float = PSD_RTO
     ``scale = max(|x|_sp, |y|_sp, 1)``; GEQ symmetrically; EQ iff both;
     INCOMPARABLE otherwise.
     """
-    x._check_same_shape(y)
-    scale = max(x.spectral_scale(), y.spectral_scale(), 1.0)
-    ev = np.linalg.eigvalsh(y.unfold() - x.unfold())
-    lam_min, lam_max = float(ev[0]), float(ev[-1])
-    slack = tol * scale
-    leq = lam_min >= -slack
-    geq = lam_max <= slack
+    return _verdict(*loewner_extremes(x, y, tol))
+
+
+def _verdict(lam_min, lam_max, leq, geq) -> LoewnerVerdict:
+    """The verdict of one pair from its :func:`loewner_extremes`."""
+    lam_min, lam_max = float(lam_min), float(lam_max)
     if leq and geq:
         rel = Relation.EQ
         witness = lam_max if abs(lam_max) >= abs(lam_min) else lam_min
@@ -581,18 +738,21 @@ def ky_fan(k: int) -> GaugeNormKind:
     return GaugeNormKind("kyfan", k)
 
 
-def gauge_norm(h: HermitianTensor, kind: GaugeNormKind = FROBENIUS) -> float:
-    """Unitarily invariant norm ``rho(|lambda|(h))`` of a Hermitian tensor."""
-    ev = np.sort(np.abs(h._spectrum()[0]))[::-1]
+def gauge_norm(h: HermitianStack, kind: GaugeNormKind = FROBENIUS):
+    """Unitarily invariant norm ``rho(|lambda|(h))`` of each Hermitian
+    matrix: a float for a tensor, an array over a stack."""
+    ev = np.sort(np.abs(h._spectrum()[0]), axis=-1)[..., ::-1]
     if kind.kind == "spectral":
-        return float(ev[0])
-    if kind.kind == "frobenius":
-        return float(np.sqrt(np.sum(ev**2)))
-    if kind.kind == "trace":
-        return float(np.sum(ev))
-    if kind.k > ev.size:
-        raise ValueError(f"Ky Fan k={kind.k} exceeds unfolding dimension {ev.size}")
-    return float(np.sum(ev[: kind.k]))
+        out = ev[..., 0]
+    elif kind.kind == "frobenius":
+        out = np.sqrt(np.sum(ev**2, axis=-1))
+    elif kind.kind == "trace":
+        out = np.sum(ev, axis=-1)
+    elif kind.k > ev.shape[-1]:
+        raise ValueError(f"Ky Fan k={kind.k} exceeds unfolding dimension {ev.shape[-1]}")
+    else:
+        out = np.sum(ev[..., : kind.k], axis=-1)
+    return _per_item(out)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +769,7 @@ def range_projector(h: HermitianTensor, rank_rtol: float = RANK_RTOL) -> Hermiti
     w = require_psd(h, "range projector input")
     keep = w > rank_rtol * max(float(w[-1]), 0.0)
     u = h._spectrum()[1][:, keep]
-    return HermitianTensor._trusted(_symmetrize(u @ u.conj().T), h.shape)
+    return h._derive(_symmetrize(u @ _ct(u)))
 
 
 # ---------------------------------------------------------------------------

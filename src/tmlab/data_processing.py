@@ -12,16 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .core import (
+    HermitianStack,
     HermitianTensor,
     LoewnerVerdict,
     PSD_RTOL,
     TensorShape,
+    _ct,
+    _quiet,
     _symmetrize,
-    loewner_compare,
+    _verdict,
+    loewner_extremes,
     tensor_from_json_dict,
 )
 from .functions import ConnectionFunction, transpose_fn
@@ -109,25 +114,34 @@ def convex_combination(maps, weights) -> PositiveLinearMap:
     )
 
 
-def apply_map(lmap: PositiveLinearMap, h: HermitianTensor) -> HermitianTensor:
-    """Evaluate the map; hermiticity is preserved by construction."""
-    if h.shape.dims != lmap.shape.dims:
+def apply_map(lmap: PositiveLinearMap, h: HermitianStack) -> HermitianStack:
+    """Evaluate the map on a tensor, or on every matrix of a stack;
+    hermiticity is preserved by construction."""
+    d = lmap.shape.square_dim
+    if isinstance(h, HermitianTensor) and h.shape.dims != lmap.shape.dims:
         raise ValueError(f"shape mismatch: map on {lmap.shape.dims}, tensor {h.shape.dims}")
+    if h.unfold().shape[-1] != d:
+        raise ValueError(f"size mismatch: map on D = {d}, matrices of size {h.unfold().shape[-1]}")
     if lmap.kind == "congruence":
-        k = lmap.matrix
-        return HermitianTensor._trusted(_symmetrize(k.conj().T @ h.unfold() @ k), h.shape)
+        return _congruence(lmap.matrix, h)
     if lmap.kind == "pinching":
         m = h.unfold()
         out = np.zeros_like(m)
         for group in lmap.partition:
-            idx = np.asarray(group, dtype=np.intp)
-            out[np.ix_(idx, idx)] = m[np.ix_(idx, idx)]
+            block = (Ellipsis,) + np.ix_(np.asarray(group, dtype=np.intp), np.asarray(group, dtype=np.intp))
+            out[block] = m[block]
         # Diagonal blocks of a Hermitian matrix: exactly Hermitian.
-        return HermitianTensor._trusted(out, h.shape)
-    acc = np.zeros((h.shape.square_dim,) * 2, dtype=np.complex128)
+        return h._derive(out)
+    acc = np.zeros(h.unfold().shape, dtype=np.complex128)
     for w, comp in zip(lmap.weights, lmap.components):
         acc = acc + w * apply_map(comp, h).unfold()
-    return HermitianTensor._trusted(acc, h.shape)
+    return h._derive(acc)
+
+
+@_quiet
+def _congruence(k: np.ndarray, h: HermitianStack) -> HermitianStack:
+    """``k^H h k`` per matrix; ``k`` is one ``D x D`` matrix or a stack."""
+    return h._derive(_symmetrize(_ct(k) @ h.unfold() @ k))
 
 
 def parse_map_spec(spec: str, shape, loader=None) -> PositiveLinearMap:
@@ -180,10 +194,10 @@ class DominationPair:
     kept as ``quotient``, and :func:`mean_on_pair` finishes the mean from it.
     """
 
-    x: HermitianTensor
-    y: HermitianTensor
+    x: HermitianStack
+    y: HermitianStack
     side: str
-    constant: float = 0.0
+    constant: float = field(init=False)
     quotient: EtaResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -192,7 +206,7 @@ class DominationPair:
         self.x._check_same_shape(self.y)
         q = eta(self.x, self.y) if self.side == "left" else eta(self.y, self.x)
         object.__setattr__(self, "quotient", q)
-        object.__setattr__(self, "constant", float(q.domination_constant))
+        object.__setattr__(self, "constant", q.domination_constant)
 
 
 def mean_on_pair(pair: DominationPair, g: ConnectionFunction) -> HermitianTensor:
@@ -245,10 +259,17 @@ def fusion_gap(
         raise ValueError("pairs must share the domination side")
     _require_convex_finite(g, p1.side)
     fused = DominationPair(p1.x + p2.x, p1.y + p2.y, p1.side)
+    verdict = _verdict(*_fusion_extremes(p1, p2, fused, g, tol))
+    return verdict.lam_min, verdict
+
+
+def _fusion_extremes(p1, p2, fused, g, tol):
+    """Body of :func:`fusion_gap` over stacks of pairs, given the fused
+    pair: the :func:`loewner_extremes` of its mean against the sum of the
+    two means."""
     lhs = mean_on_pair(fused, g)
     rhs = mean_on_pair(p1, g) + mean_on_pair(p2, g)
-    verdict = loewner_compare(lhs, rhs, tol)
-    return verdict.lam_min, verdict
+    return loewner_extremes(lhs, rhs, tol)
 
 
 def transform_gap(
@@ -263,9 +284,14 @@ def transform_gap(
     ``L(x # y)`` against ``L(x) # L(y)`` (GEQ expected).
     """
     _require_convex_finite(g, pair.side)
-    mapped_mean = apply_map(lmap, mean_on_pair(pair, g))
-    lx = apply_map(lmap, pair.x)
-    ly = apply_map(lmap, pair.y)
-    mean_mapped = mean_on_pair(DominationPair(lx, ly, pair.side), g)
-    verdict = loewner_compare(mapped_mean, mean_mapped, tol)
+    verdict = _verdict(*_transform_extremes(partial(apply_map, lmap), pair, mean_on_pair(pair, g), g, tol))
     return -verdict.lam_max, verdict
+
+
+def _transform_extremes(lmap, pair, pair_mean, g, tol):
+    """Body of :func:`transform_gap` over stacks: ``lmap`` maps a stack,
+    and ``pair_mean`` is ``mean_on_pair(pair, g)``, shared by every map.
+    Returns the :func:`loewner_extremes` of the mapped mean against the
+    mean of the mapped pair."""
+    mean_mapped = mean_on_pair(DominationPair(lmap(pair.x), lmap(pair.y), pair.side), g)
+    return loewner_extremes(lmap(pair_mean), mean_mapped, tol)

@@ -37,12 +37,15 @@ import numpy as np
 
 from .core import (
     GaugeNormKind,
+    HermitianStack,
     HermitianTensor,
     NotPositiveDefiniteError,
     TensorShape,
+    _ct,
+    _spectral_scale,
     _symmetrize,
     gauge_norm,
-    loewner_compare,
+    loewner_extremes,
     spectral_power,
 )
 from .functions import (
@@ -55,10 +58,27 @@ from .functions import (
     power_exponent,
     power_lift,
 )
-from .means import _psd_root, epsilon_mean_limit, eta, mean_pd
-from .bounds import kantorovich, kk_factors, prop310_factors, psi_factors, trace_tail_bound
-from .lie_trotter import convergence_study, tensor_exp, tensor_log
-from .data_processing import DominationPair, congruence, fusion_gap, pinching, transform_gap
+from .means import _epsilon_errors, _psd_root, eta, mean_pd
+from .bounds import (
+    BoundFactors,
+    _kk_lists,
+    _tail_statistics,
+    _tail_summary,
+    kantorovich,
+    prop310_factors,
+    psi_factors,
+)
+from .lie_trotter import _study, tensor_exp, tensor_log
+from .data_processing import (
+    DominationPair,
+    _congruence,
+    _fusion_extremes,
+    _require_convex_finite,
+    _transform_extremes,
+    apply_map,
+    mean_on_pair,
+    pinching,
+)
 
 __all__ = [
     "ConfigError",
@@ -77,6 +97,14 @@ REPORT_VERSION = "tmlab-report/1"
 
 # Sweep of multiples of the identity used as tail-event thresholds.
 C_SWEEP = (0.5, 1.0, 2.0)
+
+# Byte budget of one stacked stage.  Each suite runs its trials in chunks of
+# at most STACK_BYTES // (16 D^2) trials, so one stage's stack of complex
+# D x D matrices stays under 256 KiB whatever the trial count: at D = 64,
+# unchunked T2 stacks of 10 trials add about 55 MB of peak memory, chunks
+# under this budget about 2 MB.  At D = 4 all 200 default trials fit one
+# chunk.
+STACK_BYTES = 256 * 1024
 
 
 class ConfigError(ValueError):
@@ -145,27 +173,43 @@ def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
     """Draw the ensemble member for one trial; bitwise reproducible.
 
     ``role`` selects an independent stream for further draws of the same
-    trial (the default 0 is the primary draw).
+    trial (the default 0 is the primary draw).  The batch of one of
+    :func:`_draw`.
+    """
+    return HermitianTensor._trusted(_draw(spec, (trial,), role).unfold()[0], spec.shape)
+
+
+def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
+    """The ensemble members of a run of trials as one validated stack.
+
+    Member ``t`` comes from its own stream ``_trial_rng(seed, t, role)``,
+    drawn in the same order as a lone :func:`sample`; the matrices are then
+    formed and validated as one stack.
     """
     d = spec.shape.square_dim
-    rng = _trial_rng(spec.seed, trial, role)
+    if spec.kind == "spectrum" and spec.m == spec.M:
+        eye = np.eye(d, dtype=np.complex128) * float(spec.m)
+        return HermitianStack._trusted(np.repeat(eye[None], len(trials), axis=0))
+    rngs = [_trial_rng(spec.seed, t, role) for t in trials]
     if spec.kind == "wishart":
-        g = _complex_gaussian(rng, spec.dof, d)
-        m = g.conj().T @ g / spec.dof + 1e-6 * np.eye(d)
-        return HermitianTensor.from_matrix(m, spec.shape)
+        g = np.stack([_complex_gaussian(rng, spec.dof, d) for rng in rngs])
+        return HermitianStack.from_matrices(_ct(g) @ g / spec.dof + 1e-6 * np.eye(d))
     if spec.kind == "spectrum":
-        if spec.m == spec.M:
-            return float(spec.m) * HermitianTensor.identity(spec.shape)
-        q, _ = np.linalg.qr(_complex_gaussian(rng, d, d))
-        lam = rng.uniform(spec.m, spec.M, size=d)
+        gauss = np.stack([_complex_gaussian(rng, d, d) for rng in rngs])
+        lam = np.stack([rng.uniform(spec.m, spec.M, size=d) for rng in rngs])
         # Interior margin keeps the reconstructed spectrum inside [m, M]
         # despite rounding in the congruence.
         margin = 64.0 * np.finfo(float).eps * max(1.0, abs(spec.m), abs(spec.M))
         if spec.M - spec.m > 4.0 * margin:
             lam = np.clip(lam, spec.m + margin, spec.M - margin)
-        return HermitianTensor.from_matrix((q * lam) @ q.conj().T, spec.shape)
-    g = _complex_gaussian(rng, spec.rank, d)
-    return HermitianTensor.from_matrix(g.conj().T @ g / spec.rank, spec.shape)
+        return _rotated(np.linalg.qr(gauss)[0], lam)
+    g = np.stack([_complex_gaussian(rng, spec.rank, d) for rng in rngs])
+    return HermitianStack.from_matrices(_ct(g) @ g / spec.rank)
+
+
+def _rotated(q: np.ndarray, lam: np.ndarray) -> HermitianStack:
+    """Validated stack of ``q diag(lam) q^H``."""
+    return HermitianStack.from_matrices((q * lam[:, None, :]) @ _ct(q))
 
 
 def dominated_sample(y: HermitianTensor, spec: EnsembleSpec, trial: int, role: int = 3) -> HermitianTensor:
@@ -174,18 +218,29 @@ def dominated_sample(y: HermitianTensor, spec: EnsembleSpec, trial: int, role: i
     Conjugates a PD draw by the rank-truncated square root of ``y``, so the
     pair is admissible for the PSD mean extension by construction.
     """
-    w = sample(EnsembleSpec(y.shape, "wishart", spec.seed, dof=max(spec.dof, 1)), trial, role).unfold()
+    w = sample(_dominating_spec(spec, y.shape), trial, role)
+    return _dominate(y, w)
+
+
+def _dominating_spec(spec: EnsembleSpec, shape: TensorShape) -> EnsembleSpec:
+    return EnsembleSpec(shape, "wishart", spec.seed, dof=max(spec.dof, 1))
+
+
+def _dominate(y: HermitianStack, w: HermitianStack) -> HermitianStack:
+    """``y^{1/2} w y^{1/2}`` per matrix, with the rank-truncated root."""
     root = _psd_root(y)
-    return HermitianTensor._trusted(_symmetrize(root @ w @ root), y.shape)
+    return y._derive(_symmetrize(root @ w.unfold() @ root))
 
 
-def _premise_pair(sid, x, y, big_f, direction):
-    """Premise enforcement at the suite boundary: non-PD draws are a
-    configuration problem (the premise suites need PD ensembles)."""
+def _premise_pairs(sid, x, y, big_f, directions):
+    """Premise enforcement at the suite boundary, one rescaled pair per
+    direction from one mean: non-PD draws are a configuration problem (the
+    premise suites need PD ensembles in both slots)."""
     try:
-        return enforce_premise(x, y, big_f, direction)
+        base = mean_pd(x, y, big_f)
     except NotPositiveDefiniteError as exc:
         raise ConfigError(f"{sid.value} needs PD ensembles in both slots: {exc}") from exc
+    return [_rescale(x, y, base, direction) for direction in directions]
 
 
 def enforce_premise(
@@ -202,8 +257,14 @@ def enforce_premise(
     """
     if direction not in ("leq", "geq"):
         raise ValueError(f"direction must be 'leq' or 'geq', got {direction!r}")
-    base = mean_pd(x, y, big_f)
-    t = base.lambda_max() if direction == "leq" else base.lambda_min()
+    return _rescale(x, y, mean_pd(x, y, big_f), direction)
+
+
+def _rescale(x, y, base, direction):
+    """``(x / t, y / t)`` with ``t`` the extreme eigenvalue of the mean
+    ``base`` that the premise direction fixes at 1."""
+    w = base._spectrum()[0]
+    t = w[..., -1] if direction == "leq" else w[..., 0]
     return x / t, y / t
 
 
@@ -472,10 +533,24 @@ def _report(sid, cfg, notes, violations, max_violation, bound=None, empirical=No
     )
 
 
-def _ordering_excess(lhs: HermitianTensor, rhs: HermitianTensor) -> float:
-    """Relative excess of ``lhs`` over ``rhs`` in the Loewner order:
+def _chunks(cfg: ExperimentConfig) -> list:
+    """Consecutive trial ranges whose stacks fit :data:`STACK_BYTES`."""
+    d = TensorShape(cfg.shape).square_dim
+    size = max(1, STACK_BYTES // (16 * d * d))
+    return [range(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
+
+
+def _per_trial(cfg: ExperimentConfig, body) -> list:
+    """Run ``body`` on each trial chunk; it returns a sequence of per-trial
+    arrays (trial axis first), joined here over the chunks."""
+    parts = [body(trials) for trials in _chunks(cfg)]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _ordering_excess(lhs: HermitianStack, rhs: HermitianStack) -> np.ndarray:
+    """Relative excess of ``lhs`` over ``rhs`` in the Loewner order, per pair:
     ``-lambda_min(rhs - lhs) / max(1, |rhs|_sp)``, positive when ``lhs <= rhs`` fails."""
-    return -(rhs - lhs).lambda_min() / max(1.0, rhs.spectral_scale())
+    return -(rhs - lhs)._spectrum()[0][..., 0] / np.maximum(1.0, _spectral_scale(rhs))
 
 
 def _ordering_report(sid, cfg, notes, excesses, bound=None):
@@ -484,22 +559,36 @@ def _ordering_report(sid, cfg, notes, excesses, bound=None):
     return _report(sid, cfg, notes, viol, max(0.0, *excesses), bound)
 
 
-def _tail_report(sid, cfg, notes, rows, after=()):
-    """Tail-event rule shared by the tail-bound suites.
+def _tail_columns(cfg, checks) -> list:
+    """Per-trial inputs of the tail rule for one chunk of trials.
 
-    Each row is ``(note prefix, c, events, tail samples, power)``.  The
-    empirical frequency of ``event not<= c I`` is checked against the trace
-    bound ``Tr(mean(tail**power) (c I)^-1)``; the row counts one violation
-    when it exceeds ``min(1, bound) + 3 * stderr``.  The report carries the
-    row with the largest margin over the clamped bound.  ``after`` notes
-    follow the per-row notes.
+    ``checks`` are ``(events, tail, power)`` stacks.  Returns two arrays of
+    shape ``(trials, checks, len(C_SWEEP))``: whether ``event <= c I`` holds
+    (the Loewner verdict at the tolerance), and the trace statistic
+    ``Tr(tail**power (c I)^-1)``.  The powers are taken once per check.
     """
     ident = HermitianTensor.identity(TensorShape(cfg.shape))
+    thresholds = [c * ident for c in C_SWEEP]
+    held = [[loewner_extremes(events, cten, cfg.tolerance)[2] for cten in thresholds] for events, _, _ in checks]
+    stats = [_tail_statistics(tail, power, thresholds) for _, tail, power in checks]
+    return [np.moveaxis(np.array(held), -1, 0), np.moveaxis(np.array(stats), -1, 0)]
+
+
+def _tail_report(sid, cfg, notes, rows, held, stats, after=()):
+    """Tail-event rule shared by the tail-bound suites.
+
+    Each row is ``(note prefix, check, c index)`` into the
+    :func:`_tail_columns` of all trials.  The empirical frequency of
+    ``event not<= c I`` is checked against the trace bound
+    ``Tr(mean(tail**power) (c I)^-1)``; the row counts one violation when it
+    exceeds ``min(1, bound) + 3 * stderr``.  The report carries the row with
+    the largest margin over the clamped bound.  ``after`` notes follow the
+    per-row notes.
+    """
     viol, worst = 0, None
-    for prefix, c, events, tail, power in rows:
-        cten = c * ident
-        emp = sum(1 for e in events if not loewner_compare(e, cten, cfg.tolerance).is_leq) / cfg.trials
-        bound, se = trace_tail_bound(tail, power, cten)
+    for prefix, check, j in rows:
+        emp = int(np.count_nonzero(~held[:, check, j])) / cfg.trials
+        bound, se = _tail_summary(stats[:, check, j].tolist())
         if emp > min(1.0, bound) + 3.0 * (se + _binom_stderr(emp, cfg.trials)):
             viol += 1
         margin = emp - min(1.0, bound)
@@ -512,6 +601,11 @@ def _tail_report(sid, cfg, notes, rows, after=()):
                    empirical=emp, stderr=_binom_stderr(emp, cfg.trials))
 
 
+def _sweep_rows(labels):
+    """Tail rows with the threshold outermost, then the checks."""
+    return [(f"c={c:g} {label}", i, j) for j, c in enumerate(C_SWEEP) for i, label in enumerate(labels)]
+
+
 def _suite_l1(sid, cfg):
     notes = []
     ex, ey = _suite_ensembles(cfg, sid)
@@ -520,12 +614,14 @@ def _suite_l1(sid, cfg):
         q = 0.5
         notes.append("q outside [0,1]; using q=0.5")
     notes.append(f"q={q:g}")
-    excesses = []
-    for t in range(cfg.trials):
-        b = sample(ey, t)
-        a = b + sample(ex, t)
-        excesses.append(_ordering_excess(spectral_power(b, q), spectral_power(a, q)))
-    return _ordering_report(sid, cfg, notes, excesses)
+
+    def body(trials):
+        b = _draw(ey, trials)
+        a = b + _draw(ex, trials)
+        return (_ordering_excess(spectral_power(b, q), spectral_power(a, q)),)
+
+    (excesses,) = _per_trial(cfg, body)
+    return _ordering_report(sid, cfg, notes, excesses.tolist())
 
 
 def _suite_l2(sid, cfg):
@@ -536,19 +632,23 @@ def _suite_l2(sid, cfg):
         p = 2.0
         notes.append("p inside [0,1] is the trivial constant-1 regime; using p=2")
     notes.append(f"p={p:g}; constants from per-trial observed spectrum extremes")
-    excesses, ks = [], []
-    for t in range(cfg.trials):
-        b = sample(ey, t)
-        a = b + sample(ex, t)
+
+    def body(trials):
+        b = _draw(ey, trials)
+        a = b + _draw(ex, trials)
         ap = spectral_power(a, p)
         bp = spectral_power(b, p)
-        bad = 0.0
+        out = []
         for ref in (a, b):
-            k = kantorovich(ref.lambda_min(), ref.lambda_max(), p)
-            ks.append(k)
-            bad = max(bad, _ordering_excess(bp, k * ap))
-        excesses.append(bad)
-    return _ordering_report(sid, cfg, notes, excesses, bound=math.fsum(ks) / len(ks))
+            w = ref._spectrum()[0]
+            k = np.array([kantorovich(lo, hi, p) for lo, hi in zip(w[:, 0].tolist(), w[:, -1].tolist())])
+            out += [k, _ordering_excess(bp, k * ap)]
+        return out
+
+    k_a, excess_a, k_b, excess_b = _per_trial(cfg, body)
+    ks = [k for pair in zip(k_a.tolist(), k_b.tolist()) for k in pair]
+    excesses = np.maximum(np.maximum(0.0, excess_a), excess_b)
+    return _ordering_report(sid, cfg, notes, excesses.tolist(), bound=math.fsum(ks) / len(ks))
 
 
 def _suite_l3(sid, cfg):
@@ -556,22 +656,20 @@ def _suite_l3(sid, cfg):
     ex, ey = _suite_ensembles(cfg, sid)
     q = max(1.0, cfg.exponents["q"])
     notes.append(f"q={q:g}; chain built as x, x+p1, x+p1+p2 with PSD increments")
-    shape = TensorShape(cfg.shape)
-    xs, ys, zs = [], [], []
-    for t in range(cfg.trials):
-        x = sample(ex, t)
-        p1 = sample(ey, t)
-        rng_extra = _trial_rng(ey.seed, t, 7)
-        lam = rng_extra.uniform(ey.m, ey.M, size=shape.square_dim)
-        qmat, _ = np.linalg.qr(_complex_gaussian(rng_extra, shape.square_dim, shape.square_dim))
-        p2 = HermitianTensor.from_matrix((qmat * lam) @ qmat.conj().T, shape)
+    d = TensorShape(cfg.shape).square_dim
+
+    def body(trials):
+        x = _draw(ex, trials)
+        p1 = _draw(ey, trials)
+        rngs = [_trial_rng(ey.seed, t, 7) for t in trials]
+        lam = np.stack([rng.uniform(ey.m, ey.M, size=d) for rng in rngs])
+        gauss = np.stack([_complex_gaussian(rng, d, d) for rng in rngs])
+        p2 = _rotated(np.linalg.qr(gauss)[0], lam)
         y = x + p1
-        xs.append(x)
-        ys.append(y)
-        zs.append(y + p2)
-    checks = (("Pr(y not<= C) vs E[z^q]", ys, zs), ("Pr(x not<= C) vs E[y^q]", xs, ys))
-    rows = [(f"c={c:g} {label}", c, events, tail, q) for c in C_SWEEP for label, events, tail in checks]
-    return _tail_report(sid, cfg, notes, rows)
+        return _tail_columns(cfg, ((y, y + p2, q), (x, y, q)))
+
+    rows = _sweep_rows(("Pr(y not<= C) vs E[z^q]", "Pr(x not<= C) vs E[y^q]"))
+    return _tail_report(sid, cfg, notes, rows, *_per_trial(cfg, body))
 
 
 def _ando_hiai_bound_parts(m: int):
@@ -606,18 +704,22 @@ def _suite_ando_hiai(sid, cfg, direction):
     else:
         notes.append(f"m={m}, q={q:g}; dual premise (mean >= I) enforced by rescaling")
         notes.append("generator tagged TMI with the pmd certificate; corollary hypothesis read as stated")
+
+    def body(trials):
+        ((xp, yp),) = _premise_pairs(sid, _draw(ex, trials), _draw(ey, trials), lifted, (direction,))
+        factors = [const * BoundFactors(kk_list=kk).kk_product for kk in _kk_lists(xp, g_aux, half, q, k_start)]
+        w = mean_pd(spectral_power(xp, q), spectral_power(yp, q), lifted)._spectrum()[0]
+        return np.array(factors), w[:, -1] if leq else w[:, 0]
+
+    factors, extremes = _per_trial(cfg, body)
     viol, worst, bounds = 0, -math.inf, []
-    for t in range(cfg.trials):
-        x, y = sample(ex, t), sample(ey, t)
-        xp, yp = _premise_pair(sid, x, y, lifted, direction)
-        factor = const * kk_factors(xp, g_aux, half, q, k_start).kk_product
-        mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), lifted)
+    for factor, extreme in zip(factors.tolist(), extremes.tolist()):
         if leq:
             bound = factor
-            excess = mean_q.lambda_max() - bound
+            excess = extreme - bound
         else:
             bound = 1.0 / factor
-            excess = bound - mean_q.lambda_min()
+            excess = bound - extreme
         bounds.append(bound)
         if excess > cfg.tolerance:
             viol += 1
@@ -632,14 +734,14 @@ def _suite_t2(sid, cfg):
     norm = GaugeNormKind.parse(cfg.norm)
     q_grid = tuple(2.0**-k for k in range(1, 9))
     notes.append("q grid 2^-1 .. 2^-8; monotone with 5% slack; final relative error <= 1e-2")
-    viol, worst = 0, 0.0
-    for t in range(cfg.trials):
-        x, y = sample(ex, t), sample(ey, t)
-        st = convergence_study(x, y, fn, q_grid, norm)
-        if not st.monotone or st.final_relative_error > 1e-2:
-            viol += 1
-        worst = max(worst, st.final_relative_error)
-    return _report(sid, cfg, notes, viol, worst)
+
+    def body(trials):
+        _, monotone, final = _study(_draw(ex, trials), _draw(ey, trials), fn, q_grid, norm)
+        return monotone, final
+
+    monotone, final = _per_trial(cfg, body)
+    viol = int(np.count_nonzero(~monotone | (final > 1e-2)))
+    return _report(sid, cfg, notes, viol, max(0.0, *final.tolist()))
 
 
 def _suite_t3(sid, cfg):
@@ -655,135 +757,141 @@ def _suite_t3(sid, cfg):
     lifted = power_lift(fn, m)
     w = m + derivative_at_one(fn)
     notes.append(f"m={m}, q={q:g}, r={r:g}; premises enforced by rescaling")
-    order_fail = {"pmi": 0, "pmd": 0}
-    head_fail = {"pmi": 0, "pmd": 0}
-    events = {"pmi": [], "pmd": []}
-    tails = {"pmi": [], "pmd": []}
-    for t in range(cfg.trials):
-        x, y = sample(ex, t), sample(ey, t)
-        for branch, direction in (("pmi", "leq"), ("pmd", "geq")):
-            xp, yp = _premise_pair(sid, x, y, lifted, direction)
+    branches = ("pmi", "pmd")
+
+    def body(trials):
+        pairs = _premise_pairs(sid, _draw(ex, trials), _draw(ey, trials), lifted, ("leq", "geq"))
+        flags, checks = [], []
+        for branch, (xp, yp) in zip(branches, pairs):
             log_affine = tensor_exp(w * tensor_log(xp) + (1.0 - w) * tensor_log(yp))
             mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), lifted)
             root_mean = spectral_power(mean_q, 1.0 / q, psd_clip=False)
-            v = loewner_compare(log_affine, root_mean, cfg.tolerance)
+            _, _, leq, geq = loewner_extremes(log_affine, root_mean, cfg.tolerance)
             # pmi expects log_affine <= root_mean, pmd the reverse order.
             if branch == "pmi":
-                low, high, ordered, tail = log_affine, root_mean, v.is_leq, spectral_power(mean_q, r / q)
+                low, high, ordered, tail = log_affine, root_mean, leq, spectral_power(mean_q, r / q)
             else:
-                low, high, ordered, tail = root_mean, log_affine, v.is_geq, spectral_power(log_affine, r)
-            order_fail[branch] += int(not ordered)
-            head_fail[branch] += int(low.lambda_max() > high.lambda_max() * (1 + 1e-10))
-            events[branch].append(low)
-            tails[branch].append(tail)
-    rows = [(f"{branch} c={c:g}", c, events[branch], tails[branch], 1.0)
-            for branch in ("pmi", "pmd") for c in C_SWEEP]
+                low, high, ordered, tail = root_mean, log_affine, geq, spectral_power(log_affine, r)
+            head = low._spectrum()[0][:, -1] > high._spectrum()[0][:, -1] * (1 + 1e-10)
+            flags += [~ordered, head]
+            checks.append((low, tail, 1.0))
+        return flags + _tail_columns(cfg, checks)
+
+    columns = _per_trial(cfg, body)
+    rows = [(f"{branch} c={c:g}", i, j) for i, branch in enumerate(branches) for j, c in enumerate(C_SWEEP)]
     after = [
-        f"{branch} deterministic Loewner chain failures: {order_fail[branch]}/{cfg.trials}; "
-        f"top-eigenvalue order failures: {head_fail[branch]}/{cfg.trials}"
-        for branch in ("pmi", "pmd")
+        f"{branch} deterministic Loewner chain failures: {np.count_nonzero(columns[2 * i])}/{cfg.trials}; "
+        f"top-eigenvalue order failures: {np.count_nonzero(columns[2 * i + 1])}/{cfg.trials}"
+        for i, branch in enumerate(branches)
     ]
     after.append("tail bound uses exp of the log-affine combination (proof-consistent form)")
-    return _tail_report(sid, cfg, notes, rows, after)
+    return _tail_report(sid, cfg, notes, rows, *columns[4:], after)
 
 
-def _dyadic_trials(sid, cfg, notes, direction):
-    """Premise-enforced trials of the dyadic-factor suites.
-
-    Returns the exponent q and, per trial, the lower companion tensor, the
-    powered mean and the upper companion tensor.
-    """
+def _dyadic_setup(sid, cfg, notes):
+    """Generator, ensembles and exponent q of the dyadic-factor suites."""
     fn = _suite_function(cfg, sid, notes)
     ex, ey = _suite_ensembles(cfg, sid)
     q = cfg.exponents["q"]
     if q < 1.0:
         q = 2.0
         notes.append("q < 1 is the single-factor regime; using q=2")
-    trials = []
-    for t in range(cfg.trials):
-        xp, yp = _premise_pair(sid, sample(ex, t), sample(ey, t), fn, direction)
-        base = mean_pd(xp, yp, fn)
-        lo, up = psi_factors(q, fn, xp, yp)
-        mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
-        trials.append(((lo * base.lambda_max() ** (q - 1.0)) * base, mean_q,
-                       (up * base.lambda_min() ** (q - 1.0)) * base))
-    return q, trials
+    return fn, ex, ey, q
+
+
+def _dyadic_stacks(sid, fn, q, direction, x, y):
+    """Premise-enforced dyadic-factor stages for one chunk: the lower
+    companion stack, the powered means and the upper companion stack."""
+    ((xp, yp),) = _premise_pairs(sid, x, y, fn, (direction,))
+    base = mean_pd(xp, yp, fn)
+    lo, up = psi_factors(q, fn, xp, yp)
+    mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
+    w = base._spectrum()[0]
+    low = [a * b ** (q - 1.0) for a, b in zip(lo.tolist(), w[:, -1].tolist())]
+    high = [a * b ** (q - 1.0) for a, b in zip(up.tolist(), w[:, 0].tolist())]
+    return np.array(low) * base, mean_q, np.array(high) * base
 
 
 def _suite_dyadic_tail(sid, cfg, direction):
     notes = []
-    q, trials = _dyadic_trials(sid, cfg, notes, direction)
+    fn, ex, ey, q = _dyadic_setup(sid, cfg, notes)
     p = max(1.0, cfg.exponents["p"])
     notes.append(f"q={q:g}, p={p:g}; premise enforced by rescaling; factors from dyadic quotients")
-    chain_fail = sum(
-        1 for lower_t, mean_q, upper_t in trials
-        if not (loewner_compare(lower_t, mean_q, cfg.tolerance).is_leq
-                and loewner_compare(mean_q, upper_t, cfg.tolerance).is_leq)
-    )
-    lowers, mids, uppers = zip(*trials)
-    checks = (("mean^q vs upper", mids, uppers), ("lower vs mean^q", lowers, mids))
-    rows = [(f"c={c:g} {label}", c, events, tail, p) for c in C_SWEEP for label, events, tail in checks]
-    return _tail_report(sid, cfg, notes, rows, [f"deterministic sandwich failures: {chain_fail}/{cfg.trials}"])
+
+    def body(trials):
+        lower, mid, upper = _dyadic_stacks(sid, fn, q, direction, _draw(ex, trials), _draw(ey, trials))
+        held = loewner_extremes(lower, mid, cfg.tolerance)[2] & loewner_extremes(mid, upper, cfg.tolerance)[2]
+        return [~held] + _tail_columns(cfg, ((mid, upper, p), (lower, mid, p)))
+
+    columns = _per_trial(cfg, body)
+    chain_fail = np.count_nonzero(columns[0])
+    rows = _sweep_rows(("mean^q vs upper", "lower vs mean^q"))
+    return _tail_report(sid, cfg, notes, rows, *columns[1:],
+                        [f"deterministic sandwich failures: {chain_fail}/{cfg.trials}"])
 
 
-def _cap_floor_trials(sid, cfg, notes):
-    """Premise-enforced trials of the Kantorovich cap/floor suites.
+def _cap_floor_stacks(sid, fn, q, x, y):
+    """Premise-enforced Kantorovich cap/floor stages for one chunk.
 
-    Returns q and, per trial, the powered mean under the ``leq`` premise
-    with its scalar cap, then under the ``geq`` premise with its scalar
-    floor.
+    Returns the powered means under the ``leq`` premise with their scalar
+    caps, then under the ``geq`` premise with their scalar floors.
     """
-    fn = _suite_function(cfg, sid, notes)
-    ex, ey = _suite_ensembles(cfg, sid)
-    q = max(1.0, cfg.exponents["q"])
-    trials = []
-    for t in range(cfg.trials):
-        x, y = sample(ex, t), sample(ey, t)
-        row = []
-        for direction in ("leq", "geq"):
-            xp, yp = _premise_pair(sid, x, y, fn, direction)
-            base = mean_pd(xp, yp, fn)
-            k1, k2 = prop310_factors(xp, q)
-            z_res = eta(yp, xp)
-            if z_res.eta.lambda_min() <= 0.0:
-                raise ConfigError(
-                    "the Kantorovich cap/floor suite needs an invertible quotient of (y, x); "
-                    "use PD ensembles for both slots"
-                )
-            lam = 1.0 / z_res.eta.eigenvalues()
-            ratio = float(np.max(fn.fn(lam**q) / fn.fn(lam) ** q))
-            mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
-            scalar = base.lambda_min() ** (1.0 - q) * ratio
-            row += [mean_q, k1 * k2 * scalar if direction == "leq" else scalar / k2]
-        trials.append(row)
-    return q, trials
+    out = []
+    for direction, (xp, yp) in zip(("leq", "geq"), _premise_pairs(sid, x, y, fn, ("leq", "geq"))):
+        base = mean_pd(xp, yp, fn)
+        k1, k2 = prop310_factors(xp, q)
+        z = eta(yp, xp).eta._spectrum()[0]
+        if (z[:, 0] <= 0.0).any():
+            raise ConfigError(
+                "the Kantorovich cap/floor suite needs an invertible quotient of (y, x); "
+                "use PD ensembles for both slots"
+            )
+        lam = 1.0 / z[:, ::-1].copy()
+        ratio = np.max(fn.fn(lam**q) / fn.fn(lam) ** q, axis=-1)
+        mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
+        scalar = [b ** (1.0 - q) * r for b, r in zip(base._spectrum()[0][:, 0].tolist(), ratio.tolist())]
+        if direction == "leq":
+            bound = [a * b * s for a, b, s in zip(k1.tolist(), k2.tolist(), scalar)]
+        else:
+            bound = [s / b for b, s in zip(k2.tolist(), scalar)]
+        out += [mean_q, np.array(bound)]
+    return out
 
 
 def _suite_t9(sid, cfg):
     notes = []
-    q, trials = _cap_floor_trials(sid, cfg, notes)
+    fn = _suite_function(cfg, sid, notes)
+    ex, ey = _suite_ensembles(cfg, sid)
+    q = max(1.0, cfg.exponents["q"])
     p = max(1.0, cfg.exponents["p"])
-    ident = HermitianTensor.identity(TensorShape(cfg.shape))
+    eye = np.eye(TensorShape(cfg.shape).square_dim, dtype=np.complex128)
     notes.append(f"q={q:g}, p={p:g}; quotient tensor from the inverse eta of (y, x)")
-    chain_fail = 0
-    for mean_q, cap, mean_q2, floor in trials:
-        if mean_q.lambda_max() > cap + cfg.tolerance * max(1.0, cap):
-            chain_fail += 1
-        if floor - mean_q2.lambda_min() > cfg.tolerance * max(1.0, floor):
-            chain_fail += 1
-    mids_leq, caps, mids_geq, floors = zip(*trials)
-    checks = (("mean^q vs K cap", mids_leq, [c * ident for c in caps]),
-              ("K floor vs mean^q", [f * ident for f in floors], mids_geq))
-    rows = [(f"c={c:g} {label}", c, events, tail, p) for c in C_SWEEP for label, events, tail in checks]
-    return _tail_report(sid, cfg, notes, rows, [f"deterministic cap/floor failures: {chain_fail}/{2 * cfg.trials}"])
+    tol = cfg.tolerance
+
+    def body(trials):
+        mid_leq, caps, mid_geq, floors = _cap_floor_stacks(sid, fn, q, _draw(ex, trials), _draw(ey, trials))
+        cap_fail = mid_leq._spectrum()[0][:, -1] > caps + tol * np.maximum(1.0, caps)
+        floor_fail = floors - mid_geq._spectrum()[0][:, 0] > tol * np.maximum(1.0, floors)
+        cap_t = HermitianStack._trusted(eye * caps[:, None, None])
+        floor_t = HermitianStack._trusted(eye * floors[:, None, None])
+        return [cap_fail, floor_fail] + _tail_columns(cfg, ((mid_leq, cap_t, p), (floor_t, mid_geq, p)))
+
+    columns = _per_trial(cfg, body)
+    chain_fail = np.count_nonzero(columns[0]) + np.count_nonzero(columns[1])
+    rows = _sweep_rows(("mean^q vs K cap", "K floor vs mean^q"))
+    return _tail_report(sid, cfg, notes, rows, *columns[2:],
+                        [f"deterministic cap/floor failures: {chain_fail}/{2 * cfg.trials}"])
 
 
-def _kyfan_profile(h: HermitianTensor) -> np.ndarray:
-    """Ky Fan statistics of a PD tensor for k = 1..D from one spectrum:
-    row 0 holds the sums of the k largest eigenvalues, row 1 the sums of
-    their logs (log-products, which cannot overflow at large D)."""
-    ev = h.eigenvalues()
-    return np.array([[np.sum(v[:k]) for k in range(1, ev.size + 1)] for v in (ev, np.log(ev))])
+def _kyfan_profile(h: HermitianStack) -> np.ndarray:
+    """Ky Fan statistics of each PD matrix for k = 1..D from one spectrum,
+    shape ``(n, 2, D)``: row 0 holds the sums of the k largest eigenvalues,
+    row 1 the sums of their logs (log-products, which cannot overflow at
+    large D)."""
+    ev = h._spectrum()[0][:, ::-1].copy()
+    d = ev.shape[-1]
+    return np.stack([np.stack([np.sum(v[:, :k], axis=-1) for k in range(1, d + 1)], axis=-1)
+                     for v in (ev, np.log(ev))], axis=1)
 
 
 _KYFAN_STATS = ("sum", "prod")
@@ -814,10 +922,15 @@ def _cdf_dominance(low_vals, mid_vals, high_vals, n, levels=(0.1, 0.3, 0.5, 0.7,
 
 def _suite_majorization_dyadic(sid, cfg, direction):
     notes = []
-    q, trials = _dyadic_trials(sid, cfg, notes, direction)
+    fn, ex, ey, q = _dyadic_setup(sid, cfg, notes)
     d = TensorShape(cfg.shape).square_dim
     notes.append(f"q={q:g}; kappa grid at mid-statistic quantiles (0.1..0.9)")
-    profiles = np.array([[_kyfan_profile(h) for h in trial] for trial in trials])
+
+    def body(trials):
+        stacks = _dyadic_stacks(sid, fn, q, direction, _draw(ex, trials), _draw(ey, trials))
+        return (np.stack([_kyfan_profile(h) for h in stacks], axis=1),)
+
+    (profiles,) = _per_trial(cfg, body)
     viol, worst = 0, 0.0
     for s, stat in enumerate(_KYFAN_STATS):
         for k in range(1, d + 1):
@@ -832,12 +945,17 @@ def _suite_majorization_dyadic(sid, cfg, direction):
 
 def _suite_c4(sid, cfg):
     notes = []
-    q, trials = _cap_floor_trials(sid, cfg, notes)
+    fn = _suite_function(cfg, sid, notes)
+    ex, ey = _suite_ensembles(cfg, sid)
+    q = max(1.0, cfg.exponents["q"])
     d = TensorShape(cfg.shape).square_dim
     notes.append(f"q={q:g}; scalar cap/floor tensors, kappa grid at mid quantiles")
-    mid_leq, cap_vals, mid_geq, floor_vals = zip(*trials)
-    mid_leq = np.array([_kyfan_profile(h) for h in mid_leq])
-    mid_geq = np.array([_kyfan_profile(h) for h in mid_geq])
+
+    def body(trials):
+        mid_leq, caps, mid_geq, floors = _cap_floor_stacks(sid, fn, q, _draw(ex, trials), _draw(ey, trials))
+        return _kyfan_profile(mid_leq), caps, _kyfan_profile(mid_geq), floors
+
+    mid_leq, cap_vals, mid_geq, floor_vals = _per_trial(cfg, body)
     # The k-th statistics of the multiple s I are k s and k log s.
     caps = np.array([cap_vals, np.log(cap_vals)])
     floors = np.array([floor_vals, np.log(floor_vals)])
@@ -861,16 +979,16 @@ def _suite_t63(sid, cfg):
     norm = GaugeNormKind.parse(cfg.norm)
     eps_grid = (1e-2, 1e-4, 1e-6, 1e-8)
     notes.append("epsilon grid 1e-2..1e-8; dominated x built inside range(y)")
-    viol, worst = 0, 0.0
-    for t in range(cfg.trials):
-        y = sample(ey, t)
-        x = dominated_sample(y, ex, t)
-        limit, diag = epsilon_mean_limit(x, y, fn, eps_grid, norm)
-        if not diag.converged:
-            viol += 1
-        rel = diag.errors[-1] / max(1e-300, gauge_norm(limit, norm))
-        worst = max(worst, rel)
-    return _report(sid, cfg, notes, viol, worst)
+    wishart = _dominating_spec(ex, ex.shape)
+
+    def body(trials):
+        y = _draw(ey, trials)
+        x = _dominate(y, _draw(wishart, trials, 3))
+        limit, errors, converged = _epsilon_errors(x, y, fn, eps_grid, norm)
+        return converged, errors[-1] / np.maximum(1e-300, gauge_norm(limit, norm))
+
+    converged, rel = _per_trial(cfg, body)
+    return _report(sid, cfg, notes, np.count_nonzero(~converged), max(0.0, *rel.tolist()))
 
 
 def _secondary_ensembles(cfg: ExperimentConfig, ex: EnsembleSpec, ey: EnsembleSpec):
@@ -884,23 +1002,33 @@ def _secondary_ensembles(cfg: ExperimentConfig, ex: EnsembleSpec, ey: EnsembleSp
 _SECONDARY_ROLE = 5
 
 
+def _two_pairs(cfg, sid, trials):
+    """Both PD pairs of the two-pair suites for one chunk."""
+    ex, ey = _suite_ensembles(cfg, sid)
+    sx, sy = _secondary_ensembles(cfg, ex, ey)
+    return (_draw(ex, trials), _draw(ey, trials),
+            _draw(sx, trials, _SECONDARY_ROLE), _draw(sy, trials, _SECONDARY_ROLE))
+
+
+_MIX_WEIGHTS = (0.25, 0.5, 0.75)
+
+
 def _suite_t65(sid, cfg):
     notes = []
     fn = _suite_function(cfg, sid, notes)
-    ex, ey = _suite_ensembles(cfg, sid)
-    sx, sy = _secondary_ensembles(cfg, ex, ey)
     notes.append("mix weights 0.25, 0.5, 0.75")
-    excesses = []
-    for t in range(cfg.trials):
-        x1, y1 = sample(ex, t), sample(ey, t)
-        x2, y2 = sample(sx, t, _SECONDARY_ROLE), sample(sy, t, _SECONDARY_ROLE)
+
+    def body(trials):
+        x1, y1, x2, y2 = _two_pairs(cfg, sid, trials)
+        m1, m2 = mean_pd(x1, y1, fn), mean_pd(x2, y2, fn)
         bad = 0.0
-        for lam in (0.25, 0.5, 0.75):
+        for lam in _MIX_WEIGHTS:
             lhs = mean_pd(lam * x1 + (1 - lam) * x2, lam * y1 + (1 - lam) * y2, fn)
-            rhs = lam * mean_pd(x1, y1, fn) + (1 - lam) * mean_pd(x2, y2, fn)
-            bad = max(bad, _ordering_excess(lhs, rhs))
-        excesses.append(bad)
-    return _ordering_report(sid, cfg, notes, excesses)
+            bad = np.maximum(bad, _ordering_excess(lhs, lam * m1 + (1 - lam) * m2))
+        return (bad,)
+
+    (excesses,) = _per_trial(cfg, body)
+    return _ordering_report(sid, cfg, notes, excesses.tolist())
 
 
 def _shifted_convex_probe() -> ConnectionFunction:
@@ -919,21 +1047,26 @@ def _shifted_convex_probe() -> ConnectionFunction:
 def _suite_fusion(sid, cfg):
     notes = []
     fn = _suite_function(cfg, sid, notes)
-    ex, ey = _suite_ensembles(cfg, sid)
-    sx, sy = _secondary_ensembles(cfg, ex, ey)
     regimes = ((f"zero-limit generator {fn.label}", fn),
                ("finite nonzero 0+ limit generator inverse_arithmetic", _shifted_convex_probe()))
+    for _, gen in regimes:
+        _require_convex_finite(gen, "left")
+
+    def body(trials):
+        x1, y1, x2, y2 = _two_pairs(cfg, sid, trials)
+        p1, p2 = DominationPair(x1, y1, "left"), DominationPair(x2, y2, "left")
+        fused = DominationPair(x1 + x2, y1 + y2, "left")
+        columns = []
+        for _, gen in regimes:
+            lam_min, _, leq, _ = _fusion_extremes(p1, p2, fused, gen, cfg.tolerance)
+            columns += [~leq, -lam_min]
+        return columns
+
+    columns = _per_trial(cfg, body)
     viol, worst = 0, 0.0
-    for label, gen in regimes:
-        regime_viol = 0
-        for t in range(cfg.trials):
-            x1, y1 = sample(ex, t), sample(ey, t)
-            x2, y2 = sample(sx, t, _SECONDARY_ROLE), sample(sy, t, _SECONDARY_ROLE)
-            gap, verdict = fusion_gap(DominationPair(x1, y1, "left"), DominationPair(x2, y2, "left"),
-                                      gen, cfg.tolerance)
-            if not verdict.is_leq:
-                regime_viol += 1
-            worst = max(worst, -gap)
+    for i, (label, _) in enumerate(regimes):
+        regime_viol = int(np.count_nonzero(columns[2 * i]))
+        worst = max(worst, *columns[2 * i + 1].tolist())
         viol += regime_viol
         notes.append(f"{label}: {regime_viol}/{cfg.trials} violations")
     empirical = viol / (2 * cfg.trials)
@@ -950,20 +1083,26 @@ def _suite_transform(sid, cfg):
     groups = (tuple(range(d // 2)), tuple(range(d // 2, d)))
     pinch = pinching(groups, shape)
     notes.append(f"maps: random congruence, pinching {groups}, unitary congruence (equality case)")
-    viol, worst, worst_unitary = 0, 0.0, 0.0
-    for t in range(cfg.trials):
-        pair = DominationPair(sample(ex, t), sample(ey, t), "left")
-        rng = _trial_rng(ex.seed, t, 6)
-        cong = congruence(_complex_gaussian(rng, d, d), shape)
-        results = [transform_gap(lmap, pair, fn, cfg.tolerance) for lmap in (cong, pinch)]
-        if not all(verdict.is_geq for _, verdict in results):
-            viol += 1
-        worst = max(worst, *(-gap for gap, _ in results))
-        uq, _ = np.linalg.qr(_complex_gaussian(rng, d, d))
-        ugap, _ = transform_gap(congruence(uq, shape), pair, fn, cfg.tolerance)
-        worst_unitary = max(worst_unitary, abs(ugap))
+    _require_convex_finite(fn, "left")
+
+    def body(trials):
+        pair = DominationPair(_draw(ex, trials), _draw(ey, trials), "left")
+        rngs = [_trial_rng(ex.seed, t, 6) for t in trials]
+        cong = np.stack([_complex_gaussian(rng, d, d) for rng in rngs])
+        unitary = np.ascontiguousarray(np.linalg.qr(np.stack([_complex_gaussian(rng, d, d) for rng in rngs]))[0])
+        pair_mean = mean_on_pair(pair, fn)
+        columns = []
+        for lmap in (partial(_congruence, cong), partial(apply_map, pinch), partial(_congruence, unitary)):
+            _, lam_max, _, geq = _transform_extremes(lmap, pair, pair_mean, fn, cfg.tolerance)
+            columns += [geq, lam_max]
+        return columns
+
+    cong_ok, cong_gap, pinch_ok, pinch_gap, _, unitary_gap = _per_trial(cfg, body)
+    viol = int(np.count_nonzero(~(cong_ok & pinch_ok)))
+    worst = max(0.0, *cong_gap.tolist(), *pinch_gap.tolist())
+    worst_unitary = max(0.0, *np.abs(unitary_gap).tolist())
     notes.append(f"max |gap| for unitary congruence: {worst_unitary:.3e}")
-    return _report(sid, cfg, notes, viol, max(0.0, worst))
+    return _report(sid, cfg, notes, viol, worst)
 
 
 _SUITE_RUNNERS = {

@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     FROBENIUS,
     GaugeNormKind,
+    HermitianStack,
     HermitianTensor,
     LoewnerVerdict,
     PSD_RTOL,
@@ -48,12 +49,12 @@ class PremiseError(ValueError):
     """The rescaled-mean premise of the ordering check does not hold."""
 
 
-def tensor_exp(h: HermitianTensor) -> HermitianTensor:
+def tensor_exp(h: HermitianStack) -> HermitianStack:
     """Spectral exponential; always PD."""
     return apply_spectral(h, np.exp)
 
 
-def tensor_log(p: HermitianTensor) -> HermitianTensor:
+def tensor_log(p: HermitianStack) -> HermitianStack:
     """Spectral logarithm of a PD tensor."""
     require_pd(p, "log input")
     return apply_spectral(p, np.log)
@@ -108,15 +109,23 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Distance of the product-formula expression from its limit per grid point."""
     q_grid = tuple(float(q) for q in q_grid)
+    distances, monotone, final_rel = _study(x, y, g, q_grid, norm)
+    return ConvergenceStudy(q_grid, tuple(distances), bool(monotone), final_rel)
+
+
+def _study(x, y, g, q_grid, norm):
+    """Body of :func:`convergence_study` over stacks: per grid point the
+    per-pair distances, then the monotone flags and final relative errors."""
     if any(q <= 0 for q in q_grid) or any(b >= a for a, b in zip(q_grid, q_grid[1:])):
         raise ValueError("q grid must be positive and strictly descending")
     limit = lt_limit(x, y, g)
-    scale = max(1.0, gauge_norm(limit, norm))
-    distances = tuple(gauge_norm(lt_expression(q, x, y, g) - limit, norm) for q in q_grid)
+    scale = np.maximum(1.0, gauge_norm(limit, norm))
+    distances = [gauge_norm(lt_expression(q, x, y, g) - limit, norm) for q in q_grid]
     floor = 1e-12 * scale
-    monotone = all(b <= 1.05 * a + floor for a, b in zip(distances, distances[1:]))
-    final_rel = distances[-1] / gauge_norm(limit, norm)
-    return ConvergenceStudy(q_grid, distances, monotone, final_rel)
+    monotone = np.logical_and.reduce(
+        [b <= 1.05 * a + floor for a, b in zip(distances, distances[1:])] or [True]
+    )
+    return distances, monotone, distances[-1] / gauge_norm(limit, norm)
 
 
 def lt_ordering_check(

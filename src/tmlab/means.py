@@ -22,8 +22,17 @@ import numpy as np
 from .core import (
     FROBENIUS,
     GaugeNormKind,
+    HermitianStack,
     HermitianTensor,
     RANK_RTOL,
+    _any,
+    _ct,
+    _first,
+    _frobenius,
+    _per_item,
+    _quiet,
+    _spectral_map,
+    _spectral_scale,
     _symmetrize,
     gauge_norm,
     require_pd,
@@ -52,27 +61,29 @@ class UnsupportedFunctionError(ValueError):
     """The connection function has no finite limit at 0+ (PSD extension)."""
 
 
-def _congruence_mean(x: HermitianTensor, y: HermitianTensor, g: ConnectionFunction) -> HermitianTensor:
+@_quiet
+def _congruence_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
     """``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` for a PD ``y`` (gated here),
-    ``g`` extended at 0+.  Shared by :func:`mean_pd`, :func:`mean_recursive`
-    and the right-slot limit of :func:`epsilon_mean_limit`, whose first slot
-    is only PSD."""
+    ``g`` extended at 0+, over a stack: one ``eigh`` of the quotients.
+    Shared by :func:`mean_pd`, :func:`mean_recursive` and the right-slot
+    limit of :func:`epsilon_mean_limit`, whose first slot is only PSD."""
     root = np.sqrt(require_pd(y, "y"))
     u = y._spectrum()[1]
-    y_half = (u * root) @ u.conj().T
-    y_ihalf = (u / root) @ u.conj().T
-    quotient = _symmetrize(y_ihalf @ x.unfold() @ y_ihalf)
+    y_half = _spectral_map(u, root)
+    y_ihalf = (u / root[..., None, :]) @ _ct(u)
+    quotient = _symmetrize(y_ihalf @ x._matrix @ y_ihalf)
     qw, qv = np.linalg.eigh(quotient)
     mapped = g.eval_extended(qw)
     if not np.all(np.isfinite(mapped)):
         bad = qw[~np.isfinite(mapped)]
         raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
-    core = (qv * mapped) @ qv.conj().T
-    return HermitianTensor._trusted(_symmetrize(y_half @ core @ y_half), x.shape)
+    core = _spectral_map(qv, mapped)
+    return x._derive(_symmetrize(y_half @ core @ y_half))
 
 
-def mean_pd(x: HermitianTensor, y: HermitianTensor, g: ConnectionFunction) -> HermitianTensor:
-    """Mean ``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` of PD tensors.
+def mean_pd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
+    """Mean ``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` of PD tensors, or of
+    every pair of two stacks.
 
     Raises when an input is not numerically PD or when ``g`` is non-finite
     on the spectrum of the congruence quotient.
@@ -106,10 +117,10 @@ def mean_recursive(
         return base
     out = base.unfold()
     w, u = y._spectrum()
-    wing = x.unfold() @ ((u / w) @ u.conj().T)
+    wing = x.unfold() @ ((u / w) @ _ct(u))
     for _ in range(n // 2):
-        out = _symmetrize(wing @ out @ wing.conj().T)
-    return HermitianTensor._trusted(out, x.shape)
+        out = _symmetrize(wing @ out @ _ct(wing))
+    return x._derive(out)
 
 
 @dataclass(frozen=True)
@@ -118,17 +129,19 @@ class EtaResult:
 
     ``eta`` solves ``x = y^{1/2} * eta * y^{1/2}`` and annihilates the
     orthogonal complement of range(y); ``domination_constant`` is the least
-    ``c`` with ``x <= c y``.
+    ``c`` with ``x <= c y``.  Over stacks, ``eta`` is a stack and the two
+    scalars are arrays.
     """
 
-    eta: HermitianTensor
+    eta: HermitianStack
     domination_constant: float
     range_ok: bool
 
 
+@_quiet
 def eta(
-    x: HermitianTensor,
-    y: HermitianTensor,
+    x: HermitianStack,
+    y: HermitianStack,
     rank_tol: float = RANK_RTOL,
     domination_rtol: float = 1e-6,
 ) -> EtaResult:
@@ -138,46 +151,72 @@ def eta(
     coordinates of range(y), which enforces the range compatibility
     exactly.  Raises :class:`DominationError` when range(x) leaks outside
     range(y) beyond ``domination_rtol`` relative to the scale of ``x``.
+
+    The kept eigenvalues ``lambda > rank_tol * lambda_max`` of each ``y``
+    are a suffix of its ascending spectrum, so a stack is solved in groups
+    of equal kept count, one stacked product chain and one ``eigvalsh`` per
+    group.
     """
     x._check_same_shape(y)
     x_ev = require_psd(x, "x")
     require_psd(y, "y")
     lam, v = y._spectrum()
-    keep = lam > rank_tol * max(float(lam[-1]), 0.0)
-    u_r = v[:, keep]
-    lam_r = lam[keep]
-
-    xm = x.unfold()
-    x_scale = max(1.0, float(np.abs(x_ev).max()))
-    # Range containment: the part of x living outside range(y) must vanish.
-    u_c = v[:, ~keep]
-    if u_c.shape[1] > 0:
-        leak = float(np.linalg.norm(xm @ u_c))
-        if leak > domination_rtol * x_scale:
-            raise DominationError(
-                f"range(x) not contained in range(y): leakage {leak:.3e} "
-                f"(allowed {domination_rtol * x_scale:.3e})"
+    kept = (lam > rank_tol * np.maximum(lam[..., -1:], 0.0)).sum(axis=-1)
+    x_scale = np.maximum(1.0, np.abs(x_ev).max(axis=-1))
+    k = int(kept.flat[0])
+    if not _any(kept != k):
+        eta_m, domination, range_ok = _eta_solve(x._matrix, lam, v, x_scale, k, domination_rtol)
+    else:
+        lead, d = lam.shape[:-1], lam.shape[-1]
+        xm, lam, v = x._matrix.reshape(-1, d, d), lam.reshape(-1, d), v.reshape(-1, d, d)
+        kept, x_scale = kept.reshape(-1), x_scale.reshape(-1)
+        eta_m = np.empty_like(v)
+        domination = np.empty(len(kept))
+        range_ok = np.empty(len(kept), dtype=bool)
+        for k in np.unique(kept).tolist():
+            idx = np.flatnonzero(kept == k)
+            eta_m[idx], domination[idx], range_ok[idx] = _eta_solve(
+                xm[idx], lam[idx], v[idx], x_scale[idx], k, domination_rtol
             )
+        eta_m, domination, range_ok = eta_m.reshape(lead + (d, d)), domination.reshape(lead), range_ok.reshape(lead)
+    return EtaResult(x._derive(_symmetrize(eta_m)), _per_item(domination), _per_item(range_ok))
 
-    if u_r.shape[1] == 0:
-        eta_t = HermitianTensor.zero(x.shape)
-        return EtaResult(eta_t, 0.0, True)
 
-    inv_root = 1.0 / np.sqrt(lam_r)
-    compressed = _symmetrize((inv_root[:, None] * (u_r.conj().T @ xm @ u_r)) * inv_root[None, :])
-    eta_m = u_r @ compressed @ u_r.conj().T
-    eta_t = HermitianTensor._trusted(_symmetrize(eta_m), x.shape)
-    domination = float(np.linalg.eigvalsh(compressed)[-1])
-    residual = float(np.linalg.norm(eta_m @ u_c)) if u_c.shape[1] else 0.0
-    return EtaResult(eta_t, max(domination, 0.0), residual <= 1e-12 * max(1.0, domination))
+def _eta_solve(xm, lam, v, x_scale, k, domination_rtol):
+    """:func:`eta` for a stack whose ``y`` all keep their top ``k``
+    eigenvalues: the unsymmetrized quotients, the domination constants and
+    the range flags."""
+    d = lam.shape[-1]
+    u_c = np.ascontiguousarray(v[..., : d - k])
+    if k < d:
+        # Range containment: the part of x living outside range(y) must vanish.
+        leak = _frobenius(xm @ u_c)
+        allowed = domination_rtol * x_scale
+        if _any(leak > allowed):
+            i = _first(leak > allowed)
+            raise DominationError(
+                f"range(x) not contained in range(y): leakage {leak[i]:.3e} "
+                f"(allowed {allowed[i]:.3e})"
+            )
+    if k == 0:
+        return np.zeros_like(xm), np.zeros(lam.shape[:-1]), np.ones(lam.shape[:-1], dtype=bool)
+    u_r = np.ascontiguousarray(v[..., d - k :])
+    inv_root = 1.0 / np.sqrt(lam[..., d - k :])
+    compressed = _symmetrize((inv_root[..., :, None] * (_ct(u_r) @ xm @ u_r)) * inv_root[..., None, :])
+    eta_m = u_r @ compressed @ _ct(u_r)
+    domination = np.linalg.eigvalsh(compressed)[..., -1]
+    range_ok = np.ones(lam.shape[:-1], dtype=bool)
+    if k < d:
+        range_ok = _frobenius(eta_m @ u_c) <= 1e-12 * np.maximum(1.0, domination)
+    return eta_m, np.maximum(domination, 0.0), range_ok
 
 
 def mean_psd(
-    x: HermitianTensor,
-    y: HermitianTensor,
+    x: HermitianStack,
+    y: HermitianStack,
     g: ConnectionFunction,
     rank_tol: float = RANK_RTOL,
-) -> HermitianTensor:
+) -> HermitianStack:
     """PSD-extended mean ``y^{1/2} g(eta(x, y)) y^{1/2}``.
 
     Requires ``x <= c y`` and a finite ``g(0+)``; eigenvalues of eta below
@@ -187,38 +226,41 @@ def mean_psd(
     return _extended_mean(x, y, g, rank_tol)
 
 
+@_quiet
 def _extended_mean(
-    x: HermitianTensor,
-    y: HermitianTensor,
+    x: HermitianStack,
+    y: HermitianStack,
     g: ConnectionFunction,
     rank_tol: float = RANK_RTOL,
     quotient: EtaResult | None = None,
-) -> HermitianTensor:
+) -> HermitianStack:
     """Body of :func:`mean_psd`; a caller holding ``eta(x, y, rank_tol)``
     passes it as ``quotient`` instead of having it computed again."""
     if g.value_at_0plus is None or not math.isfinite(g.value_at_0plus):
         raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
     x._check_same_shape(y)
-    if y.spectral_scale() == 0.0:
-        if x.spectral_scale() == 0.0:
-            return HermitianTensor.zero(x.shape)
+    zero_y = _spectral_scale(y) == 0.0
+    if _any(zero_y) and _any(zero_y & (_spectral_scale(x) != 0.0)):
         raise DominationError("y = 0 dominates only x = 0")
     if quotient is None:
         quotient = eta(x, y, rank_tol)
     w, v = quotient.eta._spectrum()
-    mapped = g.eval_extended(w, rank_tol * max(float(w[-1]), 0.0))
-    core = (v * mapped) @ v.conj().T
+    mapped = g.eval_extended(w, rank_tol * np.maximum(w[..., -1:], 0.0))
+    core = _spectral_map(v, mapped)
     y_half = _psd_root(y, rank_tol)
-    return HermitianTensor._trusted(_symmetrize(y_half @ core @ y_half), x.shape)
+    mean = _symmetrize(y_half @ core @ y_half)
+    if _any(zero_y):
+        mean = np.where(zero_y[..., None, None], 0.0, mean)
+    return x._derive(mean)
 
 
-def _psd_root(y: HermitianTensor, rank_tol: float = RANK_RTOL) -> np.ndarray:
-    """Rank-truncated square root of a PSD tensor as a raw matrix: negative
+def _psd_root(y: HermitianStack, rank_tol: float = RANK_RTOL) -> np.ndarray:
+    """Rank-truncated square roots of a PSD stack as raw matrices: negative
     noise and eigenvalues at or below ``rank_tol * lambda_max`` map to 0."""
     w, v = y._spectrum()
     lam = np.maximum(w, 0.0)
-    lam[lam <= rank_tol * float(lam[-1])] = 0.0
-    return (v * np.sqrt(lam)) @ v.conj().T
+    lam[lam <= rank_tol * lam[..., -1:]] = 0.0
+    return _spectral_map(v, np.sqrt(lam))
 
 
 @dataclass(frozen=True)
@@ -262,22 +304,31 @@ def epsilon_mean_limit(
     sequences like ``I/n`` applied to ``y``.  Non-convergence is recorded in
     the diagnostic, never raised.
     """
+    limit, errors, converged = _epsilon_errors(x, y, g, eps_grid, norm, mode, rel_threshold)
+    diag = RttDiagnostic(tuple(float(e) for e in eps_grid), tuple(errors), bool(converged))
+    return limit, diag
+
+
+def _epsilon_errors(x, y, g, eps_grid, norm, mode="joint", rel_threshold=1e-3):
+    """Body of :func:`epsilon_mean_limit` over stacks: the limit, the
+    per-matrix distances at each grid point, and the convergence flags."""
     if mode not in ("joint", "right"):
         raise ValueError(f"unknown mode {mode!r}")
     # mean_psd gates x as PSD, which is all the right-slot mode needs of it.
     limit = mean_psd(x, y, g)
-    ident = HermitianTensor.identity(x.shape)
+    eye = np.eye(x._matrix.shape[-1], dtype=np.complex128)
     errors = []
     for eps in eps_grid:
-        bump = float(eps) * ident
+        bump = x._derive(eye * float(eps))
         if mode == "joint":
             approx = mean_pd(x + bump, y + bump, g)
         else:
             approx = _congruence_mean(x, y + bump, g)
         errors.append(gauge_norm(approx - limit, norm))
-    scale = max(gauge_norm(limit, norm), 1e-300)
-    nonincreasing = all(b <= a * (1.0 + 1e-9) + 1e-14 * scale for a, b in zip(errors, errors[1:]))
-    converged = nonincreasing and errors[-1] <= rel_threshold * max(scale, 1.0)
-    diag = RttDiagnostic(tuple(float(e) for e in eps_grid), tuple(errors), converged)
-    return limit, diag
+    scale = np.maximum(gauge_norm(limit, norm), 1e-300)
+    nonincreasing = np.logical_and.reduce(
+        [b <= a * (1.0 + 1e-9) + 1e-14 * scale for a, b in zip(errors, errors[1:])] or [True]
+    )
+    converged = nonincreasing & (errors[-1] <= rel_threshold * np.maximum(scale, 1.0))
+    return limit, errors, converged
 

@@ -7,7 +7,7 @@ import pytest
 
 import tmlab as tm
 from tmlab.cli import main, resolve_suite
-from tmlab.harness import ConfigError, ExperimentConfig
+from tmlab.harness import ConfigError, ExperimentConfig, reports_to_json, run_suites
 
 
 def run_cli(args):
@@ -50,6 +50,19 @@ class TestVerifyCommand:
             ["verify", "--suite", "T65", "--trials", "40", "--out", str(out_file)]
         )
         assert code == 0, err
+
+    def test_suite_lines_carry_wall_time_and_report_stays_identical(self, tmp_path):
+        reports = []
+        for name in ("a.json", "b.json"):
+            out_file = tmp_path / name
+            code, _, err = run_cli(["verify", "--suite", "T65", "--trials", "20", "--out", str(out_file)])
+            assert code == 0, err
+            line = next(ln for ln in err.splitlines() if ln.startswith("T65_JointConvexity:"))
+            assert float(line.rsplit("wall_s=", 1)[1]) >= 0.0
+            reports.append(out_file.read_bytes())
+        assert reports[0] == reports[1]
+        cfg = ExperimentConfig(trials=20, suites=("T65_JointConvexity",))
+        assert reports[0].decode() == reports_to_json(run_suites(cfg)) + "\n"
 
     def test_unknown_suite_exits_two(self):
         code, _, err = run_cli(["verify", "--suite", "T99"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmlab as tm
-from tmlab.core import HermiticityError, _fix_phases, require_pd
+from tmlab.core import HermiticityError, HermitianStack, _fix_phases, require_pd
 from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 
 from conftest import SHAPE2, SHAPE22, rand_hermitian, rand_pd, rand_psd_rank, rand_unitary
@@ -342,19 +342,28 @@ class TestHermiticity:
 class TestTrustedConstruction:
     @pytest.fixture
     def trusted(self, monkeypatch):
-        """Patch the trusted constructor to assert what it relies on: every
-        matrix it receives is finite and exactly Hermitian.  Yields the list
-        of received matrix shapes."""
-        real = tm.HermitianTensor._trusted.__func__
+        """Patch the trusted constructors of tensors and of stacked stage
+        outputs to assert what they rely on: every matrix they receive is
+        finite and exactly Hermitian.  Yields the received array shapes."""
+        real_tensor = tm.HermitianTensor._trusted.__func__
+        real_stack = HermitianStack._trusted.__func__
         seen = []
 
-        def checked(cls, matrix, shape):
+        def check(matrix):
             assert np.all(np.isfinite(matrix))
-            assert np.array_equal(matrix, matrix.conj().T)
+            assert np.array_equal(matrix, matrix.conj().swapaxes(-1, -2))
             seen.append(matrix.shape)
-            return real(cls, matrix, shape)
 
-        monkeypatch.setattr(tm.HermitianTensor, "_trusted", classmethod(checked))
+        def checked_tensor(cls, matrix, shape):
+            check(matrix)
+            return real_tensor(cls, matrix, shape)
+
+        def checked_stack(cls, matrix):
+            check(matrix)
+            return real_stack(cls, matrix)
+
+        monkeypatch.setattr(tm.HermitianTensor, "_trusted", classmethod(checked_tensor))
+        monkeypatch.setattr(HermitianStack, "_trusted", classmethod(checked_stack))
         return seen
 
     @pytest.mark.parametrize("shape", [(2, 2), (3,)], ids=["2x2", "3"])
@@ -363,7 +372,9 @@ class TestTrustedConstruction:
         for sid in SuiteId:
             assert run_suite(sid, cfg).trials == 3
         d = int(np.prod(shape))
-        assert trusted and set(trusted) == {(d, d)}
+        assert trusted and {s[-2:] for s in trusted} == {(d, d)}
+        # Stacked stage outputs: one matrix per trial of the chunk.
+        assert {s[:-2] for s in trusted} == {(), (3,)}
 
     def test_library_results_are_exactly_hermitian(self, rng, trusted):
         x, y = rand_pd(rng), rand_pd(rng)
@@ -381,13 +392,15 @@ class TestTrustedConstruction:
             tm.apply_map(lmap, x)
         assert len(trusted) >= 10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_results_raise(self):
         t = tm.HermitianTensor.diag([1e308, 1.0], SHAPE2)
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="finite"):
-                (t * 1e308) * 1e308
-            with pytest.raises(ValueError, match="finite"):
-                t + t
+        with pytest.raises(ValueError, match="finite"):
+            (t * 1e308) * 1e308
+        with pytest.raises(ValueError, match="finite"):
+            t + t
+        with pytest.raises(ValueError, match="finite"):
+            t - (-t)
 
 
 class TestValidationCounts:

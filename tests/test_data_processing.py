@@ -91,6 +91,13 @@ class TestParseMapSpec:
 
 
 class TestDominationPair:
+    def test_constant_is_not_a_constructor_argument(self, rng):
+        x, y = rand_pd(rng), rand_pd(rng)
+        with pytest.raises(TypeError):
+            tm.DominationPair(x, y, "left", constant=5.0)
+        pair = tm.DominationPair(x, y, "left")
+        assert pair.constant == pair.quotient.domination_constant
+
     def test_left_pair_constant(self, rng):
         x, y = rand_pd(rng), rand_pd(rng)
         pair = tm.DominationPair(x, y, "left")

@@ -16,12 +16,10 @@ import json
 import math
 from pathlib import Path
 
-from tmlab.harness import ExperimentConfig, run_suites
+from tmlab.harness import STACK_BYTES, ExperimentConfig, _chunks, run_suites
 
 DATA = Path(__file__).parent / "data"
 NUMERIC_FIELDS = ("trials", "max_violation", "empirical_prob", "bound_value", "mc_stderr", "seed", "tolerance")
-# Byte budget of one trial stack in the harness (complex128 D x D matrices).
-STACK_BYTES = 256 * 1024
 GOLDEN = {"golden_d4.json": ((2, 2), 40), "golden_d16.json": ((4, 4), 70)}
 
 
@@ -29,6 +27,7 @@ def test_d16_fixture_spans_two_stack_chunks():
     shape, trials = GOLDEN["golden_d16.json"]
     d = math.prod(shape)
     assert trials * d * d * 16 > STACK_BYTES
+    assert len(_chunks(ExperimentConfig(trials=trials, shape=shape))) >= 2
 
 
 def test_default_report_matches_golden():
