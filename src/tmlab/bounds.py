@@ -227,13 +227,11 @@ def prop310_factors(x: HermitianStack, q: float):
     if q < 1.0:
         raise ValueError("need q >= 1")
     lam = require_pd(x, "x")
-    lows = (1.0 / lam[..., -1]).tolist()
-    highs = (1.0 / lam[..., 0]).tolist()
-    if lam.ndim == 1:
-        return kantorovich(lows, highs, q - 1.0), kantorovich(lows, highs, 2.0 * q - 1.0)
-    k1 = np.array([kantorovich(lo, hi, q - 1.0) for lo, hi in zip(lows, highs)])
-    k2 = np.array([kantorovich(lo, hi, 2.0 * q - 1.0) for lo, hi in zip(lows, highs)])
-    return k1, k2
+    ranges = np.stack([1.0 / lam[..., -1], 1.0 / lam[..., 0]], axis=-1).reshape(-1, 2).tolist()
+    return tuple(
+        _per_item(np.reshape([kantorovich(lo, hi, p) for lo, hi in ranges], lam.shape[:-1]))
+        for p in (q - 1.0, 2.0 * q - 1.0)
+    )
 
 
 def trace_tail_bound(

@@ -388,9 +388,6 @@ class HermitianTensor(HermitianStack):
     def _coefficient(self, scalar) -> float:
         return float(scalar)
 
-    def __truediv__(self, scalar) -> "HermitianTensor":
-        return self * (1.0 / float(scalar))
-
     def _check_same_shape(self, other: "HermitianTensor") -> None:
         if not isinstance(other, HermitianTensor):
             raise TypeError(f"expected HermitianTensor, got {type(other).__name__}")

@@ -209,7 +209,7 @@ class DominationPair:
         object.__setattr__(self, "constant", q.domination_constant)
 
 
-def mean_on_pair(pair: DominationPair, g: ConnectionFunction) -> HermitianTensor:
+def mean_on_pair(pair: DominationPair, g: ConnectionFunction) -> HermitianStack:
     """PSD-extended mean on a dominated pair, routed through the certified side.
 
     Right-dominated pairs evaluate through the transposed generator, which

@@ -100,10 +100,11 @@ C_SWEEP = (0.5, 1.0, 2.0)
 
 # Byte budget of one stacked stage.  Each suite runs its trials in chunks of
 # at most STACK_BYTES // (16 D^2) trials, so one stage's stack of complex
-# D x D matrices stays under 256 KiB whatever the trial count: at D = 64,
-# unchunked T2 stacks of 10 trials add about 55 MB of peak memory, chunks
-# under this budget about 2 MB.  At D = 4 all 200 default trials fit one
-# chunk.
+# D x D matrices stays under 256 KiB whatever the trial count.  Unchunked
+# stacks grow with the trials: at D = 64 and just 10 trials they raise the
+# peak memory of T2 by 10.4 MB and of APP_Fusion by 16.7 MB over a 1-trial
+# run, chunks by 3.8 MB and 5.6 MB.  At D = 4 all 200 default trials fit
+# one chunk.
 STACK_BYTES = 256 * 1024
 
 

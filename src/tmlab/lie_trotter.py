@@ -62,10 +62,10 @@ def tensor_log(p: HermitianStack) -> HermitianStack:
 
 def lt_expression(
     q: float,
-    x: HermitianTensor,
-    y: HermitianTensor,
+    x: HermitianStack,
+    y: HermitianStack,
     g: ConnectionFunction,
-) -> HermitianTensor:
+) -> HermitianStack:
     """``(exp(q x) # exp(q y))**(1/q)`` for ``q != 0``."""
     q = float(q)
     if q == 0.0:
@@ -74,7 +74,7 @@ def lt_expression(
     return spectral_power(m, 1.0 / q, psd_clip=False)
 
 
-def lt_limit(x: HermitianTensor, y: HermitianTensor, g: ConnectionFunction) -> HermitianTensor:
+def lt_limit(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
     """Limit ``exp(w x + (1 - w) y)`` with weight ``w = g'(1)``.
 
     Requires ``g(1) = 1``.
