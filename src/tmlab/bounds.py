@@ -169,8 +169,8 @@ def _ratio_extremes(z: HermitianStack, f: ConnectionFunction, a: float):
     through the 0+ limit of ``f``."""
     lam = z._spectrum()[0]
     live = lam > RANK_RTOL * np.maximum(lam[..., -1:], 0.0)
-    with np.errstate(all="ignore"):
-        ratios = f.fn(lam**a) / f.fn(lam) ** a
+    safe = np.where(live, lam, 1.0)
+    ratios = f.fn(safe**a) / f.fn(safe) ** a
     lo = np.where(live, ratios, np.inf).min(axis=-1)
     hi = np.where(live, ratios, -np.inf).max(axis=-1)
     if not live.all():

@@ -154,8 +154,7 @@ def _first(mask: np.ndarray):
 
 def _frobenius(matrix: np.ndarray) -> np.ndarray:
     """Frobenius norm of every matrix of a ``(..., D, D)`` stack."""
-    flat = matrix.reshape(matrix.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(flat, flat).real)
+    return np.sqrt((matrix.conj() * matrix).real.sum(axis=(-2, -1)))
 
 
 def _validated(matrix: np.ndarray) -> np.ndarray:

@@ -163,22 +163,18 @@ def eta(
     lam, v = y._spectrum()
     kept = (lam > rank_tol * np.maximum(lam[..., -1:], 0.0)).sum(axis=-1)
     x_scale = np.maximum(1.0, np.abs(x_ev).max(axis=-1))
-    k = int(kept.flat[0])
-    if not _any(kept != k):
-        eta_m, domination, range_ok = _eta_solve(x._matrix, lam, v, x_scale, k, domination_rtol)
-    else:
-        lead, d = lam.shape[:-1], lam.shape[-1]
-        xm, lam, v = x._matrix.reshape(-1, d, d), lam.reshape(-1, d), v.reshape(-1, d, d)
-        kept, x_scale = kept.reshape(-1), x_scale.reshape(-1)
-        eta_m = np.empty_like(v)
-        domination = np.empty(len(kept))
-        range_ok = np.empty(len(kept), dtype=bool)
-        for k in np.unique(kept).tolist():
-            idx = np.flatnonzero(kept == k)
-            eta_m[idx], domination[idx], range_ok[idx] = _eta_solve(
-                xm[idx], lam[idx], v[idx], x_scale[idx], k, domination_rtol
-            )
-        eta_m, domination, range_ok = eta_m.reshape(lead + (d, d)), domination.reshape(lead), range_ok.reshape(lead)
+    lead, d = lam.shape[:-1], lam.shape[-1]
+    xm, lam, v = x._matrix.reshape(-1, d, d), lam.reshape(-1, d), v.reshape(-1, d, d)
+    kept, x_scale = kept.reshape(-1), x_scale.reshape(-1)
+    eta_m = np.empty_like(v)
+    domination = np.empty(len(kept))
+    range_ok = np.empty(len(kept), dtype=bool)
+    for k in sorted(set(kept.tolist())):
+        group = kept == k
+        eta_m[group], domination[group], range_ok[group] = _eta_solve(
+            xm[group], lam[group], v[group], x_scale[group], k, domination_rtol
+        )
+    eta_m, domination, range_ok = eta_m.reshape(lead + (d, d)), domination.reshape(lead), range_ok.reshape(lead)
     return EtaResult(x._derive(_symmetrize(eta_m)), _per_item(domination), _per_item(range_ok))
 
 

@@ -153,6 +153,23 @@ class TestPsiPhiFactors:
         assert lo == pytest.approx(min(r_top) * min(r_lvl), rel=1e-10)
         assert up == pytest.approx(max(r_top) * max(r_lvl), rel=1e-10)
 
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    def test_null_space_skips_generator(self, q):
+        # ando_hiai_g of a non-power f inverts F numerically and raises at 0;
+        # the dead eigenvalue of the rank-deficient quotient must count
+        # through the 0+ limit without reaching fn
+        f = tm.ando_hiai_g(tm.harmonic_like(), 2)
+        x = tm.HermitianTensor.diag([0.0, 1.0, 2.0, 3.0], SHAPE22)
+        y = tm.HermitianTensor.diag([0.0, 0.5, 1.5, 2.5], SHAPE22)
+        n, q0 = tm.dyadic_decompose(q)
+        zs = [0.5 / 1.0, 1.5 / 2.0, 2.5 / 3.0]
+        f0 = f.value_at_0plus
+        r_top = [f((z ** (2.0**n)) ** q0) / f(z ** (2.0**n)) ** q0 for z in zs] + [f0 ** (1.0 - q0)]
+        r_lvl = [f(z**2) / f(z) ** 2 for z in zs] + [f0 ** (1.0 - 2.0)] if n else [1.0]
+        lo, up = tm.psi_factors(q, f, x, y)
+        assert lo == pytest.approx(min(r_top) * min(r_lvl), rel=1e-10)
+        assert up == pytest.approx(max(r_top) * max(r_lvl), rel=1e-10)
+
     def test_domination_required_at_each_level(self):
         x = tm.HermitianTensor.diag([1.0, 0.0], SHAPE2)
         y = tm.HermitianTensor.diag([0.0, 1.0], SHAPE2)
