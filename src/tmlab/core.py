@@ -16,8 +16,8 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -62,7 +62,7 @@ _NORM_SAFE = 2.0**500
 _NORM_UNIT = 2.0**-600
 # Default relative tolerance for PSD / Loewner-order decisions.
 PSD_RTOL = 1e-8
-# Default relative eigenvalue cutoff for rank decisions (projectors, eta).
+# Relative eigenvalue cutoff for rank decisions (projectors, eta).
 RANK_RTOL = 1e-10
 
 
@@ -378,10 +378,6 @@ class HermitianTensor(HermitianStack):
         """Entries as a read-only array of shape ``dims + dims``."""
         return self._matrix.reshape(self._shape.dims + self._shape.dims)
 
-    def unfold(self) -> np.ndarray:
-        """Read-only ``D x D`` Hermitian matrix-view."""
-        return self._matrix
-
     # -- algebra --------------------------------------------------------
 
     def _coefficient(self, scalar) -> float:
@@ -414,9 +410,6 @@ class HermitianTensor(HermitianStack):
 
     def is_pd(self, tol: float = PSD_RTOL) -> bool:
         return self.lambda_min() > tol * max(1.0, self.spectral_scale())
-
-    def is_psd(self, tol: float = PSD_RTOL) -> bool:
-        return self.lambda_min() >= -tol * max(1.0, self.spectral_scale())
 
     # -- serialization ----------------------------------------------------
 
@@ -503,23 +496,18 @@ class SpectralDecomposition:
     shape: TensorShape
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    rank_rtol: float = RANK_RTOL
 
     @property
     def rank(self) -> int:
-        """Number of eigenvalues with ``|lambda| > rank_rtol * max|lambda|``."""
+        """Number of eigenvalues with ``|lambda| > RANK_RTOL * max|lambda|``."""
         ev = np.abs(self.eigenvalues)
         if ev.size == 0 or ev.max() == 0.0:
             return 0
-        return int(np.sum(ev > self.rank_rtol * ev.max()))
+        return int(np.sum(ev > RANK_RTOL * ev.max()))
 
     def reconstruct(self) -> HermitianTensor:
         m = _spectral_map(self.eigenvectors, self.eigenvalues)
         return HermitianTensor.from_matrix(_symmetrize(m), self.shape)
-
-    def eigenbasis_entries(self) -> np.ndarray:
-        """Eigenbasis as a raw ``dims + dims`` unitary tensor."""
-        return self.eigenvectors.reshape(self.shape.dims + self.shape.dims)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -534,7 +522,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase
 
 
-def spectral_decompose(h: HermitianTensor, rank_rtol: float = RANK_RTOL) -> SpectralDecomposition:
+def spectral_decompose(h: HermitianTensor) -> SpectralDecomposition:
     """Eigendecomposition of the unfolding, eigenvalues descending, with
     deterministic eigenvector phases (see :class:`SpectralDecomposition`)."""
     w, v = h._spectrum()
@@ -542,7 +530,7 @@ def spectral_decompose(h: HermitianTensor, rank_rtol: float = RANK_RTOL) -> Spec
     v = _fix_phases(v[:, ::-1])
     w.flags.writeable = False
     v.flags.writeable = False
-    return SpectralDecomposition(h.shape, w, v, rank_rtol)
+    return SpectralDecomposition(h.shape, w, v)
 
 
 def _spectral_map(v: np.ndarray, mapped: np.ndarray) -> np.ndarray:
@@ -551,22 +539,17 @@ def _spectral_map(v: np.ndarray, mapped: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def apply_spectral(
-    h: HermitianStack,
-    phi: Callable[[np.ndarray], np.ndarray],
-    domain_check: bool = True,
-) -> HermitianStack:
+def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -> HermitianStack:
     """Spectral function calculus: map eigenvalues through ``phi``.
 
     ``phi`` is elementwise on float64 arrays and maps the spectra of the
-    whole stack in one call.  With ``domain_check`` set, a non-finite
-    ``phi(lambda)`` (NaN or inf, e.g. ``x**-0.5`` on a spectrum touching
-    zero) raises ``ValueError``.
+    whole stack in one call.  A non-finite ``phi(lambda)`` (NaN or inf,
+    e.g. ``x**-0.5`` on a spectrum touching zero) raises ``ValueError``.
     """
     w, v = h._spectrum()
     with np.errstate(all="ignore"):
         mapped = phi(w)
-    if domain_check and not np.all(np.isfinite(mapped)):
+    if not np.all(np.isfinite(mapped)):
         bad = w[~np.isfinite(mapped)]
         raise ValueError(f"spectrum outside function domain at eigenvalues {bad}")
     return h._derive(_symmetrize(_spectral_map(v, mapped)))
@@ -756,14 +739,14 @@ def gauge_norm(h: HermitianStack, kind: GaugeNormKind = FROBENIUS):
 # ---------------------------------------------------------------------------
 
 
-def range_projector(h: HermitianTensor, rank_rtol: float = RANK_RTOL) -> HermitianTensor:
+def range_projector(h: HermitianTensor) -> HermitianTensor:
     """Orthogonal projector onto the range of a PSD tensor.
 
-    Eigenvalues are kept iff ``lambda > rank_rtol * lambda_max``; the result
+    Eigenvalues are kept iff ``lambda > RANK_RTOL * lambda_max``; the result
     is idempotent and commutes with ``h`` by construction.
     """
     w = require_psd(h, "range projector input")
-    keep = w > rank_rtol * max(float(w[-1]), 0.0)
+    keep = w > RANK_RTOL * max(float(w[-1]), 0.0)
     u = h._spectrum()[1][:, keep]
     return h._derive(_symmetrize(u @ _ct(u)))
 

@@ -294,11 +294,11 @@ def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
     )
 
 
-def invert_fn(g: ConnectionFunction, y, max_exp: int = 64):
+def invert_fn(g: ConnectionFunction, y):
     """Solve ``g(x) = y`` for strictly monotone ``g`` on (0, inf), elementwise
     over an array of targets.
 
-    Exponential bracket expansion over ``2**(-max_exp) .. 2**max_exp``
+    Exponential bracket expansion over ``2**-64 .. 2**64``
     followed by bisection; ties resolve toward the lower root.  Raises
     ``ValueError`` when a target cannot be bracketed.
     """
@@ -313,13 +313,13 @@ def invert_fn(g: ConnectionFunction, y, max_exp: int = 64):
 
     # Brackets: the first of 1, 1/2, 1/4, .. with resid <= 0 and the first
     # of 1, 2, 4, .. with resid >= 0.
-    steps = 2.0 ** np.arange(max_exp + 1)
+    steps = 2.0 ** np.arange(65)
     with np.errstate(over="ignore"):
         r_lo = resid(1.0 / steps, targets[:, None]) <= 0.0
         r_hi = resid(steps, targets[:, None]) >= 0.0
     found = r_lo.any(axis=1) & r_hi.any(axis=1)
     if not found.all():
-        raise ValueError(f"cannot bracket {targets[~found][0]!r} within 2**(+-{max_exp}) for {g.label}")
+        raise ValueError(f"cannot bracket {targets[~found][0]!r} within 2**(+-64) for {g.label}")
     lo = 1.0 / steps[np.argmax(r_lo, axis=1)]
     hi = steps[np.argmax(r_hi, axis=1)]
     active = np.ones(targets.shape, dtype=bool)

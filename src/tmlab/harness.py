@@ -32,6 +32,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -68,7 +69,7 @@ from .bounds import (
     prop310_factors,
     psi_factors,
 )
-from .lie_trotter import _study, tensor_exp, tensor_log
+from .lie_trotter import _ordering_sides, _study
 from .data_processing import (
     DominationPair,
     _congruence,
@@ -213,13 +214,18 @@ def _rotated(q: np.ndarray, lam: np.ndarray) -> HermitianStack:
     return HermitianStack.from_matrices((q * lam[:, None, :]) @ _ct(q))
 
 
-def dominated_sample(y: HermitianTensor, spec: EnsembleSpec, trial: int, role: int = 3) -> HermitianTensor:
+# Stream roles of the further draws of a trial (the primary draw is role 0).
+_DOMINATED_ROLE = 3
+_SECONDARY_ROLE = 5
+
+
+def dominated_sample(y: HermitianTensor, spec: EnsembleSpec, trial: int) -> HermitianTensor:
     """PSD tensor dominated by ``y`` with range inside range(y).
 
     Conjugates a PD draw by the rank-truncated square root of ``y``, so the
     pair is admissible for the PSD mean extension by construction.
     """
-    w = sample(_dominating_spec(spec, y.shape), trial, role)
+    w = sample(_dominating_spec(spec, y.shape), trial, _DOMINATED_ROLE)
     return _dominate(y, w)
 
 
@@ -233,14 +239,16 @@ def _dominate(y: HermitianStack, w: HermitianStack) -> HermitianStack:
     return y._derive(_symmetrize(root @ w.unfold() @ root))
 
 
-def _premise_pairs(sid, x, y, big_f, directions):
-    """Premise enforcement at the suite boundary, one rescaled pair per
-    direction from one mean: non-PD draws are a configuration problem (the
-    premise suites need PD ensembles in both slots)."""
+def _premise_pairs(run, trials, big_f, directions):
+    """Premise enforcement at the suite boundary: the x/y draws of a chunk
+    of trials, rescaled once per direction from one mean.  Non-PD draws are
+    a configuration problem (the premise suites need PD ensembles in both
+    slots)."""
+    x, y = run.pair(trials)
     try:
         base = mean_pd(x, y, big_f)
     except NotPositiveDefiniteError as exc:
-        raise ConfigError(f"{sid.value} needs PD ensembles in both slots: {exc}") from exc
+        raise ConfigError(f"{run.sid.value} needs PD ensembles in both slots: {exc}") from exc
     return [_rescale(x, y, base, direction) for direction in directions]
 
 
@@ -392,83 +400,8 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# per-suite function and ensemble selection
+# running a suite
 # ---------------------------------------------------------------------------
-
-# Per suite: default generator id, the class tag the generator must carry,
-# and whether the PSD extension needs a finite limit at 0+.  Every suite
-# except T63 also needs a normalized generator.
-_FN_RULES = {
-    SuiteId.T1_AndoHiaiGeneralized: ("power:0.5", "TMI", False),
-    SuiteId.C1_AndoHiaiDual: ("power:0.5", "TMI", False),
-    SuiteId.T2_LieTrotterLimit: ("geometric", None, False),
-    SuiteId.T3_LieTrotterTail: ("geometric", None, False),
-    SuiteId.T7_Psi: ("harmonic_like", "TMI", False),
-    SuiteId.C2_MajorizationTMI: ("harmonic_like", "TMI", False),
-    SuiteId.T8_Phi: ("power:-0.5", "TMD", False),
-    SuiteId.C3_MajorizationTMD: ("power:-0.5", "TMD", False),
-    SuiteId.T9_TC: ("square", "TC", False),
-    SuiteId.C4_MajorizationTC: ("square", "TC", False),
-    SuiteId.T63_PsdLimit: ("geometric", None, True),
-    SuiteId.T65_JointConvexity: ("square", "TC", True),
-    SuiteId.APP_Fusion: ("square", "TC", True),
-    SuiteId.APP_LinearTransform: ("square", "TC", True),
-}
-_TAG_NAMES = {"TMI": "monotone increasing", "TMD": "monotone decreasing", "TC": "convex"}
-
-
-def _suite_function(cfg: ExperimentConfig, sid: SuiteId, notes: list) -> ConnectionFunction | None:
-    rule = _FN_RULES.get(sid)
-    if rule is None:
-        return None
-    default, tag, needs_zero_limit = rule
-    explicit = cfg.function is not None
-    fn = from_id(cfg.function) if explicit else from_id(default)
-    problem = None
-    if sid != SuiteId.T63_PsdLimit and not fn.normalized:
-        problem = "needs a normalized generator (value 1 at 1)"
-    elif tag is not None and tag not in fn.tags:
-        problem = f"needs a {_TAG_NAMES[tag]} ({tag}) generator"
-    elif needs_zero_limit and (fn.value_at_0plus is None or not math.isfinite(fn.value_at_0plus)):
-        problem = "needs a finite limit at 0+ for the PSD extension"
-    if problem:
-        if explicit:
-            raise ConfigError(f"{sid.value} cannot run with {fn.label}: {problem}")
-        raise ConfigError(f"default function for {sid.value} is invalid: {problem}")
-    notes.append(f"function={fn.label}")
-    return fn
-
-
-def _suite_ensembles(cfg: ExperimentConfig, sid: SuiteId) -> tuple[EnsembleSpec, EnsembleSpec]:
-    shape = TensorShape(cfg.shape)
-    idx = _SUITE_INDEX[sid]
-    seed_x = _mix_seed(cfg.seed, idx, 1)
-    seed_y = _mix_seed(cfg.seed, idx, 2)
-    if cfg.ensembles is not None:
-        ex = cfg._ensemble_from_params(cfg.ensembles["x"], seed_x)
-        ey = cfg._ensemble_from_params(cfg.ensembles["y"], seed_y)
-        return ex, ey
-    if sid == SuiteId.T2_LieTrotterLimit:
-        return (
-            EnsembleSpec(shape, "spectrum", seed_x, m=-1.0, M=1.0),
-            EnsembleSpec(shape, "spectrum", seed_y, m=-1.0, M=1.0),
-        )
-    if sid == SuiteId.L3_MarkovChebyshev:
-        return (
-            EnsembleSpec(shape, "spectrum", seed_x, m=0.1, M=0.5),
-            EnsembleSpec(shape, "spectrum", seed_y, m=0.05, M=0.3),
-        )
-    d = shape.square_dim
-    dof = _wishart_dof(d)
-    if sid == SuiteId.T63_PsdLimit:
-        return (
-            EnsembleSpec(shape, "wishart", seed_x, dof=dof),
-            EnsembleSpec(shape, "rank_deficient", seed_y, rank=max(1, d - 1)),
-        )
-    return (
-        EnsembleSpec(shape, "wishart", seed_x, dof=dof),
-        EnsembleSpec(shape, "spectrum", seed_y, m=0.3, M=2.0),
-    )
 
 
 def _wishart_dof(d: int) -> int:
@@ -476,6 +409,81 @@ def _wishart_dof(d: int) -> int:
     # rescaling (division by extreme eigenvalues of the mean) keeps the
     # scaled draws well conditioned at any desk-scale shape.
     return max(8, 2 * d)
+
+
+def _pd_pair(d: int) -> dict:
+    return {"x": {"kind": "wishart", "dof": _wishart_dof(d)}, "y": {"kind": "spectrum", "m": 0.3, "M": 2.0}}
+
+
+def _wishart_pair(d: int) -> dict:
+    return {"x": {"kind": "wishart", "dof": _wishart_dof(d)}, "y": {"kind": "wishart", "dof": _wishart_dof(d)}}
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """One row of :data:`_SUITES`: what a suite runs, with which generator,
+    on which ensembles.
+
+    ``function`` is the default generator id (``None``: the suite takes no
+    generator).  The generator, default or configured, must carry the class
+    ``tag``, be normalized when ``normalized`` is set, and have a finite
+    limit at 0+ when ``zero_limit`` is set.  ``ensembles`` maps the
+    unfolding dimension D to the default x/y ensembles, written in the
+    config's ``ensembles`` format; ``second`` does the same for the second
+    PD pair of the two-pair suites, drawn on the primary seeds at role
+    ``_SECONDARY_ROLE`` whatever the config's ensembles.
+    """
+
+    runner: Callable
+    function: str | None = None
+    tag: str | None = None
+    normalized: bool = True
+    zero_limit: bool = False
+    ensembles: Callable[[int], dict] = _pd_pair
+    second: Callable[[int], dict] | None = None
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What a runner gets: the suite, the config, the regime notes so far
+    (appended to in place), the checked generator, and the ensembles of the
+    x/y pair and, for the two-pair suites, of the second pair."""
+
+    sid: SuiteId
+    cfg: ExperimentConfig
+    notes: list
+    fn: ConnectionFunction | None
+    ex: EnsembleSpec
+    ey: EnsembleSpec
+    second: tuple[EnsembleSpec, EnsembleSpec] | None
+
+    def pair(self, trials) -> tuple[HermitianStack, HermitianStack]:
+        """The x and y draws of a chunk of trials."""
+        return _draw(self.ex, trials), _draw(self.ey, trials)
+
+
+_TAG_NAMES = {"TMI": "monotone increasing", "TMD": "monotone decreasing", "TC": "convex"}
+
+
+def _suite_function(cfg: ExperimentConfig, sid: SuiteId, row: _Suite) -> ConnectionFunction:
+    explicit = cfg.function is not None
+    fn = from_id(cfg.function if explicit else row.function)
+    problem = None
+    if row.normalized and not fn.normalized:
+        problem = "needs a normalized generator (value 1 at 1)"
+    elif row.tag is not None and row.tag not in fn.tags:
+        problem = f"needs a {_TAG_NAMES[row.tag]} ({row.tag}) generator"
+    elif row.zero_limit and (fn.value_at_0plus is None or not math.isfinite(fn.value_at_0plus)):
+        problem = "needs a finite limit at 0+ for the PSD extension"
+    if problem:
+        if explicit:
+            raise ConfigError(f"{sid.value} cannot run with {fn.label}: {problem}")
+        raise ConfigError(f"default function for {sid.value} is invalid: {problem}")
+    return fn
+
+
+def _specs(cfg: ExperimentConfig, ensembles: dict, seeds) -> tuple[EnsembleSpec, EnsembleSpec]:
+    return tuple(cfg._ensemble_from_params(ensembles[role], seed) for role, seed in zip("xy", seeds))
 
 
 def _mix_seed(seed: int, suite_idx: int, role: int) -> int:
@@ -486,34 +494,37 @@ def _binom_stderr(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
-# ---------------------------------------------------------------------------
-# suite implementations
-# ---------------------------------------------------------------------------
-
-
 def run_suite(sid: SuiteId | str, cfg: ExperimentConfig) -> VerificationReport:
     """Execute one verification suite; deterministic given (config, seed)."""
     if isinstance(sid, str):
         if sid not in SuiteId.__members__:
             raise ConfigError(f"unknown suite {sid!r}")
         sid = SuiteId[sid]
-    return _SUITE_RUNNERS[sid](sid, cfg)
+    row = _SUITES[sid]
+    notes, fn = [], None
+    if row.function is not None:
+        fn = _suite_function(cfg, sid, row)
+        notes.append(f"function={fn.label}")
+    d = TensorShape(cfg.shape).square_dim
+    seeds = [_mix_seed(cfg.seed, _SUITE_INDEX[sid], role) for role in (1, 2)]
+    ex, ey = _specs(cfg, row.ensembles(d) if cfg.ensembles is None else cfg.ensembles, seeds)
+    second = _specs(cfg, row.second(d), seeds) if row.second else None
+    return row.runner(_Run(sid, cfg, notes, fn, ex, ey, second))
 
 
-def run_suites(cfg: ExperimentConfig, suites=None) -> list[VerificationReport]:
-    names = suites if suites is not None else cfg.suites
-    return [run_suite(name, cfg) for name in names]
+def run_suites(cfg: ExperimentConfig) -> list[VerificationReport]:
+    return [run_suite(name, cfg) for name in cfg.suites]
 
 
-def _report(sid, cfg, notes, violations, max_violation, bound=None, empirical=None, stderr=None):
+def _report(run, violations, max_violation, bound=None, empirical=None, stderr=None):
     """Assemble a suite report.  ``empirical`` and ``stderr`` default to the
     failing-trial frequency and its binomial standard error."""
-    trials = cfg.trials
+    trials = run.cfg.trials
     if empirical is None:
         empirical = violations / trials
         stderr = _binom_stderr(empirical, trials)
     violations = int(violations)
-    notes = list(notes)
+    notes = list(run.notes)
     if violations > trials:
         # Suites that count failing checks rather than failing trials can
         # exceed tiny trial counts; the report contract caps at trials and
@@ -521,17 +532,23 @@ def _report(sid, cfg, notes, violations, max_violation, bound=None, empirical=No
         notes.append(f"raw failing-check count {violations} clamped to trials")
         violations = trials
     return VerificationReport(
-        suite=sid.value,
+        suite=run.sid.value,
         trials=trials,
         violations=violations,
         max_violation=float(max_violation),
         empirical_prob=float(empirical),
         bound_value=None if bound is None else float(bound),
         mc_stderr=float(stderr),
-        seed=cfg.seed,
-        tolerance=cfg.tolerance,
+        seed=run.cfg.seed,
+        tolerance=run.cfg.tolerance,
         regime_notes=tuple(notes),
     )
+
+
+def _fail_report(run, failed: np.ndarray, worst: np.ndarray, bound=None):
+    """Report of the pass/fail suites: the count of failing trials, and the
+    worst per-trial figure floored at 0."""
+    return _report(run, np.count_nonzero(failed), max(0.0, *worst.tolist()), bound)
 
 
 def _chunks(cfg: ExperimentConfig) -> list:
@@ -554,12 +571,6 @@ def _ordering_excess(lhs: HermitianStack, rhs: HermitianStack) -> np.ndarray:
     return -(rhs - lhs)._spectrum()[0][..., 0] / np.maximum(1.0, _spectral_scale(rhs))
 
 
-def _ordering_report(sid, cfg, notes, excesses, bound=None):
-    """Report for the suites whose trials each yield one relative excess."""
-    viol = sum(1 for v in excesses if v > cfg.tolerance)
-    return _report(sid, cfg, notes, viol, max(0.0, *excesses), bound)
-
-
 def _tail_columns(cfg, checks) -> list:
     """Per-trial inputs of the tail rule for one chunk of trials.
 
@@ -575,7 +586,7 @@ def _tail_columns(cfg, checks) -> list:
     return [np.moveaxis(np.array(held), -1, 0), np.moveaxis(np.array(stats), -1, 0)]
 
 
-def _tail_report(sid, cfg, notes, rows, held, stats, after=()):
+def _tail_report(run, rows, held, stats, after=()):
     """Tail-event rule shared by the tail-bound suites.
 
     Each row is ``(note prefix, check, c index)`` into the
@@ -586,20 +597,20 @@ def _tail_report(sid, cfg, notes, rows, held, stats, after=()):
     the largest margin over the clamped bound.  ``after`` notes follow the
     per-row notes.
     """
+    trials = run.cfg.trials
     viol, worst = 0, None
     for prefix, check, j in rows:
-        emp = int(np.count_nonzero(~held[:, check, j])) / cfg.trials
+        emp = int(np.count_nonzero(~held[:, check, j])) / trials
         bound, se = _tail_summary(stats[:, check, j].tolist())
-        if emp > min(1.0, bound) + 3.0 * (se + _binom_stderr(emp, cfg.trials)):
+        if emp > min(1.0, bound) + 3.0 * (se + _binom_stderr(emp, trials)):
             viol += 1
         margin = emp - min(1.0, bound)
         if worst is None or margin > worst[0]:
             worst = (margin, bound, emp)
-        notes.append(f"{prefix}: empirical={emp:.6g} bound={bound:.6g} stderr={se:.3g}")
-    notes.extend(after)
+        run.notes.append(f"{prefix}: empirical={emp:.6g} bound={bound:.6g} stderr={se:.3g}")
+    run.notes.extend(after)
     margin, bound, emp = worst
-    return _report(sid, cfg, notes, viol, max(0.0, margin), bound,
-                   empirical=emp, stderr=_binom_stderr(emp, cfg.trials))
+    return _report(run, viol, max(0.0, margin), bound, empirical=emp, stderr=_binom_stderr(emp, trials))
 
 
 def _sweep_rows(labels):
@@ -607,36 +618,37 @@ def _sweep_rows(labels):
     return [(f"c={c:g} {label}", i, j) for j, c in enumerate(C_SWEEP) for i, label in enumerate(labels)]
 
 
-def _suite_l1(sid, cfg):
-    notes = []
-    ex, ey = _suite_ensembles(cfg, sid)
-    q = cfg.exponents["q"]
+# ---------------------------------------------------------------------------
+# suite runners
+# ---------------------------------------------------------------------------
+
+
+def _suite_l1(run):
+    q = run.cfg.exponents["q"]
     if not 0.0 <= q <= 1.0:
         q = 0.5
-        notes.append("q outside [0,1]; using q=0.5")
-    notes.append(f"q={q:g}")
+        run.notes.append("q outside [0,1]; using q=0.5")
+    run.notes.append(f"q={q:g}")
 
     def body(trials):
-        b = _draw(ey, trials)
-        a = b + _draw(ex, trials)
+        b = _draw(run.ey, trials)
+        a = b + _draw(run.ex, trials)
         return (_ordering_excess(spectral_power(b, q), spectral_power(a, q)),)
 
-    (excesses,) = _per_trial(cfg, body)
-    return _ordering_report(sid, cfg, notes, excesses.tolist())
+    (excesses,) = _per_trial(run.cfg, body)
+    return _fail_report(run, excesses > run.cfg.tolerance, excesses)
 
 
-def _suite_l2(sid, cfg):
-    notes = []
-    ex, ey = _suite_ensembles(cfg, sid)
-    p = cfg.exponents["p"]
+def _suite_l2(run):
+    p = run.cfg.exponents["p"]
     if 0.0 <= p <= 1.0:
         p = 2.0
-        notes.append("p inside [0,1] is the trivial constant-1 regime; using p=2")
-    notes.append(f"p={p:g}; constants from per-trial observed spectrum extremes")
+        run.notes.append("p inside [0,1] is the trivial constant-1 regime; using p=2")
+    run.notes.append(f"p={p:g}; constants from per-trial observed spectrum extremes")
 
     def body(trials):
-        b = _draw(ey, trials)
-        a = b + _draw(ex, trials)
+        b = _draw(run.ey, trials)
+        a = b + _draw(run.ex, trials)
         ap = spectral_power(a, p)
         bp = spectral_power(b, p)
         out = []
@@ -646,31 +658,29 @@ def _suite_l2(sid, cfg):
             out += [k, _ordering_excess(bp, k * ap)]
         return out
 
-    k_a, excess_a, k_b, excess_b = _per_trial(cfg, body)
+    k_a, excess_a, k_b, excess_b = _per_trial(run.cfg, body)
     ks = [k for pair in zip(k_a.tolist(), k_b.tolist()) for k in pair]
     excesses = np.maximum(np.maximum(0.0, excess_a), excess_b)
-    return _ordering_report(sid, cfg, notes, excesses.tolist(), bound=math.fsum(ks) / len(ks))
+    return _fail_report(run, excesses > run.cfg.tolerance, excesses, bound=math.fsum(ks) / len(ks))
 
 
-def _suite_l3(sid, cfg):
-    notes = []
-    ex, ey = _suite_ensembles(cfg, sid)
-    q = max(1.0, cfg.exponents["q"])
-    notes.append(f"q={q:g}; chain built as x, x+p1, x+p1+p2 with PSD increments")
-    d = TensorShape(cfg.shape).square_dim
+def _suite_l3(run):
+    q = max(1.0, run.cfg.exponents["q"])
+    run.notes.append(f"q={q:g}; chain built as x, x+p1, x+p1+p2 with PSD increments")
+    ey = run.ey
+    d = ey.shape.square_dim
 
     def body(trials):
-        x = _draw(ex, trials)
-        p1 = _draw(ey, trials)
+        x, p1 = run.pair(trials)
         rngs = [_trial_rng(ey.seed, t, 7) for t in trials]
         lam = np.stack([rng.uniform(ey.m, ey.M, size=d) for rng in rngs])
         gauss = np.stack([_complex_gaussian(rng, d, d) for rng in rngs])
         p2 = _rotated(np.linalg.qr(gauss)[0], lam)
         y = x + p1
-        return _tail_columns(cfg, ((y, y + p2, q), (x, y, q)))
+        return _tail_columns(run.cfg, ((y, y + p2, q), (x, y, q)))
 
     rows = _sweep_rows(("Pr(y not<= C) vs E[z^q]", "Pr(x not<= C) vs E[y^q]"))
-    return _tail_report(sid, cfg, notes, rows, *_per_trial(cfg, body))
+    return _tail_report(run, rows, *_per_trial(run.cfg, body))
 
 
 def _ando_hiai_bound_parts(m: int):
@@ -680,13 +690,11 @@ def _ando_hiai_bound_parts(m: int):
     return m // 2, 1
 
 
-def _suite_ando_hiai(sid, cfg, direction):
+def _suite_ando_hiai(run, direction):
     """T1 (``leq``: top eigenvalue under ``m1 * prod K_k``) and its dual C1
     (``geq``: bottom eigenvalue over ``1 / (m2 * prod K_k)``)."""
     leq = direction == "leq"
-    notes = []
-    fn = _suite_function(cfg, sid, notes)
-    ex, ey = _suite_ensembles(cfg, sid)
+    cfg, fn, notes = run.cfg, run.fn, run.notes
     q = cfg.exponents["q"]
     m = cfg.exponents["m"]
     lifted = power_lift(fn, m)
@@ -707,66 +715,49 @@ def _suite_ando_hiai(sid, cfg, direction):
         notes.append("generator tagged TMI with the pmd certificate; corollary hypothesis read as stated")
 
     def body(trials):
-        ((xp, yp),) = _premise_pairs(sid, _draw(ex, trials), _draw(ey, trials), lifted, (direction,))
+        ((xp, yp),) = _premise_pairs(run, trials, lifted, (direction,))
         factors = [const * BoundFactors(kk_list=kk).kk_product for kk in _kk_lists(xp, g_aux, half, q, k_start)]
         w = mean_pd(spectral_power(xp, q), spectral_power(yp, q), lifted)._spectrum()[0]
         return np.array(factors), w[:, -1] if leq else w[:, 0]
 
     factors, extremes = _per_trial(cfg, body)
-    viol, worst, bounds = 0, -math.inf, []
-    for factor, extreme in zip(factors.tolist(), extremes.tolist()):
-        if leq:
-            bound = factor
-            excess = extreme - bound
-        else:
-            bound = 1.0 / factor
-            excess = bound - extreme
-        bounds.append(bound)
-        if excess > cfg.tolerance:
-            viol += 1
-        worst = max(worst, excess)
-    return _report(sid, cfg, notes, viol, worst, math.fsum(bounds) / len(bounds))
+    bounds = factors if leq else 1.0 / factors
+    excesses = extremes - bounds if leq else bounds - extremes
+    return _report(run, np.count_nonzero(excesses > cfg.tolerance), max(-math.inf, *excesses.tolist()),
+                   math.fsum(bounds.tolist()) / len(bounds))
 
 
-def _suite_t2(sid, cfg):
-    notes = []
-    fn = _suite_function(cfg, sid, notes)
-    ex, ey = _suite_ensembles(cfg, sid)
-    norm = GaugeNormKind.parse(cfg.norm)
+def _suite_t2(run):
+    norm = GaugeNormKind.parse(run.cfg.norm)
     q_grid = tuple(2.0**-k for k in range(1, 9))
-    notes.append("q grid 2^-1 .. 2^-8; monotone with 5% slack; final relative error <= 1e-2")
+    run.notes.append("q grid 2^-1 .. 2^-8; monotone with 5% slack; final relative error <= 1e-2")
 
     def body(trials):
-        _, monotone, final = _study(_draw(ex, trials), _draw(ey, trials), fn, q_grid, norm)
+        _, monotone, final = _study(*run.pair(trials), run.fn, q_grid, norm)
         return monotone, final
 
-    monotone, final = _per_trial(cfg, body)
-    viol = int(np.count_nonzero(~monotone | (final > 1e-2)))
-    return _report(sid, cfg, notes, viol, max(0.0, *final.tolist()))
+    monotone, final = _per_trial(run.cfg, body)
+    return _fail_report(run, ~monotone | (final > 1e-2), final)
 
 
-def _suite_t3(sid, cfg):
-    notes = []
-    fn = _suite_function(cfg, sid, notes)
-    ex, ey = _suite_ensembles(cfg, sid)
+def _suite_t3(run):
+    cfg, notes = run.cfg, run.notes
     q = cfg.exponents["q"]
     if not 0.0 < q <= 0.5:
         q = 0.25
         notes.append("q clipped into (0, 1/2]: using q=0.25")
     m = cfg.exponents["m"]
     r = max(1.0, cfg.exponents["p"])
-    lifted = power_lift(fn, m)
-    w = m + derivative_at_one(fn)
+    lifted = power_lift(run.fn, m)
+    w = m + derivative_at_one(run.fn)
     notes.append(f"m={m}, q={q:g}, r={r:g}; premises enforced by rescaling")
     branches = ("pmi", "pmd")
 
     def body(trials):
-        pairs = _premise_pairs(sid, _draw(ex, trials), _draw(ey, trials), lifted, ("leq", "geq"))
+        pairs = _premise_pairs(run, trials, lifted, ("leq", "geq"))
         flags, checks = [], []
         for branch, (xp, yp) in zip(branches, pairs):
-            log_affine = tensor_exp(w * tensor_log(xp) + (1.0 - w) * tensor_log(yp))
-            mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), lifted)
-            root_mean = spectral_power(mean_q, 1.0 / q, psd_clip=False)
+            log_affine, mean_q, root_mean = _ordering_sides(xp, yp, lifted, w, q)
             _, _, leq, geq = loewner_extremes(log_affine, root_mean, cfg.tolerance)
             # pmi expects log_affine <= root_mean, pmd the reverse order.
             if branch == "pmi":
@@ -786,24 +777,23 @@ def _suite_t3(sid, cfg):
         for i, branch in enumerate(branches)
     ]
     after.append("tail bound uses exp of the log-affine combination (proof-consistent form)")
-    return _tail_report(sid, cfg, notes, rows, *columns[4:], after)
+    return _tail_report(run, rows, *columns[4:], after)
 
 
-def _dyadic_setup(sid, cfg, notes):
-    """Generator, ensembles and exponent q of the dyadic-factor suites."""
-    fn = _suite_function(cfg, sid, notes)
-    ex, ey = _suite_ensembles(cfg, sid)
-    q = cfg.exponents["q"]
+def _dyadic_q(run) -> float:
+    """Exponent q of the dyadic-factor suites."""
+    q = run.cfg.exponents["q"]
     if q < 1.0:
-        q = 2.0
-        notes.append("q < 1 is the single-factor regime; using q=2")
-    return fn, ex, ey, q
+        run.notes.append("q < 1 is the single-factor regime; using q=2")
+        return 2.0
+    return q
 
 
-def _dyadic_stacks(sid, fn, q, direction, x, y):
+def _dyadic_stacks(run, q, direction, trials):
     """Premise-enforced dyadic-factor stages for one chunk: the lower
     companion stack, the powered means and the upper companion stack."""
-    ((xp, yp),) = _premise_pairs(sid, x, y, fn, (direction,))
+    fn = run.fn
+    ((xp, yp),) = _premise_pairs(run, trials, fn, (direction,))
     base = mean_pd(xp, yp, fn)
     lo, up = psi_factors(q, fn, xp, yp)
     mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
@@ -813,32 +803,33 @@ def _dyadic_stacks(sid, fn, q, direction, x, y):
     return np.array(low) * base, mean_q, np.array(high) * base
 
 
-def _suite_dyadic_tail(sid, cfg, direction):
-    notes = []
-    fn, ex, ey, q = _dyadic_setup(sid, cfg, notes)
-    p = max(1.0, cfg.exponents["p"])
-    notes.append(f"q={q:g}, p={p:g}; premise enforced by rescaling; factors from dyadic quotients")
+def _suite_dyadic_tail(run, direction):
+    q = _dyadic_q(run)
+    p = max(1.0, run.cfg.exponents["p"])
+    run.notes.append(f"q={q:g}, p={p:g}; premise enforced by rescaling; factors from dyadic quotients")
+    tol = run.cfg.tolerance
 
     def body(trials):
-        lower, mid, upper = _dyadic_stacks(sid, fn, q, direction, _draw(ex, trials), _draw(ey, trials))
-        held = loewner_extremes(lower, mid, cfg.tolerance)[2] & loewner_extremes(mid, upper, cfg.tolerance)[2]
-        return [~held] + _tail_columns(cfg, ((mid, upper, p), (lower, mid, p)))
+        lower, mid, upper = _dyadic_stacks(run, q, direction, trials)
+        held = loewner_extremes(lower, mid, tol)[2] & loewner_extremes(mid, upper, tol)[2]
+        return [~held] + _tail_columns(run.cfg, ((mid, upper, p), (lower, mid, p)))
 
-    columns = _per_trial(cfg, body)
+    columns = _per_trial(run.cfg, body)
     chain_fail = np.count_nonzero(columns[0])
     rows = _sweep_rows(("mean^q vs upper", "lower vs mean^q"))
-    return _tail_report(sid, cfg, notes, rows, *columns[1:],
-                        [f"deterministic sandwich failures: {chain_fail}/{cfg.trials}"])
+    return _tail_report(run, rows, *columns[1:],
+                        [f"deterministic sandwich failures: {chain_fail}/{run.cfg.trials}"])
 
 
-def _cap_floor_stacks(sid, fn, q, x, y):
+def _cap_floor_stacks(run, q, trials):
     """Premise-enforced Kantorovich cap/floor stages for one chunk.
 
     Returns the powered means under the ``leq`` premise with their scalar
     caps, then under the ``geq`` premise with their scalar floors.
     """
+    fn = run.fn
     out = []
-    for direction, (xp, yp) in zip(("leq", "geq"), _premise_pairs(sid, x, y, fn, ("leq", "geq"))):
+    for direction, (xp, yp) in zip(("leq", "geq"), _premise_pairs(run, trials, fn, ("leq", "geq"))):
         base = mean_pd(xp, yp, fn)
         k1, k2 = prop310_factors(xp, q)
         z = eta(yp, xp).eta._spectrum()[0]
@@ -859,29 +850,26 @@ def _cap_floor_stacks(sid, fn, q, x, y):
     return out
 
 
-def _suite_t9(sid, cfg):
-    notes = []
-    fn = _suite_function(cfg, sid, notes)
-    ex, ey = _suite_ensembles(cfg, sid)
-    q = max(1.0, cfg.exponents["q"])
-    p = max(1.0, cfg.exponents["p"])
-    eye = np.eye(TensorShape(cfg.shape).square_dim, dtype=np.complex128)
-    notes.append(f"q={q:g}, p={p:g}; quotient tensor from the inverse eta of (y, x)")
-    tol = cfg.tolerance
+def _suite_t9(run):
+    q = max(1.0, run.cfg.exponents["q"])
+    p = max(1.0, run.cfg.exponents["p"])
+    eye = np.eye(run.ex.shape.square_dim, dtype=np.complex128)
+    run.notes.append(f"q={q:g}, p={p:g}; quotient tensor from the inverse eta of (y, x)")
+    tol = run.cfg.tolerance
 
     def body(trials):
-        mid_leq, caps, mid_geq, floors = _cap_floor_stacks(sid, fn, q, _draw(ex, trials), _draw(ey, trials))
+        mid_leq, caps, mid_geq, floors = _cap_floor_stacks(run, q, trials)
         cap_fail = mid_leq._spectrum()[0][:, -1] > caps + tol * np.maximum(1.0, caps)
         floor_fail = floors - mid_geq._spectrum()[0][:, 0] > tol * np.maximum(1.0, floors)
         cap_t = HermitianStack._trusted(eye * caps[:, None, None])
         floor_t = HermitianStack._trusted(eye * floors[:, None, None])
-        return [cap_fail, floor_fail] + _tail_columns(cfg, ((mid_leq, cap_t, p), (floor_t, mid_geq, p)))
+        return [cap_fail, floor_fail] + _tail_columns(run.cfg, ((mid_leq, cap_t, p), (floor_t, mid_geq, p)))
 
-    columns = _per_trial(cfg, body)
+    columns = _per_trial(run.cfg, body)
     chain_fail = np.count_nonzero(columns[0]) + np.count_nonzero(columns[1])
     rows = _sweep_rows(("mean^q vs K cap", "K floor vs mean^q"))
-    return _tail_report(sid, cfg, notes, rows, *columns[2:],
-                        [f"deterministic cap/floor failures: {chain_fail}/{2 * cfg.trials}"])
+    return _tail_report(run, rows, *columns[2:],
+                        [f"deterministic cap/floor failures: {chain_fail}/{2 * run.cfg.trials}"])
 
 
 def _kyfan_profile(h: HermitianStack) -> np.ndarray:
@@ -921,106 +909,86 @@ def _cdf_dominance(low_vals, mid_vals, high_vals, n, levels=(0.1, 0.3, 0.5, 0.7,
     return fails, worst
 
 
-def _suite_majorization_dyadic(sid, cfg, direction):
-    notes = []
-    fn, ex, ey, q = _dyadic_setup(sid, cfg, notes)
-    d = TensorShape(cfg.shape).square_dim
-    notes.append(f"q={q:g}; kappa grid at mid-statistic quantiles (0.1..0.9)")
+def _suite_majorization_dyadic(run, direction):
+    q = _dyadic_q(run)
+    d = run.ex.shape.square_dim
+    run.notes.append(f"q={q:g}; kappa grid at mid-statistic quantiles (0.1..0.9)")
 
     def body(trials):
-        stacks = _dyadic_stacks(sid, fn, q, direction, _draw(ex, trials), _draw(ey, trials))
+        stacks = _dyadic_stacks(run, q, direction, trials)
         return (np.stack([_kyfan_profile(h) for h in stacks], axis=1),)
 
-    (profiles,) = _per_trial(cfg, body)
+    (profiles,) = _per_trial(run.cfg, body)
     viol, worst = 0, 0.0
     for s, stat in enumerate(_KYFAN_STATS):
         for k in range(1, d + 1):
             lows, mids, highs = profiles[:, :, s, k - 1].T
-            fails, w = _cdf_dominance(lows, mids, highs, cfg.trials)
+            fails, w = _cdf_dominance(lows, mids, highs, run.cfg.trials)
             if fails:
-                notes.append(f"{stat} k={k}: {fails}/5 kappa points fail CDF dominance")
+                run.notes.append(f"{stat} k={k}: {fails}/5 kappa points fail CDF dominance")
             viol += fails
             worst = max(worst, w)
-    return _report(sid, cfg, notes, viol, worst, empirical=viol / (2 * d * 5), stderr=0.0)
+    return _report(run, viol, worst, empirical=viol / (2 * d * 5), stderr=0.0)
 
 
-def _suite_c4(sid, cfg):
-    notes = []
-    fn = _suite_function(cfg, sid, notes)
-    ex, ey = _suite_ensembles(cfg, sid)
-    q = max(1.0, cfg.exponents["q"])
-    d = TensorShape(cfg.shape).square_dim
-    notes.append(f"q={q:g}; scalar cap/floor tensors, kappa grid at mid quantiles")
+def _suite_c4(run):
+    q = max(1.0, run.cfg.exponents["q"])
+    d = run.ex.shape.square_dim
+    run.notes.append(f"q={q:g}; scalar cap/floor tensors, kappa grid at mid quantiles")
 
     def body(trials):
-        mid_leq, caps, mid_geq, floors = _cap_floor_stacks(sid, fn, q, _draw(ex, trials), _draw(ey, trials))
+        mid_leq, caps, mid_geq, floors = _cap_floor_stacks(run, q, trials)
         return _kyfan_profile(mid_leq), caps, _kyfan_profile(mid_geq), floors
 
-    mid_leq, cap_vals, mid_geq, floor_vals = _per_trial(cfg, body)
+    mid_leq, cap_vals, mid_geq, floor_vals = _per_trial(run.cfg, body)
     # The k-th statistics of the multiple s I are k s and k log s.
     caps = np.array([cap_vals, np.log(cap_vals)])
     floors = np.array([floor_vals, np.log(floor_vals)])
     levels = (0.1, 0.5, 0.9)
+    n = run.cfg.trials
     viol, worst = 0, 0.0
     for k in range(1, d + 1):
         for s in range(len(_KYFAN_STATS)):
             for fails, w in (
-                _cdf_dominance(None, mid_leq[:, s, k - 1], k * caps[s], cfg.trials, levels),
-                _cdf_dominance(k * floors[s], mid_geq[:, s, k - 1], None, cfg.trials, levels),
+                _cdf_dominance(None, mid_leq[:, s, k - 1], k * caps[s], n, levels),
+                _cdf_dominance(k * floors[s], mid_geq[:, s, k - 1], None, n, levels),
             ):
                 viol += fails
                 worst = max(worst, w)
-    return _report(sid, cfg, notes, viol, worst, empirical=viol / (2 * d * 6), stderr=0.0)
+    return _report(run, viol, worst, empirical=viol / (2 * d * 6), stderr=0.0)
 
 
-def _suite_t63(sid, cfg):
-    notes = []
-    fn = _suite_function(cfg, sid, notes)
-    ex, ey = _suite_ensembles(cfg, sid)
-    norm = GaugeNormKind.parse(cfg.norm)
+def _suite_t63(run):
+    norm = GaugeNormKind.parse(run.cfg.norm)
     eps_grid = (1e-2, 1e-4, 1e-6, 1e-8)
-    notes.append("epsilon grid 1e-2..1e-8; dominated x built inside range(y)")
-    wishart = _dominating_spec(ex, ex.shape)
+    run.notes.append("epsilon grid 1e-2..1e-8; dominated x built inside range(y)")
+    wishart = _dominating_spec(run.ex, run.ex.shape)
 
     def body(trials):
-        y = _draw(ey, trials)
-        x = _dominate(y, _draw(wishart, trials, 3))
-        limit, errors, converged = _epsilon_errors(x, y, fn, eps_grid, norm)
+        y = _draw(run.ey, trials)
+        x = _dominate(y, _draw(wishart, trials, _DOMINATED_ROLE))
+        limit, errors, converged = _epsilon_errors(x, y, run.fn, eps_grid, norm)
         return converged, errors[-1] / np.maximum(1e-300, gauge_norm(limit, norm))
 
-    converged, rel = _per_trial(cfg, body)
-    return _report(sid, cfg, notes, np.count_nonzero(~converged), max(0.0, *rel.tolist()))
+    converged, rel = _per_trial(run.cfg, body)
+    return _fail_report(run, ~converged, rel)
 
 
-def _secondary_ensembles(cfg: ExperimentConfig, ex: EnsembleSpec, ey: EnsembleSpec):
-    """Second PD pair of the two-pair suites: Wishart draws on the primary
-    seeds at role 5, with the harness's dof rule."""
-    shape = TensorShape(cfg.shape)
-    dof = _wishart_dof(shape.square_dim)
-    return EnsembleSpec(shape, "wishart", ex.seed, dof=dof), EnsembleSpec(shape, "wishart", ey.seed, dof=dof)
-
-
-_SECONDARY_ROLE = 5
-
-
-def _two_pairs(cfg, sid, trials):
+def _two_pairs(run, trials):
     """Both PD pairs of the two-pair suites for one chunk."""
-    ex, ey = _suite_ensembles(cfg, sid)
-    sx, sy = _secondary_ensembles(cfg, ex, ey)
-    return (_draw(ex, trials), _draw(ey, trials),
-            _draw(sx, trials, _SECONDARY_ROLE), _draw(sy, trials, _SECONDARY_ROLE))
+    sx, sy = run.second
+    return (*run.pair(trials), _draw(sx, trials, _SECONDARY_ROLE), _draw(sy, trials, _SECONDARY_ROLE))
 
 
 _MIX_WEIGHTS = (0.25, 0.5, 0.75)
 
 
-def _suite_t65(sid, cfg):
-    notes = []
-    fn = _suite_function(cfg, sid, notes)
-    notes.append("mix weights 0.25, 0.5, 0.75")
+def _suite_t65(run):
+    fn = run.fn
+    run.notes.append("mix weights 0.25, 0.5, 0.75")
 
     def body(trials):
-        x1, y1, x2, y2 = _two_pairs(cfg, sid, trials)
+        x1, y1, x2, y2 = _two_pairs(run, trials)
         m1, m2 = mean_pd(x1, y1, fn), mean_pd(x2, y2, fn)
         bad = 0.0
         for lam in _MIX_WEIGHTS:
@@ -1028,8 +996,8 @@ def _suite_t65(sid, cfg):
             bad = np.maximum(bad, _ordering_excess(lhs, lam * m1 + (1 - lam) * m2))
         return (bad,)
 
-    (excesses,) = _per_trial(cfg, body)
-    return _ordering_report(sid, cfg, notes, excesses.tolist())
+    (excesses,) = _per_trial(run.cfg, body)
+    return _fail_report(run, excesses > run.cfg.tolerance, excesses)
 
 
 def _shifted_convex_probe() -> ConnectionFunction:
@@ -1045,85 +1013,85 @@ def _shifted_convex_probe() -> ConnectionFunction:
     )
 
 
-def _suite_fusion(sid, cfg):
-    notes = []
-    fn = _suite_function(cfg, sid, notes)
-    regimes = ((f"zero-limit generator {fn.label}", fn),
+def _suite_fusion(run):
+    regimes = ((f"zero-limit generator {run.fn.label}", run.fn),
                ("finite nonzero 0+ limit generator inverse_arithmetic", _shifted_convex_probe()))
     for _, gen in regimes:
         _require_convex_finite(gen, "left")
 
     def body(trials):
-        x1, y1, x2, y2 = _two_pairs(cfg, sid, trials)
+        x1, y1, x2, y2 = _two_pairs(run, trials)
         p1, p2 = DominationPair(x1, y1, "left"), DominationPair(x2, y2, "left")
         fused = DominationPair(x1 + x2, y1 + y2, "left")
         columns = []
         for _, gen in regimes:
-            lam_min, _, leq, _ = _fusion_extremes(p1, p2, fused, gen, cfg.tolerance)
+            lam_min, _, leq, _ = _fusion_extremes(p1, p2, fused, gen, run.cfg.tolerance)
             columns += [~leq, -lam_min]
         return columns
 
-    columns = _per_trial(cfg, body)
+    columns = _per_trial(run.cfg, body)
+    trials = run.cfg.trials
     viol, worst = 0, 0.0
     for i, (label, _) in enumerate(regimes):
         regime_viol = int(np.count_nonzero(columns[2 * i]))
         worst = max(worst, *columns[2 * i + 1].tolist())
         viol += regime_viol
-        notes.append(f"{label}: {regime_viol}/{cfg.trials} violations")
-    empirical = viol / (2 * cfg.trials)
-    return _report(sid, cfg, notes, viol, max(0.0, worst),
-                   empirical=empirical, stderr=_binom_stderr(empirical, 2 * cfg.trials))
+        run.notes.append(f"{label}: {regime_viol}/{trials} violations")
+    empirical = viol / (2 * trials)
+    return _report(run, viol, max(0.0, worst), empirical=empirical, stderr=_binom_stderr(empirical, 2 * trials))
 
 
-def _suite_transform(sid, cfg):
-    notes = []
-    fn = _suite_function(cfg, sid, notes)
-    ex, ey = _suite_ensembles(cfg, sid)
-    shape = TensorShape(cfg.shape)
-    d = shape.square_dim
+def _suite_transform(run):
+    fn, ex = run.fn, run.ex
+    d = ex.shape.square_dim
     groups = (tuple(range(d // 2)), tuple(range(d // 2, d)))
-    pinch = pinching(groups, shape)
-    notes.append(f"maps: random congruence, pinching {groups}, unitary congruence (equality case)")
+    pinch = pinching(groups, ex.shape)
+    run.notes.append(f"maps: random congruence, pinching {groups}, unitary congruence (equality case)")
     _require_convex_finite(fn, "left")
 
     def body(trials):
-        pair = DominationPair(_draw(ex, trials), _draw(ey, trials), "left")
+        pair = DominationPair(*run.pair(trials), "left")
         rngs = [_trial_rng(ex.seed, t, 6) for t in trials]
         cong = np.stack([_complex_gaussian(rng, d, d) for rng in rngs])
         unitary = np.ascontiguousarray(np.linalg.qr(np.stack([_complex_gaussian(rng, d, d) for rng in rngs]))[0])
         pair_mean = mean_on_pair(pair, fn)
         columns = []
         for lmap in (partial(_congruence, cong), partial(apply_map, pinch), partial(_congruence, unitary)):
-            _, lam_max, _, geq = _transform_extremes(lmap, pair, pair_mean, fn, cfg.tolerance)
+            _, lam_max, _, geq = _transform_extremes(lmap, pair, pair_mean, fn, run.cfg.tolerance)
             columns += [geq, lam_max]
         return columns
 
-    cong_ok, cong_gap, pinch_ok, pinch_gap, _, unitary_gap = _per_trial(cfg, body)
-    viol = int(np.count_nonzero(~(cong_ok & pinch_ok)))
-    worst = max(0.0, *cong_gap.tolist(), *pinch_gap.tolist())
-    worst_unitary = max(0.0, *np.abs(unitary_gap).tolist())
-    notes.append(f"max |gap| for unitary congruence: {worst_unitary:.3e}")
-    return _report(sid, cfg, notes, viol, worst)
+    cong_ok, cong_gap, pinch_ok, pinch_gap, _, unitary_gap = _per_trial(run.cfg, body)
+    run.notes.append(f"max |gap| for unitary congruence: {max(0.0, *np.abs(unitary_gap).tolist()):.3e}")
+    return _fail_report(run, ~(cong_ok & pinch_ok), np.concatenate([cong_gap, pinch_gap]))
 
 
-_SUITE_RUNNERS = {
-    SuiteId.L1_PowerMonotone: _suite_l1,
-    SuiteId.L2_Kantorovich: _suite_l2,
-    SuiteId.L3_MarkovChebyshev: _suite_l3,
-    SuiteId.T1_AndoHiaiGeneralized: partial(_suite_ando_hiai, direction="leq"),
-    SuiteId.C1_AndoHiaiDual: partial(_suite_ando_hiai, direction="geq"),
-    SuiteId.T2_LieTrotterLimit: _suite_t2,
-    SuiteId.T3_LieTrotterTail: _suite_t3,
-    SuiteId.T7_Psi: partial(_suite_dyadic_tail, direction="geq"),
-    SuiteId.T8_Phi: partial(_suite_dyadic_tail, direction="leq"),
-    SuiteId.T9_TC: _suite_t9,
-    SuiteId.C2_MajorizationTMI: partial(_suite_majorization_dyadic, direction="geq"),
-    SuiteId.C3_MajorizationTMD: partial(_suite_majorization_dyadic, direction="leq"),
-    SuiteId.C4_MajorizationTC: _suite_c4,
-    SuiteId.T63_PsdLimit: _suite_t63,
-    SuiteId.T65_JointConvexity: _suite_t65,
-    SuiteId.APP_Fusion: _suite_fusion,
-    SuiteId.APP_LinearTransform: _suite_transform,
+# One row per suite (see :class:`_Suite`); a new suite is one SuiteId member
+# and one row here.
+_SUITES = {
+    SuiteId.L1_PowerMonotone: _Suite(_suite_l1),
+    SuiteId.L2_Kantorovich: _Suite(_suite_l2),
+    SuiteId.L3_MarkovChebyshev: _Suite(_suite_l3, ensembles=lambda d: {
+        "x": {"kind": "spectrum", "m": 0.1, "M": 0.5}, "y": {"kind": "spectrum", "m": 0.05, "M": 0.3}}),
+    SuiteId.T1_AndoHiaiGeneralized: _Suite(partial(_suite_ando_hiai, direction="leq"), "power:0.5", "TMI"),
+    SuiteId.C1_AndoHiaiDual: _Suite(partial(_suite_ando_hiai, direction="geq"), "power:0.5", "TMI"),
+    SuiteId.T2_LieTrotterLimit: _Suite(_suite_t2, "geometric", ensembles=lambda d: {
+        "x": {"kind": "spectrum", "m": -1.0, "M": 1.0}, "y": {"kind": "spectrum", "m": -1.0, "M": 1.0}}),
+    SuiteId.T3_LieTrotterTail: _Suite(_suite_t3, "geometric"),
+    SuiteId.T7_Psi: _Suite(partial(_suite_dyadic_tail, direction="geq"), "harmonic_like", "TMI"),
+    SuiteId.T8_Phi: _Suite(partial(_suite_dyadic_tail, direction="leq"), "power:-0.5", "TMD"),
+    SuiteId.T9_TC: _Suite(_suite_t9, "square", "TC"),
+    SuiteId.C2_MajorizationTMI: _Suite(partial(_suite_majorization_dyadic, direction="geq"),
+                                       "harmonic_like", "TMI"),
+    SuiteId.C3_MajorizationTMD: _Suite(partial(_suite_majorization_dyadic, direction="leq"),
+                                       "power:-0.5", "TMD"),
+    SuiteId.C4_MajorizationTC: _Suite(_suite_c4, "square", "TC"),
+    SuiteId.T63_PsdLimit: _Suite(_suite_t63, "geometric", normalized=False, zero_limit=True, ensembles=lambda d: {
+        "x": {"kind": "wishart", "dof": _wishart_dof(d)},
+        "y": {"kind": "rank_deficient", "rank": max(1, d - 1)}}),
+    SuiteId.T65_JointConvexity: _Suite(_suite_t65, "square", "TC", zero_limit=True, second=_wishart_pair),
+    SuiteId.APP_Fusion: _Suite(_suite_fusion, "square", "TC", zero_limit=True, second=_wishart_pair),
+    SuiteId.APP_LinearTransform: _Suite(_suite_transform, "square", "TC", zero_limit=True),
 }
 
 

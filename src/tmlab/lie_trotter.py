@@ -165,9 +165,14 @@ def lt_ordering_check(
         extreme = base.lambda_min()
         if extreme < 1.0 - tol:
             raise PremiseError(f"premise mean >= I fails: lambda_min = {extreme!r}")
-    w = m + derivative_at_one(g)
-    log_affine = tensor_exp(w * tensor_log(x) + (1.0 - w) * tensor_log(y))
-    root_mean = spectral_power(
-        mean_pd(spectral_power(x, q), spectral_power(y, q), lifted), 1.0 / q, psd_clip=False
-    )
+    log_affine, _, root_mean = _ordering_sides(x, y, lifted, m + derivative_at_one(g), q)
     return loewner_compare(log_affine, root_mean, tol)
+
+
+def _ordering_sides(x, y, lifted, w, q):
+    """Both sides of :func:`lt_ordering_check` over stacks: the log-affine
+    exponential ``exp(w log x + (1 - w) log y)``, the mean of the q-th
+    powers under the lifted generator, and its q-th root."""
+    log_affine = tensor_exp(w * tensor_log(x) + (1.0 - w) * tensor_log(y))
+    mean_q = mean_pd(spectral_power(x, q), spectral_power(y, q), lifted)
+    return log_affine, mean_q, spectral_power(mean_q, 1.0 / q, psd_clip=False)

@@ -139,20 +139,15 @@ class EtaResult:
 
 
 @_quiet
-def eta(
-    x: HermitianStack,
-    y: HermitianStack,
-    rank_tol: float = RANK_RTOL,
-    domination_rtol: float = 1e-6,
-) -> EtaResult:
+def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     """Solve ``x = y^{1/2} * eta * y^{1/2}`` on the range of ``y``.
 
     Computed through the spectral pseudo-inverse of ``y^{1/2}`` in the
     coordinates of range(y), which enforces the range compatibility
     exactly.  Raises :class:`DominationError` when range(x) leaks outside
-    range(y) beyond ``domination_rtol`` relative to the scale of ``x``.
+    range(y) beyond a relative 1e-6 of the scale of ``x``.
 
-    The kept eigenvalues ``lambda > rank_tol * lambda_max`` of each ``y``
+    The kept eigenvalues ``lambda > RANK_RTOL * lambda_max`` of each ``y``
     are a suffix of its ascending spectrum, so a stack is solved in groups
     of equal kept count, one stacked product chain and one ``eigvalsh`` per
     group.
@@ -161,7 +156,7 @@ def eta(
     x_ev = require_psd(x, "x")
     require_psd(y, "y")
     lam, v = y._spectrum()
-    kept = (lam > rank_tol * np.maximum(lam[..., -1:], 0.0)).sum(axis=-1)
+    kept = (lam > RANK_RTOL * np.maximum(lam[..., -1:], 0.0)).sum(axis=-1)
     x_scale = np.maximum(1.0, np.abs(x_ev).max(axis=-1))
     lead, d = lam.shape[:-1], lam.shape[-1]
     xm, lam, v = x._matrix.reshape(-1, d, d), lam.reshape(-1, d), v.reshape(-1, d, d)
@@ -172,13 +167,13 @@ def eta(
     for k in sorted(set(kept.tolist())):
         group = kept == k
         eta_m[group], domination[group], range_ok[group] = _eta_solve(
-            xm[group], lam[group], v[group], x_scale[group], k, domination_rtol
+            xm[group], lam[group], v[group], x_scale[group], k
         )
     eta_m, domination, range_ok = eta_m.reshape(lead + (d, d)), domination.reshape(lead), range_ok.reshape(lead)
     return EtaResult(x._derive(_symmetrize(eta_m)), _per_item(domination), _per_item(range_ok))
 
 
-def _eta_solve(xm, lam, v, x_scale, k, domination_rtol):
+def _eta_solve(xm, lam, v, x_scale, k):
     """:func:`eta` for a stack whose ``y`` all keep their top ``k``
     eigenvalues: the unsymmetrized quotients, the domination constants and
     the range flags."""
@@ -187,7 +182,7 @@ def _eta_solve(xm, lam, v, x_scale, k, domination_rtol):
     if k < d:
         # Range containment: the part of x living outside range(y) must vanish.
         leak = _frobenius(xm @ u_c)
-        allowed = domination_rtol * x_scale
+        allowed = 1e-6 * x_scale
         if _any(leak > allowed):
             i = _first(leak > allowed)
             raise DominationError(
@@ -207,19 +202,14 @@ def _eta_solve(xm, lam, v, x_scale, k, domination_rtol):
     return eta_m, np.maximum(domination, 0.0), range_ok
 
 
-def mean_psd(
-    x: HermitianStack,
-    y: HermitianStack,
-    g: ConnectionFunction,
-    rank_tol: float = RANK_RTOL,
-) -> HermitianStack:
+def mean_psd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
     """PSD-extended mean ``y^{1/2} g(eta(x, y)) y^{1/2}``.
 
     Requires ``x <= c y`` and a finite ``g(0+)``; eigenvalues of eta below
     the rank cutoff map through the 0+ limit rather than through ``g`` at a
     tiny argument.  Reduces to :func:`mean_pd` on PD inputs.
     """
-    return _extended_mean(x, y, g, rank_tol)
+    return _extended_mean(x, y, g)
 
 
 @_quiet
@@ -227,11 +217,10 @@ def _extended_mean(
     x: HermitianStack,
     y: HermitianStack,
     g: ConnectionFunction,
-    rank_tol: float = RANK_RTOL,
     quotient: EtaResult | None = None,
 ) -> HermitianStack:
-    """Body of :func:`mean_psd`; a caller holding ``eta(x, y, rank_tol)``
-    passes it as ``quotient`` instead of having it computed again."""
+    """Body of :func:`mean_psd`; a caller holding ``eta(x, y)`` passes it
+    as ``quotient`` instead of having it computed again."""
     if g.value_at_0plus is None or not math.isfinite(g.value_at_0plus):
         raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
     x._check_same_shape(y)
@@ -239,23 +228,23 @@ def _extended_mean(
     if _any(zero_y) and _any(zero_y & (_spectral_scale(x) != 0.0)):
         raise DominationError("y = 0 dominates only x = 0")
     if quotient is None:
-        quotient = eta(x, y, rank_tol)
+        quotient = eta(x, y)
     w, v = quotient.eta._spectrum()
-    mapped = g.eval_extended(w, rank_tol * np.maximum(w[..., -1:], 0.0))
+    mapped = g.eval_extended(w, RANK_RTOL * np.maximum(w[..., -1:], 0.0))
     core = _spectral_map(v, mapped)
-    y_half = _psd_root(y, rank_tol)
+    y_half = _psd_root(y)
     mean = _symmetrize(y_half @ core @ y_half)
     if _any(zero_y):
         mean = np.where(zero_y[..., None, None], 0.0, mean)
     return x._derive(mean)
 
 
-def _psd_root(y: HermitianStack, rank_tol: float = RANK_RTOL) -> np.ndarray:
+def _psd_root(y: HermitianStack) -> np.ndarray:
     """Rank-truncated square roots of a PSD stack as raw matrices: negative
-    noise and eigenvalues at or below ``rank_tol * lambda_max`` map to 0."""
+    noise and eigenvalues at or below ``RANK_RTOL * lambda_max`` map to 0."""
     w, v = y._spectrum()
     lam = np.maximum(w, 0.0)
-    lam[lam <= rank_tol * lam[..., -1:]] = 0.0
+    lam[lam <= RANK_RTOL * lam[..., -1:]] = 0.0
     return _spectral_map(v, np.sqrt(lam))
 
 
@@ -265,7 +254,7 @@ class RttDiagnostic:
 
     ``errors[i]`` is the gauge-norm distance of the regularized mean at
     ``epsilon_grid[i]`` from the PSD-extended limit; ``converged`` requires
-    nonincreasing errors and a final relative error below the threshold.
+    nonincreasing errors and a final relative error at most 1e-3.
     """
 
     epsilon_grid: tuple[float, ...]
@@ -291,7 +280,6 @@ def epsilon_mean_limit(
     eps_grid=(1e-2, 1e-4, 1e-6, 1e-8),
     norm: GaugeNormKind = FROBENIUS,
     mode: str = "joint",
-    rel_threshold: float = 1e-3,
 ) -> tuple[HermitianTensor, RttDiagnostic]:
     """Regularized means along ``eps_grid`` against the PSD-extended limit.
 
@@ -300,12 +288,12 @@ def epsilon_mean_limit(
     sequences like ``I/n`` applied to ``y``.  Non-convergence is recorded in
     the diagnostic, never raised.
     """
-    limit, errors, converged = _epsilon_errors(x, y, g, eps_grid, norm, mode, rel_threshold)
+    limit, errors, converged = _epsilon_errors(x, y, g, eps_grid, norm, mode)
     diag = RttDiagnostic(tuple(float(e) for e in eps_grid), tuple(errors), bool(converged))
     return limit, diag
 
 
-def _epsilon_errors(x, y, g, eps_grid, norm, mode="joint", rel_threshold=1e-3):
+def _epsilon_errors(x, y, g, eps_grid, norm, mode="joint"):
     """Body of :func:`epsilon_mean_limit` over stacks: the limit, the
     per-matrix distances at each grid point, and the convergence flags."""
     if mode not in ("joint", "right"):
@@ -325,6 +313,6 @@ def _epsilon_errors(x, y, g, eps_grid, norm, mode="joint", rel_threshold=1e-3):
     nonincreasing = np.logical_and.reduce(
         [b <= a * (1.0 + 1e-9) + 1e-14 * scale for a, b in zip(errors, errors[1:])] or [True]
     )
-    converged = nonincreasing & (errors[-1] <= rel_threshold * np.maximum(scale, 1.0))
+    converged = nonincreasing & (errors[-1] <= 1e-3 * np.maximum(scale, 1.0))
     return limit, errors, converged
 

@@ -5,6 +5,7 @@ import pytest
 
 import tmlab as tm
 from tmlab.harness import (
+    _SUITES,
     ConfigError,
     EnsembleSpec,
     ExperimentConfig,
@@ -177,6 +178,17 @@ class TestSuites:
         for sid in SuiteId:
             assert run_suite(sid, cfg).trials == 3
 
+    @pytest.mark.parametrize("shape", [(1,), (2, 2)])
+    def test_default_ensembles_are_config_ensembles(self, shape):
+        # A row's default ensembles, passed as the config's own, give the
+        # same report: both go through the config's ensemble parser.
+        assert list(_SUITES) == list(SuiteId)
+        d = math.prod(shape)
+        for sid, row in _SUITES.items():
+            default = run_suite(sid, ExperimentConfig(trials=3, shape=shape))
+            explicit = run_suite(sid, ExperimentConfig(trials=3, shape=shape, ensembles=row.ensembles(d)))
+            assert explicit == default, sid
+
     def test_fusion_has_no_false_failures_at_large_d(self):
         # Means at D = 36 reach scale ~1e7: the verdict's relative rule applies.
         report = run_suite("APP_Fusion", ExperimentConfig(trials=3, shape=(6, 6)))
@@ -219,6 +231,11 @@ class TestSuites:
         cfg = ExperimentConfig(trials=5, function="power:0.5")
         report = run_suite("T1_AndoHiaiGeneralized", cfg)
         assert any("power:0.5" in note for note in report.regime_notes)
+        # T63 alone takes a generator that is not normalized; T2 rejects it.
+        cfg = ExperimentConfig(trials=3, function="psi:1.0")
+        assert "function=psi:1" in run_suite("T63_PsdLimit", cfg).regime_notes
+        with pytest.raises(ConfigError, match="normalized"):
+            run_suite("T2_LieTrotterLimit", cfg)
 
     def test_unknown_suite_name(self):
         with pytest.raises(ConfigError, match="unknown suite"):
