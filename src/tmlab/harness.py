@@ -162,13 +162,77 @@ def _is_finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _trial_rng(seed: int, trial: int, role: int = 0) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(int(trial), int(role)))
-    return np.random.default_rng(ss)
+# SeedSequence's hash constants (NumPy's ``bit_generator.pyx``, stable by
+# NEP 19) and the 128-bit PCG64 multiplier (O'Neill 2014).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = 2**32 - 1, 2**128 - 1
 
 
-def _complex_gaussian(rng, rows, cols) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+# The hash multipliers ``init * mult**k mod 2**32``: a stream's seed sequence
+# hashes 24 words into its pool (4 entropy words, 12 pool cross-mixes, 2
+# spawn-key words into 4 pool words) and 8 out of it.
+_CHAIN_A = [_INIT_A * pow(_MULT_A, k, 2**32) & _M32 for k in range(25)]
+_CHAIN_B = np.array([_INIT_B * pow(_MULT_B, k, 2**32) & _M32 for k in range(9)], dtype=np.uint32)[:, None]
+_SPAWN_A = np.array(_CHAIN_A[16:], dtype=np.uint32)[:, None]
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hash of 32-bit words, on Python ints or uint32 arrays."""
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word ``x`` with a hashed word ``y``."""
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _streams(seed: int, trials, role: int):
+    """One stream per trial: an iterator that yields a single reused
+    ``Generator(PCG64)``, set in turn to the state of
+    ``default_rng(SeedSequence(seed & (2**64 - 1), spawn_key=(t, role)))``
+    for each trial ``t``.  Take each stream's draws before advancing.
+
+    The seed-sequence hash runs for all trials at once on ``uint32`` arrays
+    (the pool of 4 words depends on the seed only, the spawn key is mixed in
+    per trial), and each PCG64 seeding step is done on Python 128-bit
+    integers, so the states are numpy's own bit for bit.  Trial and role
+    must lie in ``[0, 2**32)``: numpy would hash a wider key as two words.
+    """
+    keys = [int(t) for t in trials]
+    bad = [k for k in (*keys, role) if not 0 <= k <= _M32]
+    if bad:
+        raise ValueError(f"stream trial and role must lie in [0, 2**32), got {bad[0]}")
+    entropy = int(seed) & (2**64 - 1)
+    consts = iter(zip(_CHAIN_A, _CHAIN_A[1:]))
+    pool = [_hashmix(w, *next(consts)) for w in (entropy & _M32, entropy >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool = _mix(pool, _hashmix(np.array(keys, dtype=np.uint32), _SPAWN_A[:4], _SPAWN_A[1:5]))
+    pool = _mix(pool, _hashmix(np.uint32(role), _SPAWN_A[4:8], _SPAWN_A[5:]))
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _CHAIN_B[:8], _CHAIN_B[1:])
+    seeds = np.ascontiguousarray(words.T).astype("<u4").view("<u8").tolist()
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    for s_hi, s_lo, i_hi, i_lo in seeds:
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _complex(g: np.ndarray) -> np.ndarray:
+    """Complex standard Gaussians from real and imaginary parts stacked on
+    axis -3."""
+    return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
@@ -184,29 +248,29 @@ def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
 def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
     """The ensemble members of a run of trials as one validated stack.
 
-    Member ``t`` comes from its own stream ``_trial_rng(seed, t, role)``,
-    drawn in the same order as a lone :func:`sample`; the matrices are then
-    formed and validated as one stack.
+    Member ``t`` comes from its own stream of :func:`_streams`, drawn in the
+    same order as a lone :func:`sample`; the matrices are then formed and
+    validated as one stack.
     """
     d = spec.shape.square_dim
     if spec.kind == "spectrum" and spec.m == spec.M:
         eye = np.eye(d, dtype=np.complex128) * float(spec.m)
         return HermitianStack._trusted(np.repeat(eye[None], len(trials), axis=0))
-    rngs = [_trial_rng(spec.seed, t, role) for t in trials]
-    if spec.kind == "wishart":
-        g = np.stack([_complex_gaussian(rng, spec.dof, d) for rng in rngs])
-        return HermitianStack.from_matrices(_ct(g) @ g / spec.dof + 1e-6 * np.eye(d))
+    streams = _streams(spec.seed, trials, role)
     if spec.kind == "spectrum":
-        gauss = np.stack([_complex_gaussian(rng, d, d) for rng in rngs])
-        lam = np.stack([rng.uniform(spec.m, spec.M, size=d) for rng in rngs])
+        draws = [(rng.standard_normal((2, d, d)), rng.uniform(spec.m, spec.M, size=d)) for rng in streams]
+        gauss, lam = (np.stack(part) for part in zip(*draws))
         # Interior margin keeps the reconstructed spectrum inside [m, M]
         # despite rounding in the congruence.
         margin = 64.0 * np.finfo(float).eps * max(1.0, abs(spec.m), abs(spec.M))
         if spec.M - spec.m > 4.0 * margin:
             lam = np.clip(lam, spec.m + margin, spec.M - margin)
-        return _rotated(np.linalg.qr(gauss)[0], lam)
-    g = np.stack([_complex_gaussian(rng, spec.rank, d) for rng in rngs])
-    return HermitianStack.from_matrices(_ct(g) @ g / spec.rank)
+        return _rotated(np.linalg.qr(_complex(gauss))[0], lam)
+    rows = spec.dof if spec.kind == "wishart" else spec.rank
+    g = _complex(np.stack([rng.standard_normal((2, rows, d)) for rng in streams]))
+    if spec.kind == "wishart":
+        return HermitianStack.from_matrices(_ct(g) @ g / rows + 1e-6 * np.eye(d))
+    return HermitianStack.from_matrices(_ct(g) @ g / rows)
 
 
 def _rotated(q: np.ndarray, lam: np.ndarray) -> HermitianStack:
@@ -214,9 +278,14 @@ def _rotated(q: np.ndarray, lam: np.ndarray) -> HermitianStack:
     return HermitianStack.from_matrices((q * lam[:, None, :]) @ _ct(q))
 
 
-# Stream roles of the further draws of a trial (the primary draw is role 0).
+# Stream roles of the further draws of a trial (the primary draw is role 0):
+# the Wishart conjugated into a dominated draw, the second PD pair of the
+# two-pair suites, APP_LinearTransform's two random maps and L3's second
+# increment.
 _DOMINATED_ROLE = 3
 _SECONDARY_ROLE = 5
+_MAP_ROLE = 6
+_INCREMENT_ROLE = 7
 
 
 def dominated_sample(y: HermitianTensor, spec: EnsembleSpec, trial: int) -> HermitianTensor:
@@ -230,7 +299,10 @@ def dominated_sample(y: HermitianTensor, spec: EnsembleSpec, trial: int) -> Herm
 
 
 def _dominating_spec(spec: EnsembleSpec, shape: TensorShape) -> EnsembleSpec:
-    return EnsembleSpec(shape, "wishart", spec.seed, dof=max(spec.dof, 1))
+    """The Wishart that :func:`dominated_sample` conjugates: ``spec``'s dof
+    when ``spec`` is a Wishart, else the default dof of the dimension."""
+    dof = spec.dof if spec.kind == "wishart" else _wishart_dof(shape.square_dim)
+    return EnsembleSpec(shape, "wishart", spec.seed, dof=dof)
 
 
 def _dominate(y: HermitianStack, w: HermitianStack) -> HermitianStack:
@@ -325,8 +397,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not _is_integer(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not _is_integer(self.trials) or self.trials < 1:
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
+        if not _is_integer(self.trials) or not 1 <= self.trials < 2**32:
+            raise ConfigError(f"trials must be an integer in [1, 2**32), got {self.trials!r}")
         if not (_is_finite_real(self.tolerance) and self.tolerance > 0):
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -624,6 +696,11 @@ def _sweep_rows(labels):
 
 
 def _suite_l1(run):
+    for slot, spec in (("x", run.ex), ("y", run.ey)):
+        # b = y and a = y + x must be PSD for the power ordering to apply.
+        if spec.kind == "spectrum" and spec.m < 0:
+            raise ConfigError(f"{run.sid.value} needs PSD ensembles in both slots; "
+                              f"{slot} is a spectrum on [{spec.m:g}, {spec.M:g}]")
     q = run.cfg.exponents["q"]
     if not 0.0 <= q <= 1.0:
         q = 0.5
@@ -665,22 +742,30 @@ def _suite_l2(run):
 
 
 def _suite_l3(run):
+    if run.ey.kind != "spectrum":
+        raise ConfigError(f"{run.sid.value} draws its second increment on the y spectrum [m, M]; "
+                          f"y must be a spectrum ensemble, got {run.ey.kind!r}")
     q = max(1.0, run.cfg.exponents["q"])
     run.notes.append(f"q={q:g}; chain built as x, x+p1, x+p1+p2 with PSD increments")
-    ey = run.ey
-    d = ey.shape.square_dim
 
     def body(trials):
         x, p1 = run.pair(trials)
-        rngs = [_trial_rng(ey.seed, t, 7) for t in trials]
-        lam = np.stack([rng.uniform(ey.m, ey.M, size=d) for rng in rngs])
-        gauss = np.stack([_complex_gaussian(rng, d, d) for rng in rngs])
-        p2 = _rotated(np.linalg.qr(gauss)[0], lam)
         y = x + p1
-        return _tail_columns(run.cfg, ((y, y + p2, q), (x, y, q)))
+        return _tail_columns(run.cfg, ((y, y + _increments(run.ey, trials), q), (x, y, q)))
 
     rows = _sweep_rows(("Pr(y not<= C) vs E[z^q]", "Pr(x not<= C) vs E[y^q]"))
     return _tail_report(run, rows, *_per_trial(run.cfg, body))
+
+
+def _increments(spec: EnsembleSpec, trials) -> HermitianStack:
+    """L3's second increments: Haar-like rotations of eigenvalues uniform in
+    the spectrum ensemble's ``[m, M]`` (no interior margin), drawn from the
+    streams of role ``_INCREMENT_ROLE``, eigenvalues first."""
+    d = spec.shape.square_dim
+    draws = [(rng.uniform(spec.m, spec.M, size=d), rng.standard_normal((2, d, d)))
+             for rng in _streams(spec.seed, trials, _INCREMENT_ROLE)]
+    lam, gauss = (np.stack(part) for part in zip(*draws))
+    return _rotated(np.linalg.qr(_complex(gauss))[0], lam)
 
 
 def _ando_hiai_bound_parts(m: int):
@@ -761,7 +846,9 @@ def _suite_t3(run):
             _, _, leq, geq = loewner_extremes(log_affine, root_mean, cfg.tolerance)
             # pmi expects log_affine <= root_mean, pmd the reverse order.
             if branch == "pmi":
-                low, high, ordered, tail = log_affine, root_mean, leq, spectral_power(mean_q, r / q)
+                # At r = 1 the tail (mean_q)^(r/q) is the root mean itself.
+                tail = root_mean if r == 1.0 else spectral_power(mean_q, r / q)
+                low, high, ordered = log_affine, root_mean, leq
             else:
                 low, high, ordered, tail = root_mean, log_affine, geq, spectral_power(log_affine, r)
             head = low._spectrum()[0][:, -1] > high._spectrum()[0][:, -1] * (1 + 1e-10)
@@ -1041,6 +1128,14 @@ def _suite_fusion(run):
     return _report(run, viol, max(0.0, worst), empirical=empirical, stderr=_binom_stderr(empirical, 2 * trials))
 
 
+def _random_maps(spec: EnsembleSpec, trials) -> tuple[np.ndarray, np.ndarray]:
+    """APP_LinearTransform's two maps per trial, from the streams of role
+    ``_MAP_ROLE``: a complex Gaussian congruence, then a Haar-like unitary."""
+    d = spec.shape.square_dim
+    g = _complex(np.stack([rng.standard_normal((2, 2, d, d)) for rng in _streams(spec.seed, trials, _MAP_ROLE)]))
+    return g[:, 0], np.ascontiguousarray(np.linalg.qr(g[:, 1])[0])
+
+
 def _suite_transform(run):
     fn, ex = run.fn, run.ex
     d = ex.shape.square_dim
@@ -1051,9 +1146,7 @@ def _suite_transform(run):
 
     def body(trials):
         pair = DominationPair(*run.pair(trials), "left")
-        rngs = [_trial_rng(ex.seed, t, 6) for t in trials]
-        cong = np.stack([_complex_gaussian(rng, d, d) for rng in rngs])
-        unitary = np.ascontiguousarray(np.linalg.qr(np.stack([_complex_gaussian(rng, d, d) for rng in rngs]))[0])
+        cong, unitary = _random_maps(ex, trials)
         pair_mean = mean_on_pair(pair, fn)
         columns = []
         for lmap in (partial(_congruence, cong), partial(apply_map, pinch), partial(_congruence, unitary)):

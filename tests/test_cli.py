@@ -103,6 +103,24 @@ class TestVerifyCommand:
         cfg_path.write_text(json.dumps(payload))
         assert main(["verify", "--config", str(cfg_path), "--suite", "L1"]) == 2
 
+    @pytest.mark.parametrize(
+        "suite, ensembles, message",
+        [
+            ("L1_PowerMonotone",
+             {"x": {"kind": "spectrum", "m": -1.0, "M": 1.0}, "y": {"kind": "spectrum", "m": -1.0, "M": 1.0}},
+             "needs PSD ensembles"),
+            ("L3_MarkovChebyshev", {"x": {"kind": "spectrum", "m": 0.1, "M": 0.5}, "y": {"kind": "wishart", "dof": 8}},
+             "y must be a spectrum ensemble"),
+        ],
+        ids=["L1-indefinite", "L3-wishart-y"],
+    )
+    def test_suite_rejects_ensemble_it_cannot_use(self, suite, ensembles, message, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 5, "ensembles": ensembles, "suites": [suite]}))
+        code, _, err = run_cli(["verify", "--config", str(cfg_path)])
+        assert code == 2
+        assert message in err
+
     def test_config_file_and_overrides(self, tmp_path):
         cfg = {"trials": 500, "seed": 3, "suites": ["APP_Fusion"]}
         cfg_path = tmp_path / "cfg.json"

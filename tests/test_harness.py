@@ -282,6 +282,34 @@ class TestSuites:
             report = run_suite(suite, cfg)
             assert report.violations == 0, (suite, report.regime_notes)
 
+    def test_t63_dominating_wishart_dof(self):
+        # T63 reads only the seed and, for a Wishart x, the dof of its x
+        # ensemble; any other kind takes the default dof of the dimension.
+        def report(x):
+            cfg = ExperimentConfig.from_dict({
+                "trials": 4, "shape": [3, 3], "suites": ["T63_PsdLimit"],
+                "ensembles": {"x": x, "y": {"kind": "rank_deficient", "rank": 5}}})
+            return run_suite("T63_PsdLimit", cfg)
+
+        default_dof = report({"kind": "wishart", "dof": 18})
+        assert report({"kind": "spectrum", "m": 0.5, "M": 1.5}) == default_dof
+        assert report({"kind": "rank_deficient", "rank": 2}) == default_dof
+        assert report({"kind": "wishart", "dof": 8}) != default_dof
+
+    def test_t3_pmi_tail_reuses_root_mean_at_r_one(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+
+        def count(p):
+            calls.clear()
+            run_suite("T3_LieTrotterTail", ExperimentConfig(trials=3, exponents={"p": p}))
+            return len(calls)
+
+        # At r != 1 both tails are new tensors, one eigh each; at r = 1 the
+        # pmi tail is the root mean and the pmd tail the log-affine side.
+        assert count(1.0) + 2 == count(1.5)
+
     def test_config_ensemble_override_applies(self):
         cfg = ExperimentConfig.from_dict(
             {

@@ -1,0 +1,145 @@
+"""The per-trial random streams of the harness.
+
+Every draw of trial ``t`` in role ``r`` comes from
+``default_rng(SeedSequence(seed & (2**64 - 1), spawn_key=(t, r)))``.  The
+harness builds those states in bulk (:func:`tmlab.harness._streams`); these
+tests hold it to numpy's own states, and every draw site to the per-trial
+code it replaced, kept here as the reference.
+"""
+
+import numpy as np
+import pytest
+
+import tmlab as tm
+from tmlab.core import HermitianStack, _ct
+from tmlab.harness import (
+    _DOMINATED_ROLE,
+    _INCREMENT_ROLE,
+    _MAP_ROLE,
+    _SECONDARY_ROLE,
+    ConfigError,
+    EnsembleSpec,
+    ExperimentConfig,
+    _draw,
+    _increments,
+    _random_maps,
+    _streams,
+    sample,
+)
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -20260809)
+ROLES = (0, _DOMINATED_ROLE, _SECONDARY_ROLE, _MAP_ROLE, _INCREMENT_ROLE)
+TRIALS = (*range(100), 2**32 - 1)
+
+
+def _ref_rng(seed, trial, role):
+    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(int(trial), int(role)))
+    return np.random.default_rng(ss)
+
+
+def _ref_gaussian(rng, rows, cols):
+    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+
+
+def _ref_rotated(q, lam):
+    return HermitianStack.from_matrices((q * lam[:, None, :]) @ _ct(q)).unfold()
+
+
+def _ref_draw(spec, trials, role):
+    """The per-trial draw the bulk streams replaced, as matrices."""
+    d = spec.shape.square_dim
+    if spec.kind == "spectrum" and spec.m == spec.M:
+        return np.repeat((np.eye(d, dtype=np.complex128) * float(spec.m))[None], len(trials), axis=0)
+    rngs = [_ref_rng(spec.seed, t, role) for t in trials]
+    if spec.kind == "wishart":
+        g = np.stack([_ref_gaussian(rng, spec.dof, d) for rng in rngs])
+        return HermitianStack.from_matrices(_ct(g) @ g / spec.dof + 1e-6 * np.eye(d)).unfold()
+    if spec.kind == "spectrum":
+        gauss = np.stack([_ref_gaussian(rng, d, d) for rng in rngs])
+        lam = np.stack([rng.uniform(spec.m, spec.M, size=d) for rng in rngs])
+        margin = 64.0 * np.finfo(float).eps * max(1.0, abs(spec.m), abs(spec.M))
+        if spec.M - spec.m > 4.0 * margin:
+            lam = np.clip(lam, spec.m + margin, spec.M - margin)
+        return _ref_rotated(np.linalg.qr(gauss)[0], lam)
+    g = np.stack([_ref_gaussian(rng, spec.rank, d) for rng in rngs])
+    return HermitianStack.from_matrices(_ct(g) @ g / spec.rank).unfold()
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_states_equal_numpy(seed):
+    for role in ROLES:
+        states = [rng.bit_generator.state for rng in _streams(seed, TRIALS, role)]
+        assert states == [_ref_rng(seed, t, role).bit_generator.state for t in TRIALS], role
+
+
+def test_one_generator_is_reused():
+    assert len({id(rng) for rng in _streams(5, range(4), 0)}) == 1
+
+
+SPECS = [
+    ("wishart", {"dof": 8}),
+    ("wishart", {"dof": 1}),
+    ("spectrum", {"m": 0.3, "M": 2.0}),
+    ("spectrum", {"m": -1.0, "M": 1.0}),
+    ("spectrum", {"m": 1.0, "M": 1.0 + 1e-15}),
+    ("spectrum", {"m": 0.7, "M": 0.7}),
+    ("rank_deficient", {"rank": 1}),
+    ("rank_deficient", {"rank": 3}),
+]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3,)])
+@pytest.mark.parametrize("kind, params", SPECS, ids=[f"{k}-{sorted(p.items())}" for k, p in SPECS])
+def test_draw_matches_per_trial_reference(kind, params, shape):
+    spec = EnsembleSpec(tm.TensorShape(shape), kind, 20260809 * 31, **params)
+    for trials, role in ((range(7), 0), ((3, 17, 2**32 - 1), _SECONDARY_ROLE), (range(2), _DOMINATED_ROLE)):
+        assert _same_bits(_draw(spec, trials, role).unfold(), _ref_draw(spec, trials, role))
+    assert _same_bits(sample(spec, 11, 2).unfold(), _ref_draw(spec, (11,), 2)[0])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3,), (4, 4)])
+def test_l3_increments_match_per_trial_reference(shape):
+    spec = EnsembleSpec(tm.TensorShape(shape), "spectrum", 99, m=0.05, M=0.3)
+    d = spec.shape.square_dim
+    trials = range(5)
+    rngs = [_ref_rng(spec.seed, t, 7) for t in trials]
+    lam = np.stack([rng.uniform(spec.m, spec.M, size=d) for rng in rngs])
+    gauss = np.stack([_ref_gaussian(rng, d, d) for rng in rngs])
+    assert _same_bits(_increments(spec, trials).unfold(), _ref_rotated(np.linalg.qr(gauss)[0], lam))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3,), (4, 4)])
+def test_transform_maps_match_per_trial_reference(shape):
+    spec = EnsembleSpec(tm.TensorShape(shape), "wishart", 123, dof=8)
+    d = spec.shape.square_dim
+    trials = range(5)
+    rngs = [_ref_rng(spec.seed, t, 6) for t in trials]
+    cong = np.stack([_ref_gaussian(rng, d, d) for rng in rngs])
+    unitary = np.ascontiguousarray(np.linalg.qr(np.stack([_ref_gaussian(rng, d, d) for rng in rngs]))[0])
+    got_cong, got_unitary = _random_maps(spec, trials)
+    assert _same_bits(np.ascontiguousarray(got_cong), cong)
+    assert _same_bits(got_unitary, unitary)
+
+
+@pytest.mark.parametrize("trial", [-1, 2**32, 2**70])
+def test_out_of_range_trial_raises(trial):
+    spec = EnsembleSpec(tm.TensorShape((2,)), "wishart", 1)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        sample(spec, trial)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        _draw(spec, (0, trial))
+
+
+def test_out_of_range_role_raises():
+    with pytest.raises(ValueError):
+        next(_streams(1, (0,), 2**32))
+
+
+def test_config_rejects_trial_counts_beyond_the_streams():
+    assert ExperimentConfig(trials=2**32 - 1).trials == 2**32 - 1
+    with pytest.raises(ConfigError, match="trials"):
+        ExperimentConfig(trials=2**32)
