@@ -17,9 +17,9 @@ from .core import (
     HermitianStack,
     HermitianTensor,
     RANK_RTOL,
+    _gate_psd,
     _per_item,
     require_pd,
-    require_psd,
     spectral_power,
 )
 from .functions import ConnectionFunction
@@ -167,7 +167,7 @@ def _ratio_extremes(z: HermitianStack, f: ConnectionFunction, a: float):
     """Extremes of ``f(z**a) f(z)**(-a)`` over the spectrum of each PSD
     matrix ``z``; eigenvalues at or below ``RANK_RTOL * lambda_max`` count
     through the 0+ limit of ``f``."""
-    lam = z._spectrum()[0]
+    lam = z._eigenvalues()
     live = lam > RANK_RTOL * np.maximum(lam[..., -1:], 0.0)
     safe = np.where(live, lam, 1.0)
     ratios = f.fn(safe**a) / f.fn(safe) ** a
@@ -263,7 +263,8 @@ def _tail_statistics(z: HermitianStack, q: float, thresholds) -> list:
     for c in thresholds:
         require_pd(c, "c")
         c_invs.append(np.linalg.inv(c.unfold()))
-    require_psd(z, "sample")
+    # Gate on the decomposition the power reads; a power of 1 reads none.
+    _gate_psd(z._eigenvalues() if float(q) == 1.0 else z._spectrum()[0], "sample")
     zq = spectral_power(z, q)._matrix
     return [np.trace(zq @ c_inv, axis1=-2, axis2=-1).real for c_inv in c_invs]
 

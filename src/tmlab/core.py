@@ -196,11 +196,12 @@ class HermitianStack:
     scalars come back as arrays over the leading axes.
     :class:`HermitianTensor` is the batch of one, a single ``D x D`` matrix
     with its tensor shape, so each operation has one body.  Stacks are
-    immutable; one stacked ``eigh``, made on first use, serves every
-    spectral query.
+    immutable and keep two lazy spectral caches: one stacked ``eigvalsh``
+    (:meth:`_eigenvalues`) serves every eigenvalue read, and one stacked
+    ``eigh`` (:meth:`_spectrum`) serves the kernels that read eigenvectors.
     """
 
-    __slots__ = ("_matrix", "_eig")
+    __slots__ = ("_matrix", "_evals", "_eig")
     # numpy defers to the reflected operators: array * stack scales per matrix.
     __array_ufunc__ = None
 
@@ -223,10 +224,11 @@ class HermitianStack:
 
     def _seal(self, matrix: np.ndarray) -> None:
         """The step every construction ends in: read-only contiguous
-        storage of a checked matrix and an empty spectrum cache."""
+        storage of a checked matrix and empty spectral caches."""
         matrix = np.ascontiguousarray(matrix)
         matrix.flags.writeable = False
         self._matrix = matrix
+        self._evals = None
         self._eig = None
 
     def _derive(self, matrix: np.ndarray) -> "HermitianStack":
@@ -237,13 +239,29 @@ class HermitianStack:
         """Read-only ``(..., D, D)`` Hermitian matrices."""
         return self._matrix
 
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ascending eigenvalues and eigenvectors of every matrix.
+    def _eigenvalues(self) -> np.ndarray:
+        """Read-only ascending eigenvalues of every matrix: one ``eigvalsh``
+        call over the stack, made on first use and cached.
 
-        One ``eigh`` call over the stack, made on first use and cached: the
-        only write into an instance, and an idempotent one.  Eigenvector
-        phases are those LAPACK returns; :func:`spectral_decompose` fixes
-        them.
+        Every eigenvalue read goes through here, never through a cached
+        :meth:`_spectrum`, so its bits do not depend on which kernels ran
+        before.  They agree with the eigenvalues of :meth:`_spectrum` to
+        rounding, not bit for bit.
+        """
+        if self._evals is None:
+            w = np.linalg.eigvalsh(self._matrix)
+            w.flags.writeable = False
+            self._evals = w
+        return self._evals
+
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ascending eigenvalues and eigenvectors of every matrix,
+        for the kernels that read eigenvectors.
+
+        One ``eigh`` call over the stack, made on first use and cached.  The
+        two caches are the only writes into an instance, and idempotent
+        ones.  Eigenvector phases are those LAPACK returns;
+        :func:`spectral_decompose` fixes them.
         """
         if self._eig is None:
             w, v = np.linalg.eigh(self._matrix)
@@ -293,9 +311,13 @@ def _per_item(values):
 
 
 def _spectral_scale(h: HermitianStack) -> np.ndarray:
-    """max(|lambda|) of every matrix, from the cached spectrum."""
-    w = h._spectrum()[0]
-    return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+    """max(|lambda|) of every matrix, from the cached eigenvalues."""
+    return _scale_of(h._eigenvalues())
+
+
+def _scale_of(ev: np.ndarray) -> np.ndarray:
+    """max(|lambda|) of every ascending spectrum of a stack."""
+    return np.maximum(np.abs(ev[..., 0]), np.abs(ev[..., -1]))
 
 
 class HermitianTensor(HermitianStack):
@@ -308,8 +330,9 @@ class HermitianTensor(HermitianStack):
     :class:`HermiticityError`, and non-finite entries raise ``ValueError``.
     Results of the package's own calculus are exactly Hermitian by
     construction and skip the tolerance check (:meth:`_trusted`).
-    Instances are immutable; the eigendecomposition of the unfolding is
-    computed once, on first use, and shared by every spectral query.
+    Instances are immutable; the eigenvalues of the unfolding are computed
+    once, on first use, and shared by every eigenvalue query, and the full
+    eigendecomposition likewise by the spectral calculus.
     """
 
     __slots__ = ("_shape",)
@@ -392,14 +415,16 @@ class HermitianTensor(HermitianStack):
     # -- spectral conveniences -------------------------------------------
 
     def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues of the unfolding, descending."""
-        return self._spectrum()[0][::-1].copy()
+        """Real eigenvalues of the unfolding, descending.  They agree with
+        ``spectral_decompose(self).eigenvalues`` to rounding, not bit for
+        bit (``eigvalsh`` against ``eigh``)."""
+        return self._eigenvalues()[::-1].copy()
 
     def lambda_min(self) -> float:
-        return float(self._spectrum()[0][0])
+        return float(self._eigenvalues()[0])
 
     def lambda_max(self) -> float:
-        return float(self._spectrum()[0][-1])
+        return float(self._eigenvalues()[-1])
 
     def trace(self) -> float:
         return float(np.trace(self._matrix).real)
@@ -524,7 +549,9 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 def spectral_decompose(h: HermitianTensor) -> SpectralDecomposition:
     """Eigendecomposition of the unfolding, eigenvalues descending, with
-    deterministic eigenvector phases (see :class:`SpectralDecomposition`)."""
+    deterministic eigenvector phases (see :class:`SpectralDecomposition`).
+    Values and vectors come from one ``eigh``; the values agree with
+    :meth:`HermitianTensor.eigenvalues` to rounding, not bit for bit."""
     w, v = h._spectrum()
     w = w[::-1].copy()
     v = _fix_phases(v[:, ::-1])
@@ -573,7 +600,19 @@ def require_pd(t: HermitianStack, name: str) -> np.ndarray:
     """Gate for positive definite inputs: the cached ascending eigenvalues
     of ``t``, all strictly positive, else :class:`NotPositiveDefiniteError`
     (naming the first failing matrix of a stack)."""
-    ev = t._spectrum()[0]
+    return _gate_pd(t._eigenvalues(), name)
+
+
+def require_psd(t: HermitianStack, name: str) -> np.ndarray:
+    """Gate for positive semidefinite inputs: the cached ascending
+    eigenvalues of ``t``, none below ``-PSD_RTOL * max(1, |t|_sp)``, else
+    :class:`NotPositiveSemidefiniteError`."""
+    return _gate_psd(t._eigenvalues(), name)
+
+
+def _gate_pd(ev: np.ndarray, name: str) -> np.ndarray:
+    """:func:`require_pd` on ascending spectra ``ev``; a kernel that reads
+    an operand's eigenvectors passes the eigenvalues of the same ``eigh``."""
     lam_min = ev[..., 0]
     bad = lam_min <= 0.0
     if _any(bad):
@@ -581,11 +620,8 @@ def require_pd(t: HermitianStack, name: str) -> np.ndarray:
     return ev
 
 
-def require_psd(t: HermitianStack, name: str) -> np.ndarray:
-    """Gate for positive semidefinite inputs: the cached ascending
-    eigenvalues of ``t``, none below ``-PSD_RTOL * max(1, |t|_sp)``, else
-    :class:`NotPositiveSemidefiniteError`."""
-    ev = t._spectrum()[0]
+def _gate_psd(ev: np.ndarray, name: str) -> np.ndarray:
+    """:func:`require_psd` on ascending spectra ``ev`` (see :func:`_gate_pd`)."""
     lam_min = ev[..., 0]
     bad = lam_min < -PSD_RTOL * np.maximum(np.maximum(1.0, np.abs(lam_min)), np.abs(ev[..., -1]))
     if _any(bad):
@@ -632,9 +668,9 @@ def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL
     """Loewner kernel: ``(lam_min, lam_max, leq, geq)`` per matrix pair.
 
     ``lam_min``/``lam_max`` are the extreme eigenvalues of ``y - x`` (one
-    ``eigvalsh`` over the stack); ``leq`` is ``lam_min >= -tol * scale`` and
-    ``geq`` is ``lam_max <= tol * scale`` with
-    ``scale = max(|x|_sp, |y|_sp, 1)``.  ``y`` may be a single tensor
+    ``eigvalsh`` over the stack of differences); ``leq`` is
+    ``lam_min >= -tol * scale`` and ``geq`` is ``lam_max <= tol * scale``
+    with ``scale = max(|x|_sp, |y|_sp, 1)``.  ``y`` may be a single tensor
     broadcast against a stack ``x``.
     """
     x._check_same_shape(y)
@@ -720,7 +756,7 @@ def ky_fan(k: int) -> GaugeNormKind:
 def gauge_norm(h: HermitianStack, kind: GaugeNormKind = FROBENIUS):
     """Unitarily invariant norm ``rho(|lambda|(h))`` of each Hermitian
     matrix: a float for a tensor, an array over a stack."""
-    ev = np.sort(np.abs(h._spectrum()[0]), axis=-1)[..., ::-1]
+    ev = np.sort(np.abs(h._eigenvalues()), axis=-1)[..., ::-1]
     if kind.kind == "spectral":
         out = ev[..., 0]
     elif kind.kind == "frobenius":
@@ -745,9 +781,10 @@ def range_projector(h: HermitianTensor) -> HermitianTensor:
     Eigenvalues are kept iff ``lambda > RANK_RTOL * lambda_max``; the result
     is idempotent and commutes with ``h`` by construction.
     """
-    w = require_psd(h, "range projector input")
+    w, v = h._spectrum()
+    _gate_psd(w, "range projector input")
     keep = w > RANK_RTOL * max(float(w[-1]), 0.0)
-    u = h._spectrum()[1][:, keep]
+    u = v[:, keep]
     return h._derive(_symmetrize(u @ _ct(u)))
 
 

@@ -24,10 +24,10 @@ from .core import (
     HermitianTensor,
     LoewnerVerdict,
     PSD_RTOL,
+    _gate_pd,
     apply_spectral,
     gauge_norm,
     loewner_compare,
-    require_pd,
     spectral_power,
 )
 from .functions import ConnectionFunction, derivative_at_one, power_lift
@@ -56,7 +56,7 @@ def tensor_exp(h: HermitianStack) -> HermitianStack:
 
 def tensor_log(p: HermitianStack) -> HermitianStack:
     """Spectral logarithm of a PD tensor."""
-    require_pd(p, "log input")
+    _gate_pd(p._spectrum()[0], "log input")
     return apply_spectral(p, np.log)
 
 

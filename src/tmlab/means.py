@@ -29,8 +29,11 @@ from .core import (
     _ct,
     _first,
     _frobenius,
+    _gate_pd,
+    _gate_psd,
     _per_item,
     _quiet,
+    _scale_of,
     _spectral_map,
     _spectral_scale,
     _symmetrize,
@@ -63,12 +66,13 @@ class UnsupportedFunctionError(ValueError):
 
 @_quiet
 def _congruence_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
-    """``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` for a PD ``y`` (gated here),
-    ``g`` extended at 0+, over a stack: one ``eigh`` of the quotients.
+    """``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` for a PD ``y`` (gated here,
+    on its ``eigh``), ``g`` extended at 0+, over a stack: one ``eigh`` of
+    the quotients.
     Shared by :func:`mean_pd`, :func:`mean_recursive` and the right-slot
     limit of :func:`epsilon_mean_limit`, whose first slot is only PSD."""
-    root = np.sqrt(require_pd(y, "y"))
-    u = y._spectrum()[1]
+    w, u = y._spectrum()
+    root = np.sqrt(_gate_pd(w, "y"))
     y_half = _spectral_map(u, root)
     y_ihalf = (u / root[..., None, :]) @ _ct(u)
     quotient = _symmetrize(y_ihalf @ x._matrix @ y_ihalf)
@@ -154,8 +158,8 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     """
     x._check_same_shape(y)
     x_ev = require_psd(x, "x")
-    require_psd(y, "y")
     lam, v = y._spectrum()
+    _gate_psd(lam, "y")
     kept = (lam > RANK_RTOL * np.maximum(lam[..., -1:], 0.0)).sum(axis=-1)
     x_scale = np.maximum(1.0, np.abs(x_ev).max(axis=-1))
     lead, d = lam.shape[:-1], lam.shape[-1]
@@ -224,7 +228,7 @@ def _extended_mean(
     if g.value_at_0plus is None or not math.isfinite(g.value_at_0plus):
         raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
     x._check_same_shape(y)
-    zero_y = _spectral_scale(y) == 0.0
+    zero_y = _scale_of(y._spectrum()[0]) == 0.0
     if _any(zero_y) and _any(zero_y & (_spectral_scale(x) != 0.0)):
         raise DominationError("y = 0 dominates only x = 0")
     if quotient is None:

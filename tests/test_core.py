@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmlab as tm
-from tmlab.core import HermiticityError, HermitianStack, _fix_phases, require_pd
+from tmlab.bounds import _ratio_extremes
+from tmlab.core import HermiticityError, HermitianStack, _fix_phases, require_pd, require_psd
 from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 
 from conftest import SHAPE2, SHAPE22, rand_hermitian, rand_pd, rand_psd_rank, rand_unitary
@@ -137,26 +138,62 @@ class TestSpectrumCache:
             monkeypatch.setattr(np.linalg, name, counted)
         return calls
 
-    def test_spectral_queries_share_one_eigh(self, rng, counts):
+    def test_value_queries_share_one_eigvalsh(self, rng, counts):
         t = rand_pd(rng)
         t.lambda_min(), t.lambda_max(), t.spectral_scale(), t.eigenvalues(), t.is_pd()
-        require_pd(t, "t")
-        assert counts == {"eigh": 1, "eigvalsh": 0}
+        require_pd(t, "t"), require_psd(t, "t"), tm.gauge_norm(t), tm.gauge_norm(t, tm.SPECTRAL)
+        assert counts == {"eigh": 0, "eigvalsh": 1}
 
     def test_mean_pd_decomposes_each_operand_once(self, rng, counts):
         x, y = rand_pd(rng), rand_pd(rng)
         tm.mean_pd(x, y, tm.geometric())
-        assert counts == {"eigh": 3, "eigvalsh": 0}
+        # eigvalsh gates x; eigh serves y's roots and the quotient's calculus.
+        assert counts == {"eigh": 2, "eigvalsh": 1}
         tm.mean_pd(x, y, tm.geometric())
-        assert counts == {"eigh": 4, "eigvalsh": 0}
+        assert counts == {"eigh": 3, "eigvalsh": 1}
 
     def test_cache_is_read_only(self, rng):
         t = rand_pd(rng)
         w, v = t._spectrum()
-        assert not w.flags.writeable and not v.flags.writeable
-        ev = t.eigenvalues()
-        ev[:] = 0.0
-        assert t.lambda_max() > 0.0 and np.array_equal(t.eigenvalues(), w[::-1])
+        ev = t._eigenvalues()
+        assert not w.flags.writeable and not v.flags.writeable and not ev.flags.writeable
+        out = t.eigenvalues()
+        out[:] = 0.0
+        assert t.lambda_max() > 0.0 and np.array_equal(t.eigenvalues(), ev[::-1])
+
+    def test_value_reads_ignore_a_cached_eigh(self, rng):
+        """Every eigenvalue read gives the same bits whether or not the
+        tensor's ``eigh`` ran first."""
+        f = tm.harmonic_like()
+        reads = (
+            lambda a, b: a.eigenvalues(),
+            lambda a, b: (a.lambda_min(), a.lambda_max(), a.spectral_scale(), a.is_pd()),
+            lambda a, b: (require_pd(a, "a"), require_psd(a, "a")),
+            lambda a, b: [tm.gauge_norm(a, k) for k in (tm.SPECTRAL, tm.FROBENIUS, tm.TRACE, tm.ky_fan(2))],
+            lambda a, b: tm.kyfan_stats(a, 3),
+            lambda a, b: tm.loewner_compare(a, b),
+            lambda a, b: _ratio_extremes(a, f, 2.0),
+            lambda a, b: tm.prop310_factors(a, 2.0),
+            lambda a, b: tm.kk_factors(a, tm.ando_hiai_g(tm.power(0.5), 2), 3, 2.0),
+        )
+        x, y = rand_pd(rng), rand_pd(rng)
+        # Not vacuous: the two LAPACK drivers disagree in the last bits here.
+        assert not np.array_equal(np.linalg.eigvalsh(x.unfold()), x._spectrum()[0])
+        y._spectrum()
+        for read in reads:
+            fresh = read(*(tm.HermitianTensor._trusted(t.unfold().copy(), t.shape) for t in (x, y)))
+            assert _floats(read(x, y)) == _floats(fresh)
+
+
+def _floats(value) -> list:
+    """The numbers of a query result, flattened to Python floats."""
+    if isinstance(value, tm.LoewnerVerdict):
+        value = (value.witness, value.lam_min, value.lam_max)
+    elif isinstance(value, tm.BoundFactors):
+        value = value.kk_list
+    if isinstance(value, (tuple, list)):
+        return [f for v in value for f in _floats(v)]
+    return np.atleast_1d(np.asarray(value, dtype=float)).tolist()
 
 
 class TestApplySpectral:

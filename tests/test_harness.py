@@ -297,18 +297,28 @@ class TestSuites:
         assert report({"kind": "wishart", "dof": 8}) != default_dof
 
     def test_t3_pmi_tail_reuses_root_mean_at_r_one(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(a, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
 
         def count(p):
-            calls.clear()
+            calls.update(eigh=0, eigvalsh=0)
             run_suite("T3_LieTrotterTail", ExperimentConfig(trials=3, exponents={"p": p}))
-            return len(calls)
+            return calls["eigh"], calls["eigvalsh"]
 
-        # At r != 1 both tails are new tensors, one eigh each; at r = 1 the
-        # pmi tail is the root mean and the pmd tail the log-affine side.
-        assert count(1.0) + 2 == count(1.5)
+        # At r != 1 both tails are new tensors, one eigvalsh each for their
+        # PSD gates, and the pmd power takes an eigh of the log-affine side
+        # (the pmi power reuses the eigh of mean_q behind the root mean).
+        # At r = 1 the tails are the root mean and the log-affine side, whose
+        # eigenvalues are already cached.
+        (eigh_1, vals_1), (eigh_r, vals_r) = count(1.0), count(1.5)
+        assert (eigh_1 + 1, vals_1 + 2) == (eigh_r, vals_r)
 
     def test_config_ensemble_override_applies(self):
         cfg = ExperimentConfig.from_dict(

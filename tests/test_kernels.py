@@ -84,6 +84,8 @@ class TestKernelsMatchBatchOfOne:
             assert same(w[i], tw) and same(v[i], tv)
         a, b = halves(s)
         assert same(w, np.concatenate([a._spectrum()[0], b._spectrum()[0]]))
+        assert_sliced(s._eigenvalues(), [t._eigenvalues() for t in tensors(s, d)],
+                      [h._eigenvalues() for h in (a, b)])
 
     def test_validation(self, rng, d):
         g = gaussian(rng, N, d, d)
