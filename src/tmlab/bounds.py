@@ -40,69 +40,53 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundFactors:
-    """Bundle of scalar factors appearing in the tail-bound statements.
+    """Kantorovich factors ``K_k`` of :func:`kk_factors`; every entry must
+    be finite and positive."""
 
-    Only the fields relevant to the producing operation are populated; all
-    populated factors must be finite and positive, with upper >= lower for
-    the paired ones.
-    """
-
-    kantorovich: float | None = None
     kk_list: tuple[float, ...] = ()
-    psi_lower: float | None = None
-    psi_upper: float | None = None
-    phi_lower: float | None = None
-    phi_upper: float | None = None
-    k1: float | None = None
-    k2: float | None = None
-    m1: float | None = None
-    m2: float | None = None
 
     def __post_init__(self):
-        for name in ("kantorovich", "psi_lower", "psi_upper", "phi_lower", "phi_upper", "k1", "k2", "m1", "m2"):
-            v = getattr(self, name)
-            if v is not None and (not math.isfinite(v) or v <= 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
         if any(not math.isfinite(v) or v <= 0.0 for v in self.kk_list):
             raise ValueError(f"kk_list entries must be finite and positive: {self.kk_list}")
-        for lo, hi in (("psi_lower", "psi_upper"), ("phi_lower", "phi_upper")):
-            a, b = getattr(self, lo), getattr(self, hi)
-            if a is not None and b is not None and b < a:
-                raise ValueError(f"{hi} < {lo}: {b} < {a}")
 
     @property
     def kk_product(self) -> float:
         return float(math.prod(self.kk_list)) if self.kk_list else 1.0
 
 
-def kantorovich(m: float, big_m: float, p: float) -> float:
+def kantorovich(m, big_m, p):
     """Sharp constant K(m, M, p) with ``B <= A`` implying ``B**p <= K A**p``
-    on spectra inside ``[m, M]``.
+    on spectra inside ``[m, M]``; elementwise over broadcast arrays, a
+    float for scalar arguments.
 
-    Returns 1 for ``p`` in [0, 1] (where plain power monotonicity applies)
-    and for the degenerate spectrum ``m == M``; otherwise evaluates the
-    closed form, which is always >= 1.  Raises ``ValueError`` when the
-    closed form over- or underflows double precision.
+    Is 1 for ``p`` in [0, 1] (where plain power monotonicity applies) and
+    for the degenerate spectrum ``m == M``; otherwise the closed form,
+    which is always >= 1.  Raises ``ValueError`` when ``m <= 0``, when
+    ``M < m``, or when the closed form over- or underflows double precision.
     """
-    m, big_m, p = float(m), float(big_m), float(p)
-    if m <= 0.0:
-        raise ValueError(f"need m > 0, got {m}")
-    if big_m < m:
-        raise ValueError(f"need M >= m, got M = {big_m} < m = {m}")
-    if m == big_m or 0.0 <= p <= 1.0:
-        return 1.0
-    try:
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (m, big_m, p)))
+    shape = args[0].shape
+    # One-dimensional operands keep every power on numpy's array loop, so a
+    # scalar call gives the bits of the same entry of an array call.
+    m, big_m, p = (a.reshape(-1) for a in args)
+    if (m <= 0.0).any():
+        raise ValueError(f"need m > 0, got {m[np.argmax(m <= 0.0)]}")
+    if (big_m < m).any():
+        i = np.argmax(big_m < m)
+        raise ValueError(f"need M >= m, got M = {big_m[i]} < m = {m[i]}")
+    trivial = (m == big_m) | ((0.0 <= p) & (p <= 1.0))
+    with np.errstate(all="ignore"):
         mp = m**p
         big_mp = big_m**p
         cross = m * big_mp - big_m * mp
         first = ((p - 1.0) * (big_mp - mp) / (p * cross)) ** p
         second = cross / ((p - 1.0) * (big_m - m))
-        k = first * second
-    except (OverflowError, ZeroDivisionError):
-        k = math.nan
-    if not math.isfinite(k):
-        raise ValueError(f"K({m:g}, {big_m:g}, {p:g}) is out of floating-point range")
-    return max(1.0, k)
+        k = np.where(trivial, 1.0, first * second)
+    bad = ~np.isfinite(k)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"K({m[i]:g}, {big_m[i]:g}, {p[i]:g}) is out of floating-point range")
+    return _per_item(np.maximum(1.0, k).reshape(shape))
 
 
 def kk_factors(
@@ -119,26 +103,21 @@ def kk_factors(
     through the shared eigenbasis).  ``k_start`` is 1 for even lifted
     exponents and 2 for odd ones.
     """
-    return BoundFactors(kk_list=_kk_lists(x, g, m, q, k_start)[0])
+    return BoundFactors(kk_list=tuple(_kk_lists(x, g, m, q, k_start)[0].tolist()))
 
 
-def _kk_lists(x: HermitianStack, g: ConnectionFunction, m: int, q: float, k_start: int = 1) -> list:
-    """Body of :func:`kk_factors` over a stack: one tuple of ``K_k`` per
-    matrix.  The ratio spectra are stacked; the closed form stays scalar."""
+def _kk_lists(x: HermitianStack, g: ConnectionFunction, m: int, q: float, k_start: int = 1) -> np.ndarray:
+    """Body of :func:`kk_factors` over a stack: the ``K_k`` of every
+    matrix, shape ``(matrices, m - k_start + 1)``."""
     m = int(m)
     if k_start not in (1, 2):
         raise ValueError("k_start must be 1 or 2")
     lam = require_pd(x, "x")
     lam = lam.reshape(-1, lam.shape[-1])
     g_lam = g.fn(lam)
-    extremes = []
-    for k in range(k_start, m + 1):
-        ratios = g_lam ** (m - k) / lam
-        extremes.append((ratios.max(axis=-1).tolist(), ratios.min(axis=-1).tolist()))
-    return [
-        tuple(kantorovich(1.0 / hi[i], 1.0 / lo[i], 2.0 * q) for hi, lo in extremes)
-        for i in range(len(lam))
-    ]
+    # Levels first; one power per level keeps numpy's integer-power paths.
+    ratios = np.reshape([g_lam ** (m - k) / lam for k in range(k_start, m + 1)], (-1, *lam.shape))
+    return kantorovich(1.0 / ratios.max(axis=-1), 1.0 / ratios.min(axis=-1), 2.0 * q).T
 
 
 def dyadic_decompose(q: float) -> tuple[int, float]:
@@ -227,11 +206,7 @@ def prop310_factors(x: HermitianStack, q: float):
     if q < 1.0:
         raise ValueError("need q >= 1")
     lam = require_pd(x, "x")
-    ranges = np.stack([1.0 / lam[..., -1], 1.0 / lam[..., 0]], axis=-1).reshape(-1, 2).tolist()
-    return tuple(
-        _per_item(np.reshape([kantorovich(lo, hi, p) for lo, hi in ranges], lam.shape[:-1]))
-        for p in (q - 1.0, 2.0 * q - 1.0)
-    )
+    return tuple(kantorovich(1.0 / lam[..., -1], 1.0 / lam[..., 0], p) for p in (q - 1.0, 2.0 * q - 1.0))
 
 
 def trace_tail_bound(
@@ -252,21 +227,17 @@ def trace_tail_bound(
         raise ValueError("need at least one sample")
     for z in samples:
         z._check_same_shape(c)
-    stack = HermitianStack._trusted(np.stack([z.unfold() for z in samples]))
-    return _tail_summary(_tail_statistics(stack, q, [c])[0].tolist())
+    require_pd(c, "c")
+    zq = _tail_power(HermitianStack._trusted(np.stack([z.unfold() for z in samples])), q)
+    stats = np.trace(zq.unfold() @ np.linalg.inv(c.unfold()), axis1=-2, axis2=-1).real
+    return _tail_summary(stats.tolist())
 
 
-def _tail_statistics(z: HermitianStack, q: float, thresholds) -> list:
-    """Per-sample statistics ``Tr(z**q c^{-1})`` of a PSD stack, one array
-    per threshold tensor ``c``; the powers are taken once for all ``c``."""
-    c_invs = []
-    for c in thresholds:
-        require_pd(c, "c")
-        c_invs.append(np.linalg.inv(c.unfold()))
-    # Gate on the decomposition the power reads; a power of 1 reads none.
+def _tail_power(z: HermitianStack, q: float) -> HermitianStack:
+    """``z**q`` of a PSD stack, gated on the decomposition the power reads
+    (a power of 1 reads none)."""
     _gate_psd(z._eigenvalues() if float(q) == 1.0 else z._spectrum()[0], "sample")
-    zq = spectral_power(z, q)._matrix
-    return [np.trace(zq @ c_inv, axis1=-2, axis2=-1).real for c_inv in c_invs]
+    return spectral_power(z, q)
 
 
 def _tail_summary(stats: list) -> tuple[float, float]:

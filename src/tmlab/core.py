@@ -591,7 +591,7 @@ def spectral_power(h: HermitianStack, p: float, psd_clip: bool = True) -> Hermit
     """
     if float(p) == 1.0:
         return h
-    if psd_clip and p > 0 and float(p) != int(p):
+    if psd_clip and p > 0 and not float(p).is_integer():
         return apply_spectral(h, lambda x: np.maximum(x, 0.0) ** p)
     return apply_spectral(h, lambda x: x**p)
 

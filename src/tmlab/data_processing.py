@@ -10,6 +10,7 @@ positive.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -144,8 +145,8 @@ def _congruence(k: np.ndarray, h: HermitianStack) -> HermitianStack:
     return h._derive(_symmetrize(_ct(k) @ h.unfold() @ k))
 
 
-def parse_map_spec(spec: str, shape, loader=None) -> PositiveLinearMap:
-    """Parse the config grammar: ``congruence:<tensor-file>``,
+def parse_map_spec(spec: str, shape) -> PositiveLinearMap:
+    """Parse a map spec: ``congruence:<tensor-file>``,
     ``pinching:1|2,3`` (1-based groups of unfolding indices), or
     ``mix:<w>:<map>:<w>:<map>`` with ``+``-separated inner maps.
     """
@@ -154,13 +155,8 @@ def parse_map_spec(spec: str, shape, loader=None) -> PositiveLinearMap:
     if head == "congruence":
         if not rest:
             raise ValueError("congruence needs a tensor file path")
-        if loader is None:
-            import json
-
-            with open(rest, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        else:
-            payload = loader(rest)
+        with open(rest, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
         dims, arr = tensor_from_json_dict(payload)
         if dims != shape.dims:
             raise ValueError(f"congruence tensor dims {dims} do not match shape {shape.dims}")
@@ -179,7 +175,7 @@ def parse_map_spec(spec: str, shape, loader=None) -> PositiveLinearMap:
         weights, maps = [], []
         for w, inner in zip(parts[::2], parts[1::2]):
             weights.append(float(w))
-            maps.append(parse_map_spec(inner.replace("+", ":"), shape, loader))
+            maps.append(parse_map_spec(inner.replace("+", ":"), shape))
         return convex_combination(maps, weights)
     raise ValueError(f"unknown map spec {spec!r}")
 

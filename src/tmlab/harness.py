@@ -43,6 +43,7 @@ from .core import (
     NotPositiveDefiniteError,
     TensorShape,
     _ct,
+    _scale_of,
     _spectral_scale,
     _symmetrize,
     gauge_norm,
@@ -61,9 +62,8 @@ from .functions import (
 )
 from .means import _epsilon_errors, _psd_root, eta, mean_pd
 from .bounds import (
-    BoundFactors,
     _kk_lists,
-    _tail_statistics,
+    _tail_power,
     _tail_summary,
     kantorovich,
     prop310_factors,
@@ -96,7 +96,8 @@ __all__ = [
 
 REPORT_VERSION = "tmlab-report/1"
 
-# Sweep of multiples of the identity used as tail-event thresholds.
+# Sweep of multiples of the identity used as tail-event thresholds.  Powers
+# of two, so ``Tr(X) / c`` is ``Tr(X (c I)^-1)`` bit for bit.
 C_SWEEP = (0.5, 1.0, 2.0)
 
 # Byte budget of one stacked stage.  Each suite runs its trials in chunks of
@@ -647,16 +648,22 @@ def _ordering_excess(lhs: HermitianStack, rhs: HermitianStack) -> np.ndarray:
 def _tail_columns(cfg, checks) -> list:
     """Per-trial inputs of the tail rule for one chunk of trials.
 
-    ``checks`` are ``(events, tail, power)`` stacks.  Returns two arrays of
-    shape ``(trials, checks, len(C_SWEEP))``: whether ``event <= c I`` holds
-    (the Loewner verdict at the tolerance), and the trace statistic
-    ``Tr(tail**power (c I)^-1)``.  The powers are taken once per check.
+    ``checks`` are ``(events, traces)`` pairs: the ascending spectra of the
+    event matrices and the per-trial ``Tr(tail**power)``.  Returns two
+    arrays of shape ``(trials, checks, len(C_SWEEP))``: whether
+    ``event <= c I`` holds, by the rule of ``loewner_extremes(event, c I)``
+    (``lambda_max(event) - c <= tol * max(|event|_sp, c, 1)``), and the
+    trace statistic ``Tr(tail**power (c I)^-1) = Tr(tail**power) / c``.
     """
-    ident = HermitianTensor.identity(TensorShape(cfg.shape))
-    thresholds = [c * ident for c in C_SWEEP]
-    held = [[loewner_extremes(events, cten, cfg.tolerance)[2] for cten in thresholds] for events, _, _ in checks]
-    stats = [_tail_statistics(tail, power, thresholds) for _, tail, power in checks]
-    return [np.moveaxis(np.array(held), -1, 0), np.moveaxis(np.array(stats), -1, 0)]
+    c = np.array(C_SWEEP)
+    held = [ev[:, -1:] - c <= cfg.tolerance * np.maximum(np.maximum(_scale_of(ev)[:, None], c), 1.0)
+            for ev, _ in checks]
+    return [np.stack(held, axis=1), np.stack([traces[:, None] / c for _, traces in checks], axis=1)]
+
+
+def _power_trace(z: HermitianStack, power: float) -> np.ndarray:
+    """``Tr(z**power)`` of every matrix of a PSD stack."""
+    return np.trace(_tail_power(z, power).unfold(), axis1=-2, axis2=-1).real
 
 
 def _tail_report(run, rows, held, stats, after=()):
@@ -732,14 +739,14 @@ def _suite_l2(run):
         out = []
         for ref in (a, b):
             w = ref._eigenvalues()
-            k = np.array([kantorovich(lo, hi, p) for lo, hi in zip(w[:, 0].tolist(), w[:, -1].tolist())])
+            k = kantorovich(w[:, 0], w[:, -1], p)
             out += [k, _ordering_excess(bp, k * ap)]
         return out
 
     k_a, excess_a, k_b, excess_b = _per_trial(run.cfg, body)
-    ks = [k for pair in zip(k_a.tolist(), k_b.tolist()) for k in pair]
     excesses = np.maximum(np.maximum(0.0, excess_a), excess_b)
-    return _fail_report(run, excesses > run.cfg.tolerance, excesses, bound=math.fsum(ks) / len(ks))
+    return _fail_report(run, excesses > run.cfg.tolerance, excesses,
+                        bound=math.fsum(np.concatenate((k_a, k_b))) / (2 * len(k_a)))
 
 
 def _suite_l3(run):
@@ -752,7 +759,9 @@ def _suite_l3(run):
     def body(trials):
         x, p1 = run.pair(trials)
         y = x + p1
-        return _tail_columns(run.cfg, ((y, y + _increments(run.ey, trials), q), (x, y, q)))
+        z = y + _increments(run.ey, trials)
+        return _tail_columns(run.cfg, ((y._eigenvalues(), _power_trace(z, q)),
+                                       (x._eigenvalues(), _power_trace(y, q))))
 
     rows = _sweep_rows(("Pr(y not<= C) vs E[z^q]", "Pr(x not<= C) vs E[y^q]"))
     return _tail_report(run, rows, *_per_trial(run.cfg, body))
@@ -802,10 +811,10 @@ def _suite_ando_hiai(run, direction):
 
     def body(trials):
         ((xp, yp),) = _premise_pairs(run, trials, lifted, (direction,))
-        factors = [const * BoundFactors(kk_list=kk).kk_product for kk in _kk_lists(xp, g_aux, half, q, k_start)]
+        factors = const * _kk_lists(xp, g_aux, half, q, k_start).prod(axis=-1)
         # On eigh, like the premise scale of _rescale (C1's slack is ill-conditioned).
         w = mean_pd(spectral_power(xp, q), spectral_power(yp, q), lifted)._spectrum()[0]
-        return np.array(factors), w[:, -1] if leq else w[:, 0]
+        return factors, w[:, -1] if leq else w[:, 0]
 
     factors, extremes = _per_trial(cfg, body)
     bounds = factors if leq else 1.0 / factors
@@ -855,7 +864,7 @@ def _suite_t3(run):
                 low, high, ordered, tail = root_mean, log_affine, geq, spectral_power(log_affine, r)
             head = low._eigenvalues()[:, -1] > high._eigenvalues()[:, -1] * (1 + 1e-10)
             flags += [~ordered, head]
-            checks.append((low, tail, 1.0))
+            checks.append((low._eigenvalues(), _power_trace(tail, 1.0)))
         return flags + _tail_columns(cfg, checks)
 
     columns = _per_trial(cfg, body)
@@ -887,9 +896,7 @@ def _dyadic_stacks(run, q, direction, trials):
     lo, up = psi_factors(q, fn, xp, yp)
     mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
     w = base._eigenvalues()
-    low = [a * b ** (q - 1.0) for a, b in zip(lo.tolist(), w[:, -1].tolist())]
-    high = [a * b ** (q - 1.0) for a, b in zip(up.tolist(), w[:, 0].tolist())]
-    return np.array(low) * base, mean_q, np.array(high) * base
+    return lo * w[:, -1] ** (q - 1.0) * base, mean_q, up * w[:, 0] ** (q - 1.0) * base
 
 
 def _suite_dyadic_tail(run, direction):
@@ -901,7 +908,8 @@ def _suite_dyadic_tail(run, direction):
     def body(trials):
         lower, mid, upper = _dyadic_stacks(run, q, direction, trials)
         held = loewner_extremes(lower, mid, tol)[2] & loewner_extremes(mid, upper, tol)[2]
-        return [~held] + _tail_columns(run.cfg, ((mid, upper, p), (lower, mid, p)))
+        return [~held] + _tail_columns(run.cfg, ((mid._eigenvalues(), _power_trace(upper, p)),
+                                                 (lower._eigenvalues(), _power_trace(mid, p))))
 
     columns = _per_trial(run.cfg, body)
     chain_fail = np.count_nonzero(columns[0])
@@ -930,19 +938,15 @@ def _cap_floor_stacks(run, q, trials):
         lam = 1.0 / z[:, ::-1].copy()
         ratio = np.max(fn.fn(lam**q) / fn.fn(lam) ** q, axis=-1)
         mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
-        scalar = [b ** (1.0 - q) * r for b, r in zip(base._eigenvalues()[:, 0].tolist(), ratio.tolist())]
-        if direction == "leq":
-            bound = [a * b * s for a, b, s in zip(k1.tolist(), k2.tolist(), scalar)]
-        else:
-            bound = [s / b for b, s in zip(k2.tolist(), scalar)]
-        out += [mean_q, np.array(bound)]
+        scalar = base._eigenvalues()[:, 0] ** (1.0 - q) * ratio
+        out += [mean_q, k1 * k2 * scalar if direction == "leq" else scalar / k2]
     return out
 
 
 def _suite_t9(run):
     q = max(1.0, run.cfg.exponents["q"])
     p = max(1.0, run.cfg.exponents["p"])
-    eye = np.eye(run.ex.shape.square_dim, dtype=np.complex128)
+    d = run.ex.shape.square_dim
     run.notes.append(f"q={q:g}, p={p:g}; quotient tensor from the inverse eta of (y, x)")
     tol = run.cfg.tolerance
 
@@ -950,9 +954,10 @@ def _suite_t9(run):
         mid_leq, caps, mid_geq, floors = _cap_floor_stacks(run, q, trials)
         cap_fail = mid_leq._eigenvalues()[:, -1] > caps + tol * np.maximum(1.0, caps)
         floor_fail = floors - mid_geq._eigenvalues()[:, 0] > tol * np.maximum(1.0, floors)
-        cap_t = HermitianStack._trusted(eye * caps[:, None, None])
-        floor_t = HermitianStack._trusted(eye * floors[:, None, None])
-        return [cap_fail, floor_fail] + _tail_columns(run.cfg, ((mid_leq, cap_t, p), (floor_t, mid_geq, p)))
+        # The thresholds are scalar multiples of I: the floor's spectrum is
+        # the floor alone, and Tr((cap I)**p) is d cap**p.
+        return [cap_fail, floor_fail] + _tail_columns(run.cfg, ((mid_leq._eigenvalues(), d * caps**p),
+                                                                (floors[:, None], _power_trace(mid_geq, p))))
 
     columns = _per_trial(run.cfg, body)
     chain_fail = np.count_nonzero(columns[0]) + np.count_nonzero(columns[1])

@@ -42,6 +42,35 @@ class TestKantorovich:
         with pytest.raises(ValueError):
             tm.kantorovich(2.0, 1.0, 2.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_arrays_match_scalar_calls(self, rng):
+        m = 10.0 ** rng.uniform(-4, 2, size=(6, 7))
+        big = m * 10.0 ** rng.uniform(0, 3, size=(6, 7))
+        big[0, :3] = m[0, :3]  # degenerate spectra
+        p = rng.uniform(-4.0, 6.0, size=7)
+        k = tm.kantorovich(m, big, p)
+        assert k.shape == (6, 7)
+        scalar = [[tm.kantorovich(float(a), float(b), float(c)) for a, b, c in zip(*row, p)] for row in zip(m, big)]
+        assert all(type(v) is float for row in scalar for v in row)
+        assert np.array_equal(k, scalar)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "m, big, match",
+        [
+            ([1.0, 0.0], [2.0, 2.0], "m > 0"),
+            ([1.0, -1.0], [2.0, 2.0], "m > 0"),
+            ([1.0, 2.0], [2.0, 1.0], "M >= m"),
+            ([1.0, 1e-300], [2.0, 1e300], "out of floating-point range"),
+        ],
+        ids=["m-zero", "m-negative", "M-below-m", "overflow"],
+    )
+    def test_array_raises_like_scalar(self, m, big, match):
+        with pytest.raises(ValueError, match=match):
+            tm.kantorovich(m[1], big[1], 3.0)
+        with pytest.raises(ValueError, match=match):
+            tm.kantorovich(np.array(m), np.array(big), 3.0)
+
 
 class TestKkFactors:
     def test_identity_tensor_gives_ones(self):
@@ -79,10 +108,9 @@ class TestKkFactors:
             tm.kk_factors(x, g, 2, 1.0, 1)
 
     def test_bundle_validation(self):
-        with pytest.raises(ValueError):
-            BoundFactors(kantorovich=-1.0)
-        with pytest.raises(ValueError):
-            BoundFactors(psi_lower=2.0, psi_upper=1.0)
+        for bad in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                BoundFactors(kk_list=(1.5, bad))
 
 
 class TestDyadicDecompose:

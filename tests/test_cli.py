@@ -121,6 +121,15 @@ class TestVerifyCommand:
         assert code == 2
         assert message in err
 
+    def test_infinite_power_exits_two(self, tmp_path):
+        # T3 powers its tail by r / q, here past double range.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"shape": [1], "trials": 1, "suites": ["T3_LieTrotterTail"],
+                                        "exponents": {"q": 1e-14, "p": 1.797693134862316e294}}))
+        code, _, err = run_cli(["verify", "--config", str(cfg_path)])
+        assert code == 2, err
+        assert "spectrum outside function domain" in err
+
     def test_config_file_and_overrides(self, tmp_path):
         cfg = {"trials": 500, "seed": 3, "suites": ["APP_Fusion"]}
         cfg_path = tmp_path / "cfg.json"

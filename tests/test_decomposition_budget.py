@@ -19,14 +19,14 @@ from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 BUDGET = {
     "L1_PowerMonotone": (6, 6),
     "L2_Kantorovich": (6, 18),
-    "L3_MarkovChebyshev": (6, 27),
+    "L3_MarkovChebyshev": (6, 6),
     "T1_AndoHiaiGeneralized": (24, 9),
     "C1_AndoHiaiDual": (24, 9),
     "T2_LieTrotterLimit": (123, 51),
-    "T3_LieTrotterTail": (45, 48),
-    "T7_Psi": (24, 57),
-    "T8_Phi": (24, 57),
-    "T9_TC": (39, 72),
+    "T3_LieTrotterTail": (45, 27),
+    "T7_Psi": (24, 36),
+    "T8_Phi": (24, 36),
+    "T9_TC": (39, 45),
     "C2_MajorizationTMI": (24, 30),
     "C3_MajorizationTMD": (24, 30),
     "C4_MajorizationTC": (39, 45),

@@ -11,7 +11,7 @@ import pytest
 
 import tmlab as tm
 from tmlab import harness
-from tmlab.bounds import _kk_lists, _ratio_extremes, _tail_statistics
+from tmlab.bounds import _kk_lists, _ratio_extremes
 from tmlab.core import HermitianStack, loewner_extremes
 from tmlab.data_processing import _congruence
 from tmlab.harness import EnsembleSpec, ExperimentConfig, SuiteId, _chunks, _draw, run_suite, sample
@@ -147,16 +147,16 @@ class TestKernelsMatchBatchOfOne:
     def test_kk_and_tail_statistics(self, rng, d):
         x = pd_stack(rng, d)
         g = tm.ando_hiai_g(tm.power(0.5), 2)
-        assert _kk_lists(x, g, 3, 2.0) == [tm.kk_factors(t, g, 3, 2.0).kk_list for t in tensors(x, d)]
-        thresholds = [c * tm.HermitianTensor.identity(shape_of(d)) for c in (0.5, 2.0)]
-        whole = _tail_statistics(x, 2.0, thresholds)
-        for j, c in enumerate(thresholds):
-            single = [_tail_statistics(HermitianStack._trusted(t.unfold()[None]), 2.0, [c])[0][0]
-                      for t in tensors(x, d)]
-            split = [_tail_statistics(h, 2.0, [c])[0] for h in halves(x)]
-            assert_sliced(whole[j], single, split)
-        bound = tm.trace_tail_bound(tensors(x, d), 2.0, thresholds[0])
-        assert bound == tm.bounds._tail_summary(whole[0].tolist())
+        kk = _kk_lists(x, g, 3, 2.0)
+        assert kk.shape == (N, 3)
+        assert_sliced(kk, [tm.kk_factors(t, g, 3, 2.0).kk_list for t in tensors(x, d)],
+                      [_kk_lists(h, g, 3, 2.0) for h in halves(x)])
+        traces = harness._power_trace(x, 2.0)
+        assert_sliced(traces, [harness._power_trace(t, 2.0) for t in tensors(x, d)],
+                      [harness._power_trace(h, 2.0) for h in halves(x)])
+        # Tr(z**q) / c is Tr(z**q (c I)^-1) bit for bit at a power-of-two c.
+        bound = tm.trace_tail_bound(tensors(x, d), 2.0, 0.5 * tm.HermitianTensor.identity(shape_of(d)))
+        assert bound == tm.bounds._tail_summary((traces / 0.5).tolist())
 
     def test_maps(self, rng, d):
         x = pd_stack(rng, d)
@@ -177,6 +177,28 @@ class TestKernelsMatchBatchOfOne:
         single = [sample(spec, t, 5).unfold() for t in range(N)]
         split = [_draw(spec, range(SPLIT), 5).unfold(), _draw(spec, range(SPLIT, N), 5).unfold()]
         assert_sliced(whole.unfold(), single, split)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_tail_rule_matches_loewner_extremes(rng, d):
+    tol = 1e-8
+    cfg = ExperimentConfig(tolerance=tol)
+    # Multiples of I on and around the thresholds, past them by less and by
+    # more than the tolerance.
+    scalars = np.array([0.25, 0.5, 1.0, 1.0 + 5e-9, 2.0, 2.0 * (1.0 + 1e-7), 3.0])
+    multiples = HermitianStack._trusted(scalars[:, None, None] * np.eye(d, dtype=complex))
+    ident = tm.HermitianTensor.identity(shape_of(d))
+    x = pd_stack(rng, d, n=40)
+    spread = x * (rng.uniform(0.3, 3.0, size=40) / x._eigenvalues()[:, -1])  # lambda_max across the sweep
+    for events in (spread, multiples):
+        held, _ = harness._tail_columns(cfg, [(events._eigenvalues(), np.zeros(len(events.unfold())))])
+        # The reference: the Loewner verdict against each threshold tensor c I.
+        reference = np.stack([loewner_extremes(events, c * ident, tol)[2] for c in harness.C_SWEEP], axis=-1)
+        assert same(held[:, 0], reference)
+        assert reference.any() and not reference.all()
+    # T9 passes its floors c' I as the one-eigenvalue spectra [c'].
+    held, _ = harness._tail_columns(cfg, [(scalars[:, None], np.zeros(len(scalars)))])
+    assert same(held[:, 0], reference)
 
 
 def test_chunks_respect_the_stack_budget():
