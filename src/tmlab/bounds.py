@@ -63,6 +63,10 @@ def kantorovich(m, big_m, p):
     for the degenerate spectrum ``m == M``; otherwise the closed form,
     which is always >= 1.  Raises ``ValueError`` when ``m <= 0``, when
     ``M < m``, or when the closed form over- or underflows double precision.
+
+    The closed form divides differences that cancel as ``M / m -> 1``, so
+    for ``M - m < m / 64`` it is evaluated in ``t = log(M / m)`` instead,
+    where each difference is an ``expm1`` exact to rounding.
     """
     args = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (m, big_m, p)))
     shape = args[0].shape
@@ -81,7 +85,11 @@ def kantorovich(m, big_m, p):
         cross = m * big_mp - big_m * mp
         first = ((p - 1.0) * (big_mp - mp) / (p * cross)) ** p
         second = cross / ((p - 1.0) * (big_m - m))
-        k = np.where(trivial, 1.0, first * second)
+        h, rel = big_m / m, (big_m - m) / m
+        t = np.log1p(rel)
+        lower = h * np.expm1((p - 1.0) * t)
+        near = ((p - 1.0) * np.expm1(p * t) / (p * lower)) ** p * lower / ((p - 1.0) * rel)
+        k = np.where(trivial, 1.0, np.where(big_m - m < m / 64.0, near, first * second))
     bad = ~np.isfinite(k)
     if bad.any():
         i = np.argmax(bad)

@@ -674,11 +674,16 @@ def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL
     broadcast against a stack ``x``.
     """
     x._check_same_shape(y)
-    scale = np.maximum(np.maximum(_spectral_scale(x), _spectral_scale(y)), 1.0)
+    slack = _loewner_slack(_spectral_scale(x), _spectral_scale(y), tol)
     ev = np.linalg.eigvalsh(y._matrix - x._matrix)
     lam_min, lam_max = ev[..., 0], ev[..., -1]
-    slack = tol * scale
     return lam_min, lam_max, lam_min >= -slack, lam_max <= slack
+
+
+def _loewner_slack(scale_x, scale_y, tol: float):
+    """Tolerance of a Loewner comparison: ``tol * max(scale_x, scale_y, 1)``
+    from the spectral scales of the two sides."""
+    return tol * np.maximum(np.maximum(scale_x, scale_y), 1.0)
 
 
 def loewner_compare(x: HermitianTensor, y: HermitianTensor, tol: float = PSD_RTOL) -> LoewnerVerdict:

@@ -43,6 +43,7 @@ from .core import (
     NotPositiveDefiniteError,
     TensorShape,
     _ct,
+    _loewner_slack,
     _scale_of,
     _spectral_scale,
     _symmetrize,
@@ -656,14 +657,25 @@ def _tail_columns(cfg, checks) -> list:
     trace statistic ``Tr(tail**power (c I)^-1) = Tr(tail**power) / c``.
     """
     c = np.array(C_SWEEP)
-    held = [ev[:, -1:] - c <= cfg.tolerance * np.maximum(np.maximum(_scale_of(ev)[:, None], c), 1.0)
-            for ev, _ in checks]
+    held = [ev[:, -1:] - c <= _loewner_slack(_scale_of(ev)[:, None], c, cfg.tolerance) for ev, _ in checks]
     return [np.stack(held, axis=1), np.stack([traces[:, None] / c for _, traces in checks], axis=1)]
 
 
 def _power_trace(z: HermitianStack, power: float) -> np.ndarray:
     """``Tr(z**power)`` of every matrix of a PSD stack."""
     return np.trace(_tail_power(z, power).unfold(), axis1=-2, axis2=-1).real
+
+
+def _identity_power_trace(values: np.ndarray, d: int, power: float) -> np.ndarray:
+    """``Tr((v I)**power) = d * v**power`` for each scalar ``v`` of ``values``
+    (``I`` of size ``d``); a non-finite trace raises ``ValueError`` as the
+    spectral calculus does."""
+    with np.errstate(over="ignore"):
+        traces = d * values**power
+    bad = ~np.isfinite(traces)
+    if bad.any():
+        raise ValueError(f"spectrum outside function domain at eigenvalues {values[bad]}")
+    return traces
 
 
 def _tail_report(run, rows, held, stats, after=()):
@@ -955,8 +967,9 @@ def _suite_t9(run):
         cap_fail = mid_leq._eigenvalues()[:, -1] > caps + tol * np.maximum(1.0, caps)
         floor_fail = floors - mid_geq._eigenvalues()[:, 0] > tol * np.maximum(1.0, floors)
         # The thresholds are scalar multiples of I: the floor's spectrum is
-        # the floor alone, and Tr((cap I)**p) is d cap**p.
-        return [cap_fail, floor_fail] + _tail_columns(run.cfg, ((mid_leq._eigenvalues(), d * caps**p),
+        # the floor alone, and the cap's trace is closed-form.
+        cap_trace = _identity_power_trace(caps, d, p)
+        return [cap_fail, floor_fail] + _tail_columns(run.cfg, ((mid_leq._eigenvalues(), cap_trace),
                                                                 (floors[:, None], _power_trace(mid_geq, p))))
 
     columns = _per_trial(run.cfg, body)

@@ -22,6 +22,15 @@ class TestKantorovich:
     def test_degenerate_spectrum(self):
         assert tm.kantorovich(2.0, 2.0, 5.0) == 1.0
 
+    @pytest.mark.parametrize("rel", [2.0**-52, 1e-12, 1e-9, 1e-6, 1e-3, 2.0**-6, 0.05])
+    def test_near_degenerate_spectrum(self, rel):
+        # K(m, M, 2) = 1 + (M - m)**2 / (4 m M), free of cancellation.
+        assert tm.kantorovich(1.0, 1.0 + rel, 2.0) == pytest.approx(1.0 + rel * rel / (4.0 * (1.0 + rel)), rel=1e-15)
+        if rel <= 1e-6:  # K(m, M, p) = 1 + p (p - 1) (M / m - 1)**2 / 8 + O((M / m - 1)**3)
+            assert tm.kantorovich(1.0, 1.0 + rel, 2.5) == pytest.approx(1.0 + 15.0 * rel * rel / 32.0, rel=1e-14)
+        if rel < 2.0**-6:  # the log form is scale-invariant bit for bit, also where m**p overflows
+            assert tm.kantorovich(2.0**600, 2.0**600 * (1.0 + rel), 2.0) == tm.kantorovich(1.0, 1.0 + rel, 2.0)
+
     def test_quadratic_cross_check(self, rng):
         for _ in range(50):
             m = rng.uniform(0.1, 2.0)

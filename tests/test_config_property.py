@@ -36,6 +36,8 @@ exponents = st.fixed_dictionaries({}, optional={"q": positive, "p": positive, "m
 @example(shape=(4, 4), trials=2, suite="T9_TC", exps={"q": 6.0, "p": 5.0})
 # r / q overflows to an infinite power, which once crashed the integer test of spectral_power.
 @example(shape=(1,), trials=1, suite="T3_LieTrotterTail", exps={"q": 1e-14, "p": 1.797693134862316e294})
+# The scalar cap's p-th power overflows while the mean's spectrum stays at or below 1.
+@example(shape=(1,), trials=2, suite="T9_TC", exps={"q": 2.0, "p": 1e300})
 def test_valid_config_reports_finite_or_raises_value_error(shape, trials, suite, exps):
     cfg = ExperimentConfig(shape=shape, trials=trials, suites=(suite,), exponents=exps)
     try:
