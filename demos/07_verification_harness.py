@@ -15,7 +15,7 @@ cfg = ExperimentConfig(trials=100, seed=20260809)
 print("single suite:")
 report = run_suite("T1_AndoHiaiGeneralized", cfg)
 print(f"  {report.suite}: violations = {report.violations}, "
-      f"mean bound = {report.bound_value:.4f}, max slack = {report.max_violation:.3e}")
+      f"mean bound = {report.bound_value:.4f}, max violation = {report.max_violation:.3e}")
 for note in report.regime_notes:
     print(f"    note: {note}")
 

@@ -670,20 +670,20 @@ def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL
     ``lam_min``/``lam_max`` are the extreme eigenvalues of ``y - x`` (one
     ``eigvalsh`` over the stack of differences); ``leq`` is
     ``lam_min >= -tol * scale`` and ``geq`` is ``lam_max <= tol * scale``
-    with ``scale = max(|x|_sp, |y|_sp, 1)``.  ``y`` may be a single tensor
-    broadcast against a stack ``x``.
+    with ``scale = _loewner_scale(|x|_sp, |y|_sp)``.  ``y`` may be a single
+    tensor broadcast against a stack ``x``.
     """
     x._check_same_shape(y)
-    slack = _loewner_slack(_spectral_scale(x), _spectral_scale(y), tol)
+    slack = tol * _loewner_scale(_spectral_scale(x), _spectral_scale(y))
     ev = np.linalg.eigvalsh(y._matrix - x._matrix)
     lam_min, lam_max = ev[..., 0], ev[..., -1]
     return lam_min, lam_max, lam_min >= -slack, lam_max <= slack
 
 
-def _loewner_slack(scale_x, scale_y, tol: float):
-    """Tolerance of a Loewner comparison: ``tol * max(scale_x, scale_y, 1)``
-    from the spectral scales of the two sides."""
-    return tol * np.maximum(np.maximum(scale_x, scale_y), 1.0)
+def _loewner_scale(scale_x, scale_y):
+    """``max(scale_x, scale_y, 1)``: the scale of every Loewner comparison,
+    from the spectral scales of its two sides."""
+    return np.maximum(np.maximum(scale_x, scale_y), 1.0)
 
 
 def loewner_compare(x: HermitianTensor, y: HermitianTensor, tol: float = PSD_RTOL) -> LoewnerVerdict:

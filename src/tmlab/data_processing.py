@@ -255,17 +255,15 @@ def fusion_gap(
         raise ValueError("pairs must share the domination side")
     _require_convex_finite(g, p1.side)
     fused = DominationPair(p1.x + p2.x, p1.y + p2.y, p1.side)
-    verdict = _verdict(*_fusion_extremes(p1, p2, fused, g, tol))
+    verdict = _verdict(*loewner_extremes(*_fusion_sides(p1, p2, fused, g), tol))
     return verdict.lam_min, verdict
 
 
-def _fusion_extremes(p1, p2, fused, g, tol):
+def _fusion_sides(p1, p2, fused, g):
     """Body of :func:`fusion_gap` over stacks of pairs, given the fused
-    pair: the :func:`loewner_extremes` of its mean against the sum of the
-    two means."""
-    lhs = mean_on_pair(fused, g)
-    rhs = mean_on_pair(p1, g) + mean_on_pair(p2, g)
-    return loewner_extremes(lhs, rhs, tol)
+    pair: the two sides ``(lhs, rhs)`` of ``lhs <= rhs``, the mean of the
+    fused pair and the sum of the two means."""
+    return mean_on_pair(fused, g), mean_on_pair(p1, g) + mean_on_pair(p2, g)
 
 
 def transform_gap(
@@ -280,14 +278,15 @@ def transform_gap(
     ``L(x # y)`` against ``L(x) # L(y)`` (GEQ expected).
     """
     _require_convex_finite(g, pair.side)
-    verdict = _verdict(*_transform_extremes(partial(apply_map, lmap), pair, mean_on_pair(pair, g), g, tol))
+    sides = _transform_sides(partial(apply_map, lmap), pair, mean_on_pair(pair, g), g)
+    verdict = _verdict(*loewner_extremes(*sides, tol))
     return -verdict.lam_max, verdict
 
 
-def _transform_extremes(lmap, pair, pair_mean, g, tol):
+def _transform_sides(lmap, pair, pair_mean, g):
     """Body of :func:`transform_gap` over stacks: ``lmap`` maps a stack,
     and ``pair_mean`` is ``mean_on_pair(pair, g)``, shared by every map.
-    Returns the :func:`loewner_extremes` of the mapped mean against the
-    mean of the mapped pair."""
+    Returns the two sides ``(lhs, rhs)`` of ``lhs >= rhs``, the mapped mean
+    and the mean of the mapped pair."""
     mean_mapped = mean_on_pair(DominationPair(lmap(pair.x), lmap(pair.y), pair.side), g)
-    return loewner_extremes(lmap(pair_mean), mean_mapped, tol)
+    return lmap(pair_mean), mean_mapped

@@ -5,8 +5,10 @@ drawn tensors and reports violation counts, empirical event
 frequencies, and Monte Carlo bound estimates.  Report semantics:
 
 - ordering suites (L1, L2, T1, C1, T65, APP_*): ``violations`` counts trials
-  where the asserted Loewner relation fails beyond tolerance;
-  ``max_violation`` is the worst violation magnitude.
+  where the asserted Loewner relation ``lhs <= rhs`` fails, that is where its
+  relative excess ``lambda_max(lhs - rhs) / max(|lhs|_sp, |rhs|_sp, 1)``
+  (:func:`_excess`) is above the tolerance; ``max_violation`` is
+  ``max(0, worst excess)``.
 - tail-bound suites (L3, T3, T7, T8, T9): ``violations`` counts
   (inequality, threshold) combinations where the empirical frequency
   exceeds ``min(1, bound) + 3 * stderr``; the clamp at 1 is reported, not
@@ -43,12 +45,11 @@ from .core import (
     NotPositiveDefiniteError,
     TensorShape,
     _ct,
-    _loewner_slack,
+    _gate_pd,
+    _loewner_scale,
     _scale_of,
-    _spectral_scale,
     _symmetrize,
     gauge_norm,
-    loewner_extremes,
     spectral_power,
 )
 from .functions import (
@@ -74,9 +75,9 @@ from .lie_trotter import _ordering_sides, _study
 from .data_processing import (
     DominationPair,
     _congruence,
-    _fusion_extremes,
+    _fusion_sides,
     _require_convex_finite,
-    _transform_extremes,
+    _transform_sides,
     apply_map,
     mean_on_pair,
     pinching,
@@ -95,7 +96,7 @@ __all__ = [
     "REPORT_VERSION",
 ]
 
-REPORT_VERSION = "tmlab-report/1"
+REPORT_VERSION = "tmlab-report/2"
 
 # Sweep of multiples of the identity used as tail-event thresholds.  Powers
 # of two, so ``Tr(X) / c`` is ``Tr(X (c I)^-1)`` bit for bit.
@@ -346,8 +347,7 @@ def enforce_premise(
 def _rescale(x, y, base, direction):
     """``(x / t, y / t)`` with ``t`` the extreme eigenvalue of the mean
     ``base`` that the premise direction fixes at 1."""
-    # On eigh: C1's slack amplifies a last-ulp change of t about 1e7-fold.
-    w = base._spectrum()[0]
+    w = base._eigenvalues()
     t = w[..., -1] if direction == "leq" else w[..., 0]
     return x / t, y / t
 
@@ -640,24 +640,32 @@ def _per_trial(cfg: ExperimentConfig, body) -> list:
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _ordering_excess(lhs: HermitianStack, rhs: HermitianStack) -> np.ndarray:
-    """Relative excess of ``lhs`` over ``rhs`` in the Loewner order, per pair:
-    ``-lambda_min(rhs - lhs) / max(1, |rhs|_sp)``, positive when ``lhs <= rhs`` fails."""
-    return -(rhs - lhs)._eigenvalues()[..., 0] / np.maximum(1.0, _spectral_scale(rhs))
+def _excess(lhs, rhs) -> np.ndarray:
+    """The one Loewner rule of the suites: the relative excess of ``lhs``
+    over ``rhs``, ``lambda_max(lhs - rhs) / max(|lhs|_sp, |rhs|_sp, 1)`` per
+    matrix, on the scale of ``core._loewner_scale``.  ``lhs <= rhs`` fails
+    when it is above the tolerance, as in ``tmlab.loewner_compare``.  Either
+    side may be a stack or per-matrix numbers ``c`` standing for ``c I``."""
+    a, b = (s._eigenvalues() if isinstance(s, HermitianStack) else np.asarray(s)[..., None] for s in (lhs, rhs))
+    if isinstance(lhs, HermitianStack) and isinstance(rhs, HermitianStack):
+        top = (lhs - rhs)._eigenvalues()[..., -1]
+    else:
+        top = a[..., -1] - b[..., 0]
+    return top / _loewner_scale(_scale_of(a), _scale_of(b))
 
 
 def _tail_columns(cfg, checks) -> list:
     """Per-trial inputs of the tail rule for one chunk of trials.
 
-    ``checks`` are ``(events, traces)`` pairs: the ascending spectra of the
-    event matrices and the per-trial ``Tr(tail**power)``.  Returns two
-    arrays of shape ``(trials, checks, len(C_SWEEP))``: whether
-    ``event <= c I`` holds, by the rule of ``loewner_extremes(event, c I)``
-    (``lambda_max(event) - c <= tol * max(|event|_sp, c, 1)``), and the
-    trace statistic ``Tr(tail**power (c I)^-1) = Tr(tail**power) / c``.
+    ``checks`` are ``(events, traces)`` pairs: the event stacks (or per-trial
+    numbers standing for multiples of I) and the per-trial
+    ``Tr(tail**power)``.  Returns two arrays of shape
+    ``(trials, checks, len(C_SWEEP))``: whether ``event <= c I`` holds by
+    :func:`_excess`, and the trace statistic
+    ``Tr(tail**power (c I)^-1) = Tr(tail**power) / c``.
     """
     c = np.array(C_SWEEP)
-    held = [ev[:, -1:] - c <= _loewner_slack(_scale_of(ev)[:, None], c, cfg.tolerance) for ev, _ in checks]
+    held = [_excess(events, c[:, None]).T <= cfg.tolerance for events, _ in checks]
     return [np.stack(held, axis=1), np.stack([traces[:, None] / c for _, traces in checks], axis=1)]
 
 
@@ -730,7 +738,7 @@ def _suite_l1(run):
     def body(trials):
         b = _draw(run.ey, trials)
         a = b + _draw(run.ex, trials)
-        return (_ordering_excess(spectral_power(b, q), spectral_power(a, q)),)
+        return (_excess(spectral_power(b, q), spectral_power(a, q)),)
 
     (excesses,) = _per_trial(run.cfg, body)
     return _fail_report(run, excesses > run.cfg.tolerance, excesses)
@@ -752,7 +760,7 @@ def _suite_l2(run):
         for ref in (a, b):
             w = ref._eigenvalues()
             k = kantorovich(w[:, 0], w[:, -1], p)
-            out += [k, _ordering_excess(bp, k * ap)]
+            out += [k, _excess(bp, k * ap)]
         return out
 
     k_a, excess_a, k_b, excess_b = _per_trial(run.cfg, body)
@@ -772,8 +780,7 @@ def _suite_l3(run):
         x, p1 = run.pair(trials)
         y = x + p1
         z = y + _increments(run.ey, trials)
-        return _tail_columns(run.cfg, ((y._eigenvalues(), _power_trace(z, q)),
-                                       (x._eigenvalues(), _power_trace(y, q))))
+        return _tail_columns(run.cfg, ((y, _power_trace(z, q)), (x, _power_trace(y, q))))
 
     rows = _sweep_rows(("Pr(y not<= C) vs E[z^q]", "Pr(x not<= C) vs E[y^q]"))
     return _tail_report(run, rows, *_per_trial(run.cfg, body))
@@ -824,15 +831,11 @@ def _suite_ando_hiai(run, direction):
     def body(trials):
         ((xp, yp),) = _premise_pairs(run, trials, lifted, (direction,))
         factors = const * _kk_lists(xp, g_aux, half, q, k_start).prod(axis=-1)
-        # On eigh, like the premise scale of _rescale (C1's slack is ill-conditioned).
-        w = mean_pd(spectral_power(xp, q), spectral_power(yp, q), lifted)._spectrum()[0]
-        return factors, w[:, -1] if leq else w[:, 0]
+        mean = mean_pd(spectral_power(xp, q), spectral_power(yp, q), lifted)
+        return (factors, _excess(mean, factors)) if leq else (1.0 / factors, _excess(1.0 / factors, mean))
 
-    factors, extremes = _per_trial(cfg, body)
-    bounds = factors if leq else 1.0 / factors
-    excesses = extremes - bounds if leq else bounds - extremes
-    return _report(run, np.count_nonzero(excesses > cfg.tolerance), max(-math.inf, *excesses.tolist()),
-                   math.fsum(bounds.tolist()) / len(bounds))
+    bounds, excesses = _per_trial(cfg, body)
+    return _fail_report(run, excesses > cfg.tolerance, excesses, math.fsum(bounds.tolist()) / len(bounds))
 
 
 def _suite_t2(run):
@@ -866,17 +869,16 @@ def _suite_t3(run):
         flags, checks = [], []
         for branch, (xp, yp) in zip(branches, pairs):
             log_affine, mean_q, root_mean = _ordering_sides(xp, yp, lifted, w, q)
-            _, _, leq, geq = loewner_extremes(log_affine, root_mean, cfg.tolerance)
             # pmi expects log_affine <= root_mean, pmd the reverse order.
             if branch == "pmi":
                 # At r = 1 the tail (mean_q)^(r/q) is the root mean itself.
                 tail = root_mean if r == 1.0 else spectral_power(mean_q, r / q)
-                low, high, ordered = log_affine, root_mean, leq
+                low, high = log_affine, root_mean
             else:
-                low, high, ordered, tail = root_mean, log_affine, geq, spectral_power(log_affine, r)
-            head = low._eigenvalues()[:, -1] > high._eigenvalues()[:, -1] * (1 + 1e-10)
-            flags += [~ordered, head]
-            checks.append((low._eigenvalues(), _power_trace(tail, 1.0)))
+                low, high, tail = root_mean, log_affine, spectral_power(log_affine, r)
+            head = _excess(low._eigenvalues()[:, -1], high._eigenvalues()[:, -1])
+            flags += [_excess(low, high) > cfg.tolerance, head > cfg.tolerance]
+            checks.append((low, _power_trace(tail, 1.0)))
         return flags + _tail_columns(cfg, checks)
 
     columns = _per_trial(cfg, body)
@@ -915,13 +917,11 @@ def _suite_dyadic_tail(run, direction):
     q = _dyadic_q(run)
     p = max(1.0, run.cfg.exponents["p"])
     run.notes.append(f"q={q:g}, p={p:g}; premise enforced by rescaling; factors from dyadic quotients")
-    tol = run.cfg.tolerance
 
     def body(trials):
         lower, mid, upper = _dyadic_stacks(run, q, direction, trials)
-        held = loewner_extremes(lower, mid, tol)[2] & loewner_extremes(mid, upper, tol)[2]
-        return [~held] + _tail_columns(run.cfg, ((mid._eigenvalues(), _power_trace(upper, p)),
-                                                 (lower._eigenvalues(), _power_trace(mid, p))))
+        failed = np.maximum(_excess(lower, mid), _excess(mid, upper)) > run.cfg.tolerance
+        return [failed] + _tail_columns(run.cfg, ((mid, _power_trace(upper, p)), (lower, _power_trace(mid, p))))
 
     columns = _per_trial(run.cfg, body)
     chain_fail = np.count_nonzero(columns[0])
@@ -948,7 +948,10 @@ def _cap_floor_stacks(run, q, trials):
                 "use PD ensembles for both slots"
             )
         lam = 1.0 / z[:, ::-1].copy()
-        ratio = np.max(fn.fn(lam**q) / fn.fn(lam) ** q, axis=-1)
+        with np.errstate(all="ignore"):
+            ratio = np.max(fn.fn(lam**q) / fn.fn(lam) ** q, axis=-1)
+        if not np.isfinite(ratio).all():
+            raise ValueError(f"the Kantorovich cap/floor ratio at q={q:g} is not finite in double range")
         mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
         scalar = base._eigenvalues()[:, 0] ** (1.0 - q) * ratio
         out += [mean_q, k1 * k2 * scalar if direction == "leq" else scalar / k2]
@@ -964,13 +967,12 @@ def _suite_t9(run):
 
     def body(trials):
         mid_leq, caps, mid_geq, floors = _cap_floor_stacks(run, q, trials)
-        cap_fail = mid_leq._eigenvalues()[:, -1] > caps + tol * np.maximum(1.0, caps)
-        floor_fail = floors - mid_geq._eigenvalues()[:, 0] > tol * np.maximum(1.0, floors)
-        # The thresholds are scalar multiples of I: the floor's spectrum is
-        # the floor alone, and the cap's trace is closed-form.
+        cap_fail = _excess(mid_leq, caps) > tol
+        floor_fail = _excess(floors, mid_geq) > tol
+        # The thresholds are scalar multiples of I: the cap's trace is closed-form.
         cap_trace = _identity_power_trace(caps, d, p)
-        return [cap_fail, floor_fail] + _tail_columns(run.cfg, ((mid_leq._eigenvalues(), cap_trace),
-                                                                (floors[:, None], _power_trace(mid_geq, p))))
+        return [cap_fail, floor_fail] + _tail_columns(run.cfg, ((mid_leq, cap_trace),
+                                                                (floors, _power_trace(mid_geq, p))))
 
     columns = _per_trial(run.cfg, body)
     chain_fail = np.count_nonzero(columns[0]) + np.count_nonzero(columns[1])
@@ -984,7 +986,7 @@ def _kyfan_profile(h: HermitianStack) -> np.ndarray:
     shape ``(n, 2, D)``: row 0 holds the sums of the k largest eigenvalues,
     row 1 the sums of their logs (log-products, which cannot overflow at
     large D)."""
-    ev = h._eigenvalues()[:, ::-1].copy()
+    ev = _gate_pd(h._eigenvalues(), "Ky Fan profile input")[:, ::-1].copy()
     d = ev.shape[-1]
     return np.stack([np.stack([np.sum(v[:, :k], axis=-1) for k in range(1, d + 1)], axis=-1)
                      for v in (ev, np.log(ev))], axis=1)
@@ -1100,7 +1102,7 @@ def _suite_t65(run):
         bad = 0.0
         for lam in _MIX_WEIGHTS:
             lhs = mean_pd(lam * x1 + (1 - lam) * x2, lam * y1 + (1 - lam) * y2, fn)
-            bad = np.maximum(bad, _ordering_excess(lhs, lam * m1 + (1 - lam) * m2))
+            bad = np.maximum(bad, _excess(lhs, lam * m1 + (1 - lam) * m2))
         return (bad,)
 
     (excesses,) = _per_trial(run.cfg, body)
@@ -1132,8 +1134,8 @@ def _suite_fusion(run):
         fused = DominationPair(x1 + x2, y1 + y2, "left")
         columns = []
         for _, gen in regimes:
-            lam_min, _, leq, _ = _fusion_extremes(p1, p2, fused, gen, run.cfg.tolerance)
-            columns += [~leq, -lam_min]
+            excess = _excess(*_fusion_sides(p1, p2, fused, gen))
+            columns += [excess > run.cfg.tolerance, excess]
         return columns
 
     columns = _per_trial(run.cfg, body)
@@ -1145,7 +1147,7 @@ def _suite_fusion(run):
         viol += regime_viol
         run.notes.append(f"{label}: {regime_viol}/{trials} violations")
     empirical = viol / (2 * trials)
-    return _report(run, viol, max(0.0, worst), empirical=empirical, stderr=_binom_stderr(empirical, 2 * trials))
+    return _report(run, viol, worst, empirical=empirical, stderr=_binom_stderr(empirical, 2 * trials))
 
 
 def _random_maps(spec: EnsembleSpec, trials) -> tuple[np.ndarray, np.ndarray]:
@@ -1168,15 +1170,13 @@ def _suite_transform(run):
         pair = DominationPair(*run.pair(trials), "left")
         cong, unitary = _random_maps(ex, trials)
         pair_mean = mean_on_pair(pair, fn)
-        columns = []
-        for lmap in (partial(_congruence, cong), partial(apply_map, pinch), partial(_congruence, unitary)):
-            _, lam_max, _, geq = _transform_extremes(lmap, pair, pair_mean, fn, run.cfg.tolerance)
-            columns += [geq, lam_max]
-        return columns
+        # The mapped mean dominates the mean of the mapped pair.
+        return [_excess(*_transform_sides(lmap, pair, pair_mean, fn)[::-1])
+                for lmap in (partial(_congruence, cong), partial(apply_map, pinch), partial(_congruence, unitary))]
 
-    cong_ok, cong_gap, pinch_ok, pinch_gap, _, unitary_gap = _per_trial(run.cfg, body)
-    run.notes.append(f"max |gap| for unitary congruence: {max(0.0, *np.abs(unitary_gap).tolist()):.3e}")
-    return _fail_report(run, ~(cong_ok & pinch_ok), np.concatenate([cong_gap, pinch_gap]))
+    cong, pinch, unitary = _per_trial(run.cfg, body)
+    run.notes.append(f"max |excess| for unitary congruence: {max(0.0, *np.abs(unitary).tolist()):.3e}")
+    return _fail_report(run, np.maximum(cong, pinch) > run.cfg.tolerance, np.maximum(cong, pinch))
 
 
 # One row per suite (see :class:`_Suite`); a new suite is one SuiteId member

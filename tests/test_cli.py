@@ -40,7 +40,7 @@ class TestVerifyCommand:
         assert code == 0, err
         payload = json.loads(out_file.read_text())
         assert isinstance(payload, list) and len(payload) == 1
-        assert payload[0]["version"] == "tmlab-report/1"
+        assert payload[0]["version"] == "tmlab-report/2"
         assert payload[0]["suite"] == "L3_MarkovChebyshev"
         assert payload[0]["violations"] == 0
 
@@ -129,6 +129,15 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--config", str(cfg_path)])
         assert code == 2, err
         assert "spectrum outside function domain" in err
+
+    def test_non_pd_ky_fan_input_exits_two(self, tmp_path):
+        # At q = 8 rounding leaves C4's powered means with negative
+        # eigenvalues, whose logs would be NaN and fail no CDF check.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suites": ["C4_MajorizationTC"], "exponents": {"q": 8}}))
+        code, _, err = run_cli(["verify", "--config", str(cfg_path)])
+        assert code == 2, err
+        assert "Ky Fan profile input must be PD" in err
 
     def test_config_file_and_overrides(self, tmp_path):
         cfg = {"trials": 500, "seed": 3, "suites": ["APP_Fusion"]}

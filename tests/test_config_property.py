@@ -7,7 +7,6 @@ scalar anywhere in ``exponents``, ``ensembles``, ``tolerance`` or
 """
 
 import math
-import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,13 +37,16 @@ exponents = st.fixed_dictionaries({}, optional={"q": positive, "p": positive, "m
 @example(shape=(1,), trials=1, suite="T3_LieTrotterTail", exps={"q": 1e-14, "p": 1.797693134862316e294})
 # The scalar cap's p-th power overflows while the mean's spectrum stays at or below 1.
 @example(shape=(1,), trials=2, suite="T9_TC", exps={"q": 2.0, "p": 1e300})
+# Rounding leaves the powered means with negative eigenvalues, whose logs were NaN.
+@example(shape=(4, 4), trials=1, suite="C4_MajorizationTC", exps={"q": 6.0})
+# The cap/floor ratio overflows before any tensor fails a gate.
+@example(shape=(1,), trials=1, suite="T9_TC", exps={"q": 6.06e183})
 def test_valid_config_reports_finite_or_raises_value_error(shape, trials, suite, exps):
+    # No warning filter: an overflow must raise ValueError without a
+    # RuntimeWarning first (pyproject turns warnings into errors).
     cfg = ExperimentConfig(shape=shape, trials=trials, suites=(suite,), exponents=exps)
     try:
-        with warnings.catch_warnings():
-            # Extreme exponents overflow on the way to a ValueError.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            (report,) = run_suites(cfg)
+        (report,) = run_suites(cfg)
     except ValueError:  # ConfigError is a ValueError
         return
     numbers = [v for v in report.to_dict().values() if isinstance(v, float)]

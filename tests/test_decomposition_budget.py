@@ -17,21 +17,21 @@ from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 
 # suite: (matrices decomposed by eigh, matrices decomposed by eigvalsh)
 BUDGET = {
-    "L1_PowerMonotone": (6, 6),
-    "L2_Kantorovich": (6, 18),
+    "L1_PowerMonotone": (6, 9),
+    "L2_Kantorovich": (6, 21),
     "L3_MarkovChebyshev": (6, 6),
-    "T1_AndoHiaiGeneralized": (24, 9),
-    "C1_AndoHiaiDual": (24, 9),
+    "T1_AndoHiaiGeneralized": (18, 15),
+    "C1_AndoHiaiDual": (18, 15),
     "T2_LieTrotterLimit": (123, 51),
-    "T3_LieTrotterTail": (45, 27),
-    "T7_Psi": (24, 36),
-    "T8_Phi": (24, 36),
-    "T9_TC": (39, 45),
-    "C2_MajorizationTMI": (24, 30),
-    "C3_MajorizationTMD": (24, 30),
-    "C4_MajorizationTC": (39, 45),
+    "T3_LieTrotterTail": (42, 30),
+    "T7_Psi": (21, 39),
+    "T8_Phi": (21, 39),
+    "T9_TC": (36, 48),
+    "C2_MajorizationTMI": (21, 33),
+    "C3_MajorizationTMD": (21, 33),
+    "C4_MajorizationTC": (36, 48),
     "T63_PsdLimit": (30, 33),
-    "T65_JointConvexity": (30, 33),
+    "T65_JointConvexity": (30, 42),
     "APP_Fusion": (18, 36),
     "APP_LinearTransform": (24, 51),
 }

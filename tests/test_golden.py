@@ -13,12 +13,12 @@ shape ``(3,)`` with q = 3, p = 2 and odd m = 3, a user generator in each
 override in the first two.  Together they run all 17 suites.  Each entry
 holds its config and the reports it produced.
 
-A rewrite of the suite layer must keep every violation count and regime
-note, and every numeric field within a relative 1e-9.  The fixtures keep the
-by-design failures of T8, C2 and C3.  C1's ``max_violation`` is an
-ill-conditioned slack: taking the premise scale from ``eigvalsh`` instead of
-``eigh`` (2e-14 relative) moves it by 2.4e-7 relative in
-``golden_override.json[0]``, past this rule.
+The fixtures hold report schema v2 (``"tmlab-report/2"``): every ordering
+suite's ``max_violation`` is ``max(0, worst relative excess)``, so no field
+is a slack that magnifies the rounding of an eigenvalue solver.  A rewrite
+of the suite layer must keep every violation count and regime note, and
+every numeric field within a relative 1e-9.  The fixtures keep the
+by-design failures of T8, C2 and C3.
 """
 
 import json

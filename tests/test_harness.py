@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import tmlab as tm
 from tmlab.harness import (
     _SUITES,
+    REPORT_VERSION,
     ConfigError,
     EnsembleSpec,
     ExperimentConfig,
@@ -173,6 +175,11 @@ class TestSuites:
             assert 0.0 <= report.empirical_prob <= 1.0
             assert report.violations <= max(report.trials, 6 * 17)
 
+    @pytest.mark.parametrize("suite", [s.value for s in SuiteId])
+    def test_max_violation_is_never_negative(self, suite):
+        # A violation magnitude floored at 0 in every suite, never a slack.
+        assert run_suite(suite, ExperimentConfig(trials=3)).max_violation >= 0.0
+
     def test_every_suite_runs_at_d1(self):
         cfg = ExperimentConfig(trials=3, shape=(1,))
         for sid in SuiteId:
@@ -259,7 +266,7 @@ class TestSuites:
     def test_report_fields_and_version(self):
         report = run_suite("APP_Fusion", ExperimentConfig(trials=5))
         payload = report.to_dict()
-        assert payload["version"] == "tmlab-report/1"
+        assert payload["version"] == "tmlab-report/2"
         assert list(payload.keys()) == [
             "version",
             "suite",
@@ -273,6 +280,11 @@ class TestSuites:
             "tolerance",
             "regime_notes",
         ]
+
+    def test_readme_report_schema_names_the_report_version(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Report schema", 1)[1].split("\n### ", 1)[0]
+        assert f'`"{REPORT_VERSION}"`' in section
 
     def test_ordering_suites_clean_at_larger_shape(self):
         # D = 8: premise rescaling must stay well conditioned (dof scales

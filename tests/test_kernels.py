@@ -181,24 +181,49 @@ class TestKernelsMatchBatchOfOne:
 
 @pytest.mark.parametrize("d", DIMS)
 def test_tail_rule_matches_loewner_extremes(rng, d):
-    tol = 1e-8
+    tol, n = 1e-8, 40
     cfg = ExperimentConfig(tolerance=tol)
+
+    def times_identity(c):
+        return HermitianStack._trusted(c[:, None, None] * np.eye(d, dtype=complex))
+
     # Multiples of I on and around the thresholds, past them by less and by
     # more than the tolerance.
     scalars = np.array([0.25, 0.5, 1.0, 1.0 + 5e-9, 2.0, 2.0 * (1.0 + 1e-7), 3.0])
-    multiples = HermitianStack._trusted(scalars[:, None, None] * np.eye(d, dtype=complex))
     ident = tm.HermitianTensor.identity(shape_of(d))
-    x = pd_stack(rng, d, n=40)
-    spread = x * (rng.uniform(0.3, 3.0, size=40) / x._eigenvalues()[:, -1])  # lambda_max across the sweep
-    for events in (spread, multiples):
-        held, _ = harness._tail_columns(cfg, [(events._eigenvalues(), np.zeros(len(events.unfold())))])
+    x = pd_stack(rng, d, n)
+    spread = x * (rng.uniform(0.3, 3.0, size=n) / x._eigenvalues()[:, -1])  # lambda_max across the sweep
+    for events in (spread, times_identity(scalars)):
+        held, _ = harness._tail_columns(cfg, [(events, np.zeros(len(events.unfold())))])
         # The reference: the Loewner verdict against each threshold tensor c I.
         reference = np.stack([loewner_extremes(events, c * ident, tol)[2] for c in harness.C_SWEEP], axis=-1)
         assert same(held[:, 0], reference)
         assert reference.any() and not reference.all()
-    # T9 passes its floors c' I as the one-eigenvalue spectra [c'].
-    held, _ = harness._tail_columns(cfg, [(scalars[:, None], np.zeros(len(scalars)))])
+    # T9 passes its floors c' I as the numbers c'.
+    held, _ = harness._tail_columns(cfg, [(scalars, np.zeros(len(scalars)))])
     assert same(held[:, 0], reference)
+
+    # The excess behind the rule, _excess(lhs, rhs) <= tol, against the leq
+    # of loewner_extremes(lhs, rhs, tol): a stack against a stack, against a
+    # cap c I and from a floor c I.  Each pair sits a few ulps of the scale
+    # either side of equality, or past it by half or 1.5 times the tolerance.
+    # Half the stack is PD with lambda_max in [2, 4], half is shifted down to
+    # lambda_max = 0, so the scale of a cap or a floor differs from the
+    # stack's, and a rule that scales by one side only fails here.
+    x = x * (rng.uniform(2.0, 4.0, size=n) / x._eigenvalues()[:, -1])
+    z = x - times_identity(x._eigenvalues()[:, -1] * (np.arange(n) % 2))
+    w = z._eigenvalues()
+    scale = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+    eps = np.finfo(float).eps
+    rel = np.resize(np.concatenate([np.array([-4, -1, 0, 1, 4]) * eps, np.array([-1.5, -0.5, 0.5, 1.5]) * tol]), n)
+    cap, floor, shifted = w[:, -1] - rel * scale, w[:, 0] + rel * scale, z - times_identity(rel * scale)
+    for lhs, rhs, reference in (
+        (z, shifted, loewner_extremes(z, shifted, tol)[2]),
+        (z, cap, loewner_extremes(z, times_identity(cap), tol)[2]),
+        (floor, z, loewner_extremes(times_identity(floor), z, tol)[2]),
+    ):
+        assert same(harness._excess(lhs, rhs) <= tol, reference)
+        assert reference.any() and not reference.all()
 
 
 def test_chunks_respect_the_stack_budget():
