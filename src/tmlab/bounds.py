@@ -16,14 +16,13 @@ import numpy as np
 from .core import (
     HermitianStack,
     HermitianTensor,
-    RANK_RTOL,
     _gate_psd,
     _per_item,
     require_pd,
     spectral_power,
 )
 from .functions import ConnectionFunction
-from .means import eta
+from .means import _quotient_levels
 
 __all__ = [
     "BoundFactors",
@@ -150,28 +149,21 @@ def dyadic_decompose(q: float) -> tuple[int, float]:
     return n, q0
 
 
-def _ratio_extremes(z: HermitianStack, f: ConnectionFunction, a: float):
-    """Extremes of ``f(z**a) f(z)**(-a)`` over the spectrum of each PSD
-    matrix ``z``; eigenvalues at or below ``RANK_RTOL * lambda_max`` count
-    through the 0+ limit of ``f``."""
-    lam = z._eigenvalues()
-    live = lam > RANK_RTOL * np.maximum(lam[..., -1:], 0.0)
+def _ratio_extremes(lam: np.ndarray, live: np.ndarray, f: ConnectionFunction, a: float):
+    """Extremes of ``f(z**a) f(z)**(-a)`` over the ascending spectra ``lam``
+    of a stack; the entries that ``live`` marks dead (a null space) count
+    through the 0+ limit of ``f``.  Raises ``ValueError`` where a ratio is
+    not finite."""
+    dead = not live.all()
+    f0 = f.value_at_0plus
+    if dead and (f0 is None or not math.isfinite(f0) or f0 <= 0.0):
+        raise ValueError(f"{f.label}: spectral ratio undefined on the null space (limit at 0+ is {f0!r})")
     safe = np.where(live, lam, 1.0)
-    ratios = f.fn(safe**a) / f.fn(safe) ** a
-    lo = np.where(live, ratios, np.inf).min(axis=-1)
-    hi = np.where(live, ratios, -np.inf).max(axis=-1)
-    if not live.all():
-        f0 = f.value_at_0plus
-        if f0 is None or not math.isfinite(f0) or f0 <= 0.0:
-            raise ValueError(
-                f"{f.label}: spectral ratio undefined on the null space "
-                f"(limit at 0+ is {f0!r})"
-            )
-        dead = ~live.all(axis=-1)
-        at_zero = f0 ** (1.0 - a)
-        lo = np.where(dead, np.minimum(lo, at_zero), lo)
-        hi = np.where(dead, np.maximum(hi, at_zero), hi)
-    return _per_item(lo), _per_item(hi)
+    with np.errstate(all="ignore"):
+        ratios = np.where(live, f.fn(safe**a) / f.fn(safe) ** a, f0 ** (1.0 - a) if dead else 1.0)
+    if not np.isfinite(ratios).all():
+        raise ValueError(f"{f.label}: spectral ratio at exponent {a:g} is not finite")
+    return _per_item(ratios.min(axis=-1)), _per_item(ratios.max(axis=-1))
 
 
 def psi_factors(
@@ -183,23 +175,19 @@ def psi_factors(
     """Dyadic spectral-ratio factors (lower, upper) of a generator: floats
     for a pair of tensors, arrays over a pair of stacks.
 
-    Uses the quotients ``Z_k = eta(y**(2**k), x**(2**k))`` for
-    ``k = 0 .. n`` from the decomposition ``q = 2**n q0``; domination of
-    each dyadic power pair is required and checked.  Exactly 1 for power
-    generators.  The same factors serve an increasing generator (the
-    psi factors) and a decreasing one (``phi_factors``).
+    With ``q = 2**n q0``, the ratio extremes at exponent ``q0`` on the
+    quotient ``Z_n = eta(y**(2**n), x**(2**n))`` times those at exponent 2 on
+    ``Z_0 .. Z_{n-1}``, whose spectra are graded SVDs of the eigenpairs of x
+    and y (no power is formed); domination is checked at each level.
+    Exactly 1 for power generators.  The same factors serve an increasing
+    generator (psi) and a decreasing one (``phi_factors``).
     """
     n, q0 = dyadic_decompose(q)
-    levels = []
-    for k in range(n + 1):
-        xp = spectral_power(x, float(2**k)) if k else x
-        yp = spectral_power(y, float(2**k)) if k else y
-        levels.append(eta(yp, xp).eta)
-    lower, upper = _ratio_extremes(levels[n], f, q0)
-    for k in range(1, n + 1):
-        lo, hi = _ratio_extremes(levels[k - 1], f, 2.0)
-        lower *= lo
-        upper *= hi
+    levels, live = _quotient_levels(x, y, n)
+    lower, upper = _ratio_extremes(levels[n], live, f, q0)
+    for lam in levels[:n]:
+        lo, hi = _ratio_extremes(lam, live, f, 2.0)
+        lower, upper = lower * lo, upper * hi
     return lower, upper
 
 

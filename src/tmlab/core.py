@@ -199,6 +199,8 @@ class HermitianStack:
     immutable and keep two lazy spectral caches: one stacked ``eigvalsh``
     (:meth:`_eigenvalues`) serves every eigenvalue read, and one stacked
     ``eigh`` (:meth:`_spectrum`) serves the kernels that read eigenvectors.
+    The powered mean, built as ``F F^H``, seeds the values cache with
+    ``sigma(F)**2`` at construction instead (:meth:`_seed_eigenvalues`).
     """
 
     __slots__ = ("_matrix", "_evals", "_eig")
@@ -249,10 +251,13 @@ class HermitianStack:
         rounding, not bit for bit.
         """
         if self._evals is None:
-            w = np.linalg.eigvalsh(self._matrix)
-            w.flags.writeable = False
-            self._evals = w
+            self._seed_eigenvalues(np.linalg.eigvalsh(self._matrix))
         return self._evals
+
+    def _seed_eigenvalues(self, w: np.ndarray) -> None:
+        """Fill the values cache with the ascending spectra ``w``."""
+        w.flags.writeable = False
+        self._evals = w
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ascending eigenvalues and eigenvectors of every matrix,

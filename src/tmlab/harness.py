@@ -62,9 +62,10 @@ from .functions import (
     power_exponent,
     power_lift,
 )
-from .means import _epsilon_errors, _psd_root, eta, mean_pd
+from .means import _epsilon_errors, _powered_mean, _psd_root, _quotient_levels, mean_pd
 from .bounds import (
     _kk_lists,
+    _ratio_extremes,
     _tail_power,
     _tail_summary,
     kantorovich,
@@ -316,9 +317,9 @@ def _dominate(y: HermitianStack, w: HermitianStack) -> HermitianStack:
 
 def _premise_pairs(run, trials, big_f, directions):
     """Premise enforcement at the suite boundary: the x/y draws of a chunk
-    of trials, rescaled once per direction from one mean.  Non-PD draws are
-    a configuration problem (the premise suites need PD ensembles in both
-    slots)."""
+    of trials and their mean, rescaled once per direction from that one
+    mean (see :func:`_rescale`).  Non-PD draws are a configuration problem
+    (the premise suites need PD ensembles in both slots)."""
     x, y = run.pair(trials)
     try:
         base = mean_pd(x, y, big_f)
@@ -341,15 +342,15 @@ def enforce_premise(
     """
     if direction not in ("leq", "geq"):
         raise ValueError(f"direction must be 'leq' or 'geq', got {direction!r}")
-    return _rescale(x, y, mean_pd(x, y, big_f), direction)
+    return _rescale(x, y, mean_pd(x, y, big_f), direction)[:2]
 
 
 def _rescale(x, y, base, direction):
-    """``(x / t, y / t)`` with ``t`` the extreme eigenvalue of the mean
-    ``base`` that the premise direction fixes at 1."""
+    """``(x / t, y / t, base / t)`` for the extreme eigenvalue ``t`` of the
+    mean ``base`` that the premise fixes at 1 (``base / t`` by homogeneity)."""
     w = base._eigenvalues()
     t = w[..., -1] if direction == "leq" else w[..., 0]
-    return x / t, y / t
+    return x / t, y / t, base / t
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +830,9 @@ def _suite_ando_hiai(run, direction):
         notes.append("generator tagged TMI with the pmd certificate; corollary hypothesis read as stated")
 
     def body(trials):
-        ((xp, yp),) = _premise_pairs(run, trials, lifted, (direction,))
+        ((xp, yp, _),) = _premise_pairs(run, trials, lifted, (direction,))
         factors = const * _kk_lists(xp, g_aux, half, q, k_start).prod(axis=-1)
-        mean = mean_pd(spectral_power(xp, q), spectral_power(yp, q), lifted)
+        mean = _powered_mean(xp, yp, lifted, q)
         return (factors, _excess(mean, factors)) if leq else (1.0 / factors, _excess(1.0 / factors, mean))
 
     bounds, excesses = _per_trial(cfg, body)
@@ -867,7 +868,7 @@ def _suite_t3(run):
     def body(trials):
         pairs = _premise_pairs(run, trials, lifted, ("leq", "geq"))
         flags, checks = [], []
-        for branch, (xp, yp) in zip(branches, pairs):
+        for branch, (xp, yp, _) in zip(branches, pairs):
             log_affine, mean_q, root_mean = _ordering_sides(xp, yp, lifted, w, q)
             # pmi expects log_affine <= root_mean, pmd the reverse order.
             if branch == "pmi":
@@ -905,10 +906,9 @@ def _dyadic_stacks(run, q, direction, trials):
     """Premise-enforced dyadic-factor stages for one chunk: the lower
     companion stack, the powered means and the upper companion stack."""
     fn = run.fn
-    ((xp, yp),) = _premise_pairs(run, trials, fn, (direction,))
-    base = mean_pd(xp, yp, fn)
+    ((xp, yp, base),) = _premise_pairs(run, trials, fn, (direction,))
     lo, up = psi_factors(q, fn, xp, yp)
-    mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
+    mean_q = _powered_mean(xp, yp, fn, q)
     w = base._eigenvalues()
     return lo * w[:, -1] ** (q - 1.0) * base, mean_q, up * w[:, 0] ** (q - 1.0) * base
 
@@ -938,22 +938,16 @@ def _cap_floor_stacks(run, q, trials):
     """
     fn = run.fn
     out = []
-    for direction, (xp, yp) in zip(("leq", "geq"), _premise_pairs(run, trials, fn, ("leq", "geq"))):
-        base = mean_pd(xp, yp, fn)
+    for direction, (xp, yp, base) in zip(("leq", "geq"), _premise_pairs(run, trials, fn, ("leq", "geq"))):
         k1, k2 = prop310_factors(xp, q)
-        z = eta(yp, xp).eta._eigenvalues()
+        (z,), live = _quotient_levels(xp, yp, 0)
         if (z[:, 0] <= 0.0).any():
             raise ConfigError(
                 "the Kantorovich cap/floor suite needs an invertible quotient of (y, x); "
                 "use PD ensembles for both slots"
             )
-        lam = 1.0 / z[:, ::-1].copy()
-        with np.errstate(all="ignore"):
-            ratio = np.max(fn.fn(lam**q) / fn.fn(lam) ** q, axis=-1)
-        if not np.isfinite(ratio).all():
-            raise ValueError(f"the Kantorovich cap/floor ratio at q={q:g} is not finite in double range")
-        mean_q = mean_pd(spectral_power(xp, q), spectral_power(yp, q), fn)
-        scalar = base._eigenvalues()[:, 0] ** (1.0 - q) * ratio
+        mean_q = _powered_mean(xp, yp, fn, q)
+        scalar = base._eigenvalues()[:, 0] ** (1.0 - q) * _ratio_extremes(1.0 / z, live, fn, q)[1]
         out += [mean_q, k1 * k2 * scalar if direction == "leq" else scalar / k2]
     return out
 

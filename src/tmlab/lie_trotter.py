@@ -31,7 +31,7 @@ from .core import (
     spectral_power,
 )
 from .functions import ConnectionFunction, derivative_at_one, power_lift
-from .means import mean_pd
+from .means import _powered_mean, mean_pd
 
 __all__ = [
     "ConvergenceStudy",
@@ -174,5 +174,5 @@ def _ordering_sides(x, y, lifted, w, q):
     exponential ``exp(w log x + (1 - w) log y)``, the mean of the q-th
     powers under the lifted generator, and its q-th root."""
     log_affine = tensor_exp(w * tensor_log(x) + (1.0 - w) * tensor_log(y))
-    mean_q = mean_pd(spectral_power(x, q), spectral_power(y, q), lifted)
+    mean_q = _powered_mean(x, y, lifted, q)
     return log_affine, mean_q, spectral_power(mean_q, 1.0 / q, psd_clip=False)

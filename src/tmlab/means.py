@@ -77,12 +77,40 @@ def _congruence_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction
     y_ihalf = (u / root[..., None, :]) @ _ct(u)
     quotient = _symmetrize(y_ihalf @ x._matrix @ y_ihalf)
     qw, qv = np.linalg.eigh(quotient)
-    mapped = g.eval_extended(qw)
+    return x._derive(_finish_mean(g, qw, qv, y_half, y_half)[1])
+
+
+@_quiet
+def _powered_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction, q: float) -> HermitianStack:
+    """``mean_pd(x**q, y**q, g)`` of PD stacks from the cached eigenpairs
+    of x and y, with no power formed: ``fy g(Q) fy^H`` for ``fy = Vy Ly^(q/2)``,
+    where Q's eigenpairs ``(U, S**2)`` come from one SVD of the graded matrix
+    ``B = (Vy^H Vx) * (lx_j / ly_i)^(q/2)`` (``Q = B B^H``).  For a positive
+    ``g`` the values cache is seeded with ``sigma(Ly^(q/2) U g(S**2)^(1/2))**2``.
+    """
+    x._check_same_shape(y)
+    (lx, vx), (ly, vy) = x._spectrum(), y._spectrum()
+    _gate_pd(lx, "x")
+    _gate_pd(ly, "y")
+    y_power = ly ** (0.5 * q)
+    u, s, _ = np.linalg.svd((_ct(vy) @ vx) * (lx[..., None, :] / ly[..., :, None]) ** (0.5 * q))
+    fy = vy * y_power[..., None, :]
+    mapped, mean = _finish_mean(g, s**2, u, fy, _ct(fy))
+    out = x._derive(mean)
+    if g.positive:
+        factor = y_power[..., :, None] * u * np.sqrt(mapped)[..., None, :]
+        out._seed_eigenvalues(np.linalg.svd(factor, compute_uv=False)[..., ::-1] ** 2)
+    return out
+
+
+def _finish_mean(g: ConnectionFunction, qw, qv, left, right, cutoff=0.0):
+    """Every mean kernel's finish: ``g`` on the quotient eigenvalues ``qw``
+    (0+ limit at or below ``cutoff``, finite), then ``left g(Q) right``."""
+    mapped = g.eval_extended(qw, cutoff)
     if not np.all(np.isfinite(mapped)):
         bad = qw[~np.isfinite(mapped)]
         raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
-    core = _spectral_map(qv, mapped)
-    return x._derive(_symmetrize(y_half @ core @ y_half))
+    return mapped, _symmetrize(left @ _spectral_map(qv, mapped) @ right)
 
 
 def mean_pd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
@@ -177,6 +205,42 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     return EtaResult(x._derive(_symmetrize(eta_m)), _per_item(domination), _per_item(range_ok))
 
 
+def _require_range(leak: np.ndarray, x_scale: np.ndarray) -> None:
+    """:func:`eta`'s range test: x's part outside range(y), of norm
+    ``leak``, may be at most 1e-6 of x's scale."""
+    allowed = 1e-6 * x_scale
+    if _any(leak > allowed):
+        i = _first(leak > allowed)
+        raise DominationError(f"range(x) not contained in range(y): "
+                              f"leakage {leak[i]:.3e} (allowed {allowed[i]:.3e})")
+
+
+@_quiet
+def _quotient_levels(x: HermitianStack, y: HermitianStack, n: int):
+    """Ascending spectra ``sigma(Lx^-s (Vx^H Vy) Ly^s)**2`` of the dyadic
+    quotients ``eta(y**(2s), x**(2s)) = x^-s y^(2s) x^-s``, ``s = 2**(k-1)``,
+    at the levels ``k = 0 .. n``, and x's live mask: graded SVDs of the
+    cached eigenpairs, which keep the relative accuracy that a formed power
+    loses.  The rows keep x's eigenvalues ``> RANK_RTOL * lambda_max(x)``;
+    the dead slots hold 0.  The part of ``y**(2s)`` outside range(x) gets
+    :func:`eta`'s range test, relative to ``max(1, |y**(2s)|)``.
+    """
+    (lx, vx), (ly, vy) = x._spectrum(), y._spectrum()
+    _gate_psd(lx, "x")
+    ly = np.maximum(_gate_psd(ly, "y"), 0.0)
+    live = lx > RANK_RTOL * np.maximum(lx[..., -1:], 0.0)
+    w, y_rel = _ct(vx) @ vy, ly / np.maximum(ly[..., -1:], 1.0)
+    levels = []
+    for k in range(n + 1):
+        s = 2.0 ** (k - 1)
+        if not live.all():
+            leak = np.where(live[..., :, None], 0.0, w * (y_rel ** (2.0 * s))[..., None, :])
+            _require_range(_frobenius(leak), np.ones(live.shape[:-1]))
+        b = np.where(live, np.where(live, lx, 1.0) ** -s, 0.0)[..., :, None] * w * (ly**s)[..., None, :]
+        levels.append(np.where(live, np.linalg.svd(b, compute_uv=False)[..., ::-1] ** 2, 0.0))
+    return levels, live
+
+
 def _eta_solve(xm, lam, v, x_scale, k):
     """:func:`eta` for a stack whose ``y`` all keep their top ``k``
     eigenvalues: the unsymmetrized quotients, the domination constants and
@@ -185,14 +249,7 @@ def _eta_solve(xm, lam, v, x_scale, k):
     u_c = np.ascontiguousarray(v[..., : d - k])
     if k < d:
         # Range containment: the part of x living outside range(y) must vanish.
-        leak = _frobenius(xm @ u_c)
-        allowed = 1e-6 * x_scale
-        if _any(leak > allowed):
-            i = _first(leak > allowed)
-            raise DominationError(
-                f"range(x) not contained in range(y): leakage {leak[i]:.3e} "
-                f"(allowed {allowed[i]:.3e})"
-            )
+        _require_range(_frobenius(xm @ u_c), x_scale)
     if k == 0:
         return np.zeros_like(xm), np.zeros(lam.shape[:-1]), np.ones(lam.shape[:-1], dtype=bool)
     u_r = np.ascontiguousarray(v[..., d - k :])
@@ -234,10 +291,8 @@ def _extended_mean(
     if quotient is None:
         quotient = eta(x, y)
     w, v = quotient.eta._spectrum()
-    mapped = g.eval_extended(w, RANK_RTOL * np.maximum(w[..., -1:], 0.0))
-    core = _spectral_map(v, mapped)
     y_half = _psd_root(y)
-    mean = _symmetrize(y_half @ core @ y_half)
+    mean = _finish_mean(g, w, v, y_half, y_half, RANK_RTOL * np.maximum(w[..., -1:], 0.0))[1]
     if _any(zero_y):
         mean = np.where(zero_y[..., None, None], 0.0, mean)
     return x._derive(mean)

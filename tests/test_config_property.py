@@ -1,9 +1,12 @@
 """Property test of the config contract.
 
-Every valid config yields a report whose numeric fields are all finite, or
-raises ``ValueError``/``ConfigError`` (both exit 2 from the CLI); a bad
-scalar anywhere in ``exponents``, ``ensembles``, ``tolerance`` or
-``trials`` raises ``ConfigError``.
+Inside the supported band (q in [0.05, 32] with the default p and m, at any
+shape from D = 1 to D = 64) every suite yields a report whose numeric fields
+are all finite.  Anywhere else a valid config yields such a report or raises
+``ValueError``/``ConfigError`` (both exit 2 from the CLI): beyond the band
+the exits are double-range overflows, such as T9's ``cap**p`` and
+``K(m, M, 2q)``.  A bad scalar anywhere in ``exponents``, ``ensembles``,
+``tolerance`` or ``trials`` raises ``ConfigError``.
 """
 
 import math
@@ -22,6 +25,10 @@ positive = st.one_of(
     st.floats(min_value=1e-300, max_value=1e300, exclude_min=True),
 )
 exponents = st.fixed_dictionaries({}, optional={"q": positive, "p": positive, "m": st.integers(2, 12)})
+
+
+def finite_fields(report) -> bool:
+    return all(math.isfinite(v) for v in report.to_dict().values() if isinstance(v, float))
 
 
 @settings(max_examples=300, deadline=None)
@@ -49,8 +56,24 @@ def test_valid_config_reports_finite_or_raises_value_error(shape, trials, suite,
         (report,) = run_suites(cfg)
     except ValueError:  # ConfigError is a ValueError
         return
-    numbers = [v for v in report.to_dict().values() if isinstance(v, float)]
-    assert all(math.isfinite(v) for v in numbers), report
+    assert finite_fields(report), report
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from(SHAPES),
+    trials=st.integers(1, 3),
+    suite=st.sampled_from([s.value for s in SuiteId]),
+    q=st.floats(min_value=0.05, max_value=32.0),
+)
+# The dyadic levels and powered means of the largest q at the largest D.
+@example(shape=(8, 8), trials=3, suite="T7_Psi", q=32.0)
+@example(shape=(8, 8), trials=3, suite="C4_MajorizationTC", q=32.0)
+@example(shape=(2, 2), trials=3, suite="C3_MajorizationTMD", q=9.0)
+def test_supported_band_reports_finite_fields(shape, trials, suite, q):
+    cfg = ExperimentConfig(shape=shape, trials=trials, suites=(suite,), exponents={"q": q})
+    (report,) = run_suites(cfg)
+    assert finite_fields(report), report
 
 
 BAD_SCALARS = [float("nan"), float("inf"), -float("inf"), True, False, "2"]

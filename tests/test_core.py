@@ -172,7 +172,7 @@ class TestSpectrumCache:
             lambda a, b: [tm.gauge_norm(a, k) for k in (tm.SPECTRAL, tm.FROBENIUS, tm.TRACE, tm.ky_fan(2))],
             lambda a, b: tm.kyfan_stats(a, 3),
             lambda a, b: tm.loewner_compare(a, b),
-            lambda a, b: _ratio_extremes(a, f, 2.0),
+            lambda a, b: _ratio_extremes(a._eigenvalues(), a._eigenvalues() > 0.0, f, 2.0),
             lambda a, b: tm.prop310_factors(a, 2.0),
             lambda a, b: tm.kk_factors(a, tm.ando_hiai_g(tm.power(0.5), 2), 3, 2.0),
         )

@@ -1,11 +1,12 @@
 """Decomposition budget of the verification suites.
 
 Each suite runs at shape ``(2, 2)`` with 3 trials under counting wrappers of
-``np.linalg.eigh`` and ``np.linalg.eigvalsh``, which add up the matrices of
-every (stacked) call.  The pinned counts are the budget: a value read that
-falls back to a full ``eigh``, or a tensor decomposed twice, changes them, so
-the change fails here instead of only slowing the benchmark.  A change that
-lowers a count on purpose updates the table.
+``np.linalg.eigh``, ``np.linalg.eigvalsh`` and ``np.linalg.svd``, which add up
+the matrices of every (stacked) call.  The pinned counts are the budget: a
+value read that falls back to a full ``eigh``, a tensor decomposed twice, or
+work moved from an eigensolver into SVDs changes them, so the change fails
+here instead of only slowing the benchmark.  A change that lowers a count on
+purpose updates the table.
 """
 
 import math
@@ -15,31 +16,31 @@ import pytest
 
 from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 
-# suite: (matrices decomposed by eigh, matrices decomposed by eigvalsh)
+# suite: matrices decomposed by (eigh, eigvalsh, svd)
 BUDGET = {
-    "L1_PowerMonotone": (6, 9),
-    "L2_Kantorovich": (6, 21),
-    "L3_MarkovChebyshev": (6, 6),
-    "T1_AndoHiaiGeneralized": (18, 15),
-    "C1_AndoHiaiDual": (18, 15),
-    "T2_LieTrotterLimit": (123, 51),
-    "T3_LieTrotterTail": (42, 30),
-    "T7_Psi": (21, 39),
-    "T8_Phi": (21, 39),
-    "T9_TC": (36, 48),
-    "C2_MajorizationTMI": (21, 33),
-    "C3_MajorizationTMD": (21, 33),
-    "C4_MajorizationTC": (36, 48),
-    "T63_PsdLimit": (30, 33),
-    "T65_JointConvexity": (30, 42),
-    "APP_Fusion": (18, 36),
-    "APP_LinearTransform": (24, 51),
+    "L1_PowerMonotone": (6, 9, 0),
+    "L2_Kantorovich": (6, 21, 0),
+    "L3_MarkovChebyshev": (6, 6, 0),
+    "T1_AndoHiaiGeneralized": (12, 9, 6),
+    "C1_AndoHiaiDual": (12, 9, 6),
+    "T2_LieTrotterLimit": (123, 51, 0),
+    "T3_LieTrotterTail": (30, 24, 12),
+    "T7_Psi": (12, 21, 9),
+    "T8_Phi": (12, 21, 9),
+    "T9_TC": (18, 18, 18),
+    "C2_MajorizationTMI": (12, 15, 9),
+    "C3_MajorizationTMD": (12, 15, 9),
+    "C4_MajorizationTC": (18, 18, 18),
+    "T63_PsdLimit": (30, 33, 0),
+    "T65_JointConvexity": (30, 42, 0),
+    "APP_Fusion": (18, 36, 0),
+    "APP_LinearTransform": (24, 51, 0),
 }
 
 
 @pytest.fixture
 def matrices(monkeypatch):
-    counts = {"eigh": 0, "eigvalsh": 0}
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
     for name in counts:
         real = getattr(np.linalg, name)
 
@@ -58,4 +59,4 @@ def test_budget_covers_every_suite():
 @pytest.mark.parametrize("suite", list(BUDGET))
 def test_suite_decomposition_budget(matrices, suite):
     run_suite(suite, ExperimentConfig(trials=3, shape=(2, 2)))
-    assert (matrices["eigh"], matrices["eigvalsh"]) == BUDGET[suite]
+    assert (matrices["eigh"], matrices["eigvalsh"], matrices["svd"]) == BUDGET[suite]

@@ -165,6 +165,19 @@ ORDERING_SUITES = [
 ]
 
 
+# The suites whose exponent q powers both operands of a mean or a quotient.
+EXPONENT_SUITES = (
+    "T1_AndoHiaiGeneralized",
+    "C1_AndoHiaiDual",
+    "T7_Psi",
+    "T8_Phi",
+    "C2_MajorizationTMI",
+    "C3_MajorizationTMD",
+    "T9_TC",
+    "C4_MajorizationTC",
+)
+
+
 class TestSuites:
     def test_every_suite_runs_on_default_config(self):
         cfg = ExperimentConfig(trials=10)
@@ -204,6 +217,19 @@ class TestSuites:
     def test_majorization_tc_reports_finite_fields_at_d64(self):
         report = run_suite("C4_MajorizationTC", ExperimentConfig(trials=2, shape=(8, 8))).to_dict()
         assert all(math.isfinite(v) for v in report.values() if isinstance(v, float))
+
+    @pytest.mark.parametrize("q", [8.5, 9.0, 10.0, 12.0, 16.0, 32.0])
+    def test_exponent_suites_report_at_large_q(self, q):
+        # Powered means and dyadic quotients read the eigenpairs of x and y,
+        # so the condition numbers cond**q of the powers cost no report.
+        for shape, trials in (((2, 2), 200), ((1,), 3), ((8, 8), 3)):
+            cfg = ExperimentConfig(trials=trials, shape=shape, exponents={"q": q})
+            reports = {s: run_suite(s, cfg).to_dict() for s in EXPONENT_SUITES}
+            for suite, report in reports.items():
+                assert all(math.isfinite(v) for v in report.values() if isinstance(v, float)), (shape, suite)
+            if shape == (2, 2):
+                # The by-design failures stay visible.
+                assert all(reports[s]["violations"] > 0 for s in ("T8_Phi", "C2_MajorizationTMI", "C3_MajorizationTMD"))
 
     @pytest.mark.parametrize("suite", ORDERING_SUITES)
     def test_ordering_suites_zero_violations(self, suite):

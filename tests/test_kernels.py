@@ -6,6 +6,8 @@ stack must give, bit for bit, what it gives on each slice alone, and on a
 stack split at a trial-chunk boundary.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from tmlab.bounds import _kk_lists, _ratio_extremes
 from tmlab.core import HermitianStack, loewner_extremes
 from tmlab.data_processing import _congruence
 from tmlab.harness import EnsembleSpec, ExperimentConfig, SuiteId, _chunks, _draw, run_suite, sample
-from tmlab.means import _psd_root
+from tmlab.means import _powered_mean, _psd_root, _quotient_levels
 
 DIMS = [1, 2, 4, 16, 64]
 N = 5
@@ -69,6 +71,12 @@ def matrices(h):
     return h.unfold()
 
 
+def _level_and_mask(x, y, k):
+    """Level k's quotient spectra of the pair and x's live mask."""
+    levels, live = _quotient_levels(x, y, k)
+    return levels[k], live
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20261018)
@@ -104,11 +112,17 @@ class TestKernelsMatchBatchOfOne:
 
     @pytest.mark.parametrize("fid", ["geometric", "harmonic_like", "power:-0.5", "square"])
     def test_mean_pd(self, rng, d, fid):
+        # mean_pd, and the powered means with the values cache they seed
+        # from their factor.
         g = tm.from_id(fid)
         x, y = pd_stack(rng, d), pd_stack(rng, d)
-        single = [matrices(tm.mean_pd(a, b, g)) for a, b in zip(tensors(x, d), tensors(y, d))]
-        parts = [matrices(tm.mean_pd(a, b, g)) for a, b in zip(halves(x), halves(y))]
-        assert_sliced(matrices(tm.mean_pd(x, y, g)), single, parts)
+        kernels = [partial(tm.mean_pd, g=g)] + [partial(_powered_mean, g=g, q=q) for q in (0.25, 2.0, 9.0)]
+        for kernel in kernels:
+            whole = kernel(x, y)
+            single = [kernel(a, b) for a, b in zip(tensors(x, d), tensors(y, d))]
+            parts = [kernel(a, b) for a, b in zip(halves(x), halves(y))]
+            for read in (matrices, lambda h: h._eigenvalues()):
+                assert_sliced(read(whole), [read(h) for h in single], [read(h) for h in parts])
 
     def test_eta_groups_by_kept_count(self, rng, d):
         ranks = [d, max(1, d - 1), d, max(1, d // 2), max(1, d - 1)]
@@ -133,9 +147,10 @@ class TestKernelsMatchBatchOfOne:
         f = tm.harmonic_like()
         for kernel in (
             lambda a, b: loewner_extremes(a, b, 1e-8),
-            lambda a, b: _ratio_extremes(a, f, 2.0),
+            lambda a, b: _ratio_extremes(*_level_and_mask(a, b, 1), f, 2.0),
             lambda a, b: (tm.gauge_norm(a, tm.FROBENIUS), tm.gauge_norm(a, tm.TRACE), tm.gauge_norm(a, tm.SPECTRAL)),
             lambda a, b: tm.psi_factors(2.0, f, a, b),
+            lambda a, b: tm.psi_factors(9.0, f, a, b),
             lambda a, b: tm.prop310_factors(a, 2.0),
         ):
             whole = kernel(x, y)
@@ -251,7 +266,7 @@ class TestEigenCallCounts:
     @pytest.fixture
     def counts(self, monkeypatch):
         calls = {"n": 0}
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "svd"):
             real = getattr(np.linalg, name)
 
             def counted(*args, _real=real, **kwargs):
