@@ -199,8 +199,11 @@ class HermitianStack:
     immutable and keep two lazy spectral caches: one stacked ``eigvalsh``
     (:meth:`_eigenvalues`) serves every eigenvalue read, and one stacked
     ``eigh`` (:meth:`_spectrum`) serves the kernels that read eigenvectors.
-    The powered mean, built as ``F F^H``, seeds the values cache with
-    ``sigma(F)**2`` at construction instead (:meth:`_seed_eigenvalues`).
+    Two kinds of result are born with caches instead.  A result of the
+    spectral calculus ``V phi(w) V^H`` (:func:`apply_spectral`) carries both:
+    the sorted ``phi(w)`` and V's columns in the same order
+    (:meth:`_seed_spectrum`).  The powered mean, built as ``F F^H``, seeds
+    the values cache only, with ``sigma(F)**2`` (:meth:`_seed_eigenvalues`).
     """
 
     __slots__ = ("_matrix", "_evals", "_eig")
@@ -248,7 +251,7 @@ class HermitianStack:
         Every eigenvalue read goes through here, never through a cached
         :meth:`_spectrum`, so its bits do not depend on which kernels ran
         before.  They agree with the eigenvalues of :meth:`_spectrum` to
-        rounding, not bit for bit.
+        rounding, not bit for bit, unless both were seeded at construction.
         """
         if self._evals is None:
             self._seed_eigenvalues(np.linalg.eigvalsh(self._matrix))
@@ -258,6 +261,13 @@ class HermitianStack:
         """Fill the values cache with the ascending spectra ``w``."""
         w.flags.writeable = False
         self._evals = w
+
+    def _seed_spectrum(self, w: np.ndarray, v: np.ndarray) -> None:
+        """Fill both caches with the ascending spectra ``w`` and their
+        eigenvectors ``v`` (columns in the order of ``w``)."""
+        self._seed_eigenvalues(w)
+        v.flags.writeable = False
+        self._eig = (w, v)
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ascending eigenvalues and eigenvectors of every matrix,
@@ -577,6 +587,12 @@ def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -
     ``phi`` is elementwise on float64 arrays and maps the spectra of the
     whole stack in one call.  A non-finite ``phi(lambda)`` (NaN or inf,
     e.g. ``x**-0.5`` on a spectrum touching zero) raises ``ValueError``.
+
+    The result ``V phi(w) V^H`` is born with both spectral caches filled
+    from the ``eigh`` pairs ``(w, V)`` of ``h``: ``phi(w)`` sorted ascending
+    by a stable argsort (so decreasing and clipping ``phi`` keep ties in
+    order) and V's columns permuted alike.  ``h`` is always decomposed, so
+    the result's bits do not depend on which kernels ran before.
     """
     w, v = h._spectrum()
     with np.errstate(all="ignore"):
@@ -584,7 +600,11 @@ def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -
     if not np.all(np.isfinite(mapped)):
         bad = w[~np.isfinite(mapped)]
         raise ValueError(f"spectrum outside function domain at eigenvalues {bad}")
-    return h._derive(_symmetrize(_spectral_map(v, mapped)))
+    out = h._derive(_symmetrize(_spectral_map(v, mapped)))
+    order = np.argsort(mapped, axis=-1, kind="stable")
+    out._seed_spectrum(np.take_along_axis(mapped, order, axis=-1),
+                       np.take_along_axis(v, order[..., None, :], axis=-1))
+    return out
 
 
 def spectral_power(h: HermitianStack, p: float, psd_clip: bool = True) -> HermitianStack:
@@ -765,12 +785,13 @@ def ky_fan(k: int) -> GaugeNormKind:
 
 def gauge_norm(h: HermitianStack, kind: GaugeNormKind = FROBENIUS):
     """Unitarily invariant norm ``rho(|lambda|(h))`` of each Hermitian
-    matrix: a float for a tensor, an array over a stack."""
+    matrix: a float for a tensor, an array over a stack.  The Frobenius
+    norm is read from the entries; the others from the cached eigenvalues."""
+    if kind.kind == "frobenius":
+        return _per_item(_frobenius(h._matrix))
     ev = np.sort(np.abs(h._eigenvalues()), axis=-1)[..., ::-1]
     if kind.kind == "spectral":
         out = ev[..., 0]
-    elif kind.kind == "frobenius":
-        out = np.sqrt(np.sum(ev**2, axis=-1))
     elif kind.kind == "trace":
         out = np.sum(ev, axis=-1)
     elif kind.k > ev.shape[-1]:

@@ -49,6 +49,7 @@ from .core import (
     _loewner_scale,
     _scale_of,
     _symmetrize,
+    apply_spectral,
     gauge_norm,
     spectral_power,
 )
@@ -325,7 +326,8 @@ def _premise_pairs(run, trials, big_f, directions):
         base = mean_pd(x, y, big_f)
     except NotPositiveDefiniteError as exc:
         raise ConfigError(f"{run.sid.value} needs PD ensembles in both slots: {exc}") from exc
-    return [_rescale(x, y, base, direction) for direction in directions]
+    where = f"{run.sid.value} at m={run.cfg.exponents['m']}"
+    return [_rescale(x, y, base, direction, where) for direction in directions]
 
 
 def enforce_premise(
@@ -342,15 +344,29 @@ def enforce_premise(
     """
     if direction not in ("leq", "geq"):
         raise ValueError(f"direction must be 'leq' or 'geq', got {direction!r}")
-    return _rescale(x, y, mean_pd(x, y, big_f), direction)[:2]
+    return _rescale(x, y, mean_pd(x, y, big_f), direction, "enforce_premise")[:2]
 
 
-def _rescale(x, y, base, direction):
+def _rescale(x, y, base, direction, where):
     """``(x / t, y / t, base / t)`` for the extreme eigenvalue ``t`` of the
-    mean ``base`` that the premise fixes at 1 (``base / t`` by homogeneity)."""
+    mean ``base`` that the premise fixes at 1 (``base / t`` by homogeneity).
+
+    The pair maps the eigenpairs of x and y (:func:`apply_spectral`), so it
+    is born with both spectral caches.  A scale ``t <= 0`` raises
+    :class:`ConfigError` naming ``where``.
+    """
     w = base._eigenvalues()
     t = w[..., -1] if direction == "leq" else w[..., 0]
-    return x / t, y / t, base / t
+    if (t <= 0.0).any():
+        raise ConfigError(
+            f"{where}: premise scale t = {np.min(t):.3e} is not positive; "
+            "the premise mean's bottom eigenvalue is below float64 resolution"
+        )
+
+    def scaled(lam):
+        return lam / t[..., None]
+
+    return apply_spectral(x, scaled), apply_spectral(y, scaled), base / t
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,21 @@ def lt_expression(
     y: HermitianStack,
     g: ConnectionFunction,
 ) -> HermitianStack:
-    """``(exp(q x) # exp(q y))**(1/q)`` for ``q != 0``."""
+    """``(exp(q x) # exp(q y))**(1/q)`` for ``q != 0``.
+
+    ``exp(q x)`` maps the cached eigenpairs of x (:func:`apply_spectral`),
+    so x and y are decomposed once for a whole grid of q, and the mean reads
+    the eigenpairs that ``exp(q y)`` is born with.  Each q decomposes only
+    the mean's quotient and the mean itself (for the ``1/q`` power).
+    """
     q = float(q)
     if q == 0.0:
         raise ValueError("q must be nonzero")
-    m = mean_pd(tensor_exp(q * x), tensor_exp(q * y), g)
+
+    def exp_q(w):
+        return np.exp(q * w)
+
+    m = mean_pd(apply_spectral(x, exp_q), apply_spectral(y, exp_q), g)
     return spectral_power(m, 1.0 / q, psd_clip=False)
 
 

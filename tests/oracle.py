@@ -1,4 +1,5 @@
-"""High-precision references for the graded kernels, in mpmath (D <= 4).
+"""High-precision references for the graded kernels and the Lie–Trotter
+limit, in mpmath (D <= 4).
 
 Each reference treats its float64 input matrices as exact, works at ``DPS``
 decimal digits through mpmath's Hermitian eigensolver ``eighe``, and
@@ -62,3 +63,21 @@ def powered_mean(x, y, fid, q):
         mean = _hermitian(y_root * _function(quotient, g) * y_root)
         matrix = np.array([[complex(mean[i, j]) for j in range(mean.cols)] for i in range(mean.rows)])
         return matrix, _eigenvalues(mean)
+
+
+def lt_final_error(x, y, fid, q, w):
+    """Relative Frobenius distance of ``(exp(q x) # exp(q y))**(1/q)`` from
+    the limit ``exp(w x + (1 - w) y)`` for Hermitian ``x`` and ``y`` under
+    the generator ``GENERATORS[fid]``."""
+    g = GENERATORS[fid]
+    with mp.workdps(DPS):
+        q, w = mp.mpf(q), mp.mpf(w)
+        xm, ym = _matrix(x), _matrix(y)
+        ey = _function(ym, lambda t: mp.exp(q * t))
+        y_root = _function(ey, mp.sqrt)
+        y_iroot = _function(ey, lambda t: 1 / mp.sqrt(t))
+        quotient = y_iroot * _function(xm, lambda t: mp.exp(q * t)) * y_iroot
+        mean = _hermitian(y_root * _function(quotient, g) * y_root)
+        expression = _function(mean, lambda t: t ** (1 / q))
+        limit = _function(w * xm + (1 - w) * ym, mp.exp)
+        return float(mp.mnorm(expression - limit, "f") / mp.mnorm(limit, "f"))

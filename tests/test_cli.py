@@ -130,6 +130,16 @@ class TestVerifyCommand:
         assert code == 2, err
         assert "spectrum outside function domain" in err
 
+    @pytest.mark.parametrize("suite", ["C1_AndoHiaiDual", "T3_LieTrotterTail"])
+    def test_premise_scale_below_resolution_exits_two(self, suite, tmp_path):
+        # At m = 12 the lifted premise mean's bottom eigenvalue, which the
+        # geq premise divides by, is rounding noise of either sign.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 20, "shape": [3, 3], "exponents": {"m": 12}, "suites": [suite]}))
+        code, _, err = run_cli(["verify", "--config", str(cfg_path)])
+        assert code == 2, err
+        assert f"{suite} at m=12: premise scale" in err and "below float64 resolution" in err
+
     def test_c4_reports_at_q_8(self, tmp_path):
         # The powered means of q = 8 have condition numbers near 1e16: their
         # spectra, read from the graded factor and not from eigvalsh of the

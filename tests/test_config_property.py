@@ -5,7 +5,7 @@ shape from D = 1 to D = 64) every suite yields a report whose numeric fields
 are all finite.  Anywhere else a valid config yields such a report or raises
 ``ValueError``/``ConfigError`` (both exit 2 from the CLI): beyond the band
 the exits are double-range overflows, such as T9's ``cap**p`` and
-``K(m, M, 2q)``.  A bad scalar anywhere in ``exponents``, ``ensembles``,
+``K(m, M, 2q)``, and premise scales below float64 resolution at large m.  A bad scalar anywhere in ``exponents``, ``ensembles``,
 ``tolerance`` or ``trials`` raises ``ConfigError``.
 """
 

@@ -196,6 +196,68 @@ def _floats(value) -> list:
     return np.atleast_1d(np.asarray(value, dtype=float)).tolist()
 
 
+# Spectral maps of the cache contract: increasing, decreasing, clipping.
+SPECTRAL_MAPS = {
+    "exp(q x)": (lambda w: np.exp(0.25 * w), "hermitian"),
+    "x**-0.5": (lambda w: w**-0.5, "pd"),
+    "max(x, 0)**1.5": (lambda w: np.maximum(w, 0.0) ** 1.5, "hermitian"),
+}
+
+
+def _operand_stack(rng, d, kind, scale=1.0, count=3):
+    a = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+    if kind == "pd":
+        m = a @ a.conj().swapaxes(-1, -2) / d + 0.1 * np.eye(d)
+    else:
+        m = (a + a.conj().swapaxes(-1, -2)) / 2.0
+    return HermitianStack.from_matrices(m * scale)
+
+
+class TestSpectralResultCaches:
+    """Results of the spectral calculus are born with both caches: the
+    sorted mapped operand spectrum and the operand's eigenvectors in the
+    same order."""
+
+    @pytest.mark.parametrize("name", list(SPECTRAL_MAPS))
+    def test_born_with_sorted_mapped_spectrum(self, rng, monkeypatch, name):
+        phi, kind = SPECTRAL_MAPS[name]
+        h = _operand_stack(rng, 4, kind)
+        w, v = h._spectrum()
+        mapped = phi(w)
+        order = np.argsort(mapped, axis=-1, kind="stable")
+        if name == "max(x, 0)**1.5":
+            assert (mapped == 0.0).sum(axis=-1).min() >= 2  # ties, kept in operand order
+        elif name == "x**-0.5":
+            assert np.array_equal(order, np.broadcast_to(np.arange(4)[::-1], order.shape))
+        out = tm.apply_spectral(h, phi)
+        calls = []
+        for fn in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, fn, lambda *a, _n=fn, **k: calls.append(_n))
+        got_w, got_v = out._spectrum()
+        assert np.array_equal(got_w, np.sort(mapped, axis=-1))
+        assert np.array_equal(got_v, np.take_along_axis(v, order[:, None, :], axis=-1))
+        assert out._eigenvalues() is got_w
+        assert not got_w.flags.writeable and not got_v.flags.writeable
+        assert calls == []
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        name=st.sampled_from(list(SPECTRAL_MAPS)),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_seeded_values_within_weyl_bound_of_eigvalsh(self, seed, d, name, log_scale):
+        # Weyl: the formed V phi(w) V^H is within C D eps |phi(w)|_sp of the
+        # exact one, and so are its eigenvalues (C = 16; at most 3 measured).
+        phi, kind = SPECTRAL_MAPS[name]
+        scale = 10.0**log_scale if kind == "pd" else 10.0 ** min(log_scale, 1.0)
+        out = tm.apply_spectral(_operand_stack(np.random.default_rng(seed), d, kind, scale), phi)
+        seeded = out._eigenvalues()
+        bound = 16 * d * np.finfo(float).eps * np.abs(seeded).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(seeded - np.linalg.eigvalsh(out.unfold())) <= bound)
+
+
 class TestApplySpectral:
     def test_sqrt_diag(self):
         t = tm.HermitianTensor.diag([4.0, 9.0], SHAPE2)
@@ -283,6 +345,14 @@ class TestGaugeNorms:
             for kind in (tm.SPECTRAL, tm.FROBENIUS, tm.TRACE):
                 lhs = tm.gauge_norm(a + b, kind)
                 assert lhs <= tm.gauge_norm(a, kind) + tm.gauge_norm(b, kind) + 1e-10
+
+    def test_frobenius_from_entries_matches_eigenvalue_form(self, rng):
+        for kind, scale in (("hermitian", 1.0), ("pd", 1e-3), ("hermitian", 1e4)):
+            for d in (1, 4, 9):
+                h = _operand_stack(rng, d, kind, scale, count=5)
+                want = np.sqrt(np.sum(np.linalg.eigvalsh(h.unfold()) ** 2, axis=-1))
+                got = tm.gauge_norm(h, tm.FROBENIUS)
+                assert np.allclose(got, want, rtol=8 * d * np.finfo(float).eps, atol=0.0)
 
     def test_ky_fan_range_error(self, rng):
         with pytest.raises(ValueError, match="Ky Fan"):

@@ -18,20 +18,20 @@ from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 
 # suite: matrices decomposed by (eigh, eigvalsh, svd)
 BUDGET = {
-    "L1_PowerMonotone": (6, 9, 0),
-    "L2_Kantorovich": (6, 21, 0),
+    "L1_PowerMonotone": (6, 3, 0),
+    "L2_Kantorovich": (6, 18, 0),
     "L3_MarkovChebyshev": (6, 6, 0),
-    "T1_AndoHiaiGeneralized": (12, 9, 6),
-    "C1_AndoHiaiDual": (12, 9, 6),
-    "T2_LieTrotterLimit": (123, 51, 0),
-    "T3_LieTrotterTail": (30, 24, 12),
-    "T7_Psi": (12, 21, 9),
-    "T8_Phi": (12, 21, 9),
-    "T9_TC": (18, 18, 18),
-    "C2_MajorizationTMI": (12, 15, 9),
-    "C3_MajorizationTMD": (12, 15, 9),
-    "C4_MajorizationTC": (18, 18, 18),
-    "T63_PsdLimit": (30, 33, 0),
+    "T1_AndoHiaiGeneralized": (9, 6, 6),
+    "C1_AndoHiaiDual": (9, 6, 6),
+    "T2_LieTrotterLimit": (57, 0, 0),
+    "T3_LieTrotterTail": (21, 12, 12),
+    "T7_Psi": (9, 21, 9),
+    "T8_Phi": (9, 21, 9),
+    "T9_TC": (9, 12, 18),
+    "C2_MajorizationTMI": (9, 15, 9),
+    "C3_MajorizationTMD": (9, 15, 9),
+    "C4_MajorizationTC": (9, 12, 18),
+    "T63_PsdLimit": (30, 18, 0),
     "T65_JointConvexity": (30, 42, 0),
     "APP_Fusion": (18, 36, 0),
     "APP_LinearTransform": (24, 51, 0),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tmlab as tm
+from tmlab.core import HermitianStack
 from tmlab.harness import (
     _SUITES,
     REPORT_VERSION,
@@ -12,6 +13,7 @@ from tmlab.harness import (
     EnsembleSpec,
     ExperimentConfig,
     SuiteId,
+    _rescale,
     dominated_sample,
     enforce_premise,
     reports_to_json,
@@ -107,6 +109,27 @@ class TestEnforcePremise:
     def test_direction_validation(self, rng):
         with pytest.raises(ValueError):
             enforce_premise(rand_pd(rng), rand_pd(rng), tm.geometric(), "both")
+
+    def test_rescaled_pairs_carry_both_caches(self, rng, monkeypatch):
+        x, y = (HermitianStack.from_matrices([rand_pd(rng).unfold() for _ in range(3)]) for _ in range(2))
+        base = tm.mean_pd(x, y, tm.power_lift(tm.geometric(), 2))
+        pairs = [_rescale(x, y, base, direction, "test") for direction in ("leq", "geq")]
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, **k: calls.append(_n))
+        for (xp, yp, _), t in zip(pairs, (base._eigenvalues()[:, -1], base._eigenvalues()[:, 0])):
+            for scaled, raw in ((xp, x), (yp, y)):
+                w, v = scaled._spectrum()
+                assert scaled._eigenvalues() is w
+                assert np.allclose(scaled.unfold(), (raw / t).unfold(), rtol=0.0, atol=1e-13 / t.min())
+                assert np.allclose(scaled.unfold() @ v, v * w[:, None, :], rtol=0.0, atol=1e-12 / t.min())
+        assert calls == []
+
+    def test_non_positive_premise_scale_raises_config_error(self, rng):
+        x, y = rand_pd(rng), rand_pd(rng)
+        base = tm.HermitianTensor.diag([-1e-9, 1.0, 2.0, 3.0], SHAPE)
+        with pytest.raises(ConfigError, match="T3 at m=12: premise scale t = -1.000e-09 is not positive"):
+            _rescale(x, y, base, "geq", "T3 at m=12")
 
 
 class TestConfig:
@@ -350,13 +373,11 @@ class TestSuites:
             run_suite("T3_LieTrotterTail", ExperimentConfig(trials=3, exponents={"p": p}))
             return calls["eigh"], calls["eigvalsh"]
 
-        # At r != 1 both tails are new tensors, one eigvalsh each for their
-        # PSD gates, and the pmd power takes an eigh of the log-affine side
-        # (the pmi power reuses the eigh of mean_q behind the root mean).
-        # At r = 1 the tails are the root mean and the log-affine side, whose
-        # eigenvalues are already cached.
-        (eigh_1, vals_1), (eigh_r, vals_r) = count(1.0), count(1.5)
-        assert (eigh_1 + 1, vals_1 + 2) == (eigh_r, vals_r)
+        # At r = 1 the tails are the root mean and the log-affine side.  At
+        # r != 1 they are powers of mean_q (whose eigh the root mean already
+        # took) and of the log-affine side; every spectral-calculus result is
+        # born with both caches, so the new tails cost no decomposition.
+        assert count(1.0) == count(1.5)
 
     def test_config_ensemble_override_applies(self):
         cfg = ExperimentConfig.from_dict(

@@ -12,6 +12,10 @@ graded accuracy is measured, not proved):
 - powered-mean eigenvalues on C3, C4 and T8's own q = 16 draws (condition
   up to 3e34): 2.1e-8 relative, where ``eigvalsh`` of the formed mean is
   off by up to 4e17 relative; the mean's matrix: 1.7e-12 normwise.
+
+T2's final relative error of the Lie–Trotter expression at ``q = 2**-8``
+is itself rounding noise magnified by the ``1/q = 256`` power; it is
+checked against the reference to 1e-5 relative.
 """
 
 import numpy as np
@@ -22,6 +26,7 @@ pytest.importorskip("mpmath")
 import oracle  # noqa: E402
 import tmlab as tm  # noqa: E402
 from tmlab import harness  # noqa: E402
+from tmlab.functions import derivative_at_one  # noqa: E402
 from tmlab.means import _quotient_levels  # noqa: E402
 
 
@@ -89,3 +94,21 @@ def test_powered_mean_matches_oracle_on_suite_draws(monkeypatch, suite):
             formed_error = max(formed_error, relative(np.linalg.eigvalsh(got), want_ev))
     # Not vacuous: eigvalsh of the formed mean misses the small eigenvalues.
     assert formed_error > 1.0
+
+
+def test_t2_final_error_matches_oracle(monkeypatch):
+    calls = []
+    real = harness._study
+
+    def spy(x, y, g, q_grid, norm):
+        out = real(x, y, g, q_grid, norm)
+        calls.append((x, y, g, q_grid, out[2]))
+        return out
+
+    monkeypatch.setattr(harness, "_study", spy)
+    harness.run_suite("T2_LieTrotterLimit", harness.ExperimentConfig(trials=6))
+    ((x, y, g, q_grid, final),) = calls
+    assert q_grid[-1] == 2.0**-8 and x.unfold().shape == (6, 4, 4)
+    for i in range(6):
+        want = oracle.lt_final_error(x.unfold()[i], y.unfold()[i], g.label, q_grid[-1], derivative_at_one(g))
+        assert abs(final[i] - want) <= 1e-5 * want, (i, final[i], want)
