@@ -199,10 +199,11 @@ class HermitianStack:
     immutable and keep two lazy spectral caches: one stacked ``eigvalsh``
     (:meth:`_eigenvalues`) serves every eigenvalue read, and one stacked
     ``eigh`` (:meth:`_spectrum`) serves the kernels that read eigenvectors.
-    Two kinds of result are born with caches instead.  A result of the
+    Three kinds of result are born with caches instead.  A result of the
     spectral calculus ``V phi(w) V^H`` (:func:`apply_spectral`) carries both:
     the sorted ``phi(w)`` and V's columns in the same order
-    (:meth:`_seed_spectrum`).  The powered mean, built as ``F F^H``, seeds
+    (:meth:`_seed_spectrum`).  So does ``eta``, with the eigenpairs of its
+    quotient in y's eigenbasis.  The powered mean, built as ``F F^H``, seeds
     the values cache only, with ``sigma(F)**2`` (:meth:`_seed_eigenvalues`).
     """
 
@@ -591,7 +592,9 @@ def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -
     The result ``V phi(w) V^H`` is born with both spectral caches filled
     from the ``eigh`` pairs ``(w, V)`` of ``h``: ``phi(w)`` sorted ascending
     by a stable argsort (so decreasing and clipping ``phi`` keep ties in
-    order) and V's columns permuted alike.  ``h`` is always decomposed, so
+    order) and V's columns permuted alike.  Where ``phi(w)`` is already
+    ascending on every matrix (``exp``, positive powers), the result shares
+    h's read-only V instead of a copy.  ``h`` is always decomposed, so
     the result's bits do not depend on which kernels ran before.
     """
     w, v = h._spectrum()
@@ -601,6 +604,10 @@ def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -
         bad = w[~np.isfinite(mapped)]
         raise ValueError(f"spectrum outside function domain at eigenvalues {bad}")
     out = h._derive(_symmetrize(_spectral_map(v, mapped)))
+    if np.all(mapped[..., 1:] >= mapped[..., :-1]):
+        # The stable argsort is the identity: share h's read-only V.
+        out._seed_spectrum(mapped, v)
+        return out
     order = np.argsort(mapped, axis=-1, kind="stable")
     out._seed_spectrum(np.take_along_axis(mapped, order, axis=-1),
                        np.take_along_axis(v, order[..., None, :], axis=-1))

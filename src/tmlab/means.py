@@ -64,27 +64,35 @@ class UnsupportedFunctionError(ValueError):
     """The connection function has no finite limit at 0+ (PSD extension)."""
 
 
+def _quotient(x: np.ndarray, v: np.ndarray, inv_root: np.ndarray) -> np.ndarray:
+    """The congruence quotient of every mean in y's eigenbasis:
+    ``diag(inv_root) (V^H x V) diag(inv_root)`` for raw stacks ``x`` and
+    y's eigenvectors ``V``.  A two-sided diagonal scaling of a unitary
+    congruence keeps the relative accuracy that a formed ``y^{-1/2}``
+    loses on an ill-conditioned ``y``."""
+    return _symmetrize(inv_root[..., :, None] * (_ct(v) @ x @ v) * inv_root[..., None, :])
+
+
 @_quiet
 def _congruence_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
     """``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` for a PD ``y`` (gated here,
-    on its ``eigh``), ``g`` extended at 0+, over a stack: one ``eigh`` of
-    the quotients.
+    on its ``eigh`` ``(L, V)``), ``g`` extended at 0+, over a stack: one
+    ``eigh`` ``(qw, qv)`` of the :func:`_quotient` at ``L^{-1/2}``, finished
+    over the factor ``V L^{1/2} qv``.
     Shared by :func:`mean_pd`, :func:`mean_recursive` and the right-slot
     limit of :func:`epsilon_mean_limit`, whose first slot is only PSD."""
-    w, u = y._spectrum()
+    w, v = y._spectrum()
     root = np.sqrt(_gate_pd(w, "y"))
-    y_half = _spectral_map(u, root)
-    y_ihalf = (u / root[..., None, :]) @ _ct(u)
-    quotient = _symmetrize(y_ihalf @ x._matrix @ y_ihalf)
-    qw, qv = np.linalg.eigh(quotient)
-    return x._derive(_finish_mean(g, qw, qv, y_half, y_half)[1])
+    qw, qv = np.linalg.eigh(_quotient(x._matrix, v, 1.0 / root))
+    return x._derive(_finish_mean(g, qw, (v * root[..., None, :]) @ qv)[1])
 
 
 @_quiet
 def _powered_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction, q: float) -> HermitianStack:
     """``mean_pd(x**q, y**q, g)`` of PD stacks from the cached eigenpairs
-    of x and y, with no power formed: ``fy g(Q) fy^H`` for ``fy = Vy Ly^(q/2)``,
-    where Q's eigenpairs ``(U, S**2)`` come from one SVD of the graded matrix
+    of x and y, with no power formed: ``F g(S**2) F^H`` for the factor
+    ``F = Vy Ly^(q/2) U``, where the quotient's eigenpairs ``(U, S**2)``
+    in y's eigenbasis come from one SVD of the graded matrix
     ``B = (Vy^H Vx) * (lx_j / ly_i)^(q/2)`` (``Q = B B^H``).  For a positive
     ``g`` the values cache is seeded with ``sigma(Ly^(q/2) U g(S**2)^(1/2))**2``.
     """
@@ -94,8 +102,7 @@ def _powered_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction, q
     _gate_pd(ly, "y")
     y_power = ly ** (0.5 * q)
     u, s, _ = np.linalg.svd((_ct(vy) @ vx) * (lx[..., None, :] / ly[..., :, None]) ** (0.5 * q))
-    fy = vy * y_power[..., None, :]
-    mapped, mean = _finish_mean(g, s**2, u, fy, _ct(fy))
+    mapped, mean = _finish_mean(g, s**2, (vy * y_power[..., None, :]) @ u)
     out = x._derive(mean)
     if g.positive:
         factor = y_power[..., :, None] * u * np.sqrt(mapped)[..., None, :]
@@ -103,14 +110,16 @@ def _powered_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction, q
     return out
 
 
-def _finish_mean(g: ConnectionFunction, qw, qv, left, right, cutoff=0.0):
+def _finish_mean(g: ConnectionFunction, qw, f, cutoff=0.0):
     """Every mean kernel's finish: ``g`` on the quotient eigenvalues ``qw``
-    (0+ limit at or below ``cutoff``, finite), then ``left g(Q) right``."""
+    (0+ limit at or below ``cutoff``, finite), then ``f g(qw) f^H`` for the
+    one factor ``f``: y's square root (``y**(q/2)`` for a powered mean)
+    times the quotient's eigenvectors."""
     mapped = g.eval_extended(qw, cutoff)
     if not np.all(np.isfinite(mapped)):
         bad = qw[~np.isfinite(mapped)]
         raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
-    return mapped, _symmetrize(left @ _spectral_map(qv, mapped) @ right)
+    return mapped, _symmetrize(_spectral_map(f, mapped))
 
 
 def mean_pd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
@@ -174,35 +183,31 @@ class EtaResult:
 def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     """Solve ``x = y^{1/2} * eta * y^{1/2}`` on the range of ``y``.
 
-    Computed through the spectral pseudo-inverse of ``y^{1/2}`` in the
-    coordinates of range(y), which enforces the range compatibility
-    exactly.  Raises :class:`DominationError` when range(x) leaks outside
-    range(y) beyond a relative 1e-6 of the scale of ``x``.
-
-    The kept eigenvalues ``lambda > RANK_RTOL * lambda_max`` of each ``y``
-    are a suffix of its ascending spectrum, so a stack is solved in groups
-    of equal kept count, one stacked product chain and one ``eigvalsh`` per
-    group.
+    ``eta = V C V^H`` for the :func:`_quotient` ``C`` of x in y's
+    eigenbasis ``(L, V)``, at ``L^{-1/2}`` on the kept eigenvalues
+    ``lambda > RANK_RTOL * lambda_max`` and 0 on the others, which enforces
+    the range compatibility exactly.  The dead slots are a zero prefix of
+    ``C``, so one stacked ``eigh`` ``(qw, qv)`` of ``C`` serves every kept
+    rank, and eta is born with its eigenpairs ``(qw, V qv)``.  Raises
+    :class:`DominationError` when range(x) leaks outside range(y) beyond a
+    relative 1e-6 of the scale of ``x``.
     """
     x._check_same_shape(y)
     x_ev = require_psd(x, "x")
     lam, v = y._spectrum()
     _gate_psd(lam, "y")
-    kept = (lam > RANK_RTOL * np.maximum(lam[..., -1:], 0.0)).sum(axis=-1)
-    x_scale = np.maximum(1.0, np.abs(x_ev).max(axis=-1))
-    lead, d = lam.shape[:-1], lam.shape[-1]
-    xm, lam, v = x._matrix.reshape(-1, d, d), lam.reshape(-1, d), v.reshape(-1, d, d)
-    kept, x_scale = kept.reshape(-1), x_scale.reshape(-1)
-    eta_m = np.empty_like(v)
-    domination = np.empty(len(kept))
-    range_ok = np.empty(len(kept), dtype=bool)
-    for k in sorted(set(kept.tolist())):
-        group = kept == k
-        eta_m[group], domination[group], range_ok[group] = _eta_solve(
-            xm[group], lam[group], v[group], x_scale[group], k
-        )
-    eta_m, domination, range_ok = eta_m.reshape(lead + (d, d)), domination.reshape(lead), range_ok.reshape(lead)
-    return EtaResult(x._derive(_symmetrize(eta_m)), _per_item(domination), _per_item(range_ok))
+    live = lam > RANK_RTOL * np.maximum(lam[..., -1:], 0.0)
+    dead = v * ~live[..., None, :]
+    # Range containment: the part of x living outside range(y) must vanish.
+    _require_range(_frobenius(x._matrix @ dead), np.maximum(1.0, _scale_of(x_ev)))
+    c = _quotient(x._matrix, v, np.where(live, 1.0 / np.sqrt(np.where(live, lam, 1.0)), 0.0))
+    qw, qv = np.linalg.eigh(c)
+    eta_m = _symmetrize(v @ c @ _ct(v))
+    domination = np.maximum(qw[..., -1], 0.0)
+    range_ok = _frobenius(eta_m @ dead) <= 1e-12 * np.maximum(1.0, domination)
+    out = x._derive(eta_m)
+    out._seed_spectrum(qw, v @ qv)
+    return EtaResult(out, _per_item(domination), _per_item(range_ok))
 
 
 def _require_range(leak: np.ndarray, x_scale: np.ndarray) -> None:
@@ -241,28 +246,6 @@ def _quotient_levels(x: HermitianStack, y: HermitianStack, n: int):
     return levels, live
 
 
-def _eta_solve(xm, lam, v, x_scale, k):
-    """:func:`eta` for a stack whose ``y`` all keep their top ``k``
-    eigenvalues: the unsymmetrized quotients, the domination constants and
-    the range flags."""
-    d = lam.shape[-1]
-    u_c = np.ascontiguousarray(v[..., : d - k])
-    if k < d:
-        # Range containment: the part of x living outside range(y) must vanish.
-        _require_range(_frobenius(xm @ u_c), x_scale)
-    if k == 0:
-        return np.zeros_like(xm), np.zeros(lam.shape[:-1]), np.ones(lam.shape[:-1], dtype=bool)
-    u_r = np.ascontiguousarray(v[..., d - k :])
-    inv_root = 1.0 / np.sqrt(lam[..., d - k :])
-    compressed = _symmetrize((inv_root[..., :, None] * (_ct(u_r) @ xm @ u_r)) * inv_root[..., None, :])
-    eta_m = u_r @ compressed @ _ct(u_r)
-    domination = np.linalg.eigvalsh(compressed)[..., -1]
-    range_ok = np.ones(lam.shape[:-1], dtype=bool)
-    if k < d:
-        range_ok = _frobenius(eta_m @ u_c) <= 1e-12 * np.maximum(1.0, domination)
-    return eta_m, np.maximum(domination, 0.0), range_ok
-
-
 def mean_psd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
     """PSD-extended mean ``y^{1/2} g(eta(x, y)) y^{1/2}``.
 
@@ -291,11 +274,8 @@ def _extended_mean(
     if quotient is None:
         quotient = eta(x, y)
     w, v = quotient.eta._spectrum()
-    y_half = _psd_root(y)
-    mean = _finish_mean(g, w, v, y_half, y_half, RANK_RTOL * np.maximum(w[..., -1:], 0.0))[1]
-    if _any(zero_y):
-        mean = np.where(zero_y[..., None, None], 0.0, mean)
-    return x._derive(mean)
+    # A zero y has a zero root, so its mean is exactly 0.
+    return x._derive(_finish_mean(g, w, _psd_root(y) @ v, RANK_RTOL * np.maximum(w[..., -1:], 0.0))[1])
 
 
 def _psd_root(y: HermitianStack) -> np.ndarray:

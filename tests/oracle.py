@@ -1,5 +1,5 @@
-"""High-precision references for the graded kernels and the Lie–Trotter
-limit, in mpmath (D <= 4).
+"""High-precision references for the means, ``eta``, the graded kernels
+and the Lie–Trotter limit, in mpmath (D <= 4).
 
 Each reference treats its float64 input matrices as exact, works at ``DPS``
 decimal digits through mpmath's Hermitian eigensolver ``eighe``, and
@@ -40,6 +40,44 @@ def _eigenvalues(m):
     return np.array(sorted(float(mp.re(e[i])) for i in range(m.rows)))
 
 
+def _complex(m):
+    return np.array([[complex(m[i, j]) for j in range(m.cols)] for i in range(m.rows)])
+
+
+def _mean(xm, ym, g):
+    """``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` of PD mpmath matrices."""
+    y_root = _function(ym, mp.sqrt)
+    y_iroot = _function(ym, lambda t: 1 / mp.sqrt(t))
+    return _hermitian(y_root * _function(y_iroot * xm * y_iroot, g) * y_root)
+
+
+def mean_pd(x, y, fid):
+    """The mean of PD ``x`` and ``y`` under ``GENERATORS[fid]`` (complex128)."""
+    with mp.workdps(DPS):
+        return _complex(_mean(_matrix(x), _matrix(y), GENERATORS[fid]))
+
+
+def mean_psd(x, y, fid, rtol=1e-10):
+    """``eta(x, y)`` of a PSD pair and their extended mean under
+    ``GENERATORS[fid]``: ``eta = P x P`` for ``P = y^{-1/2}`` on y's
+    eigenvalues ``> rtol * lambda_max`` and 0 on the others, and the mean
+    ``y_r^{1/2} g(eta) y_r^{1/2}`` over the same truncated root, with
+    eta's eigenvalues ``<= rtol * lambda_max(eta)`` mapped to ``g(0)``.
+    Returns eta (complex128), its ascending eigenvalues and the mean."""
+    g = GENERATORS[fid]
+    with mp.workdps(DPS):
+        e, v = mp.eighe(_hermitian(_matrix(y)))
+        lam = [mp.re(e[i]) for i in range(e.rows)]
+        live = [t > rtol * max(lam) for t in lam]
+        root = v * mp.diag([mp.sqrt(t) if k else 0 for t, k in zip(lam, live)]) * v.H
+        iroot = v * mp.diag([1 / mp.sqrt(t) if k else 0 for t, k in zip(lam, live)]) * v.H
+        eta = _hermitian(iroot * _matrix(x) * iroot)
+        ev = _eigenvalues(eta)
+        cutoff = rtol * max(ev[-1], 0.0)
+        mean = _hermitian(root * _function(eta, lambda t: g(t) if t > cutoff else g(mp.mpf(0))) * root)
+        return _complex(eta), ev, _complex(mean)
+
+
 def level_spectrum(x, y, s):
     """Ascending eigenvalues of the dyadic quotient ``x^-s y^(2s) x^-s``
     of a PD ``x`` and a PSD ``y`` (raw ``D x D`` matrices)."""
@@ -53,16 +91,11 @@ def powered_mean(x, y, fid, q):
     """``y^(q/2) g(y^(-q/2) x^q y^(-q/2)) y^(q/2)`` of PD ``x`` and ``y``
     under the generator ``GENERATORS[fid]``: the matrix (complex128) and
     its ascending eigenvalues."""
-    g = GENERATORS[fid]
     with mp.workdps(DPS):
         q = mp.mpf(q)
-        ym = _matrix(y)
-        y_root = _function(ym, lambda t: t ** (q / 2))
-        y_iroot = _function(ym, lambda t: t ** (-q / 2))
-        quotient = y_iroot * _function(_matrix(x), lambda t: t**q) * y_iroot
-        mean = _hermitian(y_root * _function(quotient, g) * y_root)
-        matrix = np.array([[complex(mean[i, j]) for j in range(mean.cols)] for i in range(mean.rows)])
-        return matrix, _eigenvalues(mean)
+        xq = _function(_matrix(x), lambda t: t**q)
+        mean = _mean(xq, _function(_matrix(y), lambda t: t**q), GENERATORS[fid])
+        return _complex(mean), _eigenvalues(mean)
 
 
 def lt_final_error(x, y, fid, q, w):
@@ -73,11 +106,7 @@ def lt_final_error(x, y, fid, q, w):
     with mp.workdps(DPS):
         q, w = mp.mpf(q), mp.mpf(w)
         xm, ym = _matrix(x), _matrix(y)
-        ey = _function(ym, lambda t: mp.exp(q * t))
-        y_root = _function(ey, mp.sqrt)
-        y_iroot = _function(ey, lambda t: 1 / mp.sqrt(t))
-        quotient = y_iroot * _function(xm, lambda t: mp.exp(q * t)) * y_iroot
-        mean = _hermitian(y_root * _function(quotient, g) * y_root)
+        mean = _mean(_function(xm, lambda t: mp.exp(q * t)), _function(ym, lambda t: mp.exp(q * t)), g)
         expression = _function(mean, lambda t: t ** (1 / q))
         limit = _function(w * xm + (1 - w) * ym, mp.exp)
         return float(mp.mnorm(expression - limit, "f") / mp.mnorm(limit, "f"))

@@ -240,6 +240,17 @@ class TestSpectralResultCaches:
         assert not got_w.flags.writeable and not got_v.flags.writeable
         assert calls == []
 
+    def test_ascending_map_shares_operand_eigenvectors(self, rng):
+        # np.exp keeps the ascending order, so the result shares the
+        # operand's read-only V; x**-0.5 reverses it and gets its columns
+        # permuted into a new array.
+        h = _operand_stack(rng, 4, "hermitian")
+        v, got_v = h._spectrum()[1], tm.apply_spectral(h, np.exp)._spectrum()[1]
+        assert np.shares_memory(got_v, v) and not got_v.flags.writeable
+        pd = _operand_stack(rng, 4, "pd")
+        v, got_v = pd._spectrum()[1], tm.apply_spectral(pd, lambda w: w**-0.5)._spectrum()[1]
+        assert not np.shares_memory(got_v, v) and np.array_equal(got_v, v[..., ::-1])
+
     @settings(deadline=None, max_examples=100)
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -31,10 +31,10 @@ BUDGET = {
     "C2_MajorizationTMI": (9, 15, 9),
     "C3_MajorizationTMD": (9, 15, 9),
     "C4_MajorizationTC": (9, 12, 18),
-    "T63_PsdLimit": (30, 18, 0),
+    "T63_PsdLimit": (30, 15, 0),
     "T65_JointConvexity": (30, 42, 0),
-    "APP_Fusion": (18, 36, 0),
-    "APP_LinearTransform": (24, 51, 0),
+    "APP_Fusion": (18, 27, 0),
+    "APP_LinearTransform": (24, 39, 0),
 }
 
 

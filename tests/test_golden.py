@@ -18,7 +18,14 @@ suite's ``max_violation`` is ``max(0, worst relative excess)``, so no field
 is a slack that magnifies the rounding of an eigenvalue solver.  A rewrite
 of the suite layer must keep every violation count and regime note, and
 every numeric field within a relative 1e-9.  The fixtures keep the
-by-design failures of T8, C2 and C3.
+by-design failures of T8, C2 and C3.  Three fields are rounding noise that
+a change of kernel may move past that rule, and each is re-pinned only
+when the test that backs it passes: T2's ``max_violation``
+(``test_oracle.py::test_t2_final_error_matches_oracle``), T63's
+``max_violation`` (``test_oracle.py::test_t63_final_error_matches_oracle``)
+and APP_LinearTransform's ``max_violation`` with its unitary-congruence
+note, an equality case
+(``test_data_processing.py::TestTransformGap::test_unitary_congruence_equality``).
 """
 
 import json

@@ -1,4 +1,4 @@
-"""The graded kernels against the mpmath references of ``oracle.py``.
+"""The graded kernels and the means against the mpmath references of ``oracle.py``.
 
 The dyadic quotient levels and the powered mean are read from the cached
 eigenpairs of their operands, never from a formed power.  These tests bound
@@ -16,6 +16,15 @@ graded accuracy is measured, not proved):
 T2's final relative error of the Lie–Trotter expression at ``q = 2**-8``
 is itself rounding noise magnified by the ``1/q = 256`` power; it is
 checked against the reference to 1e-5 relative.
+
+The means form their congruence quotient in y's eigenbasis.  On T63's
+regularized pairs ``(x + 1e-8 I, y + 1e-8 I)``, where ``cond(y) ~ 1e8``,
+``mean_pd`` is within 2e-14 normwise (1.6e-15 measured; a formed
+``y^{-1/2}`` gave 2e-13 to 9e-13), so T63's final relative error, about
+1e-8, is within 2e-6 relative of the reference (3e-7 measured).  On
+rank-deficient dominated pairs, ``eta``, its seeded eigenvalues, the
+domination constant and ``mean_psd`` are within 2e-13 normwise (4.9e-15
+measured).
 """
 
 import numpy as np
@@ -28,6 +37,8 @@ import tmlab as tm  # noqa: E402
 from tmlab import harness  # noqa: E402
 from tmlab.functions import derivative_at_one  # noqa: E402
 from tmlab.means import _quotient_levels  # noqa: E402
+
+from conftest import rand_pd, rand_psd_rank  # noqa: E402
 
 
 def conditioned(rng, d, cond):
@@ -112,3 +123,61 @@ def test_t2_final_error_matches_oracle(monkeypatch):
     for i in range(6):
         want = oracle.lt_final_error(x.unfold()[i], y.unfold()[i], g.label, q_grid[-1], derivative_at_one(g))
         assert abs(final[i] - want) <= 1e-5 * want, (i, final[i], want)
+
+
+@pytest.fixture(scope="module")
+def t63_draws():
+    """T63's first 8 default D = 4 pairs ``(x, y)``, their regularized
+    pairs at the last grid point ``eps = 1e-8`` (the float64 sums the suite
+    forms), the generator, and the suite's limits and final relative
+    errors."""
+    calls = []
+    real = harness._epsilon_errors
+
+    def spy(x, y, g, eps_grid, norm):
+        out = real(x, y, g, eps_grid, norm)
+        calls.append((x, y, g, eps_grid[-1], out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_epsilon_errors", spy)
+        harness.run_suite("T63_PsdLimit", harness.ExperimentConfig(trials=8))
+    ((x, y, g, eps, (limit, errors, _)),) = calls
+    assert x.unfold().shape == (8, 4, 4) and eps == 1e-8
+    bump = x._derive(np.eye(4, dtype=complex) * eps)
+    return x, y, x + bump, y + bump, g, limit, errors[-1] / tm.gauge_norm(limit)
+
+
+def test_t63_regularized_mean_pd_matches_oracle(t63_draws):
+    _, _, xb, yb, g, _, _ = t63_draws
+    got = tm.mean_pd(xb, yb, g).unfold()
+    for i in range(8):
+        want = oracle.mean_pd(xb.unfold()[i], yb.unfold()[i], g.label)
+        assert np.linalg.norm(got[i] - want) <= 2e-14 * np.linalg.norm(want), i
+
+
+def test_t63_final_error_matches_oracle(t63_draws):
+    # The distance is taken between the two references rounded to
+    # float64, which moves it by about 1e-16 / 1e-8 = 1e-8 relative.
+    x, y, xb, yb, g, limit, final = t63_draws
+    for i in range(8):
+        _, _, want_limit = oracle.mean_psd(x.unfold()[i], y.unfold()[i], g.label)
+        assert np.linalg.norm(limit.unfold()[i] - want_limit) <= 5e-14 * np.linalg.norm(want_limit), i
+        approx = oracle.mean_pd(xb.unfold()[i], yb.unfold()[i], g.label)
+        want = np.linalg.norm(approx - want_limit) / np.linalg.norm(want_limit)
+        assert abs(final[i] - want) <= 2e-6 * want, (i, final[i], want)
+
+
+@pytest.mark.parametrize("fid", ["geometric", "square", "harmonic_like"])
+def test_eta_and_mean_psd_match_oracle_on_rank_deficient_pairs(fid):
+    rng = np.random.default_rng([20261018, 14])
+    for rank in (1, 2, 3, 1, 2, 3):
+        y = rand_psd_rank(rng, rank)
+        x = harness._dominate(y, rand_pd(rng))
+        res = tm.eta(x, y)
+        want_eta, want_ev, want_mean = oracle.mean_psd(x.unfold(), y.unfold(), fid)
+        assert np.linalg.norm(res.eta.unfold() - want_eta) <= 2e-13 * np.linalg.norm(want_eta)
+        assert abs(res.domination_constant - want_ev[-1]) <= 2e-13 * want_ev[-1]
+        assert np.max(np.abs(res.eta._eigenvalues() - want_ev)) <= 2e-13 * want_ev[-1]
+        mean = tm.mean_psd(x, y, tm.from_id(fid)).unfold()
+        assert np.linalg.norm(mean - want_mean) <= 2e-13 * np.linalg.norm(want_mean)
