@@ -134,6 +134,8 @@ def dyadic_decompose(q: float) -> tuple[int, float]:
     pair ``(0, q)`` is returned (single-factor regime).
     """
     q = float(q)
+    if not math.isfinite(q):
+        raise ValueError(f"need a finite q, got {q}")
     if q <= 0.0:
         raise ValueError("need q > 0")
     if q < 1.0:
@@ -249,10 +251,22 @@ def _tail_summary(stats: list) -> tuple[float, float]:
 
 
 def kyfan_stats(h: HermitianTensor, k: int) -> tuple[float, float]:
-    """Sum and product of the k largest (signed) eigenvalues."""
+    """Sum and product of the k largest (signed) eigenvalues: the batch of
+    one of :func:`_kyfan_profile`."""
     k = int(k)
     d = h.shape.square_dim
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= {d}, got {k}")
-    ev = h.eigenvalues()[:k]
-    return float(np.sum(ev)), float(np.prod(ev))
+    total, product, _ = _kyfan_profile(h)[:, k - 1].tolist()
+    return total, product
+
+
+def _kyfan_profile(h: HermitianStack) -> np.ndarray:
+    """Ky Fan statistics of every matrix for k = 1..D from its cached
+    eigenvalues, shape ``(..., 3, D)``: the sums, the products and the sums
+    of logs (finite for PD input, and free of overflow) of the k largest."""
+    ev = h._eigenvalues()[..., ::-1].copy()
+    with np.errstate(all="ignore"):
+        rows = ((np.sum, ev), (np.prod, ev), (np.sum, np.log(ev)))
+        return np.stack([np.stack([op(v[..., :k], axis=-1) for k in range(1, ev.shape[-1] + 1)], axis=-1)
+                         for op, v in rows], axis=-2)

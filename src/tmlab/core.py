@@ -321,6 +321,12 @@ class HermitianStack:
         return self * (-1.0)
 
 
+def _live(w: np.ndarray) -> np.ndarray:
+    """The one rank cut: which eigenvalues of ascending spectra ``w`` count
+    as range, ``lambda > RANK_RTOL * max(lambda_max, 0)``."""
+    return w > RANK_RTOL * np.maximum(w[..., -1:], 0.0)
+
+
 def _per_item(values):
     """Per-matrix scalars: a Python scalar for a single matrix, else the array."""
     return values.item() if np.ndim(values) == 0 else values
@@ -699,23 +705,28 @@ class LoewnerVerdict:
 def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL):
     """Loewner kernel: ``(lam_min, lam_max, leq, geq)`` per matrix pair.
 
-    ``lam_min``/``lam_max`` are the extreme eigenvalues of ``y - x`` (one
-    ``eigvalsh`` over the stack of differences); ``leq`` is
-    ``lam_min >= -tol * scale`` and ``geq`` is ``lam_max <= tol * scale``
-    with ``scale = _loewner_scale(|x|_sp, |y|_sp)``.  ``y`` may be a single
-    tensor broadcast against a stack ``x``.
+    ``lam_min``/``lam_max`` are the extreme eigenvalues of ``y - x``
+    (:func:`_loewner_gap`); ``leq`` is ``lam_min >= -tol * scale`` and
+    ``geq`` is ``lam_max <= tol * scale``.  ``y`` may be a single tensor
+    broadcast against a stack ``x``.
     """
-    x._check_same_shape(y)
-    slack = tol * _loewner_scale(_spectral_scale(x), _spectral_scale(y))
-    ev = np.linalg.eigvalsh(y._matrix - x._matrix)
-    lam_min, lam_max = ev[..., 0], ev[..., -1]
-    return lam_min, lam_max, lam_min >= -slack, lam_max <= slack
+    lam_min, lam_max, scale = _loewner_gap(y, x)
+    return lam_min, lam_max, lam_min >= -tol * scale, lam_max <= tol * scale
 
 
-def _loewner_scale(scale_x, scale_y):
-    """``max(scale_x, scale_y, 1)``: the scale of every Loewner comparison,
-    from the spectral scales of its two sides."""
-    return np.maximum(np.maximum(scale_x, scale_y), 1.0)
+@_quiet
+def _loewner_gap(lhs, rhs):
+    """The one Loewner body: the extreme eigenvalues of ``lhs - rhs`` per
+    matrix and the scale ``max(|lhs|_sp, |rhs|_sp, 1)``.  Either side may be
+    per-matrix numbers ``c`` standing for ``c I``."""
+    a, b = (s._eigenvalues() if isinstance(s, HermitianStack) else np.asarray(s)[..., None] for s in (lhs, rhs))
+    if isinstance(lhs, HermitianStack) and isinstance(rhs, HermitianStack):
+        rhs._check_same_shape(lhs)
+        ev = HermitianStack._trusted(lhs._matrix - rhs._matrix)._eigenvalues()
+        lam_min, lam_max = ev[..., 0], ev[..., -1]
+    else:
+        lam_min, lam_max = a[..., 0] - b[..., -1], a[..., -1] - b[..., 0]
+    return lam_min, lam_max, np.maximum(np.maximum(_scale_of(a), _scale_of(b)), 1.0)
 
 
 def loewner_compare(x: HermitianTensor, y: HermitianTensor, tol: float = PSD_RTOL) -> LoewnerVerdict:
@@ -821,8 +832,7 @@ def range_projector(h: HermitianTensor) -> HermitianTensor:
     """
     w, v = h._spectrum()
     _gate_psd(w, "range projector input")
-    keep = w > RANK_RTOL * max(float(w[-1]), 0.0)
-    u = v[:, keep]
+    u = v[:, _live(w)]
     return h._derive(_symmetrize(u @ _ct(u)))
 
 

@@ -46,8 +46,7 @@ from .core import (
     TensorShape,
     _ct,
     _gate_pd,
-    _loewner_scale,
-    _scale_of,
+    _loewner_gap,
     _symmetrize,
     apply_spectral,
     gauge_norm,
@@ -63,9 +62,10 @@ from .functions import (
     power_exponent,
     power_lift,
 )
-from .means import _epsilon_errors, _powered_mean, _psd_root, _quotient_levels, mean_pd
+from .means import _powered_mean, _psd_root, _quotient_levels, epsilon_mean_limit, mean_pd
 from .bounds import (
     _kk_lists,
+    _kyfan_profile,
     _ratio_extremes,
     _tail_power,
     _tail_summary,
@@ -73,7 +73,7 @@ from .bounds import (
     prop310_factors,
     psi_factors,
 )
-from .lie_trotter import _ordering_sides, _study
+from .lie_trotter import _ordering_sides, convergence_study
 from .data_processing import (
     DominationPair,
     _congruence,
@@ -660,15 +660,11 @@ def _per_trial(cfg: ExperimentConfig, body) -> list:
 def _excess(lhs, rhs) -> np.ndarray:
     """The one Loewner rule of the suites: the relative excess of ``lhs``
     over ``rhs``, ``lambda_max(lhs - rhs) / max(|lhs|_sp, |rhs|_sp, 1)`` per
-    matrix, on the scale of ``core._loewner_scale``.  ``lhs <= rhs`` fails
-    when it is above the tolerance, as in ``tmlab.loewner_compare``.  Either
+    matrix, read from ``core._loewner_gap`` as ``tmlab.loewner_compare``
+    reads it; ``lhs <= rhs`` fails when it is above the tolerance.  Either
     side may be a stack or per-matrix numbers ``c`` standing for ``c I``."""
-    a, b = (s._eigenvalues() if isinstance(s, HermitianStack) else np.asarray(s)[..., None] for s in (lhs, rhs))
-    if isinstance(lhs, HermitianStack) and isinstance(rhs, HermitianStack):
-        top = (lhs - rhs)._eigenvalues()[..., -1]
-    else:
-        top = a[..., -1] - b[..., 0]
-    return top / _loewner_scale(_scale_of(a), _scale_of(b))
+    _, top, scale = _loewner_gap(lhs, rhs)
+    return top / scale
 
 
 def _tail_columns(cfg, checks) -> list:
@@ -861,8 +857,8 @@ def _suite_t2(run):
     run.notes.append("q grid 2^-1 .. 2^-8; monotone with 5% slack; final relative error <= 1e-2")
 
     def body(trials):
-        _, monotone, final = _study(*run.pair(trials), run.fn, q_grid, norm)
-        return monotone, final
+        study = convergence_study(*run.pair(trials), run.fn, q_grid, norm)
+        return study.monotone, study.final_relative_error
 
     monotone, final = _per_trial(run.cfg, body)
     return _fail_report(run, ~monotone | (final > 1e-2), final)
@@ -991,90 +987,71 @@ def _suite_t9(run):
                         [f"deterministic cap/floor failures: {chain_fail}/{2 * run.cfg.trials}"])
 
 
-def _kyfan_profile(h: HermitianStack) -> np.ndarray:
-    """Ky Fan statistics of each PD matrix for k = 1..D from one spectrum,
-    shape ``(n, 2, D)``: row 0 holds the sums of the k largest eigenvalues,
-    row 1 the sums of their logs (log-products, which cannot overflow at
-    large D)."""
-    ev = _gate_pd(h._eigenvalues(), "Ky Fan profile input")[:, ::-1].copy()
-    d = ev.shape[-1]
-    return np.stack([np.stack([np.sum(v[:, :k], axis=-1) for k in range(1, d + 1)], axis=-1)
-                     for v in (ev, np.log(ev))], axis=1)
-
-
-_KYFAN_STATS = ("sum", "prod")
-
-
-def _cdf_dominance(low_vals, mid_vals, high_vals, n, levels=(0.1, 0.3, 0.5, 0.7, 0.9)):
+def _cdf_dominance(low, mid, high, n, levels):
     """Check Pr(low >= kappa) <= Pr(mid >= kappa) <= Pr(high >= kappa) beyond
     3 standard errors on a deterministic quantile grid of the mid statistic.
-    ``None`` in place of ``low_vals`` or ``high_vals`` drops that side.
     Returns the number of failing grid points and the worst excess."""
-    mid = np.asarray(mid_vals)
     fails, worst = 0, 0.0
     for kappa in np.quantile(mid, levels):
-        p_md = float(np.mean(mid >= kappa))
+        p_lo, p_md, p_hi = (float(np.mean(v >= kappa)) for v in (low, mid, high))
         s = _binom_stderr(p_md, n)
-        bad = []
-        if low_vals is not None:
-            p_lo = float(np.mean(np.asarray(low_vals) >= kappa))
-            bad.append(p_lo - p_md - 3.0 * (s + _binom_stderr(p_lo, n)))
-        if high_vals is not None:
-            p_hi = float(np.mean(np.asarray(high_vals) >= kappa))
-            bad.append(p_md - p_hi - 3.0 * (s + _binom_stderr(p_hi, n)))
+        bad = (p_lo - p_md - 3.0 * (s + _binom_stderr(p_lo, n)), p_md - p_hi - 3.0 * (s + _binom_stderr(p_hi, n)))
         if max(bad) > 0:
             fails += 1
         worst = max(worst, *bad)
     return fails, worst
 
 
-def _suite_majorization_dyadic(run, direction):
-    q = _dyadic_q(run)
+def _majorization_report(run, sandwiches, levels):
+    """The rule of C2, C3 and C4: :func:`_cdf_dominance` of each Ky Fan sum
+    and log-sum on the chunks' sandwiches ``(low, mid, high)``.  A side is a
+    PD stack or per-trial numbers ``c`` (``c I``, profile ``(k c, k log c)``);
+    a one-sided sandwich repeats its mid, whose excess ``-6 stderr`` never
+    fails.  A failing (statistic, k) leaves a note."""
     d = run.ex.shape.square_dim
-    run.notes.append(f"q={q:g}; kappa grid at mid-statistic quantiles (0.1..0.9)")
+    k = np.arange(1, d + 1)
+
+    def profile(side):
+        if isinstance(side, HermitianStack):
+            _gate_pd(side._eigenvalues(), "Ky Fan profile input")
+            return _kyfan_profile(side)[:, ::2]
+        return np.stack([k * side[:, None], k * np.log(side)[:, None]], axis=1)
 
     def body(trials):
-        stacks = _dyadic_stacks(run, q, direction, trials)
-        return (np.stack([_kyfan_profile(h) for h in stacks], axis=1),)
+        return [np.stack([profile(side) for side in sandwich], axis=1) for sandwich in sandwiches(trials)]
 
-    (profiles,) = _per_trial(run.cfg, body)
+    profiles = _per_trial(run.cfg, body)
+    points = len(profiles) * len(levels)
     viol, worst = 0, 0.0
-    for s, stat in enumerate(_KYFAN_STATS):
-        for k in range(1, d + 1):
-            lows, mids, highs = profiles[:, :, s, k - 1].T
-            fails, w = _cdf_dominance(lows, mids, highs, run.cfg.trials)
+    for s, stat in enumerate(("sum", "prod")):
+        for j in range(d):
+            fails = 0
+            for sides in profiles:
+                f, w = _cdf_dominance(*sides[:, :, s, j].T, run.cfg.trials, levels)
+                fails += f
+                worst = max(worst, w)
             if fails:
-                run.notes.append(f"{stat} k={k}: {fails}/5 kappa points fail CDF dominance")
+                run.notes.append(f"{stat} k={j + 1}: {fails}/{points} kappa points fail CDF dominance")
             viol += fails
-            worst = max(worst, w)
-    return _report(run, viol, worst, empirical=viol / (2 * d * 5), stderr=0.0)
+    return _report(run, viol, worst, empirical=viol / (2 * d * points), stderr=0.0)
+
+
+def _suite_majorization_dyadic(run, direction):
+    q = _dyadic_q(run)
+    run.notes.append(f"q={q:g}; kappa grid at mid-statistic quantiles (0.1..0.9)")
+    return _majorization_report(run, lambda trials: [_dyadic_stacks(run, q, direction, trials)],
+                                (0.1, 0.3, 0.5, 0.7, 0.9))
 
 
 def _suite_c4(run):
     q = max(1.0, run.cfg.exponents["q"])
-    d = run.ex.shape.square_dim
     run.notes.append(f"q={q:g}; scalar cap/floor tensors, kappa grid at mid quantiles")
 
-    def body(trials):
+    def sandwiches(trials):
         mid_leq, caps, mid_geq, floors = _cap_floor_stacks(run, q, trials)
-        return _kyfan_profile(mid_leq), caps, _kyfan_profile(mid_geq), floors
+        return [(mid_leq, mid_leq, caps), (floors, mid_geq, mid_geq)]
 
-    mid_leq, cap_vals, mid_geq, floor_vals = _per_trial(run.cfg, body)
-    # The k-th statistics of the multiple s I are k s and k log s.
-    caps = np.array([cap_vals, np.log(cap_vals)])
-    floors = np.array([floor_vals, np.log(floor_vals)])
-    levels = (0.1, 0.5, 0.9)
-    n = run.cfg.trials
-    viol, worst = 0, 0.0
-    for k in range(1, d + 1):
-        for s in range(len(_KYFAN_STATS)):
-            for fails, w in (
-                _cdf_dominance(None, mid_leq[:, s, k - 1], k * caps[s], n, levels),
-                _cdf_dominance(k * floors[s], mid_geq[:, s, k - 1], None, n, levels),
-            ):
-                viol += fails
-                worst = max(worst, w)
-    return _report(run, viol, worst, empirical=viol / (2 * d * 6), stderr=0.0)
+    return _majorization_report(run, sandwiches, (0.1, 0.5, 0.9))
 
 
 def _suite_t63(run):
@@ -1086,8 +1063,8 @@ def _suite_t63(run):
     def body(trials):
         y = _draw(run.ey, trials)
         x = _dominate(y, _draw(wishart, trials, _DOMINATED_ROLE))
-        limit, errors, converged = _epsilon_errors(x, y, run.fn, eps_grid, norm)
-        return converged, errors[-1] / np.maximum(1e-300, gauge_norm(limit, norm))
+        limit, diag = epsilon_mean_limit(x, y, run.fn, eps_grid, norm)
+        return diag.converged, diag.errors[-1] / np.maximum(1e-300, gauge_norm(limit, norm))
 
     converged, rel = _per_trial(run.cfg, body)
     return _fail_report(run, ~converged, rel)

@@ -25,6 +25,7 @@ from .core import (
     LoewnerVerdict,
     PSD_RTOL,
     _gate_pd,
+    _per_item,
     apply_spectral,
     gauge_norm,
     loewner_compare,
@@ -101,41 +102,35 @@ class ConvergenceStudy:
 
     ``monotone`` allows 5% slack per halving plus an absolute floor at
     the deep-float level, so exactly-commuting pairs (distances at
-    rounding noise) still register as monotone.
+    rounding noise) still register as monotone.  Over stacks (not tensors)
+    the distances, ``monotone`` and the final error are per-pair arrays.
     """
 
     q_grid: tuple[float, ...]
-    distances: tuple[float, ...]
+    distances: tuple
     monotone: bool
     final_relative_error: float
 
 
 def convergence_study(
-    x: HermitianTensor,
-    y: HermitianTensor,
+    x: HermitianStack,
+    y: HermitianStack,
     g: ConnectionFunction,
     q_grid=tuple(2.0**-k for k in range(1, 9)),
     norm: GaugeNormKind = FROBENIUS,
 ) -> ConvergenceStudy:
-    """Distance of the product-formula expression from its limit per grid point."""
+    """Distance of the product-formula expression from its limit per grid
+    point, for a pair of tensors or every pair of two stacks."""
     q_grid = tuple(float(q) for q in q_grid)
-    distances, monotone, final_rel = _study(x, y, g, q_grid, norm)
-    return ConvergenceStudy(q_grid, tuple(distances), bool(monotone), final_rel)
-
-
-def _study(x, y, g, q_grid, norm):
-    """Body of :func:`convergence_study` over stacks: per grid point the
-    per-pair distances, then the monotone flags and final relative errors."""
-    if any(q <= 0 for q in q_grid) or any(b >= a for a, b in zip(q_grid, q_grid[1:])):
+    if not q_grid or any(q <= 0 for q in q_grid) or any(b >= a for a, b in zip(q_grid, q_grid[1:])):
         raise ValueError("q grid must be positive and strictly descending")
     limit = lt_limit(x, y, g)
     scale = np.maximum(1.0, gauge_norm(limit, norm))
-    distances = [gauge_norm(lt_expression(q, x, y, g) - limit, norm) for q in q_grid]
-    floor = 1e-12 * scale
-    monotone = np.logical_and.reduce(
-        [b <= 1.05 * a + floor for a, b in zip(distances, distances[1:])] or [True]
-    )
-    return distances, monotone, distances[-1] / gauge_norm(limit, norm)
+    distances = tuple(gauge_norm(lt_expression(q, x, y, g) - limit, norm) for q in q_grid)
+    monotone = np.full(np.shape(scale), True)
+    for a, b in zip(distances, distances[1:]):
+        monotone &= b <= 1.05 * a + 1e-12 * scale
+    return ConvergenceStudy(q_grid, distances, _per_item(monotone), distances[-1] / gauge_norm(limit, norm))
 
 
 def lt_ordering_check(

@@ -31,6 +31,7 @@ from .core import (
     _frobenius,
     _gate_pd,
     _gate_psd,
+    _live,
     _per_item,
     _quiet,
     _scale_of,
@@ -196,7 +197,7 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     x_ev = require_psd(x, "x")
     lam, v = y._spectrum()
     _gate_psd(lam, "y")
-    live = lam > RANK_RTOL * np.maximum(lam[..., -1:], 0.0)
+    live = _live(lam)
     dead = v * ~live[..., None, :]
     # Range containment: the part of x living outside range(y) must vanish.
     _require_range(_frobenius(x._matrix @ dead), np.maximum(1.0, _scale_of(x_ev)))
@@ -233,7 +234,7 @@ def _quotient_levels(x: HermitianStack, y: HermitianStack, n: int):
     (lx, vx), (ly, vy) = x._spectrum(), y._spectrum()
     _gate_psd(lx, "x")
     ly = np.maximum(_gate_psd(ly, "y"), 0.0)
-    live = lx > RANK_RTOL * np.maximum(lx[..., -1:], 0.0)
+    live = _live(lx)
     w, y_rel = _ct(vx) @ vy, ly / np.maximum(ly[..., -1:], 1.0)
     levels = []
     for k in range(n + 1):
@@ -282,9 +283,7 @@ def _psd_root(y: HermitianStack) -> np.ndarray:
     """Rank-truncated square roots of a PSD stack as raw matrices: negative
     noise and eigenvalues at or below ``RANK_RTOL * lambda_max`` map to 0."""
     w, v = y._spectrum()
-    lam = np.maximum(w, 0.0)
-    lam[lam <= RANK_RTOL * lam[..., -1:]] = 0.0
-    return _spectral_map(v, np.sqrt(lam))
+    return _spectral_map(v, np.sqrt(np.where(_live(w), w, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -293,48 +292,48 @@ class RttDiagnostic:
 
     ``errors[i]`` is the gauge-norm distance of the regularized mean at
     ``epsilon_grid[i]`` from the PSD-extended limit; ``converged`` requires
-    nonincreasing errors and a final relative error at most 1e-3.
+    nonincreasing errors and a final relative error at most 1e-3.  Over
+    stacks (not tensors) the errors and ``converged`` are per-pair arrays.
     """
 
     epsilon_grid: tuple[float, ...]
-    errors: tuple[float, ...]
+    errors: tuple
     converged: bool
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilon_grid)
-        if any(e <= 0 for e in eps):
-            raise ValueError("epsilon grid must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilon grid must be strictly decreasing")
+        eps = _epsilon_grid(self.epsilon_grid)
         if len(self.errors) != len(eps):
             raise ValueError("errors and grid must align")
         object.__setattr__(self, "epsilon_grid", eps)
-        object.__setattr__(self, "errors", tuple(float(e) for e in self.errors))
+
+
+def _epsilon_grid(eps_grid) -> tuple[float, ...]:
+    """A nonempty, positive, strictly decreasing grid as floats."""
+    eps = tuple(float(e) for e in eps_grid)
+    if not eps or any(e <= 0 for e in eps):
+        raise ValueError("epsilon grid must be positive")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError("epsilon grid must be strictly decreasing")
+    return eps
 
 
 def epsilon_mean_limit(
-    x: HermitianTensor,
-    y: HermitianTensor,
+    x: HermitianStack,
+    y: HermitianStack,
     g: ConnectionFunction,
     eps_grid=(1e-2, 1e-4, 1e-6, 1e-8),
     norm: GaugeNormKind = FROBENIUS,
     mode: str = "joint",
-) -> tuple[HermitianTensor, RttDiagnostic]:
-    """Regularized means along ``eps_grid`` against the PSD-extended limit.
+) -> tuple[HermitianStack, RttDiagnostic]:
+    """Regularized means along ``eps_grid`` against the PSD-extended limit,
+    for a pair of tensors or every pair of two stacks.
 
     ``mode="joint"`` perturbs both slots (``(x + eps I) # (y + eps I)``);
     ``mode="right"`` perturbs only the second slot, covering perturbation
     sequences like ``I/n`` applied to ``y``.  Non-convergence is recorded in
     the diagnostic, never raised.
     """
-    limit, errors, converged = _epsilon_errors(x, y, g, eps_grid, norm, mode)
-    diag = RttDiagnostic(tuple(float(e) for e in eps_grid), tuple(errors), bool(converged))
-    return limit, diag
-
-
-def _epsilon_errors(x, y, g, eps_grid, norm, mode="joint"):
-    """Body of :func:`epsilon_mean_limit` over stacks: the limit, the
-    per-matrix distances at each grid point, and the convergence flags."""
+    eps_grid = _epsilon_grid(eps_grid)
     if mode not in ("joint", "right"):
         raise ValueError(f"unknown mode {mode!r}")
     # mean_psd gates x as PSD, which is all the right-slot mode needs of it.
@@ -342,16 +341,14 @@ def _epsilon_errors(x, y, g, eps_grid, norm, mode="joint"):
     eye = np.eye(x._matrix.shape[-1], dtype=np.complex128)
     errors = []
     for eps in eps_grid:
-        bump = x._derive(eye * float(eps))
+        bump = x._derive(eye * eps)
         if mode == "joint":
             approx = mean_pd(x + bump, y + bump, g)
         else:
             approx = _congruence_mean(x, y + bump, g)
         errors.append(gauge_norm(approx - limit, norm))
     scale = np.maximum(gauge_norm(limit, norm), 1e-300)
-    nonincreasing = np.logical_and.reduce(
-        [b <= a * (1.0 + 1e-9) + 1e-14 * scale for a, b in zip(errors, errors[1:])] or [True]
-    )
-    converged = nonincreasing & (errors[-1] <= 1e-3 * np.maximum(scale, 1.0))
-    return limit, errors, converged
-
+    converged = errors[-1] <= 1e-3 * np.maximum(scale, 1.0)
+    for a, b in zip(errors, errors[1:]):
+        converged &= b <= a * (1.0 + 1e-9) + 1e-14 * scale
+    return limit, RttDiagnostic(eps_grid, tuple(errors), _per_item(converged))

@@ -152,6 +152,11 @@ class TestDyadicDecompose:
         with pytest.raises(ValueError):
             tm.dyadic_decompose(0.0)
 
+    @pytest.mark.parametrize("q", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_rejected(self, q):
+        with pytest.raises(ValueError, match="finite q"):
+            tm.dyadic_decompose(q)
+
 
 class TestPsiPhiFactors:
     def test_power_collapse(self, rng):

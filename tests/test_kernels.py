@@ -13,7 +13,7 @@ import pytest
 
 import tmlab as tm
 from tmlab import harness
-from tmlab.bounds import _kk_lists, _ratio_extremes
+from tmlab.bounds import _kk_lists, _kyfan_profile, _ratio_extremes
 from tmlab.core import HermitianStack, loewner_extremes
 from tmlab.data_processing import _congruence
 from tmlab.harness import EnsembleSpec, ExperimentConfig, SuiteId, _chunks, _draw, run_suite, sample
@@ -184,6 +184,43 @@ class TestKernelsMatchBatchOfOne:
         for lmap in (pinch, mix):
             assert_sliced(matrices(tm.apply_map(lmap, x)), [matrices(tm.apply_map(lmap, t)) for t in tensors(x, d)],
                           [matrices(tm.apply_map(lmap, h)) for h in halves(x)])
+
+    def test_kyfan_profile(self, rng, d):
+        # On signed spectra only the sums and products (kyfan_stats's rows)
+        # are compared: the log row is NaN where an eigenvalue is negative.
+        g = gaussian(rng, N, d, d)
+        for s, rows in ((pd_stack(rng, d), slice(None)),
+                        (HermitianStack.from_matrices(g + g.conj().swapaxes(-1, -2)), slice(0, 2))):
+            assert_sliced(_kyfan_profile(s)[..., rows, :], [_kyfan_profile(t)[rows] for t in tensors(s, d)],
+                          [_kyfan_profile(h)[:, rows] for h in halves(s)])
+
+    def test_convergence_study(self, rng, d):
+        x, y = (0.3 * h for h in (pd_stack(rng, d), pd_stack(rng, d)))
+        grid = (0.5, 0.125, 2.0**-6)
+        whole = tm.convergence_study(x, y, tm.geometric(), grid)
+        single = [tm.convergence_study(a, b, tm.geometric(), grid) for a, b in zip(tensors(x, d), tensors(y, d))]
+        split = [tm.convergence_study(a, b, tm.geometric(), grid) for a, b in zip(halves(x), halves(y))]
+        assert isinstance(single[0].monotone, bool) and isinstance(single[0].final_relative_error, float)
+        for read in (lambda st: st.distances[-1], lambda st: st.monotone, lambda st: st.final_relative_error):
+            assert_sliced(read(whole), [read(st) for st in single], [read(st) for st in split])
+
+    @pytest.mark.parametrize("mode", ["joint", "right"])
+    def test_epsilon_mean_limit(self, rng, d, mode):
+        y = psd_stack(rng, d, [d, max(1, d - 1), d, max(1, d // 2), max(1, d - 1)])
+        root = _psd_root(y)
+        x = HermitianStack._trusted(tm.core._symmetrize(root @ pd_stack(rng, d).unfold() @ root))
+        grid = (1e-2, 1e-5, 1e-8)
+
+        def kernel(a, b):
+            return tm.epsilon_mean_limit(a, b, tm.geometric(), grid, mode=mode)
+
+        whole = kernel(x, y)
+        single = [kernel(a, b) for a, b in zip(tensors(x, d), tensors(y, d))]
+        split = [kernel(a, b) for a, b in zip(halves(x), halves(y))]
+        assert isinstance(single[0][1].converged, bool) and isinstance(single[0][1].errors[-1], float)
+        for read in (lambda r: matrices(r[0]), lambda r: r[1].errors[0], lambda r: r[1].errors[-1],
+                     lambda r: r[1].converged):
+            assert_sliced(read(whole), [read(r) for r in single], [read(r) for r in split])
 
     @pytest.mark.parametrize("kind", ["wishart", "spectrum", "rank_deficient"])
     def test_draws(self, d, kind):

@@ -125,6 +125,11 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             tm.convergence_study(x, y, tm.geometric(), (0.1, 0.2))
 
+    def test_empty_grid_rejected(self, rng):
+        x, y = rand_hermitian(rng), rand_hermitian(rng)
+        with pytest.raises(ValueError, match="q grid must be positive"):
+            tm.convergence_study(x, y, tm.geometric(), ())
+
 
 class TestOrderingCheck:
     def test_commuting_equality_case(self):

@@ -236,6 +236,11 @@ class TestEpsilonMeanLimit:
         with pytest.raises(ValueError):
             tm.epsilon_mean_limit(x, y, tm.geometric(), (1e-4, 1e-2))
 
+    def test_empty_grid_rejected(self, rng):
+        x, y = rand_pd(rng), rand_pd(rng)
+        with pytest.raises(ValueError, match="epsilon grid must be positive"):
+            tm.epsilon_mean_limit(x, y, tm.geometric(), ())
+
     def test_bad_mode(self, rng):
         x, y = rand_pd(rng), rand_pd(rng)
         with pytest.raises(ValueError, match="mode"):

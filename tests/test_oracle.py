@@ -109,14 +109,14 @@ def test_powered_mean_matches_oracle_on_suite_draws(monkeypatch, suite):
 
 def test_t2_final_error_matches_oracle(monkeypatch):
     calls = []
-    real = harness._study
+    real = harness.convergence_study
 
     def spy(x, y, g, q_grid, norm):
         out = real(x, y, g, q_grid, norm)
-        calls.append((x, y, g, q_grid, out[2]))
+        calls.append((x, y, g, q_grid, out.final_relative_error))
         return out
 
-    monkeypatch.setattr(harness, "_study", spy)
+    monkeypatch.setattr(harness, "convergence_study", spy)
     harness.run_suite("T2_LieTrotterLimit", harness.ExperimentConfig(trials=6))
     ((x, y, g, q_grid, final),) = calls
     assert q_grid[-1] == 2.0**-8 and x.unfold().shape == (6, 4, 4)
@@ -132,7 +132,7 @@ def t63_draws():
     forms), the generator, and the suite's limits and final relative
     errors."""
     calls = []
-    real = harness._epsilon_errors
+    real = harness.epsilon_mean_limit
 
     def spy(x, y, g, eps_grid, norm):
         out = real(x, y, g, eps_grid, norm)
@@ -140,12 +140,12 @@ def t63_draws():
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_epsilon_errors", spy)
+        mp.setattr(harness, "epsilon_mean_limit", spy)
         harness.run_suite("T63_PsdLimit", harness.ExperimentConfig(trials=8))
-    ((x, y, g, eps, (limit, errors, _)),) = calls
+    ((x, y, g, eps, (limit, diag)),) = calls
     assert x.unfold().shape == (8, 4, 4) and eps == 1e-8
     bump = x._derive(np.eye(4, dtype=complex) * eps)
-    return x, y, x + bump, y + bump, g, limit, errors[-1] / tm.gauge_norm(limit)
+    return x, y, x + bump, y + bump, g, limit, diag.errors[-1] / tm.gauge_norm(limit)
 
 
 def test_t63_regularized_mean_pd_matches_oracle(t63_draws):
