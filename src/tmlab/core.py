@@ -120,6 +120,12 @@ def _symmetrize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + _ct(matrix)) / 2.0
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, frozen in place: cached spectra and stored matrices are shared."""
+    a.flags.writeable = False
+    return a
+
+
 def _check_finite(matrix: np.ndarray) -> None:
     if not np.isfinite(matrix).all():
         raise ValueError("entries must be finite")
@@ -196,18 +202,18 @@ class HermitianStack:
     scalars come back as arrays over the leading axes.
     :class:`HermitianTensor` is the batch of one, a single ``D x D`` matrix
     with its tensor shape, so each operation has one body.  Stacks are
-    immutable and keep two lazy spectral caches: one stacked ``eigvalsh``
-    (:meth:`_eigenvalues`) serves every eigenvalue read, and one stacked
-    ``eigh`` (:meth:`_spectrum`) serves the kernels that read eigenvectors.
-    Three kinds of result are born with caches instead.  A result of the
-    spectral calculus ``V phi(w) V^H`` (:func:`apply_spectral`) carries both:
-    the sorted ``phi(w)`` and V's columns in the same order
-    (:meth:`_seed_spectrum`).  So does ``eta``, with the eigenpairs of its
-    quotient in y's eigenbasis.  The powered mean, built as ``F F^H``, seeds
-    the values cache only, with ``sigma(F)**2`` (:meth:`_seed_eigenvalues`).
+    immutable and keep two lazy spectral caches: one stacked read of the
+    values (:meth:`_eigenvalues`) serves every eigenvalue read, and one
+    stacked ``eigh`` (:meth:`_spectrum`) serves the kernels that read
+    eigenvectors.  A result of the spectral calculus ``V phi(w) V^H``
+    (:func:`apply_spectral`) is born with both: the sorted ``phi(w)`` and
+    V's columns in the same order (:meth:`_seed_spectrum`); so is ``eta``.
+    A mean of a positive ``g``, ``W G G^H W^H`` for y's eigenvectors ``W``,
+    is born with its graded factor ``G``, and its values are ``sigma(G)**2``.
+    Every other stack reads its values with ``eigvalsh``.
     """
 
-    __slots__ = ("_matrix", "_evals", "_eig")
+    __slots__ = ("_matrix", "_evals", "_eig", "_factor")
     # numpy defers to the reflected operators: array * stack scales per matrix.
     __array_ufunc__ = None
 
@@ -230,12 +236,11 @@ class HermitianStack:
 
     def _seal(self, matrix: np.ndarray) -> None:
         """The step every construction ends in: read-only contiguous
-        storage of a checked matrix and empty spectral caches."""
-        matrix = np.ascontiguousarray(matrix)
-        matrix.flags.writeable = False
-        self._matrix = matrix
+        storage of a checked matrix, empty spectral caches and no factor."""
+        self._matrix = _read_only(np.ascontiguousarray(matrix))
         self._evals = None
         self._eig = None
+        self._factor = None
 
     def _derive(self, matrix: np.ndarray) -> "HermitianStack":
         """A kernel result of the same kind as ``self`` (finiteness-gated)."""
@@ -246,44 +251,43 @@ class HermitianStack:
         return self._matrix
 
     def _eigenvalues(self) -> np.ndarray:
-        """Read-only ascending eigenvalues of every matrix: one ``eigvalsh``
-        call over the stack, made on first use and cached.
+        """Read-only ascending eigenvalues of every matrix, made on first
+        use and cached: one stacked ``eigvalsh``, or for a mean born with a
+        graded factor ``G``, ``sigma(G)**2`` by one stacked SVD, which keeps
+        the relative accuracy that ``eigvalsh`` loses past condition ``1/eps``.
 
         Every eigenvalue read goes through here, never through a cached
         :meth:`_spectrum`, so its bits do not depend on which kernels ran
         before.  They agree with the eigenvalues of :meth:`_spectrum` to
         rounding, not bit for bit, unless both were seeded at construction.
         """
-        if self._evals is None:
-            self._seed_eigenvalues(np.linalg.eigvalsh(self._matrix))
+        if self._evals is None and self._factor is not None:
+            # Largest columns first, as a pivoted QR takes them (Demmel et al., LAA 299, 1999).
+            order = np.argsort(-np.abs(self._factor).max(axis=-2), axis=-1)
+            graded = np.take_along_axis(self._factor, order[..., None, :], axis=-1)
+            self._evals = _read_only(np.linalg.svd(graded, compute_uv=False)[..., ::-1] ** 2)
+        elif self._evals is None:
+            self._evals = _read_only(np.linalg.eigvalsh(self._matrix))
         return self._evals
-
-    def _seed_eigenvalues(self, w: np.ndarray) -> None:
-        """Fill the values cache with the ascending spectra ``w``."""
-        w.flags.writeable = False
-        self._evals = w
 
     def _seed_spectrum(self, w: np.ndarray, v: np.ndarray) -> None:
         """Fill both caches with the ascending spectra ``w`` and their
         eigenvectors ``v`` (columns in the order of ``w``)."""
-        self._seed_eigenvalues(w)
-        v.flags.writeable = False
-        self._eig = (w, v)
+        self._evals = _read_only(w)
+        self._eig = (w, _read_only(v))
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ascending eigenvalues and eigenvectors of every matrix,
         for the kernels that read eigenvectors.
 
         One ``eigh`` call over the stack, made on first use and cached.  The
-        two caches are the only writes into an instance, and idempotent
-        ones.  Eigenvector phases are those LAPACK returns;
+        two caches are the only writes into an instance after its birth,
+        and idempotent ones.  Eigenvector phases are those LAPACK returns;
         :func:`spectral_decompose` fixes them.
         """
         if self._eig is None:
             w, v = np.linalg.eigh(self._matrix)
-            w.flags.writeable = False
-            v.flags.writeable = False
-            self._eig = (w, v)
+            self._eig = (_read_only(w), _read_only(v))
         return self._eig
 
     # -- algebra --------------------------------------------------------
@@ -371,10 +375,8 @@ class HermitianTensor(HermitianStack):
         construction (a symmetrized result, or a sum or real multiple of
         such tensors): only finiteness is checked, and the matrix is frozen
         in place.  Public input goes through ``__init__`` instead."""
-        _check_finite(matrix)
-        t = cls.__new__(cls)
+        t = super()._trusted(matrix)
         t._shape = shape
-        t._seal(matrix)
         return t
 
     def _derive(self, matrix: np.ndarray) -> "HermitianTensor":
@@ -577,9 +579,7 @@ def spectral_decompose(h: HermitianTensor) -> SpectralDecomposition:
     w, v = h._spectrum()
     w = w[::-1].copy()
     v = _fix_phases(v[:, ::-1])
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return SpectralDecomposition(h.shape, w, v)
+    return SpectralDecomposition(h.shape, _read_only(w), _read_only(v))
 
 
 def _spectral_map(v: np.ndarray, mapped: np.ndarray) -> np.ndarray:

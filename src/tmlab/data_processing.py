@@ -25,6 +25,7 @@ from .core import (
     TensorShape,
     _ct,
     _quiet,
+    _read_only,
     _symmetrize,
     _verdict,
     loewner_extremes,
@@ -69,9 +70,7 @@ class PositiveLinearMap:
         if self.kind == "congruence":
             if self.matrix is None or self.matrix.shape != (d, d):
                 raise ValueError(f"congruence needs a {d} x {d} tensor unfolding")
-            m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-            m.flags.writeable = False
-            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "matrix", _read_only(np.ascontiguousarray(self.matrix, dtype=np.complex128)))
         elif self.kind == "pinching":
             if not self.partition:
                 raise ValueError("pinching needs a partition")

@@ -90,7 +90,8 @@ class ConnectionFunction:
         object.__setattr__(self, "tags", tags)
         if tags and not self.positive:
             raise ValueError("class tags require a positive function")
-        self._run_probes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._run_probes()
         if self.value_at_0plus is None:
             probe = self(1e-12)
             limit = math.inf if probe > 1e10 else probe

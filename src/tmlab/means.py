@@ -85,7 +85,7 @@ def _congruence_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction
     w, v = y._spectrum()
     root = np.sqrt(_gate_pd(w, "y"))
     qw, qv = np.linalg.eigh(_quotient(x._matrix, v, 1.0 / root))
-    return x._derive(_finish_mean(g, qw, (v * root[..., None, :]) @ qv)[1])
+    return _finish_mean(x, g, qw, (v * root[..., None, :]) @ qv, root[..., :, None] * qv)
 
 
 @_quiet
@@ -94,8 +94,7 @@ def _powered_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction, q
     of x and y, with no power formed: ``F g(S**2) F^H`` for the factor
     ``F = Vy Ly^(q/2) U``, where the quotient's eigenpairs ``(U, S**2)``
     in y's eigenbasis come from one SVD of the graded matrix
-    ``B = (Vy^H Vx) * (lx_j / ly_i)^(q/2)`` (``Q = B B^H``).  For a positive
-    ``g`` the values cache is seeded with ``sigma(Ly^(q/2) U g(S**2)^(1/2))**2``.
+    ``B = (Vy^H Vx) * (lx_j / ly_i)^(q/2)`` (``Q = B B^H``).
     """
     x._check_same_shape(y)
     (lx, vx), (ly, vy) = x._spectrum(), y._spectrum()
@@ -103,24 +102,22 @@ def _powered_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction, q
     _gate_pd(ly, "y")
     y_power = ly ** (0.5 * q)
     u, s, _ = np.linalg.svd((_ct(vy) @ vx) * (lx[..., None, :] / ly[..., :, None]) ** (0.5 * q))
-    mapped, mean = _finish_mean(g, s**2, (vy * y_power[..., None, :]) @ u)
-    out = x._derive(mean)
-    if g.positive:
-        factor = y_power[..., :, None] * u * np.sqrt(mapped)[..., None, :]
-        out._seed_eigenvalues(np.linalg.svd(factor, compute_uv=False)[..., ::-1] ** 2)
-    return out
+    return _finish_mean(x, g, s**2, (vy * y_power[..., None, :]) @ u, y_power[..., :, None] * u)
 
 
-def _finish_mean(g: ConnectionFunction, qw, f, cutoff=0.0):
-    """Every mean kernel's finish: ``g`` on the quotient eigenvalues ``qw``
+def _finish_mean(x: HermitianStack, g: ConnectionFunction, qw, f, grade, cutoff=0.0) -> HermitianStack:
+    """Where every mean is born: ``g`` on the quotient eigenvalues ``qw``
     (0+ limit at or below ``cutoff``, finite), then ``f g(qw) f^H`` for the
-    one factor ``f``: y's square root (``y**(q/2)`` for a powered mean)
-    times the quotient's eigenvectors."""
+    one factor ``f = W grade`` (y's eigenvectors, y's root or ``y**(q/2)``,
+    the quotient's eigenvectors); a positive ``g`` adds ``grade g(qw)^(1/2)``."""
     mapped = g.eval_extended(qw, cutoff)
     if not np.all(np.isfinite(mapped)):
         bad = qw[~np.isfinite(mapped)]
         raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
-    return mapped, _symmetrize(_spectral_map(f, mapped))
+    out = x._derive(_symmetrize(_spectral_map(f, mapped)))
+    if g.positive:
+        out._factor = grade * np.sqrt(mapped)[..., None, :]
+    return out
 
 
 def mean_pd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
@@ -269,14 +266,16 @@ def _extended_mean(
     if g.value_at_0plus is None or not math.isfinite(g.value_at_0plus):
         raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
     x._check_same_shape(y)
-    zero_y = _scale_of(y._spectrum()[0]) == 0.0
+    ly, vy = y._spectrum()
+    zero_y = _scale_of(ly) == 0.0
     if _any(zero_y) and _any(zero_y & (_spectral_scale(x) != 0.0)):
         raise DominationError("y = 0 dominates only x = 0")
     if quotient is None:
         quotient = eta(x, y)
     w, v = quotient.eta._spectrum()
-    # A zero y has a zero root, so its mean is exactly 0.
-    return x._derive(_finish_mean(g, w, _psd_root(y) @ v, RANK_RTOL * np.maximum(w[..., -1:], 0.0))[1])
+    # The root's factor without its leading Vy; a zero y has a zero root, so its mean is exactly 0.
+    grade = np.sqrt(np.where(_live(ly), ly, 0.0))[..., :, None] * (_ct(vy) @ v)
+    return _finish_mean(x, g, w, _psd_root(y) @ v, grade, RANK_RTOL * np.maximum(w[..., -1:], 0.0))
 
 
 def _psd_root(y: HermitianStack) -> np.ndarray:

@@ -1,5 +1,5 @@
 """High-precision references for the means, ``eta``, the graded kernels
-and the Lie–Trotter limit, in mpmath (D <= 4).
+and the Lie–Trotter limit, in mpmath (D <= 9).
 
 Each reference treats its float64 input matrices as exact, works at ``DPS``
 decimal digits through mpmath's Hermitian eigensolver ``eighe``, and
@@ -18,6 +18,7 @@ GENERATORS = {
     "harmonic_like": lambda t: 2 * t / (1 + t),
     "power:-0.5": lambda t: 1 / mp.sqrt(t),
     "square": lambda t: t**2,
+    "liftn:12:power:0.5": lambda t: t**12 * mp.sqrt(t),
 }
 
 
@@ -55,6 +56,13 @@ def mean_pd(x, y, fid):
     """The mean of PD ``x`` and ``y`` under ``GENERATORS[fid]`` (complex128)."""
     with mp.workdps(DPS):
         return _complex(_mean(_matrix(x), _matrix(y), GENERATORS[fid]))
+
+
+def mean_spectrum(x, y, fid):
+    """Ascending eigenvalues of the mean of PD ``x`` and ``y`` under
+    ``GENERATORS[fid]``."""
+    with mp.workdps(DPS):
+        return _eigenvalues(_mean(_matrix(x), _matrix(y), GENERATORS[fid]))
 
 
 def mean_psd(x, y, fid, rtol=1e-10):

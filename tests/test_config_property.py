@@ -1,12 +1,18 @@
 """Property test of the config contract.
 
-Inside the supported band (q in [0.05, 32] with the default p and m, at any
-shape from D = 1 to D = 64) every suite yields a report whose numeric fields
-are all finite.  Anywhere else a valid config yields such a report or raises
-``ValueError``/``ConfigError`` (both exit 2 from the CLI): beyond the band
-the exits are double-range overflows, such as T9's ``cap**p`` and
-``K(m, M, 2q)``, and premise scales below float64 resolution at large m.  A bad scalar anywhere in ``exponents``, ``ensembles``,
-``tolerance`` or ``trials`` raises ``ConfigError``.
+Inside the supported band (the default p, and either q in [0.05, 32] at the
+default m = 2 or m in [2, 16] at q in [0.05, 2], at any shape from D = 1 to
+D = 64) every suite yields a report whose numeric fields are all finite.
+Anywhere else a valid config yields such a report or raises
+``ValueError``/``ConfigError`` (both exit 2 from the CLI).  Beyond the band
+the exits are double-range overflows, such as T9's ``cap**p``,
+``K(m, M, 2q)`` at large q and m together (C1 at q = 2 from m = 44 on some
+seeds) and the lift ``x**m f`` on its probe grid from m = 51, and T3 from
+m = 20 at a q whose ``1 / q`` is not an integer: the q-th root of its lifted
+powered mean reads the ``eigh`` of the formed mean, whose bottom
+eigenvalues are then negative rounding noise.  A bad scalar anywhere in
+``exponents``, ``ensembles``, ``tolerance`` or ``trials`` raises
+``ConfigError``.
 """
 
 import math
@@ -24,7 +30,11 @@ positive = st.one_of(
     st.floats(min_value=0.05, max_value=8.0),
     st.floats(min_value=1e-300, max_value=1e300, exclude_min=True),
 )
-exponents = st.fixed_dictionaries({}, optional={"q": positive, "p": positive, "m": st.integers(2, 12)})
+exponents = st.fixed_dictionaries({}, optional={"q": positive, "p": positive, "m": st.integers(2, 64)})
+band = st.one_of(
+    st.fixed_dictionaries({"q": st.floats(min_value=0.05, max_value=32.0)}),
+    st.fixed_dictionaries({"q": st.floats(min_value=0.05, max_value=2.0), "m": st.integers(2, 16)}),
+)
 
 
 def finite_fields(report) -> bool:
@@ -48,6 +58,8 @@ def finite_fields(report) -> bool:
 @example(shape=(4, 4), trials=1, suite="C4_MajorizationTC", exps={"q": 6.0})
 # The cap/floor ratio overflows before any tensor fails a gate.
 @example(shape=(1,), trials=1, suite="T9_TC", exps={"q": 6.06e183})
+# The lift overflows on its probe grid.
+@example(shape=(2, 2), trials=1, suite="C1_AndoHiaiDual", exps={"m": 51})
 def test_valid_config_reports_finite_or_raises_value_error(shape, trials, suite, exps):
     # No warning filter: an overflow must raise ValueError without a
     # RuntimeWarning first (pyproject turns warnings into errors).
@@ -64,14 +76,17 @@ def test_valid_config_reports_finite_or_raises_value_error(shape, trials, suite,
     shape=st.sampled_from(SHAPES),
     trials=st.integers(1, 3),
     suite=st.sampled_from([s.value for s in SuiteId]),
-    q=st.floats(min_value=0.05, max_value=32.0),
+    exps=band,
 )
 # The dyadic levels and powered means of the largest q at the largest D.
-@example(shape=(8, 8), trials=3, suite="T7_Psi", q=32.0)
-@example(shape=(8, 8), trials=3, suite="C4_MajorizationTC", q=32.0)
-@example(shape=(2, 2), trials=3, suite="C3_MajorizationTMD", q=9.0)
-def test_supported_band_reports_finite_fields(shape, trials, suite, q):
-    cfg = ExperimentConfig(shape=shape, trials=trials, suites=(suite,), exponents={"q": q})
+@example(shape=(8, 8), trials=3, suite="T7_Psi", exps={"q": 32.0})
+@example(shape=(8, 8), trials=3, suite="C4_MajorizationTC", exps={"q": 32.0})
+@example(shape=(2, 2), trials=3, suite="C3_MajorizationTMD", exps={"q": 9.0})
+# The lifted premise means of the largest m, whose bottom eigenvalues the geq premise divides by.
+@example(shape=(8, 8), trials=3, suite="C1_AndoHiaiDual", exps={"q": 2.0, "m": 16})
+@example(shape=(3, 3), trials=3, suite="T3_LieTrotterTail", exps={"q": 0.46, "m": 16})
+def test_supported_band_reports_finite_fields(shape, trials, suite, exps):
+    cfg = ExperimentConfig(shape=shape, trials=trials, suites=(suite,), exponents=exps)
     (report,) = run_suites(cfg)
     assert finite_fields(report), report
 

@@ -21,20 +21,20 @@ BUDGET = {
     "L1_PowerMonotone": (6, 3, 0),
     "L2_Kantorovich": (6, 18, 0),
     "L3_MarkovChebyshev": (6, 6, 0),
-    "T1_AndoHiaiGeneralized": (9, 6, 6),
-    "C1_AndoHiaiDual": (9, 6, 6),
+    "T1_AndoHiaiGeneralized": (9, 3, 9),
+    "C1_AndoHiaiDual": (9, 3, 9),
     "T2_LieTrotterLimit": (57, 0, 0),
-    "T3_LieTrotterTail": (21, 12, 12),
-    "T7_Psi": (9, 21, 9),
-    "T8_Phi": (9, 21, 9),
-    "T9_TC": (9, 12, 18),
-    "C2_MajorizationTMI": (9, 15, 9),
-    "C3_MajorizationTMD": (9, 15, 9),
-    "C4_MajorizationTC": (9, 12, 18),
+    "T3_LieTrotterTail": (21, 9, 9),
+    "T7_Psi": (9, 18, 12),
+    "T8_Phi": (9, 18, 12),
+    "T9_TC": (9, 9, 21),
+    "C2_MajorizationTMI": (9, 12, 12),
+    "C3_MajorizationTMD": (9, 12, 12),
+    "C4_MajorizationTC": (9, 9, 21),
     "T63_PsdLimit": (30, 15, 0),
-    "T65_JointConvexity": (30, 42, 0),
-    "APP_Fusion": (18, 27, 0),
-    "APP_LinearTransform": (24, 39, 0),
+    "T65_JointConvexity": (30, 33, 9),
+    "APP_Fusion": (18, 21, 6),
+    "APP_LinearTransform": (24, 30, 9),
 }
 
 

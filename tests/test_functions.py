@@ -225,6 +225,13 @@ class TestFromId:
         with pytest.raises(ValueError):
             tm.from_id(fid)
 
+    @pytest.mark.parametrize("m", [51, 52, 64])
+    def test_lift_overflow_on_probe_grid_raises_value_error(self, m):
+        # x**m f(x) overflows on the probe grid from m = 51: a ValueError, with
+        # no RuntimeWarning first (pyproject turns warnings into errors).
+        with pytest.raises(ValueError, match="non-finite values on probe grid"):
+            tm.from_id(f"liftn:{m}:power:0.5")
+
 
 @settings(deadline=None, max_examples=40)
 @given(alpha=st.floats(0.05, 1.0), x=st.floats(0.01, 100.0))

@@ -25,6 +25,11 @@ regularized pairs ``(x + 1e-8 I, y + 1e-8 I)``, where ``cond(y) ~ 1e8``,
 rank-deficient dominated pairs, ``eta``, its seeded eigenvalues, the
 domination constant and ``mean_psd`` are within 2e-13 normwise (4.9e-15
 measured).
+
+A mean of a positive generator reads its eigenvalues from its graded
+factor.  The bottom eigenvalue of C1's lifted premise mean at m = 12
+(condition up to 3e18 at D = 9) is within 1e-12 relative (3.5e-14
+measured), where ``eigvalsh`` of the formed mean is off by up to 44 times.
 """
 
 import numpy as np
@@ -105,6 +110,55 @@ def test_powered_mean_matches_oracle_on_suite_draws(monkeypatch, suite):
             formed_error = max(formed_error, relative(np.linalg.eigvalsh(got), want_ev))
     # Not vacuous: eigvalsh of the formed mean misses the small eigenvalues.
     assert formed_error > 1.0
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
+def test_lifted_premise_mean_bottom_eigenvalue_matches_oracle(monkeypatch, shape):
+    # C1's geq premise divides the pair by the bottom eigenvalue of
+    # mean_pd(x, y, x**12 f), read from the mean's graded factor.
+    calls = []
+    real = harness.mean_pd
+
+    def spy(x, y, g):
+        out = real(x, y, g)
+        calls.append((x, y, g, out))
+        return out
+
+    monkeypatch.setattr(harness, "mean_pd", spy)
+    harness.run_suite("C1_AndoHiaiDual", harness.ExperimentConfig(trials=4, shape=shape, exponents={"m": 12}))
+    ((x, y, g, mean),) = calls
+    formed_error = 0.0
+    for i in range(4):
+        want = oracle.mean_spectrum(x.unfold()[i], y.unfold()[i], g.label)[0]
+        assert relative(mean._eigenvalues()[i, 0], want) <= 1e-12
+        formed_error = max(formed_error, relative(np.linalg.eigvalsh(mean.unfold()[i])[0], want))
+    # Not vacuous: eigvalsh of the formed mean misses the bottom eigenvalue.
+    assert formed_error > 1e-6
+
+
+def test_powered_mean_at_q_32_matches_oracle_where_worst_conditioned(monkeypatch):
+    # C3's Ky Fan gate needs its powered means of q = 32 PD.  On the four
+    # default draws whose read spectra are the most ill-conditioned
+    # (condition 3e51 to 7e52), every eigenvalue read from the graded factor
+    # is within 5e-2 relative (2.4e-3 measured).  An SVD of the same factor
+    # in its natural column order was off by up to 1.8e12 relative here, and
+    # read an exact 0 on another draw.
+    calls = []
+    real = harness._powered_mean
+
+    def spy(x, y, g, q):
+        out = real(x, y, g, q)
+        calls.append((x, y, g, q, out))
+        return out
+
+    monkeypatch.setattr(harness, "_powered_mean", spy)
+    harness.run_suite("C3_MajorizationTMD", harness.ExperimentConfig(exponents={"q": 32.0}))
+    ((x, y, g, q, mean),) = calls
+    ev = mean._eigenvalues()
+    for i in np.argsort(ev[:, 0] / ev[:, -1])[:4]:
+        _, want = oracle.powered_mean(x.unfold()[i], y.unfold()[i], g.label, q)
+        assert want[-1] / want[0] > 1e51
+        assert relative(ev[i], want) <= 5e-2, i
 
 
 def test_t2_final_error_matches_oracle(monkeypatch):
