@@ -63,9 +63,12 @@ def kantorovich(m, big_m, p):
     which is always >= 1.  Raises ``ValueError`` when ``m <= 0``, when
     ``M < m``, or when the closed form over- or underflows double precision.
 
-    The closed form divides differences that cancel as ``M / m -> 1``, so
-    for ``M - m < m / 64`` it is evaluated in ``t = log(M / m)`` instead,
-    where each difference is an ``expm1`` exact to rounding.
+    ``K`` is homogeneous of degree 0, so the closed form is evaluated at
+    ``(1, M / m)``: only the ratio's powers can leave double range, not
+    ``m**p`` or ``M**p``.  It divides differences that cancel as
+    ``M / m -> 1``, so for ``M - m < m / 64`` it is evaluated in
+    ``t = log(M / m)`` instead, where each difference is an ``expm1`` exact
+    to rounding.
     """
     args = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (m, big_m, p)))
     shape = args[0].shape
@@ -79,12 +82,11 @@ def kantorovich(m, big_m, p):
         raise ValueError(f"need M >= m, got M = {big_m[i]} < m = {m[i]}")
     trivial = (m == big_m) | ((0.0 <= p) & (p <= 1.0))
     with np.errstate(all="ignore"):
-        mp = m**p
-        big_mp = big_m**p
-        cross = m * big_mp - big_m * mp
-        first = ((p - 1.0) * (big_mp - mp) / (p * cross)) ** p
-        second = cross / ((p - 1.0) * (big_m - m))
         h, rel = big_m / m, (big_m - m) / m
+        hp = h**p
+        cross = hp - h
+        first = ((p - 1.0) * (hp - 1.0) / (p * cross)) ** p
+        second = cross / ((p - 1.0) * rel)
         t = np.log1p(rel)
         lower = h * np.expm1((p - 1.0) * t)
         near = ((p - 1.0) * np.expm1(p * t) / (p * lower)) ** p * lower / ((p - 1.0) * rel)

@@ -207,10 +207,13 @@ class HermitianStack:
     stacked ``eigh`` (:meth:`_spectrum`) serves the kernels that read
     eigenvectors.  A result of the spectral calculus ``V phi(w) V^H``
     (:func:`apply_spectral`) is born with both: the sorted ``phi(w)`` and
-    V's columns in the same order (:meth:`_seed_spectrum`); so is ``eta``.
-    A mean of a positive ``g``, ``W G G^H W^H`` for y's eigenvectors ``W``,
-    is born with its graded factor ``G``, and its values are ``sigma(G)**2``.
-    Every other stack reads its values with ``eigvalsh``.
+    V's columns in the same order (:meth:`_seed_spectrum`); so are ``eta``
+    and the harness's ``spectrum`` draws ``q diag(lam) q^H``.  A mean of a
+    positive ``g``, ``W G G^H W^H`` for y's eigenvectors ``W``, is born with
+    its graded factor ``G``, and its values are ``sigma(G)**2``.  A shift
+    ``h + eps I`` or rescale ``h / t`` that its kernel forms right after
+    reading h's spectra is born with them shifted or scaled.  Every other
+    stack reads its values with ``eigvalsh``.
     """
 
     __slots__ = ("_matrix", "_evals", "_eig", "_factor")

@@ -46,7 +46,10 @@ from .core import (
     TensorShape,
     _ct,
     _gate_pd,
+    _frobenius,
     _loewner_gap,
+    _quiet,
+    _read_only,
     _symmetrize,
     apply_spectral,
     gauge_norm,
@@ -245,9 +248,13 @@ def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
 
     ``role`` selects an independent stream for further draws of the same
     trial (the default 0 is the primary draw).  The batch of one of
-    :func:`_draw`.
+    :func:`_draw`, with the eigenpairs that a ``spectrum`` draw is born with.
     """
-    return HermitianTensor._trusted(_draw(spec, (trial,), role).unfold()[0], spec.shape)
+    stack = _draw(spec, (trial,), role)
+    out = HermitianTensor._trusted(stack.unfold()[0], spec.shape)
+    if stack._eig is not None:
+        out._seed_spectrum(stack._eig[0][0], stack._eig[1][0])
+    return out
 
 
 def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
@@ -259,8 +266,10 @@ def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
     """
     d = spec.shape.square_dim
     if spec.kind == "spectrum" and spec.m == spec.M:
-        eye = np.eye(d, dtype=np.complex128) * float(spec.m)
-        return HermitianStack._trusted(np.repeat(eye[None], len(trials), axis=0))
+        eye = np.eye(d, dtype=np.complex128)
+        out = HermitianStack._trusted(np.repeat((eye * float(spec.m))[None], len(trials), axis=0))
+        out._seed_spectrum(np.full((len(trials), d), float(spec.m)), np.broadcast_to(eye, out.unfold().shape))
+        return out
     streams = _streams(spec.seed, trials, role)
     if spec.kind == "spectrum":
         draws = [(rng.standard_normal((2, d, d)), rng.uniform(spec.m, spec.M, size=d)) for rng in streams]
@@ -279,8 +288,12 @@ def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
 
 
 def _rotated(q: np.ndarray, lam: np.ndarray) -> HermitianStack:
-    """Validated stack of ``q diag(lam) q^H``."""
-    return HermitianStack.from_matrices((q * lam[:, None, :]) @ _ct(q))
+    """Validated stack of ``q diag(lam) q^H``, born with its eigenpairs:
+    ``lam`` sorted ascending and q's columns in the same order."""
+    out = HermitianStack.from_matrices((q * lam[:, None, :]) @ _ct(q))
+    order = np.argsort(lam, axis=-1, kind="stable")
+    out._seed_spectrum(np.take_along_axis(lam, order, axis=-1), np.take_along_axis(q, order[:, None, :], axis=-1))
+    return out
 
 
 # Stream roles of the further draws of a trial (the primary draw is role 0):
@@ -320,8 +333,12 @@ def _premise_pairs(run, trials, big_f, directions):
     """Premise enforcement at the suite boundary: the x/y draws of a chunk
     of trials and their mean, rescaled once per direction from that one
     mean (see :func:`_rescale`).  Non-PD draws are a configuration problem
-    (the premise suites need PD ensembles in both slots)."""
+    (the premise suites need PD ensembles in both slots).
+
+    The rescale maps the eigenpairs of x, so x's PD gate reads the values of
+    that one ``eigh``, seeded at the draw's birth: x is decomposed once."""
     x, y = run.pair(trials)
+    x._seed_spectrum(*x._spectrum())
     try:
         base = mean_pd(x, y, big_f)
     except NotPositiveDefiniteError as exc:
@@ -352,7 +369,9 @@ def _rescale(x, y, base, direction, where):
     mean ``base`` that the premise fixes at 1 (``base / t`` by homogeneity).
 
     The pair maps the eigenpairs of x and y (:func:`apply_spectral`), so it
-    is born with both spectral caches.  A scale ``t <= 0`` raises
+    is born with both spectral caches; ``base / t`` is born with base's
+    values divided by ``t``, the values ``t`` is read from, so no rescaled
+    stack is decomposed again.  A scale ``t <= 0`` raises
     :class:`ConfigError` naming ``where``.
     """
     w = base._eigenvalues()
@@ -366,7 +385,9 @@ def _rescale(x, y, base, direction, where):
     def scaled(lam):
         return lam / t[..., None]
 
-    return apply_spectral(x, scaled), apply_spectral(y, scaled), base / t
+    mean = base / t
+    mean._evals = _read_only(scaled(w))
+    return apply_spectral(x, scaled), apply_spectral(y, scaled), mean
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +683,39 @@ def _excess(lhs, rhs) -> np.ndarray:
     over ``rhs``, ``lambda_max(lhs - rhs) / max(|lhs|_sp, |rhs|_sp, 1)`` per
     matrix, read from ``core._loewner_gap`` as ``tmlab.loewner_compare``
     reads it; ``lhs <= rhs`` fails when it is above the tolerance.  Either
-    side may be a stack or per-matrix numbers ``c`` standing for ``c I``."""
+    side may be a stack or per-matrix numbers ``c`` standing for ``c I``.
+
+    A stack against a stack is first offered to :func:`_certified`: when
+    it certifies every matrix, every excess is ``<= 0`` and the rule
+    returns the floor 0 of ``max_violation`` without reading a spectrum.
+    """
+    if isinstance(lhs, HermitianStack) and isinstance(rhs, HermitianStack) and _certified(lhs, rhs):
+        return np.zeros(lhs.unfold().shape[:-2])
     _, top, scale = _loewner_gap(lhs, rhs)
     return top / scale
+
+
+@_quiet
+def _certified(lhs: HermitianStack, rhs: HermitianStack) -> bool:
+    """Whether one stacked Cholesky factorization of ``A - delta I``, for
+    the computed ``A = rhs - lhs`` and ``delta = 4 D**2 eps (|lhs|_F +
+    |rhs|_F)``, proves ``lhs <= rhs`` for every matrix: ``delta`` exceeds
+    the backward error of a Cholesky factorization that runs to completion,
+    about ``D (D + 1) / 2 * eps |A|_2`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Thm 10.3), plus that of ``eigvalsh``,
+    so :func:`_loewner_gap` reads ``lambda_max(lhs - rhs) <= 0`` on each.
+    numpy raises ``LinAlgError`` for the whole stack: then nothing is
+    certified.
+    """
+    a = rhs.unfold() - lhs.unfold()
+    d = a.shape[-1]
+    delta = 4.0 * d * d * np.finfo(float).eps * (_frobenius(lhs.unfold()) + _frobenius(rhs.unfold()))
+    a[..., np.arange(d), np.arange(d)] -= delta[..., None]
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _tail_columns(cfg, checks) -> list:

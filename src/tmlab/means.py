@@ -34,6 +34,7 @@ from .core import (
     _live,
     _per_item,
     _quiet,
+    _read_only,
     _scale_of,
     _spectral_map,
     _spectral_scale,
@@ -331,20 +332,30 @@ def epsilon_mean_limit(
     ``mode="right"`` perturbs only the second slot, covering perturbation
     sequences like ``I/n`` applied to ``y``.  Non-convergence is recorded in
     the diagnostic, never raised.
+
+    The shifted operands are born with the spectra of x and y shifted by
+    ``eps``: ``y + eps I`` with y's eigenpairs, which the limit reads, and
+    ``x + eps I`` with x's values, which its gate reads.  Both are read
+    here on every call, so the bits do not depend on what ran before.
     """
     eps_grid = _epsilon_grid(eps_grid)
     if mode not in ("joint", "right"):
         raise ValueError(f"unknown mode {mode!r}")
     # mean_psd gates x as PSD, which is all the right-slot mode needs of it.
     limit = mean_psd(x, y, g)
+    lx, (ly, vy) = x._eigenvalues(), y._spectrum()
     eye = np.eye(x._matrix.shape[-1], dtype=np.complex128)
     errors = []
     for eps in eps_grid:
         bump = x._derive(eye * eps)
+        y_eps = y + bump
+        y_eps._seed_spectrum(ly + eps, vy)
         if mode == "joint":
-            approx = mean_pd(x + bump, y + bump, g)
+            x_eps = x + bump
+            x_eps._evals = _read_only(lx + eps)
+            approx = mean_pd(x_eps, y_eps, g)
         else:
-            approx = _congruence_mean(x, y + bump, g)
+            approx = _congruence_mean(x, y_eps, g)
         errors.append(gauge_norm(approx - limit, norm))
     scale = np.maximum(gauge_norm(limit, norm), 1e-300)
     converged = errors[-1] <= 1e-3 * np.maximum(scale, 1.0)

@@ -63,6 +63,27 @@ class TestKantorovich:
         assert all(type(v) is float for row in scalar for v in row)
         assert np.array_equal(k, scalar)
 
+    def test_closed_form_at_the_ratio_matches_the_direct_one(self, rng):
+        # K is homogeneous of degree 0; outside the log form's band the
+        # closed form at (1, M / m) agrees with the one at (m, M).
+        m = 10.0 ** rng.uniform(-4.0, 2.0, size=2000)
+        big = m * 10.0 ** rng.uniform(0.01, 3.0, size=2000)
+        p = rng.choice([-1.0, 1.0], size=2000) * rng.uniform(1.1, 5.0, size=2000)
+        mp, big_mp = m**p, big**p
+        cross = m * big_mp - big * mp
+        direct = ((p - 1.0) * (big_mp - mp) / (p * cross)) ** p * cross / ((p - 1.0) * (big - m))
+        np.testing.assert_allclose(tm.kantorovich(m, big, p), direct, rtol=1e-14, atol=0.0)
+
+    def test_ratio_keeps_large_spectra_in_range(self):
+        # m * M**p overflows here, (M / m)**p does not.
+        mp = pytest.importorskip("mpmath")
+        m, big, p = 7.4779e60, 2.854e62, 4.0
+        with mp.workdps(50):
+            h = mp.mpf(big) / mp.mpf(m)
+            want = float(((p - 1) * (h**p - 1) / (p * (h**p - h))) ** p * (h**p - h) / ((p - 1) * (h - 1)))
+        assert tm.kantorovich(m, big, p) == pytest.approx(want, rel=1e-14)
+        assert tm.kantorovich(m, big, p) == pytest.approx(6021.44, abs=5e-3)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "m, big, match",

@@ -125,6 +125,27 @@ class TestEnforcePremise:
                 assert np.allclose(scaled.unfold() @ v, v * w[:, None, :], rtol=0.0, atol=1e-12 / t.min())
         assert calls == []
 
+    def test_rescale_bits_do_not_depend_on_earlier_decompositions(self):
+        # The rescaled stacks inherit only what _rescale always reads; a
+        # caller who has already decomposed x, y and the mean gets the same
+        # bits, in the matrices and in both caches.
+        def run(warm):
+            rng = np.random.default_rng(23)
+            x, y = (HermitianStack.from_matrices([rand_pd(rng).unfold() for _ in range(3)]) for _ in range(2))
+            base = tm.mean_pd(x, y, tm.power_lift(tm.geometric(), 2))
+            if warm:
+                for t in (x, y, base):
+                    t._spectrum()
+                    t._eigenvalues()
+            out = []
+            for direction in ("leq", "geq"):
+                for t in _rescale(x, y, base, direction, "test"):
+                    out += [t.unfold(), t._eigenvalues(), *t._spectrum()]
+            return out
+
+        fresh, warmed = run(False), run(True)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh, warmed, strict=True))
+
     def test_non_positive_premise_scale_raises_config_error(self, rng):
         x, y = rand_pd(rng), rand_pd(rng)
         base = tm.HermitianTensor.diag([-1e-9, 1.0, 2.0, 3.0], SHAPE)

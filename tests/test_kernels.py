@@ -278,6 +278,57 @@ def test_tail_rule_matches_loewner_extremes(rng, d):
         assert reference.any() and not reference.all()
 
 
+def _difference_at(rng, lhs, lam_min):
+    """``lhs + A`` for a Hermitian ``A`` with ``lambda_min(A) = lam_min`` per
+    matrix and the rest of its spectrum in [0.5, 1]."""
+    n, d = lhs.unfold().shape[:2]
+    q = np.linalg.qr(gaussian(rng, n, d, d))[0]
+    mu = np.concatenate([lam_min[:, None], rng.uniform(0.5, 1.0, size=(n, d - 1))], axis=1)
+    return HermitianStack.from_matrices(lhs.unfold() + (q * mu[:, None, :]) @ q.conj().swapaxes(-1, -2))
+
+
+def _margin(lhs, rhs):
+    """The certificate's stated margin ``4 D**2 eps (|lhs|_F + |rhs|_F)``."""
+    d = lhs.unfold().shape[-1]
+    norms = [np.linalg.norm(s.unfold(), axis=(-2, -1)) for s in (lhs, rhs)]
+    return 4.0 * d * d * np.finfo(float).eps * (norms[0] + norms[1])
+
+
+def _gap_excess(lhs, rhs):
+    _, top, scale = tm.core._loewner_gap(lhs, rhs)
+    return top / scale
+
+
+@pytest.mark.parametrize("d", [1, 4, 64])
+def test_cholesky_certificate_boundary(rng, d):
+    # Stacks whose lambda_min(rhs - lhs) sits at -2, -1/2, 1/2 and 2 times the
+    # margin delta: only the last is certified, and a certified stack's
+    # excess is max(0, the gap's excess) = 0.  Any other stack, including a
+    # certified one with one failing matrix appended, gets the gap's values.
+    n = 6
+    lhs = HermitianStack.from_matrices(pd_stack(rng, d, n).unfold() + np.eye(d))
+    stacks = {}
+    for k in (-2.0, -0.5, 0.5, 2.0):
+        delta = _margin(lhs, _difference_at(rng, lhs, np.zeros(n)))
+        rhs = _difference_at(rng, lhs, k * delta)
+        ratio = np.linalg.eigvalsh(rhs.unfold() - lhs.unfold())[:, 0] / _margin(lhs, rhs)
+        assert np.all(np.abs(ratio - k) <= 0.25 * abs(k)), (k, ratio)
+        stacks[k] = rhs
+        certified = harness._certified(lhs, rhs)
+        assert certified == (k == 2.0), k
+        excess = _gap_excess(lhs, rhs)
+        if certified:
+            assert np.all(excess <= 0.0)
+            assert same(harness._excess(lhs, rhs), np.maximum(0.0, excess))
+        else:
+            assert same(harness._excess(lhs, rhs), excess)
+    for k in (-0.5, 0.5):
+        mixed = HermitianStack._trusted(np.concatenate([stacks[2.0].unfold(), stacks[k].unfold()[:1]]))
+        both = HermitianStack._trusted(np.concatenate([lhs.unfold(), lhs.unfold()[:1]]))
+        assert not harness._certified(both, mixed)
+        assert same(harness._excess(both, mixed), _gap_excess(both, mixed))
+
+
 def test_chunks_respect_the_stack_budget():
     for shape, trials in (((2, 2), 200), ((4, 4), 70), ((8, 8), 10), ((1,), 3)):
         cfg = ExperimentConfig(trials=trials, shape=shape)

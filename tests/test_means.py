@@ -231,6 +231,34 @@ class TestEpsilonMeanLimit:
         limit, diag = tm.epsilon_mean_limit(x, y, tm.geometric(), grid, mode="right")
         assert diag.errors[-1] <= 1e-3 * max(1.0, tm.gauge_norm(limit))
 
+    @pytest.mark.parametrize("mode", ["joint", "right"])
+    def test_bits_do_not_depend_on_earlier_decompositions(self, mode, monkeypatch):
+        # The shifted operands are born from the spectra of x and y; a caller
+        # who has already decomposed x and y gets the same bits, in the
+        # result and in the caches of every shifted operand.
+        def run(warm):
+            x, y = dominated_pair(np.random.default_rng(17))
+            if warm:
+                for t in (x, y):
+                    t._spectrum()
+                    t._eigenvalues()
+            seen, name = [], "mean_pd" if mode == "joint" else "_congruence_mean"
+            real = getattr(tm.means, name)
+
+            def spy(a, b, g):
+                out = real(a, b, g)
+                seen.extend([a._eigenvalues(), b._eigenvalues(), *b._spectrum()])
+                return out
+
+            monkeypatch.setattr(tm.means, name, spy)
+            limit, diag = tm.epsilon_mean_limit(x, y, tm.geometric(), mode=mode)
+            monkeypatch.undo()
+            return [limit.unfold(), np.array(diag.errors), *seen]
+
+        fresh, warmed = run(False), run(True)
+        assert len(fresh) == 2 + 4 * 4
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh, warmed))
+
     def test_bad_grid_rejected(self, rng):
         x, y = rand_pd(rng), rand_pd(rng)
         with pytest.raises(ValueError):

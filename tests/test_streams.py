@@ -101,6 +101,46 @@ def test_draw_matches_per_trial_reference(kind, params, shape):
     assert _same_bits(sample(spec, 11, 2).unfold(), _ref_draw(spec, (11,), 2)[0])
 
 
+@pytest.mark.parametrize("shape", [(1,), (2, 2), (8, 8)])
+def test_spectrum_draws_are_born_with_their_eigenpairs(shape, monkeypatch):
+    spec = EnsembleSpec(tm.TensorShape(shape), "spectrum", 20260809 * 31, m=0.3, M=2.0)
+    d, eps, trials = spec.shape.square_dim, np.finfo(float).eps, range(4)
+    rngs = [_ref_rng(spec.seed, t, 0) for t in trials]
+    for rng in rngs:
+        rng.standard_normal((2, d, d))
+    lam = np.stack([rng.uniform(spec.m, spec.M, size=d) for rng in rngs])
+    margin = 64.0 * eps * spec.M
+    lam = np.clip(lam, spec.m + margin, spec.M - margin)
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append("eigvalsh"))
+    draw = _draw(spec, trials)
+    assert _same_bits(draw.unfold(), _ref_draw(spec, trials, 0))
+    w, v = draw._spectrum()
+    assert draw._eigenvalues() is w and _same_bits(w, np.sort(lam, axis=-1))
+    assert np.all((spec.m <= w) & (w <= spec.M))
+    residual = np.linalg.norm(draw.unfold() @ v - v * w[:, None, :], axis=(-2, -1))
+    assert np.all(residual <= 4.0 * d * eps * spec.M), residual.max()
+    # The batch of one keeps the seeded pairs, so a mean of sample() draws
+    # has the bits of the same slice of the stacked mean.
+    x_spec = EnsembleSpec(spec.shape, "wishart", 7, dof=2 * d)
+    for t in trials:
+        one = sample(spec, t)
+        assert _same_bits(one._spectrum()[0], w[t]) and _same_bits(one._spectrum()[1], v[t])
+    assert calls == []
+    monkeypatch.undo()
+    stacked = tm.mean_pd(_draw(x_spec, trials), draw, tm.geometric()).unfold()
+    for t in trials:
+        assert _same_bits(tm.mean_pd(sample(x_spec, t), sample(spec, t), tm.geometric()).unfold(), stacked[t])
+
+
+def test_identity_draws_are_born_with_their_eigenpairs():
+    spec = EnsembleSpec(tm.TensorShape((2, 2)), "spectrum", 5, m=0.7, M=0.7)
+    w, v = _draw(spec, range(3))._spectrum()
+    assert _same_bits(w, np.full((3, 4), 0.7))
+    assert _same_bits(np.asarray(v), np.broadcast_to(np.eye(4, dtype=complex), (3, 4, 4)).copy())
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3,), (4, 4)])
 def test_l3_increments_match_per_trial_reference(shape):
     spec = EnsembleSpec(tm.TensorShape(shape), "spectrum", 99, m=0.05, M=0.3)
