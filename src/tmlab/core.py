@@ -202,18 +202,13 @@ class HermitianStack:
     scalars come back as arrays over the leading axes.
     :class:`HermitianTensor` is the batch of one, a single ``D x D`` matrix
     with its tensor shape, so each operation has one body.  Stacks are
-    immutable and keep two lazy spectral caches: one stacked read of the
-    values (:meth:`_eigenvalues`) serves every eigenvalue read, and one
-    stacked ``eigh`` (:meth:`_spectrum`) serves the kernels that read
-    eigenvectors.  A result of the spectral calculus ``V phi(w) V^H``
-    (:func:`apply_spectral`) is born with both: the sorted ``phi(w)`` and
-    V's columns in the same order (:meth:`_seed_spectrum`); so are ``eta``
-    and the harness's ``spectrum`` draws ``q diag(lam) q^H``.  A mean of a
-    positive ``g``, ``W G G^H W^H`` for y's eigenvectors ``W``, is born with
-    its graded factor ``G``, and its values are ``sigma(G)**2``.  A shift
-    ``h + eps I`` or rescale ``h / t`` that its kernel forms right after
-    reading h's spectra is born with them shifted or scaled.  Every other
-    stack reads its values with ``eigvalsh``.
+    immutable and keep two spectral caches: one stacked read of the values
+    (:meth:`_eigenvalues`) serves every eigenvalue read, and one stacked
+    ``eigh`` (:meth:`_spectrum`) serves the kernels that read eigenvectors.
+    A kernel that knows a spectrum passes it at birth (:meth:`_seal`,
+    through :meth:`_trusted` or :meth:`_derive`): ascending ``values``,
+    their ``vectors``, or a graded ``factor`` ``G`` whose ``sigma(G)**2``
+    are the values.  Otherwise each cache is filled on first use.
     """
 
     __slots__ = ("_matrix", "_evals", "_eig", "_factor")
@@ -221,12 +216,12 @@ class HermitianStack:
     __array_ufunc__ = None
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "HermitianStack":
-        """Wrap a fresh stack that is exactly Hermitian by construction;
-        only finiteness is checked (see :meth:`HermitianTensor._trusted`)."""
+    def _trusted(cls, matrix: np.ndarray, **known) -> "HermitianStack":
+        """Wrap a fresh stack that is exactly Hermitian by construction,
+        born with ``known`` (:meth:`_seal`); only finiteness is checked."""
         _check_finite(matrix)
         s = cls.__new__(cls)
-        s._seal(matrix)
+        s._seal(matrix, **known)
         return s
 
     @staticmethod
@@ -237,17 +232,31 @@ class HermitianStack:
         s._seal(_validated(np.asarray(matrices, dtype=np.complex128)))
         return s
 
-    def _seal(self, matrix: np.ndarray) -> None:
-        """The step every construction ends in: read-only contiguous
-        storage of a checked matrix, empty spectral caches and no factor."""
+    def _seal(self, matrix: np.ndarray, values=None, vectors=None, factor=None) -> None:
+        """The step every construction ends in: read-only contiguous storage
+        of a checked matrix, and what its maker knows of its spectrum: the
+        ascending ``values``, with them their ``vectors``, or a graded
+        ``factor`` ``G`` of ``matrix = W G G^H W^H`` for a unitary ``W``."""
         self._matrix = _read_only(np.ascontiguousarray(matrix))
-        self._evals = None
-        self._eig = None
-        self._factor = None
+        self._evals = None if values is None else _read_only(values)
+        self._eig = None if vectors is None else (self._evals, _read_only(vectors))
+        self._factor = factor
 
-    def _derive(self, matrix: np.ndarray) -> "HermitianStack":
-        """A kernel result of the same kind as ``self`` (finiteness-gated)."""
-        return HermitianStack._trusted(matrix)
+    def _derive(self, matrix: np.ndarray, **known) -> "HermitianStack":
+        """A kernel result of the same kind as ``self``, born with ``known``."""
+        return HermitianStack._trusted(matrix, **known)
+
+    def _decomposed(self) -> "HermitianStack":
+        """The same matrices re-born with their one ``eigh`` pair in both
+        caches, so that a values read costs no second decomposition."""
+        w, v = self._spectrum()
+        return self._derive(self._matrix, values=w, vectors=v)
+
+    def _member(self, i: int, shape: "TensorShape") -> "HermitianTensor":
+        """Matrix ``i`` as a tensor of ``shape``, born with its slice of the
+        eigenpairs the stack holds."""
+        known = {} if self._eig is None else {"values": self._eig[0][i], "vectors": self._eig[1][i]}
+        return HermitianTensor._trusted(self._matrix[i], shape, **known)
 
     def unfold(self) -> np.ndarray:
         """Read-only ``(..., D, D)`` Hermitian matrices."""
@@ -262,7 +271,7 @@ class HermitianStack:
         Every eigenvalue read goes through here, never through a cached
         :meth:`_spectrum`, so its bits do not depend on which kernels ran
         before.  They agree with the eigenvalues of :meth:`_spectrum` to
-        rounding, not bit for bit, unless both were seeded at construction.
+        rounding, not bit for bit, unless both were passed at birth.
         """
         if self._evals is None and self._factor is not None:
             # Largest columns first, as a pivoted QR takes them (Demmel et al., LAA 299, 1999).
@@ -273,20 +282,14 @@ class HermitianStack:
             self._evals = _read_only(np.linalg.eigvalsh(self._matrix))
         return self._evals
 
-    def _seed_spectrum(self, w: np.ndarray, v: np.ndarray) -> None:
-        """Fill both caches with the ascending spectra ``w`` and their
-        eigenvectors ``v`` (columns in the order of ``w``)."""
-        self._evals = _read_only(w)
-        self._eig = (w, _read_only(v))
-
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ascending eigenvalues and eigenvectors of every matrix,
         for the kernels that read eigenvectors.
 
-        One ``eigh`` call over the stack, made on first use and cached.  The
-        two caches are the only writes into an instance after its birth,
-        and idempotent ones.  Eigenvector phases are those LAPACK returns;
-        :func:`spectral_decompose` fixes them.
+        One ``eigh`` call over the stack, made on first use unless passed at
+        birth.  The two caches are the only writes into an instance after
+        its birth, and idempotent ones.  Eigenvector phases are those LAPACK
+        returns; :func:`spectral_decompose` fixes them.
         """
         if self._eig is None:
             w, v = np.linalg.eigh(self._matrix)
@@ -373,17 +376,17 @@ class HermitianTensor(HermitianStack):
         self._seal(_validated(arr.reshape(d, d)))
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray, shape: TensorShape) -> "HermitianTensor":
+    def _trusted(cls, matrix: np.ndarray, shape: TensorShape, **known) -> "HermitianTensor":
         """Wrap a fresh ``D x D`` matrix that is exactly Hermitian by
         construction (a symmetrized result, or a sum or real multiple of
         such tensors): only finiteness is checked, and the matrix is frozen
         in place.  Public input goes through ``__init__`` instead."""
-        t = super()._trusted(matrix)
+        t = super()._trusted(matrix, **known)
         t._shape = shape
         return t
 
-    def _derive(self, matrix: np.ndarray) -> "HermitianTensor":
-        return HermitianTensor._trusted(matrix, self._shape)
+    def _derive(self, matrix: np.ndarray, **known) -> "HermitianTensor":
+        return HermitianTensor._trusted(matrix, self._shape, **known)
 
     # -- constructors -------------------------------------------------
 
@@ -590,7 +593,6 @@ def _spectral_map(v: np.ndarray, mapped: np.ndarray) -> np.ndarray:
     return (v * mapped[..., None, :]) @ _ct(v)
 
 
-@_quiet
 def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -> HermitianStack:
     """Spectral function calculus: map eigenvalues through ``phi``.
 
@@ -598,13 +600,10 @@ def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -
     whole stack in one call.  A non-finite ``phi(lambda)`` (NaN or inf,
     e.g. ``x**-0.5`` on a spectrum touching zero) raises ``ValueError``.
 
-    The result ``V phi(w) V^H`` is born with both spectral caches filled
-    from the ``eigh`` pairs ``(w, V)`` of ``h``: ``phi(w)`` sorted ascending
-    by a stable argsort (so decreasing and clipping ``phi`` keep ties in
-    order) and V's columns permuted alike.  Where ``phi(w)`` is already
-    ascending on every matrix (``exp``, positive powers), the result shares
-    h's read-only V instead of a copy.  ``h`` is always decomposed, so
-    the result's bits do not depend on which kernels ran before.
+    The result ``V phi(w) V^H`` is born with the eigenpairs
+    :func:`_composed` gives it from the ``eigh`` pairs ``(w, V)`` of ``h``.
+    ``h`` is always decomposed, so the result's bits do not depend on which
+    kernels ran before.
     """
     w, v = h._spectrum()
     with np.errstate(all="ignore"):
@@ -612,15 +611,23 @@ def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -
     if not np.all(np.isfinite(mapped)):
         bad = w[~np.isfinite(mapped)]
         raise ValueError(f"spectrum outside function domain at eigenvalues {bad}")
-    out = h._derive(_symmetrize(_spectral_map(v, mapped)))
-    if np.all(mapped[..., 1:] >= mapped[..., :-1]):
-        # The stable argsort is the identity: share h's read-only V.
-        out._seed_spectrum(mapped, v)
-        return out
-    order = np.argsort(mapped, axis=-1, kind="stable")
-    out._seed_spectrum(np.take_along_axis(mapped, order, axis=-1),
-                       np.take_along_axis(v, order[..., None, :], axis=-1))
-    return out
+    matrix, values, vectors = _composed(mapped, v)
+    return h._derive(matrix, values=values, vectors=vectors)
+
+
+@_quiet
+def _composed(w: np.ndarray, v: np.ndarray):
+    """The one body of ``V diag(w) V^H`` for real spectra ``w`` and unitary
+    ``v``: the symmetrized matrices, and their eigenpairs, ``w`` sorted
+    ascending by a stable argsort (so decreasing and clipping maps keep
+    ties in order) and v's columns permuted alike.  Where ``w`` is already
+    ascending on every matrix (``exp``, positive powers), v itself is the
+    vectors, not a copy."""
+    matrix = _symmetrize(_spectral_map(v, w))
+    if np.all(w[..., 1:] >= w[..., :-1]):
+        return matrix, w, v
+    order = np.argsort(w, axis=-1, kind="stable")
+    return matrix, np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1)
 
 
 def spectral_power(h: HermitianStack, p: float, psd_clip: bool = True) -> HermitianStack:

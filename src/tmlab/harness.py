@@ -44,12 +44,12 @@ from .core import (
     HermitianTensor,
     NotPositiveDefiniteError,
     TensorShape,
+    _composed,
     _ct,
     _gate_pd,
     _frobenius,
     _loewner_gap,
     _quiet,
-    _read_only,
     _symmetrize,
     apply_spectral,
     gauge_norm,
@@ -250,26 +250,20 @@ def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
     trial (the default 0 is the primary draw).  The batch of one of
     :func:`_draw`, with the eigenpairs that a ``spectrum`` draw is born with.
     """
-    stack = _draw(spec, (trial,), role)
-    out = HermitianTensor._trusted(stack.unfold()[0], spec.shape)
-    if stack._eig is not None:
-        out._seed_spectrum(stack._eig[0][0], stack._eig[1][0])
-    return out
+    return _draw(spec, (trial,), role)._member(0, spec.shape)
 
 
 def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
-    """The ensemble members of a run of trials as one validated stack.
+    """The ensemble members of a run of trials as one stack.
 
     Member ``t`` comes from its own stream of :func:`_streams`, drawn in the
-    same order as a lone :func:`sample`; the matrices are then formed and
-    validated as one stack.
+    same order as a lone :func:`sample`; the matrices are then formed as
+    one stack, validated unless Hermitian by construction (``spectrum``).
     """
     d = spec.shape.square_dim
     if spec.kind == "spectrum" and spec.m == spec.M:
-        eye = np.eye(d, dtype=np.complex128)
-        out = HermitianStack._trusted(np.repeat((eye * float(spec.m))[None], len(trials), axis=0))
-        out._seed_spectrum(np.full((len(trials), d), float(spec.m)), np.broadcast_to(eye, out.unfold().shape))
-        return out
+        m, eye = float(spec.m), np.broadcast_to(np.eye(d, dtype=np.complex128), (len(trials), d, d))
+        return HermitianStack._trusted(eye * m, values=np.full((len(trials), d), m), vectors=eye)
     streams = _streams(spec.seed, trials, role)
     if spec.kind == "spectrum":
         draws = [(rng.standard_normal((2, d, d)), rng.uniform(spec.m, spec.M, size=d)) for rng in streams]
@@ -288,12 +282,10 @@ def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
 
 
 def _rotated(q: np.ndarray, lam: np.ndarray) -> HermitianStack:
-    """Validated stack of ``q diag(lam) q^H``, born with its eigenpairs:
-    ``lam`` sorted ascending and q's columns in the same order."""
-    out = HermitianStack.from_matrices((q * lam[:, None, :]) @ _ct(q))
-    order = np.argsort(lam, axis=-1, kind="stable")
-    out._seed_spectrum(np.take_along_axis(lam, order, axis=-1), np.take_along_axis(q, order[:, None, :], axis=-1))
-    return out
+    """Stack of ``q diag(lam) q^H`` for unitary ``q``, born with the
+    eigenpairs :func:`core._composed` gives it."""
+    matrix, values, vectors = _composed(lam, q)
+    return HermitianStack._trusted(matrix, values=values, vectors=vectors)
 
 
 # Stream roles of the further draws of a trial (the primary draw is role 0):
@@ -335,10 +327,10 @@ def _premise_pairs(run, trials, big_f, directions):
     mean (see :func:`_rescale`).  Non-PD draws are a configuration problem
     (the premise suites need PD ensembles in both slots).
 
-    The rescale maps the eigenpairs of x, so x's PD gate reads the values of
-    that one ``eigh``, seeded at the draw's birth: x is decomposed once."""
+    The rescale maps the eigenpairs of x, so x is re-born with its one
+    ``eigh`` pair and its PD gate reads those values: x is decomposed once."""
     x, y = run.pair(trials)
-    x._seed_spectrum(*x._spectrum())
+    x = x._decomposed()
     try:
         base = mean_pd(x, y, big_f)
     except NotPositiveDefiniteError as exc:
@@ -364,6 +356,7 @@ def enforce_premise(
     return _rescale(x, y, mean_pd(x, y, big_f), direction, "enforce_premise")[:2]
 
 
+@_quiet
 def _rescale(x, y, base, direction, where):
     """``(x / t, y / t, base / t)`` for the extreme eigenvalue ``t`` of the
     mean ``base`` that the premise fixes at 1 (``base / t`` by homogeneity).
@@ -385,8 +378,7 @@ def _rescale(x, y, base, direction, where):
     def scaled(lam):
         return lam / t[..., None]
 
-    mean = base / t
-    mean._evals = _read_only(scaled(w))
+    mean = base._derive(base.unfold() * (1.0 / t)[..., None, None], values=scaled(w))
     return apply_spectral(x, scaled), apply_spectral(y, scaled), mean
 
 
@@ -817,7 +809,8 @@ def _suite_l2(run):
 
     def body(trials):
         b = _draw(run.ey, trials)
-        a = b + _draw(run.ex, trials)
+        # The power reads a's eigenpairs, the constant its extremes: one eigh.
+        a = (b + _draw(run.ex, trials))._decomposed()
         ap = spectral_power(a, p)
         bp = spectral_power(b, p)
         out = []
@@ -842,7 +835,8 @@ def _suite_l3(run):
 
     def body(trials):
         x, p1 = run.pair(trials)
-        y = x + p1
+        # y's power and its tail event read one eigh.
+        y = (x + p1)._decomposed()
         z = y + _increments(run.ey, trials)
         return _tail_columns(run.cfg, ((y, _power_trace(z, q)), (x, _power_trace(y, q))))
 

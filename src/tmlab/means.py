@@ -34,7 +34,6 @@ from .core import (
     _live,
     _per_item,
     _quiet,
-    _read_only,
     _scale_of,
     _spectral_map,
     _spectral_scale,
@@ -115,10 +114,8 @@ def _finish_mean(x: HermitianStack, g: ConnectionFunction, qw, f, grade, cutoff=
     if not np.all(np.isfinite(mapped)):
         bad = qw[~np.isfinite(mapped)]
         raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
-    out = x._derive(_symmetrize(_spectral_map(f, mapped)))
-    if g.positive:
-        out._factor = grade * np.sqrt(mapped)[..., None, :]
-    return out
+    factor = grade * np.sqrt(mapped)[..., None, :] if g.positive else None
+    return x._derive(_symmetrize(_spectral_map(f, mapped)), factor=factor)
 
 
 def mean_pd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
@@ -204,8 +201,7 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     eta_m = _symmetrize(v @ c @ _ct(v))
     domination = np.maximum(qw[..., -1], 0.0)
     range_ok = _frobenius(eta_m @ dead) <= 1e-12 * np.maximum(1.0, domination)
-    out = x._derive(eta_m)
-    out._seed_spectrum(qw, v @ qv)
+    out = x._derive(eta_m, values=qw, vectors=v @ qv)
     return EtaResult(out, _per_item(domination), _per_item(range_ok))
 
 
@@ -347,12 +343,9 @@ def epsilon_mean_limit(
     eye = np.eye(x._matrix.shape[-1], dtype=np.complex128)
     errors = []
     for eps in eps_grid:
-        bump = x._derive(eye * eps)
-        y_eps = y + bump
-        y_eps._seed_spectrum(ly + eps, vy)
+        y_eps = y._derive(y._matrix + eye * eps, values=ly + eps, vectors=vy)
         if mode == "joint":
-            x_eps = x + bump
-            x_eps._evals = _read_only(lx + eps)
+            x_eps = x._derive(x._matrix + eye * eps, values=lx + eps)
             approx = mean_pd(x_eps, y_eps, g)
         else:
             approx = _congruence_mean(x, y_eps, g)

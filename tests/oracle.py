@@ -118,3 +118,28 @@ def lt_final_error(x, y, fid, q, w):
         expression = _function(mean, lambda t: t ** (1 / q))
         limit = _function(w * xm + (1 - w) * ym, mp.exp)
         return float(mp.mnorm(expression - limit, "f") / mp.mnorm(limit, "f"))
+
+
+def kantorovich(m, big_m, p):
+    """``K(m, M, p)`` of mpf arguments: 1 for ``p`` in [0, 1] or ``m == M``,
+    else the closed form ``(m M**p - M m**p) / ((p - 1)(M - m))
+    * ((p - 1) / p * (M**p - m**p) / (m M**p - M m**p))**p``, at least 1."""
+    if 0 <= p <= 1 or m == big_m:
+        return mp.mpf(1)
+    cross = m * big_m**p - big_m * m**p
+    k = cross / ((p - 1) * (big_m - m)) * ((p - 1) / p * (big_m**p - m**p) / cross) ** p
+    return max(mp.mpf(1), k)
+
+
+def kk_list(lam, g, n, q, k_start, dps=50):
+    """The Kantorovich factors ``K_k``, ``k = k_start .. n``, of one
+    spectrum ``lam`` (float64, taken as exact) under the generator ``g``
+    (a function of one mpf): ``K(1 / max r_k, 1 / min r_k, 2q)`` for the
+    ratios ``r_k = g(lam)**(n - k) / lam``, at ``dps`` digits."""
+    with mp.workdps(dps):
+        lam = [mp.mpf(float(t)) for t in lam]
+        out = []
+        for k in range(k_start, n + 1):
+            ratios = [g(t) ** (n - k) / t for t in lam]
+            out.append(float(kantorovich(1 / max(ratios), 1 / min(ratios), 2 * mp.mpf(q))))
+        return np.array(out)

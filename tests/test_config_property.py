@@ -3,7 +3,8 @@
 Inside the supported band (the default p, and either q in [0.05, 32] at the
 default m = 2 or m in [2, 16] at q in [0.05, 2], at any shape from D = 1 to
 D = 64) every suite yields a report whose numeric fields are all finite.
-Anywhere else a valid config yields such a report or raises
+Anywhere else a valid config, with the suite's default generator or any
+builtin generator id, yields such a report or raises
 ``ValueError``/``ConfigError`` (both exit 2 from the CLI).  Beyond the band
 the exits are double-range overflows, such as T9's ``cap**p``,
 ``K(m, M, 2q)`` at large q and m together (C1 at q = 2 from m = 44 on some
@@ -31,6 +32,13 @@ positive = st.one_of(
     st.floats(min_value=1e-300, max_value=1e300, exclude_min=True),
 )
 exponents = st.fixed_dictionaries({}, optional={"q": positive, "p": positive, "m": st.integers(2, 64)})
+# Builtin generator ids, including lifted, transposed and psi chains; a
+# suite whose generator rule rejects one raises ConfigError.
+FUNCTIONS = (
+    "identity", "square", "geometric", "harmonic_like", "power:0.5", "power:2", "power:-0.5",
+    "psi:0.5", "psi:2", "liftn:1:geometric", "liftn:2:power:0.5", "liftn:3:harmonic_like",
+    "transpose:geometric", "transpose:power:0.5", "transpose:psi:1", "liftn:2:transpose:power:0.5",
+)
 band = st.one_of(
     st.fixed_dictionaries({"q": st.floats(min_value=0.05, max_value=32.0)}),
     st.fixed_dictionaries({"q": st.floats(min_value=0.05, max_value=2.0), "m": st.integers(2, 16)}),
@@ -47,23 +55,24 @@ def finite_fields(report) -> bool:
     trials=st.integers(1, 3),
     suite=st.sampled_from([s.value for s in SuiteId]),
     exps=exponents,
+    function=st.one_of(st.none(), st.sampled_from(FUNCTIONS)),
 )
 # Per-sample trace statistics near 1e155, whose squared deviations exceed double range.
-@example(shape=(4, 4), trials=2, suite="T9_TC", exps={"q": 6.0, "p": 5.0})
+@example(shape=(4, 4), trials=2, suite="T9_TC", exps={"q": 6.0, "p": 5.0}, function=None)
 # r / q overflows to an infinite power, which once crashed the integer test of spectral_power.
-@example(shape=(1,), trials=1, suite="T3_LieTrotterTail", exps={"q": 1e-14, "p": 1.797693134862316e294})
+@example(shape=(1,), trials=1, suite="T3_LieTrotterTail", exps={"q": 1e-14, "p": 1.797693134862316e294}, function=None)
 # The scalar cap's p-th power overflows while the mean's spectrum stays at or below 1.
-@example(shape=(1,), trials=2, suite="T9_TC", exps={"q": 2.0, "p": 1e300})
+@example(shape=(1,), trials=2, suite="T9_TC", exps={"q": 2.0, "p": 1e300}, function=None)
 # Rounding leaves the powered means with negative eigenvalues, whose logs were NaN.
-@example(shape=(4, 4), trials=1, suite="C4_MajorizationTC", exps={"q": 6.0})
+@example(shape=(4, 4), trials=1, suite="C4_MajorizationTC", exps={"q": 6.0}, function=None)
 # The cap/floor ratio overflows before any tensor fails a gate.
-@example(shape=(1,), trials=1, suite="T9_TC", exps={"q": 6.06e183})
+@example(shape=(1,), trials=1, suite="T9_TC", exps={"q": 6.06e183}, function=None)
 # The lift overflows on its probe grid.
-@example(shape=(2, 2), trials=1, suite="C1_AndoHiaiDual", exps={"m": 51})
-def test_valid_config_reports_finite_or_raises_value_error(shape, trials, suite, exps):
+@example(shape=(2, 2), trials=1, suite="C1_AndoHiaiDual", exps={"m": 51}, function=None)
+def test_valid_config_reports_finite_or_raises_value_error(shape, trials, suite, exps, function):
     # No warning filter: an overflow must raise ValueError without a
     # RuntimeWarning first (pyproject turns warnings into errors).
-    cfg = ExperimentConfig(shape=shape, trials=trials, suites=(suite,), exponents=exps)
+    cfg = ExperimentConfig(shape=shape, trials=trials, suites=(suite,), exponents=exps, function=function)
     try:
         (report,) = run_suites(cfg)
     except ValueError:  # ConfigError is a ValueError

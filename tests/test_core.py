@@ -472,13 +472,13 @@ class TestTrustedConstruction:
             assert np.array_equal(matrix, matrix.conj().swapaxes(-1, -2))
             seen.append(matrix.shape)
 
-        def checked_tensor(cls, matrix, shape):
+        def checked_tensor(cls, matrix, shape, **known):
             check(matrix)
-            return real_tensor(cls, matrix, shape)
+            return real_tensor(cls, matrix, shape, **known)
 
-        def checked_stack(cls, matrix):
+        def checked_stack(cls, matrix, **known):
             check(matrix)
-            return real_stack(cls, matrix)
+            return real_stack(cls, matrix, **known)
 
         monkeypatch.setattr(tm.HermitianTensor, "_trusted", classmethod(checked_tensor))
         monkeypatch.setattr(HermitianStack, "_trusted", classmethod(checked_stack))
@@ -492,7 +492,7 @@ class TestTrustedConstruction:
         d = int(np.prod(shape))
         assert trusted and {s[-2:] for s in trusted} == {(d, d)}
         # Stacked stage outputs: one matrix per trial of the chunk.
-        assert {s[:-2] for s in trusted} == {(), (3,)}
+        assert {s[:-2] for s in trusted} == {(3,)}
 
     def test_library_results_are_exactly_hermitian(self, rng, trusted):
         x, y = rand_pd(rng), rand_pd(rng)

@@ -20,8 +20,8 @@ from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 # suite: matrices decomposed by (eigh, eigvalsh, svd, cholesky)
 BUDGET = {
     "L1_PowerMonotone": (3, 0, 0, 3),
-    "L2_Kantorovich": (3, 3, 0, 6),
-    "L3_MarkovChebyshev": (6, 3, 0, 0),
+    "L2_Kantorovich": (3, 0, 0, 6),
+    "L3_MarkovChebyshev": (6, 0, 0, 0),
     "T1_AndoHiaiGeneralized": (6, 0, 9, 0),
     "C1_AndoHiaiDual": (6, 0, 9, 0),
     "T2_LieTrotterLimit": (51, 0, 0, 0),
