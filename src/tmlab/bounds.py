@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     HermitianStack,
     HermitianTensor,
+    _gate,
     _gate_psd,
     _per_item,
     require_pd,
@@ -227,7 +228,7 @@ def trace_tail_bound(
         raise ValueError("need at least one sample")
     for z in samples:
         z._check_same_shape(c)
-    require_pd(c, "c")
+    _gate(c, "c")
     zq = _tail_power(HermitianStack._trusted(np.stack([z.unfold() for z in samples])), q)
     stats = np.trace(zq.unfold() @ np.linalg.inv(c.unfold()), axis1=-2, axis2=-1).real
     return _tail_summary(stats.tolist())

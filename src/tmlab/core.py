@@ -64,6 +64,7 @@ _NORM_UNIT = 2.0**-600
 PSD_RTOL = 1e-8
 # Relative eigenvalue cutoff for rank decisions (projectors, eta).
 RANK_RTOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 class HermiticityError(ValueError):
@@ -158,9 +159,29 @@ def _first(mask: np.ndarray):
     return np.unravel_index(int(np.argmax(mask)), mask.shape)
 
 
-def _frobenius(matrix: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix of a ``(..., D, D)`` stack."""
+def _root_sum_squares(matrix: np.ndarray) -> np.ndarray:
     return np.sqrt((matrix.conj() * matrix).real.sum(axis=(-2, -1)))
+
+
+def _unit_scaled(matrix: np.ndarray):
+    """``matrix`` with every matrix that has an entry above ``_NORM_SAFE``
+    scaled by the exact power of two ``_NORM_UNIT``, and the per-matrix
+    units; ``(matrix, None)`` when no matrix needs it."""
+    if not np.abs(matrix).max() > _NORM_SAFE:
+        return matrix, None
+    unit = np.where(np.abs(matrix).max(axis=(-2, -1)) > _NORM_SAFE, _NORM_UNIT, 1.0)
+    return matrix * unit[..., None, None], unit
+
+
+def _frobenius(matrix: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix of a ``(..., D, D)`` stack, summed
+    scaled by :func:`_unit_scaled` where an entry passes ``_NORM_SAFE``, so
+    no square overflows (a norm past the double range is ``inf``)."""
+    scaled, unit = _unit_scaled(matrix)
+    if unit is None:
+        return _root_sum_squares(matrix)
+    with np.errstate(over="ignore"):
+        return _root_sum_squares(scaled) / unit
 
 
 def _validated(matrix: np.ndarray) -> np.ndarray:
@@ -173,24 +194,21 @@ def _validated(matrix: np.ndarray) -> np.ndarray:
     the scale is scaled alike, so the decision is the unscaled one).
     """
     _check_finite(matrix)
-    big = np.abs(matrix).max(axis=(-2, -1)) > _NORM_SAFE
-    scaled = _any(big)
-    unit = np.where(big, _NORM_UNIT, 1.0) if scaled else 1.0
-    if scaled:
-        matrix = matrix * unit[..., None, None]
+    matrix, unit = _unit_scaled(matrix)
+    floor = 1.0 if unit is None else unit
     adjoint = _ct(matrix)
-    scale = np.maximum(unit, _frobenius(matrix))
-    defect = _frobenius(matrix - adjoint)
+    scale = np.maximum(floor, _root_sum_squares(matrix))
+    defect = _root_sum_squares(matrix - adjoint)
     bad = defect > HERMITICITY_RTOL * scale
     if _any(bad):
         i = _first(bad)
-        unit = np.broadcast_to(unit, bad.shape)[i]
+        floor = np.broadcast_to(floor, bad.shape)[i]
         raise HermiticityError(
-            f"entries deviate from conjugate symmetry by {defect[i] / unit:.3e} "
-            f"(allowed {HERMITICITY_RTOL * scale[i] / unit:.3e})"
+            f"entries deviate from conjugate symmetry by {defect[i] / floor:.3e} "
+            f"(allowed {HERMITICITY_RTOL * scale[i] / floor:.3e})"
         )
     matrix = (matrix + adjoint) / 2.0
-    return matrix * (1.0 / unit)[..., None, None] if scaled else matrix
+    return matrix if unit is None else matrix * (1.0 / unit)[..., None, None]
 
 
 class HermitianStack:
@@ -342,14 +360,54 @@ def _per_item(values):
     return values.item() if np.ndim(values) == 0 else values
 
 
-def _spectral_scale(h: HermitianStack) -> np.ndarray:
-    """max(|lambda|) of every matrix, from the cached eigenvalues."""
-    return _scale_of(h._eigenvalues())
+def _spectral_scale(h) -> np.ndarray:
+    """max(|lambda|) of every matrix, from the cached eigenvalues; ``|c|``
+    for per-matrix numbers ``c`` standing for ``c I``."""
+    return _scale_of(h._eigenvalues()) if isinstance(h, HermitianStack) else np.abs(h)
 
 
 def _scale_of(ev: np.ndarray) -> np.ndarray:
     """max(|lambda|) of every ascending spectrum of a stack."""
     return np.maximum(np.abs(ev[..., 0]), np.abs(ev[..., -1]))
+
+
+def _scale_bracket(h):
+    """Bounds ``(lo, hi)`` of :func:`_spectral_scale` that read no spectrum:
+    the scale itself when it is known (cached values, or a number), else
+    ``max_i |h_ii| <= |h|_2 <= |h|_F``, widened by ``4 D**2 eps`` for the
+    rounding of the eigenvalues and of the norm."""
+    if not isinstance(h, HermitianStack) or h._evals is not None:
+        scale = _spectral_scale(h)
+        return scale, scale
+    m = h._matrix
+    w = 4.0 * m.shape[-1] ** 2 * _EPS
+    return np.abs(np.einsum("...ii->...i", m).real).max(axis=-1) * (1.0 - w), _frobenius(m) * (1.0 + w)
+
+
+@_quiet
+def _certified(lhs, rhs: HermitianStack) -> bool:
+    """The one Cholesky certificate: whether one stacked factorization of
+    ``A - delta I``, for the computed ``A = rhs - lhs`` and
+    ``delta = 4 D**2 eps (|lhs|_F + |rhs|_F)``, proves ``lhs <= rhs`` for
+    every matrix (``lhs`` may be numbers ``c`` standing for ``c I``).
+    ``delta`` exceeds the backward error of a factorization that completes,
+    about ``D (D + 1) / 2 * eps |A|_2`` (Higham, 2nd ed., Thm 10.3; Rump,
+    BIT 46, 2006), plus that of ``eigvalsh``.  A ``LinAlgError``, raised
+    for the whole stack, certifies nothing: the caller's rule decides."""
+    m = rhs._matrix
+    d = m.shape[-1]
+    stacked = isinstance(lhs, HermitianStack)
+    a = m - lhs._matrix if stacked else m.copy()
+    norms = _frobenius(m) + (_frobenius(lhs._matrix) if stacked else abs(lhs) * math.sqrt(d))
+    shift = 4.0 * d * d * _EPS * norms + (0.0 if stacked else lhs)
+    # A view of the diagonals, transposed so that the per-matrix shifts broadcast.
+    diagonal = np.einsum("...ii->...i", a).T
+    diagonal -= shift.T
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class HermitianTensor(HermitianStack):
@@ -658,6 +716,16 @@ def require_psd(t: HermitianStack, name: str) -> np.ndarray:
     return _gate_psd(t._eigenvalues(), name)
 
 
+def _gate(t: HermitianStack, name: str, psd: bool = False) -> None:
+    """The gate of :func:`require_pd` (``0 < t``), or with ``psd`` of
+    :func:`require_psd` (``-PSD_RTOL I <= t``), for a caller that reads no
+    value of ``t``: cached values first, else :func:`_certified`, and the
+    values' rule with its verdict and message when that fails."""
+    if t._evals is None and _certified(-PSD_RTOL if psd else 0.0, t):
+        return
+    (_gate_psd if psd else _gate_pd)(t._eigenvalues(), name)
+
+
 def _gate_pd(ev: np.ndarray, name: str) -> np.ndarray:
     """:func:`require_pd` on ascending spectra ``ev``; a kernel that reads
     an operand's eigenvectors passes the eigenvalues of the same ``eigh``."""
@@ -717,26 +785,37 @@ def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL
 
     ``lam_min``/``lam_max`` are the extreme eigenvalues of ``y - x``
     (:func:`_loewner_gap`); ``leq`` is ``lam_min >= -tol * scale`` and
-    ``geq`` is ``lam_max <= tol * scale``.  ``y`` may be a single tensor
-    broadcast against a stack ``x``.
+    ``geq`` is ``lam_max <= tol * scale`` for ``scale = max(|x|_sp, |y|_sp,
+    1)`` from the sides' eigenvalues, which are read only for a pair that
+    the two ends of the :func:`_scale_bracket` decide differently.  ``y``
+    may be a single tensor broadcast against a stack ``x``.
     """
-    lam_min, lam_max, scale = _loewner_gap(y, x)
-    return lam_min, lam_max, lam_min >= -tol * scale, lam_max <= tol * scale
+    lam_min, lam_max = _loewner_gap(y, x)
+    (lo_x, hi_x), (lo_y, hi_y) = _scale_bracket(x), _scale_bracket(y)
+
+    def decide(*scales):
+        scale = np.maximum(np.maximum(*scales), 1.0)
+        return lam_min >= -tol * scale, lam_max <= tol * scale
+
+    leq, geq = decide(lo_x, lo_y)
+    leq_hi, geq_hi = decide(hi_x, hi_y)
+    if _any((leq != leq_hi) | (geq != geq_hi)):
+        leq, geq = decide(_spectral_scale(x), _spectral_scale(y))
+    return lam_min, lam_max, leq, geq
 
 
 @_quiet
 def _loewner_gap(lhs, rhs):
-    """The one Loewner body: the extreme eigenvalues of ``lhs - rhs`` per
-    matrix and the scale ``max(|lhs|_sp, |rhs|_sp, 1)``.  Either side may be
-    per-matrix numbers ``c`` standing for ``c I``."""
-    a, b = (s._eigenvalues() if isinstance(s, HermitianStack) else np.asarray(s)[..., None] for s in (lhs, rhs))
+    """The one Loewner body: the extreme eigenvalues ``(lam_min, lam_max)``
+    of ``lhs - rhs`` per matrix, by one ``eigvalsh`` of the difference of
+    two stacks.  Either side may be per-matrix numbers ``c`` standing for
+    ``c I``; then they come from the other side's eigenvalues."""
     if isinstance(lhs, HermitianStack) and isinstance(rhs, HermitianStack):
         rhs._check_same_shape(lhs)
         ev = HermitianStack._trusted(lhs._matrix - rhs._matrix)._eigenvalues()
-        lam_min, lam_max = ev[..., 0], ev[..., -1]
-    else:
-        lam_min, lam_max = a[..., 0] - b[..., -1], a[..., -1] - b[..., 0]
-    return lam_min, lam_max, np.maximum(np.maximum(_scale_of(a), _scale_of(b)), 1.0)
+        return ev[..., 0], ev[..., -1]
+    a, b = (s._eigenvalues() if isinstance(s, HermitianStack) else np.asarray(s)[..., None] for s in (lhs, rhs))
+    return a[..., 0] - b[..., -1], a[..., -1] - b[..., 0]
 
 
 def loewner_compare(x: HermitianTensor, y: HermitianTensor, tol: float = PSD_RTOL) -> LoewnerVerdict:

@@ -44,12 +44,13 @@ from .core import (
     HermitianTensor,
     NotPositiveDefiniteError,
     TensorShape,
+    _certified,
     _composed,
     _ct,
     _gate_pd,
-    _frobenius,
     _loewner_gap,
     _quiet,
+    _spectral_scale,
     _symmetrize,
     apply_spectral,
     gauge_norm,
@@ -315,6 +316,7 @@ def _dominating_spec(spec: EnsembleSpec, shape: TensorShape) -> EnsembleSpec:
     return EnsembleSpec(shape, "wishart", spec.seed, dof=dof)
 
 
+@_quiet
 def _dominate(y: HermitianStack, w: HermitianStack) -> HermitianStack:
     """``y^{1/2} w y^{1/2}`` per matrix, with the rank-truncated root."""
     root = _psd_root(y)
@@ -595,8 +597,10 @@ def _mix_seed(seed: int, suite_idx: int, role: int) -> int:
     return (int(seed) * 1000003 + suite_idx * 1009 + role) & (2**63 - 1)
 
 
-def _binom_stderr(p_hat: float, n: int) -> float:
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+def _binom_stderr(p_hat, n: int):
+    """The binomial standard error ``sqrt(p (1 - p) / n)`` of observed
+    frequencies ``p_hat``, a number or an array, over ``n`` trials."""
+    return np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
 def run_suite(sid: SuiteId | str, cfg: ExperimentConfig) -> VerificationReport:
@@ -677,37 +681,14 @@ def _excess(lhs, rhs) -> np.ndarray:
     reads it; ``lhs <= rhs`` fails when it is above the tolerance.  Either
     side may be a stack or per-matrix numbers ``c`` standing for ``c I``.
 
-    A stack against a stack is first offered to :func:`_certified`: when
+    A stack against a stack is first offered to ``core._certified``: when
     it certifies every matrix, every excess is ``<= 0`` and the rule
     returns the floor 0 of ``max_violation`` without reading a spectrum.
     """
     if isinstance(lhs, HermitianStack) and isinstance(rhs, HermitianStack) and _certified(lhs, rhs):
         return np.zeros(lhs.unfold().shape[:-2])
-    _, top, scale = _loewner_gap(lhs, rhs)
-    return top / scale
-
-
-@_quiet
-def _certified(lhs: HermitianStack, rhs: HermitianStack) -> bool:
-    """Whether one stacked Cholesky factorization of ``A - delta I``, for
-    the computed ``A = rhs - lhs`` and ``delta = 4 D**2 eps (|lhs|_F +
-    |rhs|_F)``, proves ``lhs <= rhs`` for every matrix: ``delta`` exceeds
-    the backward error of a Cholesky factorization that runs to completion,
-    about ``D (D + 1) / 2 * eps |A|_2`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., Thm 10.3), plus that of ``eigvalsh``,
-    so :func:`_loewner_gap` reads ``lambda_max(lhs - rhs) <= 0`` on each.
-    numpy raises ``LinAlgError`` for the whole stack: then nothing is
-    certified.
-    """
-    a = rhs.unfold() - lhs.unfold()
-    d = a.shape[-1]
-    delta = 4.0 * d * d * np.finfo(float).eps * (_frobenius(lhs.unfold()) + _frobenius(rhs.unfold()))
-    a[..., np.arange(d), np.arange(d)] -= delta[..., None]
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    _, top = _loewner_gap(lhs, rhs)
+    return top / np.maximum(np.maximum(_spectral_scale(lhs), _spectral_scale(rhs)), 1.0)
 
 
 def _tail_columns(cfg, checks) -> list:
@@ -1034,17 +1015,15 @@ def _suite_t9(run):
 
 def _cdf_dominance(low, mid, high, n, levels):
     """Check Pr(low >= kappa) <= Pr(mid >= kappa) <= Pr(high >= kappa) beyond
-    3 standard errors on a deterministic quantile grid of the mid statistic.
-    Returns the number of failing grid points and the worst excess."""
-    fails, worst = 0, 0.0
-    for kappa in np.quantile(mid, levels):
-        p_lo, p_md, p_hi = (float(np.mean(v >= kappa)) for v in (low, mid, high))
-        s = _binom_stderr(p_md, n)
-        bad = (p_lo - p_md - 3.0 * (s + _binom_stderr(p_lo, n)), p_md - p_hi - 3.0 * (s + _binom_stderr(p_hi, n)))
-        if max(bad) > 0:
-            fails += 1
-        worst = max(worst, *bad)
-    return fails, worst
+    3 standard errors on a deterministic quantile grid of the mid statistic,
+    for every column of the per-trial statistics (trials first) at once.
+    Returns per column the number of failing grid points and the worst
+    excess, floored at 0."""
+    kappa = np.quantile(mid, levels, axis=0)[:, None]
+    p_lo, p_md, p_hi = (np.count_nonzero(v >= kappa, axis=1) / n for v in (low, mid, high))
+    s = _binom_stderr(p_md, n)
+    bad = np.maximum(p_lo - p_md - 3.0 * (s + _binom_stderr(p_lo, n)), p_md - p_hi - 3.0 * (s + _binom_stderr(p_hi, n)))
+    return np.count_nonzero(bad > 0, axis=0), np.maximum(bad.max(axis=0), 0.0)
 
 
 def _majorization_report(run, sandwiches, levels):
@@ -1067,17 +1046,14 @@ def _majorization_report(run, sandwiches, levels):
 
     profiles = _per_trial(run.cfg, body)
     points = len(profiles) * len(levels)
-    viol, worst = 0, 0.0
+    # Each sandwich's (statistic, k) columns at once: fails and worst are (2, D).
+    checks = [_cdf_dominance(*sides.swapaxes(0, 1), run.cfg.trials, levels) for sides in profiles]
+    fails = sum(f for f, _ in checks)
     for s, stat in enumerate(("sum", "prod")):
-        for j in range(d):
-            fails = 0
-            for sides in profiles:
-                f, w = _cdf_dominance(*sides[:, :, s, j].T, run.cfg.trials, levels)
-                fails += f
-                worst = max(worst, w)
-            if fails:
-                run.notes.append(f"{stat} k={j + 1}: {fails}/{points} kappa points fail CDF dominance")
-            viol += fails
+        for j in np.flatnonzero(fails[s]):
+            run.notes.append(f"{stat} k={j + 1}: {fails[s, j]}/{points} kappa points fail CDF dominance")
+    viol = int(fails.sum())
+    worst = max(float(w.max()) for _, w in checks)
     return _report(run, viol, worst, empirical=viol / (2 * d * points), stderr=0.0)
 
 

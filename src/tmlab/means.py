@@ -29,18 +29,18 @@ from .core import (
     _ct,
     _first,
     _frobenius,
+    _gate,
     _gate_pd,
     _gate_psd,
     _live,
     _per_item,
     _quiet,
+    _scale_bracket,
     _scale_of,
     _spectral_map,
     _spectral_scale,
     _symmetrize,
     gauge_norm,
-    require_pd,
-    require_psd,
 )
 from .functions import ConnectionFunction, power_lift
 
@@ -126,7 +126,7 @@ def mean_pd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> Herm
     on the spectrum of the congruence quotient.
     """
     x._check_same_shape(y)
-    require_pd(x, "x")
+    _gate(x, "x")
     return _congruence_mean(x, y, g)
 
 
@@ -148,7 +148,7 @@ def mean_recursive(
     if n < 0:
         raise ValueError("lift exponent must be >= 0")
     x._check_same_shape(y)
-    require_pd(x, "x")
+    _gate(x, "x")
     base = _congruence_mean(x, y, power_lift(f, n % 2))
     if n < 2:
         return base
@@ -186,16 +186,20 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     ``C``, so one stacked ``eigh`` ``(qw, qv)`` of ``C`` serves every kept
     rank, and eta is born with its eigenpairs ``(qw, V qv)``.  Raises
     :class:`DominationError` when range(x) leaks outside range(y) beyond a
-    relative 1e-6 of the scale of ``x``.
+    relative 1e-6 of the scale ``max(1, |x|_sp)``; x's spectrum is read for
+    that scale only when the leak passes its floor ``max(1, max_i x_ii)``.
     """
     x._check_same_shape(y)
-    x_ev = require_psd(x, "x")
+    _gate(x, "x", psd=True)
     lam, v = y._spectrum()
     _gate_psd(lam, "y")
     live = _live(lam)
     dead = v * ~live[..., None, :]
     # Range containment: the part of x living outside range(y) must vanish.
-    _require_range(_frobenius(x._matrix @ dead), np.maximum(1.0, _scale_of(x_ev)))
+    # Its allowance is at least 1e-6, then at least 1e-6 of the bracket's floor.
+    leak = _frobenius(x._matrix @ dead)
+    if _any(leak > 1e-6) and _any(leak > 1e-6 * np.maximum(1.0, _scale_bracket(x)[0])):
+        _require_range(leak, np.maximum(1.0, _spectral_scale(x)))
     c = _quotient(x._matrix, v, np.where(live, 1.0 / np.sqrt(np.where(live, lam, 1.0)), 0.0))
     qw, qv = np.linalg.eigh(c)
     eta_m = _symmetrize(v @ c @ _ct(v))
@@ -331,15 +335,18 @@ def epsilon_mean_limit(
 
     The shifted operands are born with the spectra of x and y shifted by
     ``eps``: ``y + eps I`` with y's eigenpairs, which the limit reads, and
-    ``x + eps I`` with x's values, which its gate reads.  Both are read
-    here on every call, so the bits do not depend on what ran before.
+    in the joint mode ``x + eps I`` with x's values, which its gate reads.
+    Both are read here on every call, so the bits do not depend on what ran
+    before.
     """
     eps_grid = _epsilon_grid(eps_grid)
     if mode not in ("joint", "right"):
         raise ValueError(f"unknown mode {mode!r}")
-    # mean_psd gates x as PSD, which is all the right-slot mode needs of it.
+    # Read before the limit, x's values serve its PSD gate and range test too;
+    # that gate is all the right-slot mode needs of x.
+    lx = x._eigenvalues() if mode == "joint" else None
     limit = mean_psd(x, y, g)
-    lx, (ly, vy) = x._eigenvalues(), y._spectrum()
+    ly, vy = y._spectrum()
     eye = np.eye(x._matrix.shape[-1], dtype=np.complex128)
     errors = []
     for eps in eps_grid:

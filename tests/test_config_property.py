@@ -80,6 +80,20 @@ def test_valid_config_reports_finite_or_raises_value_error(shape, trials, suite,
     assert finite_fields(report), report
 
 
+@pytest.mark.parametrize("top", [1e160, 1e200, 1e300, 8e307])
+def test_huge_spectra_report_or_raise_value_error(top):
+    # T63's Frobenius errors of the regularized means square entries past
+    # 1e154; at 8e307 its dominated draw overflows, which raises.
+    ensemble = {"kind": "spectrum", "m": top / 2, "M": top}
+    cfg = ExperimentConfig(trials=2, suites=("T63_PsdLimit",), ensembles={"x": ensemble, "y": dict(ensemble)})
+    try:
+        (report,) = run_suites(cfg)
+    except ValueError:
+        assert top == 8e307
+        return
+    assert finite_fields(report), report
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     shape=st.sampled_from(SHAPES),

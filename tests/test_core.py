@@ -127,7 +127,7 @@ class TestSpectralDecompose:
 class TestSpectrumCache:
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0}
+        calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
         for name in calls:
             real = getattr(np.linalg, name)
 
@@ -142,15 +142,28 @@ class TestSpectrumCache:
         t = rand_pd(rng)
         t.lambda_min(), t.lambda_max(), t.spectral_scale(), t.eigenvalues(), t.is_pd()
         require_pd(t, "t"), require_psd(t, "t"), tm.gauge_norm(t), tm.gauge_norm(t, tm.SPECTRAL)
-        assert counts == {"eigh": 0, "eigvalsh": 1}
+        assert counts == {"eigh": 0, "eigvalsh": 1, "cholesky": 0}
 
     def test_mean_pd_decomposes_each_operand_once(self, rng, counts):
         x, y = rand_pd(rng), rand_pd(rng)
         tm.mean_pd(x, y, tm.geometric())
-        # eigvalsh gates x; eigh serves y's roots and the quotient's calculus.
-        assert counts == {"eigh": 2, "eigvalsh": 1}
+        # A Cholesky certificate gates x; eigh serves y's roots and the quotient's calculus.
+        assert counts == {"eigh": 2, "eigvalsh": 0, "cholesky": 1}
         tm.mean_pd(x, y, tm.geometric())
-        assert counts == {"eigh": 3, "eigvalsh": 1}
+        assert counts == {"eigh": 3, "eigvalsh": 0, "cholesky": 2}
+
+    def test_mean_psd_decomposes_y_and_the_quotient(self, rng, counts):
+        h = rand_psd_rank(rng, 2).unfold()
+        x = tm.fold(h @ rand_pd(rng).unfold() @ h, SHAPE22)
+        tm.mean_psd(x, tm.fold(h, SHAPE22), tm.geometric())
+        # The certificate gates x; eigh serves y and eta, whose eigenpairs finish the mean.
+        assert counts == {"eigh": 2, "eigvalsh": 0, "cholesky": 1}
+
+    def test_loewner_compare_decomposes_only_the_difference(self, rng, counts):
+        x, y = rand_pd(rng), rand_pd(rng)
+        assert tm.loewner_compare(x, y).relation is tm.Relation.INCOMPARABLE
+        # The scale bracket decides; neither side's values are read.
+        assert counts == {"eigh": 0, "eigvalsh": 1, "cholesky": 0}
 
     def test_cache_is_read_only(self, rng):
         t = rand_pd(rng)

@@ -33,9 +33,9 @@ BUDGET = {
     "C3_MajorizationTMD": (6, 6, 12, 0),
     "C4_MajorizationTC": (6, 0, 21, 0),
     "T63_PsdLimit": (18, 3, 0, 0),
-    "T65_JointConvexity": (27, 15, 0, 9),
-    "APP_Fusion": (15, 9, 0, 6),
-    "APP_LinearTransform": (21, 24, 6, 9),
+    "T65_JointConvexity": (27, 0, 0, 24),
+    "APP_Fusion": (15, 0, 0, 15),
+    "APP_LinearTransform": (21, 12, 6, 21),
 }
 
 

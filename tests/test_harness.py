@@ -13,6 +13,7 @@ from tmlab.harness import (
     EnsembleSpec,
     ExperimentConfig,
     SuiteId,
+    _cdf_dominance,
     _rescale,
     dominated_sample,
     enforce_premise,
@@ -413,3 +414,41 @@ class TestSuites:
         )
         report = run_suite("T65_JointConvexity", cfg)
         assert report.violations == 0
+
+
+def _cdf_dominance_per_column(low, mid, high, n, levels):
+    """The scalar rule of the majorization suites, one column and one kappa
+    at a time: the reference of the stacked :func:`_cdf_dominance`."""
+
+    def stderr(p):
+        return math.sqrt(max(p * (1.0 - p), 0.0) / n)
+
+    fails, worst = 0, 0.0
+    for kappa in np.quantile(mid, levels):
+        p_lo, p_md, p_hi = (float(np.mean(v >= kappa)) for v in (low, mid, high))
+        s = stderr(p_md)
+        bad = (p_lo - p_md - 3.0 * (s + stderr(p_lo)), p_md - p_hi - 3.0 * (s + stderr(p_hi)))
+        if max(bad) > 0:
+            fails += 1
+        worst = max(worst, *bad)
+    return fails, worst
+
+
+def test_cdf_dominance_matches_the_scalar_rule_bit_for_bit(rng):
+    # 200 column sets of 2 x 3 columns; coarse integer statistics give ties
+    # at the kappa points, and the shifts put sandwiches on both sides.
+    failing = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        levels = (0.1, 0.5, 0.9) if rng.random() < 0.5 else (0.1, 0.3, 0.5, 0.7, 0.9)
+        draw = (lambda: rng.integers(0, 4, size=(n, 2, 3)).astype(float)) if rng.random() < 0.5 else (
+            lambda: rng.normal(size=(n, 2, 3)))
+        mid = draw()
+        low, high = mid + rng.choice([-1.0, 0.0, 1.0]) * draw(), mid + rng.choice([-1.0, 0.0, 1.0]) * draw()
+        fails, worst = _cdf_dominance(low, mid, high, n, levels)
+        for s in range(2):
+            for j in range(3):
+                want = _cdf_dominance_per_column(low[:, s, j], mid[:, s, j], high[:, s, j], n, levels)
+                assert (int(fails[s, j]), float(worst[s, j])) == want
+        failing += int(np.count_nonzero(fails))
+    assert 0 < failing < 200 * 6

@@ -14,7 +14,17 @@ import pytest
 import tmlab as tm
 from tmlab import harness
 from tmlab.bounds import _kk_lists, _kyfan_profile, _ratio_extremes
-from tmlab.core import HermitianStack, loewner_extremes
+from tmlab.core import (
+    PSD_RTOL,
+    HermitianStack,
+    _certified,
+    _gate,
+    _gate_pd,
+    _gate_psd,
+    _loewner_gap,
+    _scale_bracket,
+    loewner_extremes,
+)
 from tmlab.data_processing import _congruence
 from tmlab.harness import EnsembleSpec, ExperimentConfig, SuiteId, _chunks, _draw, run_suite, sample
 from tmlab.means import _powered_mean, _psd_root, _quotient_levels
@@ -295,7 +305,8 @@ def _margin(lhs, rhs):
 
 
 def _gap_excess(lhs, rhs):
-    _, top, scale = tm.core._loewner_gap(lhs, rhs)
+    _, top = tm.core._loewner_gap(lhs, rhs)
+    scale = np.maximum(np.maximum(tm.core._spectral_scale(lhs), tm.core._spectral_scale(rhs)), 1.0)
     return top / scale
 
 
@@ -314,7 +325,7 @@ def test_cholesky_certificate_boundary(rng, d):
         ratio = np.linalg.eigvalsh(rhs.unfold() - lhs.unfold())[:, 0] / _margin(lhs, rhs)
         assert np.all(np.abs(ratio - k) <= 0.25 * abs(k)), (k, ratio)
         stacks[k] = rhs
-        certified = harness._certified(lhs, rhs)
+        certified = _certified(lhs, rhs)
         assert certified == (k == 2.0), k
         excess = _gap_excess(lhs, rhs)
         if certified:
@@ -325,8 +336,113 @@ def test_cholesky_certificate_boundary(rng, d):
     for k in (-0.5, 0.5):
         mixed = HermitianStack._trusted(np.concatenate([stacks[2.0].unfold(), stacks[k].unfold()[:1]]))
         both = HermitianStack._trusted(np.concatenate([lhs.unfold(), lhs.unfold()[:1]]))
-        assert not harness._certified(both, mixed)
+        assert not _certified(both, mixed)
         assert same(harness._excess(both, mixed), _gap_excess(both, mixed))
+
+
+def _spectrum_at(rng, d, lam_min, rest=(0.5, 1.0)):
+    """Fresh validated stack of ``q diag(mu) q^H`` with ``lambda_min =
+    lam_min`` per matrix and the rest of ``mu`` uniform in ``rest``
+    (``q = 1`` at D = 1, so that the one entry is ``lam_min`` exactly)."""
+    n = len(lam_min)
+    q = np.linalg.qr(gaussian(rng, n, d, d))[0] if d > 1 else np.ones((n, 1, 1))
+    mu = np.concatenate([lam_min[:, None], rng.uniform(*rest, size=(n, d - 1))], axis=1)
+    return HermitianStack.from_matrices((q * mu[:, None, :]) @ q.conj().swapaxes(-1, -2))
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The shapes of the stacks handed to ``np.linalg.eigvalsh``."""
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def _outcome(fn):
+    """None when ``fn()`` passes, else the type and text of what it raises."""
+    try:
+        fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("d", [1, 4, 64])
+@pytest.mark.parametrize("psd", [False, True], ids=["pd", "psd"])
+def test_cholesky_certificate_boundary_gates(rng, eigvalsh_calls, d, psd):
+    # Fresh stacks whose lambda_min sits at -2, -1/2, 1/2 and 2 times the
+    # margin delta = 4 D**2 eps (|c I|_F + |x|_F) above the gate's threshold
+    # c (0 for PD, -PSD_RTOL for PSD): only the last is certified, that is
+    # gated without an eigenvalue read.  Every verdict and message is the
+    # eigenvalue rule's on the same matrices.
+    n = 4
+    floor = -PSD_RTOL if psd else 0.0
+    rule = _gate_psd if psd else _gate_pd
+    if d == 1 and not psd:
+        # One entry, to which the margin is relative: the boundary is its sign.
+        cases = [(np.full(n, v), v > 0.0, None) for v in (-1e-300, 0.0, 1e-300)]
+    else:
+        ref = _spectrum_at(rng, d, np.full(n, floor))
+        delta = 4.0 * d * d * np.finfo(float).eps * (-floor * np.sqrt(d) + np.linalg.norm(ref.unfold(), axis=(-2, -1)))
+        cases = [(floor + k * delta, k == 2.0, (k, delta)) for k in (-2.0, -0.5, 0.5, 2.0)]
+    for lam, certified, at in cases:
+        x = _spectrum_at(rng, d, lam)
+        ev = np.linalg.eigvalsh(x.unfold().copy())
+        if at is not None:
+            k, delta = at
+            assert np.all(np.abs((ev[:, 0] - floor) / delta - k) <= 0.25 * abs(k)), (k, ev[:, 0])
+        expected = _outcome(lambda: rule(ev, "x"))
+        eigvalsh_calls.clear()
+        assert _outcome(lambda: _gate(x, "x", psd)) == expected
+        assert (not eigvalsh_calls) == certified, (lam, eigvalsh_calls)
+        assert (expected is None) == bool(np.all(ev[:, 0] > floor if not psd else ev[:, 0] >= floor))
+
+
+@pytest.mark.parametrize("d", [1, 4, 64])
+def test_cholesky_certificate_boundary_bracket(rng, eigvalsh_calls, d):
+    # The bracket of max|lambda| holds the value the eigenvalues give
+    # strictly, even where an unwidened bound would touch it: max|diag| of a
+    # diagonal matrix and |h|_F of a rank-one matrix are both |h|_2.
+    n = 4
+    vals = rng.uniform(2.0, 3.0, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
+    g = gaussian(rng, n, 1, d)
+    for h in (HermitianStack.from_matrices(vals[:, :, None] * np.eye(d)),
+              HermitianStack.from_matrices(3.0 * g.conj().swapaxes(-1, -2) @ g / np.linalg.norm(g, axis=(-2, -1))[:, None, None] ** 2)):
+        scale = np.abs(np.linalg.eigvalsh(h.unfold())).max(axis=-1)
+        lo, hi = _scale_bracket(h)
+        assert np.all(lo < scale) and np.all(scale < hi)
+    # Pairs with lambda_min(y - x) = t below, inside and above the bracket
+    # [lo, hi] of the scale, at a tolerance wide enough to place t: a pair the
+    # two ends decide alike reads no value of either side, and every result
+    # is the eigenvalue rule's.
+    tol = 1e-3
+    seen = set()
+    for _ in range(3):
+        x = _spectrum_at(rng, d, np.full(1, 1.5), rest=(0.5, 2.0))
+        lo, hi = (max(1.0, *bound) for bound in _scale_bracket(x))
+        for t in (-0.5 * tol * lo, -0.5 * tol * (lo + hi), -2.0 * tol * hi, 0.5 * tol):
+            a = _spectrum_at(rng, d, np.full(1, t), rest=(0.0, 0.25 * tol))
+            y = HermitianStack.from_matrices(x.unfold() + a.unfold())
+            ev = np.linalg.eigvalsh(y.unfold() - x.unfold())[0]
+            ends = {(bool(ev[0] >= -tol * s), bool(ev[-1] <= tol * s))
+                    for s in (max(1.0, *bounds) for bounds in zip(_scale_bracket(x), _scale_bracket(y)))}
+            fresh = [HermitianStack._trusted(s.unfold().copy()) for s in (y, x)]
+            lam_min, lam_max = _loewner_gap(*fresh)
+            scale = max(1.0, *(np.abs(np.linalg.eigvalsh(s.unfold())).max() for s in fresh))
+            want = (lam_min, lam_max, lam_min >= -tol * scale, lam_max <= tol * scale)
+            eigvalsh_calls.clear()
+            assert all(same(g, w) for g, w in zip(loewner_extremes(x, y, tol), want))
+            decided = len(ends) == 1
+            assert len(eigvalsh_calls) == (1 if decided else 3)
+            seen.add(decided)
+    # At D = 1 the bracket is the one entry's magnitude widened by 4 eps.
+    assert True in seen and (d == 1 or False in seen)
 
 
 def test_chunks_respect_the_stack_budget():

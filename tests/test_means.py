@@ -33,6 +33,21 @@ def dominated_pair(rng, rank=3, shape=SHAPE22):
 
 
 class TestMeanPd:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_pd_tensors_pass_the_certified_gate(self, rng, monkeypatch):
+        # Entries near 1e200 square past the double range; the gate's margin
+        # reads their scaled Frobenius norm and certifies x without eigvalsh.
+        x, y = rand_pd(rng), rand_pd(rng)
+        big = [tm.fold(t.unfold() * 1e200, SHAPE22) for t in (x, y)]
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("x's values were read"))
+        m = tm.mean_pd(*big, tm.geometric())
+        monkeypatch.setattr(np.linalg, "eigvalsh", real)
+        ref = tm.mean_pd(x, y, tm.geometric()).unfold()
+        assert np.linalg.norm(m.unfold() / 1e200 - ref) <= 1e-12 * np.linalg.norm(ref)
+        with pytest.raises(tm.core.NotPositiveDefiniteError):
+            tm.mean_pd(-1.0 * big[0], big[1], tm.geometric())
+
     def test_commuting_scalar_case(self):
         x = tm.HermitianTensor.diag([4.0] * 4, SHAPE22)
         ident = tm.HermitianTensor.identity(SHAPE22)

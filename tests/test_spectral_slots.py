@@ -7,7 +7,8 @@ slots.  A kernel that knows a spectrum passes it to the constructor
 tests scan the package source so that a write from anywhere else (a
 kernel seeding a stack after birth, or overwriting one already in use)
 fails here, and check the one composition body that the spectral calculus
-and the ``spectrum`` draws share.
+and the ``spectrum`` draws share, and the one Cholesky certificate behind
+every gate and verdict that reads no eigenvalue.
 """
 
 import ast
@@ -93,6 +94,36 @@ def test_core_assigns_slots_only_at_birth_and_in_the_lazy_caches():
 def test_scan_sees_a_write_after_birth():
     tree = ast.parse("def seed(s, w):\n    s._evals = w\n    setattr(s, '_eig', w)\n")
     assert _slot_writes(tree) == [("seed", "_evals"), ("seed", "_eig")]
+
+
+def _cholesky_callers(tree):
+    """``(enclosing function, line)`` of every call to an attribute named ``cholesky``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "cholesky":
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_cholesky_runs_only_in_the_one_certificate():
+    callers = {name: {owner for owner, _ in _cholesky_callers(tree)} for name, tree in _trees().items()}
+    assert {name: owners for name, owners in callers.items() if owners} == {"core.py": {"_certified"}}
+    defined = {name for name, tree in _trees().items()
+               if any(isinstance(n, ast.FunctionDef) and n.name == "_certified" for n in ast.walk(tree))}
+    assert defined == {"core.py"}
+
+
+def test_cholesky_scan_sees_a_call():
+    tree = ast.parse("def check(a):\n    return np.linalg.cholesky(a)\n")
+    assert _cholesky_callers(tree) == [("check", 2)]
 
 
 def test_calculus_and_draws_share_one_composition_body():
