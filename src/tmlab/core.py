@@ -42,7 +42,6 @@ __all__ = [
     "apply_spectral",
     "spectral_power",
     "require_pd",
-    "require_psd",
     "loewner_compare",
     "gauge_norm",
     "range_projector",
@@ -163,25 +162,17 @@ def _root_sum_squares(matrix: np.ndarray) -> np.ndarray:
     return np.sqrt((matrix.conj() * matrix).real.sum(axis=(-2, -1)))
 
 
-def _unit_scaled(matrix: np.ndarray):
-    """``matrix`` with every matrix that has an entry above ``_NORM_SAFE``
-    scaled by the exact power of two ``_NORM_UNIT``, and the per-matrix
-    units; ``(matrix, None)`` when no matrix needs it."""
-    if not np.abs(matrix).max() > _NORM_SAFE:
-        return matrix, None
-    unit = np.where(np.abs(matrix).max(axis=(-2, -1)) > _NORM_SAFE, _NORM_UNIT, 1.0)
-    return matrix * unit[..., None, None], unit
-
-
 def _frobenius(matrix: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix of a ``(..., D, D)`` stack, summed
-    scaled by :func:`_unit_scaled` where an entry passes ``_NORM_SAFE``, so
-    no square overflows (a norm past the double range is ``inf``)."""
-    scaled, unit = _unit_scaled(matrix)
-    if unit is None:
-        return _root_sum_squares(matrix)
+    """Frobenius norm of every matrix of a ``(..., D, D)`` stack.  A sum of
+    squares that overflows is summed again over the entries scaled by the
+    exact power of two ``_NORM_UNIT``, so a finite sum keeps its bits and a
+    norm past the double range is ``inf``."""
     with np.errstate(over="ignore"):
-        return _root_sum_squares(scaled) / unit
+        norm = _root_sum_squares(matrix)
+        overflow = norm == np.inf
+        if _any(overflow):
+            norm = np.where(overflow, _root_sum_squares(matrix * _NORM_UNIT) / _NORM_UNIT, norm)
+    return norm
 
 
 def _validated(matrix: np.ndarray) -> np.ndarray:
@@ -194,21 +185,24 @@ def _validated(matrix: np.ndarray) -> np.ndarray:
     the scale is scaled alike, so the decision is the unscaled one).
     """
     _check_finite(matrix)
-    matrix, unit = _unit_scaled(matrix)
-    floor = 1.0 if unit is None else unit
+    big = np.abs(matrix).max(axis=(-2, -1)) > _NORM_SAFE
+    scaled = _any(big)
+    unit = np.where(big, _NORM_UNIT, 1.0) if scaled else 1.0
+    if scaled:
+        matrix = matrix * unit[..., None, None]
     adjoint = _ct(matrix)
-    scale = np.maximum(floor, _root_sum_squares(matrix))
+    scale = np.maximum(unit, _root_sum_squares(matrix))
     defect = _root_sum_squares(matrix - adjoint)
     bad = defect > HERMITICITY_RTOL * scale
     if _any(bad):
         i = _first(bad)
-        floor = np.broadcast_to(floor, bad.shape)[i]
+        unit = np.broadcast_to(unit, bad.shape)[i]
         raise HermiticityError(
-            f"entries deviate from conjugate symmetry by {defect[i] / floor:.3e} "
-            f"(allowed {HERMITICITY_RTOL * scale[i] / floor:.3e})"
+            f"entries deviate from conjugate symmetry by {defect[i] / unit:.3e} "
+            f"(allowed {HERMITICITY_RTOL * scale[i] / unit:.3e})"
         )
     matrix = (matrix + adjoint) / 2.0
-    return matrix if unit is None else matrix * (1.0 / unit)[..., None, None]
+    return matrix * (1.0 / unit)[..., None, None] if scaled else matrix
 
 
 class HermitianStack:
@@ -371,14 +365,13 @@ def _scale_of(ev: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(ev[..., 0]), np.abs(ev[..., -1]))
 
 
-def _scale_bracket(h):
+def _scale_bracket(h: HermitianStack):
     """Bounds ``(lo, hi)`` of :func:`_spectral_scale` that read no spectrum:
-    the scale itself when it is known (cached values, or a number), else
-    ``max_i |h_ii| <= |h|_2 <= |h|_F``, widened by ``4 D**2 eps`` for the
-    rounding of the eigenvalues and of the norm."""
-    if not isinstance(h, HermitianStack) or h._evals is not None:
-        scale = _spectral_scale(h)
-        return scale, scale
+    the scale itself when the values are cached, else ``max_i |h_ii| <=
+    |h|_2 <= |h|_F``, widened by ``4 D**2 eps`` for the rounding of the
+    eigenvalues and of the norm."""
+    if h._evals is not None:
+        return (_spectral_scale(h),) * 2
     m = h._matrix
     w = 4.0 * m.shape[-1] ** 2 * _EPS
     return np.abs(np.einsum("...ii->...i", m).real).max(axis=-1) * (1.0 - w), _frobenius(m) * (1.0 + w)
@@ -396,13 +389,18 @@ def _certified(lhs, rhs: HermitianStack) -> bool:
     for the whole stack, certifies nothing: the caller's rule decides."""
     m = rhs._matrix
     d = m.shape[-1]
-    stacked = isinstance(lhs, HermitianStack)
-    a = m - lhs._matrix if stacked else m.copy()
-    norms = _frobenius(m) + (_frobenius(lhs._matrix) if stacked else abs(lhs) * math.sqrt(d))
-    shift = 4.0 * d * d * _EPS * norms + (0.0 if stacked else lhs)
-    # A view of the diagonals, transposed so that the per-matrix shifts broadcast.
-    diagonal = np.einsum("...ii->...i", a).T
-    diagonal -= shift.T
+    if isinstance(lhs, HermitianStack):
+        a, c = m - lhs._matrix, 0.0
+        norms = _frobenius(m) + _frobenius(lhs._matrix)
+    else:
+        a, c = m.copy(), lhs
+        norms = _frobenius(m) + abs(lhs) * math.sqrt(d)
+    # Below 1 / _NORM_SAFE the summed squares may underflow, and the norm
+    # bounds nothing.
+    if _any(norms < 1.0 / _NORM_SAFE):
+        return False
+    diagonal = np.einsum("...ii->...i", a)  # a writeable view
+    diagonal -= (4.0 * d * d * _EPS * norms + c)[..., None]
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -709,16 +707,9 @@ def require_pd(t: HermitianStack, name: str) -> np.ndarray:
     return _gate_pd(t._eigenvalues(), name)
 
 
-def require_psd(t: HermitianStack, name: str) -> np.ndarray:
-    """Gate for positive semidefinite inputs: the cached ascending
-    eigenvalues of ``t``, none below ``-PSD_RTOL * max(1, |t|_sp)``, else
-    :class:`NotPositiveSemidefiniteError`."""
-    return _gate_psd(t._eigenvalues(), name)
-
-
 def _gate(t: HermitianStack, name: str, psd: bool = False) -> None:
     """The gate of :func:`require_pd` (``0 < t``), or with ``psd`` of
-    :func:`require_psd` (``-PSD_RTOL I <= t``), for a caller that reads no
+    :func:`_gate_psd` (``-PSD_RTOL I <= t``), for a caller that reads no
     value of ``t``: cached values first, else :func:`_certified`, and the
     values' rule with its verdict and message when that fails."""
     if t._evals is None and _certified(-PSD_RTOL if psd else 0.0, t):
@@ -737,7 +728,8 @@ def _gate_pd(ev: np.ndarray, name: str) -> np.ndarray:
 
 
 def _gate_psd(ev: np.ndarray, name: str) -> np.ndarray:
-    """:func:`require_psd` on ascending spectra ``ev`` (see :func:`_gate_pd`)."""
+    """Gate for PSD spectra: the ascending ``ev``, none below ``-PSD_RTOL *
+    max(1, max |ev|)``, else :class:`NotPositiveSemidefiniteError`."""
     lam_min = ev[..., 0]
     bad = lam_min < -PSD_RTOL * np.maximum(np.maximum(1.0, np.abs(lam_min)), np.abs(ev[..., -1]))
     if _any(bad):
@@ -791,16 +783,11 @@ def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL
     may be a single tensor broadcast against a stack ``x``.
     """
     lam_min, lam_max = _loewner_gap(y, x)
-    (lo_x, hi_x), (lo_y, hi_y) = _scale_bracket(x), _scale_bracket(y)
-
-    def decide(*scales):
-        scale = np.maximum(np.maximum(*scales), 1.0)
-        return lam_min >= -tol * scale, lam_max <= tol * scale
-
-    leq, geq = decide(lo_x, lo_y)
-    leq_hi, geq_hi = decide(hi_x, hi_y)
-    if _any((leq != leq_hi) | (geq != geq_hi)):
-        leq, geq = decide(_spectral_scale(x), _spectral_scale(y))
+    lo, hi = (np.maximum(np.maximum(sx, sy), 1.0) for sx, sy in zip(_scale_bracket(x), _scale_bracket(y)))
+    leq, geq = lam_min >= -tol * lo, lam_max <= tol * lo
+    if _any((leq != (lam_min >= -tol * hi)) | (geq != (lam_max <= tol * hi))):
+        scale = np.maximum(np.maximum(_spectral_scale(x), _spectral_scale(y)), 1.0)
+        leq, geq = lam_min >= -tol * scale, lam_max <= tol * scale
     return lam_min, lam_max, leq, geq
 
 

@@ -35,7 +35,6 @@ from .core import (
     _live,
     _per_item,
     _quiet,
-    _scale_bracket,
     _scale_of,
     _spectral_map,
     _spectral_scale,
@@ -187,7 +186,7 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     rank, and eta is born with its eigenpairs ``(qw, V qv)``.  Raises
     :class:`DominationError` when range(x) leaks outside range(y) beyond a
     relative 1e-6 of the scale ``max(1, |x|_sp)``; x's spectrum is read for
-    that scale only when the leak passes its floor ``max(1, max_i x_ii)``.
+    that scale only when the leak passes 1e-6.
     """
     x._check_same_shape(y)
     _gate(x, "x", psd=True)
@@ -196,9 +195,8 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     live = _live(lam)
     dead = v * ~live[..., None, :]
     # Range containment: the part of x living outside range(y) must vanish.
-    # Its allowance is at least 1e-6, then at least 1e-6 of the bracket's floor.
     leak = _frobenius(x._matrix @ dead)
-    if _any(leak > 1e-6) and _any(leak > 1e-6 * np.maximum(1.0, _scale_bracket(x)[0])):
+    if _any(leak > 1e-6):
         _require_range(leak, np.maximum(1.0, _spectral_scale(x)))
     c = _quotient(x._matrix, v, np.where(live, 1.0 / np.sqrt(np.where(live, lam, 1.0)), 0.0))
     qw, qv = np.linalg.eigh(c)

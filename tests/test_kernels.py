@@ -385,8 +385,9 @@ def test_cholesky_certificate_boundary_gates(rng, eigvalsh_calls, d, psd):
     floor = -PSD_RTOL if psd else 0.0
     rule = _gate_psd if psd else _gate_pd
     if d == 1 and not psd:
-        # One entry, to which the margin is relative: the boundary is its sign.
-        cases = [(np.full(n, v), v > 0.0, None) for v in (-1e-300, 0.0, 1e-300)]
+        # One entry, to which the margin is relative: the boundary is its sign,
+        # down to where its square underflows (1e-300), which certifies nothing.
+        cases = [(np.full(n, v), v == 1e-100, None) for v in (-1e-100, 0.0, 1e-100, 1e-300)]
     else:
         ref = _spectrum_at(rng, d, np.full(n, floor))
         delta = 4.0 * d * d * np.finfo(float).eps * (-floor * np.sqrt(d) + np.linalg.norm(ref.unfold(), axis=(-2, -1)))
