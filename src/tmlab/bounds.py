@@ -17,10 +17,9 @@ from .core import (
     HermitianStack,
     HermitianTensor,
     _gate,
-    _gate_psd,
+    _gate_pd,
     _per_item,
-    require_pd,
-    spectral_power,
+    _power,
 )
 from .functions import ConnectionFunction
 from .means import _quotient_levels
@@ -122,7 +121,7 @@ def _kk_lists(x: HermitianStack, g: ConnectionFunction, m: int, q: float, k_star
     m = int(m)
     if k_start not in (1, 2):
         raise ValueError("k_start must be 1 or 2")
-    lam = require_pd(x, "x")
+    lam = _gate_pd(x._eigenvalues(), "x")
     lam = lam.reshape(-1, lam.shape[-1])
     g_lam = g.fn(lam)
     # Levels first; one power per level keeps numpy's integer-power paths.
@@ -206,7 +205,7 @@ def prop310_factors(x: HermitianStack, q: float):
     q = float(q)
     if q < 1.0:
         raise ValueError("need q >= 1")
-    lam = require_pd(x, "x")
+    lam = _gate_pd(x._eigenvalues(), "x")
     return tuple(kantorovich(1.0 / lam[..., -1], 1.0 / lam[..., 0], p) for p in (q - 1.0, 2.0 * q - 1.0))
 
 
@@ -235,10 +234,9 @@ def trace_tail_bound(
 
 
 def _tail_power(z: HermitianStack, q: float) -> HermitianStack:
-    """``z**q`` of a PSD stack, gated on the decomposition the power reads
-    (a power of 1 reads none)."""
-    _gate_psd(z._eigenvalues() if float(q) == 1.0 else z._spectrum()[0], "sample")
-    return spectral_power(z, q)
+    """``z**q`` of a PSD stack, gated once on the decomposition the power
+    reads."""
+    return _power(z, q, "sample", psd=True)
 
 
 def _tail_summary(stats: list) -> tuple[float, float]:

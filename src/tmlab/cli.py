@@ -8,7 +8,8 @@ Subcommands:
 - ``lie-trotter --study``: print a convergence table for the product-formula
   limit on seeded random pairs.
 - ``bounds --kantorovich m M p``: print the Kantorovich constant.
-- ``mean``: compute the mean of two serialized tensors.
+- ``mean``: compute the mean of two serialized tensors: ``mean_pd`` when
+  both pass the PD gate, else the PSD-extended ``mean_psd``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 import time
 
-from .core import HermitianTensor, TensorShape, load_tensor
+from .core import NotPositiveDefiniteError, TensorShape, load_tensor
 from .functions import from_id
 from .harness import (
     ConfigError,
@@ -133,9 +134,9 @@ def _cmd_mean(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read tensor file: {exc}") from exc
     fn = from_id(args.fn)
-    if x.is_pd() and y.is_pd():
+    try:
         result = mean_pd(x, y, fn)
-    else:
+    except NotPositiveDefiniteError:
         result = mean_psd(x, y, fn)
     text = json.dumps(result.to_json_dict()) + "\n"
     if args.out:

@@ -41,7 +41,6 @@ __all__ = [
     "spectral_decompose",
     "apply_spectral",
     "spectral_power",
-    "require_pd",
     "loewner_compare",
     "gauge_norm",
     "range_projector",
@@ -520,6 +519,9 @@ class HermitianTensor(HermitianStack):
         return float(_spectral_scale(self))
 
     def is_pd(self, tol: float = PSD_RTOL) -> bool:
+        """Whether ``lambda_min > tol * max(1, |self|_sp)``: a relative test
+        for users.  No package code decides with it; the gates
+        ``_gate_pd`` and ``_gate_psd`` do."""
         return self.lambda_min() > tol * max(1.0, self.spectral_scale())
 
     # -- serialization ----------------------------------------------------
@@ -686,29 +688,30 @@ def _composed(w: np.ndarray, v: np.ndarray):
     return matrix, np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1)
 
 
-def spectral_power(h: HermitianStack, p: float, psd_clip: bool = True) -> HermitianStack:
+def spectral_power(h: HermitianStack, p: float) -> HermitianStack:
     """``h**p`` through the spectral calculus.
 
-    For non-integer ``p`` the spectrum must be nonnegative; with ``psd_clip``
-    small negative eigenvalues (construction noise on PSD tensors) are
-    clamped to zero first, which requires ``p > 0``.
+    Integer powers take any spectrum.  A non-integer ``p`` needs a PSD one
+    (:func:`_gate_psd`, whose admitted noise below 0 maps as 0).
     """
+    return _power(h, p, "power input", psd=not float(p).is_integer())
+
+
+def _power(h: HermitianStack, p: float, name: str, psd: bool) -> HermitianStack:
+    """Body of :func:`spectral_power`; with ``psd`` the spectrum passes
+    :func:`_gate_psd` under ``name`` first, on the decomposition the power
+    reads (a power of 1 reads only the eigenvalues)."""
     if float(p) == 1.0:
+        if psd:
+            _gate_psd(h._eigenvalues(), name)
         return h
-    if psd_clip and p > 0 and not float(p).is_integer():
-        return apply_spectral(h, lambda x: np.maximum(x, 0.0) ** p)
-    return apply_spectral(h, lambda x: x**p)
-
-
-def require_pd(t: HermitianStack, name: str) -> np.ndarray:
-    """Gate for positive definite inputs: the cached ascending eigenvalues
-    of ``t``, all strictly positive, else :class:`NotPositiveDefiniteError`
-    (naming the first failing matrix of a stack)."""
-    return _gate_pd(t._eigenvalues(), name)
+    if psd:
+        return apply_spectral(h, lambda w: _gate_psd(w, name) ** p)
+    return apply_spectral(h, lambda w: w**p)
 
 
 def _gate(t: HermitianStack, name: str, psd: bool = False) -> None:
-    """The gate of :func:`require_pd` (``0 < t``), or with ``psd`` of
+    """The gate of :func:`_gate_pd` (``0 < t``), or with ``psd`` of
     :func:`_gate_psd` (``-PSD_RTOL I <= t``), for a caller that reads no
     value of ``t``: cached values first, else :func:`_certified`, and the
     values' rule with its verdict and message when that fails."""
@@ -718,8 +721,10 @@ def _gate(t: HermitianStack, name: str, psd: bool = False) -> None:
 
 
 def _gate_pd(ev: np.ndarray, name: str) -> np.ndarray:
-    """:func:`require_pd` on ascending spectra ``ev``; a kernel that reads
-    an operand's eigenvectors passes the eigenvalues of the same ``eigh``."""
+    """Gate for PD spectra: the ascending ``ev``, all strictly positive,
+    else :class:`NotPositiveDefiniteError` naming the first failing matrix
+    of a stack.  A kernel that reads an operand's eigenvectors passes the
+    eigenvalues of the same ``eigh``."""
     lam_min = ev[..., 0]
     bad = lam_min <= 0.0
     if _any(bad):
@@ -728,13 +733,14 @@ def _gate_pd(ev: np.ndarray, name: str) -> np.ndarray:
 
 
 def _gate_psd(ev: np.ndarray, name: str) -> np.ndarray:
-    """Gate for PSD spectra: the ascending ``ev``, none below ``-PSD_RTOL *
-    max(1, max |ev|)``, else :class:`NotPositiveSemidefiniteError`."""
+    """Gate for PSD spectra: none of the ascending ``ev`` below ``-PSD_RTOL
+    * max(1, max |ev|)``, else :class:`NotPositiveSemidefiniteError`.
+    Returns the spectra it admits with the admitted noise below 0 set to 0."""
     lam_min = ev[..., 0]
     bad = lam_min < -PSD_RTOL * np.maximum(np.maximum(1.0, np.abs(lam_min)), np.abs(ev[..., -1]))
     if _any(bad):
         raise NotPositiveSemidefiniteError(f"{name} must be PSD, lambda_min = {lam_min[_first(bad)]:.3e}")
-    return ev
+    return np.maximum(ev, 0.0)
 
 
 # ---------------------------------------------------------------------------

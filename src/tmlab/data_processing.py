@@ -32,7 +32,7 @@ from .core import (
     tensor_from_json_dict,
 )
 from .functions import ConnectionFunction, transpose_fn
-from .means import DominationError, EtaResult, UnsupportedFunctionError, _extended_mean, eta
+from .means import EtaResult, UnsupportedFunctionError, _extended_mean, eta
 
 __all__ = [
     "PositiveLinearMap",

@@ -82,7 +82,6 @@ from .data_processing import (
     DominationPair,
     _congruence,
     _fusion_sides,
-    _require_convex_finite,
     _transform_sides,
     apply_map,
     mean_on_pair,
@@ -625,13 +624,9 @@ def run_suites(cfg: ExperimentConfig) -> list[VerificationReport]:
     return [run_suite(name, cfg) for name in cfg.suites]
 
 
-def _report(run, violations, max_violation, bound=None, empirical=None, stderr=None):
-    """Assemble a suite report.  ``empirical`` and ``stderr`` default to the
-    failing-trial frequency and its binomial standard error."""
+def _report(run, violations, max_violation, bound, empirical, stderr):
+    """Assemble a suite report."""
     trials = run.cfg.trials
-    if empirical is None:
-        empirical = violations / trials
-        stderr = _binom_stderr(empirical, trials)
     violations = int(violations)
     notes = list(run.notes)
     if violations > trials:
@@ -655,9 +650,12 @@ def _report(run, violations, max_violation, bound=None, empirical=None, stderr=N
 
 
 def _fail_report(run, failed: np.ndarray, worst: np.ndarray, bound=None):
-    """Report of the pass/fail suites: the count of failing trials, and the
-    worst per-trial figure floored at 0."""
-    return _report(run, np.count_nonzero(failed), max(0.0, *worst.tolist()), bound)
+    """Report of the pass/fail suites: the count of failing checks, their
+    frequency with its binomial standard error over ``len(failed)``, and
+    the worst per-check figure floored at 0."""
+    count = np.count_nonzero(failed)
+    empirical = count / len(failed)
+    return _report(run, count, max(0.0, *worst.tolist()), bound, empirical, _binom_stderr(empirical, len(failed)))
 
 
 def _chunks(cfg: ExperimentConfig) -> list:
@@ -1054,7 +1052,7 @@ def _majorization_report(run, sandwiches, levels):
             run.notes.append(f"{stat} k={j + 1}: {fails[s, j]}/{points} kappa points fail CDF dominance")
     viol = int(fails.sum())
     worst = max(float(w.max()) for _, w in checks)
-    return _report(run, viol, worst, empirical=viol / (2 * d * points), stderr=0.0)
+    return _report(run, viol, worst, None, viol / (2 * d * points), 0.0)
 
 
 def _suite_majorization_dyadic(run, direction):
@@ -1133,8 +1131,6 @@ def _shifted_convex_probe() -> ConnectionFunction:
 def _suite_fusion(run):
     regimes = ((f"zero-limit generator {run.fn.label}", run.fn),
                ("finite nonzero 0+ limit generator inverse_arithmetic", _shifted_convex_probe()))
-    for _, gen in regimes:
-        _require_convex_finite(gen, "left")
 
     def body(trials):
         x1, y1, x2, y2 = _two_pairs(run, trials)
@@ -1147,15 +1143,9 @@ def _suite_fusion(run):
         return columns
 
     columns = _per_trial(run.cfg, body)
-    trials = run.cfg.trials
-    viol, worst = 0, 0.0
-    for i, (label, _) in enumerate(regimes):
-        regime_viol = int(np.count_nonzero(columns[2 * i]))
-        worst = max(worst, *columns[2 * i + 1].tolist())
-        viol += regime_viol
-        run.notes.append(f"{label}: {regime_viol}/{trials} violations")
-    empirical = viol / (2 * trials)
-    return _report(run, viol, worst, empirical=empirical, stderr=_binom_stderr(empirical, 2 * trials))
+    for (label, _), failed in zip(regimes, columns[::2]):
+        run.notes.append(f"{label}: {np.count_nonzero(failed)}/{run.cfg.trials} violations")
+    return _fail_report(run, np.concatenate(columns[::2]), np.concatenate(columns[1::2]))
 
 
 def _random_maps(spec: EnsembleSpec, trials) -> tuple[np.ndarray, np.ndarray]:
@@ -1172,7 +1162,6 @@ def _suite_transform(run):
     groups = (tuple(range(d // 2)), tuple(range(d // 2, d)))
     pinch = pinching(groups, ex.shape)
     run.notes.append(f"maps: random congruence, pinching {groups}, unitary congruence (equality case)")
-    _require_convex_finite(fn, "left")
 
     def body(trials):
         pair = DominationPair(*run.pair(trials), "left")

@@ -82,7 +82,7 @@ def lt_expression(
         return np.exp(q * w)
 
     m = mean_pd(apply_spectral(x, exp_q), apply_spectral(y, exp_q), g)
-    return spectral_power(m, 1.0 / q, psd_clip=False)
+    return spectral_power(m, 1.0 / q)
 
 
 def lt_limit(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
@@ -180,4 +180,4 @@ def _ordering_sides(x, y, lifted, w, q):
     powers under the lifted generator, and its q-th root."""
     log_affine = tensor_exp(w * tensor_log(x) + (1.0 - w) * tensor_log(y))
     mean_q = _powered_mean(x, y, lifted, q)
-    return log_affine, mean_q, spectral_power(mean_q, 1.0 / q, psd_clip=False)
+    return log_affine, mean_q, spectral_power(mean_q, 1.0 / q)

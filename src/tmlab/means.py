@@ -229,7 +229,7 @@ def _quotient_levels(x: HermitianStack, y: HermitianStack, n: int):
     """
     (lx, vx), (ly, vy) = x._spectrum(), y._spectrum()
     _gate_psd(lx, "x")
-    ly = np.maximum(_gate_psd(ly, "y"), 0.0)
+    ly = _gate_psd(ly, "y")
     live = _live(lx)
     w, y_rel = _ct(vx) @ vy, ly / np.maximum(ly[..., -1:], 1.0)
     levels = []

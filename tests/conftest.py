@@ -40,3 +40,18 @@ def rand_spectrum(rng, lo, hi, shape=SHAPE22):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of the LAPACK drivers that decompose or certify a tensor."""
+    calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

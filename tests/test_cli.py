@@ -145,6 +145,19 @@ class TestVerifyCommand:
         assert report["suite"] == suite
         assert all(math.isfinite(v) for v in report.values() if isinstance(v, float)), report
 
+    def test_t3_reports_at_m_24_with_fractional_root(self, tmp_path):
+        # The 1 / q = 2.17 root of the powered mean meets eigenvalues like
+        # -1e-18 against lambda_max near 1e17: noise the PSD gate admits and
+        # the root maps as 0.
+        cfg_path = tmp_path / "cfg.json"
+        out_file = tmp_path / "report.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "trials": 20, "shape": [2, 2], "suites": ["T3_LieTrotterTail"],
+                                        "exponents": {"m": 24, "q": 0.46}}))
+        code = main(["verify", "--config", str(cfg_path), "--out", str(out_file)])
+        assert code == 0
+        (report,) = json.loads(out_file.read_text())
+        assert report["suite"] == "T3_LieTrotterTail"
+
     def test_c4_reports_at_q_8(self, tmp_path):
         # The powered means of q = 8 have condition numbers near 1e16: their
         # spectra, read from the graded factor and not from eigvalsh of the
@@ -196,6 +209,20 @@ class TestMeanCommand:
         assert code == 0, err
         result = tm.HermitianTensor.from_json_dict(json.loads(out))
         assert np.allclose(result.unfold(), np.diag([np.sqrt(0.5), 0.0]))
+
+    @pytest.mark.parametrize("y_diag, fn", [([1.0, 1e-9], "power:-0.5"), ([1.0, 1e-12], "geometric")])
+    def test_pd_pairs_take_mean_pd(self, y_diag, fn, tmp_path, counts):
+        # Strictly PD, though y fails HermitianTensor.is_pd's relative test.
+        sh = tm.TensorShape((2,))
+        x = tm.fold(np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex), sh)
+        y = tm.HermitianTensor.diag(y_diag, sh)
+        xp, yp, out = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "m.json"
+        tm.save_tensor(x, xp)
+        tm.save_tensor(y, yp)
+        assert main(["mean", "--x", str(xp), "--y", str(yp), "--fn", fn, "--out", str(out)]) == 0
+        # The PD gate certifies x; eigh serves y and the quotient.
+        assert counts == {"eigh": 2, "eigvalsh": 0, "cholesky": 1}
+        assert np.array_equal(tm.load_tensor(out).unfold(), tm.mean_pd(x, y, tm.from_id(fn)).unfold())
 
     def test_missing_file_exits_two(self):
         code, _, err = run_cli(["mean", "--x", "/no/x.json", "--y", "/no/y.json", "--fn", "geometric"])

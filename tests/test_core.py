@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import tmlab as tm
 from tmlab.bounds import _ratio_extremes
-from tmlab.core import HermiticityError, HermitianStack, _fix_phases, _gate, _gate_psd, require_pd
+from tmlab.core import (HermiticityError, HermitianStack, NotPositiveSemidefiniteError, _fix_phases, _gate, _gate_pd,
+                         _gate_psd)
 from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 
 from conftest import SHAPE2, SHAPE22, rand_hermitian, rand_pd, rand_psd_rank, rand_unitary
@@ -125,23 +126,10 @@ class TestSpectralDecompose:
 
 
 class TestSpectrumCache:
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
-        for name in calls:
-            real = getattr(np.linalg, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        return calls
-
     def test_value_queries_share_one_eigvalsh(self, rng, counts):
         t = rand_pd(rng)
         t.lambda_min(), t.lambda_max(), t.spectral_scale(), t.eigenvalues(), t.is_pd()
-        require_pd(t, "t"), _gate(t, "t", psd=True), tm.gauge_norm(t), tm.gauge_norm(t, tm.SPECTRAL)
+        _gate_pd(t._eigenvalues(), "t"), _gate(t, "t", psd=True), tm.gauge_norm(t), tm.gauge_norm(t, tm.SPECTRAL)
         assert counts == {"eigh": 0, "eigvalsh": 1, "cholesky": 0}
 
     def test_mean_pd_decomposes_each_operand_once(self, rng, counts):
@@ -181,7 +169,7 @@ class TestSpectrumCache:
         reads = (
             lambda a, b: a.eigenvalues(),
             lambda a, b: (a.lambda_min(), a.lambda_max(), a.spectral_scale(), a.is_pd()),
-            lambda a, b: (require_pd(a, "a"), _gate_psd(a._eigenvalues(), "a")),
+            lambda a, b: (_gate_pd(a._eigenvalues(), "a"), _gate_psd(a._eigenvalues(), "a")),
             lambda a, b: [tm.gauge_norm(a, k) for k in (tm.SPECTRAL, tm.FROBENIUS, tm.TRACE, tm.ky_fan(2))],
             lambda a, b: tm.kyfan_stats(a, 3),
             lambda a, b: tm.loewner_compare(a, b),
@@ -309,6 +297,16 @@ class TestApplySpectral:
         h = tm.HermitianTensor.diag([1.0, -1.0], SHAPE2)
         with pytest.raises(ValueError, match="domain"):
             tm.apply_spectral(h, lambda v: v**-0.5)
+
+    def test_fractional_power_asks_the_psd_gate(self):
+        h = tm.HermitianTensor.diag([-1.0, -2.0, 3.0, 4.0], SHAPE22)
+        with pytest.raises(NotPositiveSemidefiniteError, match="power input"):
+            tm.spectral_power(h, 0.5)
+        # Integer powers take any spectrum.
+        assert np.allclose(tm.spectral_power(h, 2.0).eigenvalues(), [16.0, 9.0, 4.0, 1.0])
+        # Noise the gate admits maps as 0.
+        noisy = tm.HermitianTensor.diag([4.0, 1.0, 0.0, -1e-12], SHAPE22)
+        assert np.array_equal(tm.spectral_power(noisy, 0.5).eigenvalues(), [2.0, 1.0, 0.0, 0.0])
 
 
 class TestLoewnerCompare:

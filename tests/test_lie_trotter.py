@@ -185,9 +185,5 @@ class TestOrderingCheck:
             x, y = rand_pd(rng), rand_spectrum(rng, 0.3, 2.0)
             xs, ys = enforce_premise(x, y, lifted, "leq")
             left = tm.tensor_exp(w * tm.tensor_log(xs) + (1 - w) * tm.tensor_log(ys))
-            right = tm.spectral_power(
-                tm.mean_pd(tm.spectral_power(xs, 0.25), tm.spectral_power(ys, 0.25), lifted),
-                4.0,
-                psd_clip=False,
-            )
+            right = tm.spectral_power(tm.mean_pd(tm.spectral_power(xs, 0.25), tm.spectral_power(ys, 0.25), lifted), 4.0)
             assert left.lambda_max() <= right.lambda_max() * (1 + 1e-9)

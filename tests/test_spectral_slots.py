@@ -8,7 +8,9 @@ tests scan the package source so that a write from anywhere else (a
 kernel seeding a stack after birth, or overwriting one already in use)
 fails here, and check the one composition body that the spectral calculus
 and the ``spectrum`` draws share, and the one Cholesky certificate behind
-every gate and verdict that reads no eigenvalue.
+every gate and verdict that reads no eigenvalue.  The same scans keep
+every module free of imports it never uses, and keep positivity decided
+by the gates alone (no package code asks ``HermitianTensor.is_pd``).
 """
 
 import ast
@@ -135,6 +137,40 @@ def test_calculus_and_draws_share_one_composition_body():
 
     assert "_composed" in calls("core.py", "apply_spectral")
     assert "_composed" in calls("harness.py", "_rotated")
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads; a name listed in its
+    ``__all__`` or in a string annotation counts as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            read.add(node.value)
+    return sorted(name for name in imported if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {name: _unused_imports(tree) for name, tree in _trees().items() if name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_import_scan_sees_an_unused_name():
+    tree = ast.parse("from __future__ import annotations\nimport numpy as np\nfrom .core import a, b\n"
+                     "__all__ = ['b']\ndef f(x: 'Stack'):\n    return np.sum(x)\n")
+    assert _unused_imports(tree) == ["a"]
+
+
+def test_no_package_code_decides_positivity_with_is_pd():
+    for name, tree in _trees().items():
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "is_pd"]
+        assert not calls, name
 
 
 class TestComposed:
