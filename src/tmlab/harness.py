@@ -154,10 +154,11 @@ class EnsembleSpec:
         for name in ("m", "M"):
             if not _is_finite_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.kind == "wishart" and self.dof < 1:
             raise ConfigError("wishart needs dof >= 1")
-        if self.kind == "spectrum" and self.M < self.m:
-            raise ConfigError(f"spectrum needs m <= M, got [{self.m}, {self.M}]")
+        if self.kind == "spectrum" and not 0.0 <= self.M - self.m < math.inf:
+            raise ConfigError(f"spectrum needs m <= M with a finite range M - m, got [{self.m}, {self.M}]")
         if self.kind == "rank_deficient" and not 1 <= self.rank <= self.shape.square_dim:
             raise ConfigError(f"rank must lie in 1..{self.shape.square_dim}")
 
@@ -237,12 +238,6 @@ def _streams(seed: int, trials, role: int):
         yield rng
 
 
-def _complex(g: np.ndarray) -> np.ndarray:
-    """Complex standard Gaussians from real and imaginary parts stacked on
-    axis -3."""
-    return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
-
-
 def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
     """Draw the ensemble member for one trial; bitwise reproducible.
 
@@ -256,29 +251,44 @@ def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
 def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
     """The ensemble members of a run of trials as one stack.
 
-    Member ``t`` comes from its own stream of :func:`_streams`, drawn in the
-    same order as a lone :func:`sample`; the matrices are then formed as
+    Member ``t`` comes from its own stream, through :func:`_stacked`, in
+    the same order as a lone :func:`sample`; the matrices are then formed as
     one stack, validated unless Hermitian by construction (``spectrum``).
     """
     d = spec.shape.square_dim
     if spec.kind == "spectrum" and spec.m == spec.M:
-        m, eye = float(spec.m), np.broadcast_to(np.eye(d, dtype=np.complex128), (len(trials), d, d))
+        m, eye = spec.m, np.broadcast_to(np.eye(d, dtype=np.complex128), (len(trials), d, d))
         return HermitianStack._trusted(eye * m, values=np.full((len(trials), d), m), vectors=eye)
-    streams = _streams(spec.seed, trials, role)
     if spec.kind == "spectrum":
-        draws = [(rng.standard_normal((2, d, d)), rng.uniform(spec.m, spec.M, size=d)) for rng in streams]
-        gauss, lam = (np.stack(part) for part in zip(*draws))
+        gauss, lam = _stacked(spec.seed, trials, role, ((2, d, d), None), ((d,), (spec.m, spec.M)))
         # Interior margin keeps the reconstructed spectrum inside [m, M]
         # despite rounding in the congruence.
         margin = 64.0 * np.finfo(float).eps * max(1.0, abs(spec.m), abs(spec.M))
         if spec.M - spec.m > 4.0 * margin:
             lam = np.clip(lam, spec.m + margin, spec.M - margin)
-        return _rotated(np.linalg.qr(_complex(gauss))[0], lam)
+        return _rotated(np.linalg.qr(gauss)[0], lam)
     rows = spec.dof if spec.kind == "wishart" else spec.rank
-    g = _complex(np.stack([rng.standard_normal((2, rows, d)) for rng in streams]))
+    (g,) = _stacked(spec.seed, trials, role, ((2, rows, d), None))
     if spec.kind == "wishart":
         return HermitianStack.from_matrices(_ct(g) @ g / rows + 1e-6 * np.eye(d))
     return HermitianStack.from_matrices(_ct(g) @ g / rows)
+
+
+def _stacked(seed: int, trials, role: int, *parts) -> list[np.ndarray]:
+    """The draws of a run of trials, one stack per part ``(shape, span)``:
+    trial ``k`` fills row ``k`` of each from its stream, parts in order, with
+    uniforms ``m + (M - m) * U[0, 1)`` on ``span = (m, M)``, the formula and
+    so the bits of ``Generator.uniform``, or, when ``span`` is None, complex
+    Gaussians ``(re + 1j * im) / sqrt(2)`` drawn as re then im on axis -3."""
+    stacks = [np.empty((len(trials), *shape)) for shape, _ in parts]
+    for k, rng in enumerate(_streams(seed, trials, role)):
+        if not k:
+            fills = [(rng.standard_normal if span is None else rng.random, stack)
+                     for (_, span), stack in zip(parts, stacks)]
+        for fill, stack in fills:
+            fill(out=stack[k])
+    return [(g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0) if span is None
+            else span[0] + (span[1] - span[0]) * g for (_, span), g in zip(parts, stacks)]
 
 
 def _rotated(q: np.ndarray, lam: np.ndarray) -> HermitianStack:
@@ -828,10 +838,8 @@ def _increments(spec: EnsembleSpec, trials) -> HermitianStack:
     the spectrum ensemble's ``[m, M]`` (no interior margin), drawn from the
     streams of role ``_INCREMENT_ROLE``, eigenvalues first."""
     d = spec.shape.square_dim
-    draws = [(rng.uniform(spec.m, spec.M, size=d), rng.standard_normal((2, d, d)))
-             for rng in _streams(spec.seed, trials, _INCREMENT_ROLE)]
-    lam, gauss = (np.stack(part) for part in zip(*draws))
-    return _rotated(np.linalg.qr(_complex(gauss))[0], lam)
+    lam, gauss = _stacked(spec.seed, trials, _INCREMENT_ROLE, ((d,), (spec.m, spec.M)), ((2, d, d), None))
+    return _rotated(np.linalg.qr(gauss)[0], lam)
 
 
 def _ando_hiai_bound_parts(m: int):
@@ -1152,8 +1160,8 @@ def _random_maps(spec: EnsembleSpec, trials) -> tuple[np.ndarray, np.ndarray]:
     """APP_LinearTransform's two maps per trial, from the streams of role
     ``_MAP_ROLE``: a complex Gaussian congruence, then a Haar-like unitary."""
     d = spec.shape.square_dim
-    g = _complex(np.stack([rng.standard_normal((2, 2, d, d)) for rng in _streams(spec.seed, trials, _MAP_ROLE)]))
-    return g[:, 0], np.ascontiguousarray(np.linalg.qr(g[:, 1])[0])
+    cong, gauss = _stacked(spec.seed, trials, _MAP_ROLE, ((2, d, d), None), ((2, d, d), None))
+    return cong, np.ascontiguousarray(np.linalg.qr(gauss)[0])
 
 
 def _suite_transform(run):

@@ -122,6 +122,16 @@ class TestVerifyCommand:
         assert code == 2
         assert message in err
 
+    def test_spectrum_range_past_double_range_exits_two(self, tmp_path):
+        # Both bounds are finite, but M - m is not, so no uniform on [m, M] exists.
+        spectrum = {"kind": "spectrum", "m": -1e308, "M": 1e308}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 2, "ensembles": {"x": spectrum, "y": spectrum}}))
+        code, _, err = run_cli(["verify", "--config", str(cfg_path)])
+        assert code == 2, err
+        assert "finite range M - m, got [-1e+308, 1e+308]" in err
+        assert "Traceback" not in err
+
     def test_infinite_power_exits_two(self, tmp_path):
         # T3 powers its tail by r / q, here past double range.
         cfg_path = tmp_path / "cfg.json"

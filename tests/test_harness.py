@@ -78,6 +78,10 @@ class TestSample:
             EnsembleSpec(SHAPE, "poisson", seed=0)
         with pytest.raises(ConfigError):
             EnsembleSpec(SHAPE, "spectrum", seed=0, m=2.0, M=1.0)
+        # Finite bounds whose range M - m overflows, as floats or as integers.
+        for bound in (1e308, 10**308):
+            with pytest.raises(ConfigError, match=r"finite range M - m"):
+                EnsembleSpec(SHAPE, "spectrum", seed=0, m=-bound, M=bound)
         with pytest.raises(ConfigError):
             EnsembleSpec(SHAPE, "rank_deficient", seed=0, rank=9)
 

@@ -2,10 +2,14 @@
 
 Every draw of trial ``t`` in role ``r`` comes from
 ``default_rng(SeedSequence(seed & (2**64 - 1), spawn_key=(t, r)))``.  The
-harness builds those states in bulk (:func:`tmlab.harness._streams`); these
-tests hold it to numpy's own states, and every draw site to the per-trial
-code it replaced, kept here as the reference.
+harness builds those states in bulk (:func:`tmlab.harness._streams`) and
+fills every trial's draws into stacks in one loop (:func:`tmlab.harness._stacked`);
+these tests hold the states to numpy's own, every draw site to the per-trial
+code it replaced, kept here as the reference, and the loop to one function.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,19 +84,25 @@ def test_one_generator_is_reused():
     assert len({id(rng) for rng in _streams(5, range(4), 0)}) == 1
 
 
+# Uniform spans that hold the bulk rescale to ``Generator.uniform`` bit for
+# bit: a range near the top of double range and a narrow negative one.
+SPANS = [(0.05, 0.3), (-1e300, 1e300), (-2.0, -2.0 + 1e-12)]
+
 SPECS = [
     ("wishart", {"dof": 8}),
     ("wishart", {"dof": 1}),
+    ("wishart", {"dof": 128}),
     ("spectrum", {"m": 0.3, "M": 2.0}),
     ("spectrum", {"m": -1.0, "M": 1.0}),
     ("spectrum", {"m": 1.0, "M": 1.0 + 1e-15}),
     ("spectrum", {"m": 0.7, "M": 0.7}),
+    *(("spectrum", {"m": m, "M": big_m}) for m, big_m in SPANS[1:]),
     ("rank_deficient", {"rank": 1}),
     ("rank_deficient", {"rank": 3}),
 ]
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3,)])
+@pytest.mark.parametrize("shape", [(2, 2), (3,), (8, 8)])
 @pytest.mark.parametrize("kind, params", SPECS, ids=[f"{k}-{sorted(p.items())}" for k, p in SPECS])
 def test_draw_matches_per_trial_reference(kind, params, shape):
     spec = EnsembleSpec(tm.TensorShape(shape), kind, 20260809 * 31, **params)
@@ -141,15 +151,28 @@ def test_identity_draws_are_born_with_their_eigenpairs():
     assert _same_bits(np.asarray(v), np.broadcast_to(np.eye(4, dtype=complex), (3, 4, 4)).copy())
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3,), (4, 4)])
-def test_l3_increments_match_per_trial_reference(shape):
-    spec = EnsembleSpec(tm.TensorShape(shape), "spectrum", 99, m=0.05, M=0.3)
+def _check_l3_increments(shape, m, big_m):
+    spec = EnsembleSpec(tm.TensorShape(shape), "spectrum", 99, m=m, M=big_m)
     d = spec.shape.square_dim
     trials = range(5)
     rngs = [_ref_rng(spec.seed, t, 7) for t in trials]
     lam = np.stack([rng.uniform(spec.m, spec.M, size=d) for rng in rngs])
     gauss = np.stack([_ref_gaussian(rng, d, d) for rng in rngs])
     assert _same_bits(_increments(spec, trials).unfold(), _ref_rotated(np.linalg.qr(gauss)[0], lam))
+
+
+L3_SHAPES = [(2, 2), (3,), (4, 4), (8, 8)]
+
+
+@pytest.mark.parametrize("shape", L3_SHAPES)
+def test_l3_increments_match_per_trial_reference(shape):
+    _check_l3_increments(shape, *SPANS[0])
+
+
+@pytest.mark.parametrize("shape", L3_SHAPES)
+@pytest.mark.parametrize("m, big_m", SPANS[1:])
+def test_l3_increments_match_on_extreme_spans(shape, m, big_m):
+    _check_l3_increments(shape, m, big_m)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3,), (4, 4)])
@@ -183,3 +206,35 @@ def test_config_rejects_trial_counts_beyond_the_streams():
     assert ExperimentConfig(trials=2**32 - 1).trials == 2**32 - 1
     with pytest.raises(ConfigError, match="trials"):
         ExperimentConfig(trials=2**32)
+
+
+def _references(tree, name):
+    """The innermost enclosing function (None at module level) of every
+    use of the name ``name``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == name:
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_draw_loop_iterates_the_streams():
+    """Every trial's parts go into the stacks in one loop: ``_streams`` is
+    named once in the package, as the iterable of a ``for`` in ``_stacked``."""
+    package = Path(__file__).resolve().parent.parent / "src" / "tmlab"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    refs = {name: _references(tree, "_streams") for name, tree in trees.items()}
+    assert {name: owners for name, owners in refs.items() if owners} == {"harness.py": ["_stacked"]}
+    (stacked,) = [node for node in ast.walk(trees["harness.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "_stacked"]
+    loops = [node for node in ast.walk(stacked) if isinstance(node, (ast.For, ast.comprehension))
+             and any(isinstance(sub, ast.Name) and sub.id == "_streams" for sub in ast.walk(node.iter))]
+    assert len(loops) == 1
