@@ -15,6 +15,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -67,30 +68,28 @@ def _load_config(path: str | None) -> ExperimentConfig:
     return ExperimentConfig.from_dict(payload)
 
 
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
+    overrides = {k: v for k, v in (("seed", args.seed), ("trials", args.trials)) if v is not None}
     if args.suite != "all":
         overrides["suites"] = (resolve_suite(args.suite),)
-    if overrides:
-        payload = cfg.to_dict()
-        payload.update(overrides)
-        cfg = ExperimentConfig.from_dict(payload)
+    # replace() validates the overridden config as construction does.
+    cfg = dataclasses.replace(cfg, **overrides)
     reports, walls = [], []
     for name in cfg.suites:
         start = time.perf_counter()
         reports.append(run_suite(name, cfg))
         walls.append(time.perf_counter() - start)
-    text = reports_to_json(reports) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(reports_to_json(reports) + "\n", args.out)
     total = 0
     for r, wall in zip(reports, walls):
         print(f"{r.suite}: trials={r.trials} violations={r.violations} max_violation={r.max_violation:.3e} "
@@ -138,12 +137,7 @@ def _cmd_mean(args) -> int:
         result = mean_pd(x, y, fn)
     except NotPositiveDefiniteError:
         result = mean_psd(x, y, fn)
-    text = json.dumps(result.to_json_dict()) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(result.to_json_dict()) + "\n", args.out)
     return 0
 
 

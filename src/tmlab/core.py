@@ -16,6 +16,7 @@ import enum
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,10 +53,11 @@ __all__ = [
 
 # Relative tolerance for accepting nearly-Hermitian input before symmetrizing.
 HERMITICITY_RTOL = 1e-9
-# Entries up to _NORM_SAFE keep the squares summed by the Hermiticity check
-# below 2**1002, so its norms cannot overflow for D up to 2048.  Larger
-# entries are scaled by the exact power of two _NORM_UNIT first, which maps
-# every finite double below 2**424.
+# The Hermiticity check and the certificate take their norms from
+# _frobenius, which re-sums a sum of squares that overflowed over the entries
+# scaled by the exact power of two _NORM_UNIT (every finite double then lies
+# below 2**424).  A norm below 1 / _NORM_SAFE may come from squares that
+# underflowed.
 _NORM_SAFE = 2.0**500
 _NORM_UNIT = 2.0**-600
 # Default relative tolerance for PSD / Loewner-order decisions.
@@ -84,12 +86,11 @@ class TensorShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims:
-            raise ValueError("dims must be nonempty")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"all mode sizes must be >= 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        dims = self.dims
+        if not (isinstance(dims, (list, tuple)) and dims and all(
+                isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1 for d in dims)):
+            raise ValueError(f"dims must be a nonempty list of integers >= 1, got {dims!r}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
 
     @property
     def order(self) -> int:
@@ -179,29 +180,21 @@ def _validated(matrix: np.ndarray) -> np.ndarray:
 
     Entries must be finite, and each matrix must lie within a relative
     Frobenius distance ``HERMITICITY_RTOL`` of Hermitian; the Hermitian
-    part is returned.  Matrices with entries above ``_NORM_SAFE`` are
-    checked scaled by the exact power of two ``_NORM_UNIT`` (the floor 1 of
-    the scale is scaled alike, so the decision is the unscaled one).
+    part is returned.  The norms come from :func:`_frobenius`, on the
+    halved entries (an exact scaling), so that neither the defect nor the
+    Hermitian part overflows for finite entries.
     """
     _check_finite(matrix)
-    big = np.abs(matrix).max(axis=(-2, -1)) > _NORM_SAFE
-    scaled = _any(big)
-    unit = np.where(big, _NORM_UNIT, 1.0) if scaled else 1.0
-    if scaled:
-        matrix = matrix * unit[..., None, None]
-    adjoint = _ct(matrix)
-    scale = np.maximum(unit, _root_sum_squares(matrix))
-    defect = _root_sum_squares(matrix - adjoint)
+    half = matrix * 0.5
+    adjoint = _ct(half)
+    scale = np.maximum(0.5, _frobenius(half))
+    defect = _frobenius(half - adjoint)
     bad = defect > HERMITICITY_RTOL * scale
     if _any(bad):
         i = _first(bad)
-        unit = np.broadcast_to(unit, bad.shape)[i]
-        raise HermiticityError(
-            f"entries deviate from conjugate symmetry by {defect[i] / unit:.3e} "
-            f"(allowed {HERMITICITY_RTOL * scale[i] / unit:.3e})"
-        )
-    matrix = (matrix + adjoint) / 2.0
-    return matrix * (1.0 / unit)[..., None, None] if scaled else matrix
+        raise HermiticityError(f"entries deviate from conjugate symmetry by {2.0 * float(defect[i]):.3e} "
+                               f"(allowed {2.0 * HERMITICITY_RTOL * float(scale[i]):.3e})")
+    return half + adjoint
 
 
 class HermitianStack:
@@ -818,11 +811,7 @@ def loewner_compare(x: HermitianTensor, y: HermitianTensor, tol: float = PSD_RTO
     ``scale = max(|x|_sp, |y|_sp, 1)``; GEQ symmetrically; EQ iff both;
     INCOMPARABLE otherwise.
     """
-    return _verdict(*loewner_extremes(x, y, tol))
-
-
-def _verdict(lam_min, lam_max, leq, geq) -> LoewnerVerdict:
-    """The verdict of one pair from its :func:`loewner_extremes`."""
+    lam_min, lam_max, leq, geq = loewner_extremes(x, y, tol)
     lam_min, lam_max = float(lam_min), float(lam_max)
     if leq and geq:
         rel = Relation.EQ
@@ -925,7 +914,7 @@ def range_projector(h: HermitianTensor) -> HermitianTensor:
 
 def tensor_to_json_dict(entries, dims) -> dict:
     """JSON payload ``{"dims", "re", "im"}`` with row-major entry order."""
-    arr, shape = _coerce_entries(entries, TensorShape(tuple(dims)))
+    arr, shape = _coerce_entries(entries, _as_shape(dims))
     flat = arr.reshape(-1)
     return {
         "dims": list(shape.dims),
@@ -935,10 +924,17 @@ def tensor_to_json_dict(entries, dims) -> dict:
 
 
 def tensor_from_json_dict(payload: dict) -> tuple[tuple[int, ...], np.ndarray]:
-    dims = tuple(int(d) for d in payload["dims"])
+    """Dims and entries of a :func:`tensor_to_json_dict` payload: an object
+    with ``dims``, checked by :class:`TensorShape`, and ``re`` and ``im``,
+    one number per entry.  Anything else raises ``ValueError``."""
+    if not isinstance(payload, dict) or not {"dims", "re", "im"} <= payload.keys():
+        raise ValueError("a tensor payload is an object with the keys 'dims', 're' and 'im'")
+    dims = TensorShape(payload["dims"]).dims
     n = math.prod(dims) ** 2
-    re = np.asarray(payload["re"], dtype=np.float64)
-    im = np.asarray(payload["im"], dtype=np.float64)
+    try:
+        re, im = (np.asarray(payload[k], dtype=np.float64) for k in ("re", "im"))
+    except TypeError as exc:
+        raise ValueError(f"entries must be numbers: {exc}") from exc
     if re.shape != (n,) or im.shape != (n,):
         raise ValueError(f"expected {n} entries for dims {dims}")
     return dims, (re + 1j * im).reshape(dims + dims)

@@ -23,12 +23,12 @@ from .core import (
     LoewnerVerdict,
     PSD_RTOL,
     TensorShape,
+    _as_shape,
     _ct,
     _quiet,
     _read_only,
     _symmetrize,
-    _verdict,
-    loewner_extremes,
+    loewner_compare,
     tensor_from_json_dict,
 )
 from .functions import ConnectionFunction, transpose_fn
@@ -90,7 +90,7 @@ class PositiveLinearMap:
 
 def congruence(k_entries, shape) -> PositiveLinearMap:
     """Map ``h -> k^H * h * k`` for a fixed (not necessarily Hermitian) tensor."""
-    shape = shape if isinstance(shape, TensorShape) else TensorShape(tuple(shape))
+    shape = _as_shape(shape)
     d = shape.square_dim
     arr = np.asarray(k_entries, dtype=np.complex128)
     if arr.shape == shape.dims + shape.dims:
@@ -100,7 +100,7 @@ def congruence(k_entries, shape) -> PositiveLinearMap:
 
 def pinching(partition, shape) -> PositiveLinearMap:
     """Block-diagonal compression over a partition of the unfolding indices."""
-    shape = shape if isinstance(shape, TensorShape) else TensorShape(tuple(shape))
+    shape = _as_shape(shape)
     part = tuple(tuple(int(i) for i in group) for group in partition)
     return PositiveLinearMap("pinching", shape, partition=part)
 
@@ -149,7 +149,7 @@ def parse_map_spec(spec: str, shape) -> PositiveLinearMap:
     ``pinching:1|2,3`` (1-based groups of unfolding indices), or
     ``mix:<w>:<map>:<w>:<map>`` with ``+``-separated inner maps.
     """
-    shape = shape if isinstance(shape, TensorShape) else TensorShape(tuple(shape))
+    shape = _as_shape(shape)
     head, _, rest = spec.partition(":")
     if head == "congruence":
         if not rest:
@@ -254,7 +254,7 @@ def fusion_gap(
         raise ValueError("pairs must share the domination side")
     _require_convex_finite(g, p1.side)
     fused = DominationPair(p1.x + p2.x, p1.y + p2.y, p1.side)
-    verdict = _verdict(*loewner_extremes(*_fusion_sides(p1, p2, fused, g), tol))
+    verdict = loewner_compare(*_fusion_sides(p1, p2, fused, g), tol)
     return verdict.lam_min, verdict
 
 
@@ -277,8 +277,7 @@ def transform_gap(
     ``L(x # y)`` against ``L(x) # L(y)`` (GEQ expected).
     """
     _require_convex_finite(g, pair.side)
-    sides = _transform_sides(partial(apply_map, lmap), pair, mean_on_pair(pair, g), g)
-    verdict = _verdict(*loewner_extremes(*sides, tol))
+    verdict = loewner_compare(*_transform_sides(partial(apply_map, lmap), pair, mean_on_pair(pair, g), g), tol)
     return -verdict.lam_max, verdict
 
 

@@ -148,13 +148,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ("wishart", "spectrum", "rank_deficient"):
             raise ConfigError(f"unknown ensemble kind {self.kind!r}")
-        for name in ("dof", "rank"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("m", "M"):
-            if not _is_finite_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, float(getattr(self, name)))
+        for name, integral in (("dof", True), ("rank", True), ("m", False), ("M", False)):
+            object.__setattr__(self, name, _number(name, getattr(self, name), integral))
         if self.kind == "wishart" and self.dof < 1:
             raise ConfigError("wishart needs dof >= 1")
         if self.kind == "spectrum" and not 0.0 <= self.M - self.m < math.inf:
@@ -163,12 +158,31 @@ class EnsembleSpec:
             raise ConfigError(f"rank must lie in 1..{self.shape.square_dim}")
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# The least positive double: a double x is positive iff x >= _TINY.
+_TINY = math.nextafter(0.0, 1.0)
 
 
-def _is_finite_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+def _number(name: str, value, integral: bool = False, low: float = -math.inf, high: float = math.inf):
+    """The one rule of a config number: an integer when ``integral``, else a
+    real; never a bool; finite as a double and inside ``[low, high]``.
+    Returns it as an int or a float, else raises :class:`ConfigError`."""
+    ok = isinstance(value, numbers.Integral if integral else numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if ok else math.nan
+    except OverflowError:  # an integer past double range
+        x = math.nan
+    if not (math.isfinite(x) and low <= x <= high):
+        span = ("" if low == -math.inf else " > 0" if low == _TINY
+                else f" >= {low}" if high == math.inf else f" in [{low}, {high}]")
+        raise ConfigError(f"{name} must be {'an integer' if integral else 'a finite number'}{span}, got {value!r}")
+    return int(value) if integral else x
+
+
+def _of_kind(name: str, value, kind, what: str):
+    """``value`` when it is an instance of ``kind``, else :class:`ConfigError`."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 # SeedSequence's hash constants (NumPy's ``bit_generator.pyx``, stable by
@@ -345,8 +359,8 @@ def _premise_pairs(run, trials, big_f, directions):
     try:
         base = mean_pd(x, y, big_f)
     except NotPositiveDefiniteError as exc:
-        raise ConfigError(f"{run.sid.value} needs PD ensembles in both slots: {exc}") from exc
-    where = f"{run.sid.value} at m={run.cfg.exponents['m']}"
+        raise ConfigError(f"needs PD ensembles in both slots: {exc}") from exc
+    where = f"at m={run.cfg.exponents['m']}"
     return [_rescale(x, y, base, direction, where) for direction in directions]
 
 
@@ -439,36 +453,24 @@ class ExperimentConfig:
     suites: tuple[str, ...] = tuple(s.value for s in SUITE_ORDER)
 
     def __post_init__(self):
-        if not _is_integer(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not _is_integer(self.trials) or not 1 <= self.trials < 2**32:
-            raise ConfigError(f"trials must be an integer in [1, 2**32), got {self.trials!r}")
-        if not (_is_finite_real(self.tolerance) and self.tolerance > 0):
-            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
-        TensorShape(self.shape)
-        if not isinstance(self.exponents, dict):
-            raise ConfigError(f"exponents must be an object, got {self.exponents!r}")
-        exps = {**_EXPONENT_DEFAULTS, **self.exponents}
+        object.__setattr__(self, "seed", _number("seed", self.seed, integral=True))
+        object.__setattr__(self, "trials", _number("trials", self.trials, integral=True, low=1, high=2**32 - 1))
+        object.__setattr__(self, "tolerance", _number("tolerance", self.tolerance, low=_TINY))
+        shape = _of_kind("shape", self.shape, (list, tuple), "a list of integers >= 1")
+        object.__setattr__(self, "shape", TensorShape([_number("shape entry", d, True, low=1) for d in shape]).dims)
+        exps = {**_EXPONENT_DEFAULTS, **_of_kind("exponents", self.exponents, dict, "an object")}
         if set(exps) != set(_EXPONENT_DEFAULTS):
             raise ConfigError(f"exponents accepts keys {sorted(_EXPONENT_DEFAULTS)}")
-        for name in ("q", "p"):
-            if not (_is_finite_real(exps[name]) and exps[name] > 0):
-                raise ConfigError(f"exponent {name} must be positive and finite, got {exps[name]!r}")
-            exps[name] = float(exps[name])
-        if not (_is_integer(exps["m"]) and exps["m"] >= 2):
-            raise ConfigError(f"exponent m must be an integer >= 2, got {exps['m']!r}")
-        exps["m"] = int(exps["m"])
-        object.__setattr__(self, "exponents", exps)
-        GaugeNormKind.parse(self.norm)
-        bad = [s for s in self.suites if s not in SuiteId.__members__]
+        object.__setattr__(self, "exponents", {"q": _number("exponent q", exps["q"], low=_TINY),
+                                               "p": _number("exponent p", exps["p"], low=_TINY),
+                                               "m": _number("exponent m", exps["m"], integral=True, low=2)})
+        GaugeNormKind.parse(_of_kind("norm", self.norm, str, "a string"))
+        object.__setattr__(self, "suites", tuple(_of_kind("suites", self.suites, (list, tuple), "a list of suite ids")))
+        bad = [s for s in self.suites if not isinstance(s, str) or s not in SuiteId.__members__]
         if bad:
             raise ConfigError(f"unknown suites {bad}")
-        object.__setattr__(self, "suites", tuple(self.suites))
         if self.function is not None:
-            from_id(self.function)
+            from_id(_of_kind("function", self.function, str, "a string"))
         if self.ensembles is not None:
             if not isinstance(self.ensembles, dict) or set(self.ensembles) != {"x", "y"}:
                 raise ConfigError("ensembles needs exactly the keys 'x' and 'y'")
@@ -478,16 +480,14 @@ class ExperimentConfig:
     def _ensemble_from_params(self, params: dict, seed: int) -> EnsembleSpec:
         if not isinstance(params, dict) or "kind" not in params:
             raise ConfigError(f"ensemble spec needs a 'kind': {params!r}")
-        allowed = {"kind", "dof", "m", "M", "rank"}
-        extra = set(params) - allowed
+        extra = set(params) - {"kind", "dof", "m", "M", "rank"}
         if extra:
             raise ConfigError(f"unknown ensemble fields {sorted(extra)}")
-        kw = {k: params[k] for k in params if k != "kind"}
-        return EnsembleSpec(TensorShape(self.shape), params["kind"], seed, **kw)
+        return EnsembleSpec(TensorShape(self.shape), seed=seed, **params)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        extra = set(payload) - {f.name for f in fields(cls)}
+        extra = set(_of_kind("config", payload, dict, "an object")) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown config fields {sorted(extra)}")
         return cls(**payload)
@@ -581,7 +581,7 @@ class _Run:
 _TAG_NAMES = {"TMI": "monotone increasing", "TMD": "monotone decreasing", "TC": "convex"}
 
 
-def _suite_function(cfg: ExperimentConfig, sid: SuiteId, row: _Suite) -> ConnectionFunction:
+def _suite_function(cfg: ExperimentConfig, row: _Suite) -> ConnectionFunction:
     explicit = cfg.function is not None
     fn = from_id(cfg.function if explicit else row.function)
     problem = None
@@ -592,9 +592,7 @@ def _suite_function(cfg: ExperimentConfig, sid: SuiteId, row: _Suite) -> Connect
     elif row.zero_limit and (fn.value_at_0plus is None or not math.isfinite(fn.value_at_0plus)):
         problem = "needs a finite limit at 0+ for the PSD extension"
     if problem:
-        if explicit:
-            raise ConfigError(f"{sid.value} cannot run with {fn.label}: {problem}")
-        raise ConfigError(f"default function for {sid.value} is invalid: {problem}")
+        raise ConfigError(f"{'cannot run with' if explicit else 'default function'} {fn.label}: {problem}")
     return fn
 
 
@@ -613,21 +611,26 @@ def _binom_stderr(p_hat, n: int):
 
 
 def run_suite(sid: SuiteId | str, cfg: ExperimentConfig) -> VerificationReport:
-    """Execute one verification suite; deterministic given (config, seed)."""
+    """Execute one verification suite; deterministic given (config, seed).
+    Its refusals, any ``ValueError`` it raises, are raised as a chained
+    :class:`ConfigError` that starts with the suite id."""
     if isinstance(sid, str):
         if sid not in SuiteId.__members__:
             raise ConfigError(f"unknown suite {sid!r}")
         sid = SuiteId[sid]
     row = _SUITES[sid]
     notes, fn = [], None
-    if row.function is not None:
-        fn = _suite_function(cfg, sid, row)
-        notes.append(f"function={fn.label}")
-    d = TensorShape(cfg.shape).square_dim
-    seeds = [_mix_seed(cfg.seed, _SUITE_INDEX[sid], role) for role in (1, 2)]
-    ex, ey = _specs(cfg, row.ensembles(d) if cfg.ensembles is None else cfg.ensembles, seeds)
-    second = _specs(cfg, row.second(d), seeds) if row.second else None
-    return row.runner(_Run(sid, cfg, notes, fn, ex, ey, second))
+    try:
+        if row.function is not None:
+            fn = _suite_function(cfg, row)
+            notes.append(f"function={fn.label}")
+        d = TensorShape(cfg.shape).square_dim
+        seeds = [_mix_seed(cfg.seed, _SUITE_INDEX[sid], role) for role in (1, 2)]
+        ex, ey = _specs(cfg, row.ensembles(d) if cfg.ensembles is None else cfg.ensembles, seeds)
+        second = _specs(cfg, row.second(d), seeds) if row.second else None
+        return row.runner(_Run(sid, cfg, notes, fn, ex, ey, second))
+    except ValueError as exc:
+        raise ConfigError(f"{sid.value}: {exc}") from exc
 
 
 def run_suites(cfg: ExperimentConfig) -> list[VerificationReport]:
@@ -711,7 +714,11 @@ def _tail_columns(cfg, checks) -> list:
     """
     c = np.array(C_SWEEP)
     held = [_excess(events, c[:, None]).T <= cfg.tolerance for events, _ in checks]
-    return [np.stack(held, axis=1), np.stack([traces[:, None] / c for _, traces in checks], axis=1)]
+    with np.errstate(over="ignore"):
+        stats = np.stack([traces[:, None] / c for _, traces in checks], axis=1)
+    if not np.isfinite(stats).all():
+        raise ValueError("a trace statistic Tr(tail**power) / c leaves double range")
+    return [np.stack(held, axis=1), stats]
 
 
 def _power_trace(z: HermitianStack, power: float) -> np.ndarray:
@@ -772,8 +779,7 @@ def _suite_l1(run):
     for slot, spec in (("x", run.ex), ("y", run.ey)):
         # b = y and a = y + x must be PSD for the power ordering to apply.
         if spec.kind == "spectrum" and spec.m < 0:
-            raise ConfigError(f"{run.sid.value} needs PSD ensembles in both slots; "
-                              f"{slot} is a spectrum on [{spec.m:g}, {spec.M:g}]")
+            raise ConfigError(f"needs PSD ensembles in both slots; {slot} is a spectrum on [{spec.m:g}, {spec.M:g}]")
     q = run.cfg.exponents["q"]
     if not 0.0 <= q <= 1.0:
         q = 0.5
@@ -817,7 +823,7 @@ def _suite_l2(run):
 
 def _suite_l3(run):
     if run.ey.kind != "spectrum":
-        raise ConfigError(f"{run.sid.value} draws its second increment on the y spectrum [m, M]; "
+        raise ConfigError("draws its second increment on the y spectrum [m, M]; "
                           f"y must be a spectrum ensemble, got {run.ey.kind!r}")
     q = max(1.0, run.cfg.exponents["q"])
     run.notes.append(f"q={q:g}; chain built as x, x+p1, x+p1+p2 with PSD increments")
@@ -992,7 +998,11 @@ def _cap_floor_stacks(run, q, trials):
             )
         mean_q = _powered_mean(xp, yp, fn, q)
         scalar = base._eigenvalues()[:, 0] ** (1.0 - q) * _ratio_extremes(1.0 / z, live, fn, q)[1]
-        out += [mean_q, k1 * k2 * scalar if direction == "leq" else scalar / k2]
+        with np.errstate(over="ignore"):
+            bound = k1 * k2 * scalar if direction == "leq" else scalar / k2
+        if not np.isfinite(bound).all():
+            raise ValueError(f"the Kantorovich {'cap' if direction == 'leq' else 'floor'} leaves double range")
+        out += [mean_q, bound]
     return out
 
 

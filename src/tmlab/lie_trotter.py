@@ -32,7 +32,7 @@ from .core import (
     spectral_power,
 )
 from .functions import ConnectionFunction, derivative_at_one, power_lift
-from .means import _powered_mean, mean_pd
+from .means import _powered_mean, _shrinking_grid, mean_pd
 
 __all__ = [
     "ConvergenceStudy",
@@ -121,9 +121,7 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Distance of the product-formula expression from its limit per grid
     point, for a pair of tensors or every pair of two stacks."""
-    q_grid = tuple(float(q) for q in q_grid)
-    if not q_grid or any(q <= 0 for q in q_grid) or any(b >= a for a, b in zip(q_grid, q_grid[1:])):
-        raise ValueError("q grid must be positive and strictly descending")
+    q_grid = _shrinking_grid(q_grid, "q")
     limit = lt_limit(x, y, g)
     scale = np.maximum(1.0, gauge_norm(limit, norm))
     distances = tuple(gauge_norm(lt_expression(q, x, y, g) - limit, norm) for q in q_grid)

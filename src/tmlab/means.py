@@ -299,20 +299,19 @@ class RttDiagnostic:
     converged: bool
 
     def __post_init__(self):
-        eps = _epsilon_grid(self.epsilon_grid)
+        eps = _shrinking_grid(self.epsilon_grid, "epsilon")
         if len(self.errors) != len(eps):
             raise ValueError("errors and grid must align")
         object.__setattr__(self, "epsilon_grid", eps)
 
 
-def _epsilon_grid(eps_grid) -> tuple[float, ...]:
-    """A nonempty, positive, strictly decreasing grid as floats."""
-    eps = tuple(float(e) for e in eps_grid)
-    if not eps or any(e <= 0 for e in eps):
-        raise ValueError("epsilon grid must be positive")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilon grid must be strictly decreasing")
-    return eps
+def _shrinking_grid(grid, name: str) -> tuple[float, ...]:
+    """The one check of a parameter grid: nonempty, positive and strictly
+    decreasing, returned as floats; else ``ValueError`` naming ``name``."""
+    grid = tuple(float(g) for g in grid)
+    if not (grid and grid[-1] > 0 and all(b < a for a, b in zip(grid, grid[1:]))):
+        raise ValueError(f"{name} grid must be positive and strictly decreasing, got {grid}")
+    return grid
 
 
 def epsilon_mean_limit(
@@ -337,7 +336,7 @@ def epsilon_mean_limit(
     Both are read here on every call, so the bits do not depend on what ran
     before.
     """
-    eps_grid = _epsilon_grid(eps_grid)
+    eps_grid = _shrinking_grid(eps_grid, "epsilon")
     if mode not in ("joint", "right"):
         raise ValueError(f"unknown mode {mode!r}")
     # Read before the limit, x's values serve its PSD gate and range test too;

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,16 +44,35 @@ def rng():
     return np.random.default_rng(20260809)
 
 
+# The LAPACK drivers that decompose or certify a tensor.
+DRIVERS = ("eigh", "eigvalsh", "svd", "cholesky")
+
+
+class Decompositions:
+    """Per driver, its ``calls`` and the ``matrices`` they took: a stacked
+    call counts each of its matrices, and a Cholesky factorization that
+    raises counts too."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.calls = dict.fromkeys(DRIVERS, 0)
+        self.matrices = dict.fromkeys(DRIVERS, 0)
+
+
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of the LAPACK drivers that decompose or certify a tensor."""
-    calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
-    for name in calls:
+    """The one way the tests count decompositions: every driver of
+    :data:`DRIVERS` wrapped for the test, into one :class:`Decompositions`."""
+    seen = Decompositions()
+    for name in DRIVERS:
         real = getattr(np.linalg, name)
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            seen.calls[_name] += 1
+            seen.matrices[_name] += math.prod(np.shape(a)[:-2])
+            return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    return calls
+    return seen

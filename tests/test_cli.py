@@ -93,9 +93,13 @@ class TestVerifyCommand:
             {"exponents": {"p": float("inf")}},
             {"ensembles": {"x": {"kind": "spectrum", "m": float("nan"), "M": 1.0}, "y": {"kind": "spectrum"}}},
             {"ensembles": {"x": {"kind": "spectrum", "m": 0.1, "M": float("inf")}, "y": {"kind": "spectrum"}}},
+            {"ensembles": {"x": {"kind": "spectrum", "m": 0.1, "M": 10**400}, "y": {"kind": "spectrum"}}},
+            {"shape": [2.7, 2]},
+            {"norm": 5},
         ],
         ids=["tolerance-inf", "tolerance-nan", "tolerance-str", "trials-bool", "seed-float", "exponent-n", "dof-float",
-             "m-float", "q-bool", "q-str", "q-nan", "p-inf", "ensemble-m-nan", "ensemble-M-inf"],
+             "m-float", "q-bool", "q-str", "q-nan", "p-inf", "ensemble-m-nan", "ensemble-M-inf", "ensemble-M-past-double",
+             "shape-float", "norm-int"],
     )
     def test_bad_config_value_exits_two(self, payload, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -231,8 +235,20 @@ class TestMeanCommand:
         tm.save_tensor(y, yp)
         assert main(["mean", "--x", str(xp), "--y", str(yp), "--fn", fn, "--out", str(out)]) == 0
         # The PD gate certifies x; eigh serves y and the quotient.
-        assert counts == {"eigh": 2, "eigvalsh": 0, "cholesky": 1}
+        assert counts.calls == {"eigh": 2, "eigvalsh": 0, "svd": 0, "cholesky": 1}
         assert np.array_equal(tm.load_tensor(out).unfold(), tm.mean_pd(x, y, tm.from_id(fn)).unfold())
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"re": [1.0], "im": [0.0]}, [1.0, 0.0], {"dims": [2.5], "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}],
+        ids=["no-dims", "list", "float-dims"],
+    )
+    def test_malformed_tensor_file_exits_two(self, payload, tmp_path, capsys):
+        xp, yp = tmp_path / "x.json", tmp_path / "y.json"
+        xp.write_text(json.dumps(payload))
+        tm.save_tensor(tm.HermitianTensor.identity(tm.TensorShape((2,))), yp)
+        assert main(["mean", "--x", str(xp), "--y", str(yp), "--fn", "geometric"]) == 2
+        assert "error: " in capsys.readouterr().err
 
     def test_missing_file_exits_two(self):
         code, _, err = run_cli(["mean", "--x", "/no/x.json", "--y", "/no/y.json", "--fn", "geometric"])

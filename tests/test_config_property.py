@@ -8,14 +8,14 @@ builtin generator id, yields such a report or raises
 ``ValueError``/``ConfigError`` (both exit 2 from the CLI).  Beyond the band
 the exits are double-range overflows, such as T9's ``cap**p``,
 ``K(m, M, 2q)`` at large q and m together (C1 at q = 2 from m = 44 on some
-seeds) and the lift ``x**m f`` on its probe grid from m = 51, and T3 from
-m = 20 at a q whose ``1 / q`` is not an integer: the q-th root of its lifted
-powered mean reads the ``eigh`` of the formed mean, whose bottom
-eigenvalues are then negative rounding noise.  A bad scalar anywhere in
-``exponents``, ``ensembles``, ``tolerance`` or ``trials`` raises
-``ConfigError``.
+seeds) and the lift ``x**m f`` on its probe grid from m = 51.  A bad
+scalar anywhere in ``seed``, ``trials``, ``shape``, ``exponents``,
+``ensembles`` or ``tolerance`` (a bool, a string, a non-integer where an
+integer goes, a non-finite number or an integer past double range), and a
+field of the wrong kind, raise ``ConfigError``.
 """
 
+import copy
 import math
 
 import pytest
@@ -69,6 +69,9 @@ def finite_fields(report) -> bool:
 @example(shape=(1,), trials=1, suite="T9_TC", exps={"q": 6.06e183}, function=None)
 # The lift overflows on its probe grid.
 @example(shape=(2, 2), trials=1, suite="C1_AndoHiaiDual", exps={"m": 51}, function=None)
+# T9's Kantorovich cap overflows, and at (3, 3) its trace statistic Tr(tail**p) / c.
+@example(shape=(2, 2), trials=1, suite="T9_TC", exps={"q": 50.0}, function=None)
+@example(shape=(3, 3), trials=1, suite="T9_TC", exps={"q": 57.0}, function=None)
 def test_valid_config_reports_finite_or_raises_value_error(shape, trials, suite, exps, function):
     # No warning filter: an overflow must raise ValueError without a
     # RuntimeWarning first (pyproject turns warnings into errors).
@@ -114,9 +117,11 @@ def test_supported_band_reports_finite_fields(shape, trials, suite, exps):
     assert finite_fields(report), report
 
 
-BAD_SCALARS = [float("nan"), float("inf"), -float("inf"), True, False, "2"]
+BAD_SCALARS = [float("nan"), float("inf"), -float("inf"), True, False, "2", 10**400]
 BAD_INTEGERS = BAD_SCALARS + [2.5]
 VALID = {
+    "seed": 7,
+    "shape": [2, 2],
     "exponents": {"q": 2.0, "p": 1.0, "m": 2},
     "ensembles": {
         "x": {"kind": "spectrum", "m": 0.3, "M": 2.0},
@@ -136,23 +141,34 @@ PLACES = [
     (("ensembles", "y", "dof"), BAD_INTEGERS),
     (("tolerance",), BAD_SCALARS),
     (("trials",), BAD_INTEGERS),
+    (("seed",), BAD_INTEGERS),
+    (("shape", 0), [2.7, True, "2", 0, 10**400]),
 ]
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_bad_scalar_raises_config_error(data):
-    path, bad = data.draw(st.sampled_from(PLACES))
-    value = data.draw(st.sampled_from(bad))
-    payload = {**VALID, "exponents": dict(VALID["exponents"]),
-               "ensembles": {k: dict(v) for k, v in VALID["ensembles"].items()}}
-    node = payload
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(payload)
+def test_bad_scalar_raises_config_error():
+    # Every bad value at every place, not a sample: each pins one hole.
+    accepted = []
+    for path, bad in PLACES:
+        for value in bad:
+            payload = copy.deepcopy(VALID)
+            node = payload
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                ExperimentConfig.from_dict(payload)
+            except ConfigError:
+                continue
+            accepted.append((path, value))
+    assert not accepted
 
 
 def test_valid_base_payload_accepted():
     ExperimentConfig.from_dict(VALID)
+
+
+@pytest.mark.parametrize("field, value", [("shape", 4), ("shape", "22"), ("norm", 5), ("function", 5), ("suites", 5)])
+def test_field_of_wrong_kind_raises_config_error(field, value):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({**VALID, field: value})

@@ -130,28 +130,28 @@ class TestSpectrumCache:
         t = rand_pd(rng)
         t.lambda_min(), t.lambda_max(), t.spectral_scale(), t.eigenvalues(), t.is_pd()
         _gate_pd(t._eigenvalues(), "t"), _gate(t, "t", psd=True), tm.gauge_norm(t), tm.gauge_norm(t, tm.SPECTRAL)
-        assert counts == {"eigh": 0, "eigvalsh": 1, "cholesky": 0}
+        assert counts.calls == {"eigh": 0, "eigvalsh": 1, "svd": 0, "cholesky": 0}
 
     def test_mean_pd_decomposes_each_operand_once(self, rng, counts):
         x, y = rand_pd(rng), rand_pd(rng)
         tm.mean_pd(x, y, tm.geometric())
         # A Cholesky certificate gates x; eigh serves y's roots and the quotient's calculus.
-        assert counts == {"eigh": 2, "eigvalsh": 0, "cholesky": 1}
+        assert counts.calls == {"eigh": 2, "eigvalsh": 0, "svd": 0, "cholesky": 1}
         tm.mean_pd(x, y, tm.geometric())
-        assert counts == {"eigh": 3, "eigvalsh": 0, "cholesky": 2}
+        assert counts.calls == {"eigh": 3, "eigvalsh": 0, "svd": 0, "cholesky": 2}
 
     def test_mean_psd_decomposes_y_and_the_quotient(self, rng, counts):
         h = rand_psd_rank(rng, 2).unfold()
         x = tm.fold(h @ rand_pd(rng).unfold() @ h, SHAPE22)
         tm.mean_psd(x, tm.fold(h, SHAPE22), tm.geometric())
         # The certificate gates x; eigh serves y and eta, whose eigenpairs finish the mean.
-        assert counts == {"eigh": 2, "eigvalsh": 0, "cholesky": 1}
+        assert counts.calls == {"eigh": 2, "eigvalsh": 0, "svd": 0, "cholesky": 1}
 
     def test_loewner_compare_decomposes_only_the_difference(self, rng, counts):
         x, y = rand_pd(rng), rand_pd(rng)
         assert tm.loewner_compare(x, y).relation is tm.Relation.INCOMPARABLE
         # The scale bracket decides; neither side's values are read.
-        assert counts == {"eigh": 0, "eigvalsh": 1, "cholesky": 0}
+        assert counts.calls == {"eigh": 0, "eigvalsh": 1, "svd": 0, "cholesky": 0}
 
     def test_cache_is_read_only(self, rng):
         t = rand_pd(rng)
@@ -220,7 +220,7 @@ class TestSpectralResultCaches:
     same order."""
 
     @pytest.mark.parametrize("name", list(SPECTRAL_MAPS))
-    def test_born_with_sorted_mapped_spectrum(self, rng, monkeypatch, name):
+    def test_born_with_sorted_mapped_spectrum(self, rng, counts, name):
         phi, kind = SPECTRAL_MAPS[name]
         h = _operand_stack(rng, 4, kind)
         w, v = h._spectrum()
@@ -231,15 +231,13 @@ class TestSpectralResultCaches:
         elif name == "x**-0.5":
             assert np.array_equal(order, np.broadcast_to(np.arange(4)[::-1], order.shape))
         out = tm.apply_spectral(h, phi)
-        calls = []
-        for fn in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, fn, lambda *a, _n=fn, **k: calls.append(_n))
+        counts.reset()
         got_w, got_v = out._spectrum()
         assert np.array_equal(got_w, np.sort(mapped, axis=-1))
         assert np.array_equal(got_v, np.take_along_axis(v, order[:, None, :], axis=-1))
         assert out._eigenvalues() is got_w
         assert not got_w.flags.writeable and not got_v.flags.writeable
-        assert calls == []
+        assert not any(counts.calls.values())
 
     def test_ascending_map_shares_operand_eigenvectors(self, rng):
         # np.exp keeps the ascending order, so the result shares the
@@ -453,10 +451,12 @@ class TestHermiticity:
         assert np.array_equal(u, u.conj().T)
 
     @pytest.mark.parametrize(
-        "m", [[[1e155, 5e153], [0.0, 1e155]], [[1e160, 1e160], [0.0, 1e160]]], ids=["1e155", "1e160"]
+        "m", [[[1e155, 5e153], [0.0, 1e155]], [[1e160, 1e160], [0.0, 1e160]], [[1.7e308, 1.7e308], [-1.7e308, 1.0]]],
+        ids=["1e155", "1e160", "1.7e308"],
     )
     def test_rejects_non_hermitian_beyond_norm_range(self, m):
-        # Frobenius norms of these finite matrices overflow unless scaled.
+        # Frobenius norms of these finite matrices overflow unless scaled;
+        # the last one's defect lies past double range.
         with pytest.raises(HermiticityError):
             tm.fold(np.array(m, dtype=complex), SHAPE2)
 

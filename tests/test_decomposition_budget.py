@@ -1,18 +1,15 @@
 """Decomposition budget of the verification suites.
 
-Each suite runs at shape ``(2, 2)`` with 3 trials under counting wrappers of
-``np.linalg.eigh``, ``np.linalg.eigvalsh``, ``np.linalg.svd`` and
-``np.linalg.cholesky``, which add up the matrices of every (stacked) call;
-a Cholesky factorization that raises counts too.  The pinned counts are the budget: a
+Each suite runs at shape ``(2, 2)`` with 3 trials under the shared ``counts``
+fixture, whose ``matrices`` add up, per driver (``eigh``, ``eigvalsh``,
+``svd`` and ``cholesky``), the matrices of every (stacked) call; a Cholesky
+factorization that raises counts too.  The pinned counts are the budget: a
 value read that falls back to a full ``eigh``, a tensor decomposed twice, or
 work moved from an eigensolver into SVDs changes them, so the change fails
 here instead of only slowing the benchmark.  A change that lowers a count on
 purpose updates the table.
 """
 
-import math
-
-import numpy as np
 import pytest
 
 from tmlab.harness import ExperimentConfig, SuiteId, run_suite
@@ -39,25 +36,11 @@ BUDGET = {
 }
 
 
-@pytest.fixture
-def matrices(monkeypatch):
-    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0, "cholesky": 0}
-    for name in counts:
-        real = getattr(np.linalg, name)
-
-        def counted(a, *args, _real=real, _name=name, **kwargs):
-            counts[_name] += math.prod(np.shape(a)[:-2])
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
 def test_budget_covers_every_suite():
     assert set(BUDGET) == {sid.value for sid in SuiteId}
 
 
 @pytest.mark.parametrize("suite", list(BUDGET))
-def test_suite_decomposition_budget(matrices, suite):
+def test_suite_decomposition_budget(counts, suite):
     run_suite(suite, ExperimentConfig(trials=3, shape=(2, 2)))
-    assert tuple(matrices.values()) == BUDGET[suite]
+    assert tuple(counts.matrices.values()) == BUDGET[suite]

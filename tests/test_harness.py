@@ -338,6 +338,17 @@ class TestSuites:
         with pytest.raises(ConfigError, match="PD ensembles"):
             run_suite(suite, cfg)
 
+    @pytest.mark.parametrize("suite", ["L2_Kantorovich", "T65_JointConvexity", "APP_Fusion", "T1_AndoHiaiGeneralized"])
+    def test_refusal_names_its_suite_once(self, suite):
+        # Rank-2 draws at D = 4: each suite refuses them at a different step.
+        deficient = {"kind": "rank_deficient", "rank": 2}
+        cfg = ExperimentConfig(trials=3, ensembles={"x": deficient, "y": dict(deficient)}, suites=(suite,))
+        with pytest.raises(ConfigError) as info:
+            run_suite(suite, cfg)
+        message = str(info.value)
+        assert message.startswith(f"{suite}: ") and message.count(suite) == 1, message
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_report_fields_and_version(self):
         report = run_suite("APP_Fusion", ExperimentConfig(trials=5))
         payload = report.to_dict()

@@ -350,20 +350,6 @@ def _spectrum_at(rng, d, lam_min, rest=(0.5, 1.0)):
     return HermitianStack.from_matrices((q * mu[:, None, :]) @ q.conj().swapaxes(-1, -2))
 
 
-@pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """The shapes of the stacks handed to ``np.linalg.eigvalsh``."""
-    calls = []
-    real = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return calls
-
-
 def _outcome(fn):
     """None when ``fn()`` passes, else the type and text of what it raises."""
     try:
@@ -375,7 +361,7 @@ def _outcome(fn):
 
 @pytest.mark.parametrize("d", [1, 4, 64])
 @pytest.mark.parametrize("psd", [False, True], ids=["pd", "psd"])
-def test_cholesky_certificate_boundary_gates(rng, eigvalsh_calls, d, psd):
+def test_cholesky_certificate_boundary_gates(rng, counts, d, psd):
     # Fresh stacks whose lambda_min sits at -2, -1/2, 1/2 and 2 times the
     # margin delta = 4 D**2 eps (|c I|_F + |x|_F) above the gate's threshold
     # c (0 for PD, -PSD_RTOL for PSD): only the last is certified, that is
@@ -399,14 +385,14 @@ def test_cholesky_certificate_boundary_gates(rng, eigvalsh_calls, d, psd):
             k, delta = at
             assert np.all(np.abs((ev[:, 0] - floor) / delta - k) <= 0.25 * abs(k)), (k, ev[:, 0])
         expected = _outcome(lambda: rule(ev, "x"))
-        eigvalsh_calls.clear()
+        counts.reset()
         assert _outcome(lambda: _gate(x, "x", psd)) == expected
-        assert (not eigvalsh_calls) == certified, (lam, eigvalsh_calls)
+        assert (not counts.calls["eigvalsh"]) == certified, (lam, counts.calls)
         assert (expected is None) == bool(np.all(ev[:, 0] > floor if not psd else ev[:, 0] >= floor))
 
 
 @pytest.mark.parametrize("d", [1, 4, 64])
-def test_cholesky_certificate_boundary_bracket(rng, eigvalsh_calls, d):
+def test_cholesky_certificate_boundary_bracket(rng, counts, d):
     # The bracket of max|lambda| holds the value the eigenvalues give
     # strictly, even where an unwidened bound would touch it: max|diag| of a
     # diagonal matrix and |h|_F of a rank-one matrix are both |h|_2.
@@ -437,10 +423,10 @@ def test_cholesky_certificate_boundary_bracket(rng, eigvalsh_calls, d):
             lam_min, lam_max = _loewner_gap(*fresh)
             scale = max(1.0, *(np.abs(np.linalg.eigvalsh(s.unfold())).max() for s in fresh))
             want = (lam_min, lam_max, lam_min >= -tol * scale, lam_max <= tol * scale)
-            eigvalsh_calls.clear()
+            counts.reset()
             assert all(same(g, w) for g, w in zip(loewner_extremes(x, y, tol), want))
             decided = len(ends) == 1
-            assert len(eigvalsh_calls) == (1 if decided else 3)
+            assert counts.calls["eigvalsh"] == (1 if decided else 3)
             seen.add(decided)
     # At D = 1 the bracket is the one entry's magnitude widened by 4 eps.
     assert True in seen and (d == 1 or False in seen)
@@ -468,25 +454,12 @@ def test_stacked_arithmetic_overflow_raises_without_warning():
 
 
 class TestEigenCallCounts:
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        calls = {"n": 0}
-        for name in ("eigh", "eigvalsh", "svd"):
-            real = getattr(np.linalg, name)
-
-            def counted(*args, _real=real, **kwargs):
-                calls["n"] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        return calls
-
     def test_all_suite_decompositions_do_not_grow_with_trials(self, counts):
         made = []
         for trials in (3, 6):
-            before = counts["n"]
+            counts.reset()
             cfg = ExperimentConfig(trials=trials)
             for sid in SuiteId:
                 run_suite(sid, cfg)
-            made.append(counts["n"] - before)
+            made.append(sum(counts.calls[name] for name in ("eigh", "eigvalsh", "svd")))
         assert made[0] == made[1], made

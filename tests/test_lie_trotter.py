@@ -127,8 +127,9 @@ class TestConvergenceStudy:
 
     def test_empty_grid_rejected(self, rng):
         x, y = rand_hermitian(rng), rand_hermitian(rng)
-        with pytest.raises(ValueError, match="q grid must be positive"):
-            tm.convergence_study(x, y, tm.geometric(), ())
+        for grid in ((), (0.5, float("nan"))):
+            with pytest.raises(ValueError, match="q grid must be positive"):
+                tm.convergence_study(x, y, tm.geometric(), grid)
 
 
 class TestOrderingCheck:

@@ -281,8 +281,9 @@ class TestEpsilonMeanLimit:
 
     def test_empty_grid_rejected(self, rng):
         x, y = rand_pd(rng), rand_pd(rng)
-        with pytest.raises(ValueError, match="epsilon grid must be positive"):
-            tm.epsilon_mean_limit(x, y, tm.geometric(), ())
+        for grid in ((), (1e-2, float("nan"))):
+            with pytest.raises(ValueError, match="epsilon grid must be positive"):
+                tm.epsilon_mean_limit(x, y, tm.geometric(), grid)
 
     def test_bad_mode(self, rng):
         x, y = rand_pd(rng), rand_pd(rng)
