@@ -104,11 +104,18 @@ class TensorShape:
 
 
 def _as_shape(shape) -> TensorShape:
+    """A :class:`TensorShape` from itself, from one integral mode size
+    (a Python or numpy integer) or from a sequence of them; anything
+    else raises :class:`TensorShape`'s ``ValueError``."""
     if isinstance(shape, TensorShape):
         return shape
-    if isinstance(shape, int):
+    if isinstance(shape, numbers.Integral):
         return TensorShape((shape,))
-    return TensorShape(tuple(shape))
+    try:
+        shape = tuple(shape)
+    except TypeError:  # not a sequence: TensorShape names it
+        pass
+    return TensorShape(shape)
 
 
 def _ct(matrix: np.ndarray) -> np.ndarray:
@@ -211,8 +218,9 @@ class HermitianStack:
     ``eigh`` (:meth:`_spectrum`) serves the kernels that read eigenvectors.
     A kernel that knows a spectrum passes it at birth (:meth:`_seal`,
     through :meth:`_trusted` or :meth:`_derive`): ascending ``values``,
-    their ``vectors``, or a graded ``factor`` ``G`` whose ``sigma(G)**2``
-    are the values.  Otherwise each cache is filled on first use.
+    their ``vectors``, or the two parts of a graded factor ``G`` whose
+    ``sigma(G)**2`` are the values.  Otherwise each cache is filled on
+    first use.
     """
 
     __slots__ = ("_matrix", "_evals", "_eig", "_factor")
@@ -240,7 +248,9 @@ class HermitianStack:
         """The step every construction ends in: read-only contiguous storage
         of a checked matrix, and what its maker knows of its spectrum: the
         ascending ``values``, with them their ``vectors``, or a graded
-        ``factor`` ``G`` of ``matrix = W G G^H W^H`` for a unitary ``W``."""
+        factor ``G = grade diag(s)^(1/2)`` of ``matrix = W G G^H W^H`` for
+        a unitary ``W``, as its parts ``factor = (grade, s)``; ``G`` is
+        formed only by the first values read."""
         self._matrix = _read_only(np.ascontiguousarray(matrix))
         self._evals = None if values is None else _read_only(values)
         self._eig = None if vectors is None else (self._evals, _read_only(vectors))
@@ -268,9 +278,10 @@ class HermitianStack:
 
     def _eigenvalues(self) -> np.ndarray:
         """Read-only ascending eigenvalues of every matrix, made on first
-        use and cached: one stacked ``eigvalsh``, or for a mean born with a
-        graded factor ``G``, ``sigma(G)**2`` by one stacked SVD, which keeps
-        the relative accuracy that ``eigvalsh`` loses past condition ``1/eps``.
+        use and cached: one stacked ``eigvalsh``, or for a mean born with the
+        parts of a graded factor ``G``, ``sigma(G)**2`` by one stacked SVD,
+        which keeps the relative accuracy that ``eigvalsh`` loses past
+        condition ``1/eps``.
 
         Every eigenvalue read goes through here, never through a cached
         :meth:`_spectrum`, so its bits do not depend on which kernels ran
@@ -278,9 +289,11 @@ class HermitianStack:
         rounding, not bit for bit, unless both were passed at birth.
         """
         if self._evals is None and self._factor is not None:
+            grade, s = self._factor
+            factor = grade * np.sqrt(s)[..., None, :]
             # Largest columns first, as a pivoted QR takes them (Demmel et al., LAA 299, 1999).
-            order = np.argsort(-np.abs(self._factor).max(axis=-2), axis=-1)
-            graded = np.take_along_axis(self._factor, order[..., None, :], axis=-1)
+            order = np.argsort(-np.abs(factor).max(axis=-2), axis=-1)
+            graded = np.take_along_axis(factor, order[..., None, :], axis=-1)
             self._evals = _read_only(np.linalg.svd(graded, compute_uv=False)[..., ::-1] ** 2)
         elif self._evals is None:
             self._evals = _read_only(np.linalg.eigvalsh(self._matrix))
@@ -378,7 +391,9 @@ def _certified(lhs, rhs: HermitianStack) -> bool:
     ``delta`` exceeds the backward error of a factorization that completes,
     about ``D (D + 1) / 2 * eps |A|_2`` (Higham, 2nd ed., Thm 10.3; Rump,
     BIT 46, 2006), plus that of ``eigvalsh``.  A ``LinAlgError``, raised
-    for the whole stack, certifies nothing: the caller's rule decides."""
+    for the whole stack, certifies nothing: the caller's rule decides.  Nor
+    does a factor that is not finite: near the double range a pivot can
+    overflow, and LAPACK then returns NaN in place of raising."""
     m = rhs._matrix
     d = m.shape[-1]
     if isinstance(lhs, HermitianStack):
@@ -394,10 +409,10 @@ def _certified(lhs, rhs: HermitianStack) -> bool:
     diagonal = np.einsum("...ii->...i", a)  # a writeable view
     diagonal -= (4.0 * d * d * _EPS * norms + c)[..., None]
     try:
-        np.linalg.cholesky(a)
+        factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(np.isfinite(factor).all())
 
 
 class HermitianTensor(HermitianStack):
@@ -463,7 +478,10 @@ class HermitianTensor(HermitianStack):
     def diag(cls, values, shape) -> "HermitianTensor":
         """Tensor whose unfolding is ``diag(values)`` (values must be real)."""
         shape = _as_shape(shape)
-        vals = np.asarray(values, dtype=np.float64)
+        vals = np.asarray(values)
+        if vals.dtype.kind not in "biuf":
+            raise ValueError(f"diagonal values must be real numbers, got dtype {vals.dtype}")
+        vals = vals.astype(np.float64)
         if vals.shape != (shape.square_dim,):
             raise ValueError("need one diagonal value per unfolding index")
         return cls._trusted(np.diag(vals).astype(np.complex128), shape)
@@ -711,6 +729,61 @@ def _gate(t: HermitianStack, name: str, psd: bool = False) -> None:
     if t._evals is None and _certified(-PSD_RTOL if psd else 0.0, t):
         return
     (_gate_psd if psd else _gate_pd)(t._eigenvalues(), name)
+
+
+def _defer_gate(x: HermitianStack, name: str, yw: np.ndarray) -> bool:
+    """Whether x's PD gate in a mean may wait for the congruence quotient
+    of x by a y of ascending eigenvalues ``yw`` (:func:`_gate_by_quotient`).
+    It may not when x's values are cached, which decide at once, or when y
+    fails its own gate, so that where both fail the error names x; then x
+    passes :func:`_gate` here."""
+    if x._evals is None and not _any(yw[..., 0] <= 0.0):
+        return True
+    _gate(x, name)
+    return False
+
+
+def _gate_by_quotient(x: HermitianStack, name: str, yw: np.ndarray, c: np.ndarray):
+    """The ``eigh`` ``(qw, qv)`` of the congruence quotient a mean has
+    formed, ``c``, the computed ``C = S^H x S`` for ``S = V diag(yw)^(-1/2)``
+    and the ``eigh`` pairs ``(yw, V)`` of a PD y, after x's PD gate of
+    :func:`_gate`; an ``eigh`` that raises does so after that gate, as it
+    would without the quotient.  x passes with no decomposition of its own
+    when ``c`` is finite and, for every matrix,
+
+        qw_0 yw_0 > max(4 D**2 eps qw_max (yw_0 + yw_max), 2**-500),
+
+    that is ``qw_0 > 4 D**2 eps max|qw| (1 + k)`` for ``k = yw_max / yw_0``
+    (a positive ``qw_0`` makes ``qw_max`` the largest ``|qw|``), with
+    ``|x|_2 >= qw_0 yw_0`` at least ``1 / _NORM_SAFE``, so that no product
+    forming ``c`` underflowed to significance; otherwise :func:`_gate`
+    decides, as it does alone.
+
+    A pass implies the eigenvalue rule ``eigvalsh(x)_0 > 0``.  S is
+    nonsingular, so C has x's inertia (Sylvester), ``lambda_min(x) >=
+    lambda_min(C) yw_0`` (Ostrowski) and ``|x|_2 <= |C|_2 yw_max``.
+    Allow each of three computations a normwise backward error of
+    ``D**2 eps`` of its matrix, the allowance :func:`_certified` takes
+    (LAPACK Users' Guide, 3rd ed., Sec. 4.7; Higham, 2nd ed., Sec. 3.5):
+    forming C, ``D**2 eps |x|_2 / yw_0 <= D**2 eps k |C|_2``; C's
+    ``eigh``, ``D**2 eps |C|_2``; and the ``eigvalsh`` of x the rule
+    reads, ``D**2 eps |x|_2``.  By Weyl, ``lambda_min(C) >= qw_0 - D**2
+    eps (1 + k) |C|_2``, and the rule holds once ``lambda_min(C) yw_0 >
+    D**2 eps |C|_2 yw_max``, that is once ``qw_0 > D**2 eps (1 + 2k)
+    |C|_2``.  A pass bounds ``D**2 eps (1 + k)`` by 1/4, so ``|C|_2 <=
+    4/3 max|qw|``, and ``4 (1 + k) > 4/3 (1 + 2k)``.  Called under
+    :func:`_quiet`: a NaN, or a margin that overflows, passes nothing.
+    """
+    try:
+        qw, qv = np.linalg.eigh(c)
+    except np.linalg.LinAlgError:
+        _gate(x, name)
+        raise
+    d, low = c.shape[-1], yw[..., 0]
+    margin = np.maximum(4.0 * d * d * _EPS * qw[..., -1] * (low + yw[..., -1]), 1.0 / _NORM_SAFE)
+    if not ((qw[..., 0] * low > margin).all() and np.isfinite(c).all()):
+        _gate(x, name)
+    return qw, qv
 
 
 def _gate_pd(ev: np.ndarray, name: str) -> np.ndarray:

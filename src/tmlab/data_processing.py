@@ -212,8 +212,8 @@ def mean_on_pair(pair: DominationPair, g: ConnectionFunction) -> HermitianStack:
     infinity).
     """
     if pair.side == "left":
-        return _extended_mean(pair.x, pair.y, g, quotient=pair.quotient)
-    return _extended_mean(pair.y, pair.x, transpose_fn(g), quotient=pair.quotient)
+        return _extended_mean(pair.x, pair.y, g, quotient=pair.quotient.eta._spectrum())
+    return _extended_mean(pair.y, pair.x, transpose_fn(g), quotient=pair.quotient.eta._spectrum())
 
 
 def _require_convex_finite(g: ConnectionFunction, side: str) -> None:

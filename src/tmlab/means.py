@@ -25,11 +25,15 @@ from .core import (
     HermitianStack,
     HermitianTensor,
     RANK_RTOL,
+    _NORM_SAFE,
     _any,
+    _check_finite,
     _ct,
+    _defer_gate,
     _first,
     _frobenius,
     _gate,
+    _gate_by_quotient,
     _gate_pd,
     _gate_psd,
     _live,
@@ -74,16 +78,22 @@ def _quotient(x: np.ndarray, v: np.ndarray, inv_root: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def _congruence_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
+def _congruence_mean(
+    x: HermitianStack, y: HermitianStack, g: ConnectionFunction, gate_x: bool = False
+) -> HermitianStack:
     """``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` for a PD ``y`` (gated here,
     on its ``eigh`` ``(L, V)``), ``g`` extended at 0+, over a stack: one
     ``eigh`` ``(qw, qv)`` of the :func:`_quotient` at ``L^{-1/2}``, finished
-    over the factor ``V L^{1/2} qv``.
+    over the factor ``V L^{1/2} qv``.  With ``gate_x``, x passes the PD gate
+    too, from the quotient's values where they settle it
+    (:func:`_defer_gate`, :func:`_gate_by_quotient`).
     Shared by :func:`mean_pd`, :func:`mean_recursive` and the right-slot
     limit of :func:`epsilon_mean_limit`, whose first slot is only PSD."""
     w, v = y._spectrum()
+    deferred = gate_x and _defer_gate(x, "x", w)
     root = np.sqrt(_gate_pd(w, "y"))
-    qw, qv = np.linalg.eigh(_quotient(x._matrix, v, 1.0 / root))
+    c = _quotient(x._matrix, v, 1.0 / root)
+    qw, qv = _gate_by_quotient(x, "x", w, c) if deferred else np.linalg.eigh(c)
     return _finish_mean(x, g, qw, (v * root[..., None, :]) @ qv, root[..., :, None] * qv)
 
 
@@ -108,13 +118,13 @@ def _finish_mean(x: HermitianStack, g: ConnectionFunction, qw, f, grade, cutoff=
     """Where every mean is born: ``g`` on the quotient eigenvalues ``qw``
     (0+ limit at or below ``cutoff``, finite), then ``f g(qw) f^H`` for the
     one factor ``f = W grade`` (y's eigenvectors, y's root or ``y**(q/2)``,
-    the quotient's eigenvectors); a positive ``g`` adds ``grade g(qw)^(1/2)``."""
+    the quotient's eigenvectors).  A mean of a positive ``g`` is born with
+    ``(grade, g(qw))``, the parts of its graded factor ``grade g(qw)^(1/2)``."""
     mapped = g.eval_extended(qw, cutoff)
     if not np.all(np.isfinite(mapped)):
         bad = qw[~np.isfinite(mapped)]
         raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
-    factor = grade * np.sqrt(mapped)[..., None, :] if g.positive else None
-    return x._derive(_symmetrize(_spectral_map(f, mapped)), factor=factor)
+    return x._derive(_symmetrize(_spectral_map(f, mapped)), factor=(grade, mapped) if g.positive else None)
 
 
 def mean_pd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
@@ -122,13 +132,14 @@ def mean_pd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> Herm
     every pair of two stacks.
 
     Raises when an input is not numerically PD or when ``g`` is non-finite
-    on the spectrum of the congruence quotient.
+    on the spectrum of the congruence quotient.  A fresh x is gated by the
+    quotient's eigenvalues where they settle its verdict.
     """
     x._check_same_shape(y)
-    _gate(x, "x")
-    return _congruence_mean(x, y, g)
+    return _congruence_mean(x, y, g, gate_x=True)
 
 
+@_quiet
 def mean_recursive(
     x: HermitianTensor,
     y: HermitianTensor,
@@ -147,8 +158,7 @@ def mean_recursive(
     if n < 0:
         raise ValueError("lift exponent must be >= 0")
     x._check_same_shape(y)
-    _gate(x, "x")
-    base = _congruence_mean(x, y, power_lift(f, n % 2))
+    base = _congruence_mean(x, y, power_lift(f, n % 2), gate_x=True)
     if n < 2:
         return base
     out = base.unfold()
@@ -188,6 +198,23 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     relative 1e-6 of the scale ``max(1, |x|_sp)``; x's spectrum is read for
     that scale only when the leak passes 1e-6.
     """
+    qw, vectors, c, dead = _eta_pairs(x, y)
+    v = y._spectrum()[1]
+    eta_m = _symmetrize(v @ c @ _ct(v))
+    domination = np.maximum(qw[..., -1], 0.0)
+    range_ok = _frobenius(eta_m @ dead) <= 1e-12 * np.maximum(1.0, domination)
+    out = x._derive(eta_m, values=qw, vectors=vectors)
+    return EtaResult(out, _per_item(domination), _per_item(range_ok))
+
+
+@_quiet
+def _eta_pairs(x: HermitianStack, y: HermitianStack):
+    """Body of :func:`eta` up to eta's eigenpairs, which :func:`mean_psd`
+    reads without eta's matrix: the gates, the range test, the quotient
+    ``C`` and its ``eigh`` ``(qw, qv)``.  Returns ``(qw, V qv, C, dead)``,
+    ``dead`` being y's eigenvectors off its range (zero columns on it).
+    Where ``V C V^H`` might leave the double range it is formed here and
+    passes :func:`eta`'s finiteness check, so both raise alike."""
     x._check_same_shape(y)
     _gate(x, "x", psd=True)
     lam, v = y._spectrum()
@@ -200,11 +227,11 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
         _require_range(leak, np.maximum(1.0, _spectral_scale(x)))
     c = _quotient(x._matrix, v, np.where(live, 1.0 / np.sqrt(np.where(live, lam, 1.0)), 0.0))
     qw, qv = np.linalg.eigh(c)
-    eta_m = _symmetrize(v @ c @ _ct(v))
-    domination = np.maximum(qw[..., -1], 0.0)
-    range_ok = _frobenius(eta_m @ dead) <= 1e-12 * np.maximum(1.0, domination)
-    out = x._derive(eta_m, values=qw, vectors=v @ qv)
-    return EtaResult(out, _per_item(domination), _per_item(range_ok))
+    # Every entry of V C V^H, its sums included, is at most 8 D**1.5 |C|_F:
+    # far inside the double range while |C|_F < _NORM_SAFE.
+    if not np.all(_frobenius(c) < _NORM_SAFE):
+        _check_finite(_symmetrize(v @ c @ _ct(v)))
+    return qw, v @ qv, c, dead
 
 
 def _require_range(leak: np.ndarray, x_scale: np.ndarray) -> None:
@@ -258,10 +285,10 @@ def _extended_mean(
     x: HermitianStack,
     y: HermitianStack,
     g: ConnectionFunction,
-    quotient: EtaResult | None = None,
+    quotient: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> HermitianStack:
-    """Body of :func:`mean_psd`; a caller holding ``eta(x, y)`` passes it
-    as ``quotient`` instead of having it computed again."""
+    """Body of :func:`mean_psd`; a caller holding ``eta(x, y)`` passes its
+    eigenpairs as ``quotient`` instead of having them computed again."""
     if g.value_at_0plus is None or not math.isfinite(g.value_at_0plus):
         raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
     x._check_same_shape(y)
@@ -269,9 +296,7 @@ def _extended_mean(
     zero_y = _scale_of(ly) == 0.0
     if _any(zero_y) and _any(zero_y & (_spectral_scale(x) != 0.0)):
         raise DominationError("y = 0 dominates only x = 0")
-    if quotient is None:
-        quotient = eta(x, y)
-    w, v = quotient.eta._spectrum()
+    w, v = _eta_pairs(x, y)[:2] if quotient is None else quotient
     # The root's factor without its leading Vy; a zero y has a zero root, so its mean is exactly 0.
     grade = np.sqrt(np.where(_live(ly), ly, 0.0))[..., :, None] * (_ct(vy) @ v)
     return _finish_mean(x, g, w, _psd_root(y) @ v, grade, RANK_RTOL * np.maximum(w[..., -1:], 0.0))

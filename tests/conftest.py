@@ -2,8 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tmlab import HermitianTensor, TensorShape, fold
+
+# Property tests draw the same examples on every run unless a random search
+# is asked for with ``--hypothesis-profile random`` (and ``--hypothesis-seed``).
+# Each test keeps its own ``max_examples`` and ``@example``s under both.
+settings.register_profile("derandomized", derandomize=True)
+settings.register_profile("random", derandomize=False)
+
+
+def pytest_configure(config):
+    if not config.getoption("hypothesis_profile", None):
+        settings.load_profile("derandomized")
 
 SHAPE22 = TensorShape((2, 2))
 SHAPE2 = TensorShape((2,))

@@ -234,7 +234,8 @@ class TestMeanCommand:
         tm.save_tensor(x, xp)
         tm.save_tensor(y, yp)
         assert main(["mean", "--x", str(xp), "--y", str(yp), "--fn", fn, "--out", str(out)]) == 0
-        # The PD gate certifies x; eigh serves y and the quotient.
+        # y's condition (1e9, 1e12) leaves the quotient's values inside the margin,
+        # so the certificate gates x; eigh serves y and the quotient.
         assert counts.calls == {"eigh": 2, "eigvalsh": 0, "svd": 0, "cholesky": 1}
         assert np.array_equal(tm.load_tensor(out).unfold(), tm.mean_pd(x, y, tm.from_id(fn)).unfold())
 

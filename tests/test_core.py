@@ -11,7 +11,7 @@ from tmlab.core import (HermiticityError, HermitianStack, NotPositiveSemidefinit
                          _gate_psd)
 from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 
-from conftest import SHAPE2, SHAPE22, rand_hermitian, rand_pd, rand_psd_rank, rand_unitary
+from conftest import SHAPE2, SHAPE22, rand_hermitian, rand_pd, rand_psd_rank, rand_spectrum, rand_unitary
 
 
 def naive_einstein(a, b, dims):
@@ -135,10 +135,18 @@ class TestSpectrumCache:
     def test_mean_pd_decomposes_each_operand_once(self, rng, counts):
         x, y = rand_pd(rng), rand_pd(rng)
         tm.mean_pd(x, y, tm.geometric())
-        # A Cholesky certificate gates x; eigh serves y's roots and the quotient's calculus.
-        assert counts.calls == {"eigh": 2, "eigvalsh": 0, "svd": 0, "cholesky": 1}
+        # eigh serves y's roots and the quotient, whose values also clear x's PD gate.
+        assert counts.calls == {"eigh": 2, "eigvalsh": 0, "svd": 0, "cholesky": 0}
         tm.mean_pd(x, y, tm.geometric())
-        assert counts.calls == {"eigh": 3, "eigvalsh": 0, "svd": 0, "cholesky": 2}
+        assert counts.calls == {"eigh": 3, "eigvalsh": 0, "svd": 0, "cholesky": 0}
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (8, 8)], ids=["D4", "D16", "D64"])
+    def test_fresh_mean_pd_gates_x_by_the_quotient(self, rng, counts, shape):
+        sh = tm.TensorShape(shape)
+        x, y = rand_spectrum(rng, 0.5, 2.0, sh), rand_spectrum(rng, 0.5, 2.0, sh)
+        tm.mean_pd(x, y, tm.geometric())
+        # The quotient's eigenvalues clear the margin, so x needs no decomposition of its own.
+        assert counts.calls == {"eigh": 2, "eigvalsh": 0, "svd": 0, "cholesky": 0}
 
     def test_mean_psd_decomposes_y_and_the_quotient(self, rng, counts):
         h = rand_psd_rank(rng, 2).unfold()
@@ -466,6 +474,26 @@ class TestHermiticity:
         m = a + a.conj().T
         m = m * (top / np.abs(m).max())
         assert np.array_equal(tm.fold(m, SHAPE22).unfold(), m)
+
+
+class TestShapeArguments:
+    @pytest.mark.parametrize("size", [4, np.int64(4), np.int32(4), np.uint8(4)], ids=["int", "int64", "int32", "uint8"])
+    def test_integral_scalars_are_one_mode_shapes(self, size):
+        made = [tm.HermitianTensor(np.eye(4), size), tm.HermitianTensor.identity(size), tm.HermitianTensor.zero(size),
+                tm.HermitianTensor.diag([1.0, 2.0, 3.0, 4.0], size), tm.fold(np.eye(4), size)]
+        assert all(t.shape == tm.TensorShape((4,)) for t in made)
+
+    @pytest.mark.parametrize("shape", [2.5, None, np.float64(4.0), True, np.bool_(True), "4", (2.5,)])
+    def test_malformed_shapes_raise_value_error(self, shape):
+        for make in (tm.HermitianTensor.identity, tm.HermitianTensor.zero, lambda s: tm.fold(np.eye(4), s),
+                     lambda s: tm.HermitianTensor.diag([1.0] * 4, s)):
+            with pytest.raises(ValueError, match="dims must be a nonempty list of integers >= 1"):
+                make(shape)
+
+    @pytest.mark.parametrize("values", [[1 + 1j, 2.0], np.array([1 + 1j, 2.0]), [None, 1.0]], ids=["list", "array", "none"])
+    def test_diag_rejects_values_that_are_not_real(self, values):
+        with pytest.raises(ValueError, match="diagonal values must be real numbers"):
+            tm.HermitianTensor.diag(values, 2)
 
 
 class TestTrustedConstruction:

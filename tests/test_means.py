@@ -197,6 +197,16 @@ class TestMeanPsd:
         with pytest.raises(DominationError):
             tm.mean_psd(x, zero, tm.geometric())
 
+    @pytest.mark.parametrize("scales", [(1e300, 1e-10), (1e307, 1e-1)], ids=["inf_quotient", "finite_quotient"])
+    def test_quotient_past_double_range_raises_as_eta(self, rng, scales):
+        # mean_psd does not keep eta's matrix, but where that matrix leaves the
+        # double range it raises eta's error rather than return a mean of it.
+        h = rand_psd_rank(rng, 2).unfold()
+        x, y = (tm.fold(s * h, SHAPE22) for s in scales)
+        for call in (lambda: tm.eta(x, y), lambda: tm.mean_psd(x, y, tm.geometric())):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                call()
+
     def test_infinite_zero_limit_rejected(self, rng):
         with pytest.raises(UnsupportedFunctionError):
             tm.mean_psd(rand_pd(rng), rand_pd(rng), tm.power(-0.5))
