@@ -18,6 +18,7 @@ from .core import (
     HermitianTensor,
     _gate,
     _gate_pd,
+    _integer,
     _per_item,
     _power,
 )
@@ -118,7 +119,7 @@ def kk_factors(
 def _kk_lists(x: HermitianStack, g: ConnectionFunction, m: int, q: float, k_start: int = 1) -> np.ndarray:
     """Body of :func:`kk_factors` over a stack: the ``K_k`` of every
     matrix, shape ``(matrices, m - k_start + 1)``."""
-    m = int(m)
+    m = _integer("m", m)
     if k_start not in (1, 2):
         raise ValueError("k_start must be 1 or 2")
     lam = _gate_pd(x._eigenvalues(), "x")
@@ -142,15 +143,10 @@ def dyadic_decompose(q: float) -> tuple[int, float]:
         raise ValueError("need q > 0")
     if q < 1.0:
         return 0, q
-    n = max(0, math.ceil(math.log2(q / 2.0)))
-    q0 = q / 2.0**n
-    while q0 > 2.0:
-        n += 1
-        q0 = q / 2.0**n
-    while q0 < 1.0 and n > 0:
-        n -= 1
-        q0 = q / 2.0**n
-    return n, q0
+    # q = f 2**e with f in [1/2, 1): q0 = 2 f, or 2 at the tie f = 1/2 past q = 1.
+    f, e = math.frexp(q)
+    n = e - 2 if f == 0.5 and e > 1 else e - 1
+    return n, math.ldexp(q, -n)
 
 
 def _ratio_extremes(lam: np.ndarray, live: np.ndarray, f: ConnectionFunction, a: float):
@@ -160,7 +156,7 @@ def _ratio_extremes(lam: np.ndarray, live: np.ndarray, f: ConnectionFunction, a:
     not finite."""
     dead = not live.all()
     f0 = f.value_at_0plus
-    if dead and (f0 is None or not math.isfinite(f0) or f0 <= 0.0):
+    if dead and not (math.isfinite(f0) and f0 > 0.0):
         raise ValueError(f"{f.label}: spectral ratio undefined on the null space (limit at 0+ is {f0!r})")
     safe = np.where(live, lam, 1.0)
     with np.errstate(all="ignore"):
@@ -254,7 +250,7 @@ def _tail_summary(stats: list) -> tuple[float, float]:
 def kyfan_stats(h: HermitianTensor, k: int) -> tuple[float, float]:
     """Sum and product of the k largest (signed) eigenvalues: the batch of
     one of :func:`_kyfan_profile`."""
-    k = int(k)
+    k = _integer("k", k)
     d = h.shape.square_dim
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= {d}, got {k}")

@@ -103,6 +103,17 @@ class TensorShape:
         return math.prod(self.dims)
 
 
+def _integer(name: str, value, low=0) -> int:
+    """The one rule of a library integer argument: a ``numbers.Integral``
+    (numpy integers too) that is not a bool, at least ``low``.  Returns it
+    as an int, else raises ``ValueError`` naming ``name``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
+
+
 def _as_shape(shape) -> TensorShape:
     """A :class:`TensorShape` from itself, from one integral mode size
     (a Python or numpy integer) or from a sequence of them; anything
@@ -915,9 +926,7 @@ class GaugeNormKind:
         if self.kind not in ("spectral", "frobenius", "trace", "kyfan"):
             raise ValueError(f"unknown gauge norm kind {self.kind!r}")
         if self.kind == "kyfan":
-            if self.k is None or int(self.k) < 1:
-                raise ValueError("Ky Fan norm needs k >= 1")
-            object.__setattr__(self, "k", int(self.k))
+            object.__setattr__(self, "k", _integer("Ky Fan k", self.k, low=1))
         elif self.k is not None:
             raise ValueError(f"{self.kind} norm takes no k parameter")
 
@@ -951,10 +960,10 @@ def gauge_norm(h: HermitianStack, kind: GaugeNormKind = FROBENIUS):
     norm is read from the entries; the others from the cached eigenvalues."""
     if kind.kind == "frobenius":
         return _per_item(_frobenius(h._matrix))
-    ev = np.sort(np.abs(h._eigenvalues()), axis=-1)[..., ::-1]
     if kind.kind == "spectral":
-        out = ev[..., 0]
-    elif kind.kind == "trace":
+        return _per_item(_scale_of(h._eigenvalues()))
+    ev = np.sort(np.abs(h._eigenvalues()), axis=-1)[..., ::-1]
+    if kind.kind == "trace":
         out = np.sum(ev, axis=-1)
     elif kind.k > ev.shape[-1]:
         raise ValueError(f"Ky Fan k={kind.k} exceeds unfolding dimension {ev.shape[-1]}")
@@ -999,17 +1008,23 @@ def tensor_to_json_dict(entries, dims) -> dict:
 def tensor_from_json_dict(payload: dict) -> tuple[tuple[int, ...], np.ndarray]:
     """Dims and entries of a :func:`tensor_to_json_dict` payload: an object
     with ``dims``, checked by :class:`TensorShape`, and ``re`` and ``im``,
-    one number per entry.  Anything else raises ``ValueError``."""
+    one JSON number (an int or a float, not a bool) per entry.  Anything
+    else raises ``ValueError``: numpy's dtype inference would read a string
+    or a bool as a number."""
     if not isinstance(payload, dict) or not {"dims", "re", "im"} <= payload.keys():
         raise ValueError("a tensor payload is an object with the keys 'dims', 're' and 'im'")
     dims = TensorShape(payload["dims"]).dims
     n = math.prod(dims) ** 2
-    try:
-        re, im = (np.asarray(payload[k], dtype=np.float64) for k in ("re", "im"))
-    except TypeError as exc:
-        raise ValueError(f"entries must be numbers: {exc}") from exc
-    if re.shape != (n,) or im.shape != (n,):
+    parts = [payload[k] for k in ("re", "im")]
+    if not all(isinstance(p, list) and len(p) == n for p in parts):
         raise ValueError(f"expected {n} entries for dims {dims}")
+    bad = [v for p in parts for v in p if isinstance(v, bool) or not isinstance(v, (int, float))]
+    if bad:
+        raise ValueError(f"entries must be JSON numbers, got {bad[0]!r}")
+    try:
+        re, im = (np.asarray(p, dtype=np.float64) for p in parts)
+    except OverflowError as exc:  # an integer past double range
+        raise ValueError("entries must be finite") from exc
     return dims, (re + 1j * im).reshape(dims + dims)
 
 

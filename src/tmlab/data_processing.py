@@ -25,6 +25,7 @@ from .core import (
     TensorShape,
     _as_shape,
     _ct,
+    _integer,
     _quiet,
     _read_only,
     _symmetrize,
@@ -101,7 +102,7 @@ def congruence(k_entries, shape) -> PositiveLinearMap:
 def pinching(partition, shape) -> PositiveLinearMap:
     """Block-diagonal compression over a partition of the unfolding indices."""
     shape = _as_shape(shape)
-    part = tuple(tuple(int(i) for i in group) for group in partition)
+    part = tuple(tuple(_integer("partition index", i) for i in group) for group in partition)
     return PositiveLinearMap("pinching", shape, partition=part)
 
 
@@ -198,7 +199,6 @@ class DominationPair:
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        self.x._check_same_shape(self.y)
         q = eta(self.x, self.y) if self.side == "left" else eta(self.y, self.x)
         object.__setattr__(self, "quotient", q)
         object.__setattr__(self, "constant", q.domination_constant)
@@ -226,15 +226,10 @@ def _require_convex_finite(g: ConnectionFunction, side: str) -> None:
     """
     if "TC" not in g.tags:
         raise ValueError(f"{g.label} is not tagged operator convex")
-    if side == "left":
-        if g.value_at_0plus is None or not math.isfinite(g.value_at_0plus):
-            raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
-    else:
-        limit = transpose_fn(g).value_at_0plus
-        if limit is None or not math.isfinite(limit):
-            raise UnsupportedFunctionError(
-                f"{g.label} has no finite derivative at infinity (transposed 0+ limit)"
-            )
+    if side == "left" and not math.isfinite(g.value_at_0plus):
+        raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
+    if side == "right" and not math.isfinite(transpose_fn(g).value_at_0plus):
+        raise UnsupportedFunctionError(f"{g.label} has no finite derivative at infinity (transposed 0+ limit)")
 
 
 def fusion_gap(

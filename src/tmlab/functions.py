@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import _integer
+
 __all__ = [
     "ConnectionFunction",
     "PmiCertificate",
@@ -244,17 +246,12 @@ def psi(s: float) -> ConnectionFunction:
 
 def power_lift(f: ConnectionFunction, n: int) -> ConnectionFunction:
     """Lifted generator ``x**n * f(x)``; ``n = 0`` returns ``f`` itself."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("lift exponent must be >= 0")
+    n = _integer("lift exponent n", n)
     if n == 0:
         return f
     deriv = None
     if f.derivative_at_1 is not None:
         deriv = n * f.value_at_1 + f.derivative_at_1
-    zero_limit = None
-    if f.value_at_0plus is not None and math.isfinite(f.value_at_0plus):
-        zero_limit = 0.0
     return ConnectionFunction(
         fn=lambda x, n=n, f=f.fn: x**n * f(x),
         label=f"liftn:{n}:{f.label}",
@@ -262,7 +259,7 @@ def power_lift(f: ConnectionFunction, n: int) -> ConnectionFunction:
         normalized=f.normalized,
         positive=f.positive,
         derivative_at_1=deriv,
-        value_at_0plus=zero_limit,
+        value_at_0plus=0.0 if math.isfinite(f.value_at_0plus) else None,
     )
 
 
@@ -342,9 +339,7 @@ def ando_hiai_g(f: ConnectionFunction, m: int) -> ConnectionFunction:
     For ``f = power(alpha)`` this is ``x**(1 / (m - 1 + alpha))`` in closed
     form; generic ``f`` goes through numeric inversion of ``F``.
     """
-    m = int(m)
-    if m < 2:
-        raise ValueError("need m >= 2")
+    m = _integer("m", m, low=2)
     if not f.positive:
         raise ValueError("needs a positive generator")
     alpha = power_exponent(f)

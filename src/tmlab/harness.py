@@ -48,6 +48,7 @@ from .core import (
     _composed,
     _ct,
     _gate_pd,
+    _integer,
     _loewner_gap,
     _quiet,
     _spectral_scale,
@@ -148,7 +149,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ("wishart", "spectrum", "rank_deficient"):
             raise ConfigError(f"unknown ensemble kind {self.kind!r}")
-        for name, integral in (("dof", True), ("rank", True), ("m", False), ("M", False)):
+        for name, integral in (("seed", True), ("dof", True), ("rank", True), ("m", False), ("M", False)):
             object.__setattr__(self, name, _number(name, getattr(self, name), integral))
         if self.kind == "wishart" and self.dof < 1:
             raise ConfigError("wishart needs dof >= 1")
@@ -259,7 +260,8 @@ def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
     trial (the default 0 is the primary draw).  The batch of one of
     :func:`_draw`, with the eigenpairs that a ``spectrum`` draw is born with.
     """
-    return _draw(spec, (trial,), role)._member(0, spec.shape)
+    # The stream keys check the trial's range.
+    return _draw(spec, (_integer("trial", trial, low=-math.inf),), role)._member(0, spec.shape)
 
 
 def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
@@ -350,12 +352,8 @@ def _premise_pairs(run, trials, big_f, directions):
     """Premise enforcement at the suite boundary: the x/y draws of a chunk
     of trials and their mean, rescaled once per direction from that one
     mean (see :func:`_rescale`).  Non-PD draws are a configuration problem
-    (the premise suites need PD ensembles in both slots).
-
-    The rescale maps the eigenpairs of x, so x is re-born with its one
-    ``eigh`` pair and its PD gate reads those values: x is decomposed once."""
+    (the premise suites need PD ensembles in both slots)."""
     x, y = run.pair(trials)
-    x = x._decomposed()
     try:
         base = mean_pd(x, y, big_f)
     except NotPositiveDefiniteError as exc:
@@ -589,7 +587,7 @@ def _suite_function(cfg: ExperimentConfig, row: _Suite) -> ConnectionFunction:
         problem = "needs a normalized generator (value 1 at 1)"
     elif row.tag is not None and row.tag not in fn.tags:
         problem = f"needs a {_TAG_NAMES[row.tag]} ({row.tag}) generator"
-    elif row.zero_limit and (fn.value_at_0plus is None or not math.isfinite(fn.value_at_0plus)):
+    elif row.zero_limit and not math.isfinite(fn.value_at_0plus):
         problem = "needs a finite limit at 0+ for the PSD extension"
     if problem:
         raise ConfigError(f"{'cannot run with' if explicit else 'default function'} {fn.label}: {problem}")
@@ -724,18 +722,6 @@ def _tail_columns(cfg, checks) -> list:
 def _power_trace(z: HermitianStack, power: float) -> np.ndarray:
     """``Tr(z**power)`` of every matrix of a PSD stack."""
     return np.trace(_tail_power(z, power).unfold(), axis1=-2, axis2=-1).real
-
-
-def _identity_power_trace(values: np.ndarray, d: int, power: float) -> np.ndarray:
-    """``Tr((v I)**power) = d * v**power`` for each scalar ``v`` of ``values``
-    (``I`` of size ``d``); a non-finite trace raises ``ValueError`` as the
-    spectral calculus does."""
-    with np.errstate(over="ignore"):
-        traces = d * values**power
-    bad = ~np.isfinite(traces)
-    if bad.any():
-        raise ValueError(f"spectrum outside function domain at eigenvalues {values[bad]}")
-    return traces
 
 
 def _tail_report(run, rows, held, stats, after=()):
@@ -1017,8 +1003,9 @@ def _suite_t9(run):
         mid_leq, caps, mid_geq, floors = _cap_floor_stacks(run, q, trials)
         cap_fail = _excess(mid_leq, caps) > tol
         floor_fail = _excess(floors, mid_geq) > tol
-        # The thresholds are scalar multiples of I: the cap's trace is closed-form.
-        cap_trace = _identity_power_trace(caps, d, p)
+        # The caps are scalar multiples of I: Tr((cap I)**p) = d cap**p, checked by _tail_columns.
+        with np.errstate(over="ignore"):
+            cap_trace = d * caps**p
         return [cap_fail, floor_fail] + _tail_columns(run.cfg, ((mid_leq, cap_trace),
                                                                 (floors, _power_trace(mid_geq, p))))
 

@@ -25,6 +25,7 @@ from .core import (
     LoewnerVerdict,
     PSD_RTOL,
     _gate_pd,
+    _integer,
     _per_item,
     apply_spectral,
     gauge_norm,
@@ -157,7 +158,7 @@ def lt_ordering_check(
     q = float(q)
     if not 0.0 < q <= 0.5:
         raise ValueError(f"need 0 < q <= 1/2, got {q}")
-    m = int(m)
+    m = _integer("m", m)
     lifted = power_lift(g, m)
     base = mean_pd(x, y, lifted)
     if branch == "pmi":

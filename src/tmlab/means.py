@@ -36,6 +36,7 @@ from .core import (
     _gate_by_quotient,
     _gate_pd,
     _gate_psd,
+    _integer,
     _live,
     _per_item,
     _quiet,
@@ -103,9 +104,9 @@ def _powered_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction, q
     of x and y, with no power formed: ``F g(S**2) F^H`` for the factor
     ``F = Vy Ly^(q/2) U``, where the quotient's eigenpairs ``(U, S**2)``
     in y's eigenbasis come from one SVD of the graded matrix
-    ``B = (Vy^H Vx) * (lx_j / ly_i)^(q/2)`` (``Q = B B^H``).
+    ``B = (Vy^H Vx) * (lx_j / ly_i)^(q/2)`` (``Q = B B^H``).  Its callers
+    have checked that x and y match in shape.
     """
-    x._check_same_shape(y)
     (lx, vx), (ly, vy) = x._spectrum(), y._spectrum()
     _gate_pd(lx, "x")
     _gate_pd(ly, "y")
@@ -154,9 +155,7 @@ def mean_recursive(
 
     which agrees with the direct spectral evaluation of the lifted generator.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError("lift exponent must be >= 0")
+    n = _integer("lift exponent n", n)
     x._check_same_shape(y)
     base = _congruence_mean(x, y, power_lift(f, n % 2), gate_x=True)
     if n < 2:
@@ -175,13 +174,12 @@ class EtaResult:
 
     ``eta`` solves ``x = y^{1/2} * eta * y^{1/2}`` and annihilates the
     orthogonal complement of range(y); ``domination_constant`` is the least
-    ``c`` with ``x <= c y``.  Over stacks, ``eta`` is a stack and the two
-    scalars are arrays.
+    ``c`` with ``x <= c y``.  Over stacks, ``eta`` is a stack and the
+    constant is an array.
     """
 
     eta: HermitianStack
     domination_constant: float
-    range_ok: bool
 
 
 @_quiet
@@ -198,21 +196,17 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     relative 1e-6 of the scale ``max(1, |x|_sp)``; x's spectrum is read for
     that scale only when the leak passes 1e-6.
     """
-    qw, vectors, c, dead = _eta_pairs(x, y)
+    qw, vectors, c = _eta_pairs(x, y)
     v = y._spectrum()[1]
-    eta_m = _symmetrize(v @ c @ _ct(v))
-    domination = np.maximum(qw[..., -1], 0.0)
-    range_ok = _frobenius(eta_m @ dead) <= 1e-12 * np.maximum(1.0, domination)
-    out = x._derive(eta_m, values=qw, vectors=vectors)
-    return EtaResult(out, _per_item(domination), _per_item(range_ok))
+    out = x._derive(_symmetrize(v @ c @ _ct(v)), values=qw, vectors=vectors)
+    return EtaResult(out, _per_item(np.maximum(qw[..., -1], 0.0)))
 
 
 @_quiet
 def _eta_pairs(x: HermitianStack, y: HermitianStack):
     """Body of :func:`eta` up to eta's eigenpairs, which :func:`mean_psd`
     reads without eta's matrix: the gates, the range test, the quotient
-    ``C`` and its ``eigh`` ``(qw, qv)``.  Returns ``(qw, V qv, C, dead)``,
-    ``dead`` being y's eigenvectors off its range (zero columns on it).
+    ``C`` and its ``eigh`` ``(qw, qv)``.  Returns ``(qw, V qv, C)``.
     Where ``V C V^H`` might leave the double range it is formed here and
     passes :func:`eta`'s finiteness check, so both raise alike."""
     x._check_same_shape(y)
@@ -231,7 +225,7 @@ def _eta_pairs(x: HermitianStack, y: HermitianStack):
     # far inside the double range while |C|_F < _NORM_SAFE.
     if not np.all(_frobenius(c) < _NORM_SAFE):
         _check_finite(_symmetrize(v @ c @ _ct(v)))
-    return qw, v @ qv, c, dead
+    return qw, v @ qv, c
 
 
 def _require_range(leak: np.ndarray, x_scale: np.ndarray) -> None:
@@ -289,7 +283,7 @@ def _extended_mean(
 ) -> HermitianStack:
     """Body of :func:`mean_psd`; a caller holding ``eta(x, y)`` passes its
     eigenpairs as ``quotient`` instead of having them computed again."""
-    if g.value_at_0plus is None or not math.isfinite(g.value_at_0plus):
+    if not math.isfinite(g.value_at_0plus):
         raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
     x._check_same_shape(y)
     ly, vy = y._spectrum()

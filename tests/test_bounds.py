@@ -320,3 +320,23 @@ class TestKyFanStats:
             y = x + rand_pd(rng, scale=0.5)
             for k in range(1, 5):
                 assert tm.kyfan_stats(x, k)[0] <= tm.kyfan_stats(y, k)[0] + 1e-9
+
+
+def _powers_of_two_and_neighbours():
+    for e in range(-1, 1024):
+        q = 2.0**e
+        yield from (math.nextafter(q, 0.0), q, math.nextafter(q, math.inf))
+    yield 1.7976931348623157e308
+
+
+def test_dyadic_decompose_meets_its_definition():
+    # For q >= 1, n is the least n >= 0 with q / 2**n <= 2, and q0 = q / 2**n exactly.
+    for q in _powers_of_two_and_neighbours():
+        n, q0 = tm.dyadic_decompose(q)
+        if q < 1.0:
+            assert (n, q0) == (0, q), q
+            continue
+        least = 0
+        while q / 2.0**least > 2.0:
+            least += 1
+        assert (n, q0) == (least, q / 2.0**least), q

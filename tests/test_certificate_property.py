@@ -75,7 +75,7 @@ def _outcome(fn):
     if isinstance(out, HermitianStack):
         return out.unfold().tobytes()
     if isinstance(out, tm.EtaResult):
-        return out.eta.unfold().tobytes(), out.domination_constant, out.range_ok
+        return out.eta.unfold().tobytes(), out.domination_constant
     return out
 
 

@@ -281,3 +281,23 @@ class TestResolveSuite:
         code = main(["verify", "--suite", "L1", "--trials", "20", "--out", str(out_file)])
         assert code == 0
         assert out_file.exists()
+
+
+@pytest.mark.parametrize("entry", [{"re": ["2.5"], "im": [0.0]}, {"re": [2.5], "im": [False]}], ids=["string", "bool"])
+def test_mean_rejects_entries_that_are_not_json_numbers(entry, tmp_path, capsys):
+    xp, yp = tmp_path / "x.json", tmp_path / "y.json"
+    for path in (xp, yp):
+        path.write_text(json.dumps({"dims": [1], **entry}))
+    assert main(["mean", "--x", str(xp), "--y", str(yp), "--fn", "geometric"]) == 2
+    assert "entries must be JSON numbers" in capsys.readouterr().err
+
+
+def test_t9_cap_trace_past_double_range_exits_two(tmp_path):
+    # At q = 3 the caps reach 1e10, so d cap**34 overflows, while Tr(mean**34) of both
+    # premises stays finite: the trace rule of the tail columns refuses it.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"shape": [2, 2], "trials": 5, "suites": ["T9_TC"],
+                                    "exponents": {"q": 3.0, "p": 34.0}}))
+    code, _, err = run_cli(["verify", "--config", str(cfg_path)])
+    assert code == 2, err
+    assert "T9_TC: a trace statistic Tr(tail**power) / c leaves double range" in err

@@ -627,3 +627,19 @@ def test_scaling_and_diagonal_properties(diag, c):
     assert abs(tm.gauge_norm(scaled, tm.TRACE) - c * tm.gauge_norm(t, tm.TRACE)) <= 1e-9 * max(
         1.0, tm.gauge_norm(t, tm.TRACE)
     )
+
+
+@pytest.mark.parametrize(
+    "re, im",
+    [(["2.5"], [0.0]), ([2.5], [False]), ([True], [0]), ([None], [0.0]), ([[2.5]], [0.0]), ([10**400], [0])],
+    ids=["string", "bool-im", "bool-re", "null", "nested", "int-past-double-range"],
+)
+def test_tensor_entries_must_be_json_numbers(re, im):
+    # np.asarray would read "2.5" as 2.5 and True as 1.
+    with pytest.raises(ValueError, match="entries must be"):
+        tm.core.tensor_from_json_dict({"dims": [1], "re": re, "im": im})
+
+
+def test_tensor_entries_take_ints_and_floats():
+    dims, arr = tm.core.tensor_from_json_dict({"dims": [1], "re": [2], "im": [0.0]})
+    assert dims == (1,) and arr.tolist() == [[2.0 + 0.0j]]

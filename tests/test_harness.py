@@ -92,7 +92,8 @@ class TestSample:
             y = sample(yspec, trial)
             x = dominated_sample(y, wspec, trial)
             res = tm.eta(x, y)
-            assert res.range_ok
+            off_range = np.eye(y.shape.square_dim) - tm.range_projector(y).unfold()
+            assert np.linalg.norm(res.eta.unfold() @ off_range) <= 1e-12 * max(1.0, res.domination_constant)
 
 
 class TestEnforcePremise:

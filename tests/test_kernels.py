@@ -146,7 +146,6 @@ class TestKernelsMatchBatchOfOne:
         assert_sliced(matrices(res.eta), [matrices(r.eta) for r in single], [matrices(r.eta) for r in split])
         assert_sliced(res.domination_constant, [r.domination_constant for r in single],
                       [r.domination_constant for r in split])
-        assert same(res.range_ok, [r.range_ok for r in single])
         mean = tm.mean_psd(x, y, tm.geometric())
         assert_sliced(matrices(mean), [matrices(tm.mean_psd(a, b, tm.geometric()))
                                        for a, b in zip(tensors(x, d), tensors(y, d))],

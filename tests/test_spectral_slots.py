@@ -9,7 +9,8 @@ kernel seeding a stack after birth, or overwriting one already in use)
 fails here, and check the one composition body that the spectral calculus
 and the ``spectrum`` draws share, and the one Cholesky certificate behind
 every gate and verdict that reads no eigenvalue.  The same scans keep
-every module free of imports it never uses, and keep positivity decided
+every module free of imports it never uses and of private module-level
+names that nothing else in the package reads, and keep positivity decided
 by the gates alone (no package code asks ``HermitianTensor.is_pd``).
 """
 
@@ -208,3 +209,39 @@ class TestBirth:
         for mine, theirs in zip(one._spectrum(), stack._spectrum()):
             assert np.array_equal(mine, theirs[0])
         assert np.array_equal(one._eigenvalues(), stack._eigenvalues()[0])
+
+
+def _dead_private_names(trees):
+    """Private module-level functions, classes and constants that no other
+    statement of the package names: ``(module, name)`` pairs.  A statement's
+    own body does not count, so a private function that only calls itself
+    is dead too."""
+    defined, uses = [], []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name, stmt) for name in names
+                        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+            read = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            read |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            read |= {a.name for n in ast.walk(stmt) if isinstance(n, ast.ImportFrom) for a in n.names}
+            read |= {n.value for n in ast.walk(stmt) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+            uses.append((stmt, read))
+    return sorted((module, name) for module, name, stmt in defined
+                  if not any(name in read for other, read in uses if other is not stmt))
+
+
+def test_every_private_module_name_is_used_elsewhere_in_the_package():
+    assert _dead_private_names(_trees()) == []
+
+
+def test_dead_name_scan_sees_a_leftover_helper():
+    tree = ast.parse("_LIMIT = 2\ndef _left(v):\n    return _left(v - 1) if v else _LIMIT\n"
+                     "def _used():\n    return 1\ndef run():\n    return _used()\n")
+    assert _dead_private_names({"m.py": tree}) == [("m.py", "_left")]
