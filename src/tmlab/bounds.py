@@ -182,6 +182,7 @@ def psi_factors(
     Exactly 1 for power generators.  The same factors serve an increasing
     generator (psi) and a decreasing one (``phi_factors``).
     """
+    x._check_same_shape(y)
     n, q0 = dyadic_decompose(q)
     levels, live = _quotient_levels(x, y, n)
     lower, upper = _ratio_extremes(levels[n], live, f, q0)
@@ -224,7 +225,7 @@ def trace_tail_bound(
     for z in samples:
         z._check_same_shape(c)
     _gate(c, "c")
-    zq = _tail_power(HermitianStack._trusted(np.stack([z.unfold() for z in samples])), q)
+    zq = _tail_power(c._derive(np.stack([z.unfold() for z in samples])), q)
     stats = np.trace(zq.unfold() @ np.linalg.inv(c.unfold()), axis1=-2, axis2=-1).real
     return _tail_summary(stats.tolist())
 

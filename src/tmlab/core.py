@@ -221,9 +221,12 @@ class HermitianStack:
     The operand of the numerical kernels (the spectral calculus, the means,
     ``eta``, the bound factors, the Loewner extremes): each kernel maps the
     whole stack in one call per LAPACK routine or ufunc, and per-matrix
-    scalars come back as arrays over the leading axes.
-    :class:`HermitianTensor` is the batch of one, a single ``D x D`` matrix
-    with its tensor shape, so each operation has one body.  Stacks are
+    scalars come back as arrays over the leading axes.  Every stack carries
+    the tensor shape of its matrices from birth (``_shape``; None only for
+    raw matrices of unknown shape), and a result's class follows its
+    matrix: a single ``D x D`` matrix of known shape is a
+    :class:`HermitianTensor`, so each operation has one body, and mixed
+    tensor and stack operands broadcast in either order.  Stacks are
     immutable and keep two spectral caches: one stacked read of the values
     (:meth:`_eigenvalues`) serves every eigenvalue read, and one stacked
     ``eigh`` (:meth:`_spectrum`) serves the kernels that read eigenvectors.
@@ -234,42 +237,44 @@ class HermitianStack:
     first use.
     """
 
-    __slots__ = ("_matrix", "_evals", "_eig", "_factor")
+    __slots__ = ("_matrix", "_shape", "_evals", "_eig", "_factor")
     # numpy defers to the reflected operators: array * stack scales per matrix.
     __array_ufunc__ = None
 
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray, **known) -> "HermitianStack":
-        """Wrap a fresh stack that is exactly Hermitian by construction,
-        born with ``known`` (:meth:`_seal`); only finiteness is checked."""
+    @staticmethod
+    def _trusted(matrix: np.ndarray, shape: TensorShape | None = None, **known) -> "HermitianStack":
+        """The one constructor of kernel results: wrap a fresh stack that is
+        exactly Hermitian by construction, of tensor ``shape``, born with
+        ``known`` (:meth:`_seal`); only finiteness is checked.  A single
+        matrix of known shape is a :class:`HermitianTensor`."""
         _check_finite(matrix)
-        s = cls.__new__(cls)
-        s._seal(matrix, **known)
+        s = object.__new__(HermitianTensor if matrix.ndim == 2 and shape is not None else HermitianStack)
+        s._seal(matrix, shape, **known)
         return s
 
     @staticmethod
-    def from_matrices(matrices) -> "HermitianStack":
+    def from_matrices(matrices, shape: TensorShape | None = None) -> "HermitianStack":
         """Validated stack of raw ``(..., D, D)`` matrices: the check of
         public tensor construction, applied to every matrix at once."""
-        s = HermitianStack.__new__(HermitianStack)
-        s._seal(_validated(np.asarray(matrices, dtype=np.complex128)))
-        return s
+        return HermitianStack._trusted(_validated(np.asarray(matrices, dtype=np.complex128)), shape)
 
-    def _seal(self, matrix: np.ndarray, values=None, vectors=None, factor=None) -> None:
+    def _seal(self, matrix: np.ndarray, shape, values=None, vectors=None, factor=None) -> None:
         """The step every construction ends in: read-only contiguous storage
-        of a checked matrix, and what its maker knows of its spectrum: the
-        ascending ``values``, with them their ``vectors``, or a graded
-        factor ``G = grade diag(s)^(1/2)`` of ``matrix = W G G^H W^H`` for
-        a unitary ``W``, as its parts ``factor = (grade, s)``; ``G`` is
-        formed only by the first values read."""
+        of a checked matrix, its tensor ``shape``, and what its maker knows
+        of its spectrum: the ascending ``values``, with them their
+        ``vectors``, or a graded factor ``G = grade diag(s)^(1/2)`` of
+        ``matrix = W G G^H W^H`` for a unitary ``W``, as its parts
+        ``factor = (grade, s)``; ``G`` is formed only by the first values
+        read."""
         self._matrix = _read_only(np.ascontiguousarray(matrix))
+        self._shape = shape
         self._evals = None if values is None else _read_only(values)
         self._eig = None if vectors is None else (self._evals, _read_only(vectors))
         self._factor = factor
 
     def _derive(self, matrix: np.ndarray, **known) -> "HermitianStack":
-        """A kernel result of the same kind as ``self``, born with ``known``."""
-        return HermitianStack._trusted(matrix, **known)
+        """A kernel result of ``self``'s tensor shape, born with ``known``."""
+        return HermitianStack._trusted(matrix, self._shape, **known)
 
     def _decomposed(self) -> "HermitianStack":
         """The same matrices re-born with their one ``eigh`` pair in both
@@ -277,11 +282,11 @@ class HermitianStack:
         w, v = self._spectrum()
         return self._derive(self._matrix, values=w, vectors=v)
 
-    def _member(self, i: int, shape: "TensorShape") -> "HermitianTensor":
-        """Matrix ``i`` as a tensor of ``shape``, born with its slice of the
-        eigenpairs the stack holds."""
+    def _member(self, i: int) -> "HermitianStack":
+        """Matrix ``i``, a tensor of the stack's shape, born with its slice
+        of the eigenpairs the stack holds."""
         known = {} if self._eig is None else {"values": self._eig[0][i], "vectors": self._eig[1][i]}
-        return HermitianTensor._trusted(self._matrix[i], shape, **known)
+        return self._derive(self._matrix[i], **known)
 
     def unfold(self) -> np.ndarray:
         """Read-only ``(..., D, D)`` Hermitian matrices."""
@@ -327,14 +332,15 @@ class HermitianStack:
     # -- algebra --------------------------------------------------------
 
     def _check_same_shape(self, other: "HermitianStack") -> None:
+        """The one operand check of a binary kernel, alike in either order:
+        ``other`` is a stack of the same D and, when both carry a tensor
+        shape, of the same dims."""
         if not isinstance(other, HermitianStack):
             raise TypeError(f"expected HermitianStack, got {type(other).__name__}")
+        if self._shape is not None and other._shape is not None and self._shape != other._shape:
+            raise ValueError(f"shape mismatch: {self._shape.dims} vs {other._shape.dims}")
         if other._matrix.shape[-1] != self._matrix.shape[-1]:
             raise ValueError(f"size mismatch: {self._matrix.shape} vs {other._matrix.shape}")
-
-    def _coefficient(self, scalar):
-        """Per-matrix real coefficients, broadcast over the matrix axes."""
-        return np.asarray(scalar, dtype=np.float64)[..., None, None]
 
     @_quiet
     def __add__(self, other: "HermitianStack") -> "HermitianStack":
@@ -348,7 +354,8 @@ class HermitianStack:
 
     @_quiet
     def __mul__(self, scalar) -> "HermitianStack":
-        return self._derive(self._matrix * self._coefficient(scalar))
+        """Scale by a number, or per matrix by an array over the batch axes."""
+        return self._derive(self._matrix * np.asarray(scalar, dtype=np.float64)[..., None, None])
 
     __rmul__ = __mul__
 
@@ -435,32 +442,20 @@ class HermitianTensor(HermitianStack):
     tolerance of Hermitian and symmetrizes it; anything farther raises
     :class:`HermiticityError`, and non-finite entries raise ``ValueError``.
     Results of the package's own calculus are exactly Hermitian by
-    construction and skip the tolerance check (:meth:`_trusted`).
+    construction and skip the tolerance check (:meth:`HermitianStack._trusted`).
     Instances are immutable; the eigenvalues of the unfolding are computed
     once, on first use, and shared by every eigenvalue query, and the full
-    eigendecomposition likewise by the spectral calculus.
+    eigendecomposition likewise by the spectral calculus.  The kernel
+    protocol is the stack's: this class adds only public constructors,
+    views, conveniences and serialization.
     """
 
-    __slots__ = ("_shape",)
+    __slots__ = ()
 
     def __init__(self, entries, shape=None):
         arr, shape = _coerce_entries(entries, None if shape is None else _as_shape(shape))
         d = shape.square_dim
-        self._shape = shape
-        self._seal(_validated(arr.reshape(d, d)))
-
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray, shape: TensorShape, **known) -> "HermitianTensor":
-        """Wrap a fresh ``D x D`` matrix that is exactly Hermitian by
-        construction (a symmetrized result, or a sum or real multiple of
-        such tensors): only finiteness is checked, and the matrix is frozen
-        in place.  Public input goes through ``__init__`` instead."""
-        t = super()._trusted(matrix, **known)
-        t._shape = shape
-        return t
-
-    def _derive(self, matrix: np.ndarray, **known) -> "HermitianTensor":
-        return HermitianTensor._trusted(matrix, self._shape, **known)
+        self._seal(_validated(arr.reshape(d, d)), shape)
 
     # -- constructors -------------------------------------------------
 
@@ -507,17 +502,6 @@ class HermitianTensor(HermitianStack):
     def entries(self) -> np.ndarray:
         """Entries as a read-only array of shape ``dims + dims``."""
         return self._matrix.reshape(self._shape.dims + self._shape.dims)
-
-    # -- algebra --------------------------------------------------------
-
-    def _coefficient(self, scalar) -> float:
-        return float(scalar)
-
-    def _check_same_shape(self, other: "HermitianTensor") -> None:
-        if not isinstance(other, HermitianTensor):
-            raise TypeError(f"expected HermitianTensor, got {type(other).__name__}")
-        if other._shape.dims != self._shape.dims:
-            raise ValueError(f"shape mismatch: {self._shape.dims} vs {other._shape.dims}")
 
     # -- spectral conveniences -------------------------------------------
 
@@ -862,8 +846,8 @@ def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL
     (:func:`_loewner_gap`); ``leq`` is ``lam_min >= -tol * scale`` and
     ``geq`` is ``lam_max <= tol * scale`` for ``scale = max(|x|_sp, |y|_sp,
     1)`` from the sides' eigenvalues, which are read only for a pair that
-    the two ends of the :func:`_scale_bracket` decide differently.  ``y``
-    may be a single tensor broadcast against a stack ``x``.
+    the two ends of the :func:`_scale_bracket` decide differently.  Either
+    side may be a single tensor broadcast against a stack.
     """
     lam_min, lam_max = _loewner_gap(y, x)
     lo, hi = (np.maximum(np.maximum(sx, sy), 1.0) for sx, sy in zip(_scale_bracket(x), _scale_bracket(y)))
@@ -882,7 +866,7 @@ def _loewner_gap(lhs, rhs):
     ``c I``; then they come from the other side's eigenvalues."""
     if isinstance(lhs, HermitianStack) and isinstance(rhs, HermitianStack):
         rhs._check_same_shape(lhs)
-        ev = HermitianStack._trusted(lhs._matrix - rhs._matrix)._eigenvalues()
+        ev = lhs._derive(lhs._matrix - rhs._matrix)._eigenvalues()
         return ev[..., 0], ev[..., -1]
     a, b = (s._eigenvalues() if isinstance(s, HermitianStack) else np.asarray(s)[..., None] for s in (lhs, rhs))
     return a[..., 0] - b[..., -1], a[..., -1] - b[..., 0]

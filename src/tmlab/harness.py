@@ -261,7 +261,7 @@ def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
     :func:`_draw`, with the eigenpairs that a ``spectrum`` draw is born with.
     """
     # The stream keys check the trial's range.
-    return _draw(spec, (_integer("trial", trial, low=-math.inf),), role)._member(0, spec.shape)
+    return _draw(spec, (_integer("trial", trial, low=-math.inf),), role)._member(0)
 
 
 def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
@@ -274,7 +274,7 @@ def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
     d = spec.shape.square_dim
     if spec.kind == "spectrum" and spec.m == spec.M:
         m, eye = spec.m, np.broadcast_to(np.eye(d, dtype=np.complex128), (len(trials), d, d))
-        return HermitianStack._trusted(eye * m, values=np.full((len(trials), d), m), vectors=eye)
+        return HermitianStack._trusted(eye * m, spec.shape, values=np.full((len(trials), d), m), vectors=eye)
     if spec.kind == "spectrum":
         gauss, lam = _stacked(spec.seed, trials, role, ((2, d, d), None), ((d,), (spec.m, spec.M)))
         # Interior margin keeps the reconstructed spectrum inside [m, M]
@@ -282,12 +282,12 @@ def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
         margin = 64.0 * np.finfo(float).eps * max(1.0, abs(spec.m), abs(spec.M))
         if spec.M - spec.m > 4.0 * margin:
             lam = np.clip(lam, spec.m + margin, spec.M - margin)
-        return _rotated(np.linalg.qr(gauss)[0], lam)
+        return _rotated(np.linalg.qr(gauss)[0], lam, spec.shape)
     rows = spec.dof if spec.kind == "wishart" else spec.rank
     (g,) = _stacked(spec.seed, trials, role, ((2, rows, d), None))
     if spec.kind == "wishart":
-        return HermitianStack.from_matrices(_ct(g) @ g / rows + 1e-6 * np.eye(d))
-    return HermitianStack.from_matrices(_ct(g) @ g / rows)
+        return HermitianStack.from_matrices(_ct(g) @ g / rows + 1e-6 * np.eye(d), spec.shape)
+    return HermitianStack.from_matrices(_ct(g) @ g / rows, spec.shape)
 
 
 def _stacked(seed: int, trials, role: int, *parts) -> list[np.ndarray]:
@@ -307,11 +307,11 @@ def _stacked(seed: int, trials, role: int, *parts) -> list[np.ndarray]:
             else span[0] + (span[1] - span[0]) * g for (_, span), g in zip(parts, stacks)]
 
 
-def _rotated(q: np.ndarray, lam: np.ndarray) -> HermitianStack:
-    """Stack of ``q diag(lam) q^H`` for unitary ``q``, born with the
-    eigenpairs :func:`core._composed` gives it."""
+def _rotated(q: np.ndarray, lam: np.ndarray, shape: TensorShape) -> HermitianStack:
+    """Stack of ``q diag(lam) q^H`` for unitary ``q``, of tensor ``shape``,
+    born with the eigenpairs :func:`core._composed` gives it."""
     matrix, values, vectors = _composed(lam, q)
-    return HermitianStack._trusted(matrix, values=values, vectors=vectors)
+    return HermitianStack._trusted(matrix, shape, values=values, vectors=vectors)
 
 
 # Stream roles of the further draws of a trial (the primary draw is role 0):
@@ -831,7 +831,7 @@ def _increments(spec: EnsembleSpec, trials) -> HermitianStack:
     streams of role ``_INCREMENT_ROLE``, eigenvalues first."""
     d = spec.shape.square_dim
     lam, gauss = _stacked(spec.seed, trials, _INCREMENT_ROLE, ((d,), (spec.m, spec.M)), ((2, d, d), None))
-    return _rotated(np.linalg.qr(gauss)[0], lam)
+    return _rotated(np.linalg.qr(gauss)[0], lam, spec.shape)
 
 
 def _ando_hiai_bound_parts(m: int):

@@ -282,10 +282,11 @@ def _extended_mean(
     quotient: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> HermitianStack:
     """Body of :func:`mean_psd`; a caller holding ``eta(x, y)`` passes its
-    eigenpairs as ``quotient`` instead of having them computed again."""
+    eigenpairs as ``quotient`` instead of having them computed again.  The
+    operands' shapes are checked once: by :func:`_eta_pairs`, or for a
+    ``quotient`` when its ``eta`` was built."""
     if not math.isfinite(g.value_at_0plus):
         raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
-    x._check_same_shape(y)
     ly, vy = y._spectrum()
     zero_y = _scale_of(ly) == 0.0
     if _any(zero_y) and _any(zero_y & (_spectral_scale(x) != 0.0)):

@@ -239,6 +239,14 @@ class TestPsiPhiFactors:
         with pytest.raises(tm.DominationError):
             tm.psi_factors(2.0, tm.harmonic_like(), x, y)
 
+    @pytest.mark.parametrize("fn", [tm.psi_factors, tm.phi_factors], ids=["psi", "phi"])
+    @pytest.mark.parametrize("shapes", [(SHAPE22, tm.TensorShape((4,))), (tm.TensorShape((3,)), SHAPE22)],
+                             ids=["dims", "size"])
+    def test_mismatched_operands_raise(self, rng, fn, shapes):
+        x, z = (rand_pd(rng, shape) for shape in shapes)
+        with pytest.raises(ValueError, match="shape mismatch|size mismatch"):
+            fn(2.0, tm.harmonic_like(), x, z)
+
 
 class TestProp310Factors:
     def test_identity(self):

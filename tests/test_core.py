@@ -499,28 +499,20 @@ class TestShapeArguments:
 class TestTrustedConstruction:
     @pytest.fixture
     def trusted(self, monkeypatch):
-        """Patch the trusted constructors of tensors and of stacked stage
-        outputs to assert what they rely on: every matrix they receive is
-        finite and exactly Hermitian.  Yields the received array shapes."""
-        real_tensor = tm.HermitianTensor._trusted.__func__
-        real_stack = HermitianStack._trusted.__func__
+        """Patch the one trusted constructor, of tensors and of stacked
+        stage outputs alike, to assert what it relies on: every matrix it
+        receives is finite and exactly Hermitian.  Yields the received
+        array shapes."""
+        real = HermitianStack._trusted
         seen = []
 
-        def check(matrix):
+        def checked(matrix, shape=None, **known):
             assert np.all(np.isfinite(matrix))
             assert np.array_equal(matrix, matrix.conj().swapaxes(-1, -2))
             seen.append(matrix.shape)
+            return real(matrix, shape, **known)
 
-        def checked_tensor(cls, matrix, shape, **known):
-            check(matrix)
-            return real_tensor(cls, matrix, shape, **known)
-
-        def checked_stack(cls, matrix, **known):
-            check(matrix)
-            return real_stack(cls, matrix, **known)
-
-        monkeypatch.setattr(tm.HermitianTensor, "_trusted", classmethod(checked_tensor))
-        monkeypatch.setattr(HermitianStack, "_trusted", classmethod(checked_stack))
+        monkeypatch.setattr(HermitianStack, "_trusted", staticmethod(checked))
         return seen
 
     @pytest.mark.parametrize("shape", [(2, 2), (3,)], ids=["2x2", "3"])

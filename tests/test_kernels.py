@@ -452,6 +452,88 @@ def test_stacked_arithmetic_overflow_raises_without_warning():
         s * np.array([1e308, 1.0])
 
 
+SHAPE22 = tm.TensorShape((2, 2))
+MIXED_KERNELS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mean_pd": lambda a, b: tm.mean_pd(a, b, tm.geometric()),
+    "mean_psd": lambda a, b: tm.mean_psd(a, b, tm.harmonic_like()),
+    "eta": tm.eta,
+    "loewner_extremes": loewner_extremes,
+}
+
+
+def _numbers(result):
+    """The arrays of a kernel result: a stack's matrices, eta's matrices and
+    constants, or the Loewner extremes."""
+    if isinstance(result, tm.EtaResult):
+        return [result.eta.unfold(), np.asarray(result.domination_constant)]
+    if isinstance(result, tuple):
+        return [np.asarray(r) for r in result]
+    return [result.unfold()]
+
+
+class TestMixedOperands:
+    """A tensor and a stack broadcast in either order: the result is a
+    stack whose member i is, bit for bit, the kernel on the tensor and
+    member i of the stack.  Operands of equal D but different dims are
+    refused in every pairing."""
+
+    @staticmethod
+    def _pair(rng, tensor_first):
+        """A maker of fresh operands in the asked order: a PD tensor and a
+        PD stack of tensor shape (2, 2), or the stack's member i."""
+        raw = pd_stack(rng, 4).unfold()
+        one = pd_stack(rng, 4, n=1).unfold()[0]
+
+        def make(i=None):
+            t = tm.HermitianTensor.from_matrix(one, SHAPE22)
+            s = HermitianStack.from_matrices(raw, SHAPE22)
+            other = s if i is None else s._member(i)
+            return (t, other) if tensor_first else (other, t)
+        return make
+
+    @pytest.mark.parametrize("kernel", list(MIXED_KERNELS))
+    @pytest.mark.parametrize("tensor_first", [True, False], ids=["tensor_stack", "stack_tensor"])
+    def test_member_i_is_the_tensor_by_tensor_result(self, rng, kernel, tensor_first):
+        run, make = MIXED_KERNELS[kernel], self._pair(rng, tensor_first)
+        whole = run(*make())
+        if not isinstance(whole, tuple):
+            assert type(whole.eta if kernel == "eta" else whole) is HermitianStack
+        numbers = _numbers(whole)
+        assert all(part.shape[0] == N for part in numbers)
+        for i in range(N):
+            assert all(same(part[i], mine) for part, mine in zip(numbers, _numbers(run(*make(i)))))
+
+    @pytest.mark.parametrize("pairing", ["tensor_tensor", "stack_stack", "tensor_stack", "stack_tensor"])
+    @pytest.mark.parametrize("kernel", list(MIXED_KERNELS))
+    def test_dims_mismatch_at_equal_size_is_refused(self, rng, pairing, kernel):
+        raw = pd_stack(rng, 4).unfold()
+        made = {shape: (tm.HermitianTensor.from_matrix(raw[0], shape), HermitianStack.from_matrices(raw, shape))
+                for shape in (SHAPE22, shape_of(4))}
+        left, right = pairing.split("_")
+        a = made[SHAPE22][left == "stack"]
+        b = made[shape_of(4)][right == "stack"]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            MIXED_KERNELS[kernel](a, b)
+
+    def test_stack_draws_of_different_dims_are_refused(self):
+        x, y = (_draw(EnsembleSpec(tm.TensorShape(dims), "spectrum", 5, m=0.5, M=2.0), (0, 1))
+                for dims in ((2, 2), (4,)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            tm.mean_pd(x, y, tm.geometric())
+
+    def test_tensor_times_per_matrix_coefficients_is_a_stack(self, rng):
+        t = tm.HermitianTensor.from_matrix(pd_stack(rng, 4, n=1).unfold()[0], SHAPE22)
+        c = np.array([0.5, -2.0, 3.0])
+        for scaled in (t * c, c * t):
+            assert type(scaled) is HermitianStack and scaled.unfold().shape == (3, 4, 4)
+            for i, ci in enumerate(c):
+                member = scaled._member(i)
+                assert member.shape == SHAPE22 and same(member.unfold(), (t * ci).unfold())
+        assert type(t * 2.0) is tm.HermitianTensor and same((t * 2.0).unfold(), t.unfold() * 2.0)
+
+
 class TestEigenCallCounts:
     def test_all_suite_decompositions_do_not_grow_with_trials(self, counts):
         made = []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tmlab as tm
+from tmlab.core import HermitianStack
 from tmlab.means import DominationError, UnsupportedFunctionError, _congruence_mean
 
 from conftest import SHAPE2, SHAPE22, rand_pd, rand_psd_rank
@@ -210,6 +211,32 @@ class TestMeanPsd:
     def test_infinite_zero_limit_rejected(self, rng):
         with pytest.raises(UnsupportedFunctionError):
             tm.mean_psd(rand_pd(rng), rand_pd(rng), tm.power(-0.5))
+
+    def test_operands_checked_once(self, rng, monkeypatch):
+        """mean_psd checks its operands once; mean_on_pair none, its pair
+        having been checked when the pair's eta was built."""
+        real, calls = HermitianStack._check_same_shape, []
+
+        def spy(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(HermitianStack, "_check_same_shape", spy)
+        x, y = dominated_pair(rng)
+        tm.mean_psd(x, y, tm.geometric())
+        assert len(calls) == 1
+        pairs = [tm.DominationPair(x, y, "left"), tm.DominationPair(y, x, "right")]
+        calls.clear()
+        for pair in pairs:
+            tm.mean_on_pair(pair, tm.geometric())
+        assert calls == []
+
+    @pytest.mark.parametrize("shapes", [(SHAPE22, tm.TensorShape((4,))), (tm.TensorShape((3,)), SHAPE22)],
+                             ids=["dims", "size"])
+    def test_mismatched_operands_raise(self, rng, shapes):
+        x, y = (rand_pd(rng, shape) for shape in shapes)
+        with pytest.raises(ValueError, match="shape mismatch|size mismatch"):
+            tm.mean_psd(x, y, tm.geometric())
 
     def test_infinite_zero_limit_really_diverges(self):
         # the other side of the 0+ dichotomy: with an infinite 0+ limit the

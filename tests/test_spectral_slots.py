@@ -11,7 +11,9 @@ and the ``spectrum`` draws share, and the one Cholesky certificate behind
 every gate and verdict that reads no eigenvalue.  The same scans keep
 every module free of imports it never uses and of private module-level
 names that nothing else in the package reads, and keep positivity decided
-by the gates alone (no package code asks ``HermitianTensor.is_pd``).
+by the gates alone (no package code asks ``HermitianTensor.is_pd``), and
+keep the kernel protocol the stack's alone: ``HermitianTensor`` overrides
+none of it, so every kernel has one behaviour for tensors and stacks.
 """
 
 import ast
@@ -27,6 +29,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tmlab"
 SLOTS = {"_evals", "_eig", "_factor"}
 # The only functions of core.py that assign a slot.
 WRITERS = {"_seal", "_eigenvalues", "_spectrum"}
+# The kernel protocol, which HermitianStack alone may define; the scalar
+# rule (_coefficient) is inline in HermitianStack.__mul__.
+PROTOCOL = {"_trusted", "_derive", "_coefficient", "_check_same_shape", "_seal", "_eigenvalues", "_spectrum"}
 
 
 def _trees():
@@ -172,6 +177,34 @@ def test_no_package_code_decides_positivity_with_is_pd():
     for name, tree in _trees().items():
         calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "is_pd"]
         assert not calls, name
+
+
+def _protocol_overrides(tree, owner="HermitianTensor"):
+    """Names of the kernel protocol that class ``owner`` defines or assigns
+    in its own body."""
+    found = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == owner:
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    found |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(found & PROTOCOL)
+
+
+def test_tensor_overrides_nothing_of_the_kernel_protocol():
+    tree = _trees()["core.py"]
+    assert any(isinstance(n, ast.ClassDef) and n.name == "HermitianTensor" for n in ast.walk(tree))
+    assert _protocol_overrides(tree) == []
+    assert set(_protocol_overrides(tree, "HermitianStack")) == PROTOCOL - {"_coefficient"}
+
+
+def test_protocol_scan_sees_an_override():
+    tree = ast.parse("class HermitianTensor(HermitianStack):\n    def _derive(self, m):\n        return m\n"
+                     "    _coefficient = float\n    def shape(self):\n        return 1\n")
+    assert _protocol_overrides(tree) == ["_coefficient", "_derive"]
 
 
 class TestComposed:
