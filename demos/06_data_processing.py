@@ -48,7 +48,3 @@ for name, lmap in (("congruence", cong), ("pinching", pinch), ("mix", mix)):
 u, _ = np.linalg.qr(k)
 ugap, _ = tm.transform_gap(tm.congruence(u.reshape(2, 2, 2, 2), shape), pair, g)
 print(f"  unitary    {ugap:12.6e} (equality case)")
-
-# Map grammar for library callers (the config has no map field).
-lmap = tm.parse_map_spec("pinching:1,2|3,4", shape)
-print("\nparsed pinching partition (0-based):", lmap.partition)

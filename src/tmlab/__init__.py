@@ -42,6 +42,7 @@ from .core import (
 from .functions import (
     ConnectionFunction,
     PmiCertificate,
+    UnsupportedFunctionError,
     ando_hiai_g,
     check_pmd,
     check_pmi,
@@ -62,7 +63,6 @@ from .means import (
     DominationError,
     EtaResult,
     RttDiagnostic,
-    UnsupportedFunctionError,
     epsilon_mean_limit,
     eta,
     mean_pd,
@@ -98,7 +98,6 @@ from .data_processing import (
     convex_combination,
     fusion_gap,
     mean_on_pair,
-    parse_map_spec,
     pinching,
     transform_gap,
 )

@@ -152,7 +152,7 @@ def _check_finite(matrix: np.ndarray) -> None:
 def _quiet(fn):
     """Run a kernel with numpy's overflow and invalid-value warnings off.
 
-    Its matrix outputs pass the finiteness gate of ``_derive``, so an
+    Its matrix outputs pass the finiteness gate of ``_seal``, so an
     overflow raises ``ValueError("entries must be finite")`` there instead
     of warning first.
     """
@@ -193,16 +193,18 @@ def _frobenius(matrix: np.ndarray) -> np.ndarray:
     return norm
 
 
+@_quiet
 def _validated(matrix: np.ndarray) -> np.ndarray:
     """Body of public construction over a ``(..., D, D)`` stack.
 
-    Entries must be finite, and each matrix must lie within a relative
-    Frobenius distance ``HERMITICITY_RTOL`` of Hermitian; the Hermitian
-    part is returned.  The norms come from :func:`_frobenius`, on the
-    halved entries (an exact scaling), so that neither the defect nor the
-    Hermitian part overflows for finite entries.
+    Each matrix must lie within a relative Frobenius distance
+    ``HERMITICITY_RTOL`` of Hermitian; the Hermitian part is returned.  The
+    norms come from :func:`_frobenius`, on the halved entries (an exact
+    scaling), so that neither the defect nor the Hermitian part overflows
+    for finite entries.  A non-finite entry makes its matrix's scale
+    non-finite, so it passes this test, and its Hermitian part is
+    non-finite too: :meth:`HermitianStack._seal` refuses it.
     """
-    _check_finite(matrix)
     half = matrix * 0.5
     adjoint = _ct(half)
     scale = np.maximum(0.5, _frobenius(half))
@@ -245,9 +247,8 @@ class HermitianStack:
     def _trusted(matrix: np.ndarray, shape: TensorShape | None = None, **known) -> "HermitianStack":
         """The one constructor of kernel results: wrap a fresh stack that is
         exactly Hermitian by construction, of tensor ``shape``, born with
-        ``known`` (:meth:`_seal`); only finiteness is checked.  A single
+        ``known`` (:meth:`_seal`, which checks finiteness only).  A single
         matrix of known shape is a :class:`HermitianTensor`."""
-        _check_finite(matrix)
         s = object.__new__(HermitianTensor if matrix.ndim == 2 and shape is not None else HermitianStack)
         s._seal(matrix, shape, **known)
         return s
@@ -259,13 +260,14 @@ class HermitianStack:
         return HermitianStack._trusted(_validated(np.asarray(matrices, dtype=np.complex128)), shape)
 
     def _seal(self, matrix: np.ndarray, shape, values=None, vectors=None, factor=None) -> None:
-        """The step every construction ends in: read-only contiguous storage
-        of a checked matrix, its tensor ``shape``, and what its maker knows
-        of its spectrum: the ascending ``values``, with them their
-        ``vectors``, or a graded factor ``G = grade diag(s)^(1/2)`` of
-        ``matrix = W G G^H W^H`` for a unitary ``W``, as its parts
-        ``factor = (grade, s)``; ``G`` is formed only by the first values
-        read."""
+        """The step every construction ends in, and its one finiteness
+        check: read-only contiguous storage of the matrix, its tensor
+        ``shape``, and what its maker knows of its spectrum: the ascending
+        ``values``, with them their ``vectors``, or a graded factor
+        ``G = grade diag(s)^(1/2)`` of ``matrix = W G G^H W^H`` for a
+        unitary ``W``, as its parts ``factor = (grade, s)``; ``G`` is formed
+        only by the first values read."""
+        _check_finite(matrix)
         self._matrix = _read_only(np.ascontiguousarray(matrix))
         self._shape = shape
         self._evals = None if values is None else _read_only(values)

@@ -10,7 +10,6 @@ positive.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -19,7 +18,6 @@ import numpy as np
 
 from .core import (
     HermitianStack,
-    HermitianTensor,
     LoewnerVerdict,
     PSD_RTOL,
     TensorShape,
@@ -30,17 +28,15 @@ from .core import (
     _read_only,
     _symmetrize,
     loewner_compare,
-    tensor_from_json_dict,
 )
-from .functions import ConnectionFunction, transpose_fn
-from .means import EtaResult, UnsupportedFunctionError, _extended_mean, eta
+from .functions import ConnectionFunction, _admit, transpose_fn
+from .means import EtaResult, _extended_mean, eta
 
 __all__ = [
     "PositiveLinearMap",
     "congruence",
     "pinching",
     "convex_combination",
-    "parse_map_spec",
     "DominationPair",
     "apply_map",
     "mean_on_pair",
@@ -119,8 +115,8 @@ def apply_map(lmap: PositiveLinearMap, h: HermitianStack) -> HermitianStack:
     """Evaluate the map on a tensor, or on every matrix of a stack;
     hermiticity is preserved by construction."""
     d = lmap.shape.square_dim
-    if isinstance(h, HermitianTensor) and h.shape.dims != lmap.shape.dims:
-        raise ValueError(f"shape mismatch: map on {lmap.shape.dims}, tensor {h.shape.dims}")
+    if h._shape is not None and h._shape.dims != lmap.shape.dims:
+        raise ValueError(f"shape mismatch: map on {lmap.shape.dims}, tensor {h._shape.dims}")
     if h.unfold().shape[-1] != d:
         raise ValueError(f"size mismatch: map on D = {d}, matrices of size {h.unfold().shape[-1]}")
     if lmap.kind == "congruence":
@@ -143,41 +139,6 @@ def apply_map(lmap: PositiveLinearMap, h: HermitianStack) -> HermitianStack:
 def _congruence(k: np.ndarray, h: HermitianStack) -> HermitianStack:
     """``k^H h k`` per matrix; ``k`` is one ``D x D`` matrix or a stack."""
     return h._derive(_symmetrize(_ct(k) @ h.unfold() @ k))
-
-
-def parse_map_spec(spec: str, shape) -> PositiveLinearMap:
-    """Parse a map spec: ``congruence:<tensor-file>``,
-    ``pinching:1|2,3`` (1-based groups of unfolding indices), or
-    ``mix:<w>:<map>:<w>:<map>`` with ``+``-separated inner maps.
-    """
-    shape = _as_shape(shape)
-    head, _, rest = spec.partition(":")
-    if head == "congruence":
-        if not rest:
-            raise ValueError("congruence needs a tensor file path")
-        with open(rest, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        dims, arr = tensor_from_json_dict(payload)
-        if dims != shape.dims:
-            raise ValueError(f"congruence tensor dims {dims} do not match shape {shape.dims}")
-        return congruence(arr, shape)
-    if head == "pinching":
-        groups = []
-        for chunk in rest.split("|"):
-            if not chunk:
-                raise ValueError(f"malformed pinching spec {spec!r}")
-            groups.append(tuple(int(i) - 1 for i in chunk.split(",")))
-        return pinching(groups, shape)
-    if head == "mix":
-        parts = rest.split(":")
-        if len(parts) % 2 != 0 or not parts:
-            raise ValueError(f"malformed mix spec {spec!r}")
-        weights, maps = [], []
-        for w, inner in zip(parts[::2], parts[1::2]):
-            weights.append(float(w))
-            maps.append(parse_map_spec(inner.replace("+", ":"), shape))
-        return convex_combination(maps, weights)
-    raise ValueError(f"unknown map spec {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -216,22 +177,6 @@ def mean_on_pair(pair: DominationPair, g: ConnectionFunction) -> HermitianStack:
     return _extended_mean(pair.y, pair.x, transpose_fn(g), quotient=pair.quotient.eta._spectrum())
 
 
-def _require_convex_finite(g: ConnectionFunction, side: str) -> None:
-    """Admissibility for the inequality theorems, per domination side.
-
-    Left-dominated pairs evaluate g at the quotient's zero boundary, so
-    they need a finite g(0+); right-dominated pairs evaluate the transpose
-    there instead, so they need a finite derivative at infinity (the
-    transpose's 0+ limit).
-    """
-    if "TC" not in g.tags:
-        raise ValueError(f"{g.label} is not tagged operator convex")
-    if side == "left" and not math.isfinite(g.value_at_0plus):
-        raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
-    if side == "right" and not math.isfinite(transpose_fn(g).value_at_0plus):
-        raise UnsupportedFunctionError(f"{g.label} has no finite derivative at infinity (transposed 0+ limit)")
-
-
 def fusion_gap(
     p1: DominationPair,
     p2: DominationPair,
@@ -247,7 +192,7 @@ def fusion_gap(
     """
     if p1.side != p2.side:
         raise ValueError("pairs must share the domination side")
-    _require_convex_finite(g, p1.side)
+    _admit(g, "TC", zero_limit=True, side=p1.side)
     fused = DominationPair(p1.x + p2.x, p1.y + p2.y, p1.side)
     verdict = loewner_compare(*_fusion_sides(p1, p2, fused, g), tol)
     return verdict.lam_min, verdict
@@ -271,7 +216,7 @@ def transform_gap(
     Returns ``lambda_min(L(x # y) - L(x) # L(y))`` and the verdict of
     ``L(x # y)`` against ``L(x) # L(y)`` (GEQ expected).
     """
-    _require_convex_finite(g, pair.side)
+    _admit(g, "TC", zero_limit=True, side=pair.side)
     verdict = loewner_compare(*_transform_sides(partial(apply_map, lmap), pair, mean_on_pair(pair, g), g), tol)
     return -verdict.lam_max, verdict
 

@@ -23,6 +23,7 @@ from .core import _integer
 
 __all__ = [
     "ConnectionFunction",
+    "UnsupportedFunctionError",
     "PmiCertificate",
     "identity",
     "square",
@@ -290,6 +291,31 @@ def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
         positive=g.positive,
         derivative_at_1=deriv,
     )
+
+
+class UnsupportedFunctionError(ValueError):
+    """The connection function has no finite limit at 0+ (PSD extension)."""
+
+
+_TAG_NAMES = {"TMI": "monotone increasing", "TMD": "monotone decreasing", "TC": "convex"}
+
+
+def _admit(g: ConnectionFunction, tag: str | None = None, zero_limit: bool = False,
+           side: str = "left") -> ConnectionFunction:
+    """The one admissibility rule for a generator, shared by the suite table,
+    the PSD-extended mean and the data-processing inequalities: ``g`` must
+    carry the class ``tag`` (if any) and, with ``zero_limit``, have a finite
+    limit at 0+ on the domination ``side``.  A left-dominated pair evaluates
+    ``g`` at the quotient's zero boundary; a right-dominated pair evaluates
+    the transpose there, whose 0+ limit is ``g``'s derivative at infinity.
+    Returns ``g``."""
+    if tag is not None and tag not in g.tags:
+        raise ValueError(f"{g.label} is not tagged {_TAG_NAMES[tag]} ({tag})")
+    if zero_limit and side == "left" and not math.isfinite(g.value_at_0plus):
+        raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
+    if zero_limit and side == "right" and not math.isfinite(transpose_fn(g).value_at_0plus):
+        raise UnsupportedFunctionError(f"{g.label} has no finite derivative at infinity (transposed 0+ limit)")
+    return g
 
 
 def invert_fn(g: ConnectionFunction, y):

@@ -59,6 +59,7 @@ from .core import (
 )
 from .functions import (
     ConnectionFunction,
+    _admit,
     ando_hiai_g,
     check_pmd,
     check_pmi,
@@ -539,13 +540,14 @@ class _Suite:
     on which ensembles.
 
     ``function`` is the default generator id (``None``: the suite takes no
-    generator).  The generator, default or configured, must carry the class
-    ``tag``, be normalized when ``normalized`` is set, and have a finite
-    limit at 0+ when ``zero_limit`` is set.  ``ensembles`` maps the
-    unfolding dimension D to the default x/y ensembles, written in the
-    config's ``ensembles`` format; ``second`` does the same for the second
-    PD pair of the two-pair suites, drawn on the primary seeds at role
-    ``_SECONDARY_ROLE`` whatever the config's ensembles.
+    generator).  The generator, default or configured, must be normalized
+    when ``normalized`` is set and pass :func:`functions._admit` for the
+    class ``tag`` and, with ``zero_limit``, a finite limit at 0+.
+    ``ensembles`` maps the unfolding dimension D to the default x/y
+    ensembles, written in the config's ``ensembles`` format; ``second``
+    does the same for the second PD pair of the two-pair suites, drawn on
+    the primary seeds at role ``_SECONDARY_ROLE`` whatever the config's
+    ensembles.
     """
 
     runner: Callable
@@ -576,22 +578,16 @@ class _Run:
         return _draw(self.ex, trials), _draw(self.ey, trials)
 
 
-_TAG_NAMES = {"TMI": "monotone increasing", "TMD": "monotone decreasing", "TC": "convex"}
-
-
 def _suite_function(cfg: ExperimentConfig, row: _Suite) -> ConnectionFunction:
-    explicit = cfg.function is not None
-    fn = from_id(cfg.function if explicit else row.function)
-    problem = None
-    if row.normalized and not fn.normalized:
-        problem = "needs a normalized generator (value 1 at 1)"
-    elif row.tag is not None and row.tag not in fn.tags:
-        problem = f"needs a {_TAG_NAMES[row.tag]} ({row.tag}) generator"
-    elif row.zero_limit and not math.isfinite(fn.value_at_0plus):
-        problem = "needs a finite limit at 0+ for the PSD extension"
-    if problem:
-        raise ConfigError(f"{'cannot run with' if explicit else 'default function'} {fn.label}: {problem}")
-    return fn
+    """The suite's generator, normalized if the row says so and admitted by
+    the library's rule for the row's ``tag`` and ``zero_limit``."""
+    fn = from_id(cfg.function if cfg.function is not None else row.function)
+    try:
+        if row.normalized and not fn.normalized:
+            raise ValueError(f"{fn.label} is not normalized (value 1 at 1)")
+        return _admit(fn, row.tag, row.zero_limit)
+    except ValueError as exc:
+        raise ConfigError(f"cannot run: {exc}") from exc
 
 
 def _specs(cfg: ExperimentConfig, ensembles: dict, seeds) -> tuple[EnsembleSpec, EnsembleSpec]:

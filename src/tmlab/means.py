@@ -14,7 +14,6 @@ replaced by the range-compatible solution ``eta(x, y)`` of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,7 @@ from .core import (
     _symmetrize,
     gauge_norm,
 )
-from .functions import ConnectionFunction, power_lift
+from .functions import ConnectionFunction, UnsupportedFunctionError, _admit, power_lift
 
 __all__ = [
     "DominationError",
@@ -63,10 +62,6 @@ __all__ = [
 
 class DominationError(ValueError):
     """The pair is not dominated: range(x) is not contained in range(y)."""
-
-
-class UnsupportedFunctionError(ValueError):
-    """The connection function has no finite limit at 0+ (PSD extension)."""
 
 
 def _quotient(x: np.ndarray, v: np.ndarray, inv_root: np.ndarray) -> np.ndarray:
@@ -283,15 +278,14 @@ def _extended_mean(
 ) -> HermitianStack:
     """Body of :func:`mean_psd`; a caller holding ``eta(x, y)`` passes its
     eigenpairs as ``quotient`` instead of having them computed again.  The
-    operands' shapes are checked once: by :func:`_eta_pairs`, or for a
-    ``quotient`` when its ``eta`` was built."""
-    if not math.isfinite(g.value_at_0plus):
-        raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
+    operands' shapes are checked once, before anything reads them: by
+    :func:`_eta_pairs`, or for a ``quotient`` when its ``eta`` was built."""
+    _admit(g, zero_limit=True)
+    w, v = _eta_pairs(x, y)[:2] if quotient is None else quotient
     ly, vy = y._spectrum()
     zero_y = _scale_of(ly) == 0.0
     if _any(zero_y) and _any(zero_y & (_spectral_scale(x) != 0.0)):
         raise DominationError("y = 0 dominates only x = 0")
-    w, v = _eta_pairs(x, y)[:2] if quotient is None else quotient
     # The root's factor without its leading Vy; a zero y has a zero root, so its mean is exactly 0.
     grade = np.sqrt(np.where(_live(ly), ly, 0.0))[..., :, None] * (_ct(vy) @ v)
     return _finish_mean(x, g, w, _psd_root(y) @ v, grade, RANK_RTOL * np.maximum(w[..., -1:], 0.0))
@@ -317,12 +311,6 @@ class RttDiagnostic:
     epsilon_grid: tuple[float, ...]
     errors: tuple
     converged: bool
-
-    def __post_init__(self):
-        eps = _shrinking_grid(self.epsilon_grid, "epsilon")
-        if len(self.errors) != len(eps):
-            raise ValueError("errors and grid must align")
-        object.__setattr__(self, "epsilon_grid", eps)
 
 
 def _shrinking_grid(grid, name: str) -> tuple[float, ...]:

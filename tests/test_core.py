@@ -590,6 +590,22 @@ class TestValidationCounts:
         tm.fusion_gap(p1, p2, tm.square())
         assert eta_calls["eta"] == 3
 
+    def test_from_matrices_checks_finiteness_in_one_pass(self, rng, monkeypatch):
+        real, passes = np.isfinite, []
+
+        def spy(a, *args, **kwargs):
+            if np.shape(a) == (3, 4, 4):
+                passes.append(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(tm.core.np, "isfinite", spy)
+        raw = np.stack([rand_pd(rng).unfold() for _ in range(3)])
+        HermitianStack.from_matrices(raw, SHAPE22)
+        assert len(passes) == 1
+        raw[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="entries must be finite"):
+            HermitianStack.from_matrices(raw, SHAPE22)
+
     def test_public_constructors_reject_non_hermitian(self, rng, tmp_path):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         entries = a.reshape(2, 2, 2, 2)

@@ -1,9 +1,12 @@
-import json
+import dataclasses
 
 import numpy as np
 import pytest
 
 import tmlab as tm
+from tmlab import harness
+from tmlab.core import HermitianStack
+from tmlab.harness import ConfigError, ExperimentConfig, SuiteId, run_suite
 from tmlab.means import UnsupportedFunctionError
 
 from conftest import SHAPE2, SHAPE22, rand_pd, rand_unitary
@@ -66,28 +69,15 @@ class TestApplyMap:
         with pytest.raises(ValueError, match="shape"):
             tm.apply_map(lmap, rand_pd(rng, SHAPE2))
 
-
-class TestParseMapSpec:
-    def test_pinching_grammar(self, rng):
-        lmap = tm.parse_map_spec("pinching:1|2,3", tm.TensorShape((3,)))
-        assert lmap.partition == ((0,), (1, 2))
-
-    def test_congruence_from_file(self, rng, tmp_path):
-        k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        payload = tm.core.tensor_to_json_dict(k.reshape(2, 2, 2, 2), (2, 2))
-        path = tmp_path / "k.json"
-        path.write_text(json.dumps(payload))
-        lmap = tm.parse_map_spec(f"congruence:{path}", SHAPE22)
-        assert np.allclose(lmap.matrix, k)
-
-    def test_mix_grammar(self):
-        lmap = tm.parse_map_spec("mix:0.5:pinching+1|2,3,4:0.5:pinching+1,2|3,4", SHAPE22)
-        assert lmap.kind == "mix"
-        assert lmap.weights == (0.5, 0.5)
-
-    def test_unknown_spec(self):
-        with pytest.raises(ValueError, match="unknown map"):
-            tm.parse_map_spec("rotate:90", SHAPE22)
+    @pytest.mark.parametrize("lmap", [tm.pinching([(0, 1), (2, 3)], SHAPE22), tm.congruence(np.eye(4), SHAPE22)],
+                             ids=["pinching", "congruence"])
+    def test_stack_dims_checked_like_its_members(self, lmap):
+        # Same D = 4, other dims: the stack is refused as its member 0 is.
+        stack = HermitianStack.from_matrices(np.stack([np.eye(4), 2.0 * np.eye(4)]), tm.TensorShape((4,)))
+        for h in (stack, stack._member(0)):
+            with pytest.raises(ValueError, match=r"shape mismatch: map on \(2, 2\), tensor \(4,\)"):
+                tm.apply_map(lmap, h)
+        assert tm.apply_map(lmap, HermitianStack.from_matrices(stack.unfold(), SHAPE22)).unfold().shape == (2, 4, 4)
 
 
 class TestDominationPair:
@@ -209,6 +199,34 @@ class TestFusionGap:
         p = tm.DominationPair(rand_pd(rng), rand_pd(rng), "left")
         with pytest.raises(ValueError, match="convex"):
             tm.fusion_gap(p, p, tm.geometric())
+
+
+# Built-in generator ids of every form the README lists.
+GENERATOR_IDS = ["geometric", "square", "harmonic_like", "identity", "power:-1", "power:-0.5", "power:0",
+                 "power:0.5", "power:1.5", "power:2", "power:3", "psi:1", "liftn:1:geometric", "liftn:2:square",
+                 "transpose:geometric", "transpose:square", "transpose:power:-1", "transpose:harmonic_like"]
+
+
+@pytest.mark.parametrize("fid", GENERATOR_IDS)
+def test_fusion_suite_and_fusion_gap_admit_the_same_generators(rng, fid, monkeypatch):
+    """One admissibility rule: APP_Fusion, with its normalization
+    requirement lifted, runs a generator exactly when fusion_gap on left
+    pairs accepts it."""
+    row = harness._SUITES[SuiteId.APP_Fusion]
+    monkeypatch.setitem(harness._SUITES, SuiteId.APP_Fusion, dataclasses.replace(row, normalized=False))
+    try:
+        run_suite("APP_Fusion", ExperimentConfig(trials=2, function=fid))
+        suite_runs = True
+    except ConfigError as exc:
+        assert "cannot run" in str(exc)
+        suite_runs = False
+    p = tm.DominationPair(rand_pd(rng), rand_pd(rng), "left")
+    try:
+        tm.fusion_gap(p, p, tm.from_id(fid))
+        gap_runs = True
+    except ValueError:
+        gap_runs = False
+    assert suite_runs == gap_runs
 
 
 class TestTransformGap:

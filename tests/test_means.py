@@ -238,6 +238,10 @@ class TestMeanPsd:
         with pytest.raises(ValueError, match="shape mismatch|size mismatch"):
             tm.mean_psd(x, y, tm.geometric())
 
+    def test_mismatch_is_found_before_the_zero_y_test(self):
+        with pytest.raises(ValueError, match="shape mismatch|size mismatch"):
+            tm.mean_psd(tm.HermitianTensor.identity((4,)), tm.HermitianTensor.zero((3,)), tm.geometric())
+
     def test_infinite_zero_limit_really_diverges(self):
         # the other side of the 0+ dichotomy: with an infinite 0+ limit the
         # regularized means blow up (like eps^-1/2 here) instead of

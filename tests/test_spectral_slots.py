@@ -9,8 +9,9 @@ kernel seeding a stack after birth, or overwriting one already in use)
 fails here, and check the one composition body that the spectral calculus
 and the ``spectrum`` draws share, and the one Cholesky certificate behind
 every gate and verdict that reads no eigenvalue.  The same scans keep
-every module free of imports it never uses and of private module-level
-names that nothing else in the package reads, and keep positivity decided
+every module free of imports it never uses, of ``__all__`` entries it
+neither defines nor imports, and of private module-level names that
+nothing else in the package reads, and keep positivity decided
 by the gates alone (no package code asks ``HermitianTensor.is_pd``), and
 keep the kernel protocol the stack's alone: ``HermitianTensor`` overrides
 none of it, so every kernel has one behaviour for tensors and stacks.
@@ -165,6 +166,33 @@ def _unused_imports(tree):
 def test_no_module_imports_a_name_it_never_uses():
     unused = {name: _unused_imports(tree) for name, tree in _trees().items() if name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _phantom_exports(tree):
+    """Names a module's ``__all__`` lists that the module neither defines
+    at top level nor imports."""
+    bound, exported = set(), []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in stmt.names}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = [n.value for n in ast.walk(stmt.value) if isinstance(n, ast.Constant)]
+    return sorted(name for name in exported if name not in bound)
+
+
+def test_every_exported_name_is_defined_or_imported():
+    assert {name: phantoms for name, tree in _trees().items() if (phantoms := _phantom_exports(tree))} == {}
+
+
+def test_export_scan_sees_a_phantom():
+    tree = ast.parse("from .core import a\n__all__ = ['a', 'b', 'C', 'D']\nclass C:\n    pass\nD = 1\n")
+    assert _phantom_exports(tree) == ["b"]
 
 
 def test_import_scan_sees_an_unused_name():
