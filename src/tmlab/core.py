@@ -12,6 +12,7 @@ matrix-view.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import functools
 import json
@@ -53,11 +54,11 @@ __all__ = [
 
 # Relative tolerance for accepting nearly-Hermitian input before symmetrizing.
 HERMITICITY_RTOL = 1e-9
-# The Hermiticity check and the certificate take their norms from
-# _frobenius, which re-sums a sum of squares that overflowed over the entries
-# scaled by the exact power of two _NORM_UNIT (every finite double then lies
-# below 2**424).  A norm below 1 / _NORM_SAFE may come from squares that
-# underflowed.
+# The certificate takes its norms from _frobenius, and the Hermiticity check
+# does where a plain sum of squares is not finite.  _frobenius re-sums a sum
+# of squares that overflowed over the entries scaled by the exact power of
+# two _NORM_UNIT (every finite double then lies below 2**424).  A norm below
+# 1 / _NORM_SAFE may come from squares that underflowed.
 _NORM_SAFE = 2.0**500
 _NORM_UNIT = 2.0**-600
 # Default relative tolerance for PSD / Loewner-order decisions.
@@ -87,6 +88,9 @@ class TensorShape:
 
     def __post_init__(self):
         dims = self.dims
+        # A tuple of Python ints (bool's type is not int) needs no ABC check and no copy.
+        if type(dims) is tuple and dims and all(type(d) is int and d >= 1 for d in dims):
+            return
         if not (isinstance(dims, (list, tuple)) and dims and all(
                 isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1 for d in dims)):
             raise ValueError(f"dims must be a nonempty list of integers >= 1, got {dims!r}")
@@ -120,7 +124,7 @@ def _as_shape(shape) -> TensorShape:
     else raises :class:`TensorShape`'s ``ValueError``."""
     if isinstance(shape, TensorShape):
         return shape
-    if isinstance(shape, numbers.Integral):
+    if type(shape) is int or isinstance(shape, numbers.Integral):
         return TensorShape((shape,))
     try:
         shape = tuple(shape)
@@ -134,8 +138,20 @@ def _ct(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj().swapaxes(-1, -2)
 
 
+def _adjoint(matrix: np.ndarray) -> np.ndarray:
+    """:func:`_ct` as a fresh C-ordered array, written in one pass: the
+    operand of elementwise sums, which on a large stack run several times
+    faster than over the strided view (a matrix product takes the view)."""
+    return np.conjugate(matrix.swapaxes(-1, -2), order="C")
+
+
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + _ct(matrix)) / 2.0
+    """The Hermitian part of a fresh product, formed in place: ``matrix``
+    plus its :func:`_adjoint`, halved; the bits of
+    ``(matrix + _ct(matrix)) / 2.0``."""
+    matrix += _adjoint(matrix)
+    matrix *= 0.5
+    return matrix
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -149,26 +165,44 @@ def _check_finite(matrix: np.ndarray) -> None:
         raise ValueError("entries must be finite")
 
 
+# Whether this thread (or task) runs inside a _quiet kernel.
+_QUIET = contextvars.ContextVar("tmlab_quiet", default=False)
+
+
 def _quiet(fn):
     """Run a kernel with numpy's overflow and invalid-value warnings off.
 
     Its matrix outputs pass the finiteness gate of ``_seal``, so an
     overflow raises ``ValueError("entries must be finite")`` there instead
-    of warning first.
+    of warning first.  Only the outermost ``_quiet`` kernel of a call
+    enters ``np.errstate``; the kernels it reaches run in that state
+    (``_QUIET`` records it per thread and task), and so do the helpers
+    they share, such as :func:`_frobenius`, which set no state of their own.
     """
 
     @functools.wraps(fn)
     def run(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
+        if _QUIET.get():
             return fn(*args, **kwargs)
+        token = _QUIET.set(True)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fn(*args, **kwargs)
+        finally:
+            _QUIET.reset(token)
 
     return run
 
 
 def _any(mask) -> bool:
-    """Whether a boolean array has a true entry; a single numpy bool is
-    read directly (no reduction on the batch-of-one path)."""
-    return bool(mask.any()) if np.ndim(mask) else bool(mask)
+    """Whether a numpy boolean array has a true entry; a numpy bool scalar
+    is read directly (no reduction on the batch-of-one path)."""
+    return bool(mask.any()) if mask.ndim else bool(mask)
+
+
+def _all(mask) -> bool:
+    """Whether every entry of a boolean array is true, read as :func:`_any` reads."""
+    return bool(mask.all()) if mask.ndim else bool(mask)
 
 
 def _first(mask: np.ndarray):
@@ -184,13 +218,27 @@ def _frobenius(matrix: np.ndarray) -> np.ndarray:
     """Frobenius norm of every matrix of a ``(..., D, D)`` stack.  A sum of
     squares that overflows is summed again over the entries scaled by the
     exact power of two ``_NORM_UNIT``, so a finite sum keeps its bits and a
-    norm past the double range is ``inf``."""
-    with np.errstate(over="ignore"):
-        norm = _root_sum_squares(matrix)
-        overflow = norm == np.inf
-        if _any(overflow):
-            norm = np.where(overflow, _root_sum_squares(matrix * _NORM_UNIT) / _NORM_UNIT, norm)
+    norm past the double range is ``inf``.  Called under :func:`_quiet`."""
+    norm = _root_sum_squares(matrix)
+    overflow = norm == np.inf
+    if _any(overflow):
+        norm = np.where(overflow, _root_sum_squares(matrix * _NORM_UNIT) / _NORM_UNIT, norm)
     return norm
+
+
+def _validation_norm(matrix: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a ``(..., D, D)`` stack for the Hermiticity test:
+    the root of one sum of squares per matrix (a BLAS ``vdot`` for a single
+    matrix, else one reduction over the float64 view), or
+    :func:`_frobenius`'s rescaled sum where a sum is not finite (past about
+    1e154, or non-finite entries).  Their last bits may differ from
+    :func:`_frobenius`'s."""
+    if matrix.ndim == 2:
+        squares = np.vdot(matrix, matrix).real
+    else:
+        flat = np.ascontiguousarray(matrix).view(np.float64).reshape(*matrix.shape[:-2], -1)
+        squares = np.einsum("...i,...i->...", flat, flat)
+    return np.sqrt(squares) if _all(np.isfinite(squares)) else _frobenius(matrix)
 
 
 @_quiet
@@ -199,16 +247,16 @@ def _validated(matrix: np.ndarray) -> np.ndarray:
 
     Each matrix must lie within a relative Frobenius distance
     ``HERMITICITY_RTOL`` of Hermitian; the Hermitian part is returned.  The
-    norms come from :func:`_frobenius`, on the halved entries (an exact
-    scaling), so that neither the defect nor the Hermitian part overflows
-    for finite entries.  A non-finite entry makes its matrix's scale
-    non-finite, so it passes this test, and its Hermitian part is
+    norms come from :func:`_validation_norm`, on the halved entries (an
+    exact scaling), so that neither the defect nor the Hermitian part
+    overflows for finite entries.  A non-finite entry makes its matrix's
+    scale non-finite, so it passes this test, and its Hermitian part is
     non-finite too: :meth:`HermitianStack._seal` refuses it.
     """
     half = matrix * 0.5
-    adjoint = _ct(half)
-    scale = np.maximum(0.5, _frobenius(half))
-    defect = _frobenius(half - adjoint)
+    adjoint = _adjoint(half)
+    scale = np.maximum(0.5, _validation_norm(half))
+    defect = _validation_norm(half - adjoint)
     bad = defect > HERMITICITY_RTOL * scale
     if _any(bad):
         i = _first(bad)
@@ -674,7 +722,7 @@ def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -
     w, v = h._spectrum()
     with np.errstate(all="ignore"):
         mapped = phi(w)
-    if not np.all(np.isfinite(mapped)):
+    if not _all(np.isfinite(mapped)):
         bad = w[~np.isfinite(mapped)]
         raise ValueError(f"spectrum outside function domain at eigenvalues {bad}")
     matrix, values, vectors = _composed(mapped, v)
@@ -690,7 +738,7 @@ def _composed(w: np.ndarray, v: np.ndarray):
     ascending on every matrix (``exp``, positive powers), v itself is the
     vectors, not a copy."""
     matrix = _symmetrize(_spectral_map(v, w))
-    if np.all(w[..., 1:] >= w[..., :-1]):
+    if _all(w[..., 1:] >= w[..., :-1]):
         return matrix, w, v
     order = np.argsort(w, axis=-1, kind="stable")
     return matrix, np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1)
@@ -778,7 +826,7 @@ def _gate_by_quotient(x: HermitianStack, name: str, yw: np.ndarray, c: np.ndarra
         raise
     d, low = c.shape[-1], yw[..., 0]
     margin = np.maximum(4.0 * d * d * _EPS * qw[..., -1] * (low + yw[..., -1]), 1.0 / _NORM_SAFE)
-    if not ((qw[..., 0] * low > margin).all() and np.isfinite(c).all()):
+    if not (_all(qw[..., 0] * low > margin) and _all(np.isfinite(c))):
         _gate(x, name)
     return qw, qv
 
@@ -841,6 +889,7 @@ class LoewnerVerdict:
         return self.relation in (Relation.GEQ, Relation.EQ)
 
 
+@_quiet
 def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL):
     """Loewner kernel: ``(lam_min, lam_max, leq, geq)`` per matrix pair.
 
@@ -940,6 +989,7 @@ def ky_fan(k: int) -> GaugeNormKind:
     return GaugeNormKind("kyfan", k)
 
 
+@_quiet
 def gauge_norm(h: HermitianStack, kind: GaugeNormKind = FROBENIUS):
     """Unitarily invariant norm ``rho(|lambda|(h))`` of each Hermitian
     matrix: a float for a tensor, an array over a stack.  The Frobenius

@@ -123,10 +123,14 @@ class ConnectionFunction:
 
     def eval_extended(self, x, cutoff: float = 0.0) -> np.ndarray:
         """``fn`` over an array, extended to the boundary: entries
-        ``<= cutoff`` map to the 0+ limit."""
+        ``<= cutoff`` map to the 0+ limit, and the others, NaN included,
+        through ``fn`` (alone, with the same bits, when none is at or below
+        ``cutoff``)."""
         x = np.asarray(x, dtype=np.float64)
-        live = x > cutoff
-        return np.where(live, self.fn(np.where(live, x, 1.0)), self.value_at_0plus)
+        dead = x <= cutoff
+        if not dead.any():
+            return np.asarray(self.fn(x), dtype=np.float64)
+        return np.where(dead, self.value_at_0plus, self.fn(np.where(dead, 1.0, x)))
 
     def __repr__(self) -> str:
         return f"ConnectionFunction({self.label!r})"
@@ -283,6 +287,9 @@ def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
     deriv = None
     if g.derivative_at_1 is not None:
         deriv = g.value_at_1 - g.derivative_at_1
+    # The transpose of x**p is x**(1 - p), whose 0+ limit is exact; any other is probed.
+    p = power_exponent(g)
+    limit = None if p is None else (0.0 if p < 1.0 else 1.0 if p == 1.0 else math.inf)
     return ConnectionFunction(
         fn=h,
         label=f"transpose:{g.label}",
@@ -290,6 +297,7 @@ def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
         normalized=g.normalized,
         positive=g.positive,
         derivative_at_1=deriv,
+        value_at_0plus=limit,
     )
 
 

@@ -25,6 +25,7 @@ from .core import (
     HermitianTensor,
     RANK_RTOL,
     _NORM_SAFE,
+    _all,
     _any,
     _check_finite,
     _ct,
@@ -117,7 +118,7 @@ def _finish_mean(x: HermitianStack, g: ConnectionFunction, qw, f, grade, cutoff=
     the quotient's eigenvectors).  A mean of a positive ``g`` is born with
     ``(grade, g(qw))``, the parts of its graded factor ``grade g(qw)^(1/2)``."""
     mapped = g.eval_extended(qw, cutoff)
-    if not np.all(np.isfinite(mapped)):
+    if not _all(np.isfinite(mapped)):
         bad = qw[~np.isfinite(mapped)]
         raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
     return x._derive(_symmetrize(_spectral_map(f, mapped)), factor=(grade, mapped) if g.positive else None)
@@ -218,7 +219,7 @@ def _eta_pairs(x: HermitianStack, y: HermitianStack):
     qw, qv = np.linalg.eigh(c)
     # Every entry of V C V^H, its sums included, is at most 8 D**1.5 |C|_F:
     # far inside the double range while |C|_F < _NORM_SAFE.
-    if not np.all(_frobenius(c) < _NORM_SAFE):
+    if not _all(_frobenius(c) < _NORM_SAFE):
         _check_finite(_symmetrize(v @ c @ _ct(v)))
     return qw, v @ qv, c
 

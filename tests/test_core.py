@@ -1,4 +1,7 @@
 import json
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -651,3 +654,160 @@ def test_tensor_entries_must_be_json_numbers(re, im):
 def test_tensor_entries_take_ints_and_floats():
     dims, arr = tm.core.tensor_from_json_dict({"dims": [1], "re": [2], "im": [0.0]})
     assert dims == (1,) and arr.tolist() == [[2.0 + 0.0j]]
+
+
+def _defective(rng, d, ratio, scale=1.0):
+    """A ``d x d`` matrix whose halved anti-Hermitian part has Frobenius norm
+    ``ratio * HERMITICITY_RTOL`` times its halved norm, times ``scale`` (a
+    power of two), with that defect and that halved norm."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = a + a.conj().T
+    k = a - a.conj().T
+    k /= np.linalg.norm(k)
+    r = ratio * tm.core.HERMITICITY_RTOL / 2.0
+    t = r * np.linalg.norm(h) / np.sqrt(1.0 - r * r)
+    # h and k are orthogonal in the Frobenius inner product.
+    return (h + t * k) * scale, t * scale, np.hypot(np.linalg.norm(h), t) / 2.0 * scale
+
+
+def _message_numbers(exc) -> list[float]:
+    return [float(v) for v in re.findall(r"[-+]?\d\.\d{3}e[-+]\d+", str(exc))]
+
+
+class TestValidationBoundary:
+    """The one-pass Hermiticity test keeps every verdict and message."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**520], ids=["unit", "2**520"])
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_verdicts_on_either_side_of_the_tolerance(self, rng, d, scale):
+        inside, _, _ = _defective(rng, d, 0.9, scale)
+        t = tm.fold(inside, (d,))
+        half = inside * 0.5
+        assert np.array_equal(t.unfold(), half + half.conj().T)
+        outside, defect, norm = _defective(rng, d, 1.1, scale)
+        with pytest.raises(HermiticityError) as info:
+            tm.fold(outside, (d,))
+        got, allowed = _message_numbers(info.value)
+        assert got == pytest.approx(2.0 * defect, rel=1e-3)
+        assert allowed == pytest.approx(2.0 * tm.core.HERMITICITY_RTOL * norm, rel=1e-3)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**520], ids=["unit", "2**520"])
+    def test_the_first_bad_matrix_of_a_stack_is_named(self, rng, scale):
+        good = [_defective(rng, 4, 0.5, scale)[0] for _ in range(2)]
+        third, defect, norm = _defective(rng, 4, 1.1, scale)
+        fourth = _defective(rng, 4, 50.0, scale)[0]
+        stack = np.stack(good + [third, fourth])
+        with pytest.raises(HermiticityError) as info:
+            HermitianStack.from_matrices(stack, SHAPE22)
+        got, allowed = _message_numbers(info.value)
+        assert got == pytest.approx(2.0 * defect, rel=1e-3)
+        assert allowed == pytest.approx(2.0 * tm.core.HERMITICITY_RTOL * norm, rel=1e-3)
+        # The members alone give the same verdicts and the same message.
+        for m in good:
+            tm.fold(m, SHAPE22)
+        with pytest.raises(HermiticityError, match=re.escape(str(info.value))):
+            tm.fold(third, SHAPE22)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**520], ids=["unit", "2**520"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_a_non_finite_entry_is_refused_as_such(self, rng, value, scale):
+        stack = np.stack([_defective(rng, 4, 0.5, scale)[0] for _ in range(4)])
+        stack[2, 1, 3] = value
+        with pytest.raises(ValueError, match="entries must be finite"):
+            HermitianStack.from_matrices(stack, SHAPE22)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            tm.fold(stack[2], SHAPE22)
+
+    def test_hermitian_part_keeps_its_bits_in_any_layout(self, rng):
+        a = np.stack([_defective(rng, 4, 0.5)[0] for _ in range(3)])
+        for raw in (a, np.asfortranarray(a[0]), a[1].T, a[:, ::-1, ::-1]):
+            half = raw * 0.5
+            assert np.array_equal(tm.core._validated(raw), half + half.conj().swapaxes(-1, -2))
+
+    def test_symmetrize_in_place_keeps_the_bits_of_the_formula(self, rng):
+        for shape in ((4, 4), (5, 9, 9), (2, 3, 16, 16)):
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = (a + a.conj().swapaxes(-1, -2)) / 2.0
+            got = tm.core._symmetrize(a.copy())
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestErrorState:
+    """numpy's error state is set once per public call, by its outermost kernel."""
+
+    @pytest.fixture
+    def entries(self, monkeypatch):
+        """The ``np.errstate`` contexts that tmlab's own modules open."""
+        seen, real = [], np.errstate
+
+        def spy(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__", "").startswith("tmlab"):
+                seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "errstate", spy)
+        return seen
+
+    @pytest.mark.parametrize("shape", [SHAPE22, tm.TensorShape((4, 4))], ids=["D4", "D16"])
+    def test_each_public_call_enters_one_error_state(self, rng, entries, shape):
+        raw = [rand_pd(rng, shape).unfold().reshape(shape.dims * 2) for _ in range(2)]
+        low = rand_psd_rank(rng, 2, shape).unfold().reshape(shape.dims * 2)
+        g = tm.geometric()  # a generator's construction probes it under its own error state
+        calls = {
+            "HermitianTensor": lambda x, y: tm.HermitianTensor(raw[0], shape),
+            "mean_pd": lambda x, y: tm.mean_pd(x, y, g),
+            "mean_psd": lambda x, y: tm.mean_psd(x, y, g),
+            "loewner_compare": lambda x, y: tm.loewner_compare(x, y),
+        }
+        for name, call in calls.items():
+            x, y = (tm.HermitianTensor(r, shape) for r in ([low, raw[1]] if name == "mean_psd" else raw))
+            entries.clear()
+            call(x, y)
+            assert len(entries) == 1, name
+
+    def test_a_raising_call_leaves_no_state_behind(self, rng):
+        before = np.geterr()
+        with pytest.raises(tm.core.NotPositiveDefiniteError):
+            tm.mean_pd(-rand_pd(rng), rand_pd(rng), tm.geometric())
+        assert tm.core._QUIET.get() is False
+        assert np.geterr() == before
+
+    def test_the_quiet_state_is_per_thread(self):
+        outside = (tm.core._QUIET.get(), np.geterr()["over"])
+        seen = []
+
+        @tm.core._quiet
+        def kernel():
+            worker = threading.Thread(target=lambda: seen.append((tm.core._QUIET.get(), np.geterr()["over"])))
+            worker.start()
+            worker.join()
+            return tm.core._QUIET.get(), np.geterr()["over"]
+
+        assert kernel() == (True, "ignore")
+        assert seen == [outside]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: tm.HermitianTensor(np.array([[1e308, 1e308], [-1e308, 1e308]]), s),
+            lambda s: tm.mean_pd(tm.HermitianTensor.diag([1e300, 1e300], s), tm.HermitianTensor.diag([1.0, 2.0], s),
+                                 tm.square()),
+            lambda s: tm.mean_psd(tm.HermitianTensor.diag([1e300, 0.0], s), tm.HermitianTensor.diag([1.0, 0.0], s),
+                                  tm.square()),
+            lambda s: tm.loewner_compare(tm.HermitianTensor.diag([-1.5e308, 1.0], s),
+                                         tm.HermitianTensor.diag([1.5e308, 1.0], s)),
+        ],
+        ids=["HermitianTensor", "mean_pd", "mean_psd", "loewner_compare"],
+    )
+    def test_overflow_near_the_double_range_raises_without_warning(self, call):
+        with pytest.raises(ValueError):
+            call(SHAPE2)
+
+    def test_norms_near_the_double_range_warn_nothing(self):
+        big = tm.HermitianTensor.diag([1e308, 1e308], SHAPE2)
+        assert tm.gauge_norm(big, tm.FROBENIUS) == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+        assert tm.gauge_norm(tm.HermitianTensor.diag([1.5e308, 1.5e308], SHAPE2), tm.FROBENIUS) == np.inf
+        verdict = tm.loewner_compare(tm.HermitianTensor.diag([1e300, 1e300], SHAPE2),
+                                     tm.HermitianTensor.diag([1e300, 2e300], SHAPE2))
+        assert verdict.relation is tm.Relation.LEQ

@@ -83,6 +83,31 @@ class TestTranspose:
         h = tm.transpose_fn(tm.power(0.3))
         assert tm.derivative_at_one(h) == pytest.approx(0.7, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "fid, limit",
+        [("geometric", 0.0), ("power:0.25", 0.0), ("power:-1", 0.0), ("power:0", 0.0), ("identity", 1.0),
+         ("power:1.5", math.inf), ("square", math.inf)],
+    )
+    def test_power_transpose_takes_the_exact_zero_limit(self, fid, limit):
+        # x**p transposes to x**(1 - p): 0 for p < 1, 1 at p = 1, inf past it.
+        assert tm.transpose_fn(tm.from_id(fid)).value_at_0plus == limit
+
+    @pytest.mark.parametrize("fid", ["harmonic_like", "psi:1", "liftn:1:geometric"])
+    def test_other_transposes_probe_the_zero_limit(self, fid):
+        h = tm.transpose_fn(tm.from_id(fid))
+        assert h.value_at_0plus == h(1e-12)
+
+
+class TestEvalExtended:
+    def test_a_live_spectrum_maps_through_fn_alone(self):
+        g = tm.harmonic_like()
+        x = np.array([1e-3, 0.5, 2.0, 40.0])
+        assert np.array_equal(g.eval_extended(x, 1e-4), np.where(x > 1e-4, g.fn(x), g.value_at_0plus))
+
+    def test_dead_entries_take_the_zero_limit_and_nan_stays_nan(self):
+        out = tm.power(0.5).eval_extended(np.array([-1e-17, 0.0, 1e-11, 4.0, np.nan]), 1e-10)
+        assert out[:4].tolist() == [0.0, 0.0, 0.0, 2.0] and np.isnan(out[4])
+
 
 class TestInvert:
     def test_square_root_of_nine(self):

@@ -212,6 +212,14 @@ class TestMeanPsd:
         with pytest.raises(UnsupportedFunctionError):
             tm.mean_psd(rand_pd(rng), rand_pd(rng), tm.power(-0.5))
 
+    def test_transposed_geometric_maps_the_dead_quotient_to_zero(self, rng):
+        # sqrt is its own transpose; the dead eigenvalues of a rank-2 x under a
+        # PD y map to the exact 0+ limit, not to a value probed near 0.
+        x, y = rand_psd_rank(rng, 2), rand_pd(rng)
+        want = tm.mean_psd(x, y, tm.geometric()).unfold()
+        got = tm.mean_psd(x, y, tm.transpose_fn(tm.geometric())).unfold()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_operands_checked_once(self, rng, monkeypatch):
         """mean_psd checks its operands once; mean_on_pair none, its pair
         having been checked when the pair's eta was built."""
