@@ -88,11 +88,10 @@ class TensorShape:
 
     def __post_init__(self):
         dims = self.dims
-        # A tuple of Python ints (bool's type is not int) needs no ABC check and no copy.
-        if type(dims) is tuple and dims and all(type(d) is int and d >= 1 for d in dims):
-            return
+        # A Python int (bool's type is not int) needs no ABC check.
         if not (isinstance(dims, (list, tuple)) and dims and all(
-                isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1 for d in dims)):
+                (type(d) is int or isinstance(d, numbers.Integral) and not isinstance(d, bool)) and d >= 1
+                for d in dims)):
             raise ValueError(f"dims must be a nonempty list of integers >= 1, got {dims!r}")
         object.__setattr__(self, "dims", tuple(int(d) for d in dims))
 
@@ -124,7 +123,7 @@ def _as_shape(shape) -> TensorShape:
     else raises :class:`TensorShape`'s ``ValueError``."""
     if isinstance(shape, TensorShape):
         return shape
-    if type(shape) is int or isinstance(shape, numbers.Integral):
+    if isinstance(shape, numbers.Integral):
         return TensorShape((shape,))
     try:
         shape = tuple(shape)

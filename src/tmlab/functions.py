@@ -122,15 +122,14 @@ class ConnectionFunction:
         return self(1.0)
 
     def eval_extended(self, x, cutoff: float = 0.0) -> np.ndarray:
-        """``fn`` over an array, extended to the boundary: entries
-        ``<= cutoff`` map to the 0+ limit, and the others, NaN included,
-        through ``fn`` (alone, with the same bits, when none is at or below
-        ``cutoff``)."""
+        """``fn`` over an array, extended to the boundary: entries not
+        above ``cutoff`` map to the 0+ limit (``fn`` alone, with the same
+        bits, when every entry is above it)."""
         x = np.asarray(x, dtype=np.float64)
-        dead = x <= cutoff
-        if not dead.any():
+        live = x > cutoff
+        if live.all():
             return np.asarray(self.fn(x), dtype=np.float64)
-        return np.where(dead, self.value_at_0plus, self.fn(np.where(dead, 1.0, x)))
+        return np.where(live, self.fn(np.where(live, x, 1.0)), self.value_at_0plus)
 
     def __repr__(self) -> str:
         return f"ConnectionFunction({self.label!r})"
