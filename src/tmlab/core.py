@@ -146,10 +146,11 @@ def _adjoint(matrix: np.ndarray) -> np.ndarray:
 
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
     """The Hermitian part of a fresh product, formed in place: ``matrix``
-    plus its :func:`_adjoint`, halved; the bits of
+    halved, plus its :func:`_adjoint`.  Halving first keeps every finite
+    entry finite; away from subnormals it gives the bits of
     ``(matrix + _ct(matrix)) / 2.0``."""
-    matrix += _adjoint(matrix)
     matrix *= 0.5
+    matrix += _adjoint(matrix)
     return matrix
 
 
@@ -966,17 +967,6 @@ class GaugeNormKind:
 
     def __str__(self) -> str:
         return f"kyfan:{self.k}" if self.kind == "kyfan" else self.kind
-
-    @classmethod
-    def parse(cls, spec: str) -> "GaugeNormKind":
-        parts = spec.split(":")
-        if parts[0] == "kyfan":
-            if len(parts) != 2:
-                raise ValueError(f"malformed Ky Fan norm id {spec!r}")
-            return cls("kyfan", int(parts[1]))
-        if len(parts) != 1:
-            raise ValueError(f"malformed norm id {spec!r}")
-        return cls(parts[0])
 
 
 SPECTRAL = GaugeNormKind("spectral")

@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    GaugeNormKind,
+    FROBENIUS,
     HermitianStack,
     HermitianTensor,
     NotPositiveDefiniteError,
@@ -448,7 +448,6 @@ class ExperimentConfig:
     function: str | None = None
     exponents: dict = field(default_factory=lambda: dict(_EXPONENT_DEFAULTS))
     tolerance: float = 1e-8
-    norm: str = "frobenius"
     suites: tuple[str, ...] = tuple(s.value for s in SUITE_ORDER)
 
     def __post_init__(self):
@@ -463,7 +462,6 @@ class ExperimentConfig:
         object.__setattr__(self, "exponents", {"q": _number("exponent q", exps["q"], low=_TINY),
                                                "p": _number("exponent p", exps["p"], low=_TINY),
                                                "m": _number("exponent m", exps["m"], integral=True, low=2)})
-        GaugeNormKind.parse(_of_kind("norm", self.norm, str, "a string"))
         object.__setattr__(self, "suites", tuple(_of_kind("suites", self.suites, (list, tuple), "a list of suite ids")))
         bad = [s for s in self.suites if not isinstance(s, str) or s not in SuiteId.__members__]
         if bad:
@@ -872,12 +870,11 @@ def _suite_ando_hiai(run, direction):
 
 
 def _suite_t2(run):
-    norm = GaugeNormKind.parse(run.cfg.norm)
     q_grid = tuple(2.0**-k for k in range(1, 9))
     run.notes.append("q grid 2^-1 .. 2^-8; monotone with 5% slack; final relative error <= 1e-2")
 
     def body(trials):
-        study = convergence_study(*run.pair(trials), run.fn, q_grid, norm)
+        study = convergence_study(*run.pair(trials), run.fn, q_grid, FROBENIUS)
         return study.monotone, study.final_relative_error
 
     monotone, final = _per_trial(run.cfg, body)
@@ -1075,7 +1072,6 @@ def _suite_c4(run):
 
 
 def _suite_t63(run):
-    norm = GaugeNormKind.parse(run.cfg.norm)
     eps_grid = (1e-2, 1e-4, 1e-6, 1e-8)
     run.notes.append("epsilon grid 1e-2..1e-8; dominated x built inside range(y)")
     wishart = _dominating_spec(run.ex, run.ex.shape)
@@ -1083,8 +1079,8 @@ def _suite_t63(run):
     def body(trials):
         y = _draw(run.ey, trials)
         x = _dominate(y, _draw(wishart, trials, _DOMINATED_ROLE))
-        limit, diag = epsilon_mean_limit(x, y, run.fn, eps_grid, norm)
-        return diag.converged, diag.errors[-1] / np.maximum(1e-300, gauge_norm(limit, norm))
+        limit, diag = epsilon_mean_limit(x, y, run.fn, eps_grid, FROBENIUS)
+        return diag.converged, diag.errors[-1] / np.maximum(1e-300, gauge_norm(limit))
 
     converged, rel = _per_trial(run.cfg, body)
     return _fail_report(run, ~converged, rel)

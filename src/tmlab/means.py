@@ -91,7 +91,7 @@ def _congruence_mean(
     root = np.sqrt(_gate_pd(w, "y"))
     c = _quotient(x._matrix, v, 1.0 / root)
     qw, qv = _gate_by_quotient(x, "x", w, c) if deferred else np.linalg.eigh(c)
-    return _finish_mean(x, g, qw, (v * root[..., None, :]) @ qv, root[..., :, None] * qv)
+    return _finish_mean(x, g, qw, v, root, qv)
 
 
 @_quiet
@@ -108,20 +108,22 @@ def _powered_mean(x: HermitianStack, y: HermitianStack, g: ConnectionFunction, q
     _gate_pd(ly, "y")
     y_power = ly ** (0.5 * q)
     u, s, _ = np.linalg.svd((_ct(vy) @ vx) * (lx[..., None, :] / ly[..., :, None]) ** (0.5 * q))
-    return _finish_mean(x, g, s**2, (vy * y_power[..., None, :]) @ u, y_power[..., :, None] * u)
+    return _finish_mean(x, g, s**2, vy, y_power, u)
 
 
-def _finish_mean(x: HermitianStack, g: ConnectionFunction, qw, f, grade, cutoff=0.0) -> HermitianStack:
-    """Where every mean is born: ``g`` on the quotient eigenvalues ``qw``
-    (0+ limit at or below ``cutoff``, finite), then ``f g(qw) f^H`` for the
-    one factor ``f = W grade`` (y's eigenvectors, y's root or ``y**(q/2)``,
-    the quotient's eigenvectors).  A mean of a positive ``g`` is born with
-    ``(grade, g(qw))``, the parts of its graded factor ``grade g(qw)^(1/2)``."""
+def _finish_mean(x: HermitianStack, g: ConnectionFunction, qw, vy, s, u, cutoff=0.0) -> HermitianStack:
+    """Where every mean is born, and the one place its factor is formed:
+    ``f g(qw) f^H`` for ``f = (Vy diag(s)) U`` (y's eigenvectors, y's root
+    or ``y**(q/2)`` on them, the quotient's eigenvectors in y's eigenbasis),
+    ``g`` taking its 0+ limit at or below ``cutoff``.  A non-finite
+    ``g(qw)``, a NaN or inf ``qw`` included, raises.  A mean of a positive
+    ``g`` is born with its graded factor's parts ``(diag(s) U, g(qw))``."""
     mapped = g.eval_extended(qw, cutoff)
     if not _all(np.isfinite(mapped)):
         bad = qw[~np.isfinite(mapped)]
         raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
-    return x._derive(_symmetrize(_spectral_map(f, mapped)), factor=(grade, mapped) if g.positive else None)
+    mean = _symmetrize(_spectral_map((vy * s[..., None, :]) @ u, mapped))
+    return x._derive(mean, factor=(s[..., :, None] * u, mapped) if g.positive else None)
 
 
 def mean_pd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:
@@ -287,9 +289,9 @@ def _extended_mean(
     zero_y = _scale_of(ly) == 0.0
     if _any(zero_y) and _any(zero_y & (_spectral_scale(x) != 0.0)):
         raise DominationError("y = 0 dominates only x = 0")
-    # The root's factor without its leading Vy; a zero y has a zero root, so its mean is exactly 0.
-    grade = np.sqrt(np.where(_live(ly), ly, 0.0))[..., :, None] * (_ct(vy) @ v)
-    return _finish_mean(x, g, w, _psd_root(y) @ v, grade, RANK_RTOL * np.maximum(w[..., -1:], 0.0))
+    # Over y's truncated root in its eigenbasis; a zero y has a zero root, so its mean is exactly 0.
+    root = np.sqrt(np.where(_live(ly), ly, 0.0))
+    return _finish_mean(x, g, w, vy, root, _ct(vy) @ v, RANK_RTOL * np.maximum(w[..., -1:], 0.0))
 
 
 def _psd_root(y: HermitianStack) -> np.ndarray:

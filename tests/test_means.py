@@ -49,6 +49,24 @@ class TestMeanPd:
         with pytest.raises(tm.core.NotPositiveDefiniteError):
             tm.mean_pd(-1.0 * big[0], big[1], tm.geometric())
 
+    def test_quotient_past_half_the_double_range_gives_the_finite_mean(self):
+        # The quotient's entry 1.5e308 is finite, and so is its Hermitian part.
+        x, y = tm.HermitianTensor.diag([1.5e308, 1e308], SHAPE2), tm.HermitianTensor.diag([1.0, 2.0], SHAPE2)
+        want = np.diag([np.sqrt(1.5e308), np.sqrt(1e308) * np.sqrt(2.0)])
+        for mean in (tm.mean_pd, tm.mean_psd):
+            got = mean(x, y, tm.geometric()).unfold()
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want), mean.__name__
+
+    @pytest.mark.parametrize("x, y", [([1.7e308, 1e308], [0.5, 2.0]), ([1.7e308, 1.7e308], [0.25, 0.25])],
+                             ids=["one_entry", "both_entries"])
+    def test_quotient_past_the_double_range_raises(self, x, y):
+        # The true means are finite, but the quotient x / y is not: its
+        # spectrum may not map to g(0+) as if it were dead.
+        x, y = tm.HermitianTensor.diag(x, SHAPE2), tm.HermitianTensor.diag(y, SHAPE2)
+        for mean in (tm.mean_pd, tm.mean_psd):
+            with pytest.raises(ValueError):
+                mean(x, y, tm.geometric())
+
     def test_commuting_scalar_case(self):
         x = tm.HermitianTensor.diag([4.0] * 4, SHAPE22)
         ident = tm.HermitianTensor.identity(SHAPE22)
@@ -198,15 +216,34 @@ class TestMeanPsd:
         with pytest.raises(DominationError):
             tm.mean_psd(x, zero, tm.geometric())
 
-    @pytest.mark.parametrize("scales", [(1e300, 1e-10), (1e307, 1e-1)], ids=["inf_quotient", "finite_quotient"])
+    @pytest.mark.parametrize("scales", [(1e300, 1e-10), (1e307, 1e-2), (1e307, 1e-1)],
+                             ids=["inf_quotient", "eta_past_max", "finite_quotient"])
     def test_quotient_past_double_range_raises_as_eta(self, rng, scales):
         # mean_psd does not keep eta's matrix, but where that matrix leaves the
         # double range it raises eta's error rather than return a mean of it.
+        # eta is (a / b) P on range(h) for x = a h, y = b h: past the double
+        # range at a / b = 1e309, inside it at 1e308, where the mean sqrt(a b) h
+        # is finite too.
         h = rand_psd_rank(rng, 2).unfold()
         x, y = (tm.fold(s * h, SHAPE22) for s in scales)
+        if scales[0] / scales[1] < np.finfo(float).max:
+            assert np.all(np.isfinite(tm.eta(x, y).eta.unfold()))
+            want = np.sqrt(scales[0] * scales[1]) * h
+            got = tm.mean_psd(x, y, tm.geometric()).unfold()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            return
         for call in (lambda: tm.eta(x, y), lambda: tm.mean_psd(x, y, tm.geometric())):
             with pytest.raises(ValueError, match="entries must be finite"):
                 call()
+
+    def test_no_extended_mean_forms_y_root(self, rng, monkeypatch):
+        """mean_psd and mean_on_pair finish over y's eigenpairs, with no
+        formed root of y."""
+        monkeypatch.setattr(tm.means, "_psd_root", lambda y: pytest.fail("y's root was formed"))
+        x, y = dominated_pair(rng)
+        tm.mean_psd(x, y, tm.geometric())
+        for pair in (tm.DominationPair(x, y, "left"), tm.DominationPair(y, x, "right")):
+            tm.mean_on_pair(pair, tm.geometric())
 
     def test_infinite_zero_limit_rejected(self, rng):
         with pytest.raises(UnsupportedFunctionError):

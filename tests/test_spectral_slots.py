@@ -8,7 +8,8 @@ tests scan the package source so that a write from anywhere else (a
 kernel seeding a stack after birth, or overwriting one already in use)
 fails here, and check the one composition body that the spectral calculus
 and the ``spectrum`` draws share, and the one Cholesky certificate behind
-every gate and verdict that reads no eigenvalue.  The same scans keep
+every gate and verdict that reads no eigenvalue, and the one call that
+passes a mean's graded factor (``_finish_mean``).  The same scans keep
 every module free of imports it never uses, of ``__all__`` entries it
 neither defines nor imports, and of private module-level names that
 nothing else in the package reads, and keep positivity decided
@@ -105,8 +106,8 @@ def test_scan_sees_a_write_after_birth():
     assert _slot_writes(tree) == [("seed", "_evals"), ("seed", "_eig")]
 
 
-def _cholesky_callers(tree):
-    """``(enclosing function, line)`` of every call to an attribute named ``cholesky``."""
+def _callers(tree, matches):
+    """``(enclosing function, line)`` of every call that ``matches``."""
     found = []
 
     def visit(node, owner):
@@ -114,12 +115,22 @@ def _cholesky_callers(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "cholesky":
+            if isinstance(child, ast.Call) and matches(child):
                 found.append((owner, child.lineno))
             visit(child, owner)
 
     visit(tree, None)
     return found
+
+
+def _cholesky_callers(tree):
+    """Every call to an attribute named ``cholesky``."""
+    return _callers(tree, lambda call: getattr(call.func, "attr", None) == "cholesky")
+
+
+def _factor_births(tree):
+    """Every call that passes a graded factor as ``factor=``."""
+    return _callers(tree, lambda call: any(k.arg == "factor" for k in call.keywords))
 
 
 def test_cholesky_runs_only_in_the_one_certificate():
@@ -133,6 +144,16 @@ def test_cholesky_runs_only_in_the_one_certificate():
 def test_cholesky_scan_sees_a_call():
     tree = ast.parse("def check(a):\n    return np.linalg.cholesky(a)\n")
     assert _cholesky_callers(tree) == [("check", 2)]
+
+
+def test_a_mean_factor_is_formed_only_where_the_mean_is_born():
+    births = {name: [owner for owner, _ in _factor_births(tree)] for name, tree in _trees().items()}
+    assert {name: owners for name, owners in births.items() if owners} == {"means.py": ["_finish_mean"]}
+
+
+def test_factor_scan_sees_a_second_birth():
+    tree = ast.parse("def mean(x, f, g):\n    return x._derive(f @ g, factor=(f, g))\n")
+    assert _factor_births(tree) == [("mean", 2)]
 
 
 def test_calculus_and_draws_share_one_composition_body():
