@@ -263,8 +263,6 @@ def _kyfan_profile(h: HermitianStack) -> np.ndarray:
     """Ky Fan statistics of every matrix for k = 1..D from its cached
     eigenvalues, shape ``(..., 3, D)``: the sums, the products and the sums
     of logs (finite for PD input, and free of overflow) of the k largest."""
-    ev = h._eigenvalues()[..., ::-1].copy()
+    ev = h._eigenvalues()[..., ::-1]
     with np.errstate(all="ignore"):
-        rows = ((np.sum, ev), (np.prod, ev), (np.sum, np.log(ev)))
-        return np.stack([np.stack([op(v[..., :k], axis=-1) for k in range(1, ev.shape[-1] + 1)], axis=-1)
-                         for op, v in rows], axis=-2)
+        return np.stack([np.cumsum(ev, -1), np.cumprod(ev, -1), np.cumsum(np.log(ev), -1)], axis=-2)

@@ -792,9 +792,9 @@ def _gate_by_quotient(x: HermitianStack, name: str, yw: np.ndarray, c: np.ndarra
     """The ``eigh`` ``(qw, qv)`` of the congruence quotient a mean has
     formed, ``c``, the computed ``C = S^H x S`` for ``S = V diag(yw)^(-1/2)``
     and the ``eigh`` pairs ``(yw, V)`` of a PD y, after x's PD gate of
-    :func:`_gate`; an ``eigh`` that raises does so after that gate, as it
-    would without the quotient.  x passes with no decomposition of its own
-    when ``c`` is finite and, for every matrix,
+    :func:`_gate`.  ``c`` is finite: the caller has refused a quotient past
+    the double range, after that gate.  x passes with no decomposition of
+    its own when, for every matrix,
 
         qw_0 yw_0 > max(4 D**2 eps qw_max (yw_0 + yw_max), 2**-500),
 
@@ -819,14 +819,10 @@ def _gate_by_quotient(x: HermitianStack, name: str, yw: np.ndarray, c: np.ndarra
     4/3 max|qw|``, and ``4 (1 + k) > 4/3 (1 + 2k)``.  Called under
     :func:`_quiet`: a NaN, or a margin that overflows, passes nothing.
     """
-    try:
-        qw, qv = np.linalg.eigh(c)
-    except np.linalg.LinAlgError:
-        _gate(x, name)
-        raise
+    qw, qv = np.linalg.eigh(c)
     d, low = c.shape[-1], yw[..., 0]
     margin = np.maximum(4.0 * d * d * _EPS * qw[..., -1] * (low + yw[..., -1]), 1.0 / _NORM_SAFE)
-    if not (_all(qw[..., 0] * low > margin) and _all(np.isfinite(c))):
+    if not _all(qw[..., 0] * low > margin):
         _gate(x, name)
     return qw, qv
 

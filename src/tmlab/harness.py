@@ -196,23 +196,22 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32, _M128 = 2**32 - 1, 2**128 - 1
 
 
-# The hash multipliers ``init * mult**k mod 2**32``: a stream's seed sequence
-# hashes 24 words into its pool (4 entropy words, 12 pool cross-mixes, 2
-# spawn-key words into 4 pool words) and 8 out of it.
-_CHAIN_A = [_INIT_A * pow(_MULT_A, k, 2**32) & _M32 for k in range(25)]
+# The hash multipliers ``init * mult**k mod 2**32``: a spawned seed sequence
+# hashes 2 spawn-key words into its 4 pool words at k = 16..24 of the A chain
+# (the seed's own pool took k = 0..15) and 8 words out of it on the B chain.
+_SPAWN_A = np.array([_INIT_A * pow(_MULT_A, k, 2**32) & _M32 for k in range(16, 25)], dtype=np.uint32)[:, None]
 _CHAIN_B = np.array([_INIT_B * pow(_MULT_B, k, 2**32) & _M32 for k in range(9)], dtype=np.uint32)[:, None]
-_SPAWN_A = np.array(_CHAIN_A[16:], dtype=np.uint32)[:, None]
 
 
 def _hashmix(value, xor, mult):
-    """SeedSequence's hash of 32-bit words, on Python ints or uint32 arrays."""
-    value = (value ^ xor) * mult & _M32
+    """SeedSequence's hash of 32-bit words on ``uint32`` arrays."""
+    value = (value ^ xor) * mult
     return value ^ value >> 16
 
 
 def _mix(x, y):
     """SeedSequence's mix of a pool word ``x`` with a hashed word ``y``."""
-    r = (_MIX_L * x - _MIX_R * y) & _M32
+    r = _MIX_L * x - _MIX_R * y
     return r ^ r >> 16
 
 
@@ -222,24 +221,17 @@ def _streams(seed: int, trials, role: int):
     ``default_rng(SeedSequence(seed & (2**64 - 1), spawn_key=(t, role)))``
     for each trial ``t``.  Take each stream's draws before advancing.
 
-    The seed-sequence hash runs for all trials at once on ``uint32`` arrays
-    (the pool of 4 words depends on the seed only, the spawn key is mixed in
-    per trial), and each PCG64 seeding step is done on Python 128-bit
-    integers, so the states are numpy's own bit for bit.  Trial and role
-    must lie in ``[0, 2**32)``: numpy would hash a wider key as two words.
+    The seed's pool of 4 words is numpy's own (``SeedSequence.pool``); only
+    the spawn keys are hashed into it, for all trials at once on ``uint32``
+    arrays, and each PCG64 seeding step is done on Python 128-bit integers,
+    so the states are numpy's own bit for bit.  Trial and role must lie in
+    ``[0, 2**32)``: numpy would hash a wider key as two words.
     """
     keys = [int(t) for t in trials]
     bad = [k for k in (*keys, role) if not 0 <= k <= _M32]
     if bad:
         raise ValueError(f"stream trial and role must lie in [0, 2**32), got {bad[0]}")
-    entropy = int(seed) & (2**64 - 1)
-    consts = iter(zip(_CHAIN_A, _CHAIN_A[1:]))
-    pool = [_hashmix(w, *next(consts)) for w in (entropy & _M32, entropy >> 32, 0, 0)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool = np.random.SeedSequence(int(seed) & (2**64 - 1)).pool[:, None]
     pool = _mix(pool, _hashmix(np.array(keys, dtype=np.uint32), _SPAWN_A[:4], _SPAWN_A[1:5]))
     pool = _mix(pool, _hashmix(np.uint32(role), _SPAWN_A[4:8], _SPAWN_A[5:]))
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _CHAIN_B[:8], _CHAIN_B[1:])

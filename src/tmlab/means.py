@@ -80,16 +80,20 @@ def _congruence_mean(
 ) -> HermitianStack:
     """``y^{1/2} g(y^{-1/2} x y^{-1/2}) y^{1/2}`` for a PD ``y`` (gated here,
     on its ``eigh`` ``(L, V)``), ``g`` extended at 0+, over a stack: one
-    ``eigh`` ``(qw, qv)`` of the :func:`_quotient` at ``L^{-1/2}``, finished
-    over the factor ``V L^{1/2} qv``.  With ``gate_x``, x passes the PD gate
-    too, from the quotient's values where they settle it
-    (:func:`_defer_gate`, :func:`_gate_by_quotient`).
+    ``eigh`` ``(qw, qv)`` of the finite :func:`_quotient` at ``L^{-1/2}``,
+    finished over the factor ``V L^{1/2} qv``.  With ``gate_x``, x passes
+    the PD gate too (first, if C is not finite), from the quotient's values
+    where they settle it (:func:`_defer_gate`, :func:`_gate_by_quotient`).
     Shared by :func:`mean_pd`, :func:`mean_recursive` and the right-slot
     limit of :func:`epsilon_mean_limit`, whose first slot is only PSD."""
     w, v = y._spectrum()
     deferred = gate_x and _defer_gate(x, "x", w)
     root = np.sqrt(_gate_pd(w, "y"))
     c = _quotient(x._matrix, v, 1.0 / root)
+    if not _all(np.isfinite(c)):
+        if deferred:
+            _gate(x, "x")
+        _check_finite(c)
     qw, qv = _gate_by_quotient(x, "x", w, c) if deferred else np.linalg.eigh(c)
     return _finish_mean(x, g, qw, v, root, qv)
 
@@ -204,9 +208,9 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
 def _eta_pairs(x: HermitianStack, y: HermitianStack):
     """Body of :func:`eta` up to eta's eigenpairs, which :func:`mean_psd`
     reads without eta's matrix: the gates, the range test, the quotient
-    ``C`` and its ``eigh`` ``(qw, qv)``.  Returns ``(qw, V qv, C)``.
-    Where ``V C V^H`` might leave the double range it is formed here and
-    passes :func:`eta`'s finiteness check, so both raise alike."""
+    ``C`` and its ``eigh`` ``(qw, qv)``.  Returns ``(qw, V qv, C)``.  Where
+    ``V C V^H`` might leave the double range, it passes :func:`eta`'s
+    finiteness check before the ``eigh``, so both raise alike."""
     x._check_same_shape(y)
     _gate(x, "x", psd=True)
     lam, v = y._spectrum()
@@ -218,11 +222,11 @@ def _eta_pairs(x: HermitianStack, y: HermitianStack):
     if _any(leak > 1e-6):
         _require_range(leak, np.maximum(1.0, _spectral_scale(x)))
     c = _quotient(x._matrix, v, np.where(live, 1.0 / np.sqrt(np.where(live, lam, 1.0)), 0.0))
-    qw, qv = np.linalg.eigh(c)
     # Every entry of V C V^H, its sums included, is at most 8 D**1.5 |C|_F:
     # far inside the double range while |C|_F < _NORM_SAFE.
     if not _all(_frobenius(c) < _NORM_SAFE):
         _check_finite(_symmetrize(v @ c @ _ct(v)))
+    qw, qv = np.linalg.eigh(c)
     return qw, v @ qv, c
 
 

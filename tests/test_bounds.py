@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tmlab as tm
-from tmlab.bounds import BoundFactors
+from tmlab.bounds import BoundFactors, _kyfan_profile
 
 from conftest import SHAPE2, SHAPE22, rand_pd, rand_spectrum
 
@@ -321,6 +321,21 @@ class TestKyFanStats:
             tm.kyfan_stats(rand_pd(rng), 5)
         with pytest.raises(ValueError):
             tm.kyfan_stats(rand_pd(rng), 0)
+
+    @pytest.mark.parametrize("dims", [(4, 4), (8, 8)], ids=["D16", "D64"])
+    def test_every_k_matches_the_prefix_of_the_descending_spectrum(self, rng, dims):
+        # From D = 8 on, numpy's pairwise sum and the cumulative profile may
+        # round differently; they agree to a few ulps.
+        shape = tm.TensorShape(dims)
+        h = rand_pd(rng, shape, dof=2 * shape.square_dim)
+        ev = np.linalg.eigvalsh(h.unfold())[::-1]
+        logs = _kyfan_profile(h)[2]
+        for k in range(1, shape.square_dim + 1):
+            total, product = tm.kyfan_stats(h, k)
+            assert total == pytest.approx(np.sum(ev[:k]), rel=1e-13)
+            assert product == pytest.approx(np.prod(ev[:k]), rel=1e-13)
+            want = np.sum(np.log(ev[:k]))
+            assert logs[k - 1] == pytest.approx(want, rel=1e-13, abs=1e-13 * np.sum(np.abs(np.log(ev[:k]))))
 
     def test_weyl_monotone_sums(self, rng):
         for _ in range(50):

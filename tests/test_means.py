@@ -67,6 +67,18 @@ class TestMeanPd:
             with pytest.raises(ValueError):
                 mean(x, y, tm.geometric())
 
+    @pytest.mark.parametrize("x, y", [([1.7e308, 1e308], [0.5, 2.0]), ([1.7e308, 1.7e308], [0.25, 0.25])],
+                             ids=["one_entry", "both_entries"])
+    def test_quotient_past_the_double_range_is_refused_before_its_eigh(self, x, y):
+        # The quotient x / y overflows: both PD means refuse it as non-finite
+        # entries, whether x's values are known or x's gate waits for the quotient.
+        pairs = [(tm.HermitianTensor.diag(x, SHAPE2), tm.HermitianTensor.diag(y, SHAPE2)),
+                 (tm.fold(np.diag(x).astype(complex), SHAPE2), tm.fold(np.diag(y).astype(complex), SHAPE2))]
+        for a, b in pairs:
+            for mean, lift in ((tm.mean_pd, ()), (tm.mean_recursive, (2,)), (tm.mean_recursive, (3,))):
+                with pytest.raises(ValueError, match="entries must be finite"):
+                    mean(a, b, tm.geometric(), *lift)
+
     def test_commuting_scalar_case(self):
         x = tm.HermitianTensor.diag([4.0] * 4, SHAPE22)
         ident = tm.HermitianTensor.identity(SHAPE22)
@@ -232,6 +244,16 @@ class TestMeanPsd:
             got = tm.mean_psd(x, y, tm.geometric()).unfold()
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             return
+        for call in (lambda: tm.eta(x, y), lambda: tm.mean_psd(x, y, tm.geometric())):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                call()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_overflowing_quotient_is_refused_before_its_eigh(self, seed):
+        # eta = 1e309 P on range(h): the quotient overflows to inf, which LAPACK
+        # must not see (its eigh may raise "Eigenvalues did not converge").
+        h = rand_psd_rank(np.random.default_rng(seed), 2).unfold()
+        x, y = tm.fold(1e308 * h, SHAPE22), tm.fold(1e-1 * h, SHAPE22)
         for call in (lambda: tm.eta(x, y), lambda: tm.mean_psd(x, y, tm.geometric())):
             with pytest.raises(ValueError, match="entries must be finite"):
                 call()

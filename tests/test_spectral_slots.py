@@ -8,8 +8,9 @@ tests scan the package source so that a write from anywhere else (a
 kernel seeding a stack after birth, or overwriting one already in use)
 fails here, and check the one composition body that the spectral calculus
 and the ``spectrum`` draws share, and the one Cholesky certificate behind
-every gate and verdict that reads no eigenvalue, and the one call that
-passes a mean's graded factor (``_finish_mean``).  The same scans keep
+every gate and verdict that reads no eigenvalue (the one code that catches
+a ``LinAlgError``), and the one call that passes a mean's graded factor
+(``_finish_mean``).  The same scans keep
 every module free of imports it never uses, of ``__all__`` entries it
 neither defines nor imports, and of private module-level names that
 nothing else in the package reads, and keep positivity decided
@@ -106,8 +107,8 @@ def test_scan_sees_a_write_after_birth():
     assert _slot_writes(tree) == [("seed", "_evals"), ("seed", "_eig")]
 
 
-def _callers(tree, matches):
-    """``(enclosing function, line)`` of every call that ``matches``."""
+def _owners(tree, matches):
+    """``(enclosing function, line)`` of every node that ``matches``."""
     found = []
 
     def visit(node, owner):
@@ -115,7 +116,7 @@ def _callers(tree, matches):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and matches(child):
+            if matches(child):
                 found.append((owner, child.lineno))
             visit(child, owner)
 
@@ -125,12 +126,18 @@ def _callers(tree, matches):
 
 def _cholesky_callers(tree):
     """Every call to an attribute named ``cholesky``."""
-    return _callers(tree, lambda call: getattr(call.func, "attr", None) == "cholesky")
+    return _owners(tree, lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "cholesky")
 
 
 def _factor_births(tree):
     """Every call that passes a graded factor as ``factor=``."""
-    return _callers(tree, lambda call: any(k.arg == "factor" for k in call.keywords))
+    return _owners(tree, lambda node: isinstance(node, ast.Call) and any(k.arg == "factor" for k in node.keywords))
+
+
+def _linalg_handlers(tree):
+    """Every ``except`` clause that catches a ``LinAlgError``."""
+    return _owners(tree, lambda node: isinstance(node, ast.ExceptHandler) and node.type is not None
+                   and "LinAlgError" in set(_names(node.type)))
 
 
 def test_cholesky_runs_only_in_the_one_certificate():
@@ -144,6 +151,20 @@ def test_cholesky_runs_only_in_the_one_certificate():
 def test_cholesky_scan_sees_a_call():
     tree = ast.parse("def check(a):\n    return np.linalg.cholesky(a)\n")
     assert _cholesky_callers(tree) == [("check", 2)]
+
+
+def test_only_the_certificate_catches_a_linalg_error():
+    # A failed factorization is the certificate's expected answer; anywhere
+    # else LAPACK would be deciding what a non-finite operand means.
+    handlers = {name: {owner for owner, _ in _linalg_handlers(tree)} for name, tree in _trees().items()}
+    assert {name: owners for name, owners in handlers.items() if owners} == {"core.py": {"_certified"}}
+
+
+def test_handler_scan_sees_a_second_handler():
+    tree = ast.parse("def certify(a):\n    try:\n        return f(a)\n    except np.linalg.LinAlgError:\n"
+                     "        return False\ndef decompose(c):\n    try:\n        return g(c)\n"
+                     "    except (ValueError, LinAlgError):\n        raise\n    except Exception:\n        pass\n")
+    assert _linalg_handlers(tree) == [("certify", 4), ("decompose", 9)]
 
 
 def test_a_mean_factor_is_formed_only_where_the_mean_is_born():
