@@ -61,8 +61,8 @@ def kantorovich(m, big_m, p):
 
     Is 1 for ``p`` in [0, 1] (where plain power monotonicity applies) and
     for the degenerate spectrum ``m == M``; otherwise the closed form,
-    which is always >= 1.  Raises ``ValueError`` when ``m <= 0``, when
-    ``M < m``, or when the closed form over- or underflows double precision.
+    which is always >= 1.  Raises ``ValueError`` on non-finite arguments,
+    ``m <= 0`` or ``M < m``, and where the closed form over- or underflows.
 
     ``K`` is homogeneous of degree 0, so the closed form is evaluated at
     ``(1, M / m)``: only the ratio's powers can leave double range, not
@@ -76,6 +76,10 @@ def kantorovich(m, big_m, p):
     # One-dimensional operands keep every power on numpy's array loop, so a
     # scalar call gives the bits of the same entry of an array call.
     m, big_m, p = (a.reshape(-1) for a in args)
+    finite = np.isfinite(m) & np.isfinite(big_m) & np.isfinite(p)
+    if not finite.all():
+        i = np.argmin(finite)
+        raise ValueError(f"need finite m, M and p, got K({m[i]:g}, {big_m[i]:g}, {p[i]:g})")
     if (m <= 0.0).any():
         raise ValueError(f"need m > 0, got {m[np.argmax(m <= 0.0)]}")
     if (big_m < m).any():

@@ -77,7 +77,7 @@ class PositiveLinearMap:
         elif self.kind == "mix":
             if len(self.components) != len(self.weights) or not self.components:
                 raise ValueError("mix needs matching components and weights")
-            if any(w < 0 for w in self.weights) or abs(math.fsum(self.weights) - 1.0) > 1e-12:
+            if not all(0.0 <= w <= 1.0 for w in self.weights) or abs(math.fsum(self.weights) - 1.0) > 1e-12:
                 raise ValueError(f"weights must be a convex combination, got {self.weights}")
             if any(c.shape.dims != self.shape.dims for c in self.components):
                 raise ValueError("component shape mismatch")

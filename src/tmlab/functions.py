@@ -4,7 +4,7 @@ A connection function generates a bivariate tensor mean through the spectral
 calculus (see :mod:`tmlab.means`).  Its ``fn`` is elementwise on float64
 arrays, so a whole spectrum maps in one call.  Instances carry class tags
 from ``{"TMI", "TMD", "TC"}`` (monotone increasing / decreasing / convex,
-each positive), a normalized-at-1 flag, and analytic values where known.
+each positive), whether ``fn(1) = 1``, and analytic values where known.
 Tags are caller-asserted but validated against scalar probes on a
 logarithmic grid; scalar probes cannot certify the tensor (operator)
 versions of these properties, they only reject gross misuse.
@@ -67,8 +67,6 @@ class ConnectionFunction:
         Display / config id.
     tags : frozenset of {"TMI", "TMD", "TC"}
         Asserted function classes, validated by scalar probes.
-    normalized : bool
-        Whether ``fn(1) == 1`` (within 1e-12).
     positive : bool
         Whether positivity on (0, inf) is required and probed.  The
         convexity building block ``psi(s)`` changes sign near 1 and opts
@@ -76,12 +74,14 @@ class ConnectionFunction:
     derivative_at_1, value_at_0plus : float, optional
         Analytic values when known.  ``value_at_0plus`` is otherwise probed
         at ``x = 1e-12`` and recorded as ``inf`` above 1e10.
+
+    ``normalized`` is read from ``fn``: whether ``fn(1) = 1`` within 1e-12.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     label: str
     tags: frozenset = frozenset()
-    normalized: bool = False
+    normalized: bool = field(init=False)
     positive: bool = True
     derivative_at_1: float | None = None
     value_at_0plus: float | None = field(default=None)
@@ -95,6 +95,7 @@ class ConnectionFunction:
             raise ValueError("class tags require a positive function")
         with np.errstate(over="ignore", invalid="ignore"):
             self._run_probes()
+            object.__setattr__(self, "normalized", abs(self.value_at_1 - 1.0) <= 1e-12)
         if self.value_at_0plus is None:
             probe = self(1e-12)
             limit = math.inf if probe > 1e10 else probe
@@ -106,8 +107,6 @@ class ConnectionFunction:
             raise ValueError(f"{self.label}: non-finite values on probe grid")
         if self.positive and np.any(values <= 0.0):
             raise ValueError(f"{self.label}: not positive on probe grid")
-        if self.normalized and abs(self.value_at_1 - 1.0) > 1e-12:
-            raise ValueError(f"{self.label}: normalized flag set but fn(1) = {self.value_at_1!r}")
         failed = self.tags - _probe_tags(self.fn, values, self.tags)
         for tag, what in _PROBE_NAMES.items():
             if tag in failed:
@@ -183,7 +182,6 @@ def power(alpha: float) -> ConnectionFunction:
         fn=partial(_power, a=a),
         label=f"power:{a:g}",
         tags=frozenset(tags),
-        normalized=True,
         derivative_at_1=a,
         value_at_0plus=(1.0 if a == 0.0 else (0.0 if a > 0.0 else math.inf)),
     )
@@ -216,7 +214,6 @@ def harmonic_like() -> ConnectionFunction:
         fn=lambda x: 2.0 * x / (1.0 + x),
         label="harmonic_like",
         tags=frozenset({"TMI"}),
-        normalized=True,
         derivative_at_1=0.5,
         value_at_0plus=0.0,
     )
@@ -228,13 +225,12 @@ def psi(s: float) -> ConnectionFunction:
     Sign-changing (negative on (0, 1), zero at 1), hence untagged.
     """
     s = float(s)
-    if s <= 0.0:
-        raise ValueError("psi needs s > 0")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"psi needs a finite s > 0, got {s!r}")
     return ConnectionFunction(
         fn=lambda x, s=s: x / (1.0 + s) - x / (x + s),
         label=f"psi:{s:g}",
         tags=frozenset(),
-        normalized=False,
         positive=False,
         derivative_at_1=1.0 / (1.0 + s) - s / (1.0 + s) ** 2,
         value_at_0plus=0.0,
@@ -258,7 +254,6 @@ def power_lift(f: ConnectionFunction, n: int) -> ConnectionFunction:
         fn=lambda x, n=n, f=f.fn: x**n * f(x),
         label=f"liftn:{n}:{f.label}",
         tags=frozenset(),
-        normalized=f.normalized,
         positive=f.positive,
         derivative_at_1=deriv,
         value_at_0plus=0.0 if math.isfinite(f.value_at_0plus) else None,
@@ -291,7 +286,6 @@ def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
         fn=h,
         label=f"transpose:{g.label}",
         tags=_probe_tags(h, h(PROBE_GRID), candidates) if g.positive else frozenset(),
-        normalized=g.normalized,
         positive=g.positive,
         derivative_at_1=deriv,
         value_at_0plus=limit,
@@ -306,14 +300,17 @@ _TAG_NAMES = {"TMI": "monotone increasing", "TMD": "monotone decreasing", "TC": 
 
 
 def _admit(g: ConnectionFunction, tag: str | None = None, zero_limit: bool = False,
-           side: str = "left") -> ConnectionFunction:
+           side: str = "left", normalized: bool = False) -> ConnectionFunction:
     """The one admissibility rule for a generator, shared by the suite table,
-    the PSD-extended mean and the data-processing inequalities: ``g`` must
-    carry the class ``tag`` (if any) and, with ``zero_limit``, have a finite
-    limit at 0+ on the domination ``side``.  A left-dominated pair evaluates
-    ``g`` at the quotient's zero boundary; a right-dominated pair evaluates
-    the transpose there, whose 0+ limit is ``g``'s derivative at infinity.
+    the PSD-extended mean, the product-formula limit and the data-processing
+    inequalities: ``g`` must be normalized if asked, carry the class ``tag``
+    (if any) and, with ``zero_limit``, have a finite limit at 0+ on the
+    domination ``side``.  A left-dominated pair evaluates ``g`` at the
+    quotient's zero boundary; a right-dominated pair evaluates the
+    transpose there, whose 0+ limit is ``g``'s derivative at infinity.
     Returns ``g``."""
+    if normalized and not g.normalized:
+        raise ValueError(f"{g.label} is not normalized (value 1 at 1)")
     if tag is not None and tag not in g.tags:
         raise ValueError(f"{g.label} is not tagged {_TAG_NAMES[tag]} ({tag})")
     if zero_limit and side == "left" and not math.isfinite(g.value_at_0plus):
@@ -392,7 +389,6 @@ def ando_hiai_g(f: ConnectionFunction, m: int) -> ConnectionFunction:
         fn=g,
         label=f"andohiai:{m}:{f.label}",
         tags=frozenset({"TMI"}) if "TMI" in f.tags else frozenset(),
-        normalized=f.normalized,
         derivative_at_1=deriv,
     )
 

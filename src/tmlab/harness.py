@@ -530,9 +530,9 @@ class _Suite:
     on which ensembles.
 
     ``function`` is the default generator id (``None``: the suite takes no
-    generator).  The generator, default or configured, must be normalized
-    when ``normalized`` is set and pass :func:`functions._admit` for the
-    class ``tag`` and, with ``zero_limit``, a finite limit at 0+.
+    generator).  The generator, default or configured, must pass
+    :func:`functions._admit` for ``normalized``, the class ``tag`` and, with
+    ``zero_limit``, a finite limit at 0+.
     ``ensembles`` maps the unfolding dimension D to the default x/y
     ensembles, written in the config's ``ensembles`` format; ``second``
     does the same for the second PD pair of the two-pair suites, drawn on
@@ -569,13 +569,11 @@ class _Run:
 
 
 def _suite_function(cfg: ExperimentConfig, row: _Suite) -> ConnectionFunction:
-    """The suite's generator, normalized if the row says so and admitted by
-    the library's rule for the row's ``tag`` and ``zero_limit``."""
+    """The suite's generator, admitted by the library's rule for the row's
+    ``tag``, ``zero_limit`` and ``normalized``."""
     fn = from_id(cfg.function if cfg.function is not None else row.function)
     try:
-        if row.normalized and not fn.normalized:
-            raise ValueError(f"{fn.label} is not normalized (value 1 at 1)")
-        return _admit(fn, row.tag, row.zero_limit)
+        return _admit(fn, row.tag, row.zero_limit, normalized=row.normalized)
     except ValueError as exc:
         raise ConfigError(f"cannot run: {exc}") from exc
 
@@ -1111,7 +1109,6 @@ def _shifted_convex_probe() -> ConnectionFunction:
         fn=lambda x: 2.0 / (1.0 + x),
         label="inverse_arithmetic",
         tags=frozenset({"TMD", "TC"}),
-        normalized=True,
         derivative_at_1=-0.5,
         value_at_0plus=2.0,
     )

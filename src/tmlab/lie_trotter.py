@@ -32,7 +32,7 @@ from .core import (
     loewner_compare,
     spectral_power,
 )
-from .functions import ConnectionFunction, derivative_at_one, power_lift
+from .functions import ConnectionFunction, _admit, derivative_at_one, power_lift
 from .means import _powered_mean, _shrinking_grid, mean_pd
 
 __all__ = [
@@ -91,9 +91,7 @@ def lt_limit(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> Her
 
     Requires ``g(1) = 1``.
     """
-    if abs(g.value_at_1 - 1.0) > 1e-12:
-        raise ValueError(f"{g.label} is not normalized: g(1) = {g.value_at_1!r}")
-    w = derivative_at_one(g)
+    w = derivative_at_one(_admit(g, normalized=True))
     return tensor_exp(w * x + (1.0 - w) * y)
 
 

@@ -92,15 +92,17 @@ class TestKantorovich:
             ([1.0, -1.0], [2.0, 2.0], "m > 0"),
             ([1.0, 2.0], [2.0, 1.0], "M >= m"),
             ([1.0, 1e-300], [2.0, 1e300], "out of floating-point range"),
+            ([1.0, math.nan], [2.0, math.nan], r"need finite m, M and p, got K\(nan, nan, 3\)"),
+            ([1.0, math.inf], [2.0, math.inf], r"need finite m, M and p, got K\(inf, inf, 3\)"),
+            ([1.0, 1.0], [2.0, math.inf], r"need finite m, M and p, got K\(1, inf, 3\)"),
         ],
-        ids=["m-zero", "m-negative", "M-below-m", "overflow"],
+        ids=["m-zero", "m-negative", "M-below-m", "overflow", "both-nan", "both-inf", "M-inf"],
     )
     def test_array_raises_like_scalar(self, m, big, match):
         with pytest.raises(ValueError, match=match):
             tm.kantorovich(m[1], big[1], 3.0)
         with pytest.raises(ValueError, match=match):
             tm.kantorovich(np.array(m), np.array(big), 3.0)
-
 
 class TestKkFactors:
     def test_identity_tensor_gives_ones(self):
@@ -269,6 +271,11 @@ class TestProp310Factors:
         with pytest.raises(ValueError):
             tm.prop310_factors(rand_pd(rng), 0.5)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_non_finite_q_is_refused_on_a_degenerate_spectrum(self, q):
+        with pytest.raises(ValueError, match="need finite m, M and p"):
+            tm.prop310_factors(tm.HermitianTensor.identity(SHAPE22), q)
+
 
 class TestTraceTailBound:
     def test_half_identity(self):
@@ -363,3 +370,13 @@ def test_dyadic_decompose_meets_its_definition():
         while q / 2.0**least > 2.0:
             least += 1
         assert (n, q0) == (least, q / 2.0**least), q
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: tm.kk_factors(tm.HermitianTensor.identity(SHAPE2), tm.geometric(), 2, 1.0, k_start=3),
+     "k_start must be 1 or 2"),
+    (lambda: tm.trace_tail_bound([], 1.0, tm.HermitianTensor.identity(SHAPE2)), "need at least one sample"),
+], ids=["k-start-3", "no-samples"])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

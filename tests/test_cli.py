@@ -31,6 +31,13 @@ class TestBoundsCommand:
         assert code == 0
         assert out.strip() == "1.5625"
 
+    @pytest.mark.parametrize("args", [["nan", "nan", "0.5"], ["inf", "inf", "2"], ["1", "inf", "0.5"]],
+                             ids=["nan-unit-p", "inf-degenerate", "M-inf-unit-p"])
+    def test_non_finite_arguments_exit_two(self, args, capsys):
+        assert main(["bounds", "--kantorovich", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "need finite m, M and p" in err
+
 
 class TestVerifyCommand:
     def test_l3_exit_zero(self, tmp_path):
@@ -96,10 +103,14 @@ class TestVerifyCommand:
             {"ensembles": {"x": {"kind": "spectrum", "m": 0.1, "M": 10**400}, "y": {"kind": "spectrum"}}},
             {"shape": [2.7, 2]},
             {"norm": 5},
+            {"ensembles": {"x": {"kind": "wishart", "dof": 0}, "y": {"kind": "spectrum"}}},
+            {"ensembles": {"x": {"dof": 4}, "y": {"kind": "spectrum"}}},
+            {"ensembles": {"x": {"kind": "wishart", "dof": 4, "nu": 1}, "y": {"kind": "spectrum"}}},
         ],
         ids=["tolerance-inf", "tolerance-nan", "tolerance-str", "trials-bool", "seed-float", "exponent-n", "dof-float",
              "m-float", "q-bool", "q-str", "q-nan", "p-inf", "ensemble-m-nan", "ensemble-M-inf", "ensemble-M-past-double",
-             "shape-float", "norm-int"],
+             "shape-float", "norm-int", "dof-zero", "ensemble-no-kind",
+             "ensemble-unknown-field"],
     )
     def test_bad_config_value_exits_two(self, payload, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -255,6 +266,17 @@ class TestMeanCommand:
         code, _, err = run_cli(["mean", "--x", "/no/x.json", "--y", "/no/y.json", "--fn", "geometric"])
         assert code == 2
         assert "cannot read tensor" in err
+
+
+def test_psi_at_infinite_s_exits_two_from_verify_and_mean(tmp_path, capsys):
+    # psi:inf would be the zero function: a zero mean, and no T63 violation.
+    cfg_path, xp, out = tmp_path / "cfg.json", tmp_path / "x.json", tmp_path / "m.json"
+    cfg_path.write_text(json.dumps({"function": "psi:inf", "suites": ["T63_PsdLimit"]}))
+    tm.save_tensor(tm.HermitianTensor.identity(tm.TensorShape((2,))), xp)
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert main(["mean", "--x", str(xp), "--y", str(xp), "--fn", "psi:inf", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("psi needs a finite s > 0") == 2
+    assert not out.exists()
 
 
 class TestLieTrotterCommand:

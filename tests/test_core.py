@@ -499,6 +499,7 @@ class TestShapeArguments:
             tm.HermitianTensor.diag(values, 2)
 
 
+
 class TestTrustedConstruction:
     @pytest.fixture
     def trusted(self, monkeypatch):
@@ -811,3 +812,19 @@ class TestErrorState:
         verdict = tm.loewner_compare(tm.HermitianTensor.diag([1e300, 1e300], SHAPE2),
                                      tm.HermitianTensor.diag([1e300, 2e300], SHAPE2))
         assert verdict.relation is tm.Relation.LEQ
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: tm.HermitianTensor(np.eye(4).reshape(2, 2, 4)), ValueError, "entries of odd order"),
+    (lambda: tm.HermitianTensor(np.eye(4), (2, 2)), ValueError,
+     r"entries have shape \(4, 4\), expected \(2, 2, 2, 2\)"),
+    (lambda: tm.HermitianTensor.from_matrix(np.eye(3), (2, 2)), ValueError,
+     r"matrix has shape \(3, 3\), expected \(4, 4\)"),
+    (lambda: tm.HermitianTensor.diag([1.0, 2.0, 3.0], (2, 2)), ValueError, "one diagonal value per unfolding index"),
+    (lambda: tm.HermitianTensor.identity(2) + 3.0, TypeError, "expected HermitianStack, got float"),
+    (lambda: tm.GaugeNormKind("bogus"), ValueError, "unknown gauge norm kind 'bogus'"),
+    (lambda: tm.GaugeNormKind("spectral", 2), ValueError, "spectral norm takes no k parameter"),
+], ids=["odd-order", "entries-mismatch", "from-matrix-size", "short-diag", "add-number", "gauge-kind", "gauge-k"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

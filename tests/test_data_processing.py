@@ -69,6 +69,24 @@ class TestApplyMap:
         with pytest.raises(ValueError, match="shape"):
             tm.apply_map(lmap, rand_pd(rng, SHAPE2))
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda pinch: tm.congruence(np.eye(3), SHAPE22), "congruence needs a 4 x 4 tensor unfolding"),
+        (lambda pinch: tm.PositiveLinearMap("pinching", SHAPE22), "pinching needs a partition"),
+        (lambda pinch: tm.PositiveLinearMap("mix", SHAPE22, components=(pinch,), weights=(0.5, 0.5)),
+         "mix needs matching components and weights"),
+        (lambda pinch: tm.convex_combination([pinch, tm.congruence(np.eye(4), (4,))], [0.5, 0.5]),
+         "component shape mismatch"),
+        (lambda pinch: tm.PositiveLinearMap("rotation", SHAPE22), "unknown map kind 'rotation'"),
+        (lambda pinch: tm.convex_combination([], []), "need at least one component map"),
+        (lambda pinch: tm.convex_combination([pinch, pinch], [np.nan, 1.0]), "weights must be a convex combination"),
+        (lambda pinch: tm.apply_map(pinch, HermitianStack.from_matrices(np.stack([np.eye(2)] * 3))),
+         "size mismatch: map on D = 4, matrices of size 2"),
+    ], ids=["congruence-size", "pinching-no-partition", "mix-unmatched", "mix-shapes", "unknown-kind", "mix-empty",
+            "weight-nan", "shapeless-stack-of-other-d"])
+    def test_refusals(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(tm.pinching([(0, 1), (2, 3)], SHAPE22))
+
     @pytest.mark.parametrize("lmap", [tm.pinching([(0, 1), (2, 3)], SHAPE22), tm.congruence(np.eye(4), SHAPE22)],
                              ids=["pinching", "congruence"])
     def test_stack_dims_checked_like_its_members(self, lmap):
@@ -182,7 +200,6 @@ class TestFusionGap:
             fn=lambda x: 2.0 / (1.0 + x),
             label="inverse_arithmetic",
             tags=frozenset({"TMD", "TC"}),
-            normalized=True,
             derivative_at_1=-0.5,
             value_at_0plus=2.0,
         )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import tmlab as tm
 from tmlab.functions import PROBE_GRID, ConnectionFunction
+from tmlab.harness import _SUITES, ConfigError, ExperimentConfig, SuiteId, _suite_function
 
 GRID = np.logspace(-3, 3, 41)
 
@@ -25,6 +26,14 @@ class TestBuiltins:
         assert not p.positive
         # direct evaluation of x/(1+s) - x/(x+s)
         assert p(3.0) == pytest.approx(3.0 / 2.0 - 3.0 / 4.0, abs=1e-15)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+    def test_psi_needs_a_finite_positive_s(self, s):
+        # psi(inf) would be the zero function, with a NaN derivative at 1.
+        with pytest.raises(ValueError, match="psi needs a finite s > 0"):
+            tm.psi(s)
+        with pytest.raises(ValueError, match="psi needs a finite s > 0"):
+            tm.from_id(f"psi:{s}")
 
     def test_square_derivative(self):
         assert tm.derivative_at_one(tm.square()) == 2.0
@@ -215,10 +224,6 @@ class TestProbeValidation:
         with pytest.raises(ValueError, match="positive"):
             ConnectionFunction(fn=lambda x: x - 1.0, label="bad", positive=True)
 
-    def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError, match="normalized"):
-            ConnectionFunction(fn=lambda x: 2.0 * x, label="bad", normalized=True)
-
     def test_concave_with_tc_tag_rejected(self):
         with pytest.raises(ValueError, match="convexity"):
             ConnectionFunction(fn=np.sqrt, label="bad", tags=frozenset({"TC"}))
@@ -226,6 +231,54 @@ class TestProbeValidation:
     def test_tags_require_positive(self):
         with pytest.raises(ValueError, match="positive"):
             ConnectionFunction(fn=lambda x: x, label="bad", positive=False, tags=frozenset({"TMI"}))
+
+
+class TestNormalization:
+    """``normalized`` is read from ``fn(1)``, and only ``_admit`` decides
+    whether a generator must have it."""
+
+    @pytest.mark.parametrize("fid, normalized", [
+        ("identity", True), ("square", True), ("geometric", True), ("harmonic_like", True),
+        ("power:-0.5", True), ("power:0", True), ("power:3", True), ("psi:1", False), ("psi:0.25", False),
+        ("liftn:2:geometric", True), ("liftn:1:psi:2", False), ("transpose:harmonic_like", True),
+        ("transpose:power:2", True), ("transpose:psi:1", False),
+    ])
+    def test_every_builtin_id_form_reads_fn_at_one(self, fid, normalized):
+        g = tm.from_id(fid)
+        assert g.normalized is normalized
+        assert g.normalized == (abs(g(1.0) - 1.0) <= 1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_ando_hiai_g_reads_its_bisection(self, m):
+        # 1 / F^-1(1) by bisection: within ulps of 1, not exactly 1.
+        g = tm.ando_hiai_g(tm.harmonic_like(), m)
+        assert tm.power_exponent(g) is None
+        assert g.normalized and abs(g(1.0) - 1.0) <= 1e-12
+
+    def test_a_user_generator_needs_no_flag(self):
+        g = ConnectionFunction(fn=lambda x: 2.0 / (1.0 + x), label="inverse_arithmetic", tags=frozenset({"TMD"}))
+        assert g.normalized
+        assert not ConnectionFunction(fn=lambda x: 2.0 * x, label="double").normalized
+
+    def test_non_finite_value_at_one_is_not_normalized_and_warns_nothing(self):
+        # 0/0 at x = 1 alone, which the probe grid does not contain.
+        g = ConnectionFunction(fn=lambda x: (x - 1.0) / (x - 1.0), label="hole")
+        assert not g.normalized
+
+    def test_is_not_a_constructor_parameter(self):
+        with pytest.raises(TypeError, match="normalized"):
+            ConnectionFunction(fn=lambda x: x, label="identity", normalized=True)
+
+    def test_suite_table_and_lt_limit_refuse_with_the_one_message(self):
+        message = "psi:1 is not normalized (value 1 at 1)"
+        cfg = ExperimentConfig(function="psi:1")
+        with pytest.raises(ConfigError) as suite:
+            _suite_function(cfg, _SUITES[SuiteId.T2_LieTrotterLimit])
+        assert str(suite.value) == f"cannot run: {message}"
+        x = tm.HermitianTensor.identity(tm.TensorShape((2,)))
+        with pytest.raises(ValueError) as limit:
+            tm.lt_limit(x, x, tm.psi(1.0))
+        assert str(limit.value) == message
 
 
 class TestFromId:
@@ -311,3 +364,14 @@ def test_power_exponent_recognises_power_generators():
 def test_ando_hiai_rejects_constant_lift():
     with pytest.raises(ValueError, match="constant"):
         tm.ando_hiai_g(tm.power(-1.0), 2)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ConnectionFunction(fn=np.sqrt, label="bad", tags=frozenset({"TMI", "OM"})), "unknown tags"),
+    (lambda: tm.invert_fn(tm.power(2.0), math.nan), "target must be finite"),
+    (lambda: tm.ando_hiai_g(tm.psi(1.0), 2), "needs a positive generator"),
+    (lambda: tm.from_id("transpose"), "transpose needs an inner chain"),
+], ids=["unknown-tag", "invert-nan", "ando-hiai-sign-changing", "transpose-alone"])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

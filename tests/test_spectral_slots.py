@@ -16,7 +16,9 @@ neither defines nor imports, and of private module-level names that
 nothing else in the package reads, and keep positivity decided
 by the gates alone (no package code asks ``HermitianTensor.is_pd``), and
 keep the kernel protocol the stack's alone: ``HermitianTensor`` overrides
-none of it, so every kernel has one behaviour for tensors and stacks.
+none of it, so every kernel has one behaviour for tensors and stacks.  No
+module but ``functions`` reads a generator's ``value_at_1``, so whether a
+generator is normalized has one rule (``functions._admit``).
 """
 
 import ast
@@ -165,6 +167,23 @@ def test_handler_scan_sees_a_second_handler():
                      "        return False\ndef decompose(c):\n    try:\n        return g(c)\n"
                      "    except (ValueError, LinAlgError):\n        raise\n    except Exception:\n        pass\n")
     assert _linalg_handlers(tree) == [("certify", 4), ("decompose", 9)]
+
+
+def _value_at_1_reads(tree):
+    """Every read of an attribute named ``value_at_1``."""
+    return _owners(tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "value_at_1")
+
+
+def test_only_functions_reads_a_value_at_one():
+    # normalized is read from fn(1) once; everywhere else _admit decides it.
+    reads = {name: _value_at_1_reads(tree) for name, tree in _trees().items()}
+    assert {name for name, found in reads.items() if found} == {"functions.py"}
+
+
+def test_value_scan_sees_a_read_in_another_module():
+    tree = ast.parse("def lt_limit(x, y, g):\n    if abs(g.value_at_1 - 1.0) > 1e-12:\n        raise ValueError\n"
+                     "def weight(g):\n    return g.derivative_at_1\n")
+    assert _value_at_1_reads(tree) == [("lt_limit", 2)]
 
 
 def test_a_mean_factor_is_formed_only_where_the_mean_is_born():
