@@ -218,7 +218,8 @@ def trace_tail_bound(
     """Monte Carlo estimate of ``Tr(mean(z**q) * c^{-1})`` with its standard error.
 
     ``samples`` are PSD tensors; small negative eigenvalues are clamped at
-    zero before the power.  The standard error is that of the per-sample
+    zero before a fractional power (an integer ``q`` is a product of the
+    samples as given).  The standard error is that of the per-sample
     trace statistic (zero for constant samples).  Deviations are scaled by
     the least power of two above ``max |s|`` (an exact scaling), so finite
     statistics cannot overflow when squared.
@@ -235,8 +236,9 @@ def trace_tail_bound(
 
 
 def _tail_power(z: HermitianStack, q: float) -> HermitianStack:
-    """``z**q`` of a PSD stack, gated once on the decomposition the power
-    reads."""
+    """``z**q`` of a PSD stack, gated once: by :func:`core._gate` before
+    the products of an integer ``q >= 2``, else on the decomposition the
+    power reads."""
     return _power(z, q, "sample", psd=True)
 
 

@@ -745,25 +745,54 @@ def _composed(w: np.ndarray, v: np.ndarray):
 
 
 def spectral_power(h: HermitianStack, p: float) -> HermitianStack:
-    """``h**p`` through the spectral calculus.
+    """``h**p``: for an integer ``p >= 2`` a product of repeated squarings,
+    born with no spectrum, else through the spectral calculus.
 
     Integer powers take any spectrum.  A non-integer ``p`` needs a PSD one
-    (:func:`_gate_psd`, whose admitted noise below 0 maps as 0).
+    (:func:`_gate_psd`, whose admitted noise below 0 maps as 0).  A power
+    past the double range raises ``ValueError``.
     """
     return _power(h, p, "power input", psd=not float(p).is_integer())
 
 
 def _power(h: HermitianStack, p: float, name: str, psd: bool) -> HermitianStack:
     """Body of :func:`spectral_power`; with ``psd`` the spectrum passes
-    :func:`_gate_psd` under ``name`` first, on the decomposition the power
-    reads (a power of 1 reads only the eigenvalues)."""
-    if float(p) == 1.0:
+    :func:`_gate_psd` under ``name`` first.  A power of 1 reads only the
+    eigenvalues.  An integer ``p >= 2`` is :func:`_squarings` of the matrix,
+    after :func:`_gate`, and reads no spectrum; any other ``p`` maps the
+    eigenpairs, gated on the decomposition the power reads."""
+    n = float(p)
+    if n == 1.0:
         if psd:
             _gate_psd(h._eigenvalues(), name)
         return h
+    if n.is_integer() and n >= 2.0:
+        if psd:
+            _gate(h, name, psd=True)
+        try:
+            return h._derive(_squarings(h._matrix, int(n)))
+        except ValueError as exc:  # _seal's finiteness check
+            raise ValueError(f"{name} ** {n:g} leaves the double range") from exc
     if psd:
         return apply_spectral(h, lambda w: _gate_psd(w, name) ** p)
     return apply_spectral(h, lambda w: w**p)
+
+
+@_quiet
+def _squarings(a: np.ndarray, n: int) -> np.ndarray:
+    """``a**n`` of a Hermitian stack for an integer ``n >= 2`` by binary
+    powering (Higham, *Functions of Matrices*, SIAM 2008, Alg. 4.1): one
+    squaring per bit of ``n`` below the top, and one product per further
+    set bit, each through :func:`_symmetrize`.  Powers of one matrix
+    commute, so every product is Hermitian up to rounding."""
+    while not n & 1:
+        a, n = _symmetrize(a @ a), n >> 1
+    result = a
+    while n := n >> 1:
+        a = _symmetrize(a @ a)
+        if n & 1:
+            result = _symmetrize(result @ a)
+    return result
 
 
 def _gate(t: HermitianStack, name: str, psd: bool = False) -> None:

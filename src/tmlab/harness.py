@@ -262,7 +262,8 @@ def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
 
     Member ``t`` comes from its own stream, through :func:`_stacked`, in
     the same order as a lone :func:`sample`; the matrices are then formed as
-    one stack, validated unless Hermitian by construction (``spectrum``).
+    one stack, Hermitian by construction: a rotated spectrum, or a Gram
+    matrix through :func:`_symmetrize`.
     """
     d = spec.shape.square_dim
     if spec.kind == "spectrum" and spec.m == spec.M:
@@ -278,9 +279,11 @@ def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
         return _rotated(np.linalg.qr(gauss)[0], lam, spec.shape)
     rows = spec.dof if spec.kind == "wishart" else spec.rank
     (g,) = _stacked(spec.seed, trials, role, ((2, rows, d), None))
+    gram = _ct(g) @ g / rows
     if spec.kind == "wishart":
-        return HermitianStack.from_matrices(_ct(g) @ g / rows + 1e-6 * np.eye(d), spec.shape)
-    return HermitianStack.from_matrices(_ct(g) @ g / rows, spec.shape)
+        gram += 1e-6 * np.eye(d)
+    # Hermitian by construction: _validated's half + adjoint, without its norms.
+    return HermitianStack._trusted(_symmetrize(gram), spec.shape)
 
 
 def _stacked(seed: int, trials, role: int, *parts) -> list[np.ndarray]:
@@ -296,8 +299,20 @@ def _stacked(seed: int, trials, role: int, *parts) -> list[np.ndarray]:
                      for (_, span), stack in zip(parts, stacks)]
         for fill, stack in fills:
             fill(out=stack[k])
-    return [(g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0) if span is None
-            else span[0] + (span[1] - span[0]) * g for (_, span), g in zip(parts, stacks)]
+    return [_complex_gaussian(g) if span is None else span[0] + (span[1] - span[0]) * g
+            for (_, span), g in zip(parts, stacks)]
+
+
+def _complex_gaussian(g: np.ndarray) -> np.ndarray:
+    """``(re + 1j * im) / sqrt(2)`` of the halves ``re, im`` on axis -3 of
+    ``g``, each written into its part of one complex array times ``1 /
+    sqrt(2)``: the bits of numpy's complex division by ``sqrt(2)``, whose
+    Smith formula multiplies by the reciprocal, but for the sign of a part
+    that is exactly zero."""
+    z = np.empty(g.shape[:-3] + g.shape[-2:], dtype=np.complex128)
+    for k, part in enumerate((z.real, z.imag)):
+        np.multiply(g[..., k, :, :], 1.0 / math.sqrt(2.0), out=part)
+    return z
 
 
 def _rotated(q: np.ndarray, lam: np.ndarray, shape: TensorShape) -> HermitianStack:
@@ -459,7 +474,10 @@ class ExperimentConfig:
         if bad:
             raise ConfigError(f"unknown suites {bad}")
         if self.function is not None:
-            from_id(_of_kind("function", self.function, str, "a string"))
+            try:
+                from_id(_of_kind("function", self.function, str, "a string"))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.ensembles is not None:
             if not isinstance(self.ensembles, dict) or set(self.ensembles) != {"x", "y"}:
                 raise ConfigError("ensembles needs exactly the keys 'x' and 'y'")

@@ -73,7 +73,8 @@ def lt_expression(
     ``exp(q x)`` maps the cached eigenpairs of x (:func:`apply_spectral`),
     so x and y are decomposed once for a whole grid of q, and the mean reads
     the eigenpairs that ``exp(q y)`` is born with.  Each q decomposes only
-    the mean's quotient and the mean itself (for the ``1/q`` power).
+    the mean's quotient; an integer ``1/q`` (every point of the default
+    grid) powers the mean by products, and any other decomposes it.
     """
     q = float(q)
     if q == 0.0:
@@ -174,7 +175,8 @@ def lt_ordering_check(
 def _ordering_sides(x, y, lifted, w, q):
     """Both sides of :func:`lt_ordering_check` over stacks: the log-affine
     exponential ``exp(w log x + (1 - w) log y)``, the mean of the q-th
-    powers under the lifted generator, and its q-th root."""
+    powers under the lifted generator, and its q-th root (a product of
+    squarings for an integer ``1/q``, born with no spectrum)."""
     log_affine = tensor_exp(w * tensor_log(x) + (1.0 - w) * tensor_log(y))
     mean_q = _powered_mean(x, y, lifted, q)
     return log_affine, mean_q, spectral_power(mean_q, 1.0 / q)

@@ -1,10 +1,12 @@
-"""High-precision references for the means, ``eta``, the graded kernels
-and the Lie–Trotter limit, in mpmath (D <= 9).
+"""High-precision references for the means, ``eta``, the graded kernels,
+the Lie–Trotter limit and integer powers, in mpmath (D <= 16).
 
 Each reference treats its float64 input matrices as exact, works at ``DPS``
 decimal digits through mpmath's Hermitian eigensolver ``eighe``, and
 returns float64 numbers.  Spectral functions are applied through that
 eigensolver, so no reference shares a step with the kernels it checks.
+An integer power is mpmath's own matrix power, a product at 50 digits,
+whose rounding lies far below that of the float64 products it checks.
 """
 
 import mpmath as mp
@@ -118,6 +120,13 @@ def lt_final_error(x, y, fid, q, w):
         expression = _function(mean, lambda t: t ** (1 / q))
         limit = _function(w * xm + (1 - w) * ym, mp.exp)
         return float(mp.mnorm(expression - limit, "f") / mp.mnorm(limit, "f"))
+
+
+def integer_power(h, n, dps=50):
+    """``h**n`` of a matrix (float64, taken as exact) for an integer ``n``,
+    by mpmath's matrix power at ``dps`` digits (complex128)."""
+    with mp.workdps(dps):
+        return _complex(_matrix(h) ** n)
 
 
 def kantorovich(m, big_m, p):

@@ -106,11 +106,13 @@ class TestVerifyCommand:
             {"ensembles": {"x": {"kind": "wishart", "dof": 0}, "y": {"kind": "spectrum"}}},
             {"ensembles": {"x": {"dof": 4}, "y": {"kind": "spectrum"}}},
             {"ensembles": {"x": {"kind": "wishart", "dof": 4, "nu": 1}, "y": {"kind": "spectrum"}}},
+            {"function": "nope"},
+            {"function": "psi:inf"},
         ],
         ids=["tolerance-inf", "tolerance-nan", "tolerance-str", "trials-bool", "seed-float", "exponent-n", "dof-float",
              "m-float", "q-bool", "q-str", "q-nan", "p-inf", "ensemble-m-nan", "ensemble-M-inf", "ensemble-M-past-double",
              "shape-float", "norm-int", "dof-zero", "ensemble-no-kind",
-             "ensemble-unknown-field"],
+             "ensemble-unknown-field", "function-unknown", "function-psi-inf"],
     )
     def test_bad_config_value_exits_two(self, payload, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -155,6 +157,15 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--config", str(cfg_path)])
         assert code == 2, err
         assert "spectrum outside function domain" in err
+
+    def test_integer_power_past_double_range_exits_two(self, tmp_path):
+        # T3's root (mean_q)**(1/q) at q = 2**-60 is 60 squarings, past double range.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 3, "suites": ["T3_LieTrotterTail"], "exponents": {"q": 2.0**-60}}))
+        code, _, err = run_cli(["verify", "--config", str(cfg_path)])
+        assert code == 2, err
+        assert "power input ** 1.15292e+18 leaves the double range" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("suite", ["C1_AndoHiaiDual", "T3_LieTrotterTail"])
     def test_lifted_premise_reports_at_m_12(self, suite, tmp_path):

@@ -164,6 +164,22 @@ class TestSpectrumCache:
         # The scale bracket decides; neither side's values are read.
         assert counts.calls == {"eigh": 0, "eigvalsh": 1, "svd": 0, "cholesky": 0}
 
+    @pytest.mark.parametrize("n", [2, 3, 256])
+    def test_integer_power_decomposes_nothing(self, rng, counts, n):
+        # Repeated squaring reads no spectrum, and with none given no gate.
+        out = tm.spectral_power(rand_hermitian(rng), n)
+        assert counts.calls == {"eigh": 0, "eigvalsh": 0, "svd": 0, "cholesky": 0}
+        assert out._evals is None and out._eig is None
+
+    def test_fractional_power_decomposes_once(self, rng, counts):
+        tm.spectral_power(rand_pd(rng), 0.5)
+        assert counts.calls == {"eigh": 1, "eigvalsh": 0, "svd": 0, "cholesky": 0}
+
+    def test_trace_tail_bound_at_integer_q_decomposes_only_its_gates(self, rng, counts):
+        # A Cholesky certificate each for c and the sample stack; the power is a product.
+        tm.trace_tail_bound([rand_pd(rng) for _ in range(3)], 2.0, rand_pd(rng))
+        assert counts.calls == {"eigh": 0, "eigvalsh": 0, "svd": 0, "cholesky": 2}
+
     def test_cache_is_read_only(self, rng):
         t = rand_pd(rng)
         w, v = t._spectrum()
@@ -804,6 +820,11 @@ class TestErrorState:
     def test_overflow_near_the_double_range_raises_without_warning(self, call):
         with pytest.raises(ValueError):
             call(SHAPE2)
+
+    @pytest.mark.parametrize("n", [2, 3, 2**60])
+    def test_integer_power_past_the_double_range_says_so(self, n):
+        with pytest.raises(ValueError, match=r"power input \*\* .* leaves the double range"):
+            tm.spectral_power(tm.HermitianTensor.diag([1e200, 1.0], SHAPE2), n)
 
     def test_norms_near_the_double_range_warn_nothing(self):
         big = tm.HermitianTensor.diag([1e308, 1e308], SHAPE2)

@@ -18,11 +18,11 @@ from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 BUDGET = {
     "L1_PowerMonotone": (3, 0, 0, 3),
     "L2_Kantorovich": (3, 0, 0, 6),
-    "L3_MarkovChebyshev": (6, 0, 0, 0),
+    "L3_MarkovChebyshev": (3, 0, 0, 3),
     "T1_AndoHiaiGeneralized": (6, 0, 9, 0),
     "C1_AndoHiaiDual": (6, 0, 9, 0),
-    "T2_LieTrotterLimit": (51, 0, 0, 0),
-    "T3_LieTrotterTail": (18, 6, 9, 6),
+    "T2_LieTrotterLimit": (27, 0, 0, 0),
+    "T3_LieTrotterTail": (12, 12, 9, 6),
     "T7_Psi": (6, 12, 12, 6),
     "T8_Phi": (6, 12, 12, 6),
     "T9_TC": (6, 0, 21, 0),

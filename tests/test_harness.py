@@ -411,11 +411,15 @@ class TestSuites:
             run_suite("T3_LieTrotterTail", ExperimentConfig(trials=3, exponents={"p": p}))
             return calls["eigh"], calls["eigvalsh"]
 
-        # At r = 1 the tails are the root mean and the log-affine side.  At
-        # r != 1 they are powers of mean_q (whose eigh the root mean already
-        # took) and of the log-affine side; every spectral-calculus result is
-        # born with both caches, so the new tails cost no decomposition.
-        assert count(1.0) == count(1.5)
+        # The root mean mean_q**4 is a product, born with no spectrum; each
+        # branch's top-eigenvalue check reads its values by one eigvalsh, and
+        # its Loewner excess one more.  At r = 1 the pmi tail is the root mean,
+        # whose values its trace gate reuses.  At r = 1.5 it is mean_q**6, a
+        # product too, whose trace gate reads one more eigvalsh; the pmd tail,
+        # a fractional power of the log-affine side, maps the eigenpairs that
+        # side was born with.
+        assert count(1.0) == (4, 4)
+        assert count(1.5) == (4, 5)
 
     def test_config_ensemble_override_applies(self):
         cfg = ExperimentConfig.from_dict(

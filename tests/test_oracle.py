@@ -31,6 +31,12 @@ factor.  The bottom eigenvalue of C1's lifted premise mean at m = 12
 (condition up to 3e18 at D = 9) is within 1e-12 relative (3.5e-14
 measured), where ``eigvalsh`` of the formed mean is off by up to 44 times.
 
+An integer power ``spectral_power(h, n)`` is a product of repeated
+squarings.  At n = 2, 3, 6 and 256, on a PD and an indefinite h at D = 4
+and 16 with spectra in [-1, 1], it is within ``n D eps`` relative
+Frobenius distance of mpmath's 50-digit matrix power; the largest error
+measured over 40 such draws was 0.088 ``n D eps``.
+
 T1's Kantorovich factors ``K_k`` on its premise draws at m = 2, 3 and 12
 are within 1e-12 relative of a 50-digit evaluation of the ratio extremes
 and of ``K(m, M, 2q)`` on the same float64 spectra (1.2e-15 measured).
@@ -184,6 +190,19 @@ def test_t2_final_error_matches_oracle(monkeypatch):
     for i in range(6):
         want = oracle.lt_final_error(x.unfold()[i], y.unfold()[i], g.label, q_grid[-1], derivative_at_one(g))
         assert abs(final[i] - want) <= 1e-5 * want, (i, final[i], want)
+
+
+@pytest.mark.parametrize("d", [4, 16])
+@pytest.mark.parametrize("kind", ["pd", "indefinite"])
+def test_integer_power_matches_oracle(d, kind):
+    rng = np.random.default_rng([20261019, d])
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    lam = rng.uniform(0.1, 1.0, d) if kind == "pd" else rng.uniform(-1.0, 1.0, d)
+    h = tm.HermitianTensor.from_matrix((u * lam) @ u.conj().T, (d,))
+    for n in (2, 3, 6, 256):
+        want = oracle.integer_power(h.unfold(), n)
+        err = np.linalg.norm(tm.spectral_power(h, n).unfold() - want) / np.linalg.norm(want)
+        assert err <= n * d * np.finfo(float).eps, (n, err)
 
 
 @pytest.fixture(scope="module")
