@@ -21,6 +21,7 @@ from .core import (
     _integer,
     _per_item,
     _power,
+    _quiet,
 )
 from .functions import ConnectionFunction
 from .means import _quotient_levels
@@ -54,6 +55,7 @@ class BoundFactors:
         return float(math.prod(self.kk_list)) if self.kk_list else 1.0
 
 
+@_quiet
 def kantorovich(m, big_m, p):
     """Sharp constant K(m, M, p) with ``B <= A`` implying ``B**p <= K A**p``
     on spectra inside ``[m, M]``; elementwise over broadcast arrays, a
@@ -86,16 +88,15 @@ def kantorovich(m, big_m, p):
         i = np.argmax(big_m < m)
         raise ValueError(f"need M >= m, got M = {big_m[i]} < m = {m[i]}")
     trivial = (m == big_m) | ((0.0 <= p) & (p <= 1.0))
-    with np.errstate(all="ignore"):
-        h, rel = big_m / m, (big_m - m) / m
-        hp = h**p
-        cross = hp - h
-        first = ((p - 1.0) * (hp - 1.0) / (p * cross)) ** p
-        second = cross / ((p - 1.0) * rel)
-        t = np.log1p(rel)
-        lower = h * np.expm1((p - 1.0) * t)
-        near = ((p - 1.0) * np.expm1(p * t) / (p * lower)) ** p * lower / ((p - 1.0) * rel)
-        k = np.where(trivial, 1.0, np.where(big_m - m < m / 64.0, near, first * second))
+    h, rel = big_m / m, (big_m - m) / m
+    hp = h**p
+    cross = hp - h
+    first = ((p - 1.0) * (hp - 1.0) / (p * cross)) ** p
+    second = cross / ((p - 1.0) * rel)
+    t = np.log1p(rel)
+    lower = h * np.expm1((p - 1.0) * t)
+    near = ((p - 1.0) * np.expm1(p * t) / (p * lower)) ** p * lower / ((p - 1.0) * rel)
+    k = np.where(trivial, 1.0, np.where(big_m - m < m / 64.0, near, first * second))
     bad = ~np.isfinite(k)
     if bad.any():
         i = np.argmax(bad)
@@ -153,6 +154,7 @@ def dyadic_decompose(q: float) -> tuple[int, float]:
     return n, math.ldexp(q, -n)
 
 
+@_quiet
 def _ratio_extremes(lam: np.ndarray, live: np.ndarray, f: ConnectionFunction, a: float):
     """Extremes of ``f(z**a) f(z)**(-a)`` over the ascending spectra ``lam``
     of a stack; the entries that ``live`` marks dead (a null space) count
@@ -163,8 +165,7 @@ def _ratio_extremes(lam: np.ndarray, live: np.ndarray, f: ConnectionFunction, a:
     if dead and not (math.isfinite(f0) and f0 > 0.0):
         raise ValueError(f"{f.label}: spectral ratio undefined on the null space (limit at 0+ is {f0!r})")
     safe = np.where(live, lam, 1.0)
-    with np.errstate(all="ignore"):
-        ratios = np.where(live, f.fn(safe**a) / f.fn(safe) ** a, f0 ** (1.0 - a) if dead else 1.0)
+    ratios = np.where(live, f.fn(safe**a) / f.fn(safe) ** a, f0 ** (1.0 - a) if dead else 1.0)
     if not np.isfinite(ratios).all():
         raise ValueError(f"{f.label}: spectral ratio at exponent {a:g} is not finite")
     return _per_item(ratios.min(axis=-1)), _per_item(ratios.max(axis=-1))
@@ -265,10 +266,10 @@ def kyfan_stats(h: HermitianTensor, k: int) -> tuple[float, float]:
     return total, product
 
 
+@_quiet
 def _kyfan_profile(h: HermitianStack) -> np.ndarray:
     """Ky Fan statistics of every matrix for k = 1..D from its cached
     eigenvalues, shape ``(..., 3, D)``: the sums, the products and the sums
     of logs (finite for PD input, and free of overflow) of the k largest."""
     ev = h._eigenvalues()[..., ::-1]
-    with np.errstate(all="ignore"):
-        return np.stack([np.cumsum(ev, -1), np.cumprod(ev, -1), np.cumsum(np.log(ev), -1)], axis=-2)
+    return np.stack([np.cumsum(ev, -1), np.cumprod(ev, -1), np.cumsum(np.log(ev), -1)], axis=-2)

@@ -170,14 +170,14 @@ _QUIET = contextvars.ContextVar("tmlab_quiet", default=False)
 
 
 def _quiet(fn):
-    """Run a kernel with numpy's overflow and invalid-value warnings off.
+    """Run a kernel with numpy's overflow, invalid-value and divide-by-zero
+    warnings off (underflow is off by default): the package's one ``np.errstate``.
 
     Its matrix outputs pass the finiteness gate of ``_seal``, so an
     overflow raises ``ValueError("entries must be finite")`` there instead
-    of warning first.  Only the outermost ``_quiet`` kernel of a call
-    enters ``np.errstate``; the kernels it reaches run in that state
-    (``_QUIET`` records it per thread and task), and so do the helpers
-    they share, such as :func:`_frobenius`, which set no state of their own.
+    of warning first.  Only the outermost ``_quiet`` kernel of a call enters
+    the state (``_QUIET`` records it per thread and task); the kernels and
+    helpers it reaches, such as :func:`_frobenius`, run in it and set none.
     """
 
     @functools.wraps(fn)
@@ -186,7 +186,7 @@ def _quiet(fn):
             return fn(*args, **kwargs)
         token = _QUIET.set(True)
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 return fn(*args, **kwargs)
         finally:
             _QUIET.reset(token)
@@ -707,6 +707,7 @@ def _spectral_map(v: np.ndarray, mapped: np.ndarray) -> np.ndarray:
     return (v * mapped[..., None, :]) @ _ct(v)
 
 
+@_quiet
 def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -> HermitianStack:
     """Spectral function calculus: map eigenvalues through ``phi``.
 
@@ -720,8 +721,7 @@ def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -
     kernels ran before.
     """
     w, v = h._spectrum()
-    with np.errstate(all="ignore"):
-        mapped = phi(w)
+    mapped = phi(w)
     if not _all(np.isfinite(mapped)):
         bad = w[~np.isfinite(mapped)]
         raise ValueError(f"spectrum outside function domain at eigenvalues {bad}")

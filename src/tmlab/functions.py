@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _integer
+from .core import _integer, _quiet
 
 __all__ = [
     "ConnectionFunction",
@@ -86,6 +86,7 @@ class ConnectionFunction:
     derivative_at_1: float | None = None
     value_at_0plus: float | None = field(default=None)
 
+    @_quiet
     def __post_init__(self):
         tags = frozenset(self.tags)
         if not tags <= VALID_TAGS:
@@ -93,9 +94,8 @@ class ConnectionFunction:
         object.__setattr__(self, "tags", tags)
         if tags and not self.positive:
             raise ValueError("class tags require a positive function")
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._run_probes()
-            object.__setattr__(self, "normalized", abs(self.value_at_1 - 1.0) <= 1e-12)
+        self._run_probes()
+        object.__setattr__(self, "normalized", abs(self.value_at_1 - 1.0) <= 1e-12)
         if self.value_at_0plus is None:
             probe = self(1e-12)
             limit = math.inf if probe > 1e10 else probe
@@ -168,6 +168,11 @@ def _power(x, a):
     return x**a
 
 
+def _power_limit(a: float) -> float:
+    """The exact 0+ limit of ``x**a``: 0 for ``a > 0``, 1 at 0, else inf."""
+    return 1.0 if a == 0.0 else (0.0 if a > 0.0 else math.inf)
+
+
 def power(alpha: float) -> ConnectionFunction:
     """``x**alpha``;  alpha in [0, 1] is the operator monotone range."""
     a = float(alpha)
@@ -183,7 +188,7 @@ def power(alpha: float) -> ConnectionFunction:
         label=f"power:{a:g}",
         tags=frozenset(tags),
         derivative_at_1=a,
-        value_at_0plus=(1.0 if a == 0.0 else (0.0 if a > 0.0 else math.inf)),
+        value_at_0plus=_power_limit(a),
     )
 
 
@@ -250,13 +255,15 @@ def power_lift(f: ConnectionFunction, n: int) -> ConnectionFunction:
     deriv = None
     if f.derivative_at_1 is not None:
         deriv = n * f.value_at_1 + f.derivative_at_1
+    a = power_exponent(f)  # the lift of x**a is x**(n + a), whose 0+ limit is exact
+    limit = _power_limit(n + a) if a is not None else 0.0 if math.isfinite(f.value_at_0plus) else None
     return ConnectionFunction(
         fn=lambda x, n=n, f=f.fn: x**n * f(x),
         label=f"liftn:{n}:{f.label}",
         tags=frozenset(),
         positive=f.positive,
         derivative_at_1=deriv,
-        value_at_0plus=0.0 if math.isfinite(f.value_at_0plus) else None,
+        value_at_0plus=limit,
     )
 
 
@@ -281,7 +288,7 @@ def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
         deriv = g.value_at_1 - g.derivative_at_1
     # The transpose of x**p is x**(1 - p), whose 0+ limit is exact; any other is probed.
     p = power_exponent(g)
-    limit = None if p is None else (0.0 if p < 1.0 else 1.0 if p == 1.0 else math.inf)
+    limit = None if p is None else _power_limit(1.0 - p)
     return ConnectionFunction(
         fn=h,
         label=f"transpose:{g.label}",
@@ -320,6 +327,7 @@ def _admit(g: ConnectionFunction, tag: str | None = None, zero_limit: bool = Fal
     return g
 
 
+@_quiet
 def invert_fn(g: ConnectionFunction, y):
     """Solve ``g(x) = y`` for strictly monotone ``g`` on (0, inf), elementwise
     over an array of targets.
@@ -340,9 +348,8 @@ def invert_fn(g: ConnectionFunction, y):
     # Brackets: the first of 1, 1/2, 1/4, .. with resid <= 0 and the first
     # of 1, 2, 4, .. with resid >= 0.
     steps = 2.0 ** np.arange(65)
-    with np.errstate(over="ignore"):
-        r_lo = resid(1.0 / steps, targets[:, None]) <= 0.0
-        r_hi = resid(steps, targets[:, None]) >= 0.0
+    r_lo = resid(1.0 / steps, targets[:, None]) <= 0.0
+    r_hi = resid(steps, targets[:, None]) >= 0.0
     found = r_lo.any(axis=1) & r_hi.any(axis=1)
     if not found.all():
         raise ValueError(f"cannot bracket {targets[~found][0]!r} within 2**(+-64) for {g.label}")
@@ -431,15 +438,15 @@ class PmiCertificate:
     probe_grid: str
 
 
+@_quiet
 def _power_certificate(f, q_grid, x_grid, direction: str) -> PmiCertificate:
     if not q_grid or not len(x_grid):
         raise ValueError("grids must be nonempty")
     q = np.asarray(q_grid, dtype=np.float64)[:, None]
     x = np.asarray(x_grid, dtype=np.float64)
-    with np.errstate(all="ignore"):
-        num = f.fn(x**q)
-        den = f.fn(x) ** q
-        ratio = num / den if direction == "pmi" else den / num
+    num = f.fn(x**q)
+    den = f.fn(x) ** q
+    ratio = num / den if direction == "pmi" else den / num
     finite = np.isfinite(ratio)
     worst = max(1.0, float(ratio[finite].max())) if finite.any() else 1.0
     desc = f"q in {tuple(float(q) for q in q_grid)}, x grid of {len(x_grid)} points"

@@ -610,6 +610,7 @@ def _binom_stderr(p_hat, n: int):
     return np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
+@_quiet
 def run_suite(sid: SuiteId | str, cfg: ExperimentConfig) -> VerificationReport:
     """Execute one verification suite; deterministic given (config, seed).
     Its refusals, any ``ValueError`` it raises, are raised as a chained
@@ -714,8 +715,7 @@ def _tail_columns(cfg, checks) -> list:
     """
     c = np.array(C_SWEEP)
     held = [_excess(events, c[:, None]).T <= cfg.tolerance for events, _ in checks]
-    with np.errstate(over="ignore"):
-        stats = np.stack([traces[:, None] / c for _, traces in checks], axis=1)
+    stats = np.stack([traces[:, None] / c for _, traces in checks], axis=1)
     if not np.isfinite(stats).all():
         raise ValueError("a trace statistic Tr(tail**power) / c leaves double range")
     return [np.stack(held, axis=1), stats]
@@ -985,8 +985,7 @@ def _cap_floor_stacks(run, q, trials):
             )
         mean_q = _powered_mean(xp, yp, fn, q)
         scalar = base._eigenvalues()[:, 0] ** (1.0 - q) * _ratio_extremes(1.0 / z, live, fn, q)[1]
-        with np.errstate(over="ignore"):
-            bound = k1 * k2 * scalar if direction == "leq" else scalar / k2
+        bound = k1 * k2 * scalar if direction == "leq" else scalar / k2
         if not np.isfinite(bound).all():
             raise ValueError(f"the Kantorovich {'cap' if direction == 'leq' else 'floor'} leaves double range")
         out += [mean_q, bound]
@@ -1005,8 +1004,7 @@ def _suite_t9(run):
         cap_fail = _excess(mid_leq, caps) > tol
         floor_fail = _excess(floors, mid_geq) > tol
         # The caps are scalar multiples of I: Tr((cap I)**p) = d cap**p, checked by _tail_columns.
-        with np.errstate(over="ignore"):
-            cap_trace = d * caps**p
+        cap_trace = d * caps**p
         return [cap_fail, floor_fail] + _tail_columns(run.cfg, ((mid_leq, cap_trace),
                                                                 (floors, _power_trace(mid_geq, p))))
 
@@ -1017,14 +1015,18 @@ def _suite_t9(run):
                         [f"deterministic cap/floor failures: {chain_fail}/{2 * run.cfg.trials}"])
 
 
-def _cdf_dominance(low, mid, high, n, levels):
+def _cdf_dominance(low, mid, high, n, levels, tol):
     """Check Pr(low >= kappa) <= Pr(mid >= kappa) <= Pr(high >= kappa) beyond
     3 standard errors on a deterministic quantile grid of the mid statistic,
     for every column of the per-trial statistics (trials first) at once.
-    Returns per column the number of failing grid points and the worst
-    excess, floored at 0."""
+    A side counts past ``kappa`` only beyond the slack
+    ``tol * max(|kappa|, 1)``, the scale of :func:`_excess`, so a side that
+    ties the mid to rounding does not flip a count.  Returns per column the
+    number of failing grid points and the worst excess, floored at 0."""
     kappa = np.quantile(mid, levels, axis=0)[:, None]
-    p_lo, p_md, p_hi = (np.count_nonzero(v >= kappa, axis=1) / n for v in (low, mid, high))
+    slack = tol * np.maximum(np.abs(kappa), 1.0)
+    p_lo, p_md, p_hi = (np.count_nonzero(v >= k, axis=1) / n
+                        for v, k in ((low, kappa + slack), (mid, kappa), (high, kappa - slack)))
     s = _binom_stderr(p_md, n)
     bad = np.maximum(p_lo - p_md - 3.0 * (s + _binom_stderr(p_lo, n)), p_md - p_hi - 3.0 * (s + _binom_stderr(p_hi, n)))
     return np.count_nonzero(bad > 0, axis=0), np.maximum(bad.max(axis=0), 0.0)
@@ -1051,7 +1053,7 @@ def _majorization_report(run, sandwiches, levels):
     profiles = _per_trial(run.cfg, body)
     points = len(profiles) * len(levels)
     # Each sandwich's (statistic, k) columns at once: fails and worst are (2, D).
-    checks = [_cdf_dominance(*sides.swapaxes(0, 1), run.cfg.trials, levels) for sides in profiles]
+    checks = [_cdf_dominance(*sides.swapaxes(0, 1), run.cfg.trials, levels, run.cfg.tolerance) for sides in profiles]
     fails = sum(f for f, _ in checks)
     for s, stat in enumerate(("sum", "prod")):
         for j in np.flatnonzero(fails[s]):

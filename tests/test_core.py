@@ -770,12 +770,20 @@ class TestErrorState:
     def test_each_public_call_enters_one_error_state(self, rng, entries, shape):
         raw = [rand_pd(rng, shape).unfold().reshape(shape.dims * 2) for _ in range(2)]
         low = rand_psd_rank(rng, 2, shape).unfold().reshape(shape.dims * 2)
-        g = tm.geometric()  # a generator's construction probes it under its own error state
+        g = tm.geometric()
+        cfg = ExperimentConfig(trials=2, shape=shape.dims)
         calls = {
             "HermitianTensor": lambda x, y: tm.HermitianTensor(raw[0], shape),
             "mean_pd": lambda x, y: tm.mean_pd(x, y, g),
             "mean_psd": lambda x, y: tm.mean_psd(x, y, g),
             "loewner_compare": lambda x, y: tm.loewner_compare(x, y),
+            "apply_spectral": lambda x, y: tm.apply_spectral(x, np.sqrt),
+            "spectral_power": lambda x, y: tm.spectral_power(x, 0.5),
+            "tensor_exp": lambda x, y: tm.tensor_exp(x),
+            "tensor_log": lambda x, y: tm.tensor_log(x),
+            "mean_recursive": lambda x, y: tm.mean_recursive(x, y, g, 3),
+            "power": lambda x, y: tm.power(0.3),
+            "run_suite": lambda x, y: run_suite("T9_TC", cfg),
         }
         for name, call in calls.items():
             x, y = (tm.HermitianTensor(r, shape) for r in ([low, raw[1]] if name == "mean_psd" else raw))

@@ -10,6 +10,7 @@ from tmlab.functions import PROBE_GRID, ConnectionFunction
 from tmlab.harness import _SUITES, ConfigError, ExperimentConfig, SuiteId, _suite_function
 
 GRID = np.logspace(-3, 3, 41)
+SHAPE2 = tm.TensorShape((2,))
 
 
 class TestBuiltins:
@@ -69,6 +70,22 @@ class TestPowerLift:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             tm.power_lift(tm.geometric(), -1)
+
+    @pytest.mark.parametrize(
+        "fid, limit",
+        [("liftn:2:power:-2.5", math.inf), ("liftn:1:power:-0.5", 0.0), ("liftn:1:power:-1", 1.0),
+         ("liftn:1:geometric", 0.0)],
+    )
+    def test_power_lift_takes_the_exact_zero_limit(self, fid, limit):
+        # x**n x**a is x**(n + a): 0 for n + a > 0, 1 at n + a = 0, inf below.
+        assert tm.from_id(fid).value_at_0plus == limit
+
+    def test_lift_with_no_zero_limit_is_refused_on_psd_input(self):
+        # liftn:2:power:-2.5 is x**-0.5, refused as power:-0.5 is.
+        x, y = tm.HermitianTensor.diag([1.0, 0.0], SHAPE2), tm.HermitianTensor.diag([1.0, 1.0], SHAPE2)
+        for fid in ("power:-0.5", "liftn:2:power:-2.5"):
+            with pytest.raises(tm.UnsupportedFunctionError):
+                tm.mean_psd(x, y, tm.from_id(fid))
 
 
 class TestTranspose:

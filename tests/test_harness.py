@@ -268,6 +268,12 @@ class TestSuites:
         report = run_suite("C4_MajorizationTC", ExperimentConfig(trials=2, shape=(8, 8))).to_dict()
         assert all(math.isfinite(v) for v in report.values() if isinstance(v, float))
 
+    def test_majorization_tc_has_no_false_failure_at_d1(self):
+        # Every D = 1 draw commutes and its sandwich holds, but the cap ties
+        # the mean to rounding: a tie at a kappa point must flip no count.
+        report = run_suite("C4_MajorizationTC", ExperimentConfig(trials=20, shape=(1,)))
+        assert report.violations == 0, report.regime_notes
+
     @pytest.mark.parametrize("q", [8.5, 9.0, 10.0, 12.0, 16.0, 32.0])
     def test_exponent_suites_report_at_large_q(self, q):
         # Powered means and dyadic quotients read the eigenpairs of x and y,
@@ -436,7 +442,7 @@ class TestSuites:
         assert report.violations == 0
 
 
-def _cdf_dominance_per_column(low, mid, high, n, levels):
+def _cdf_dominance_per_column(low, mid, high, n, levels, tol):
     """The scalar rule of the majorization suites, one column and one kappa
     at a time: the reference of the stacked :func:`_cdf_dominance`."""
 
@@ -445,7 +451,9 @@ def _cdf_dominance_per_column(low, mid, high, n, levels):
 
     fails, worst = 0, 0.0
     for kappa in np.quantile(mid, levels):
-        p_lo, p_md, p_hi = (float(np.mean(v >= kappa)) for v in (low, mid, high))
+        slack = tol * max(abs(kappa), 1.0)
+        p_lo, p_md, p_hi = (float(np.mean(v >= k)) for v, k in ((low, kappa + slack), (mid, kappa),
+                                                                 (high, kappa - slack)))
         s = stderr(p_md)
         bad = (p_lo - p_md - 3.0 * (s + stderr(p_lo)), p_md - p_hi - 3.0 * (s + stderr(p_hi)))
         if max(bad) > 0:
@@ -456,19 +464,21 @@ def _cdf_dominance_per_column(low, mid, high, n, levels):
 
 def test_cdf_dominance_matches_the_scalar_rule_bit_for_bit(rng):
     # 200 column sets of 2 x 3 columns; coarse integer statistics give ties
-    # at the kappa points, and the shifts put sandwiches on both sides.
+    # at the kappa points, the shifts put sandwiches on both sides, and the
+    # larger tolerance moves the slack across those ties.
     failing = 0
     for _ in range(200):
         n = int(rng.integers(1, 40))
+        tol = 1e-8 if rng.random() < 0.5 else 0.25
         levels = (0.1, 0.5, 0.9) if rng.random() < 0.5 else (0.1, 0.3, 0.5, 0.7, 0.9)
         draw = (lambda: rng.integers(0, 4, size=(n, 2, 3)).astype(float)) if rng.random() < 0.5 else (
             lambda: rng.normal(size=(n, 2, 3)))
         mid = draw()
         low, high = mid + rng.choice([-1.0, 0.0, 1.0]) * draw(), mid + rng.choice([-1.0, 0.0, 1.0]) * draw()
-        fails, worst = _cdf_dominance(low, mid, high, n, levels)
+        fails, worst = _cdf_dominance(low, mid, high, n, levels, tol)
         for s in range(2):
             for j in range(3):
-                want = _cdf_dominance_per_column(low[:, s, j], mid[:, s, j], high[:, s, j], n, levels)
+                want = _cdf_dominance_per_column(low[:, s, j], mid[:, s, j], high[:, s, j], n, levels, tol)
                 assert (int(fails[s, j]), float(worst[s, j])) == want
         failing += int(np.count_nonzero(fails))
     assert 0 < failing < 200 * 6

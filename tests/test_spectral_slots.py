@@ -18,7 +18,9 @@ by the gates alone (no package code asks ``HermitianTensor.is_pd``), and
 keep the kernel protocol the stack's alone: ``HermitianTensor`` overrides
 none of it, so every kernel has one behaviour for tensors and stacks.  No
 module but ``functions`` reads a generator's ``value_at_1``, so whether a
-generator is normalized has one rule (``functions._admit``).
+generator is normalized has one rule (``functions._admit``).  No code but
+``core._quiet`` enters ``np.errstate``, so which numpy floating-point
+warnings the package silences is one decision.
 """
 
 import ast
@@ -194,6 +196,24 @@ def test_a_mean_factor_is_formed_only_where_the_mean_is_born():
 def test_factor_scan_sees_a_second_birth():
     tree = ast.parse("def mean(x, f, g):\n    return x._derive(f @ g, factor=(f, g))\n")
     assert _factor_births(tree) == [("mean", 2)]
+
+
+def _errstate_entries(tree):
+    """``(top-level definition, line)`` of every name or attribute ``errstate``."""
+    return [(getattr(stmt, "name", None), node.lineno) for stmt in tree.body for node in ast.walk(stmt)
+            if "errstate" in {getattr(node, "attr", None), getattr(node, "id", None)}]
+
+
+def test_only_quiet_enters_a_floating_point_state():
+    entries = {name: [owner for owner, _ in _errstate_entries(tree)] for name, tree in _trees().items()}
+    assert {name: owners for name, owners in entries.items() if owners} == {"core.py": ["_quiet"]}
+
+
+def test_errstate_scan_sees_a_local_block():
+    tree = ast.parse("def _quiet(fn):\n    def run():\n        with np.errstate(over='ignore'):\n"
+                     "            return fn()\n    return run\nclass F:\n    def probe(self):\n"
+                     "        with errstate(all='ignore'):\n            pass\n")
+    assert _errstate_entries(tree) == [("_quiet", 3), ("F", 8)]
 
 
 def test_calculus_and_draws_share_one_composition_body():
