@@ -332,6 +332,14 @@ class HermitianStack:
         w, v = self._spectrum()
         return self._derive(self._matrix, values=w, vectors=v)
 
+    @_quiet
+    def _scaled(self, c) -> "HermitianStack":
+        """``c`` times each matrix, for per-matrix numbers ``c >= 0``, which
+        keep the values ascending: born with ``c`` times the values of one
+        values read of ``self``, and no eigenvectors."""
+        c = np.asarray(c, dtype=np.float64)
+        return self._derive(self._matrix * c[..., None, None], values=self._eigenvalues() * c[..., None])
+
     def _member(self, i: int) -> "HermitianStack":
         """Matrix ``i``, a tensor of the stack's shape, born with its slice
         of the eigenpairs the stack holds."""

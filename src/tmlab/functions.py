@@ -201,6 +201,22 @@ def power_exponent(f: ConnectionFunction) -> float | None:
     return None
 
 
+def _exponent(fn) -> float | None:
+    """The exponent of an evaluation ``fn`` that is a power: a builtin
+    power's, or through a chain of lifts and transposes of one, where the
+    lift by ``n`` of ``x**a`` is ``x**(n + a)`` and its transpose
+    ``x**(1 - a)``; else None.  It gives the exact 0+ limit of such a
+    chain (:func:`_power_limit`), which a probe at ``1e-12`` misses."""
+    if not isinstance(fn, partial):
+        return None
+    if fn.func is _power:
+        return fn.keywords["a"]
+    inner = _exponent(fn.keywords["f"]) if fn.func in (_lift, _transposed) else None
+    if inner is None:
+        return None
+    return fn.keywords["n"] + inner if fn.func is _lift else 1.0 - inner
+
+
 def identity() -> ConnectionFunction:
     return power(1.0)
 
@@ -247,6 +263,10 @@ def psi(s: float) -> ConnectionFunction:
 # ---------------------------------------------------------------------------
 
 
+def _lift(x, n, f):
+    return x**n * f(x)
+
+
 def power_lift(f: ConnectionFunction, n: int) -> ConnectionFunction:
     """Lifted generator ``x**n * f(x)``; ``n = 0`` returns ``f`` itself."""
     n = _integer("lift exponent n", n)
@@ -255,16 +275,21 @@ def power_lift(f: ConnectionFunction, n: int) -> ConnectionFunction:
     deriv = None
     if f.derivative_at_1 is not None:
         deriv = n * f.value_at_1 + f.derivative_at_1
-    a = power_exponent(f)  # the lift of x**a is x**(n + a), whose 0+ limit is exact
-    limit = _power_limit(n + a) if a is not None else 0.0 if math.isfinite(f.value_at_0plus) else None
+    lifted = partial(_lift, n=n, f=f.fn)
+    a = _exponent(lifted)  # a lifted power is a power, whose 0+ limit is exact
+    limit = _power_limit(a) if a is not None else 0.0 if math.isfinite(f.value_at_0plus) else None
     return ConnectionFunction(
-        fn=lambda x, n=n, f=f.fn: x**n * f(x),
+        fn=lifted,
         label=f"liftn:{n}:{f.label}",
         tags=frozenset(),
         positive=f.positive,
         derivative_at_1=deriv,
         value_at_0plus=limit,
     )
+
+
+def _transposed(x, f):
+    return x * f(1.0 / x)
 
 
 def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
@@ -280,15 +305,13 @@ def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
     if "TC" in g.tags or "TMD" in g.tags:
         candidates.add("TC")
 
-    def h(x, g=g.fn):
-        return x * g(1.0 / x)
-
+    h = partial(_transposed, f=g.fn)
     deriv = None
     if g.derivative_at_1 is not None:
         deriv = g.value_at_1 - g.derivative_at_1
-    # The transpose of x**p is x**(1 - p), whose 0+ limit is exact; any other is probed.
-    p = power_exponent(g)
-    limit = None if p is None else _power_limit(1.0 - p)
+    # A transposed power is a power, whose 0+ limit is exact; any other is probed.
+    p = _exponent(h)
+    limit = None if p is None else _power_limit(p)
     return ConnectionFunction(
         fn=h,
         label=f"transpose:{g.label}",

@@ -356,18 +356,22 @@ def _dominate(y: HermitianStack, w: HermitianStack) -> HermitianStack:
     return y._derive(_symmetrize(root @ w.unfold() @ root))
 
 
-def _premise_pairs(run, trials, big_f, directions):
+def _premise_pair(run, trials, big_f, direction):
     """Premise enforcement at the suite boundary: the x/y draws of a chunk
-    of trials and their mean, rescaled once per direction from that one
-    mean (see :func:`_rescale`).  Non-PD draws are a configuration problem
-    (the premise suites need PD ensembles in both slots)."""
+    of trials and their mean, rescaled for ``direction`` (see
+    :func:`_rescale`).  Non-PD draws are a configuration problem (the
+    premise suites need PD ensembles in both slots).
+
+    T3, T9 and C4 rescale for ``leq`` only: the ``geq`` pair is ``rho =
+    t_top / t_bot`` times it, ``1 / rho`` the ``leq`` mean's bottom
+    eigenvalue, so by the positive homogeneity of Kubo–Ando means each
+    ``geq`` side is the ``leq`` side times a power of ``rho``."""
     x, y = run.pair(trials)
     try:
         base = mean_pd(x, y, big_f)
     except NotPositiveDefiniteError as exc:
         raise ConfigError(f"needs PD ensembles in both slots: {exc}") from exc
-    where = f"at m={run.cfg.exponents['m']}"
-    return [_rescale(x, y, base, direction, where) for direction in directions]
+    return _rescale(x, y, base, direction, f"at m={run.cfg.exponents['m']}")
 
 
 def enforce_premise(
@@ -792,8 +796,10 @@ def _suite_l2(run):
 
     def body(trials):
         b = _draw(run.ey, trials)
-        # The power reads a's eigenpairs, the constant its extremes: one eigh.
-        a = (b + _draw(run.ex, trials))._decomposed()
+        a = b + _draw(run.ex, trials)
+        if not p.is_integer():
+            # The power reads a's eigenpairs, the constant its extremes: one eigh.
+            a = a._decomposed()
         ap = spectral_power(a, p)
         bp = spectral_power(b, p)
         out = []
@@ -818,8 +824,10 @@ def _suite_l3(run):
 
     def body(trials):
         x, p1 = run.pair(trials)
-        # y's power and its tail event read one eigh.
-        y = (x + p1)._decomposed()
+        y = x + p1
+        if not q.is_integer():
+            # y's power and its tail event read one eigh.
+            y = y._decomposed()
         z = y + _increments(run.ey, trials)
         return _tail_columns(run.cfg, ((y, _power_trace(z, q)), (x, _power_trace(y, q))))
 
@@ -868,7 +876,7 @@ def _suite_ando_hiai(run, direction):
         notes.append("generator tagged TMI with the pmd certificate; corollary hypothesis read as stated")
 
     def body(trials):
-        ((xp, yp, _),) = _premise_pairs(run, trials, lifted, (direction,))
+        xp, yp, _ = _premise_pair(run, trials, lifted, direction)
         factors = const * _kk_lists(xp, g_aux, half, q, k_start).prod(axis=-1)
         mean = _powered_mean(xp, yp, lifted, q)
         return (factors, _excess(mean, factors)) if leq else (1.0 / factors, _excess(1.0 / factors, mean))
@@ -903,17 +911,11 @@ def _suite_t3(run):
     branches = ("pmi", "pmd")
 
     def body(trials):
-        pairs = _premise_pairs(run, trials, lifted, ("leq", "geq"))
+        mean_q, pmi, pmd = _lie_trotter_sides(run, trials, lifted, w, q)
+        # At r = 1 the pmi tail (mean_q)^(r/q) is the root mean itself.
+        tails = (pmi[1] if r == 1.0 else spectral_power(mean_q, r / q), spectral_power(pmd[1], r))
         flags, checks = [], []
-        for branch, (xp, yp, _) in zip(branches, pairs):
-            log_affine, mean_q, root_mean = _ordering_sides(xp, yp, lifted, w, q)
-            # pmi expects log_affine <= root_mean, pmd the reverse order.
-            if branch == "pmi":
-                # At r = 1 the tail (mean_q)^(r/q) is the root mean itself.
-                tail = root_mean if r == 1.0 else spectral_power(mean_q, r / q)
-                low, high = log_affine, root_mean
-            else:
-                low, high, tail = root_mean, log_affine, spectral_power(log_affine, r)
+        for (low, high), tail in zip((pmi, pmd), tails):
             head = _excess(low._eigenvalues()[:, -1], high._eigenvalues()[:, -1])
             flags += [_excess(low, high) > cfg.tolerance, head > cfg.tolerance]
             checks.append((low, _power_trace(tail, 1.0)))
@@ -930,6 +932,17 @@ def _suite_t3(run):
     return _tail_report(run, rows, *columns[4:], after)
 
 
+def _lie_trotter_sides(run, trials, lifted, w, q):
+    """T3's sides for one chunk: ``mean_q`` of the ``leq`` pair, then each
+    branch's ``(low, high)``, pmi's ``log_affine <= root_mean`` on the
+    ``leq`` pair and pmd's reverse order on the ``geq`` pair, whose sides,
+    of degree 1, are ``rho`` times those (see :func:`_premise_pair`)."""
+    xp, yp, mean = _premise_pair(run, trials, lifted, "leq")
+    log_affine, mean_q, root_mean = _ordering_sides(xp, yp, lifted, w, q)
+    rho = 1.0 / mean._eigenvalues()[:, 0]
+    return mean_q, (log_affine, root_mean), (root_mean._scaled(rho), log_affine._scaled(rho))
+
+
 def _dyadic_q(run) -> float:
     """Exponent q of the dyadic-factor suites."""
     q = run.cfg.exponents["q"]
@@ -943,11 +956,11 @@ def _dyadic_stacks(run, q, direction, trials):
     """Premise-enforced dyadic-factor stages for one chunk: the lower
     companion stack, the powered means and the upper companion stack."""
     fn = run.fn
-    ((xp, yp, base),) = _premise_pairs(run, trials, fn, (direction,))
+    xp, yp, base = _premise_pair(run, trials, fn, direction)
     lo, up = psi_factors(q, fn, xp, yp)
     mean_q = _powered_mean(xp, yp, fn, q)
     w = base._eigenvalues()
-    return lo * w[:, -1] ** (q - 1.0) * base, mean_q, up * w[:, 0] ** (q - 1.0) * base
+    return base._scaled(lo * w[:, -1] ** (q - 1.0)), mean_q, base._scaled(up * w[:, 0] ** (q - 1.0))
 
 
 def _suite_dyadic_tail(run, direction):
@@ -970,26 +983,29 @@ def _suite_dyadic_tail(run, direction):
 def _cap_floor_stacks(run, q, trials):
     """Premise-enforced Kantorovich cap/floor stages for one chunk.
 
-    Returns the powered means under the ``leq`` premise with their scalar
-    caps, then under the ``geq`` premise with their scalar floors.
+    Returns the powered mean under the ``leq`` premise with its scalar
+    caps, then under the ``geq`` premise, ``rho**q`` times it (see
+    :func:`_premise_pair`), with its scalar floors.  The quotient, its
+    ratio extremes and the Kantorovich pair, of degree 0, serve both.
     """
     fn = run.fn
-    out = []
-    for direction, (xp, yp, base) in zip(("leq", "geq"), _premise_pairs(run, trials, fn, ("leq", "geq"))):
-        k1, k2 = prop310_factors(xp, q)
-        (z,), live = _quotient_levels(xp, yp, 0)
-        if (z[:, 0] <= 0.0).any():
-            raise ConfigError(
-                "the Kantorovich cap/floor suite needs an invertible quotient of (y, x); "
-                "use PD ensembles for both slots"
-            )
-        mean_q = _powered_mean(xp, yp, fn, q)
-        scalar = base._eigenvalues()[:, 0] ** (1.0 - q) * _ratio_extremes(1.0 / z, live, fn, q)[1]
-        bound = k1 * k2 * scalar if direction == "leq" else scalar / k2
-        if not np.isfinite(bound).all():
-            raise ValueError(f"the Kantorovich {'cap' if direction == 'leq' else 'floor'} leaves double range")
-        out += [mean_q, bound]
-    return out
+    xp, yp, base = _premise_pair(run, trials, fn, "leq")
+    k1, k2 = prop310_factors(xp, q)
+    (z,), live = _quotient_levels(xp, yp, 0)
+    if (z[:, 0] <= 0.0).any():
+        raise ConfigError(
+            "the Kantorovich cap/floor suite needs an invertible quotient of (y, x); "
+            "use PD ensembles for both slots"
+        )
+    mean_q = _powered_mean(xp, yp, fn, q)
+    ratio = _ratio_extremes(1.0 / z, live, fn, q)[1]
+    # The bottom eigenvalue of the leq mean is 1 / rho, that of the geq mean 1.
+    bottom = base._eigenvalues()[:, 0]
+    caps = k1 * k2 * (bottom ** (1.0 - q) * ratio)
+    if not np.isfinite(caps).all():
+        raise ValueError("the Kantorovich cap leaves double range")
+    # A finite ratio over k2 >= 1 is a finite floor.
+    return mean_q, caps, mean_q._scaled(bottom**-q), ratio / k2
 
 
 def _suite_t9(run):

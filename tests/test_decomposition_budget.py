@@ -17,18 +17,18 @@ from tmlab.harness import ExperimentConfig, SuiteId, run_suite
 # suite: matrices decomposed by (eigh, eigvalsh, svd, cholesky)
 BUDGET = {
     "L1_PowerMonotone": (3, 0, 0, 3),
-    "L2_Kantorovich": (3, 0, 0, 6),
-    "L3_MarkovChebyshev": (3, 0, 0, 3),
+    "L2_Kantorovich": (0, 3, 0, 6),
+    "L3_MarkovChebyshev": (0, 3, 0, 6),
     "T1_AndoHiaiGeneralized": (6, 0, 9, 0),
     "C1_AndoHiaiDual": (6, 0, 9, 0),
     "T2_LieTrotterLimit": (27, 0, 0, 0),
-    "T3_LieTrotterTail": (12, 12, 9, 6),
-    "T7_Psi": (6, 12, 12, 6),
-    "T8_Phi": (6, 12, 12, 6),
-    "T9_TC": (6, 0, 21, 0),
-    "C2_MajorizationTMI": (6, 6, 12, 0),
-    "C3_MajorizationTMD": (6, 6, 12, 0),
-    "C4_MajorizationTC": (6, 0, 21, 0),
+    "T3_LieTrotterTail": (9, 9, 6, 6),
+    "T7_Psi": (6, 6, 12, 6),
+    "T8_Phi": (6, 6, 12, 6),
+    "T9_TC": (6, 0, 12, 0),
+    "C2_MajorizationTMI": (6, 0, 12, 0),
+    "C3_MajorizationTMD": (6, 0, 12, 0),
+    "C4_MajorizationTC": (6, 0, 12, 0),
     "T63_PsdLimit": (18, 3, 0, 0),
     "T65_JointConvexity": (27, 0, 0, 9),
     "APP_Fusion": (15, 0, 0, 15),

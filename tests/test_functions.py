@@ -112,13 +112,34 @@ class TestTranspose:
     @pytest.mark.parametrize(
         "fid, limit",
         [("geometric", 0.0), ("power:0.25", 0.0), ("power:-1", 0.0), ("power:0", 0.0), ("identity", 1.0),
-         ("power:1.5", math.inf), ("square", math.inf)],
+         ("power:1.5", math.inf), ("square", math.inf), ("liftn:1:geometric", math.inf)],
     )
     def test_power_transpose_takes_the_exact_zero_limit(self, fid, limit):
-        # x**p transposes to x**(1 - p): 0 for p < 1, 1 at p = 1, inf past it.
+        # x**p transposes to x**(1 - p): 0 for p < 1, 1 at p = 1, inf past it;
+        # the lift x * x**0.5 is the power x**1.5.
         assert tm.transpose_fn(tm.from_id(fid)).value_at_0plus == limit
 
-    @pytest.mark.parametrize("fid", ["harmonic_like", "psi:1", "liftn:1:geometric"])
+    @pytest.mark.parametrize("fid, limit, fn", [pytest.param(*case, id=case[0]) for case in (
+        ("transpose:transpose:power:-0.5", math.inf, lambda x: x * ((1.0 / x) * (1.0 / (1.0 / x)) ** -0.5)),
+        ("liftn:1:transpose:power:2.5", math.inf, lambda x: x**1 * (x * (1.0 / x) ** 2.5)),
+        ("transpose:liftn:1:power:0.6", math.inf, lambda x: x * ((1.0 / x) ** 1 * (1.0 / x) ** 0.6)),
+        ("liftn:1:transpose:power:2", 1.0, lambda x: x**1 * (x * (1.0 / x) ** 2.0)),
+        ("liftn:2:transpose:power:0.5", 0.0, lambda x: x**2 * (x * (1.0 / x) ** 0.5)),
+    )])
+    def test_chains_of_lifts_and_transposes_of_a_power_take_its_exact_zero_limit(self, fid, limit, fn):
+        # A lift by n takes x**a to x**(n + a), a transpose to x**(1 - a);
+        # the evaluation keeps its arithmetic.
+        g = tm.from_id(fid)
+        assert g.value_at_0plus == limit and g.label == fid
+        assert np.array_equal(g.fn(PROBE_GRID), fn(PROBE_GRID))
+
+    def test_mean_psd_refuses_a_chain_without_a_finite_zero_limit(self):
+        # liftn:1:transpose:power:2.5 is x**-0.5; a probe at 1e-12 recorded 1e6.
+        x, y = tm.HermitianTensor.diag([1.0, 0.0], SHAPE2), tm.HermitianTensor.diag([1.0, 1.0], SHAPE2)
+        with pytest.raises(tm.UnsupportedFunctionError, match="no finite limit at 0"):
+            tm.mean_psd(x, y, tm.from_id("liftn:1:transpose:power:2.5"))
+
+    @pytest.mark.parametrize("fid", ["harmonic_like", "psi:1", "liftn:1:harmonic_like"])
     def test_other_transposes_probe_the_zero_limit(self, fid):
         h = tm.transpose_fn(tm.from_id(fid))
         assert h.value_at_0plus == h(1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 
@@ -13,7 +14,10 @@ from tmlab.harness import (
     EnsembleSpec,
     ExperimentConfig,
     SuiteId,
+    _cap_floor_stacks,
     _cdf_dominance,
+    _chunks,
+    _lie_trotter_sides,
     _rescale,
     dominated_sample,
     enforce_premise,
@@ -22,6 +26,8 @@ from tmlab.harness import (
     run_suites,
     sample,
 )
+from tmlab.lie_trotter import _ordering_sides
+from tmlab.means import _powered_mean
 
 from conftest import SHAPE22, rand_pd
 
@@ -157,6 +163,54 @@ class TestEnforcePremise:
         base = tm.HermitianTensor.diag([-1e-9, 1.0, 2.0, 3.0], SHAPE)
         with pytest.raises(ConfigError, match="T3 at m=12: premise scale t = -1.000e-09 is not positive"):
             _rescale(x, y, base, "geq", "T3 at m=12")
+
+
+class TestPremiseHomogeneity:
+    """The geq sides of T3, T9 and C4 are their leq sides scaled by a power
+    of rho = t_top / t_bot; they must match the sides built from the geq
+    pair (x / t_bot, y / t_bot) itself, for one chunk of trials."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _run(monkeypatch, suite, d):
+        """The record that ``suite``'s runner gets at shape ``(d,)``."""
+        runs, sid = [], SuiteId[suite]
+        monkeypatch.setitem(_SUITES, sid, dataclasses.replace(_SUITES[sid], runner=runs.append))
+        run_suite(sid, ExperimentConfig(trials=8, shape=(d,)))
+        return runs[0], _chunks(runs[0].cfg)[0]
+
+    @staticmethod
+    def _geq_pair(run, trials, big_f):
+        x, y = run.pair(trials)
+        return _rescale(x, y, tm.mean_pd(x, y, big_f), "geq", "test")[:2]
+
+    @staticmethod
+    def _relative_error(got, want):
+        diff = got.unfold() - want.unfold()
+        return np.max(np.linalg.norm(diff, axis=(-2, -1)) / np.linalg.norm(want.unfold(), axis=(-2, -1)))
+
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_t3_pmd_sides_are_the_geq_pair_sides(self, monkeypatch, d):
+        run, trials = self._run(monkeypatch, "T3_LieTrotterTail", d)
+        m, q = run.cfg.exponents["m"], 0.25
+        lifted, w = tm.power_lift(run.fn, m), m + tm.derivative_at_one(run.fn)
+        _, _, (low, high) = _lie_trotter_sides(run, trials, lifted, w, q)
+        log_affine, _, root_mean = _ordering_sides(*self._geq_pair(run, trials, lifted), lifted, w, q)
+        # Each path rounds on its own: the root mean is a 4th power of the
+        # powered mean, and the log-affine side exponentiates a sum of logs.
+        # Measured at most 37 D eps (D = 4) over six seeds.
+        assert self._relative_error(low, root_mean) <= 64 * d * self.EPS
+        assert self._relative_error(high, log_affine) <= 64 * d * self.EPS
+
+    @pytest.mark.parametrize("suite", ["T9_TC", "C4_MajorizationTC"])
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_geq_powered_mean_is_the_geq_pair_mean(self, monkeypatch, suite, d):
+        run, trials = self._run(monkeypatch, suite, d)
+        q = max(1.0, run.cfg.exponents["q"])
+        mid_geq = _cap_floor_stacks(run, q, trials)[2]
+        want = _powered_mean(*self._geq_pair(run, trials, run.fn), run.fn, q)
+        assert self._relative_error(mid_geq, want) <= 16 * d * self.EPS
 
 
 class TestConfig:
@@ -417,15 +471,18 @@ class TestSuites:
             run_suite("T3_LieTrotterTail", ExperimentConfig(trials=3, exponents={"p": p}))
             return calls["eigh"], calls["eigvalsh"]
 
-        # The root mean mean_q**4 is a product, born with no spectrum; each
-        # branch's top-eigenvalue check reads its values by one eigvalsh, and
-        # its Loewner excess one more.  At r = 1 the pmi tail is the root mean,
-        # whose values its trace gate reuses.  At r = 1.5 it is mean_q**6, a
-        # product too, whose trace gate reads one more eigvalsh; the pmd tail,
-        # a fractional power of the log-affine side, maps the eigenpairs that
-        # side was born with.
-        assert count(1.0) == (4, 4)
-        assert count(1.5) == (4, 5)
+        # The sides are built once, on the leq pair: one eigh for the
+        # quotient of the premise mean, one for x and one for the log-affine
+        # exponential.  The root mean mean_q**4 is a product, born with no
+        # spectrum; pmi's top-eigenvalue check reads its values by one
+        # eigvalsh, and each branch's Loewner excess one more.  pmd's sides
+        # are pmi's scaled by rho, born with their values.  At r = 1 the pmi
+        # tail is the root mean, whose values its trace gate reuses.  At
+        # r = 1.5 it is mean_q**6, a product too, whose trace gate reads one
+        # more eigvalsh; the pmd tail, a fractional power of the scaled
+        # log-affine side, which has no eigenvectors, reads one more eigh.
+        assert count(1.0) == (3, 3)
+        assert count(1.5) == (4, 4)
 
     def test_config_ensemble_override_applies(self):
         cfg = ExperimentConfig.from_dict(

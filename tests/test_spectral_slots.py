@@ -343,6 +343,19 @@ class TestBirth:
         assert np.array_equal(born._eigenvalues(), w)
         assert np.array_equal(born._spectrum()[0], w) and np.array_equal(born._spectrum()[1], v)
 
+    @pytest.mark.parametrize("c", [np.array([0.5, 3.0, 1e-3]), 2.5], ids=["per-matrix", "number"])
+    def test_scaled_is_born_with_its_source_values_times_c(self, rng, monkeypatch, c):
+        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        s = HermitianStack.from_matrices(a + a.conj().swapaxes(-1, -2))
+        reads, read = [], HermitianStack._eigenvalues
+        monkeypatch.setattr(HermitianStack, "_eigenvalues", lambda t: reads.append(t) or read(t))
+        born = s._scaled(c)
+        assert len(reads) == 1 and reads[0] is s
+        monkeypatch.undo()
+        assert born._eig is None
+        assert np.array_equal(born._eigenvalues(), np.asarray(c)[..., None] * s._eigenvalues())
+        assert np.array_equal(born.unfold(), (s * c).unfold())
+
     @pytest.mark.parametrize("bounds", [(0.5, 2.0), (1.5, 1.5)], ids=["spectrum", "identity"])
     def test_sample_is_the_first_member_of_its_draw(self, bounds):
         spec = EnsembleSpec(TensorShape((2, 2)), "spectrum", 11, m=bounds[0], M=bounds[1])
