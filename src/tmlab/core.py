@@ -585,7 +585,9 @@ class HermitianTensor(HermitianStack):
     def is_pd(self, tol: float = PSD_RTOL) -> bool:
         """Whether ``lambda_min > tol * max(1, |self|_sp)``: a relative test
         for users.  No package code decides with it; the gates
-        ``_gate_pd`` and ``_gate_psd`` do."""
+        ``_gate_pd`` and ``_gate_psd`` do.  ``tol`` must be finite."""
+        if not math.isfinite(tol):
+            raise ValueError(f"tol must be finite, got {tol!r}")
         return self.lambda_min() > tol * max(1.0, self.spectral_scale())
 
     # -- serialization ----------------------------------------------------
@@ -931,8 +933,11 @@ def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL
     ``geq`` is ``lam_max <= tol * scale`` for ``scale = max(|x|_sp, |y|_sp,
     1)`` from the sides' eigenvalues, which are read only for a pair that
     the two ends of the :func:`_scale_bracket` decide differently.  Either
-    side may be a single tensor broadcast against a stack.
+    side may be a single tensor broadcast against a stack.  ``tol`` must be
+    finite: a NaN would refuse every order and an ``inf`` grant both.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     lam_min, lam_max = _loewner_gap(y, x)
     lo, hi = (np.maximum(np.maximum(sx, sy), 1.0) for sx, sy in zip(_scale_bracket(x), _scale_bracket(y)))
     leq, geq = lam_min >= -tol * lo, lam_max <= tol * lo

@@ -72,8 +72,11 @@ class ConnectionFunction:
         convexity building block ``psi(s)`` changes sign near 1 and opts
         out; sign-changing functions cannot carry class tags.
     derivative_at_1, value_at_0plus : float, optional
-        Analytic values when known.  ``value_at_0plus`` is otherwise probed
-        at ``x = 1e-12`` and recorded as ``inf`` above 1e10.
+        Analytic values when known.  A stated ``value_at_0plus`` is kept.
+        Otherwise it is exact for a power ``x**a`` (:func:`power_exponent`):
+        0 for ``a > 0``, 1 at ``a = 0`` and ``inf`` below.  Any other ``fn``
+        is probed at ``x = 1e-12``; a probe above 1e10 records ``inf`` and
+        one below 1e-10 in magnitude records 0.
 
     ``normalized`` is read from ``fn``: whether ``fn(1) = 1`` within 1e-12.
     """
@@ -97,8 +100,12 @@ class ConnectionFunction:
         self._run_probes()
         object.__setattr__(self, "normalized", abs(self.value_at_1 - 1.0) <= 1e-12)
         if self.value_at_0plus is None:
-            probe = self(1e-12)
-            limit = math.inf if probe > 1e10 else probe
+            a = power_exponent(self)
+            if a is not None:
+                limit = 1.0 if a == 0.0 else (0.0 if a > 0.0 else math.inf)
+            else:
+                probe = self(1e-12)
+                limit = math.inf if probe > 1e10 else (0.0 if abs(probe) < 1e-10 else probe)
             object.__setattr__(self, "value_at_0plus", limit)
 
     def _run_probes(self) -> None:
@@ -168,11 +175,6 @@ def _power(x, a):
     return x**a
 
 
-def _power_limit(a: float) -> float:
-    """The exact 0+ limit of ``x**a``: 0 for ``a > 0``, 1 at 0, else inf."""
-    return 1.0 if a == 0.0 else (0.0 if a > 0.0 else math.inf)
-
-
 def power(alpha: float) -> ConnectionFunction:
     """``x**alpha``;  alpha in [0, 1] is the operator monotone range."""
     a = float(alpha)
@@ -188,33 +190,27 @@ def power(alpha: float) -> ConnectionFunction:
         label=f"power:{a:g}",
         tags=frozenset(tags),
         derivative_at_1=a,
-        value_at_0plus=_power_limit(a),
     )
 
 
 def power_exponent(f: ConnectionFunction) -> float | None:
-    """``alpha`` when ``f`` evaluates as the power ``x**alpha`` (the builtins
-    ``power``, ``identity``, ``square`` and ``geometric``), else None."""
-    fn = f.fn
-    if isinstance(fn, partial) and fn.func is _power:
-        return fn.keywords["a"]
-    return None
+    """``alpha`` when ``f`` evaluates as the power ``x**alpha``, else None.
 
-
-def _exponent(fn) -> float | None:
-    """The exponent of an evaluation ``fn`` that is a power: a builtin
-    power's, or through a chain of lifts and transposes of one, where the
-    lift by ``n`` of ``x**a`` is ``x**(n + a)`` and its transpose
-    ``x**(1 - a)``; else None.  It gives the exact 0+ limit of such a
-    chain (:func:`_power_limit`), which a probe at ``1e-12`` misses."""
-    if not isinstance(fn, partial):
+    The builtin powers (``power``, ``identity``, ``square``, ``geometric``
+    and ``ando_hiai_g``'s closed form) are themselves; the lift by ``n`` of
+    ``x**a`` is ``x**(n + a)`` and its transpose ``x**(1 - a)``, taken from
+    the innermost power outward.  The one reader of a chain's parameters.
+    """
+    fn, chain = f.fn, []
+    while isinstance(fn, partial) and fn.func in (_lift, _transposed):
+        chain.append(fn)
+        fn = fn.keywords["f"]
+    if not (isinstance(fn, partial) and fn.func is _power):
         return None
-    if fn.func is _power:
-        return fn.keywords["a"]
-    inner = _exponent(fn.keywords["f"]) if fn.func in (_lift, _transposed) else None
-    if inner is None:
-        return None
-    return fn.keywords["n"] + inner if fn.func is _lift else 1.0 - inner
+    a = fn.keywords["a"]
+    for link in reversed(chain):
+        a = link.keywords["n"] + a if link.func is _lift else 1.0 - a
+    return a
 
 
 def identity() -> ConnectionFunction:
@@ -275,16 +271,13 @@ def power_lift(f: ConnectionFunction, n: int) -> ConnectionFunction:
     deriv = None
     if f.derivative_at_1 is not None:
         deriv = n * f.value_at_1 + f.derivative_at_1
-    lifted = partial(_lift, n=n, f=f.fn)
-    a = _exponent(lifted)  # a lifted power is a power, whose 0+ limit is exact
-    limit = _power_limit(a) if a is not None else 0.0 if math.isfinite(f.value_at_0plus) else None
     return ConnectionFunction(
-        fn=lifted,
+        fn=partial(_lift, n=n, f=f.fn),
         label=f"liftn:{n}:{f.label}",
         tags=frozenset(),
         positive=f.positive,
         derivative_at_1=deriv,
-        value_at_0plus=limit,
+        value_at_0plus=0.0 if math.isfinite(f.value_at_0plus) else None,
     )
 
 
@@ -309,16 +302,12 @@ def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
     deriv = None
     if g.derivative_at_1 is not None:
         deriv = g.value_at_1 - g.derivative_at_1
-    # A transposed power is a power, whose 0+ limit is exact; any other is probed.
-    p = _exponent(h)
-    limit = None if p is None else _power_limit(p)
     return ConnectionFunction(
         fn=h,
         label=f"transpose:{g.label}",
         tags=_probe_tags(h, h(PROBE_GRID), candidates) if g.positive else frozenset(),
         positive=g.positive,
         derivative_at_1=deriv,
-        value_at_0plus=limit,
     )
 
 
@@ -394,8 +383,9 @@ def invert_fn(g: ConnectionFunction, y):
 def ando_hiai_g(f: ConnectionFunction, m: int) -> ConnectionFunction:
     """Auxiliary increasing function ``x -> 1 / F_inv(1/x)`` with ``F = x**(m-1) f``.
 
-    For ``f = power(alpha)`` this is ``x**(1 / (m - 1 + alpha))`` in closed
-    form; generic ``f`` goes through numeric inversion of ``F``.
+    For a power ``f = x**alpha`` (:func:`power_exponent`) this is
+    ``x**(1 / (m - 1 + alpha))`` in closed form; generic ``f`` goes through
+    numeric inversion of ``F``.
     """
     m = _integer("m", m, low=2)
     if not f.positive:

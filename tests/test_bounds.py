@@ -220,10 +220,14 @@ class TestPsiPhiFactors:
 
     @pytest.mark.parametrize("q", [1.5, 3.0])
     def test_null_space_skips_generator(self, q):
-        # ando_hiai_g of a non-power f inverts F numerically and raises at 0;
-        # the dead eigenvalue of the rank-deficient quotient must count
-        # through the 0+ limit without reaching fn
-        f = tm.ando_hiai_g(tm.harmonic_like(), 2)
+        # The dead eigenvalue of the rank-deficient quotient must count
+        # through the stated 0+ limit without reaching fn, which refuses 0.
+        def fn(x):
+            if np.any(x <= 0.0):
+                raise ValueError("fn reached the null space")
+            return 2.0 / (1.0 + x)
+
+        f = tm.ConnectionFunction(fn=fn, label="undefined_at_0", value_at_0plus=2.0)
         x = tm.HermitianTensor.diag([0.0, 1.0, 2.0, 3.0], SHAPE22)
         y = tm.HermitianTensor.diag([0.0, 0.5, 1.5, 2.5], SHAPE22)
         n, q0 = tm.dyadic_decompose(q)
@@ -234,6 +238,14 @@ class TestPsiPhiFactors:
         lo, up = tm.psi_factors(q, f, x, y)
         assert lo == pytest.approx(min(r_top) * min(r_lvl), rel=1e-10)
         assert up == pytest.approx(max(r_top) * max(r_lvl), rel=1e-10)
+
+    @pytest.mark.parametrize("fid", ["harmonic_like", "transpose:harmonic_like"])
+    def test_a_vanishing_zero_limit_is_refused_on_a_null_space(self, fid):
+        # transpose:harmonic_like is harmonic_like, 2x / (1 + x); its probe
+        # 2e-12 at 1e-12 records 0, so it is refused as the builtin is.
+        x = tm.HermitianTensor.diag([1.0, 0.0], SHAPE2)
+        with pytest.raises(ValueError, match="spectral ratio undefined on the null space"):
+            tm.psi_factors(2.0, tm.from_id(fid), x, x)
 
     def test_domination_required_at_each_level(self):
         x = tm.HermitianTensor.diag([1.0, 0.0], SHAPE2)

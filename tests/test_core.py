@@ -361,6 +361,26 @@ class TestLoewnerCompare:
             assert tm.loewner_compare(y, z, 0.0).is_leq
             assert tm.loewner_compare(x, z, 0.0).is_leq
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda tol: tm.loewner_compare(tm.HermitianTensor.diag([1.0, 2.0], SHAPE2),
+                                       tm.HermitianTensor.diag([3.0, 4.0], SHAPE2), tol),
+        lambda tol: tm.HermitianTensor.diag([1.0, 2.0], SHAPE2).is_pd(tol),
+        lambda tol: tm.fusion_gap(*(tm.DominationPair(tm.HermitianTensor.diag([1.0, 2.0, 3.0, 4.0], SHAPE22),
+                                                      tm.HermitianTensor.identity(SHAPE22), "left"),) * 2,
+                                  tm.square(), tol),
+        lambda tol: tm.transform_gap(tm.pinching([(0, 1), (2, 3)], SHAPE22),
+                                     tm.DominationPair(tm.HermitianTensor.diag([1.0, 2.0, 3.0, 4.0], SHAPE22),
+                                                       tm.HermitianTensor.identity(SHAPE22), "left"),
+                                     tm.square(), tol),
+        lambda tol: tm.lt_ordering_check(*(0.25 * tm.HermitianTensor.identity(SHAPE22),) * 2, tm.geometric(),
+                                         2, 0.25, "pmi", tol),
+    ], ids=["loewner_compare", "is_pd", "fusion_gap", "transform_gap", "lt_ordering_check"])
+    def test_a_non_finite_tolerance_is_refused(self, call, tol):
+        # A NaN tol refused every order and an inf one granted both.
+        with pytest.raises(ValueError, match="tol must be finite"):
+            call(tol)
+
 
 class TestGaugeNorms:
     def test_named_values(self):

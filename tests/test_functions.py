@@ -141,8 +141,14 @@ class TestTranspose:
 
     @pytest.mark.parametrize("fid", ["harmonic_like", "psi:1", "liftn:1:harmonic_like"])
     def test_other_transposes_probe_the_zero_limit(self, fid):
+        # A probe below 1e-10 in magnitude records 0.
         h = tm.transpose_fn(tm.from_id(fid))
-        assert h.value_at_0plus == h(1e-12)
+        probe = h(1e-12)
+        assert h.value_at_0plus == (0.0 if abs(probe) < 1e-10 else probe)
+
+    def test_transposed_harmonic_like_records_a_zero_limit(self):
+        # x * g(1/x) for g = 2x / (1 + x) is g again; the probe reads 2e-12.
+        assert tm.transpose_fn(tm.harmonic_like()).value_at_0plus == 0.0
 
 
 class TestEvalExtended:
@@ -395,8 +401,31 @@ def test_power_exponent_recognises_power_generators():
     assert tm.power_exponent(tm.square()) == 2.0
     assert tm.power_exponent(tm.geometric()) == 0.5
     assert tm.power_exponent(tm.harmonic_like()) is None
-    assert tm.power_exponent(tm.power_lift(tm.geometric(), 1)) is None
+    assert tm.power_exponent(tm.power_lift(tm.geometric(), 1)) == 1.5
     assert tm.power_exponent(ConnectionFunction(fn=np.sqrt, label="power:0.5")) is None
+
+
+@pytest.mark.parametrize("fid, alpha", [
+    ("transpose:power:0.5", 0.5), ("liftn:1:geometric", 1.5), ("transpose:transpose:power:-0.5", -0.5),
+    ("transpose:liftn:1:power:0.6", 1 - 1.6),
+])
+def test_power_exponent_follows_lifts_and_transposes(fid, alpha):
+    # A lift by n takes x**a to x**(n + a), a transpose to x**(1 - a),
+    # computed from the innermost power outward.
+    assert tm.power_exponent(tm.from_id(fid)) == alpha
+
+
+@pytest.mark.parametrize("fid", ["transpose:harmonic_like", "liftn:1:harmonic_like"])
+def test_power_exponent_names_no_chain_of_another_generator(fid):
+    assert tm.power_exponent(tm.from_id(fid)) is None
+
+
+@pytest.mark.parametrize("fid", ["power:0.5", "transpose:power:0.5"])
+def test_ando_hiai_g_of_a_power_chain_is_a_power_with_its_exact_zero_limit(fid):
+    # x * x**0.5 = x**1.5 inverts to x**(1 / 1.5); a probe at 1e-12 read 1e-8.
+    g = tm.ando_hiai_g(tm.from_id(fid), 2)
+    assert tm.power_exponent(g) == 1 / 1.5
+    assert g.value_at_0plus == 0.0
 
 
 def test_ando_hiai_rejects_constant_lift():

@@ -380,6 +380,14 @@ class TestSuites:
         with pytest.raises(ConfigError, match="normalized"):
             run_suite("T2_LieTrotterLimit", cfg)
 
+    @pytest.mark.parametrize("suite, name", [("T1_AndoHiaiGeneralized", "m1"), ("C1_AndoHiaiDual", "m2")])
+    def test_a_transposed_power_runs_as_the_power(self, suite, name):
+        # transpose:power:0.5 is x**0.5: the exact constant and the closed-form map.
+        power, chain = (run_suite(suite, ExperimentConfig(trials=20, function=fid))
+                        for fid in ("power:0.5", "transpose:power:0.5"))
+        assert f"{name}=1 exactly (power generator)" in chain.regime_notes
+        assert chain.bound_value == power.bound_value
+
     def test_unknown_suite_name(self):
         with pytest.raises(ConfigError, match="unknown suite"):
             run_suite("T99_Nope", ExperimentConfig())

@@ -19,6 +19,8 @@ keep the kernel protocol the stack's alone: ``HermitianTensor`` overrides
 none of it, so every kernel has one behaviour for tensors and stacks.  No
 module but ``functions`` reads a generator's ``value_at_1``, so whether a
 generator is normalized has one rule (``functions._admit``).  No code but
+``functions.power_exponent`` reads a ``partial``'s ``keywords``, so whether
+a generator is a power, and which, has one rule.  No code but
 ``core._quiet`` enters ``np.errstate``, so which numpy floating-point
 warnings the package silences is one decision.
 """
@@ -186,6 +188,24 @@ def test_value_scan_sees_a_read_in_another_module():
     tree = ast.parse("def lt_limit(x, y, g):\n    if abs(g.value_at_1 - 1.0) > 1e-12:\n        raise ValueError\n"
                      "def weight(g):\n    return g.derivative_at_1\n")
     assert _value_at_1_reads(tree) == [("lt_limit", 2)]
+
+
+def _keyword_reads(tree):
+    """Every read of an attribute named ``keywords`` (a ``partial``'s)."""
+    return _owners(tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "keywords")
+
+
+def test_only_power_exponent_reads_a_partials_keywords():
+    # The chain rule for powers (lift: n + a, transpose: 1 - a) is one function.
+    reads = {name: {owner for owner, _ in _keyword_reads(tree)} for name, tree in _trees().items()}
+    assert {name: owners for name, owners in reads.items() if owners} == {"functions.py": {"power_exponent"}}
+
+
+def test_keyword_scan_sees_a_second_reader():
+    tree = ast.parse("def power_exponent(f):\n    return f.fn.keywords['a']\n"
+                     "def _exponent(fn):\n    inner = fn.keywords['f']\n    return fn.keywords.get('n')\n"
+                     "def call(g):\n    return g(keywords=1)\n")
+    assert _keyword_reads(tree) == [("power_exponent", 2), ("_exponent", 4), ("_exponent", 5)]
 
 
 def test_a_mean_factor_is_formed_only_where_the_mean_is_born():
