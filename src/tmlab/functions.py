@@ -5,21 +5,22 @@ calculus (see :mod:`tmlab.means`).  Its ``fn`` is elementwise on float64
 arrays, so a whole spectrum maps in one call.  Instances carry class tags
 from ``{"TMI", "TMD", "TC"}`` (monotone increasing / decreasing / convex,
 each positive), whether ``fn(1) = 1``, and analytic values where known.
-Tags are caller-asserted but validated against scalar probes on a
-logarithmic grid; scalar probes cannot certify the tensor (operator)
-versions of these properties, they only reject gross misuse.
+Tags are caller-asserted and checked at construction by one matrix probe
+on a logarithmic grid (:func:`_class_readings`): Loewner's theorem for
+operator monotonicity and Kraus's for operator convexity.  A finite grid
+gives a necessary condition, not a certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .core import _integer, _quiet
+from .core import _EPS, _integer, _quiet
 
 __all__ = [
     "ConnectionFunction",
@@ -46,7 +47,13 @@ __all__ = [
 
 # 64-point logarithmic probe grid spanning twelve decades.
 PROBE_GRID = np.logspace(-6.0, 6.0, 64)
-PROBE_TOL = 1e-9
+# Where a generator is probed: the grid, the grid moved up and down by a
+# relative 1e-4 (the Loewner diagonal), and three Kraus anchors, the
+# grid's geometric midpoints nearest 1e-3, 1 and 1e3.
+_PROBE_POINTS = np.concatenate([PROBE_GRID, PROBE_GRID * (1.0 + 1e-4), PROBE_GRID * (1.0 - 1e-4),
+                                np.sqrt(PROBE_GRID[15:48:16] * PROBE_GRID[16:49:16])])
+# A class reading below -_CLASS_TOL refuses the tag.
+_CLASS_TOL = 1e-6
 
 DEFAULT_X_GRID = tuple(np.logspace(-3.0, 3.0, 41))
 DEFAULT_Q_GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0)
@@ -66,7 +73,8 @@ class ConnectionFunction:
     label : str
         Display / config id.
     tags : frozenset of {"TMI", "TMD", "TC"}
-        Asserted function classes, validated by scalar probes.
+        Asserted function classes, checked by the class probe
+        (:func:`_class_readings`); a tag that fails raises ``ValueError``.
     positive : bool
         Whether positivity on (0, inf) is required and probed.  The
         convexity building block ``psi(s)`` changes sign near 1 and opts
@@ -109,15 +117,15 @@ class ConnectionFunction:
             object.__setattr__(self, "value_at_0plus", limit)
 
     def _run_probes(self) -> None:
-        values = self.fn(PROBE_GRID)
+        values = self.fn(_PROBE_POINTS)
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{self.label}: non-finite values on probe grid")
         if self.positive and np.any(values <= 0.0):
             raise ValueError(f"{self.label}: not positive on probe grid")
-        failed = self.tags - _probe_tags(self.fn, values, self.tags)
-        for tag, what in _PROBE_NAMES.items():
-            if tag in failed:
-                raise ValueError(f"{self.label}: {tag} tag fails {what} probe")
+        for tag, reading in _class_readings(values, self.tags).items():
+            if not reading >= -_CLASS_TOL:
+                raise ValueError(f"{self.label}: {tag} tag fails the operator {_PROBE_NAMES[tag]} probe"
+                                 f" (reading {reading:.2g})")
 
     def __call__(self, x: float) -> float:
         """Scalar convenience: ``fn`` at one point, through the array path."""
@@ -139,31 +147,61 @@ class ConnectionFunction:
         return f"ConnectionFunction({self.label!r})"
 
 
-_PROBE_NAMES = {"TMI": "monotonicity", "TMD": "monotonicity", "TC": "midpoint convexity"}
+_PROBE_NAMES = {"TMI": "monotonicity", "TMD": "monotonicity", "TC": "convexity"}
 
 
-def _midpoint_convex(fn, grid_values, scale) -> bool:
-    for stride in (1, 4):
-        mid = fn((PROBE_GRID[:-stride] + PROBE_GRID[stride:]) / 2.0)
-        chord = (grid_values[:-stride] + grid_values[stride:]) / 2.0
-        if np.any(mid > chord + PROBE_TOL * np.maximum(scale, np.abs(chord))):
-            return False
-    return True
+def _class_readings(values, tags) -> dict:
+    """The one class rule: per tag in ``tags``, a reading from ``values``
+    (``fn`` on ``_PROBE_POINTS``) that is negative when ``fn`` leaves the class.
 
+    ``f`` is operator monotone iff its Loewner matrix ``[f^[1](t_i, t_j)]``
+    is PSD on every point set (Loewner, Math. Z. 38, 1934), and operator
+    convex iff ``f^[1](s, .)`` is operator monotone (Kraus, Math. Z. 41,
+    1936; Hansen & Tomiyama, LAA 420, 2007).  TMI reads the Loewner matrix
+    of ``f`` on ``PROBE_GRID``, TMD that of ``-f``, and TC, at each anchor
+    ``s``, that of ``f^[1](s, .)``: ``[f^[2](s, t_i, t_j)]``, formed as
+    ``(f^[1](s, t_j) - f^[1](t_i, t_j)) / (s - t_i)``, since differences of
+    ``f^[1](s, .)`` itself cancel when ``s`` is far from the points.  The
+    diagonal is the divided difference over ``t_i (1 -+ 1e-4)``, the mean
+    of ``f'`` there; a class member's ``f'`` is convex, so the mean is at
+    least ``f'(t_i)`` and the matrix stays PSD.  Scaled to a unit diagonal
+    (where nonzero), a matrix reads ``(lambda_min + |E|_F) / |lambda|_max``:
+    ``E`` bounds what a rounding of 4 ulps in each value makes of the
+    entries, which by Weyl's theorem bounds its move of ``lambda_min``, so
+    a constant or affine ``f`` reads its rounding as noise.  An overflowed
+    matrix reads -inf.  A finite grid gives a necessary condition, not a
+    certificate: a function closer to the class than ``_CLASS_TOL``
+    resolves passes.
+    """
+    if not tags:
+        return {}
+    n, err = PROBE_GRID.size, 4.0 * _EPS * np.abs(values)
+    i, eye = np.arange(n), np.eye(n, dtype=bool)
+    x, y = np.where(eye, n + i, i[:, None]), np.where(eye, 2 * n + i, i)
 
-def _probe_tags(fn, values, candidates) -> frozenset:
-    """Subset of candidate tags that survive the scalar probes, given the
-    values ``fn(PROBE_GRID)``."""
-    kept = set()
-    scale = max(1.0, float(np.max(np.abs(values))))
-    diffs = np.diff(values)
-    if "TMI" in candidates and np.all(diffs >= -PROBE_TOL * scale):
-        kept.add("TMI")
-    if "TMD" in candidates and np.all(diffs <= PROBE_TOL * scale):
-        kept.add("TMD")
-    if "TC" in candidates and _midpoint_convex(fn, values, scale):
-        kept.add("TC")
-    return frozenset(kept)
+    def divided(p, q, a, b):  # (value, rounding bound) pairs; a, b index _PROBE_POINTS
+        step = _PROBE_POINTS[a] - _PROBE_POINTS[b]
+        return (p[0] - q[0]) / step, (p[1] + q[1]) / np.abs(step)
+
+    loewner = divided((values[x], err[x]), (values[y], err[y]), x, y)
+    mats = {"TMI": loewner, "TMD": (-loewner[0], loewner[1])}
+    if "TC" in tags:
+        s = np.arange(3 * n, _PROBE_POINTS.size)[:, None, None]
+        mats["TC"] = divided(divided((values[s], err[s]), (values[y], err[y]), s, y), loewner, s, x)
+    readings = {}
+    for tag in [tag for tag in _PROBE_NAMES if tag in tags]:
+        m, bound = mats[tag]
+        d = np.abs(np.diagonal(m, axis1=-2, axis2=-1))
+        r = np.sqrt(np.where(d > 0.0, d, 1.0))
+        r = r[..., :, None] * r[..., None, :]
+        m, bound = m / r, bound / r
+        if not np.all(np.isfinite(m)):
+            readings[tag] = -math.inf
+            continue
+        w = np.linalg.eigvalsh(m)
+        slack = w[..., 0] + np.sqrt(np.sum(bound * bound, axis=(-2, -1)))
+        readings[tag] = float(np.min(slack / np.maximum(np.abs(w).max(axis=-1), np.finfo(np.float64).tiny)))
+    return readings
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +216,10 @@ def _power(x, a):
 def power(alpha: float) -> ConnectionFunction:
     """``x**alpha``;  alpha in [0, 1] is the operator monotone range."""
     a = float(alpha)
+    return _power_generator(a, f"power:{a:g}")
+
+
+def _power_generator(a: float, label: str) -> ConnectionFunction:
     tags = set()
     if 0.0 <= a <= 1.0:
         tags.add("TMI")
@@ -187,7 +229,7 @@ def power(alpha: float) -> ConnectionFunction:
         tags.add("TC")
     return ConnectionFunction(
         fn=partial(_power, a=a),
-        label=f"power:{a:g}",
+        label=label,
         tags=frozenset(tags),
         derivative_at_1=a,
     )
@@ -218,11 +260,11 @@ def identity() -> ConnectionFunction:
 
 
 def square() -> ConnectionFunction:
-    return replace(power(2.0), label="square")
+    return _power_generator(2.0, "square")
 
 
 def geometric() -> ConnectionFunction:
-    return replace(power(0.5), label="geometric")
+    return _power_generator(0.5, "geometric")
 
 
 def harmonic_like() -> ConnectionFunction:
@@ -288,24 +330,17 @@ def _transposed(x, f):
 def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
     """Transpose ``x * g(1/x)``; an involution, swaps the two mean slots.
 
-    Operator theory carries TMI to TMI and TC to TC (and TMD into TC); the
-    carried tags are additionally re-probed and dropped if the scalar shadow
-    fails, never raising.
+    Carries the tags operator theory carries: TMI to TMI, and TC or TMD to
+    TC (Kubo & Ando, Math. Ann. 246, 1980).  The constructor checks them as
+    it checks any asserted tag, so a ``g`` tagged out of its class raises.
     """
-    candidates = set()
-    if "TMI" in g.tags:
-        candidates.add("TMI")
-    if "TC" in g.tags or "TMD" in g.tags:
-        candidates.add("TC")
-
-    h = partial(_transposed, f=g.fn)
     deriv = None
     if g.derivative_at_1 is not None:
         deriv = g.value_at_1 - g.derivative_at_1
     return ConnectionFunction(
-        fn=h,
+        fn=partial(_transposed, f=g.fn),
         label=f"transpose:{g.label}",
-        tags=_probe_tags(h, h(PROBE_GRID), candidates) if g.positive else frozenset(),
+        tags=(g.tags & {"TMI"}) | ({"TC"} if g.tags & {"TC", "TMD"} else set()),
         positive=g.positive,
         derivative_at_1=deriv,
     )

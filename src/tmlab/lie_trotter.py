@@ -13,6 +13,7 @@ exponential and the q-th-root mean of lifted generators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,8 +151,11 @@ def lt_ordering_check(
     while the decreasing branch ("pmd") requires ``x #_F y >= I`` and flips
     the ordering.  The returned verdict compares the exponential (left)
     against the root mean (right); callers assert LEQ or GEQ per branch.
-    Raises :class:`PremiseError` when the premise fails beyond tolerance.
+    Raises :class:`PremiseError` when the premise fails beyond tolerance;
+    a non-finite ``tol`` raises ``ValueError`` before any mean is formed.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     if branch not in ("pmi", "pmd"):
         raise ValueError(f"unknown branch {branch!r}")
     q = float(q)

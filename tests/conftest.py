@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tmlab import HermitianTensor, TensorShape, fold
+from tmlab import HermitianTensor, TensorShape, fold, functions
 
 # Property tests draw the same examples on every run unless a random search
 # is asked for with ``--hypothesis-profile random`` (and ``--hypothesis-seed``).
@@ -63,7 +63,9 @@ DRIVERS = ("eigh", "eigvalsh", "svd", "cholesky")
 class Decompositions:
     """Per driver, its ``calls`` and the ``matrices`` they took: a stacked
     call counts each of its matrices, and a Cholesky factorization that
-    raises counts too."""
+    raises counts too.  The class probe's matrices, which a generator's
+    construction decomposes (``functions._class_readings``), are no
+    tensor's: they count apart, in ``probed``."""
 
     def __init__(self):
         self.reset()
@@ -71,20 +73,33 @@ class Decompositions:
     def reset(self):
         self.calls = dict.fromkeys(DRIVERS, 0)
         self.matrices = dict.fromkeys(DRIVERS, 0)
+        self.probed = dict.fromkeys(DRIVERS, 0)
 
 
 @pytest.fixture
 def counts(monkeypatch):
     """The one way the tests count decompositions: every driver of
     :data:`DRIVERS` wrapped for the test, into one :class:`Decompositions`."""
-    seen = Decompositions()
+    seen, probing = Decompositions(), []
     for name in DRIVERS:
         real = getattr(np.linalg, name)
 
         def counted(a, *args, _real=real, _name=name, **kwargs):
-            seen.calls[_name] += 1
-            seen.matrices[_name] += math.prod(np.shape(a)[:-2])
+            if probing:
+                seen.probed[_name] += math.prod(np.shape(a)[:-2])
+            else:
+                seen.calls[_name] += 1
+                seen.matrices[_name] += math.prod(np.shape(a)[:-2])
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+
+    def probe(*args, _real=functions._class_readings):
+        probing.append(True)
+        try:
+            return _real(*args)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(functions, "_class_readings", probe)
     return seen

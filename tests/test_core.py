@@ -361,7 +361,7 @@ class TestLoewnerCompare:
             assert tm.loewner_compare(y, z, 0.0).is_leq
             assert tm.loewner_compare(x, z, 0.0).is_leq
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("call", [
         lambda tol: tm.loewner_compare(tm.HermitianTensor.diag([1.0, 2.0], SHAPE2),
                                        tm.HermitianTensor.diag([3.0, 4.0], SHAPE2), tol),
@@ -377,7 +377,8 @@ class TestLoewnerCompare:
                                          2, 0.25, "pmi", tol),
     ], ids=["loewner_compare", "is_pd", "fusion_gap", "transform_gap", "lt_ordering_check"])
     def test_a_non_finite_tolerance_is_refused(self, call, tol):
-        # A NaN tol refused every order and an inf one granted both.
+        # A NaN tol refused every order and an inf one granted both;
+        # lt_ordering_check read a -inf one in its premise test first.
         with pytest.raises(ValueError, match="tol must be finite"):
             call(tol)
 

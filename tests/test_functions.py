@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmlab as tm
-from tmlab.functions import PROBE_GRID, ConnectionFunction
-from tmlab.harness import _SUITES, ConfigError, ExperimentConfig, SuiteId, _suite_function
+from tmlab.functions import _PROBE_POINTS, PROBE_GRID, ConnectionFunction, _class_readings
+from tmlab.harness import _SUITES, ConfigError, ExperimentConfig, SuiteId, _shifted_convex_probe, _suite_function
 
 GRID = np.logspace(-3, 3, 41)
 SHAPE2 = tm.TensorShape((2,))
@@ -275,6 +275,96 @@ class TestProbeValidation:
     def test_tags_require_positive(self):
         with pytest.raises(ValueError, match="positive"):
             ConnectionFunction(fn=lambda x: x, label="bad", positive=False, tags=frozenset({"TMI"}))
+
+
+def _power_classes(a):
+    """The classes of ``x**a`` on (0, inf): operator monotone for a in [0, 1],
+    monotone decreasing for a in [-1, 0], convex for a in [-1, 0] or [1, 2]."""
+    return {tag for tag, holds in (("TMI", 0 <= a <= 1), ("TMD", -1 <= a <= 0), ("TC", -1 <= a <= 0 or 1 <= a <= 2))
+            if holds}
+
+
+POWERS = [float(a) for a in np.arange(-1.0, 2.01, 0.25)]
+
+
+class TestClassProbe:
+    """One Loewner-matrix probe decides every tag at construction."""
+
+    @pytest.mark.parametrize("fid, tags", [
+        ("identity", {"TMI", "TC"}), ("square", {"TC"}), ("geometric", {"TMI"}), ("harmonic_like", {"TMI"}),
+        ("transpose:identity", {"TMI", "TC"}), ("transpose:square", {"TC"}), ("transpose:geometric", {"TMI"}),
+        ("transpose:harmonic_like", {"TMI"}), ("liftn:1:geometric", set()), ("transpose:liftn:1:geometric", set()),
+        ("psi:1", set()),
+    ])
+    def test_every_named_id_form_keeps_its_tags(self, fid, tags):
+        assert tm.from_id(fid).tags == tags
+
+    @pytest.mark.parametrize("a", POWERS)
+    def test_every_power_and_its_transpose_keep_their_tags(self, a):
+        # The transpose carries TMI to TMI, and TC or TMD to TC.
+        tags = _power_classes(a)
+        assert tm.from_id(f"power:{a:g}").tags == tags
+        carried = (tags & {"TMI"}) | ({"TC"} if tags & {"TC", "TMD"} else set())
+        assert tm.from_id(f"transpose:power:{a:g}").tags == carried
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("fid", ["harmonic_like", "geometric", "power:0.25"])
+    def test_ando_hiai_maps_keep_their_tag(self, fid, m):
+        assert tm.ando_hiai_g(tm.from_id(fid), m).tags == {"TMI"}
+
+    def test_inverse_arithmetic_keeps_its_tags(self):
+        # APP_Fusion's second generator, 2 / (1 + x), built on every default verify.
+        g = _shifted_convex_probe()
+        assert g.tags == {"TMD", "TC"}
+        assert tm.transpose_fn(g).tags == {"TC"}
+
+    @pytest.mark.parametrize("fn, tags", [pytest.param(*case[1:], id=case[0]) for case in (
+        ("inverse_arithmetic", lambda x: 2.0 / (1.0 + x), {"TMD", "TC"}),
+        ("harmonic_like", lambda x: 2.0 * x / (1.0 + x), {"TMI"}),
+        ("identity", lambda x: x, {"TMI", "TC"}),
+        ("power:0", lambda x: x**0.0, {"TMI", "TMD", "TC"}),
+        ("transpose:identity", lambda x: x * (1.0 / x), {"TMI", "TC"}),
+        ("affine", lambda x: (x + 1.0) / 2.0, {"TMI", "TC"}),
+    )])
+    def test_rank_one_and_zero_class_matrices_read_their_rounding_as_noise(self, fn, tags):
+        # Rank one (2 / (1 + x), harmonic_like), zero (identity's Kraus
+        # matrices, power:0's Loewner matrix) or pure rounding (x * (1/x)):
+        # the smallest eigenvalue lies within the rounding bound.
+        readings = _class_readings(fn(_PROBE_POINTS), tags)
+        assert set(readings) == tags and min(readings.values()) >= 0.0
+
+    @pytest.mark.parametrize("fn, tag", [pytest.param(*case[1:], id=case[0]) for case in (
+        ("x**1.5 TMI", lambda x: x**1.5, "TMI"),
+        ("x**2 TMI", lambda x: x**2.0, "TMI"),
+        ("x**3 TMI", lambda x: x**3.0, "TMI"),
+        ("x/sqrt(1+x**2) TMI", lambda x: x / np.sqrt(1.0 + x * x), "TMI"),
+        ("x**3 TC", lambda x: x**3.0, "TC"),
+        ("x**2.5 TC", lambda x: x**2.5, "TC"),
+        ("x**-2 TMD", lambda x: x**-2.0, "TMD"),
+        ("x**-2 TC", lambda x: x**-2.0, "TC"),
+        ("x**-50 TC", lambda x: x**-50.0, "TC"),
+    )])
+    def test_mis_tagged_generators_are_refused(self, fn, tag):
+        # Monotone or convex as scalar functions, but not as operator functions;
+        # x**-50's Kraus matrices overflow and read -inf.
+        with pytest.raises(ValueError, match=f"^bad: {tag} tag fails the operator"):
+            ConnectionFunction(fn=fn, label="bad", tags=frozenset({tag}))
+
+    @pytest.mark.parametrize("make, label", [(tm.square, "square"), (tm.geometric, "geometric")])
+    def test_square_and_geometric_are_constructed_once(self, make, label, monkeypatch):
+        runs = []
+        real = ConnectionFunction.__post_init__
+        monkeypatch.setattr(ConnectionFunction, "__post_init__", lambda self: runs.append(self) or real(self))
+        g = make()
+        assert runs == [g] and g.label == label
+
+    @pytest.mark.parametrize("fid, matrices", [("square", 3), ("geometric", 1), ("power:-0.5", 4), ("power:0", 5), ("psi:1", 0)])
+    def test_a_construction_probes_one_matrix_per_class_and_anchor(self, fid, matrices, counts):
+        # TMI and TMD read one Loewner matrix each, TC one Kraus matrix per
+        # anchor, and no tensor is decomposed.
+        tm.from_id(fid)
+        assert counts.probed == {"eigh": 0, "eigvalsh": matrices, "svd": 0, "cholesky": 0}
+        assert sum(counts.matrices.values()) == 0
 
 
 class TestNormalization:

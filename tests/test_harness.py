@@ -463,21 +463,11 @@ class TestSuites:
         assert report({"kind": "rank_deficient", "rank": 2}) == default_dof
         assert report({"kind": "wishart", "dof": 8}) != default_dof
 
-    def test_t3_pmi_tail_reuses_root_mean_at_r_one(self, monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0}
-        for name in calls:
-            real = getattr(np.linalg, name)
-
-            def counted(a, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(a)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-
+    def test_t3_pmi_tail_reuses_root_mean_at_r_one(self, counts):
         def count(p):
-            calls.update(eigh=0, eigvalsh=0)
+            counts.reset()
             run_suite("T3_LieTrotterTail", ExperimentConfig(trials=3, exponents={"p": p}))
-            return calls["eigh"], calls["eigvalsh"]
+            return counts.calls["eigh"], counts.calls["eigvalsh"]
 
         # The sides are built once, on the leq pair: one eigh for the
         # quotient of the premise mean, one for x and one for the log-affine

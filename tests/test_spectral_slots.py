@@ -21,6 +21,9 @@ module but ``functions`` reads a generator's ``value_at_1``, so whether a
 generator is normalized has one rule (``functions._admit``).  No code but
 ``functions.power_exponent`` reads a ``partial``'s ``keywords``, so whether
 a generator is a power, and which, has one rule.  No code but
+``ConnectionFunction._run_probes`` calls the class probe
+``functions._class_readings``, so a generator's tags have one rule, run
+once, at construction.  No code but
 ``core._quiet`` enters ``np.errstate``, so which numpy floating-point
 warnings the package silences is one decision.
 """
@@ -206,6 +209,25 @@ def test_keyword_scan_sees_a_second_reader():
                      "def _exponent(fn):\n    inner = fn.keywords['f']\n    return fn.keywords.get('n')\n"
                      "def call(g):\n    return g(keywords=1)\n")
     assert _keyword_reads(tree) == [("power_exponent", 2), ("_exponent", 4), ("_exponent", 5)]
+
+
+def _probe_calls(tree):
+    """Every call of the class probe ``_class_readings``."""
+    return _owners(tree, lambda node: isinstance(node, ast.Call)
+                   and "_class_readings" in {getattr(node.func, "id", None), getattr(node.func, "attr", None)})
+
+
+def test_only_the_constructor_runs_the_class_probe():
+    # transpose_fn carries its tags and lets the constructor check them.
+    callers = {name: [owner for owner, _ in _probe_calls(tree)] for name, tree in _trees().items()}
+    assert {name: owners for name, owners in callers.items() if owners} == {"functions.py": ["_run_probes"]}
+
+
+def test_probe_scan_sees_a_second_caller():
+    tree = ast.parse("class F:\n    def _run_probes(self):\n        return _class_readings(v, self.tags)\n"
+                     "def transpose_fn(g):\n    h = partial(_transposed, f=g.fn)\n"
+                     "    return functions._class_readings(h(POINTS), {'TC'})\n")
+    assert _probe_calls(tree) == [("_run_probes", 3), ("transpose_fn", 6)]
 
 
 def test_a_mean_factor_is_formed_only_where_the_mean_is_born():
