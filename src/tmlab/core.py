@@ -459,18 +459,19 @@ def _scale_bracket(h: HermitianStack):
 
 
 @_quiet
-def _certified(lhs, rhs: HermitianStack) -> bool:
+def _certified(lhs, rhs) -> bool:
     """The one Cholesky certificate: whether one stacked factorization of
     ``A - delta I``, for the computed ``A = rhs - lhs`` and
     ``delta = 4 D**2 eps (|lhs|_F + |rhs|_F)``, proves ``lhs <= rhs`` for
-    every matrix (``lhs`` may be numbers ``c`` standing for ``c I``).
+    every matrix (``lhs`` may be numbers ``c`` standing for ``c I``, and
+    ``rhs`` a bare array of exactly symmetric matrices).
     ``delta`` exceeds the backward error of a factorization that completes,
     about ``D (D + 1) / 2 * eps |A|_2`` (Higham, 2nd ed., Thm 10.3; Rump,
     BIT 46, 2006), plus that of ``eigvalsh``.  A ``LinAlgError``, raised
     for the whole stack, certifies nothing: the caller's rule decides.  Nor
     does a factor that is not finite: near the double range a pivot can
     overflow, and LAPACK then returns NaN in place of raising."""
-    m = rhs._matrix
+    m = rhs._matrix if isinstance(rhs, HermitianStack) else rhs
     d = m.shape[-1]
     if isinstance(lhs, HermitianStack):
         a, c = m - lhs._matrix, 0.0

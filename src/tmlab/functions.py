@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
-from .core import _EPS, _integer, _quiet
+from .core import _EPS, _certified, _integer, _quiet
 
 __all__ = [
     "ConnectionFunction",
@@ -54,6 +54,16 @@ _PROBE_POINTS = np.concatenate([PROBE_GRID, PROBE_GRID * (1.0 + 1e-4), PROBE_GRI
                                 np.sqrt(PROBE_GRID[15:48:16] * PROBE_GRID[16:49:16])])
 # A class reading below -_CLASS_TOL refuses the tag.
 _CLASS_TOL = 1e-6
+# The probe matrices' points, as indices into _PROBE_POINTS: a Loewner entry
+# (i, j) differences fn at _X[i, j] and _Y[i, j] (t_i and t_j, and on the
+# diagonal t_i (1 +- 1e-4)); a Kraus entry also at an anchor of _S.  _STEPS
+# are the differences' denominators, over (_X, _Y), (_S, _Y) and (_S, _X).
+_I = np.arange(PROBE_GRID.size)
+_EYE = _I[:, None] == _I
+_X = np.where(_EYE, _I + _I.size, _I[:, None])
+_Y = np.where(_EYE, _I + 2 * _I.size, _I)
+_S = np.arange(3 * _I.size, _PROBE_POINTS.size)[:, None, None]
+_STEPS = tuple(_PROBE_POINTS[a] - _PROBE_POINTS[b] for a, b in ((_X, _Y), (_S, _Y), (_S, _X)))
 
 DEFAULT_X_GRID = tuple(np.logspace(-3.0, 3.0, 41))
 DEFAULT_Q_GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0)
@@ -143,6 +153,20 @@ class ConnectionFunction:
         dead = x <= cutoff
         return np.where(dead, self.value_at_0plus, self.fn(np.where(dead, 1.0, x)))
 
+    @cached_property
+    def _transpose(self) -> ConnectionFunction:
+        """:func:`transpose_fn` of this generator, constructed (and probed) once."""
+        deriv = None
+        if self.derivative_at_1 is not None:
+            deriv = self.value_at_1 - self.derivative_at_1
+        return ConnectionFunction(
+            fn=partial(_transposed, f=self.fn),
+            label=f"transpose:{self.label}",
+            tags=(self.tags & {"TMI"}) | ({"TC"} if self.tags & {"TC", "TMD"} else set()),
+            positive=self.positive,
+            derivative_at_1=deriv,
+        )
+
     def __repr__(self) -> str:
         return f"ConnectionFunction({self.label!r})"
 
@@ -166,28 +190,28 @@ def _class_readings(values, tags) -> dict:
     of ``f'`` there; a class member's ``f'`` is convex, so the mean is at
     least ``f'(t_i)`` and the matrix stays PSD.  Scaled to a unit diagonal
     (where nonzero), a matrix reads ``(lambda_min + |E|_F) / |lambda|_max``:
-    ``E`` bounds what a rounding of 4 ulps in each value makes of the
+    ``E`` is what an error of 4 ulps in each value of ``fn`` makes of the
     entries, which by Weyl's theorem bounds its move of ``lambda_min``, so
-    a constant or affine ``f`` reads its rounding as noise.  An overflowed
-    matrix reads -inf.  A finite grid gives a necessary condition, not a
-    certificate: a function closer to the class than ``_CLASS_TOL``
-    resolves passes.
+    a constant or affine ``f`` reads its rounding as noise.  That models
+    ``fn`` as accurate to 4 ulps: a less accurate ``fn`` (bisected, or
+    cancelling) can read below ``-_CLASS_TOL`` in its class.  A matrix
+    whose ``lambda_min`` the Cholesky certificate (:func:`core._certified`)
+    shows to be at least ``-(|E|_F + _CLASS_TOL)`` reads 0 without
+    eigenvalues; an overflowed matrix reads -inf.  A finite grid gives a
+    necessary condition, not a certificate: a function closer to the class
+    than ``_CLASS_TOL`` resolves passes.
     """
     if not tags:
         return {}
-    n, err = PROBE_GRID.size, 4.0 * _EPS * np.abs(values)
-    i, eye = np.arange(n), np.eye(n, dtype=bool)
-    x, y = np.where(eye, n + i, i[:, None]), np.where(eye, 2 * n + i, i)
+    err = 4.0 * _EPS * np.abs(values)
 
-    def divided(p, q, a, b):  # (value, rounding bound) pairs; a, b index _PROBE_POINTS
-        step = _PROBE_POINTS[a] - _PROBE_POINTS[b]
+    def divided(p, q, step):  # of (value, rounding bound) pairs
         return (p[0] - q[0]) / step, (p[1] + q[1]) / np.abs(step)
 
-    loewner = divided((values[x], err[x]), (values[y], err[y]), x, y)
+    loewner = divided((values[_X], err[_X]), (values[_Y], err[_Y]), _STEPS[0])
     mats = {"TMI": loewner, "TMD": (-loewner[0], loewner[1])}
     if "TC" in tags:
-        s = np.arange(3 * n, _PROBE_POINTS.size)[:, None, None]
-        mats["TC"] = divided(divided((values[s], err[s]), (values[y], err[y]), s, y), loewner, s, x)
+        mats["TC"] = divided(divided((values[_S], err[_S]), (values[_Y], err[_Y]), _STEPS[1]), loewner, _STEPS[2])
     readings = {}
     for tag in [tag for tag in _PROBE_NAMES if tag in tags]:
         m, bound = mats[tag]
@@ -198,8 +222,14 @@ def _class_readings(values, tags) -> dict:
         if not np.all(np.isfinite(m)):
             readings[tag] = -math.inf
             continue
+        m = (m + np.swapaxes(m, -1, -2)) / 2.0
+        noise = np.sqrt(np.sum(bound * bound, axis=(-2, -1)))
+        # |lambda|_max >= |m_ii|, which is 1 unless the whole diagonal is 0.
+        if _certified(-(noise + _CLASS_TOL * np.any(d > 0.0, axis=-1)), m):
+            readings[tag] = 0.0
+            continue
         w = np.linalg.eigvalsh(m)
-        slack = w[..., 0] + np.sqrt(np.sum(bound * bound, axis=(-2, -1)))
+        slack = w[..., 0] + noise
         readings[tag] = float(np.min(slack / np.maximum(np.abs(w).max(axis=-1), np.finfo(np.float64).tiny)))
     return readings
 
@@ -333,17 +363,10 @@ def transpose_fn(g: ConnectionFunction) -> ConnectionFunction:
     Carries the tags operator theory carries: TMI to TMI, and TC or TMD to
     TC (Kubo & Ando, Math. Ann. 246, 1980).  The constructor checks them as
     it checks any asserted tag, so a ``g`` tagged out of its class raises.
+    The transpose is built once per ``g`` and kept: the right-dominated
+    means and inequalities call this on every call.
     """
-    deriv = None
-    if g.derivative_at_1 is not None:
-        deriv = g.value_at_1 - g.derivative_at_1
-    return ConnectionFunction(
-        fn=partial(_transposed, f=g.fn),
-        label=f"transpose:{g.label}",
-        tags=(g.tags & {"TMI"}) | ({"TC"} if g.tags & {"TC", "TMD"} else set()),
-        positive=g.positive,
-        derivative_at_1=deriv,
-    )
+    return g._transpose
 
 
 class UnsupportedFunctionError(ValueError):

@@ -177,6 +177,21 @@ class TestFusionGap:
         with pytest.raises(UnsupportedFunctionError, match="infinity"):
             tm.fusion_gap(p1, p2, tm.square())
 
+    def test_right_side_pairs_build_the_transpose_once_per_generator(self, rng, monkeypatch):
+        # Right-dominated pairs evaluate the transposed generator; its
+        # construction (and class probe) is paid once per generator, not on
+        # every admission and mean of every call.
+        g, runs = tm.power(-1.0), []
+        real = tm.ConnectionFunction.__post_init__
+        monkeypatch.setattr(tm.ConnectionFunction, "__post_init__", lambda self: runs.append(self.label) or real(self))
+        p1 = tm.DominationPair(rand_pd(rng), rand_pd(rng), "right")
+        p2 = tm.DominationPair(rand_pd(rng), rand_pd(rng), "right")
+        for _ in range(2):
+            tm.fusion_gap(p1, p2, g)
+            tm.transform_gap(tm.pinching([(0, 1), (2, 3)], SHAPE22), p1, g)
+            tm.mean_on_pair(p1, g)
+        assert runs == ["transpose:power:-1"] and tm.transpose_fn(g) is tm.transpose_fn(g)
+
     def test_right_side_pairs_hold_for_reciprocal(self, rng):
         # 1/x is convex with zero derivative at infinity: admissible on
         # the right-dominated side (and only there)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmlab as tm
-from tmlab.functions import _PROBE_POINTS, PROBE_GRID, ConnectionFunction, _class_readings
+from tmlab.functions import _CLASS_TOL, _PROBE_POINTS, PROBE_GRID, VALID_TAGS, ConnectionFunction, _class_readings
 from tmlab.harness import _SUITES, ConfigError, ExperimentConfig, SuiteId, _shifted_convex_probe, _suite_function
 
 GRID = np.logspace(-3, 3, 41)
@@ -287,6 +287,10 @@ def _power_classes(a):
 POWERS = [float(a) for a in np.arange(-1.0, 2.01, 0.25)]
 
 
+def _no_factor(*args, **kwargs):
+    raise np.linalg.LinAlgError("no Cholesky factor")
+
+
 class TestClassProbe:
     """One Loewner-matrix probe decides every tag at construction."""
 
@@ -326,12 +330,26 @@ class TestClassProbe:
         ("transpose:identity", lambda x: x * (1.0 / x), {"TMI", "TC"}),
         ("affine", lambda x: (x + 1.0) / 2.0, {"TMI", "TC"}),
     )])
-    def test_rank_one_and_zero_class_matrices_read_their_rounding_as_noise(self, fn, tags):
+    @pytest.mark.parametrize("exact", [False, True], ids=["certified", "exact"])
+    def test_rank_one_and_zero_class_matrices_read_their_rounding_as_noise(self, fn, tags, exact, monkeypatch):
         # Rank one (2 / (1 + x), harmonic_like), zero (identity's Kraus
         # matrices, power:0's Loewner matrix) or pure rounding (x * (1/x)):
-        # the smallest eigenvalue lies within the rounding bound.
+        # the smallest eigenvalue lies within the rounding bound, also when
+        # no Cholesky factor certifies it and the eigenvalues are read.
+        if exact:
+            monkeypatch.setattr(np.linalg, "cholesky", _no_factor)
         readings = _class_readings(fn(_PROBE_POINTS), tags)
         assert set(readings) == tags and min(readings.values()) >= 0.0
+
+    @pytest.mark.parametrize("a", POWERS + [-2.0, -1.25, 1.01, 2.5, 3.0])
+    def test_the_cholesky_certificate_decides_as_the_eigenvalues_do(self, a, monkeypatch):
+        # A tag the factor certifies reads 0; every other reads lambda_min.
+        values = _PROBE_POINTS**a
+        certified = _class_readings(values, VALID_TAGS)
+        monkeypatch.setattr(np.linalg, "cholesky", _no_factor)
+        exact = _class_readings(values, VALID_TAGS)
+        assert {t for t, r in certified.items() if r >= -_CLASS_TOL} == {t for t, r in exact.items() if r >= -_CLASS_TOL}
+        assert all(certified[t] in (0.0, exact[t]) for t in VALID_TAGS)
 
     @pytest.mark.parametrize("fn, tag", [pytest.param(*case[1:], id=case[0]) for case in (
         ("x**1.5 TMI", lambda x: x**1.5, "TMI"),
@@ -360,11 +378,17 @@ class TestClassProbe:
 
     @pytest.mark.parametrize("fid, matrices", [("square", 3), ("geometric", 1), ("power:-0.5", 4), ("power:0", 5), ("psi:1", 0)])
     def test_a_construction_probes_one_matrix_per_class_and_anchor(self, fid, matrices, counts):
-        # TMI and TMD read one Loewner matrix each, TC one Kraus matrix per
-        # anchor, and no tensor is decomposed.
+        # TMI and TMD factor one Loewner matrix each, TC one Kraus matrix per
+        # anchor; a tag that passes reads no eigenvalues, and no tensor is
+        # decomposed.
         tm.from_id(fid)
-        assert counts.probed == {"eigh": 0, "eigvalsh": matrices, "svd": 0, "cholesky": 0}
+        assert counts.probed == {"eigh": 0, "eigvalsh": 0, "svd": 0, "cholesky": matrices}
         assert sum(counts.matrices.values()) == 0
+
+    def test_a_refused_tag_reads_its_eigenvalues(self, counts):
+        with pytest.raises(ValueError, match="reading -0.98"):
+            ConnectionFunction(fn=lambda x: x**1.5, label="bad", tags=frozenset({"TMI"}))
+        assert counts.probed == {"eigh": 0, "eigvalsh": 1, "svd": 0, "cholesky": 1}
 
 
 class TestNormalization:
