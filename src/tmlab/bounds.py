@@ -245,12 +245,17 @@ def _tail_power(z: HermitianStack, q: float) -> HermitianStack:
 
 def _tail_summary(stats: list) -> tuple[float, float]:
     """Mean of per-sample statistics and its standard error (see
-    :func:`trace_tail_bound`)."""
+    :func:`trace_tail_bound`).  Where a partial sum of the statistics
+    overflows, the mean sums them scaled by the power of two that scales
+    the deviations, so a mean of finite statistics is finite."""
     n = len(stats)
-    mean = math.fsum(stats) / n
+    e = math.frexp(max(abs(s) for s in stats))[1]
+    try:
+        mean = math.fsum(stats) / n
+    except OverflowError:
+        mean = math.ldexp(math.fsum(math.ldexp(s, -e) for s in stats) / n, e)
     if n == 1:
         return mean, 0.0
-    e = math.frexp(max(abs(s) for s in stats))[1]
     var = math.fsum((math.ldexp(s, -e) - math.ldexp(mean, -e)) ** 2 for s in stats) / (n - 1)
     return mean, math.ldexp(math.sqrt(var / n), e)
 

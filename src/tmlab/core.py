@@ -173,7 +173,7 @@ def _quiet(fn):
     """Run a kernel with numpy's overflow, invalid-value and divide-by-zero
     warnings off (underflow is off by default): the package's one ``np.errstate``.
 
-    Its matrix outputs pass the finiteness gate of ``_seal``, so an
+    Its matrix outputs pass the finiteness gate of ``_form``, so an
     overflow raises ``ValueError("entries must be finite")`` there instead
     of warning first.  Only the outermost ``_quiet`` kernel of a call enters
     the state (``_QUIET`` records it per thread and task); the kernels and
@@ -284,20 +284,25 @@ class HermitianStack:
     through :meth:`_trusted` or :meth:`_derive`): ascending ``values``,
     their ``vectors``, or the two parts of a graded factor ``G`` whose
     ``sigma(G)**2`` are the values.  Otherwise each cache is filled on
-    first use.
+    first use.  A stack born with both values and vectors may be born with
+    a recipe in place of its matrices (``V diag(w) V^H``, ``V C V^H``,
+    ``y + eps I``): :attr:`_matrix` runs it on first read, so a kernel
+    that reads only the eigenpairs never forms the matrices.
     """
 
-    __slots__ = ("_matrix", "_shape", "_evals", "_eig", "_factor")
+    __slots__ = ("_formed", "_recipe", "_shape", "_evals", "_eig", "_factor")
     # numpy defers to the reflected operators: array * stack scales per matrix.
     __array_ufunc__ = None
 
     @staticmethod
-    def _trusted(matrix: np.ndarray, shape: TensorShape | None = None, **known) -> "HermitianStack":
+    def _trusted(matrix, shape: TensorShape | None = None, **known) -> "HermitianStack":
         """The one constructor of kernel results: wrap a fresh stack that is
         exactly Hermitian by construction, of tensor ``shape``, born with
         ``known`` (:meth:`_seal`, which checks finiteness only).  A single
-        matrix of known shape is a :class:`HermitianTensor`."""
-        s = object.__new__(HermitianTensor if matrix.ndim == 2 and shape is not None else HermitianStack)
+        matrix of known shape is a :class:`HermitianTensor`; a recipe's
+        matrices have the shape of the ``vectors`` known with it."""
+        single = (known["vectors"] if callable(matrix) else matrix).ndim == 2
+        s = object.__new__(HermitianTensor if single and shape is not None else HermitianStack)
         s._seal(matrix, shape, **known)
         return s
 
@@ -307,23 +312,59 @@ class HermitianStack:
         public tensor construction, applied to every matrix at once."""
         return HermitianStack._trusted(_validated(np.asarray(matrices, dtype=np.complex128)), shape)
 
-    def _seal(self, matrix: np.ndarray, shape, values=None, vectors=None, factor=None) -> None:
-        """The step every construction ends in, and its one finiteness
-        check: read-only contiguous storage of the matrix, its tensor
-        ``shape``, and what its maker knows of its spectrum: the ascending
-        ``values``, with them their ``vectors``, or a graded factor
-        ``G = grade diag(s)^(1/2)`` of ``matrix = W G G^H W^H`` for a
-        unitary ``W``, as its parts ``factor = (grade, s)``; ``G`` is formed
-        only by the first values read."""
-        _check_finite(matrix)
-        self._matrix = _read_only(np.ascontiguousarray(matrix))
+    def _seal(self, matrix, shape, values=None, vectors=None, factor=None) -> None:
+        """The step every construction ends in: the matrices (:meth:`_form`),
+        their tensor ``shape``, and what their maker knows of their
+        spectrum: the ascending ``values``, with them their ``vectors``, or
+        a graded factor ``G = grade diag(s)^(1/2)`` of ``matrix = W G G^H
+        W^H`` for a unitary ``W``, as its parts ``factor = (grade, s)``;
+        ``G`` is formed only by the first values read.
+
+        With both ``values`` and ``vectors``, ``matrix`` may be a recipe: a
+        function of no arguments that forms the matrices, kept for the
+        first read of :attr:`_matrix`.  Every entry of such a matrix is at
+        most a small multiple of its spectral scale, so a recipe whose
+        values reach ``_NORM_SAFE`` (or are not finite) runs at birth, and
+        a matrix past the double range raises here as an eager one does."""
         self._shape = shape
         self._evals = None if values is None else _read_only(values)
         self._eig = None if vectors is None else (self._evals, _read_only(vectors))
         self._factor = factor
+        self._formed = None
+        if callable(matrix) and _all(_scale_of(self._evals) < _NORM_SAFE):
+            self._recipe = matrix
+        else:
+            self._form(matrix() if callable(matrix) else matrix)
 
-    def _derive(self, matrix: np.ndarray, **known) -> "HermitianStack":
-        """A kernel result of ``self``'s tensor shape, born with ``known``."""
+    def _form(self, matrix: np.ndarray) -> None:
+        """The one store of a stack's matrices, at birth or on the first
+        read of a recipe's, and their one finiteness check: read-only and
+        contiguous.  The recipe is dropped."""
+        _check_finite(matrix)
+        self._formed = _read_only(np.ascontiguousarray(matrix))
+        self._recipe = None
+
+    @property
+    def _matrix(self) -> np.ndarray:
+        """The ``(..., D, D)`` matrices, formed on first read by the recipe
+        the stack was born with, under :func:`_quiet`.  Read before the
+        test, the recipe is there whenever the matrices are not, since
+        :meth:`_form` stores them before it drops it: threads that read at
+        once form the same bits, and none finds neither."""
+        recipe = self._recipe
+        if self._formed is None:
+            self._form(_quiet(recipe)())
+        return self._formed
+
+    @property
+    def _matrix_shape(self) -> tuple[int, ...]:
+        """Shape ``(..., D, D)`` of the matrices, read without forming them:
+        a recipe's are those of the vectors the stack was born with."""
+        return (self._eig[1] if self._formed is None else self._formed).shape
+
+    def _derive(self, matrix, **known) -> "HermitianStack":
+        """A kernel result of ``self``'s tensor shape, born with ``known``:
+        its matrices, or their recipe (:meth:`_seal`)."""
         return HermitianStack._trusted(matrix, self._shape, **known)
 
     def _decomposed(self) -> "HermitianStack":
@@ -397,8 +438,8 @@ class HermitianStack:
             raise TypeError(f"expected HermitianStack, got {type(other).__name__}")
         if self._shape is not None and other._shape is not None and self._shape != other._shape:
             raise ValueError(f"shape mismatch: {self._shape.dims} vs {other._shape.dims}")
-        if other._matrix.shape[-1] != self._matrix.shape[-1]:
-            raise ValueError(f"size mismatch: {self._matrix.shape} vs {other._matrix.shape}")
+        if other._matrix_shape[-1] != self._matrix_shape[-1]:
+            raise ValueError(f"size mismatch: {self._matrix_shape} vs {other._matrix_shape}")
 
     @_quiet
     def __add__(self, other: "HermitianStack") -> "HermitianStack":
@@ -727,37 +768,43 @@ def apply_spectral(h: HermitianStack, phi: Callable[[np.ndarray], np.ndarray]) -
     e.g. ``x**-0.5`` on a spectrum touching zero) raises ``ValueError``.
 
     The result ``V phi(w) V^H`` is born with the eigenpairs
-    :func:`_composed` gives it from the ``eigh`` pairs ``(w, V)`` of ``h``.
-    ``h`` is always decomposed, so the result's bits do not depend on which
-    kernels ran before.
+    :func:`_ascending` gives it from the ``eigh`` pairs ``(w, V)`` of ``h``,
+    and forms its matrix by :func:`_composed` on first read.  ``h`` is
+    always decomposed, so the result's bits do not depend on which kernels
+    ran before.
     """
     w, v = h._spectrum()
     mapped = phi(w)
     if not _all(np.isfinite(mapped)):
         bad = w[~np.isfinite(mapped)]
         raise ValueError(f"spectrum outside function domain at eigenvalues {bad}")
-    matrix, values, vectors = _composed(mapped, v)
-    return h._derive(matrix, values=values, vectors=vectors)
+    values, vectors = _ascending(mapped, v)
+    return h._derive(lambda: _composed(mapped, v), values=values, vectors=vectors)
 
 
 @_quiet
-def _composed(w: np.ndarray, v: np.ndarray):
+def _composed(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The one body of ``V diag(w) V^H`` for real spectra ``w`` and unitary
-    ``v``: the symmetrized matrices, and their eigenpairs, ``w`` sorted
+    ``v``: the symmetrized matrices."""
+    return _symmetrize(_spectral_map(v, w))
+
+
+def _ascending(w: np.ndarray, v: np.ndarray):
+    """The eigenpairs of :func:`_composed`'s matrices: ``w`` sorted
     ascending by a stable argsort (so decreasing and clipping maps keep
     ties in order) and v's columns permuted alike.  Where ``w`` is already
-    ascending on every matrix (``exp``, positive powers), v itself is the
-    vectors, not a copy."""
-    matrix = _symmetrize(_spectral_map(v, w))
+    ascending on every matrix (``exp``, positive powers), they are ``w``
+    and ``v`` themselves, not copies."""
     if _all(w[..., 1:] >= w[..., :-1]):
-        return matrix, w, v
+        return w, v
     order = np.argsort(w, axis=-1, kind="stable")
-    return matrix, np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1)
+    return np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1)
 
 
 def spectral_power(h: HermitianStack, p: float) -> HermitianStack:
-    """``h**p``: for an integer ``p >= 2`` a product of repeated squarings,
-    born with no spectrum, else through the spectral calculus.
+    """``h**p``: for an integer ``p`` in ``[2, 2**53]`` a product of
+    repeated squarings, born with no spectrum, else through the spectral
+    calculus.
 
     Integer powers take any spectrum.  A non-integer ``p`` needs a PSD one
     (:func:`_gate_psd`, whose admitted noise below 0 maps as 0).  A power
@@ -769,9 +816,12 @@ def spectral_power(h: HermitianStack, p: float) -> HermitianStack:
 def _power(h: HermitianStack, p: float, name: str, psd: bool) -> HermitianStack:
     """Body of :func:`spectral_power`; with ``psd`` the spectrum passes
     :func:`_gate_psd` under ``name`` first.  A power of 1 reads only the
-    eigenvalues.  An integer ``p >= 2`` is :func:`_squarings` of the matrix,
-    after :func:`_gate`, and reads no spectrum; any other ``p`` maps the
-    eigenpairs, gated on the decomposition the power reads."""
+    eigenvalues.  An integer ``p >= 2`` passes :func:`_gate`; up to
+    ``2**53`` it is :func:`_squarings` of the matrix, and reads no
+    spectrum.  Past ``2**53`` every double is an even integer and binary
+    powering makes one product per bit, so the eigenpairs are mapped (one
+    ``eigh``).  Any other ``p`` maps the eigenpairs, gated on the
+    decomposition the power reads."""
     n = float(p)
     if n == 1.0:
         if psd:
@@ -781,8 +831,10 @@ def _power(h: HermitianStack, p: float, name: str, psd: bool) -> HermitianStack:
         if psd:
             _gate(h, name, psd=True)
         try:
+            if n > 2.0**53:
+                return apply_spectral(h, lambda w: w**n)
             return h._derive(_squarings(h._matrix, int(n)))
-        except ValueError as exc:  # _seal's finiteness check
+        except ValueError as exc:  # _form's finiteness check, or an infinite w**n
             raise ValueError(f"{name} ** {n:g} leaves the double range") from exc
     if psd:
         return apply_spectral(h, lambda w: _gate_psd(w, name) ** p)

@@ -44,6 +44,7 @@ from .core import (
     HermitianTensor,
     NotPositiveDefiniteError,
     TensorShape,
+    _ascending,
     _certified,
     _composed,
     _ct,
@@ -262,13 +263,14 @@ def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
 
     Member ``t`` comes from its own stream, through :func:`_stacked`, in
     the same order as a lone :func:`sample`; the matrices are then formed as
-    one stack, Hermitian by construction: a rotated spectrum, or a Gram
-    matrix through :func:`_symmetrize`.
+    one stack, Hermitian by construction: a rotated spectrum (born with its
+    eigenpairs, and formed on first read), or a Gram matrix through
+    :func:`_symmetrize`.
     """
     d = spec.shape.square_dim
     if spec.kind == "spectrum" and spec.m == spec.M:
         m, eye = spec.m, np.broadcast_to(np.eye(d, dtype=np.complex128), (len(trials), d, d))
-        return HermitianStack._trusted(eye * m, spec.shape, values=np.full((len(trials), d), m), vectors=eye)
+        return HermitianStack._trusted(lambda: eye * m, spec.shape, values=np.full((len(trials), d), m), vectors=eye)
     if spec.kind == "spectrum":
         gauss, lam = _stacked(spec.seed, trials, role, ((2, d, d), None), ((d,), (spec.m, spec.M)))
         # Interior margin keeps the reconstructed spectrum inside [m, M]
@@ -317,9 +319,10 @@ def _complex_gaussian(g: np.ndarray) -> np.ndarray:
 
 def _rotated(q: np.ndarray, lam: np.ndarray, shape: TensorShape) -> HermitianStack:
     """Stack of ``q diag(lam) q^H`` for unitary ``q``, of tensor ``shape``,
-    born with the eigenpairs :func:`core._composed` gives it."""
-    matrix, values, vectors = _composed(lam, q)
-    return HermitianStack._trusted(matrix, shape, values=values, vectors=vectors)
+    born with the eigenpairs :func:`core._ascending` gives it; its matrix
+    is formed by :func:`core._composed` on first read."""
+    values, vectors = _ascending(lam, q)
+    return HermitianStack._trusted(lambda: _composed(lam, q), shape, values=values, vectors=vectors)
 
 
 # Stream roles of the further draws of a trial (the primary draw is role 0):

@@ -193,14 +193,15 @@ def eta(x: HermitianStack, y: HermitianStack) -> EtaResult:
     ``lambda > RANK_RTOL * lambda_max`` and 0 on the others, which enforces
     the range compatibility exactly.  The dead slots are a zero prefix of
     ``C``, so one stacked ``eigh`` ``(qw, qv)`` of ``C`` serves every kept
-    rank, and eta is born with its eigenpairs ``(qw, V qv)``.  Raises
+    rank, and eta is born with its eigenpairs ``(qw, V qv)``; its matrix
+    is formed on first read.  Raises
     :class:`DominationError` when range(x) leaks outside range(y) beyond a
     relative 1e-6 of the scale ``max(1, |x|_sp)``; x's spectrum is read for
     that scale only when the leak passes 1e-6.
     """
     qw, vectors, c = _eta_pairs(x, y)
     v = y._spectrum()[1]
-    out = x._derive(_symmetrize(v @ c @ _ct(v)), values=qw, vectors=vectors)
+    out = x._derive(lambda: _symmetrize(v @ c @ _ct(v)), values=qw, vectors=vectors)
     return EtaResult(out, _per_item(np.maximum(qw[..., -1], 0.0)))
 
 
@@ -248,7 +249,8 @@ def _quotient_levels(x: HermitianStack, y: HermitianStack, n: int):
     cached eigenpairs, which keep the relative accuracy that a formed power
     loses.  The rows keep x's eigenvalues ``> RANK_RTOL * lambda_max(x)``;
     the dead slots hold 0.  The part of ``y**(2s)`` outside range(x) gets
-    :func:`eta`'s range test, relative to ``max(1, |y**(2s)|)``.
+    :func:`eta`'s range test, relative to ``max(1, |y**(2s)|)``.  A graded
+    matrix past the double range raises ``ValueError`` before its SVD.
     """
     (lx, vx), (ly, vy) = x._spectrum(), y._spectrum()
     _gate_psd(lx, "x")
@@ -262,6 +264,8 @@ def _quotient_levels(x: HermitianStack, y: HermitianStack, n: int):
             leak = np.where(live[..., :, None], 0.0, w * (y_rel ** (2.0 * s))[..., None, :])
             _require_range(_frobenius(leak), np.ones(live.shape[:-1]))
         b = np.where(live, np.where(live, lx, 1.0) ** -s, 0.0)[..., :, None] * w * (ly**s)[..., None, :]
+        if not _all(np.isfinite(b)):  # LAPACK's SVD would not converge, or return NaN
+            raise ValueError(f"dyadic quotient at level {k} (exponent {2.0 * s:g}) is not finite")
         levels.append(np.where(live, np.linalg.svd(b, compute_uv=False)[..., ::-1] ** 2, 0.0))
     return levels, live
 
@@ -346,10 +350,10 @@ def epsilon_mean_limit(
     the diagnostic, never raised.
 
     The shifted operands are born with the spectra of x and y shifted by
-    ``eps``: ``y + eps I`` with y's eigenpairs, which the limit reads, and
-    in the joint mode ``x + eps I`` with x's values, which its gate reads.
-    Both are read here on every call, so the bits do not depend on what ran
-    before.
+    ``eps``: ``y + eps I`` with y's eigenpairs, which the limit reads (its
+    matrix is formed on first read), and in the joint mode ``x + eps I``
+    with x's values, which its gate reads.  Both are read here on every
+    call, so the bits do not depend on what ran before.
     """
     eps_grid = _shrinking_grid(eps_grid, "epsilon")
     if mode not in ("joint", "right"):
@@ -359,10 +363,10 @@ def epsilon_mean_limit(
     lx = x._eigenvalues() if mode == "joint" else None
     limit = mean_psd(x, y, g)
     ly, vy = y._spectrum()
-    eye = np.eye(x._matrix.shape[-1], dtype=np.complex128)
+    eye = np.eye(vy.shape[-1], dtype=np.complex128)
     errors = []
     for eps in eps_grid:
-        y_eps = y._derive(y._matrix + eye * eps, values=ly + eps, vectors=vy)
+        y_eps = y._derive(lambda eps=eps: y._matrix + eye * eps, values=ly + eps, vectors=vy)
         if mode == "joint":
             x_eps = x._derive(x._matrix + eye * eps, values=lx + eps)
             approx = mean_pd(x_eps, y_eps, g)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tmlab as tm
-from tmlab.bounds import BoundFactors, _kyfan_profile
+from tmlab.bounds import BoundFactors, _kyfan_profile, _tail_summary
 
 from conftest import SHAPE2, SHAPE22, rand_pd, rand_spectrum
 
@@ -321,6 +321,16 @@ class TestTraceTailBound:
         stats = [s.trace() for s in samples]
         assert bound == pytest.approx(np.mean(stats), rel=1e-12)
         assert se == pytest.approx(np.std(stats, ddof=1) / np.sqrt(40), rel=1e-12)
+
+
+    def test_a_sum_past_the_double_range_keeps_a_finite_mean(self):
+        # The plain fsum overflows; the scaled sum gives the exact mean.
+        big = tm.HermitianTensor.diag([1e308, 0.0], SHAPE2)
+        assert tm.trace_tail_bound([big] * 2, 1.0, tm.HermitianTensor.identity(SHAPE2)) == (1e308, 0.0)
+        stats = [1e308, 1e308, -1e308]
+        mean, se = _tail_summary(stats)
+        assert mean == 1e308 / 3.0
+        assert se == pytest.approx(1e308 * np.std(np.array(stats) / 1e308, ddof=1) / np.sqrt(3.0), rel=1e-15)
 
 
 class TestKyFanStats:

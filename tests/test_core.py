@@ -171,6 +171,19 @@ class TestSpectrumCache:
         assert counts.calls == {"eigh": 0, "eigvalsh": 0, "svd": 0, "cholesky": 0}
         assert out._evals is None and out._eig is None
 
+    @pytest.mark.parametrize("p, products", [(2.0**53, 53), (2.0**53 + 2.0, 0), (1e300, 0)])
+    def test_squarings_stop_at_two_to_the_53(self, rng, monkeypatch, p, products):
+        # Past 2**53 every double is an even integer, and binary powering
+        # would make a product per bit: one eigh maps the values instead.
+        h = rand_spectrum(rng, -0.9, 0.9)
+        made, real = [], tm.core._symmetrize
+        monkeypatch.setattr(tm.core, "_symmetrize", lambda m: made.append(m.shape) or real(m))
+        out = tm.spectral_power(h, p)
+        assert len(made) == products
+        if not products:
+            assert np.array_equal(out._eigenvalues(), np.sort(h._spectrum()[0] ** p))
+        assert np.allclose(out.unfold(), 0.0)
+
     def test_fractional_power_decomposes_once(self, rng, counts):
         tm.spectral_power(rand_pd(rng), 0.5)
         assert counts.calls == {"eigh": 1, "eigvalsh": 0, "svd": 0, "cholesky": 0}
@@ -540,20 +553,21 @@ class TestShapeArguments:
 class TestTrustedConstruction:
     @pytest.fixture
     def trusted(self, monkeypatch):
-        """Patch the one trusted constructor, of tensors and of stacked
-        stage outputs alike, to assert what it relies on: every matrix it
-        receives is finite and exactly Hermitian.  Yields the received
-        array shapes."""
-        real = HermitianStack._trusted
+        """Patch the one store of a stack's matrices, where every matrix of
+        a tensor or a stacked stage output is formed (at birth, or on the
+        first read of a recipe's), to assert what the trusted constructor
+        relies on: every matrix it receives is finite and exactly
+        Hermitian.  Yields the received array shapes."""
+        real = HermitianStack._form
         seen = []
 
-        def checked(matrix, shape=None, **known):
+        def checked(stack, matrix):
             assert np.all(np.isfinite(matrix))
             assert np.array_equal(matrix, matrix.conj().swapaxes(-1, -2))
             seen.append(matrix.shape)
-            return real(matrix, shape, **known)
+            return real(stack, matrix)
 
-        monkeypatch.setattr(HermitianStack, "_trusted", staticmethod(checked))
+        monkeypatch.setattr(HermitianStack, "_form", checked)
         return seen
 
     @pytest.mark.parametrize("shape", [(2, 2), (3,)], ids=["2x2", "3"])

@@ -292,6 +292,14 @@ class TestSuites:
             assert 0.0 <= report.empirical_prob <= 1.0
             assert report.violations <= max(report.trials, 6 * 17)
 
+    def test_c2_refuses_a_graded_quotient_past_the_double_range(self, capfd):
+        # At q = 1e6 the quotient overflows from level 9 on; LAPACK never sees its NaN.
+        cfg = ExperimentConfig.from_dict({"trials": 20, "exponents": {"q": 1e6}})
+        with pytest.raises(ConfigError, match=r"^C2_MajorizationTMI: dyadic quotient at level \d+ "
+                                              r"\(exponent \d+\) is not finite$"):
+            run_suite(SuiteId.C2_MajorizationTMI, cfg)
+        assert capfd.readouterr() == ("", "")
+
     @pytest.mark.parametrize("suite", [s.value for s in SuiteId])
     def test_max_violation_is_never_negative(self, suite):
         # A violation magnitude floored at 0 in every suite, never a slack.

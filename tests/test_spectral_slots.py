@@ -3,14 +3,16 @@
 ``HermitianStack`` keeps what it knows of its spectrum in three private
 slots.  A kernel that knows a spectrum passes it to the constructor
 (``_seal``, reached through ``_trusted`` and ``_derive``); otherwise
-``_eigenvalues`` and ``_spectrum`` fill the caches on first use.  These
-tests scan the package source so that a write from anywhere else (a
-kernel seeding a stack after birth, or overwriting one already in use)
-fails here, and check the one composition body that the spectral calculus
-and the ``spectrum`` draws share, and the one Cholesky certificate behind
-every gate and verdict that reads no eigenvalue (the one code that catches
-a ``LinAlgError``), and the one call that passes a mean's graded factor
-(``_finish_mean``).  The same scans keep
+``_eigenvalues`` and ``_spectrum`` fill the caches on first use.  Two
+more slots hold the matrices: stored by ``_form``, at birth or on the
+first read of the recipe a stack born with its eigenpairs may hold
+instead.  These tests scan the package source so that a write from
+anywhere else (a kernel seeding a stack after birth, or overwriting one
+already in use) fails here, and check the one composition body that the
+spectral calculus and the ``spectrum`` draws share, and the one Cholesky
+certificate behind every gate and verdict that reads no eigenvalue (the
+one code that catches a ``LinAlgError``), and the one call that passes a
+mean's graded factor (``_finish_mean``).  The same scans keep
 every module free of imports it never uses, of ``__all__`` entries it
 neither defines nor imports, and of private module-level names that
 nothing else in the package reads, and keep positivity decided
@@ -29,18 +31,27 @@ warnings the package silences is one decision.
 """
 
 import ast
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tmlab.core import HermitianStack, TensorShape, _composed
-from tmlab.harness import EnsembleSpec, _draw, sample
+import tmlab as tm
+from tmlab import data_processing, harness, lie_trotter, means
+from tmlab.core import (HermitianStack, TensorShape, _ascending, _composed, _ct, _NORM_SAFE, _spectral_map,
+                        _symmetrize, apply_spectral)
+from tmlab.harness import EnsembleSpec, ExperimentConfig, SuiteId, _draw, _increments, run_suite, sample
+from tmlab.means import _eta_pairs
+
+from conftest import SHAPE22, rand_pd, rand_psd_rank
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tmlab"
-SLOTS = {"_evals", "_eig", "_factor"}
+# The spectral slots, the stored matrices and the recipe that forms them.
+SLOTS = {"_evals", "_eig", "_factor", "_formed", "_recipe"}
 # The only functions of core.py that assign a slot.
-WRITERS = {"_seal", "_eigenvalues", "_spectrum"}
+WRITERS = {"_seal", "_form", "_eigenvalues", "_spectrum"}
 # The kernel protocol, which HermitianStack alone may define; the scalar
 # rule (_coefficient) is inline in HermitianStack.__mul__.
 PROTOCOL = {"_trusted", "_derive", "_coefficient", "_check_same_shape", "_seal", "_eigenvalues", "_spectrum"}
@@ -362,14 +373,14 @@ class TestComposed:
     def test_ascending_spectra_share_the_vectors(self, rng):
         q = np.linalg.qr(rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4)))[0]
         w = np.sort(rng.normal(size=(2, 4)), axis=-1)
-        matrix, values, vectors = _composed(w, q)
+        matrix, (values, vectors) = _composed(w, q), _ascending(w, q)
         assert values is w and vectors is q
         assert np.array_equal(matrix, matrix.conj().swapaxes(-1, -2))
 
     def test_unsorted_spectra_sort_stably_with_their_vectors(self, rng):
         q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
         w = np.array([2.0, -1.0, 2.0, 0.5])
-        matrix, values, vectors = _composed(w, q)
+        matrix, (values, vectors) = _composed(w, q), _ascending(w, q)
         assert values.tolist() == [-1.0, 0.5, 2.0, 2.0]
         assert np.array_equal(vectors, q[:, [1, 3, 0, 2]])
         assert np.allclose((vectors * values) @ vectors.conj().T, matrix, atol=1e-13)
@@ -442,3 +453,136 @@ def test_dead_name_scan_sees_a_leftover_helper():
     tree = ast.parse("_LIMIT = 2\ndef _left(v):\n    return _left(v - 1) if v else _LIMIT\n"
                      "def _used():\n    return 1\ndef run():\n    return _used()\n")
     assert _dead_private_names({"m.py": tree}) == [("m.py", "_left")]
+
+
+def _stack(rng, n=3, d=4):
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return HermitianStack.from_matrices(a + a.conj().swapaxes(-1, -2), TensorShape((2, 2)))
+
+
+class TestRecipes:
+    """A stack born with its eigenpairs holds a recipe in place of its
+    matrices until they are read; the read forms the bits that the body
+    forming them at birth would form."""
+
+    @pytest.mark.parametrize("phi", [np.exp, np.negative], ids=["ascending", "reversed"])
+    def test_apply_spectral(self, rng, phi):
+        h = _stack(rng)
+        w, v = h._spectrum()
+        out = apply_spectral(h, phi)
+        assert out._formed is None and out._recipe is not None
+        assert np.array_equal(out.unfold(), _symmetrize(_spectral_map(v, phi(w))))
+        assert out._recipe is None and out.unfold() is out.unfold()
+
+    @pytest.mark.parametrize("draw", [lambda spec: _draw(spec, (0, 1, 2)), lambda spec: _increments(spec, (0, 1))],
+                             ids=["spectrum draw", "L3 increment"])
+    def test_rotated_spectra(self, monkeypatch, draw):
+        seen, real = [], harness._rotated
+        monkeypatch.setattr(harness, "_rotated", lambda q, lam, shape: seen.append((q, lam)) or real(q, lam, shape))
+        out = draw(EnsembleSpec(SHAPE22, "spectrum", 7, m=0.5, M=2.0))
+        (q, lam), = seen
+        assert out._formed is None
+        assert np.array_equal(out._spectrum()[0], np.sort(lam, axis=-1))
+        assert np.array_equal(out.unfold(), _symmetrize(_spectral_map(q, lam)))
+
+    @pytest.mark.parametrize("m", [2.0, -1.5])
+    def test_identity_draw(self, m):
+        out = _draw(EnsembleSpec(SHAPE22, "spectrum", 7, m=m, M=m), (0, 1))
+        assert out._formed is None
+        assert np.array_equal(out.unfold(), np.broadcast_to(np.eye(4, dtype=np.complex128), (2, 4, 4)) * m)
+
+    @pytest.mark.parametrize("stacked", ["x", "y", "both"])
+    def test_eta(self, rng, stacked):
+        x = [rand_psd_rank(rng, 2) for _ in range(3)]
+        y = [tm.HermitianTensor.from_matrix(t.unfold() + 0.5 * np.eye(4), SHAPE22) for t in x]
+        x = HermitianStack.from_matrices([t.unfold() for t in x], SHAPE22) if stacked != "y" else x[0]
+        y = HermitianStack.from_matrices([t.unfold() for t in y], SHAPE22) if stacked != "x" else y[0]
+        out = tm.eta(x, y).eta
+        # The class follows the result's shape, a stack, not y's vectors.
+        assert type(out) is HermitianStack and out._formed is None
+        _, _, c = _eta_pairs(x, y)
+        v = y._spectrum()[1]
+        assert np.array_equal(out.unfold(), _symmetrize(v @ c @ _ct(v)))
+
+    def test_shifted_y(self, rng, monkeypatch):
+        x, y = rand_psd_rank(rng, 2), rand_pd(rng)
+        seen, real = [], means.mean_pd
+        monkeypatch.setattr(means, "mean_pd", lambda a, b, g: seen.append(b) or real(a, b, g))
+        grid = (1e-2, 1e-4)
+        means.epsilon_mean_limit(x, y, tm.geometric(), grid)
+        assert [s._formed for s in seen] == [None, None]
+        for eps, shifted in zip(grid, seen):
+            assert np.array_equal(shifted.unfold(), y.unfold() + np.eye(4) * eps)
+
+    def test_threads_reading_at_once_form_the_same_bits(self, rng):
+        h = _stack(rng, 2)
+        stacks = [apply_spectral(h, lambda w, k=k: w + k) for k in range(200)]
+        want = [_composed(s._eigenvalues(), h._spectrum()[1]) for s in stacks]
+        seen, errors = [], []
+
+        def read():
+            try:
+                seen.append([s.unfold() for s in stacks])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers) and errors == []
+        assert all(np.array_equal(a, b) for got in seen for a, b in zip(got, want)) and len(seen) == 8
+
+    def test_values_only_and_summed_stacks_form_at_birth(self, rng):
+        h = _stack(rng)
+        for out in (h._scaled(2.0), h + h, h * 2.0, tm.spectral_power(h, 3)):
+            assert out._formed is not None and out._recipe is None
+
+    def test_a_spectrum_near_the_double_max_forms_and_checks_at_birth(self):
+        top = np.finfo(float).max
+        overflowed = 0
+        for seed in range(6):
+            h = _stack(np.random.default_rng(seed), 1)
+            w, v = h._spectrum()
+            with np.errstate(over="ignore", invalid="ignore"):
+                eager = _symmetrize(_spectral_map(v, np.full_like(w, top)))
+            if np.isfinite(eager).all():
+                assert apply_spectral(h, lambda w: np.full_like(w, top))._formed is not None
+                continue
+            overflowed += 1
+            with pytest.raises(ValueError, match="entries must be finite"):
+                apply_spectral(h, lambda w: np.full_like(w, top))
+        assert overflowed
+        # Below the bound a recipe waits for its read.
+        assert apply_spectral(h, lambda w: np.full_like(w, _NORM_SAFE / 2.0))._formed is None
+
+
+def test_a_default_pass_never_forms_the_unread_matrices(monkeypatch):
+    """At the default config (D = 4), T2's ``exp(q y)``, the quotient
+    ``eta`` a ``DominationPair`` certifies with, and T63's ``y + eps I``
+    are read only through their eigenpairs."""
+    born = {"exp(q y)": [], "eta": [], "y + eps I": []}
+
+    def spy(module, name, kind, pick):
+        real = getattr(module, name)
+
+        def recorded(*args):
+            out = real(*args)
+            born[kind].append(pick(args, out))
+            return out
+
+        monkeypatch.setattr(module, name, recorded)
+
+    spy(lie_trotter, "mean_pd", "exp(q y)", lambda args, out: args[1])
+    spy(data_processing, "eta", "eta", lambda args, out: out.eta)
+    spy(means, "mean_pd", "y + eps I", lambda args, out: args[1])
+    for sid in (SuiteId.T2_LieTrotterLimit, SuiteId.T63_PsdLimit, SuiteId.APP_Fusion, SuiteId.APP_LinearTransform):
+        run_suite(sid, ExperimentConfig())
+    assert all(born.values())
+    assert {kind: sum(s._formed is not None for s in stacks) for kind, stacks in born.items()} == dict.fromkeys(born, 0)
