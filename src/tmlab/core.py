@@ -317,8 +317,8 @@ class HermitianStack:
         their tensor ``shape``, and what their maker knows of their
         spectrum: the ascending ``values``, with them their ``vectors``, or
         a graded factor ``G = grade diag(s)^(1/2)`` of ``matrix = W G G^H
-        W^H`` for a unitary ``W``, as its parts ``factor = (grade, s)``;
-        ``G`` is formed only by the first values read.
+        W^H`` for a unitary ``W``, as its parts ``factor = (grade, s, W)``;
+        ``G`` is formed only by the first spectrum read.
 
         With both ``values`` and ``vectors``, ``matrix`` may be a recipe: a
         function of no arguments that forms the matrices, kept for the
@@ -404,26 +404,35 @@ class HermitianStack:
         rounding, not bit for bit, unless both were passed at birth.
         """
         if self._evals is None and self._factor is not None:
-            grade, s = self._factor
-            factor = grade * np.sqrt(s)[..., None, :]
-            # Largest columns first, as a pivoted QR takes them (Demmel et al., LAA 299, 1999).
-            order = np.argsort(-np.abs(factor).max(axis=-2), axis=-1)
-            graded = np.take_along_axis(factor, order[..., None, :], axis=-1)
-            self._evals = _read_only(np.linalg.svd(graded, compute_uv=False)[..., ::-1] ** 2)
+            self._evals = _read_only(np.linalg.svd(self._graded(), compute_uv=False)[..., ::-1] ** 2)
         elif self._evals is None:
             self._evals = _read_only(np.linalg.eigvalsh(self._matrix))
         return self._evals
+
+    def _graded(self) -> np.ndarray:
+        """The graded factor ``G`` of a mean born with its parts, columns
+        largest first, as a pivoted QR takes them (Demmel et al., LAA 299,
+        1999)."""
+        grade, s, _ = self._factor
+        factor = grade * np.sqrt(s)[..., None, :]
+        order = np.argsort(-np.abs(factor).max(axis=-2), axis=-1)
+        return np.take_along_axis(factor, order[..., None, :], axis=-1)
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ascending eigenvalues and eigenvectors of every matrix,
         for the kernels that read eigenvectors.
 
         One ``eigh`` call over the stack, made on first use unless passed at
-        birth.  The two caches are the only writes into an instance after
-        its birth, and idempotent ones.  Eigenvector phases are those LAPACK
-        returns; :func:`spectral_decompose` fixes them.
+        birth; for a mean born with a graded factor ``G`` of ``W G G^H
+        W^H``, one SVD ``G = U S V^H`` with vectors instead, giving ``S**2``
+        and ``W U``.  The two caches are the only writes into an instance
+        after its birth, and idempotent ones.  Eigenvector phases are those
+        LAPACK returns; :func:`spectral_decompose` fixes them.
         """
-        if self._eig is None:
+        if self._eig is None and self._factor is not None:
+            u, sigma, _ = np.linalg.svd(self._graded())
+            self._eig = (_read_only(sigma[..., ::-1] ** 2), _read_only(self._factor[2] @ u[..., ::-1]))
+        elif self._eig is None:
             w, v = np.linalg.eigh(self._matrix)
             self._eig = (_read_only(w), _read_only(v))
         return self._eig

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -47,98 +48,78 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PositiveLinearMap:
-    """Congruence, pinching, or a convex combination of positive maps.
+    """A positive linear map on Hermitian tensors of ``shape``: ``fn``, the
+    function it applies to a ``(..., D, D)`` array of unfoldings.
 
-    ``kind`` is one of ``"congruence"`` (conjugation by a fixed tensor),
-    ``"pinching"`` (block-diagonal compression over a partition of the
-    unfolding indices), or ``"mix"`` (weighted combination, weights on the
-    simplex).  All three send PSD to PSD and preserve hermiticity.
+    Built by :func:`congruence`, :func:`pinching` and
+    :func:`convex_combination`, each of which checks its own parts; all
+    three send PSD to PSD and preserve hermiticity.
     """
 
-    kind: str
     shape: TensorShape
-    matrix: np.ndarray | None = None
-    partition: tuple[tuple[int, ...], ...] | None = None
-    components: tuple = ()
-    weights: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        d = self.shape.square_dim
-        if self.kind == "congruence":
-            if self.matrix is None or self.matrix.shape != (d, d):
-                raise ValueError(f"congruence needs a {d} x {d} tensor unfolding")
-            object.__setattr__(self, "matrix", _read_only(np.ascontiguousarray(self.matrix, dtype=np.complex128)))
-        elif self.kind == "pinching":
-            if not self.partition:
-                raise ValueError("pinching needs a partition")
-            seen = [i for group in self.partition for i in group]
-            if sorted(seen) != list(range(d)):
-                raise ValueError(f"partition must cover 0..{d - 1} exactly once, got {self.partition}")
-        elif self.kind == "mix":
-            if len(self.components) != len(self.weights) or not self.components:
-                raise ValueError("mix needs matching components and weights")
-            if not all(0.0 <= w <= 1.0 for w in self.weights) or abs(math.fsum(self.weights) - 1.0) > 1e-12:
-                raise ValueError(f"weights must be a convex combination, got {self.weights}")
-            if any(c.shape.dims != self.shape.dims for c in self.components):
-                raise ValueError("component shape mismatch")
-        else:
-            raise ValueError(f"unknown map kind {self.kind!r}")
+    fn: Callable[[np.ndarray], np.ndarray]
 
 
 def congruence(k_entries, shape) -> PositiveLinearMap:
-    """Map ``h -> k^H * h * k`` for a fixed (not necessarily Hermitian) tensor."""
+    """Map ``h -> k^H * h * k`` for a fixed (not necessarily Hermitian)
+    tensor, or matrix by matrix for a stack of ``D x D`` unfoldings."""
     shape = _as_shape(shape)
     d = shape.square_dim
-    arr = np.asarray(k_entries, dtype=np.complex128)
-    if arr.shape == shape.dims + shape.dims:
-        arr = arr.reshape(d, d)
-    return PositiveLinearMap("congruence", shape, matrix=arr)
+    k = np.array(k_entries, dtype=np.complex128, order="C")
+    if k.shape == shape.dims + shape.dims:
+        k = k.reshape(d, d)
+    if k.shape[-2:] != (d, d):
+        raise ValueError(f"congruence needs a {d} x {d} tensor unfolding")
+    if not np.isfinite(k).all():
+        raise ValueError("congruence needs a finite tensor")
+    return PositiveLinearMap(shape, partial(_congruence, _read_only(k)))
+
+
+def _congruence(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``k^H m k`` per matrix; ``k`` is one ``D x D`` matrix or a stack."""
+    return _symmetrize(_ct(k) @ m @ k)
 
 
 def pinching(partition, shape) -> PositiveLinearMap:
     """Block-diagonal compression over a partition of the unfolding indices."""
     shape = _as_shape(shape)
+    d = shape.square_dim
     part = tuple(tuple(_integer("partition index", i) for i in group) for group in partition)
-    return PositiveLinearMap("pinching", shape, partition=part)
+    if not part:
+        raise ValueError("pinching needs a partition")
+    if sorted(i for group in part for i in group) != list(range(d)):
+        raise ValueError(f"partition must cover 0..{d - 1} exactly once, got {part}")
+    kept = np.zeros((d, d), dtype=bool)
+    for idx in (np.asarray(group, dtype=np.intp) for group in part):
+        kept[np.ix_(idx, idx)] = True
+    # Diagonal blocks of a Hermitian matrix: exactly Hermitian.
+    return PositiveLinearMap(shape, lambda m: np.where(kept, m, 0.0))
 
 
 def convex_combination(maps, weights) -> PositiveLinearMap:
-    maps = tuple(maps)
+    """The weighted sum of positive maps of one shape, weights on the simplex."""
+    maps, weights = tuple(maps), tuple(float(w) for w in weights)
     if not maps:
         raise ValueError("need at least one component map")
-    return PositiveLinearMap(
-        "mix", maps[0].shape, components=maps, weights=tuple(float(w) for w in weights)
-    )
+    if len(maps) != len(weights):
+        raise ValueError("mix needs matching components and weights")
+    if not all(0.0 <= w <= 1.0 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-12:
+        raise ValueError(f"weights must be a convex combination, got {weights}")
+    if any(c.shape.dims != maps[0].shape.dims for c in maps):
+        raise ValueError("component shape mismatch")
+    return PositiveLinearMap(maps[0].shape, lambda m: sum(w * comp.fn(m) for w, comp in zip(weights, maps)))
 
 
+@_quiet
 def apply_map(lmap: PositiveLinearMap, h: HermitianStack) -> HermitianStack:
     """Evaluate the map on a tensor, or on every matrix of a stack;
     hermiticity is preserved by construction."""
     d = lmap.shape.square_dim
     if h._shape is not None and h._shape.dims != lmap.shape.dims:
         raise ValueError(f"shape mismatch: map on {lmap.shape.dims}, tensor {h._shape.dims}")
-    if h.unfold().shape[-1] != d:
-        raise ValueError(f"size mismatch: map on D = {d}, matrices of size {h.unfold().shape[-1]}")
-    if lmap.kind == "congruence":
-        return _congruence(lmap.matrix, h)
-    if lmap.kind == "pinching":
-        m = h.unfold()
-        out = np.zeros_like(m)
-        for group in lmap.partition:
-            block = (Ellipsis,) + np.ix_(np.asarray(group, dtype=np.intp), np.asarray(group, dtype=np.intp))
-            out[block] = m[block]
-        # Diagonal blocks of a Hermitian matrix: exactly Hermitian.
-        return h._derive(out)
-    acc = np.zeros(h.unfold().shape, dtype=np.complex128)
-    for w, comp in zip(lmap.weights, lmap.components):
-        acc = acc + w * apply_map(comp, h).unfold()
-    return h._derive(acc)
-
-
-@_quiet
-def _congruence(k: np.ndarray, h: HermitianStack) -> HermitianStack:
-    """``k^H h k`` per matrix; ``k`` is one ``D x D`` matrix or a stack."""
-    return h._derive(_symmetrize(_ct(k) @ h.unfold() @ k))
+    if h._matrix_shape[-1] != d:
+        raise ValueError(f"size mismatch: map on D = {d}, matrices of size {h._matrix_shape[-1]}")
+    return h._derive(lmap.fn(h.unfold()))
 
 
 @dataclass(frozen=True)
@@ -217,14 +198,14 @@ def transform_gap(
     ``L(x # y)`` against ``L(x) # L(y)`` (GEQ expected).
     """
     _admit(g, "TC", zero_limit=True, side=pair.side)
-    verdict = loewner_compare(*_transform_sides(partial(apply_map, lmap), pair, mean_on_pair(pair, g), g), tol)
+    verdict = loewner_compare(*_transform_sides(lmap, pair, mean_on_pair(pair, g), g), tol)
     return -verdict.lam_max, verdict
 
 
 def _transform_sides(lmap, pair, pair_mean, g):
-    """Body of :func:`transform_gap` over stacks: ``lmap`` maps a stack,
-    and ``pair_mean`` is ``mean_on_pair(pair, g)``, shared by every map.
-    Returns the two sides ``(lhs, rhs)`` of ``lhs >= rhs``, the mapped mean
-    and the mean of the mapped pair."""
-    mean_mapped = mean_on_pair(DominationPair(lmap(pair.x), lmap(pair.y), pair.side), g)
-    return lmap(pair_mean), mean_mapped
+    """Body of :func:`transform_gap` over stacks, where ``pair_mean`` is
+    ``mean_on_pair(pair, g)``, shared by every map.  Returns the two sides
+    ``(lhs, rhs)`` of ``lhs >= rhs``, the mapped mean and the mean of the
+    mapped pair."""
+    mean_mapped = mean_on_pair(DominationPair(apply_map(lmap, pair.x), apply_map(lmap, pair.y), pair.side), g)
+    return apply_map(lmap, pair_mean), mean_mapped

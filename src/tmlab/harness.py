@@ -83,10 +83,9 @@ from .bounds import (
 from .lie_trotter import _ordering_sides, convergence_study
 from .data_processing import (
     DominationPair,
-    _congruence,
     _fusion_sides,
     _transform_sides,
-    apply_map,
+    congruence,
     mean_on_pair,
     pinching,
 )
@@ -1194,7 +1193,7 @@ def _suite_transform(run):
         pair_mean = mean_on_pair(pair, fn)
         # The mapped mean dominates the mean of the mapped pair.
         return [_excess(*_transform_sides(lmap, pair, pair_mean, fn)[::-1])
-                for lmap in (partial(_congruence, cong), partial(apply_map, pinch), partial(_congruence, unitary))]
+                for lmap in (congruence(cong, ex.shape), pinch, congruence(unitary, ex.shape))]
 
     cong, pinch, unitary = _per_trial(run.cfg, body)
     run.notes.append(f"max |excess| for unitary congruence: {max(0.0, *np.abs(unitary).tolist()):.3e}")

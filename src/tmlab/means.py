@@ -121,13 +121,13 @@ def _finish_mean(x: HermitianStack, g: ConnectionFunction, qw, vy, s, u, cutoff=
     or ``y**(q/2)`` on them, the quotient's eigenvectors in y's eigenbasis),
     ``g`` taking its 0+ limit at or below ``cutoff``.  A non-finite
     ``g(qw)``, a NaN or inf ``qw`` included, raises.  A mean of a positive
-    ``g`` is born with its graded factor's parts ``(diag(s) U, g(qw))``."""
+    ``g`` is born with its graded factor's parts ``(diag(s) U, g(qw), Vy)``."""
     mapped = g.eval_extended(qw, cutoff)
     if not _all(np.isfinite(mapped)):
         bad = qw[~np.isfinite(mapped)]
         raise ValueError(f"{g.label} not finite on quotient spectrum {bad}")
     mean = _symmetrize(_spectral_map((vy * s[..., None, :]) @ u, mapped))
-    return x._derive(mean, factor=(s[..., :, None] * u, mapped) if g.positive else None)
+    return x._derive(mean, factor=(s[..., :, None] * u, mapped, vy) if g.positive else None)
 
 
 def mean_pd(x: HermitianStack, y: HermitianStack, g: ConnectionFunction) -> HermitianStack:

@@ -1,7 +1,7 @@
 """Property test of the config contract.
 
 Inside the supported band (the default p, and either q in [0.05, 32] at the
-default m = 2 or m in [2, 16] at q in [0.05, 2], at any shape from D = 1 to
+default m = 2 or m in [2, 40] at q in [0.05, 2], at any shape from D = 1 to
 D = 64) every suite yields a report whose numeric fields are all finite.
 Anywhere else a valid config, with the suite's default generator or any
 builtin generator id, yields such a report or raises
@@ -41,7 +41,7 @@ FUNCTIONS = (
 )
 band = st.one_of(
     st.fixed_dictionaries({"q": st.floats(min_value=0.05, max_value=32.0)}),
-    st.fixed_dictionaries({"q": st.floats(min_value=0.05, max_value=2.0), "m": st.integers(2, 16)}),
+    st.fixed_dictionaries({"q": st.floats(min_value=0.05, max_value=2.0), "m": st.integers(2, 40)}),
 )
 
 
@@ -109,8 +109,8 @@ def test_huge_spectra_report_or_raise_value_error(top):
 @example(shape=(8, 8), trials=3, suite="C4_MajorizationTC", exps={"q": 32.0})
 @example(shape=(2, 2), trials=3, suite="C3_MajorizationTMD", exps={"q": 9.0})
 # The lifted premise means of the largest m, whose bottom eigenvalues the geq premise divides by.
-@example(shape=(8, 8), trials=3, suite="C1_AndoHiaiDual", exps={"q": 2.0, "m": 16})
-@example(shape=(3, 3), trials=3, suite="T3_LieTrotterTail", exps={"q": 0.46, "m": 16})
+@example(shape=(8, 8), trials=3, suite="C1_AndoHiaiDual", exps={"q": 2.0, "m": 40})
+@example(shape=(3, 3), trials=3, suite="T3_LieTrotterTail", exps={"q": 0.46, "m": 40})
 def test_supported_band_reports_finite_fields(shape, trials, suite, exps):
     cfg = ExperimentConfig(shape=shape, trials=trials, suites=(suite,), exponents=exps)
     (report,) = run_suites(cfg)

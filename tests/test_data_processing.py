@@ -71,18 +71,19 @@ class TestApplyMap:
 
     @pytest.mark.parametrize("call, match", [
         (lambda pinch: tm.congruence(np.eye(3), SHAPE22), "congruence needs a 4 x 4 tensor unfolding"),
-        (lambda pinch: tm.PositiveLinearMap("pinching", SHAPE22), "pinching needs a partition"),
-        (lambda pinch: tm.PositiveLinearMap("mix", SHAPE22, components=(pinch,), weights=(0.5, 0.5)),
-         "mix needs matching components and weights"),
+        (lambda pinch: tm.congruence(np.full((4, 4), np.nan), SHAPE22), "congruence needs a finite tensor"),
+        (lambda pinch: tm.congruence(np.stack([np.eye(4), np.full((4, 4), np.inf)]), SHAPE22),
+         "congruence needs a finite tensor"),
+        (lambda pinch: tm.pinching([], SHAPE22), "pinching needs a partition"),
+        (lambda pinch: tm.convex_combination([pinch], [0.5, 0.5]), "mix needs matching components and weights"),
         (lambda pinch: tm.convex_combination([pinch, tm.congruence(np.eye(4), (4,))], [0.5, 0.5]),
          "component shape mismatch"),
-        (lambda pinch: tm.PositiveLinearMap("rotation", SHAPE22), "unknown map kind 'rotation'"),
         (lambda pinch: tm.convex_combination([], []), "need at least one component map"),
         (lambda pinch: tm.convex_combination([pinch, pinch], [np.nan, 1.0]), "weights must be a convex combination"),
         (lambda pinch: tm.apply_map(pinch, HermitianStack.from_matrices(np.stack([np.eye(2)] * 3))),
          "size mismatch: map on D = 4, matrices of size 2"),
-    ], ids=["congruence-size", "pinching-no-partition", "mix-unmatched", "mix-shapes", "unknown-kind", "mix-empty",
-            "weight-nan", "shapeless-stack-of-other-d"])
+    ], ids=["congruence-size", "congruence-nan", "congruence-stack-inf", "pinching-no-partition", "mix-unmatched",
+            "mix-shapes", "mix-empty", "weight-nan", "shapeless-stack-of-other-d"])
     def test_refusals(self, call, match):
         with pytest.raises(ValueError, match=match):
             call(tm.pinching([(0, 1), (2, 3)], SHAPE22))

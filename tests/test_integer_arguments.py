@@ -65,7 +65,9 @@ def test_values_below_the_bound_raise():
 def test_numpy_integers_pass():
     assert tm.power_lift(tm.geometric(), np.int64(2)).label == "liftn:2:geometric"
     assert str(tm.ky_fan(np.int32(2))) == "kyfan:2"
-    assert tm.pinching([(np.int64(0),), (np.uint8(1),)], (2,)).partition == ((0,), (1,))
+    h = tm.HermitianTensor(np.array([[2.0, 1.0], [1.0, 3.0]]), (2,))
+    numpy_built, int_built = tm.pinching([(np.int64(0),), (np.uint8(1),)], (2,)), tm.pinching([(0,), (1,)], (2,))
+    assert np.array_equal(tm.apply_map(numpy_built, h).unfold(), tm.apply_map(int_built, h).unfold())
     assert np.array_equal(sample(SPEC, np.int64(3)).unfold(), sample(SPEC, 3).unfold())
     assert EnsembleSpec(SHAPE22, "wishart", np.int64(7)).seed == 7
     assert tm.kyfan_stats(X, np.int64(2)) == tm.kyfan_stats(X, 2)

@@ -25,7 +25,6 @@ from tmlab.core import (
     _scale_bracket,
     loewner_extremes,
 )
-from tmlab.data_processing import _congruence
 from tmlab.harness import EnsembleSpec, ExperimentConfig, SuiteId, _chunks, _draw, run_suite, sample
 from tmlab.means import _powered_mean, _psd_root, _quotient_levels
 
@@ -185,9 +184,11 @@ class TestKernelsMatchBatchOfOne:
     def test_maps(self, rng, d):
         x = pd_stack(rng, d)
         k = gaussian(rng, N, d, d)
+        # A stack congruence maps matrix by matrix, as each member's own map does.
         single = [matrices(tm.apply_map(tm.congruence(k[i], shape_of(d)), t)) for i, t in enumerate(tensors(x, d))]
-        split = [matrices(_congruence(k[:SPLIT], halves(x)[0])), matrices(_congruence(k[SPLIT:], halves(x)[1]))]
-        assert_sliced(matrices(_congruence(k, x)), single, split)
+        split = [matrices(tm.apply_map(tm.congruence(part, shape_of(d)), h))
+                 for part, h in zip((k[:SPLIT], k[SPLIT:]), halves(x))]
+        assert_sliced(matrices(tm.apply_map(tm.congruence(k, shape_of(d)), x)), single, split)
         pinch = tm.pinching((tuple(range(d // 2)), tuple(range(d // 2, d))), shape_of(d))
         mix = tm.convex_combination([pinch, tm.congruence(k[0], shape_of(d))], [0.25, 0.75])
         for lmap in (pinch, mix):

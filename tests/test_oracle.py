@@ -31,6 +31,14 @@ factor.  The bottom eigenvalue of C1's lifted premise mean at m = 12
 (condition up to 3e18 at D = 9) is within 1e-12 relative (3.5e-14
 measured), where ``eigvalsh`` of the formed mean is off by up to 44 times.
 
+Its eigenvectors come from the same factor, by one SVD with vectors.  At
+a non-integer ``1/q`` T3 maps them: on its four draws at m = 24, q = 0.46
+and shape (3, 3) whose powered means are the most ill-conditioned
+(condition 5e16 to 3e19), every eigenvalue of the q-th root is within
+5e-12 relative of a 50-digit reference (9.8e-14 measured) and the root
+within 2e-12 normwise (6.5e-14 measured).  The bottom eigenvalue of
+``eigh`` of the formed mean is off by up to 490 times there.
+
 An integer power ``spectral_power(h, n)`` is a product of repeated
 squarings.  At n = 2, 3, 6 and 256, on a PD and an indefinite h at D = 4
 and 16 with spectra in [-1, 1], it is within ``n D eps`` relative
@@ -172,6 +180,31 @@ def test_powered_mean_at_q_32_matches_oracle_where_worst_conditioned(monkeypatch
         _, want = oracle.powered_mean(x.unfold()[i], y.unfold()[i], g.label, q)
         assert want[-1] / want[0] > 1e51
         assert relative(ev[i], want) <= 5e-2, i
+
+
+def test_t3_root_at_m_24_matches_oracle_where_worst_conditioned(monkeypatch):
+    calls = []
+    real = harness._ordering_sides
+
+    def spy(x, y, lifted, w, q):
+        out = real(x, y, lifted, w, q)
+        calls.append((x, y, lifted, q, out))
+        return out
+
+    monkeypatch.setattr(harness, "_ordering_sides", spy)
+    cfg = harness.ExperimentConfig(trials=20, shape=(3, 3), exponents={"m": 24, "q": 0.46}, seed=1)
+    harness.run_suite("T3_LieTrotterTail", cfg)
+    ((x, y, lifted, q, (_, mean, root)),) = calls
+    ev = mean._eigenvalues()
+    formed_error = 0.0
+    for i in np.argsort(ev[:, 0] / ev[:, -1])[:4]:
+        want, want_ev = oracle.powered_root(x.unfold()[i], y.unfold()[i], lifted.label, q)
+        assert relative(root._eigenvalues()[i], want_ev) <= 5e-12, i
+        assert np.linalg.norm(root.unfold()[i] - want) <= 2e-12 * np.linalg.norm(want), i
+        formed = np.maximum(np.linalg.eigvalsh(mean.unfold()[i]), 0.0) ** (1.0 / q)
+        formed_error = max(formed_error, relative(formed[0], want_ev[0]))
+    # Not vacuous: eigh of the formed mean misses the root's bottom eigenvalue.
+    assert formed_error > 1.0
 
 
 def test_t2_final_error_matches_oracle(monkeypatch):

@@ -27,7 +27,9 @@ a generator is a power, and which, has one rule.  No code but
 ``functions._class_readings``, so a generator's tags have one rule, run
 once, at construction.  No code but
 ``core._quiet`` enters ``np.errstate``, so which numpy floating-point
-warnings the package silences is one decision.
+warnings the package silences is one decision.  No module but
+``data_processing`` names the congruence body ``_congruence``, so every
+congruence is built by ``congruence`` and applied by ``apply_map``.
 """
 
 import ast
@@ -267,6 +269,25 @@ def test_errstate_scan_sees_a_local_block():
                      "            return fn()\n    return run\nclass F:\n    def probe(self):\n"
                      "        with errstate(all='ignore'):\n            pass\n")
     assert _errstate_entries(tree) == [("_quiet", 3), ("F", 8)]
+
+
+def _congruence_names(tree):
+    """Every name, attribute, imported name or string ``_congruence``."""
+    return _owners(tree, lambda node: "_congruence" in {
+        getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "value", None),
+        node.name if isinstance(node, ast.alias) else None})
+
+
+def test_only_data_processing_names_the_congruence_body():
+    found = {name: _congruence_names(tree) for name, tree in _trees().items()}
+    assert {name for name, hits in found.items() if hits} == {"data_processing.py"}
+
+
+def test_congruence_scan_sees_a_bypass():
+    tree = ast.parse("from .data_processing import _congruence, _congruence_mean\n"
+                     "def body(k, h):\n    return _congruence(k, h) + dp._congruence(k, h)\n"
+                     "def other(m):\n    return _congruence_mean(m, '_congruence')\n")
+    assert _congruence_names(tree) == [(None, 1), ("body", 3), ("body", 3), ("other", 5)]
 
 
 def test_calculus_and_draws_share_one_composition_body():
@@ -561,6 +582,30 @@ class TestRecipes:
         assert overflowed
         # Below the bound a recipe waits for its read.
         assert apply_spectral(h, lambda w: np.full_like(w, _NORM_SAFE / 2.0))._formed is None
+
+
+def test_a_factor_born_mean_reads_its_eigenvectors_from_its_factor(monkeypatch):
+    """T3's q-th root at a non-integer ``1/q`` maps the eigenpairs of its
+    powered means; they come from one SVD of each mean's graded factor, so
+    no such mean's matrix reaches ``eigh``."""
+    born, decomposed = [], []
+    finish, eigh = means._finish_mean, np.linalg.eigh
+
+    def finished(*args, **kwargs):
+        born.append(finish(*args, **kwargs))
+        return born[-1]
+
+    def decompose(a, *args, **kwargs):
+        decomposed.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(means, "_finish_mean", finished)
+    monkeypatch.setattr(np.linalg, "eigh", decompose)
+    run_suite(SuiteId.T3_LieTrotterTail,
+              ExperimentConfig(trials=20, shape=(3, 3), exponents={"m": 24, "q": 0.46}, seed=1))
+    factor_born = [m for m in born if m._factor is not None]
+    assert any(m._eig is not None for m in factor_born)
+    assert not [a for a in decomposed for m in factor_born if a is m._formed]
 
 
 def test_a_default_pass_never_forms_the_unread_matrices(monkeypatch):
