@@ -20,7 +20,7 @@ import json
 import sys
 import time
 
-from .core import NotPositiveDefiniteError, TensorShape, load_tensor
+from .core import NotPositiveDefiniteError, TensorShape, _integer, load_tensor
 from .functions import from_id
 from .harness import (
     ConfigError,
@@ -103,11 +103,11 @@ def _cmd_lie_trotter(args) -> int:
     if not args.study:
         print("nothing to do: pass --study", file=sys.stderr)
         return USAGE_EXIT
-    fn = from_id(args.fn)
+    fn, pairs = from_id(args.fn), _integer("--pairs", args.pairs)
     shape = TensorShape((2, 2))
     ens = EnsembleSpec(shape, "spectrum", args.seed, m=-1.0, M=1.0)
     print(f"convergence of (exp(qX) # exp(qY))^(1/q) to the limit, generator {fn.label}")
-    for trial in range(args.pairs):
+    for trial in range(pairs):
         x = sample(ens, 2 * trial)
         y = sample(ens, 2 * trial + 1)
         st = convergence_study(x, y, fn)

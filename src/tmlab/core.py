@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -46,8 +46,6 @@ __all__ = [
     "loewner_compare",
     "gauge_norm",
     "range_projector",
-    "tensor_to_json_dict",
-    "tensor_from_json_dict",
     "save_tensor",
     "load_tensor",
 ]
@@ -115,6 +113,14 @@ def _integer(name: str, value, low=0) -> int:
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
     return int(value)
+
+
+def _tolerance(tol: float) -> None:
+    """The one rule of a relative tolerance: finite and ``>= 0``, else
+    ``ValueError``.  A NaN would refuse every order, an ``inf`` grant both,
+    and a negative one would turn every test around."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
 def _as_shape(shape) -> TensorShape:
@@ -636,20 +642,39 @@ class HermitianTensor(HermitianStack):
     def is_pd(self, tol: float = PSD_RTOL) -> bool:
         """Whether ``lambda_min > tol * max(1, |self|_sp)``: a relative test
         for users.  No package code decides with it; the gates
-        ``_gate_pd`` and ``_gate_psd`` do.  ``tol`` must be finite."""
-        if not math.isfinite(tol):
-            raise ValueError(f"tol must be finite, got {tol!r}")
+        ``_gate_pd`` and ``_gate_psd`` do.  ``tol`` passes :func:`_tolerance`."""
+        _tolerance(tol)
         return self.lambda_min() > tol * max(1.0, self.spectral_scale())
 
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return tensor_to_json_dict(self.entries, self._shape.dims)
+        """JSON payload ``{"dims", "re", "im"}`` with row-major entry order."""
+        flat = self._matrix.reshape(-1)
+        return {"dims": list(self._shape.dims), "re": flat.real.tolist(), "im": flat.imag.tolist()}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "HermitianTensor":
-        dims, arr = tensor_from_json_dict(payload)
-        return cls(arr, TensorShape(dims))
+        """The tensor of a :meth:`to_json_dict` payload: an object with
+        ``dims``, checked by :class:`TensorShape`, and ``re`` and ``im``,
+        one JSON number (an int or a float, not a bool) per entry.  Anything
+        else raises ``ValueError``: numpy's dtype inference would read a
+        string or a bool as a number."""
+        if not isinstance(payload, dict) or not {"dims", "re", "im"} <= payload.keys():
+            raise ValueError("a tensor payload is an object with the keys 'dims', 're' and 'im'")
+        shape = TensorShape(payload["dims"])
+        n = shape.square_dim**2
+        parts = [payload[k] for k in ("re", "im")]
+        if not all(isinstance(p, list) and len(p) == n for p in parts):
+            raise ValueError(f"expected {n} entries for dims {shape.dims}")
+        bad = [v for p in parts for v in p if isinstance(v, bool) or not isinstance(v, (int, float))]
+        if bad:
+            raise ValueError(f"entries must be JSON numbers, got {bad[0]!r}")
+        try:
+            re, im = (np.asarray(p, dtype=np.float64) for p in parts)
+        except OverflowError as exc:  # an integer past double range
+            raise ValueError("entries must be finite") from exc
+        return cls((re + 1j * im).reshape(shape.dims + shape.dims), shape)
 
     def __repr__(self) -> str:
         return f"HermitianTensor(dims={self._shape.dims})"
@@ -995,11 +1020,10 @@ def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL
     ``geq`` is ``lam_max <= tol * scale`` for ``scale = max(|x|_sp, |y|_sp,
     1)`` from the sides' eigenvalues, which are read only for a pair that
     the two ends of the :func:`_scale_bracket` decide differently.  Either
-    side may be a single tensor broadcast against a stack.  ``tol`` must be
-    finite: a NaN would refuse every order and an ``inf`` grant both.
+    side may be a single tensor broadcast against a stack.  ``tol`` passes
+    :func:`_tolerance`.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    _tolerance(tol)
     lam_min, lam_max = _loewner_gap(y, x)
     lo, hi = (np.maximum(np.maximum(sx, sy), 1.0) for sx, sy in zip(_scale_bracket(x), _scale_bracket(y)))
     leq, geq = lam_min >= -tol * lo, lam_max <= tol * lo
@@ -1052,30 +1076,36 @@ def loewner_compare(x: HermitianTensor, y: HermitianTensor, tol: float = PSD_RTO
 
 @dataclass(frozen=True)
 class GaugeNormKind:
-    """Symmetric gauge applied to the absolute spectrum ``|lambda|(H)``."""
+    """A unitarily invariant norm, a symmetric gauge of the absolute
+    spectrum ``|lambda|(H)``: ``fn`` maps a stack to the norm of each
+    matrix.  Two norms with the same ``label`` are equal."""
 
-    kind: str
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("spectral", "frobenius", "trace", "kyfan"):
-            raise ValueError(f"unknown gauge norm kind {self.kind!r}")
-        if self.kind == "kyfan":
-            object.__setattr__(self, "k", _integer("Ky Fan k", self.k, low=1))
-        elif self.k is not None:
-            raise ValueError(f"{self.kind} norm takes no k parameter")
+    label: str
+    fn: Callable = field(compare=False, repr=False)
 
     def __str__(self) -> str:
-        return f"kyfan:{self.k}" if self.kind == "kyfan" else self.kind
+        return self.label
 
 
-SPECTRAL = GaugeNormKind("spectral")
-FROBENIUS = GaugeNormKind("frobenius")
-TRACE = GaugeNormKind("trace")
+def _largest_sum(h: HermitianStack, k: int | None = None) -> np.ndarray:
+    """Sum of the ``k`` largest ``|lambda|`` of every matrix (all of them
+    for ``k=None``), from the cached eigenvalues."""
+    ev = np.sort(np.abs(h._eigenvalues()), axis=-1)[..., ::-1]
+    if k is not None and k > ev.shape[-1]:
+        raise ValueError(f"Ky Fan k={k} exceeds unfolding dimension {ev.shape[-1]}")
+    return np.sum(ev[..., :k], axis=-1)
+
+
+SPECTRAL = GaugeNormKind("spectral", lambda h: _scale_of(h._eigenvalues()))
+FROBENIUS = GaugeNormKind("frobenius", lambda h: _frobenius(h._matrix))
+TRACE = GaugeNormKind("trace", _largest_sum)
 
 
 def ky_fan(k: int) -> GaugeNormKind:
-    return GaugeNormKind("kyfan", k)
+    """The Ky Fan ``k``-norm, the sum of the ``k`` largest ``|lambda|``,
+    for an integer ``k >= 1``."""
+    k = _integer("Ky Fan k", k, low=1)
+    return GaugeNormKind(f"kyfan:{k}", functools.partial(_largest_sum, k=k))
 
 
 @_quiet
@@ -1083,18 +1113,7 @@ def gauge_norm(h: HermitianStack, kind: GaugeNormKind = FROBENIUS):
     """Unitarily invariant norm ``rho(|lambda|(h))`` of each Hermitian
     matrix: a float for a tensor, an array over a stack.  The Frobenius
     norm is read from the entries; the others from the cached eigenvalues."""
-    if kind.kind == "frobenius":
-        return _per_item(_frobenius(h._matrix))
-    if kind.kind == "spectral":
-        return _per_item(_scale_of(h._eigenvalues()))
-    ev = np.sort(np.abs(h._eigenvalues()), axis=-1)[..., ::-1]
-    if kind.kind == "trace":
-        out = np.sum(ev, axis=-1)
-    elif kind.k > ev.shape[-1]:
-        raise ValueError(f"Ky Fan k={kind.k} exceeds unfolding dimension {ev.shape[-1]}")
-    else:
-        out = np.sum(ev[..., : kind.k], axis=-1)
-    return _per_item(out)
+    return _per_item(kind.fn(h))
 
 
 # ---------------------------------------------------------------------------
@@ -1117,40 +1136,6 @@ def range_projector(h: HermitianTensor) -> HermitianTensor:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def tensor_to_json_dict(entries, dims) -> dict:
-    """JSON payload ``{"dims", "re", "im"}`` with row-major entry order."""
-    arr, shape = _coerce_entries(entries, _as_shape(dims))
-    flat = arr.reshape(-1)
-    return {
-        "dims": list(shape.dims),
-        "re": [float(v) for v in flat.real],
-        "im": [float(v) for v in flat.imag],
-    }
-
-
-def tensor_from_json_dict(payload: dict) -> tuple[tuple[int, ...], np.ndarray]:
-    """Dims and entries of a :func:`tensor_to_json_dict` payload: an object
-    with ``dims``, checked by :class:`TensorShape`, and ``re`` and ``im``,
-    one JSON number (an int or a float, not a bool) per entry.  Anything
-    else raises ``ValueError``: numpy's dtype inference would read a string
-    or a bool as a number."""
-    if not isinstance(payload, dict) or not {"dims", "re", "im"} <= payload.keys():
-        raise ValueError("a tensor payload is an object with the keys 'dims', 're' and 'im'")
-    dims = TensorShape(payload["dims"]).dims
-    n = math.prod(dims) ** 2
-    parts = [payload[k] for k in ("re", "im")]
-    if not all(isinstance(p, list) and len(p) == n for p in parts):
-        raise ValueError(f"expected {n} entries for dims {dims}")
-    bad = [v for p in parts for v in p if isinstance(v, bool) or not isinstance(v, (int, float))]
-    if bad:
-        raise ValueError(f"entries must be JSON numbers, got {bad[0]!r}")
-    try:
-        re, im = (np.asarray(p, dtype=np.float64) for p in parts)
-    except OverflowError as exc:  # an integer past double range
-        raise ValueError("entries must be finite") from exc
-    return dims, (re + 1j * im).reshape(dims + dims)
 
 
 def save_tensor(t: HermitianTensor, path) -> None:

@@ -76,7 +76,10 @@ def congruence(k_entries, shape) -> PositiveLinearMap:
 
 
 def _congruence(k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``k^H m k`` per matrix; ``k`` is one ``D x D`` matrix or a stack."""
+    """``k^H m k`` per matrix; ``k`` is one ``D x D`` matrix or a stack,
+    whose size a stack ``m`` must match."""
+    if k.ndim == m.ndim == 3 and len(k) != len(m):
+        raise ValueError(f"congruence of {len(k)} matrices applied to a stack of {len(m)}")
     return _symmetrize(_ct(k) @ m @ k)
 
 

@@ -913,9 +913,12 @@ def _suite_t3(run):
     branches = ("pmi", "pmd")
 
     def body(trials):
-        mean_q, pmi, pmd = _lie_trotter_sides(run, trials, lifted, w, q)
-        # At r = 1 the pmi tail (mean_q)^(r/q) is the root mean itself.
-        tails = (pmi[1] if r == 1.0 else spectral_power(mean_q, r / q), spectral_power(pmd[1], r))
+        mean_q, rho, pmi, pmd = _lie_trotter_sides(run, trials, lifted, w, q)
+        # At r = 1 each tail is its branch's high side.  Else pmi's is
+        # mean_q**(r/q), and pmd's the power of the log-affine side, which
+        # holds its eigenpairs, scaled by rho**r.
+        tails = (pmi[1], pmd[1]) if r == 1.0 else (
+            spectral_power(mean_q, r / q), spectral_power(pmi[0], r)._scaled(rho**r))
         flags, checks = [], []
         for (low, high), tail in zip((pmi, pmd), tails):
             head = _excess(low._eigenvalues()[:, -1], high._eigenvalues()[:, -1])
@@ -935,14 +938,14 @@ def _suite_t3(run):
 
 
 def _lie_trotter_sides(run, trials, lifted, w, q):
-    """T3's sides for one chunk: ``mean_q`` of the ``leq`` pair, then each
-    branch's ``(low, high)``, pmi's ``log_affine <= root_mean`` on the
-    ``leq`` pair and pmd's reverse order on the ``geq`` pair, whose sides,
-    of degree 1, are ``rho`` times those (see :func:`_premise_pair`)."""
+    """T3's sides for one chunk: ``mean_q`` of the ``leq`` pair, ``rho``,
+    then each branch's ``(low, high)``, pmi's ``log_affine <= root_mean``
+    on the ``leq`` pair and pmd's reverse order on the ``geq`` pair, whose
+    sides, of degree 1, are ``rho`` times those (see :func:`_premise_pair`)."""
     xp, yp, mean = _premise_pair(run, trials, lifted, "leq")
     log_affine, mean_q, root_mean = _ordering_sides(xp, yp, lifted, w, q)
     rho = 1.0 / mean._eigenvalues()[:, 0]
-    return mean_q, (log_affine, root_mean), (root_mean._scaled(rho), log_affine._scaled(rho))
+    return mean_q, rho, (log_affine, root_mean), (root_mean._scaled(rho), log_affine._scaled(rho))
 
 
 def _dyadic_q(run) -> float:

@@ -13,7 +13,6 @@ exponential and the q-th-root mean of lifted generators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .core import (
     _gate_pd,
     _integer,
     _per_item,
+    _tolerance,
     apply_spectral,
     gauge_norm,
     loewner_compare,
@@ -152,10 +152,10 @@ def lt_ordering_check(
     the ordering.  The returned verdict compares the exponential (left)
     against the root mean (right); callers assert LEQ or GEQ per branch.
     Raises :class:`PremiseError` when the premise fails beyond tolerance;
-    a non-finite ``tol`` raises ``ValueError`` before any mean is formed.
+    a ``tol`` that fails :func:`~tmlab.core._tolerance` raises
+    ``ValueError`` before any mean is formed.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    _tolerance(tol)
     if branch not in ("pmi", "pmd"):
         raise ValueError(f"unknown branch {branch!r}")
     q = float(q)

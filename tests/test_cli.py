@@ -301,6 +301,11 @@ class TestLieTrotterCommand:
         code, _, _ = run_cli(["lie-trotter"])
         assert code == 2
 
+    def test_negative_pairs_are_refused(self):
+        code, out, err = run_cli(["lie-trotter", "--study", "--pairs", "-3"])
+        assert code == 2 and out == ""
+        assert "--pairs must be >= 0, got -3" in err
+
 
 class TestResolveSuite:
     def test_aliases(self):

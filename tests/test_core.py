@@ -374,7 +374,7 @@ class TestLoewnerCompare:
             assert tm.loewner_compare(y, z, 0.0).is_leq
             assert tm.loewner_compare(x, z, 0.0).is_leq
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-3])
     @pytest.mark.parametrize("call", [
         lambda tol: tm.loewner_compare(tm.HermitianTensor.diag([1.0, 2.0], SHAPE2),
                                        tm.HermitianTensor.diag([3.0, 4.0], SHAPE2), tol),
@@ -390,7 +390,8 @@ class TestLoewnerCompare:
                                          2, 0.25, "pmi", tol),
     ], ids=["loewner_compare", "is_pd", "fusion_gap", "transform_gap", "lt_ordering_check"])
     def test_a_non_finite_tolerance_is_refused(self, call, tol):
-        # A NaN tol refused every order and an inf one granted both;
+        # A NaN tol refused every order and an inf one granted both; a
+        # negative one turned the tests around (x vs x read INCOMPARABLE).
         # lt_ordering_check read a -inf one in its premise test first.
         with pytest.raises(ValueError, match="tol must be finite"):
             call(tol)
@@ -436,8 +437,23 @@ class TestGaugeNorms:
                 assert np.allclose(got, want, rtol=8 * d * np.finfo(float).eps, atol=0.0)
 
     def test_ky_fan_range_error(self, rng):
-        with pytest.raises(ValueError, match="Ky Fan"):
+        with pytest.raises(ValueError, match="Ky Fan k=5 exceeds unfolding dimension 4"):
             tm.gauge_norm(rand_hermitian(rng), tm.ky_fan(5))
+
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_ky_fan_ends_are_the_spectral_and_trace_norms(self, rng, d):
+        h = _operand_stack(rng, d, "hermitian", count=5)
+        for k, kind in ((1, tm.SPECTRAL), (d, tm.TRACE)):
+            assert np.array_equal(tm.gauge_norm(h, tm.ky_fan(k)), tm.gauge_norm(h, kind))
+            for i in range(5):
+                member = h._member(i)
+                assert tm.gauge_norm(member, tm.ky_fan(k)) == tm.gauge_norm(member, kind)
+
+    def test_norms_are_equal_by_label(self):
+        assert tm.ky_fan(2) == tm.ky_fan(np.int32(2)) and hash(tm.ky_fan(2)) == hash(tm.ky_fan(np.int64(2)))
+        assert tm.ky_fan(2) != tm.ky_fan(3) and tm.ky_fan(4) != tm.TRACE
+        assert [str(k) for k in (tm.SPECTRAL, tm.FROBENIUS, tm.TRACE, tm.ky_fan(2))] == [
+            "spectral", "frobenius", "trace", "kyfan:2"]
 
 
 class TestRangeProjector:
@@ -478,7 +494,11 @@ class TestSerialization:
 
     def test_payload_shape_checks(self):
         with pytest.raises(ValueError, match="entries"):
-            tm.core.tensor_from_json_dict({"dims": [2], "re": [1.0], "im": [0.0]})
+            tm.HermitianTensor.from_json_dict({"dims": [2], "re": [1.0], "im": [0.0]})
+
+    def test_payload_format(self):
+        t = tm.HermitianTensor(np.array([[2.0, 1.0 - 0.5j], [1.0 + 0.5j, -3.0]]), (2,))
+        assert t.to_json_dict() == {"dims": [2], "re": [2.0, 1.0, 1.0, -3.0], "im": [0.0, -0.5, 0.5, 0.0]}
 
     def test_file_round_trip(self, rng, tmp_path):
         t = rand_hermitian(rng)
@@ -664,7 +684,7 @@ class TestValidationCounts:
     def test_public_constructors_reject_non_hermitian(self, rng, tmp_path):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         entries = a.reshape(2, 2, 2, 2)
-        payload = tm.core.tensor_to_json_dict(entries, (2, 2))
+        payload = {"dims": [2, 2], "re": a.real.ravel().tolist(), "im": a.imag.ravel().tolist()}
         path = tmp_path / "t.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(HermiticityError):
@@ -700,12 +720,12 @@ def test_scaling_and_diagonal_properties(diag, c):
 def test_tensor_entries_must_be_json_numbers(re, im):
     # np.asarray would read "2.5" as 2.5 and True as 1.
     with pytest.raises(ValueError, match="entries must be"):
-        tm.core.tensor_from_json_dict({"dims": [1], "re": re, "im": im})
+        tm.HermitianTensor.from_json_dict({"dims": [1], "re": re, "im": im})
 
 
 def test_tensor_entries_take_ints_and_floats():
-    dims, arr = tm.core.tensor_from_json_dict({"dims": [1], "re": [2], "im": [0.0]})
-    assert dims == (1,) and arr.tolist() == [[2.0 + 0.0j]]
+    t = tm.HermitianTensor.from_json_dict({"dims": [1], "re": [2], "im": [0.0]})
+    assert t.shape.dims == (1,) and t.entries.tolist() == [[2.0 + 0.0j]]
 
 
 def _defective(rng, d, ratio, scale=1.0):
@@ -886,9 +906,7 @@ class TestErrorState:
      r"matrix has shape \(3, 3\), expected \(4, 4\)"),
     (lambda: tm.HermitianTensor.diag([1.0, 2.0, 3.0], (2, 2)), ValueError, "one diagonal value per unfolding index"),
     (lambda: tm.HermitianTensor.identity(2) + 3.0, TypeError, "expected HermitianStack, got float"),
-    (lambda: tm.GaugeNormKind("bogus"), ValueError, "unknown gauge norm kind 'bogus'"),
-    (lambda: tm.GaugeNormKind("spectral", 2), ValueError, "spectral norm takes no k parameter"),
-], ids=["odd-order", "entries-mismatch", "from-matrix-size", "short-diag", "add-number", "gauge-kind", "gauge-k"])
+], ids=["odd-order", "entries-mismatch", "from-matrix-size", "short-diag", "add-number"])
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -82,8 +82,11 @@ class TestApplyMap:
         (lambda pinch: tm.convex_combination([pinch, pinch], [np.nan, 1.0]), "weights must be a convex combination"),
         (lambda pinch: tm.apply_map(pinch, HermitianStack.from_matrices(np.stack([np.eye(2)] * 3))),
          "size mismatch: map on D = 4, matrices of size 2"),
+        (lambda pinch: tm.apply_map(tm.congruence(np.stack([np.eye(4)] * 3), SHAPE22),
+                                    HermitianStack.from_matrices(np.stack([np.eye(4)] * 2), SHAPE22)),
+         "congruence of 3 matrices applied to a stack of 2"),
     ], ids=["congruence-size", "congruence-nan", "congruence-stack-inf", "pinching-no-partition", "mix-unmatched",
-            "mix-shapes", "mix-empty", "weight-nan", "shapeless-stack-of-other-d"])
+            "mix-shapes", "mix-empty", "weight-nan", "shapeless-stack-of-other-d", "congruence-stack-of-other-size"])
     def test_refusals(self, call, match):
         with pytest.raises(ValueError, match=match):
             call(tm.pinching([(0, 1), (2, 3)], SHAPE22))
@@ -97,6 +100,14 @@ class TestApplyMap:
             with pytest.raises(ValueError, match=r"shape mismatch: map on \(2, 2\), tensor \(4,\)"):
                 tm.apply_map(lmap, h)
         assert tm.apply_map(lmap, HermitianStack.from_matrices(stack.unfold(), SHAPE22)).unfold().shape == (2, 4, 4)
+
+    def test_a_stack_congruence_maps_a_tensor_to_one_image_per_matrix(self, rng):
+        k = np.stack([rand_unitary(rng, 4) for _ in range(3)])
+        h = rand_pd(rng)
+        images = tm.apply_map(tm.congruence(k, SHAPE22), h)
+        for i in range(3):
+            want = tm.apply_map(tm.congruence(k[i], SHAPE22), h)
+            assert np.allclose(images._member(i).unfold(), want.unfold(), rtol=0.0, atol=1e-12)
 
 
 class TestDominationPair:

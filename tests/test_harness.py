@@ -195,7 +195,7 @@ class TestPremiseHomogeneity:
         run, trials = self._run(monkeypatch, "T3_LieTrotterTail", d)
         m, q = run.cfg.exponents["m"], 0.25
         lifted, w = tm.power_lift(run.fn, m), m + tm.derivative_at_one(run.fn)
-        _, _, (low, high) = _lie_trotter_sides(run, trials, lifted, w, q)
+        _, _, _, (low, high) = _lie_trotter_sides(run, trials, lifted, w, q)
         log_affine, _, root_mean = _ordering_sides(*self._geq_pair(run, trials, lifted), lifted, w, q)
         # Each path rounds on its own: the root mean is a 4th power of the
         # powered mean, and the log-affine side exponentiates a sum of logs.
@@ -485,10 +485,11 @@ class TestSuites:
         # are pmi's scaled by rho, born with their values.  At r = 1 the pmi
         # tail is the root mean, whose values its trace gate reuses.  At
         # r = 1.5 it is mean_q**6, a product too, whose trace gate reads one
-        # more eigvalsh; the pmd tail, a fractional power of the scaled
-        # log-affine side, which has no eigenvectors, reads one more eigh.
+        # more eigvalsh; the pmd tail, a fractional power of the log-affine
+        # side, maps the eigenpairs that side was born with, so it reads no
+        # more eigh.
         assert count(1.0) == (3, 3)
-        assert count(1.5) == (4, 4)
+        assert count(1.5) == (3, 4)
 
     def test_config_ensemble_override_applies(self):
         cfg = ExperimentConfig.from_dict(

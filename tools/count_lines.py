@@ -3,15 +3,19 @@
 Every line is exactly one of: docstring (inside the span of a module, class
 or function docstring, found with ``ast``), blank, comment (a line whose
 only token is a ``tokenize`` comment) or code.  Prints one row per file and
-a total row.
+a total row.  With ``--against REF`` each row holds the change of every
+count from the file's blob at git ``REF`` (a file missing on one side counts
+as empty there).
 
-    python tools/count_lines.py [DIR]
+    python tools/count_lines.py [DIR] [--against REF]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -57,17 +61,37 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
+def _at(ref: str, package: Path) -> dict[str, str]:
+    """Source of each ``*.py`` blob of ``package`` at git ``ref``."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(package), *args], capture_output=True, text=True, check=True).stdout
+
+    names = [n for n in git("ls-tree", "--name-only", ref, "--", ".").splitlines() if n.endswith(".py")]
+    return {n: git("show", f"{ref}:./{n}") for n in names}
+
+
+def _row(name: str, counts: dict[str, int], sign: str = "") -> str:
+    cells = [sum(counts.values())] + [counts[k] for k in KINDS]
+    return f"{name:<22}" + "".join(f"{c:{sign}{w}}" for c, w in zip(cells, (7,) + (11,) * len(KINDS)))
+
+
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    package = Path(args[0]) if args else PACKAGE
+    parser = argparse.ArgumentParser(description="Count the lines of each module by kind.")
+    parser.add_argument("dir", nargs="?", type=Path, default=PACKAGE)
+    parser.add_argument("--against", metavar="REF", help="print the changes from the blobs at git REF")
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(args.dir.glob("*.py"))}
+    old = {} if args.against is None else _at(args.against, args.dir)
+    sign = "" if args.against is None else "+"
     total = dict.fromkeys(KINDS, 0)
     print(f"{'file':<22}{'lines':>7}" + "".join(f"{k:>11}" for k in KINDS))
-    for path in sorted(package.glob("*.py")):
-        counts = count(path.read_text(encoding="utf-8"))
+    for name in sorted(sources.keys() | old.keys()):
+        new_counts, old_counts = count(sources.get(name, "")), count(old.get(name, ""))
+        counts = {k: new_counts[k] - old_counts[k] for k in KINDS}
         for k in KINDS:
             total[k] += counts[k]
-        print(f"{path.name:<22}{sum(counts.values()):>7}" + "".join(f"{counts[k]:>11}" for k in KINDS))
-    print(f"{'total':<22}{sum(total.values()):>7}" + "".join(f"{total[k]:>11}" for k in KINDS))
+        print(_row(name, counts, sign))
+    print(_row("total", total, sign))
     return 0
 
 
