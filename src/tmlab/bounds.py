@@ -16,9 +16,10 @@ import numpy as np
 from .core import (
     HermitianStack,
     HermitianTensor,
+    _TINY,
     _gate,
     _gate_pd,
-    _integer,
+    _number,
     _per_item,
     _power,
     _quiet,
@@ -124,9 +125,8 @@ def kk_factors(
 def _kk_lists(x: HermitianStack, g: ConnectionFunction, m: int, q: float, k_start: int = 1) -> np.ndarray:
     """Body of :func:`kk_factors` over a stack: the ``K_k`` of every
     matrix, shape ``(matrices, m - k_start + 1)``."""
-    m = _integer("m", m)
-    if k_start not in (1, 2):
-        raise ValueError("k_start must be 1 or 2")
+    m, q = _number("m", m, integral=True, low=0), _number("q", q)
+    k_start = _number("k_start", k_start, integral=True, low=1, high=2)
     lam = _gate_pd(x._eigenvalues(), "x")
     lam = lam.reshape(-1, lam.shape[-1])
     g_lam = g.fn(lam)
@@ -141,11 +141,7 @@ def dyadic_decompose(q: float) -> tuple[int, float]:
     Ties at ``q0 == 2`` resolve to the smaller ``n``.  For ``q < 1`` the
     pair ``(0, q)`` is returned (single-factor regime).
     """
-    q = float(q)
-    if not math.isfinite(q):
-        raise ValueError(f"need a finite q, got {q}")
-    if q <= 0.0:
-        raise ValueError("need q > 0")
+    q = _number("q", q, low=_TINY)
     if q < 1.0:
         return 0, q
     # q = f 2**e with f in [1/2, 1): q0 = 2 f, or 2 at the tie f = 1/2 past q = 1.
@@ -204,9 +200,7 @@ def prop310_factors(x: HermitianStack, q: float):
     """Kantorovich pair ``(K1, K2)`` at exponents ``q - 1`` and ``2q - 1``
     over the reciprocal spectrum of a PD tensor (arrays over a stack).
     """
-    q = float(q)
-    if q < 1.0:
-        raise ValueError("need q >= 1")
+    q = _number("q", q, low=1)
     lam = _gate_pd(x._eigenvalues(), "x")
     return tuple(kantorovich(1.0 / lam[..., -1], 1.0 / lam[..., 0], p) for p in (q - 1.0, 2.0 * q - 1.0))
 
@@ -237,10 +231,11 @@ def trace_tail_bound(
 
 
 def _tail_power(z: HermitianStack, q: float) -> HermitianStack:
-    """``z**q`` of a PSD stack, gated once: by :func:`core._gate` before
+    """``z**q`` of a PSD stack for a ``q`` that passes
+    :func:`~tmlab.core._number`, gated once: by :func:`core._gate` before
     the products of an integer ``q >= 2``, else on the decomposition the
     power reads."""
-    return _power(z, q, "sample", psd=True)
+    return _power(z, _number("q", q), "sample", psd=True)
 
 
 def _tail_summary(stats: list) -> tuple[float, float]:
@@ -263,10 +258,7 @@ def _tail_summary(stats: list) -> tuple[float, float]:
 def kyfan_stats(h: HermitianTensor, k: int) -> tuple[float, float]:
     """Sum and product of the k largest (signed) eigenvalues: the batch of
     one of :func:`_kyfan_profile`."""
-    k = _integer("k", k)
-    d = h.shape.square_dim
-    if not 1 <= k <= d:
-        raise ValueError(f"need 1 <= k <= {d}, got {k}")
+    k = _number("k", k, integral=True, low=1, high=h.shape.square_dim)
     total, product, _ = _kyfan_profile(h)[:, k - 1].tolist()
     return total, product
 

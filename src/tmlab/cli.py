@@ -20,7 +20,7 @@ import json
 import sys
 import time
 
-from .core import NotPositiveDefiniteError, TensorShape, _integer, load_tensor
+from .core import NotPositiveDefiniteError, TensorShape, _number, load_tensor
 from .functions import from_id
 from .harness import (
     ConfigError,
@@ -103,7 +103,7 @@ def _cmd_lie_trotter(args) -> int:
     if not args.study:
         print("nothing to do: pass --study", file=sys.stderr)
         return USAGE_EXIT
-    fn, pairs = from_id(args.fn), _integer("--pairs", args.pairs)
+    fn, pairs = from_id(args.fn), _number("--pairs", args.pairs, integral=True, low=0)
     shape = TensorShape((2, 2))
     ens = EnsembleSpec(shape, "spectrum", args.seed, m=-1.0, M=1.0)
     print(f"convergence of (exp(qX) # exp(qY))^(1/q) to the limit, generator {fn.label}")

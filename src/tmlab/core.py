@@ -104,23 +104,33 @@ class TensorShape:
         return math.prod(self.dims)
 
 
-def _integer(name: str, value, low=0) -> int:
-    """The one rule of a library integer argument: a ``numbers.Integral``
-    (numpy integers too) that is not a bool, at least ``low``.  Returns it
-    as an int, else raises ``ValueError`` naming ``name``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
-    return int(value)
+# The least positive double: a double x is positive iff x >= _TINY.
+_TINY = math.nextafter(0.0, 1.0)
 
 
-def _tolerance(tol: float) -> None:
-    """The one rule of a relative tolerance: finite and ``>= 0``, else
-    ``ValueError``.  A NaN would refuse every order, an ``inf`` grant both,
-    and a negative one would turn every test around."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+def _number(name: str, value, integral: bool = False, low: float = -math.inf, high: float = math.inf):
+    """The one rule of a numeric argument, in the library and the config:
+    an integer when ``integral`` (numpy integers too), else a real; never a
+    bool; finite as a double and inside ``[low, high]`` (``low=_TINY``
+    reads ``> 0``).  Returns it as an int or a float, else raises
+    ``ValueError`` naming ``name``."""
+    if not isinstance(value, numbers.Integral if integral else numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a real number'}, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past double range
+        x = math.nan
+    if not (math.isfinite(x) and low <= x <= high):
+        if low == -math.inf:  # no caller bounds a value from above only
+            span = ""
+        elif high == math.inf:
+            span = "> 0" if low == _TINY else f">= {low}"
+        else:
+            span = f"in {'(0' if low == _TINY else f'[{low}'}, {high}]"
+        if not (integral and math.isfinite(x)):
+            span = " and ".join(filter(None, ("finite as a double" if integral else "finite", span)))
+        raise ValueError(f"{name} must be {span}, got {value!r}")
+    return int(value) if integral else x
 
 
 def _as_shape(shape) -> TensorShape:
@@ -597,10 +607,11 @@ class HermitianTensor(HermitianStack):
 
     @classmethod
     def diag(cls, values, shape) -> "HermitianTensor":
-        """Tensor whose unfolding is ``diag(values)`` (values must be real)."""
+        """Tensor whose unfolding is ``diag(values)`` (values must be real
+        numbers; bools are refused, as :func:`_number` refuses them)."""
         shape = _as_shape(shape)
         vals = np.asarray(values)
-        if vals.dtype.kind not in "biuf":
+        if vals.dtype.kind not in "iuf":
             raise ValueError(f"diagonal values must be real numbers, got dtype {vals.dtype}")
         vals = vals.astype(np.float64)
         if vals.shape != (shape.square_dim,):
@@ -642,8 +653,9 @@ class HermitianTensor(HermitianStack):
     def is_pd(self, tol: float = PSD_RTOL) -> bool:
         """Whether ``lambda_min > tol * max(1, |self|_sp)``: a relative test
         for users.  No package code decides with it; the gates
-        ``_gate_pd`` and ``_gate_psd`` do.  ``tol`` passes :func:`_tolerance`."""
-        _tolerance(tol)
+        ``_gate_pd`` and ``_gate_psd`` do.  ``tol`` passes :func:`_number`
+        at ``>= 0``."""
+        tol = _number("tol", tol, low=0)
         return self.lambda_min() > tol * max(1.0, self.spectral_scale())
 
     # -- serialization ----------------------------------------------------
@@ -842,21 +854,23 @@ def spectral_power(h: HermitianStack, p: float) -> HermitianStack:
 
     Integer powers take any spectrum.  A non-integer ``p`` needs a PSD one
     (:func:`_gate_psd`, whose admitted noise below 0 maps as 0).  A power
-    past the double range raises ``ValueError``.
+    past the double range raises ``ValueError``, and so does a ``p`` that
+    fails :func:`_number`.
     """
-    return _power(h, p, "power input", psd=not float(p).is_integer())
+    p = _number("p", p)
+    return _power(h, p, "power input", psd=not p.is_integer())
 
 
-def _power(h: HermitianStack, p: float, name: str, psd: bool) -> HermitianStack:
-    """Body of :func:`spectral_power`; with ``psd`` the spectrum passes
+def _power(h: HermitianStack, n: float, name: str, psd: bool) -> HermitianStack:
+    """Body of :func:`spectral_power` for a float ``n`` that passed
+    :func:`_number`; with ``psd`` the spectrum passes
     :func:`_gate_psd` under ``name`` first.  A power of 1 reads only the
-    eigenvalues.  An integer ``p >= 2`` passes :func:`_gate`; up to
+    eigenvalues.  An integer ``n >= 2`` passes :func:`_gate`; up to
     ``2**53`` it is :func:`_squarings` of the matrix, and reads no
     spectrum.  Past ``2**53`` every double is an even integer and binary
     powering makes one product per bit, so the eigenpairs are mapped (one
-    ``eigh``).  Any other ``p`` maps the eigenpairs, gated on the
+    ``eigh``).  Any other ``n`` maps the eigenpairs, gated on the
     decomposition the power reads."""
-    n = float(p)
     if n == 1.0:
         if psd:
             _gate_psd(h._eigenvalues(), name)
@@ -871,8 +885,8 @@ def _power(h: HermitianStack, p: float, name: str, psd: bool) -> HermitianStack:
         except ValueError as exc:  # _form's finiteness check, or an infinite w**n
             raise ValueError(f"{name} ** {n:g} leaves the double range") from exc
     if psd:
-        return apply_spectral(h, lambda w: _gate_psd(w, name) ** p)
-    return apply_spectral(h, lambda w: w**p)
+        return apply_spectral(h, lambda w: _gate_psd(w, name) ** n)
+    return apply_spectral(h, lambda w: w**n)
 
 
 @_quiet
@@ -1021,9 +1035,10 @@ def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL
     1)`` from the sides' eigenvalues, which are read only for a pair that
     the two ends of the :func:`_scale_bracket` decide differently.  Either
     side may be a single tensor broadcast against a stack.  ``tol`` passes
-    :func:`_tolerance`.
+    :func:`_number` at ``>= 0``: a NaN would refuse every order, an ``inf``
+    grant both, and a negative one would turn every test around.
     """
-    _tolerance(tol)
+    tol = _number("tol", tol, low=0)
     lam_min, lam_max = _loewner_gap(y, x)
     lo, hi = (np.maximum(np.maximum(sx, sy), 1.0) for sx, sy in zip(_scale_bracket(x), _scale_bracket(y)))
     leq, geq = lam_min >= -tol * lo, lam_max <= tol * lo
@@ -1104,7 +1119,7 @@ TRACE = GaugeNormKind("trace", _largest_sum)
 def ky_fan(k: int) -> GaugeNormKind:
     """The Ky Fan ``k``-norm, the sum of the ``k`` largest ``|lambda|``,
     for an integer ``k >= 1``."""
-    k = _integer("Ky Fan k", k, low=1)
+    k = _number("Ky Fan k", k, integral=True, low=1)
     return GaugeNormKind(f"kyfan:{k}", functools.partial(_largest_sum, k=k))
 
 

@@ -24,7 +24,7 @@ from .core import (
     TensorShape,
     _as_shape,
     _ct,
-    _integer,
+    _number,
     _quiet,
     _read_only,
     _symmetrize,
@@ -87,7 +87,7 @@ def pinching(partition, shape) -> PositiveLinearMap:
     """Block-diagonal compression over a partition of the unfolding indices."""
     shape = _as_shape(shape)
     d = shape.square_dim
-    part = tuple(tuple(_integer("partition index", i) for i in group) for group in partition)
+    part = tuple(tuple(_number("partition index", i, integral=True, low=0) for i in group) for group in partition)
     if not part:
         raise ValueError("pinching needs a partition")
     if sorted(i for group in part for i in group) != list(range(d)):
@@ -101,12 +101,12 @@ def pinching(partition, shape) -> PositiveLinearMap:
 
 def convex_combination(maps, weights) -> PositiveLinearMap:
     """The weighted sum of positive maps of one shape, weights on the simplex."""
-    maps, weights = tuple(maps), tuple(float(w) for w in weights)
+    maps, weights = tuple(maps), tuple(_number("weight", w, low=0, high=1) for w in weights)
     if not maps:
         raise ValueError("need at least one component map")
     if len(maps) != len(weights):
         raise ValueError("mix needs matching components and weights")
-    if not all(0.0 <= w <= 1.0 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-12:
+    if abs(math.fsum(weights) - 1.0) > 1e-12:
         raise ValueError(f"weights must be a convex combination, got {weights}")
     if any(c.shape.dims != maps[0].shape.dims for c in maps):
         raise ValueError("component shape mismatch")

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _EPS, _certified, _integer, _quiet
+from .core import _EPS, _TINY, _certified, _number, _quiet
 
 __all__ = [
     "ConnectionFunction",
@@ -245,7 +245,7 @@ def _power(x, a):
 
 def power(alpha: float) -> ConnectionFunction:
     """``x**alpha``;  alpha in [0, 1] is the operator monotone range."""
-    a = float(alpha)
+    a = _number("alpha", alpha)
     return _power_generator(a, f"power:{a:g}")
 
 
@@ -313,9 +313,7 @@ def psi(s: float) -> ConnectionFunction:
 
     Sign-changing (negative on (0, 1), zero at 1), hence untagged.
     """
-    s = float(s)
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"psi needs a finite s > 0, got {s!r}")
+    s = _number("s", s, low=_TINY)
     return ConnectionFunction(
         fn=lambda x, s=s: x / (1.0 + s) - x / (x + s),
         label=f"psi:{s:g}",
@@ -337,7 +335,7 @@ def _lift(x, n, f):
 
 def power_lift(f: ConnectionFunction, n: int) -> ConnectionFunction:
     """Lifted generator ``x**n * f(x)``; ``n = 0`` returns ``f`` itself."""
-    n = _integer("lift exponent n", n)
+    n = _number("lift exponent n", n, integral=True, low=0)
     if n == 0:
         return f
     deriv = None
@@ -445,7 +443,7 @@ def ando_hiai_g(f: ConnectionFunction, m: int) -> ConnectionFunction:
     ``x**(1 / (m - 1 + alpha))`` in closed form; generic ``f`` goes through
     numeric inversion of ``F``.
     """
-    m = _integer("m", m, low=2)
+    m = _number("m", m, integral=True, low=2)
     if not f.positive:
         raise ValueError("needs a positive generator")
     alpha = power_exponent(f)
@@ -560,6 +558,16 @@ def from_id(fid: str) -> ConnectionFunction:
     return _from_parts(parts, fid)
 
 
+def _parsed(text: str, full: str, kind=float):
+    """The number ``text`` of function id ``full``, parsed by ``kind``;
+    ``ValueError`` quoting the whole id where it does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{text!r} is not {what} in function id {full!r}") from None
+
+
 def _from_parts(parts, full: str) -> ConnectionFunction:
     if not parts or not parts[0]:
         raise ValueError(f"malformed function id {full!r}")
@@ -571,15 +579,15 @@ def _from_parts(parts, full: str) -> ConnectionFunction:
     if head == "power":
         if len(parts) != 2:
             raise ValueError(f"power needs one exponent in {full!r}")
-        return power(float(parts[1]))
+        return power(_parsed(parts[1], full))
     if head == "psi":
         if len(parts) != 2:
             raise ValueError(f"psi needs one parameter in {full!r}")
-        return psi(float(parts[1]))
+        return psi(_parsed(parts[1], full))
     if head == "liftn":
         if len(parts) < 3:
             raise ValueError(f"liftn needs an exponent and an inner chain in {full!r}")
-        return power_lift(_from_parts(parts[2:], full), int(parts[1]))
+        return power_lift(_from_parts(parts[2:], full), _parsed(parts[1], full, int))
     if head == "transpose":
         if len(parts) < 2:
             raise ValueError(f"transpose needs an inner chain in {full!r}")

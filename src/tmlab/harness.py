@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable
@@ -44,13 +43,14 @@ from .core import (
     HermitianTensor,
     NotPositiveDefiniteError,
     TensorShape,
+    _TINY,
     _ascending,
     _certified,
     _composed,
     _ct,
     _gate_pd,
-    _integer,
     _loewner_gap,
+    _number,
     _quiet,
     _spectral_scale,
     _symmetrize,
@@ -160,26 +160,6 @@ class EnsembleSpec:
             raise ConfigError(f"rank must lie in 1..{self.shape.square_dim}")
 
 
-# The least positive double: a double x is positive iff x >= _TINY.
-_TINY = math.nextafter(0.0, 1.0)
-
-
-def _number(name: str, value, integral: bool = False, low: float = -math.inf, high: float = math.inf):
-    """The one rule of a config number: an integer when ``integral``, else a
-    real; never a bool; finite as a double and inside ``[low, high]``.
-    Returns it as an int or a float, else raises :class:`ConfigError`."""
-    ok = isinstance(value, numbers.Integral if integral else numbers.Real) and not isinstance(value, bool)
-    try:
-        x = float(value) if ok else math.nan
-    except OverflowError:  # an integer past double range
-        x = math.nan
-    if not (math.isfinite(x) and low <= x <= high):
-        span = ("" if low == -math.inf else " > 0" if low == _TINY
-                else f" >= {low}" if high == math.inf else f" in [{low}, {high}]")
-        raise ConfigError(f"{name} must be {'an integer' if integral else 'a finite number'}{span}, got {value!r}")
-    return int(value) if integral else x
-
-
 def _of_kind(name: str, value, kind, what: str):
     """``value`` when it is an instance of ``kind``, else :class:`ConfigError`."""
     if not isinstance(value, kind):
@@ -254,7 +234,7 @@ def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
     :func:`_draw`, with the eigenpairs that a ``spectrum`` draw is born with.
     """
     # The stream keys check the trial's range.
-    return _draw(spec, (_integer("trial", trial, low=-math.inf),), role)._member(0)
+    return _draw(spec, (_number("trial", trial, integral=True),), role)._member(0)
 
 
 def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
@@ -464,6 +444,16 @@ class ExperimentConfig:
     suites: tuple[str, ...] = tuple(s.value for s in SUITE_ORDER)
 
     def __post_init__(self):
+        """Checks every field; a number that fails :func:`core._number`
+        raises its ``ConfigError`` here."""
+        try:
+            self._check()
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def _check(self):
         object.__setattr__(self, "seed", _number("seed", self.seed, integral=True))
         object.__setattr__(self, "trials", _number("trials", self.trials, integral=True, low=1, high=2**32 - 1))
         object.__setattr__(self, "tolerance", _number("tolerance", self.tolerance, low=_TINY))
@@ -480,10 +470,7 @@ class ExperimentConfig:
         if bad:
             raise ConfigError(f"unknown suites {bad}")
         if self.function is not None:
-            try:
-                from_id(_of_kind("function", self.function, str, "a string"))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            from_id(_of_kind("function", self.function, str, "a string"))
         if self.ensembles is not None:
             if not isinstance(self.ensembles, dict) or set(self.ensembles) != {"x", "y"}:
                 raise ConfigError("ensembles needs exactly the keys 'x' and 'y'")
@@ -907,6 +894,8 @@ def _suite_t3(run):
         notes.append("q clipped into (0, 1/2]: using q=0.25")
     m = cfg.exponents["m"]
     r = max(1.0, cfg.exponents["p"])
+    if r > 1.0:  # the tail power r / q, named by the config's exponents
+        _number("exponents.p / exponents.q", r / q)
     lifted = power_lift(run.fn, m)
     w = m + derivative_at_one(run.fn)
     notes.append(f"m={m}, q={q:g}, r={r:g}; premises enforced by rescaling")

@@ -24,10 +24,10 @@ from .core import (
     HermitianTensor,
     LoewnerVerdict,
     PSD_RTOL,
+    _TINY,
     _gate_pd,
-    _integer,
+    _number,
     _per_item,
-    _tolerance,
     apply_spectral,
     gauge_norm,
     loewner_compare,
@@ -77,9 +77,9 @@ def lt_expression(
     the mean's quotient; an integer ``1/q`` (every point of the default
     grid) powers the mean by products, and any other decomposes it.
     """
-    q = float(q)
-    if q == 0.0:
-        raise ValueError("q must be nonzero")
+    q = _number("q", q)
+    if q == 0.0 or np.isinf(1.0 / q):
+        raise ValueError(f"q must be nonzero with 1/q finite as a double, got {q!r}")
 
     def exp_q(w):
         return np.exp(q * w)
@@ -152,16 +152,14 @@ def lt_ordering_check(
     the ordering.  The returned verdict compares the exponential (left)
     against the root mean (right); callers assert LEQ or GEQ per branch.
     Raises :class:`PremiseError` when the premise fails beyond tolerance;
-    a ``tol`` that fails :func:`~tmlab.core._tolerance` raises
-    ``ValueError`` before any mean is formed.
+    an ``m``, ``q`` or ``tol`` that fails :func:`~tmlab.core._number`
+    raises ``ValueError`` before any mean is formed.
     """
-    _tolerance(tol)
+    tol = _number("tol", tol, low=0)
     if branch not in ("pmi", "pmd"):
         raise ValueError(f"unknown branch {branch!r}")
-    q = float(q)
-    if not 0.0 < q <= 0.5:
-        raise ValueError(f"need 0 < q <= 1/2, got {q}")
-    m = _integer("m", m)
+    q = _number("q", q, low=_TINY, high=0.5)
+    m = _number("m", m, integral=True, low=0)
     lifted = power_lift(g, m)
     base = mean_pd(x, y, lifted)
     if branch == "pmi":

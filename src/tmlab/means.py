@@ -36,8 +36,8 @@ from .core import (
     _gate_by_quotient,
     _gate_pd,
     _gate_psd,
-    _integer,
     _live,
+    _number,
     _per_item,
     _quiet,
     _scale_of,
@@ -157,7 +157,7 @@ def mean_recursive(
 
     which agrees with the direct spectral evaluation of the lifted generator.
     """
-    n = _integer("lift exponent n", n)
+    n = _number("lift exponent n", n, integral=True, low=0)
     x._check_same_shape(y)
     base = _congruence_mean(x, y, power_lift(f, n % 2), gate_x=True)
     if n < 2:
@@ -326,8 +326,9 @@ class RttDiagnostic:
 
 def _shrinking_grid(grid, name: str) -> tuple[float, ...]:
     """The one check of a parameter grid: nonempty, positive and strictly
-    decreasing, returned as floats; else ``ValueError`` naming ``name``."""
-    grid = tuple(float(g) for g in grid)
+    decreasing, each entry passing :func:`core._number`, returned as
+    floats; else ``ValueError`` naming ``name``."""
+    grid = tuple(_number(f"{name} grid entry", g) for g in grid)
     if not (grid and grid[-1] > 0 and all(b < a for a, b in zip(grid, grid[1:]))):
         raise ValueError(f"{name} grid must be positive and strictly decreasing, got {grid}")
     return grid

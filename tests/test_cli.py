@@ -108,11 +108,15 @@ class TestVerifyCommand:
             {"ensembles": {"x": {"kind": "wishart", "dof": 4, "nu": 1}, "y": {"kind": "spectrum"}}},
             {"function": "nope"},
             {"function": "psi:inf"},
+            {"function": "power:abc"},
+            {"function": "liftn:2.5:geometric"},
+            {"function": "psi:"},
         ],
         ids=["tolerance-inf", "tolerance-nan", "tolerance-str", "trials-bool", "seed-float", "exponent-n", "dof-float",
              "m-float", "q-bool", "q-str", "q-nan", "p-inf", "ensemble-m-nan", "ensemble-M-inf", "ensemble-M-past-double",
              "shape-float", "norm-int", "dof-zero", "ensemble-no-kind",
-             "ensemble-unknown-field", "function-unknown", "function-psi-inf"],
+             "ensemble-unknown-field", "function-unknown", "function-psi-inf", "function-power-abc",
+             "function-liftn-float", "function-psi-empty"],
     )
     def test_bad_config_value_exits_two(self, payload, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -156,7 +160,7 @@ class TestVerifyCommand:
                                         "exponents": {"q": 1e-14, "p": 1.797693134862316e294}}))
         code, _, err = run_cli(["verify", "--config", str(cfg_path)])
         assert code == 2, err
-        assert "spectrum outside function domain" in err
+        assert "T3_LieTrotterTail: exponents.p / exponents.q must be finite, got inf" in err
 
     def test_integer_power_past_double_range_exits_two(self, tmp_path):
         # T3's root (mean_q)**(1/q) at q = 2**-60 is 60 squarings, past double range.
@@ -286,7 +290,7 @@ def test_psi_at_infinite_s_exits_two_from_verify_and_mean(tmp_path, capsys):
     tm.save_tensor(tm.HermitianTensor.identity(tm.TensorShape((2,))), xp)
     assert main(["verify", "--config", str(cfg_path)]) == 2
     assert main(["mean", "--x", str(xp), "--y", str(xp), "--fn", "psi:inf", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.count("psi needs a finite s > 0") == 2
+    assert capsys.readouterr().err.count("s must be finite and > 0, got inf") == 2
     assert not out.exists()
 
 

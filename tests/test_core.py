@@ -563,7 +563,9 @@ class TestShapeArguments:
             with pytest.raises(ValueError, match="dims must be a nonempty list of integers >= 1"):
                 make(shape)
 
-    @pytest.mark.parametrize("values", [[1 + 1j, 2.0], np.array([1 + 1j, 2.0]), [None, 1.0]], ids=["list", "array", "none"])
+    # Booleans are not real numbers here: diag([True, False]) was read as diag(1, 0).
+    @pytest.mark.parametrize("values", [[1 + 1j, 2.0], np.array([1 + 1j, 2.0]), [None, 1.0], [True, False],
+                                        np.array([True, False])], ids=["list", "array", "none", "bool-list", "bool-array"])
     def test_diag_rejects_values_that_are_not_real(self, values):
         with pytest.raises(ValueError, match="diagonal values must be real numbers"):
             tm.HermitianTensor.diag(values, 2)

@@ -79,7 +79,7 @@ class TestApplyMap:
         (lambda pinch: tm.convex_combination([pinch, tm.congruence(np.eye(4), (4,))], [0.5, 0.5]),
          "component shape mismatch"),
         (lambda pinch: tm.convex_combination([], []), "need at least one component map"),
-        (lambda pinch: tm.convex_combination([pinch, pinch], [np.nan, 1.0]), "weights must be a convex combination"),
+        (lambda pinch: tm.convex_combination([pinch, pinch], [np.nan, 1.0]), r"^weight must be finite and in \[0, 1\]"),
         (lambda pinch: tm.apply_map(pinch, HermitianStack.from_matrices(np.stack([np.eye(2)] * 3))),
          "size mismatch: map on D = 4, matrices of size 2"),
         (lambda pinch: tm.apply_map(tm.congruence(np.stack([np.eye(4)] * 3), SHAPE22),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,9 +32,9 @@ class TestBuiltins:
     @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
     def test_psi_needs_a_finite_positive_s(self, s):
         # psi(inf) would be the zero function, with a NaN derivative at 1.
-        with pytest.raises(ValueError, match="psi needs a finite s > 0"):
+        with pytest.raises(ValueError, match="^s must be finite and > 0, got"):
             tm.psi(s)
-        with pytest.raises(ValueError, match="psi needs a finite s > 0"):
+        with pytest.raises(ValueError, match="^s must be finite and > 0, got"):
             tm.from_id(f"psi:{s}")
 
     def test_square_derivative(self):
@@ -459,6 +460,13 @@ class TestFromId:
     @pytest.mark.parametrize("fid", ["", "nope", "power", "power:1:2", "liftn:2", "psi", "square:1"])
     def test_malformed(self, fid):
         with pytest.raises(ValueError):
+            tm.from_id(fid)
+
+    @pytest.mark.parametrize("fid, text", [("power:abc", "abc"), ("liftn:2.5:geometric", "2.5"), ("psi:", ""),
+                                           ("transpose:liftn:x:power:0.5", "x")])
+    def test_a_number_that_does_not_parse_names_the_id(self, fid, text):
+        # Python's own message ("could not convert string to float: 'abc'") named no id.
+        with pytest.raises(ValueError, match=re.escape(f"{text!r} is not ") + ".* in function id " + re.escape(repr(fid))):
             tm.from_id(fid)
 
     @pytest.mark.parametrize("m", [51, 52, 64])

@@ -65,6 +65,11 @@ class TestLtExpression:
         with pytest.raises(ValueError):
             tm.lt_expression(0.0, x, x, tm.geometric())
 
+    def test_q_whose_reciprocal_overflows_rejected(self, rng):
+        x = rand_hermitian(rng)
+        with pytest.raises(ValueError, match=r"^q must be nonzero with 1/q finite as a double, got 1e-310"):
+            tm.lt_expression(1e-310, x, x, tm.geometric())
+
 
 class TestLtLimit:
     def test_geometric_weight(self, rng):
@@ -127,9 +132,10 @@ class TestConvergenceStudy:
 
     def test_empty_grid_rejected(self, rng):
         x, y = rand_hermitian(rng), rand_hermitian(rng)
-        for grid in ((), (0.5, float("nan"))):
-            with pytest.raises(ValueError, match="q grid must be positive"):
-                tm.convergence_study(x, y, tm.geometric(), grid)
+        with pytest.raises(ValueError, match="q grid must be positive"):
+            tm.convergence_study(x, y, tm.geometric(), ())
+        with pytest.raises(ValueError, match="q grid entry must be finite"):
+            tm.convergence_study(x, y, tm.geometric(), (0.5, float("nan")))
 
 
 class TestOrderingCheck:
@@ -170,7 +176,7 @@ class TestOrderingCheck:
         x = math.exp(-1.0) * tm.HermitianTensor.identity(SHAPE22)
         with pytest.raises(ValueError, match="branch"):
             tm.lt_ordering_check(x, x, tm.geometric(), 2, 0.25, "sideways")
-        with pytest.raises(ValueError, match="1/2"):
+        with pytest.raises(ValueError, match=r"^q must be finite and in \(0, 0.5\], got 0.75"):
             tm.lt_ordering_check(x, x, tm.geometric(), 2, 0.75, "pmi")
 
     def test_top_eigenvalue_order_on_random_pairs(self, rng):

@@ -389,9 +389,10 @@ class TestEpsilonMeanLimit:
 
     def test_empty_grid_rejected(self, rng):
         x, y = rand_pd(rng), rand_pd(rng)
-        for grid in ((), (1e-2, float("nan"))):
-            with pytest.raises(ValueError, match="epsilon grid must be positive"):
-                tm.epsilon_mean_limit(x, y, tm.geometric(), grid)
+        with pytest.raises(ValueError, match="epsilon grid must be positive"):
+            tm.epsilon_mean_limit(x, y, tm.geometric(), ())
+        with pytest.raises(ValueError, match="epsilon grid entry must be finite"):
+            tm.epsilon_mean_limit(x, y, tm.geometric(), (1e-2, float("nan")))
 
     def test_bad_mode(self, rng):
         x, y = rand_pd(rng), rand_pd(rng)
