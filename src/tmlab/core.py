@@ -385,9 +385,11 @@ class HermitianStack:
 
     def _decomposed(self) -> "HermitianStack":
         """The same matrices re-born with their one ``eigh`` pair in both
-        caches, so that a values read costs no second decomposition."""
+        caches, so that a values read costs no second decomposition.  A
+        mean born with a graded factor is returned itself, its eigenpairs
+        read: its values keep their one source, the factor's SVD."""
         w, v = self._spectrum()
-        return self._derive(self._matrix, values=w, vectors=v)
+        return self if self._factor is not None else self._derive(self._matrix, values=w, vectors=v)
 
     @_quiet
     def _scaled(self, c) -> "HermitianStack":

@@ -109,14 +109,14 @@ REPORT_VERSION = "tmlab-report/2"
 # of two, so ``Tr(X) / c`` is ``Tr(X (c I)^-1)`` bit for bit.
 C_SWEEP = (0.5, 1.0, 2.0)
 
-# Byte budget of one stacked stage.  Each suite runs its trials in chunks of
-# at most STACK_BYTES // (16 D^2) trials, so one stage's stack of complex
-# D x D matrices stays under 256 KiB whatever the trial count.  Unchunked
-# stacks grow with the trials: at D = 64 and just 10 trials they raise the
-# peak memory of T2 by 10.4 MB and of APP_Fusion by 16.7 MB over a 1-trial
-# run, chunks by 3.8 MB and 5.6 MB.  At D = 4 all 200 default trials fit
-# one chunk.
-STACK_BYTES = 256 * 1024
+# Byte budget of a trial chunk's live set.  Each suite runs its trials in
+# chunks of at most STACK_BYTES // (16 D^2) trials, one 128 KiB stack of
+# complex D x D matrices.  A chunk keeps up to about 24 such stacks alive at
+# once (APP_Fusion, which sets the peak memory at D = 64), so what it holds
+# is about 3 MiB whatever the trial count: 2 trials at D = 64, 32 at
+# D = 16, and all 200 default trials at D = 4.  tools/suite_peaks.py prints
+# each suite's traced peak.
+STACK_BYTES = 128 * 1024
 
 
 class ConfigError(ValueError):

@@ -5,7 +5,7 @@ for its trial count and shape (seed 20260809):
 
 - ``data/golden_d4.json``: shape ``(2, 2)`` (D = 4), 40 trials;
 - ``data/golden_d16.json``: shape ``(4, 4)`` (D = 16), 70 trials, enough
-  that the harness's trial stacks at D = 16 span two chunks.
+  that the harness's trial stacks at D = 16 span more than one chunk.
 
 ``data/golden_override.json`` pins the non-default paths: three configs at
 shape ``(3,)`` with q = 3, p = 2 and odd m = 3, a user generator in each
@@ -32,7 +32,8 @@ import json
 import math
 from pathlib import Path
 
-from tmlab.harness import STACK_BYTES, ExperimentConfig, SuiteId, _chunks, run_suites
+from tmlab import harness
+from tmlab.harness import STACK_BYTES, ExperimentConfig, SuiteId, _chunks, reports_to_json, run_suites
 
 DATA = Path(__file__).parent / "data"
 NUMERIC_FIELDS = ("trials", "max_violation", "empirical_prob", "bound_value", "mc_stderr", "seed", "tolerance")
@@ -73,6 +74,19 @@ def test_d16_fixture_spans_two_stack_chunks():
     d = math.prod(shape)
     assert trials * d * d * 16 > STACK_BYTES
     assert len(_chunks(ExperimentConfig(trials=trials, shape=shape))) >= 2
+
+
+def test_reports_do_not_depend_on_the_chunking(monkeypatch):
+    """Every stacked kernel works per matrix, so the trial-chunk budget is a
+    memory choice alone: 1, 4 and all 9 trials per chunk give the same
+    report, byte for byte."""
+    cfg = ExperimentConfig.from_dict({"trials": 9, "shape": [4, 4]})
+    texts = []
+    for budget, chunks in ((16 * 16 * 16, 9), (4 * 16 * 16 * 16, 3), (STACK_BYTES, 1)):
+        monkeypatch.setattr(harness, "STACK_BYTES", budget)
+        assert len(_chunks(cfg)) == chunks
+        texts.append(reports_to_json(run_suites(cfg)))
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_default_report_matches_golden():

@@ -6,6 +6,7 @@ stack must give, bit for bit, what it gives on each slice alone, and on a
 stack split at a trial-chunk boundary.
 """
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -439,7 +440,21 @@ def test_chunks_respect_the_stack_budget():
         chunks = _chunks(cfg)
         assert [t for c in chunks for t in c] == list(range(trials))
         assert all(len(c) * 16 * d * d <= max(harness.STACK_BYTES, 16 * d * d) for c in chunks)
-    assert len(_chunks(ExperimentConfig(trials=70, shape=(4, 4)))) == 2
+    assert len(_chunks(ExperimentConfig(trials=70, shape=(4, 4)))) == 3
+
+
+def test_a_d64_chunk_bounds_what_app_fusion_keeps_alive():
+    """APP_Fusion keeps about 24 D x D matrices alive per trial, 1.5 MiB at
+    D = 64, so its peak grows with the trials of one chunk: 4 trials must
+    not hold more than 2 trials' worth at a time."""
+    run_suite(SuiteId.APP_Fusion, ExperimentConfig(trials=1, shape=(8, 8)))
+    tracemalloc.start()
+    try:
+        run_suite(SuiteId.APP_Fusion, ExperimentConfig(trials=4, shape=(8, 8)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -417,6 +417,16 @@ class TestBirth:
         assert np.array_equal(born._eigenvalues(), w)
         assert np.array_equal(born._spectrum()[0], w) and np.array_equal(born._spectrum()[1], v)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 4)], ids=["D4", "D16"])
+    def test_decomposed_mean_keeps_the_values_of_its_factor(self, dims):
+        """A mean's values come from its graded factor's values-only SVD;
+        the full SVD that gives its eigenvectors rounds them otherwise, so
+        ``_decomposed`` must not carry those into the values cache."""
+        spec = EnsembleSpec(TensorShape(dims), "wishart", 5)
+        m = tm.mean_pd(_draw(spec, range(20)), _draw(spec, range(20, 40)), tm.geometric())
+        assert m._factor is not None
+        assert np.array_equal(m._decomposed()._eigenvalues(), m._eigenvalues())
+
     @pytest.mark.parametrize("c", [np.array([0.5, 3.0, 1e-3]), 2.5], ids=["per-matrix", "number"])
     def test_scaled_is_born_with_its_source_values_times_c(self, rng, monkeypatch, c):
         a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
