@@ -280,20 +280,8 @@ def _stacked(seed: int, trials, role: int, *parts) -> list[np.ndarray]:
                      for (_, span), stack in zip(parts, stacks)]
         for fill, stack in fills:
             fill(out=stack[k])
-    return [_complex_gaussian(g) if span is None else span[0] + (span[1] - span[0]) * g
-            for (_, span), g in zip(parts, stacks)]
-
-
-def _complex_gaussian(g: np.ndarray) -> np.ndarray:
-    """``(re + 1j * im) / sqrt(2)`` of the halves ``re, im`` on axis -3 of
-    ``g``, each written into its part of one complex array times ``1 /
-    sqrt(2)``: the bits of numpy's complex division by ``sqrt(2)``, whose
-    Smith formula multiplies by the reciprocal, but for the sign of a part
-    that is exactly zero."""
-    z = np.empty(g.shape[:-3] + g.shape[-2:], dtype=np.complex128)
-    for k, part in enumerate((z.real, z.imag)):
-        np.multiply(g[..., k, :, :], 1.0 / math.sqrt(2.0), out=part)
-    return z
+    return [(g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2.0) if span is None
+            else span[0] + (span[1] - span[0]) * g for (_, span), g in zip(parts, stacks)]
 
 
 def _rotated(q: np.ndarray, lam: np.ndarray, shape: TensorShape) -> HermitianStack:
@@ -701,17 +689,16 @@ def _tail_columns(cfg, checks) -> list:
 
     ``checks`` are ``(events, traces)`` pairs: the event stacks (or per-trial
     numbers standing for multiples of I) and the per-trial
-    ``Tr(tail**power)``.  Returns two arrays of shape
-    ``(trials, checks, len(C_SWEEP))``: whether ``event <= c I`` holds by
-    :func:`_excess`, and the trace statistic
-    ``Tr(tail**power (c I)^-1) = Tr(tail**power) / c``.
+    ``Tr(tail**power)``.  Returns whether ``event <= c I`` holds by
+    :func:`_excess`, ``(trials, checks, len(C_SWEEP))``, and the traces,
+    ``(trials, checks)``, whose ``Tr(tail**power) / c`` stay in double range.
     """
     c = np.array(C_SWEEP)
     held = [_excess(events, c[:, None]).T <= cfg.tolerance for events, _ in checks]
-    stats = np.stack([traces[:, None] / c for _, traces in checks], axis=1)
-    if not np.isfinite(stats).all():
+    traces = np.stack([t for _, t in checks], axis=1)
+    if not np.isfinite(traces / c.min()).all():
         raise ValueError("a trace statistic Tr(tail**power) / c leaves double range")
-    return [np.stack(held, axis=1), stats]
+    return [np.stack(held, axis=1), traces]
 
 
 def _power_trace(z: HermitianStack, power: float) -> np.ndarray:
@@ -719,22 +706,24 @@ def _power_trace(z: HermitianStack, power: float) -> np.ndarray:
     return np.trace(_tail_power(z, power).unfold(), axis1=-2, axis2=-1).real
 
 
-def _tail_report(run, rows, held, stats, after=()):
+def _tail_report(run, rows, held, traces, after=()):
     """Tail-event rule shared by the tail-bound suites.
 
     Each row is ``(note prefix, check, c index)`` into the
     :func:`_tail_columns` of all trials.  The empirical frequency of
     ``event not<= c I`` is checked against the trace bound
-    ``Tr(mean(tail**power) (c I)^-1)``; the row counts one violation when it
-    exceeds ``min(1, bound) + 3 * stderr``.  The report carries the row with
-    the largest margin over the clamped bound.  ``after`` notes follow the
-    per-row notes.
+    ``Tr(mean(tail**power) (c I)^-1)``, the check's one :func:`_tail_summary`
+    divided by ``c`` (exact at C_SWEEP's powers of two); the row counts one
+    violation when it exceeds ``min(1, bound) + 3 * stderr``.  The report
+    carries the row with the largest margin over the clamped bound.
+    ``after`` notes follow the per-row notes.
     """
     trials = run.cfg.trials
+    summaries = [_tail_summary(column.tolist()) for column in traces.T]
     viol, worst = 0, None
     for prefix, check, j in rows:
         emp = int(np.count_nonzero(~held[:, check, j])) / trials
-        bound, se = _tail_summary(stats[:, check, j].tolist())
+        bound, se = (v / C_SWEEP[j] for v in summaries[check])
         if emp > min(1.0, bound) + 3.0 * (se + _binom_stderr(emp, trials)):
             viol += 1
         margin = emp - min(1.0, bound)

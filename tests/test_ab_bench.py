@@ -58,3 +58,10 @@ def test_pairs_below_one_are_refused_before_any_run(pairs, capsys):
         _tool().main(["HEAD", "--workload", "verify_d4", "--pairs", pairs])
     assert info.value.code == 2
     assert f"--pairs must be >= 1, got {pairs}" in capsys.readouterr().err
+
+
+def test_each_seed_keeps_its_own_record():
+    tool = _tool()
+    names = [tool.record_path("verify_d4", seed).name for seed in (None, 20260809, 7)]
+    assert names == ["ab-verify_d4-default.json", "ab-verify_d4-20260809.json", "ab-verify_d4-7.json"]
+    assert tool.record_path("verify_d4", None).parent == ROOT / "perfbench" / "out"

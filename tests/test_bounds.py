@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tmlab as tm
-from tmlab.bounds import BoundFactors, _kyfan_profile, _tail_summary
+from tmlab.bounds import BoundFactors, _kyfan_profile, _ratio_extremes, _tail_summary
 
 from conftest import SHAPE2, SHAPE22, rand_pd, rand_spectrum
 
@@ -398,7 +398,10 @@ def test_dyadic_decompose_meets_its_definition():
     (lambda: tm.kk_factors(tm.HermitianTensor.identity(SHAPE2), tm.geometric(), 2, 1.0, k_start=3),
      r"^k_start must be in \[1, 2\], got 3"),
     (lambda: tm.trace_tail_bound([], 1.0, tm.HermitianTensor.identity(SHAPE2)), "need at least one sample"),
-], ids=["k-start-3", "no-samples"])
+    # harmonic_like(1e400) is inf / inf.
+    (lambda: _ratio_extremes(np.array([[1.0, 1e200]]), np.array([[True, True]]), tm.harmonic_like(), 2.0),
+     "^harmonic_like: spectral ratio at exponent 2 is not finite"),
+], ids=["k-start-3", "no-samples", "ratio-not-finite"])
 def test_refusals(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -346,6 +346,16 @@ class TestApplySpectral:
         noisy = tm.HermitianTensor.diag([4.0, 1.0, 0.0, -1e-12], SHAPE22)
         assert np.array_equal(tm.spectral_power(noisy, 0.5).eigenvalues(), [2.0, 1.0, 0.0, 0.0])
 
+    def test_integer_powers_below_one_map_the_eigenpairs(self, rng):
+        # Ungated like every integer power: p = 0 is the identity on any spectrum.
+        assert np.allclose(tm.spectral_power(rand_hermitian(rng), 0).unfold(), np.eye(4), atol=1e-12)
+        x = rand_pd(rng)
+        inv = np.linalg.inv(x.unfold())
+        assert np.max(np.abs(tm.spectral_power(x, -1).unfold() - inv)) <= 1e-10 * np.abs(inv).max()
+        # A zero eigenvalue has no reciprocal.
+        with pytest.raises(ValueError, match="domain"):
+            tm.spectral_power(tm.HermitianTensor.diag([1.0, 0.0], SHAPE2), -1)
+
 
 class TestLoewnerCompare:
     def test_trivial_orders(self):
@@ -908,7 +918,10 @@ class TestErrorState:
      r"matrix has shape \(3, 3\), expected \(4, 4\)"),
     (lambda: tm.HermitianTensor.diag([1.0, 2.0, 3.0], (2, 2)), ValueError, "one diagonal value per unfolding index"),
     (lambda: tm.HermitianTensor.identity(2) + 3.0, TypeError, "expected HermitianStack, got float"),
-], ids=["odd-order", "entries-mismatch", "from-matrix-size", "short-diag", "add-number"])
+    # Stacks without a tensor shape are told apart by their D.
+    (lambda: HermitianStack.from_matrices(np.eye(2)[None]) + HermitianStack.from_matrices(np.eye(3)[None]),
+     ValueError, r"size mismatch: \(1, 2, 2\) vs \(1, 3, 3\)"),
+], ids=["odd-order", "entries-mismatch", "from-matrix-size", "short-diag", "add-number", "add-size"])
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -14,9 +14,10 @@ interquartile range of REF's runs and the median of the per-pair ratios
 this checkout / REF.
 ``correct`` and ``failed`` are printed for every run; a pair with a failed
 run is left out of the summary.  Every run's result line, in pair order,
-goes to ``perfbench/out/ab-<workload>.json``.  Nothing else is written
-into the checkout beyond what ``run.py`` writes to ``perfbench/out/``, and
-Python writes no bytecode.
+goes to ``perfbench/out/ab-<workload>-<seed>.json``, with ``default`` as
+the seed when no ``--seed`` is given.  Nothing else is written into the
+checkout beyond what ``run.py`` writes to ``perfbench/out/``, and Python
+writes no bytecode.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ def extract(ref: str, dest: Path) -> None:
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def record_path(workload: str, seed: int | None) -> Path:
+    """The record of a batch, one per workload and seed, with ``default``
+    for run.py's own seed, so that a batch at another seed keeps its own."""
+    return OUT / f"ab-{workload}-{'default' if seed is None else seed}.json"
 
 
 def run_once(checkout: Path, workload: str, seed: int | None) -> dict | None:
@@ -128,7 +135,7 @@ def main(argv=None) -> int:
                 pairs.append((got["ref"], got["new"]))
     OUT.mkdir(exist_ok=True)
     record = {"ref": args.ref, "workload": args.workload, "seed": args.seed, "runs": runs}
-    (OUT / f"ab-{args.workload}.json").write_text(json.dumps(record, indent=1), encoding="utf-8")
+    record_path(args.workload, args.seed).write_text(json.dumps(record, indent=1), encoding="utf-8")
     print(f"{'metric':<22} {'unit':>5} {'better':>6} {'ref median':>12} {'new median':>12} "
           f"{'W-L/pairs':>9} {'ref IQR':>10} {'new/ref':>8}")
     for row in summarize(specs, pairs):
