@@ -16,90 +16,12 @@ Library layout:
   suites; :mod:`tmlab.cli` exposes them as the ``tmlab`` command.
 """
 
-from .core import (
-    FROBENIUS,
-    SPECTRAL,
-    TRACE,
-    GaugeNormKind,
-    HermitianTensor,
-    LoewnerVerdict,
-    Relation,
-    SpectralDecomposition,
-    TensorShape,
-    apply_spectral,
-    einstein_product,
-    fold,
-    gauge_norm,
-    ky_fan,
-    load_tensor,
-    loewner_compare,
-    range_projector,
-    save_tensor,
-    spectral_decompose,
-    spectral_power,
-    unfold,
-)
-from .functions import (
-    ConnectionFunction,
-    PmiCertificate,
-    UnsupportedFunctionError,
-    ando_hiai_g,
-    check_pmd,
-    check_pmi,
-    derivative_at_one,
-    from_id,
-    geometric,
-    harmonic_like,
-    identity,
-    invert_fn,
-    power,
-    power_exponent,
-    power_lift,
-    psi,
-    square,
-    transpose_fn,
-)
-from .means import (
-    DominationError,
-    EtaResult,
-    RttDiagnostic,
-    epsilon_mean_limit,
-    eta,
-    mean_pd,
-    mean_psd,
-    mean_recursive,
-)
-from .bounds import (
-    BoundFactors,
-    dyadic_decompose,
-    kantorovich,
-    kk_factors,
-    kyfan_stats,
-    phi_factors,
-    prop310_factors,
-    psi_factors,
-    trace_tail_bound,
-)
-from .lie_trotter import (
-    ConvergenceStudy,
-    PremiseError,
-    convergence_study,
-    lt_expression,
-    lt_limit,
-    lt_ordering_check,
-    tensor_exp,
-    tensor_log,
-)
-from .data_processing import (
-    DominationPair,
-    PositiveLinearMap,
-    apply_map,
-    congruence,
-    convex_combination,
-    fusion_gap,
-    mean_on_pair,
-    pinching,
-    transform_gap,
-)
+# Each module's ``__all__`` is the package's list of its public names.
+from .core import *
+from .functions import *
+from .means import *
+from .bounds import *
+from .lie_trotter import *
+from .data_processing import *
 
 __version__ = "0.1.0"

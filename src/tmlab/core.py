@@ -693,10 +693,6 @@ class HermitianTensor(HermitianStack):
     def __repr__(self) -> str:
         return f"HermitianTensor(dims={self._shape.dims})"
 
-    def allclose(self, other: "HermitianTensor", atol: float = 0.0, rtol: float = 1e-12) -> bool:
-        self._check_same_shape(other)
-        return bool(np.allclose(self._matrix, other._matrix, atol=atol, rtol=rtol))
-
 
 # ---------------------------------------------------------------------------
 # unfolding / Einstein product

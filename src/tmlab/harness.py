@@ -7,8 +7,9 @@ frequencies, and Monte Carlo bound estimates.  Report semantics:
 - ordering suites (L1, L2, T1, C1, T65, APP_*): ``violations`` counts trials
   where the asserted Loewner relation ``lhs <= rhs`` fails, that is where its
   relative excess ``lambda_max(lhs - rhs) / max(|lhs|_sp, |rhs|_sp, 1)``
-  (:func:`_excess`) is above the tolerance; ``max_violation`` is
-  ``max(0, worst excess)``.
+  (:func:`_excess`) is above the tolerance; a trial that checks several
+  relations (L2, T65, APP_*) fails when any of them does; ``max_violation``
+  is ``max(0, worst excess)``.
 - tail-bound suites (L3, T3, T7, T8, T9): ``violations`` counts
   (inequality, threshold) combinations where the empirical frequency
   exceeds ``min(1, bound) + 3 * stderr``; the clamp at 1 is reported, not
@@ -101,6 +102,7 @@ __all__ = [
     "run_suite",
     "run_suites",
     "REPORT_VERSION",
+    "reports_to_json",
 ]
 
 REPORT_VERSION = "tmlab-report/2"
@@ -645,9 +647,9 @@ def _report(run, violations, max_violation, bound, empirical, stderr):
 
 
 def _fail_report(run, failed: np.ndarray, worst: np.ndarray, bound=None):
-    """Report of the pass/fail suites: the count of failing checks, their
-    frequency with its binomial standard error over ``len(failed)``, and
-    the worst per-check figure floored at 0."""
+    """Report of the pass/fail suites: the count of failing trials, their
+    frequency with its binomial standard error over the trials, and the
+    worst per-trial figure floored at 0."""
     count = np.count_nonzero(failed)
     empirical = count / len(failed)
     return _report(run, count, max(0.0, *worst.tolist()), bound, empirical, _binom_stderr(empirical, len(failed)))
@@ -1141,16 +1143,13 @@ def _suite_fusion(run):
         x1, y1, x2, y2 = _two_pairs(run, trials)
         p1, p2 = DominationPair(x1, y1, "left"), DominationPair(x2, y2, "left")
         fused = DominationPair(x1 + x2, y1 + y2, "left")
-        columns = []
-        for _, gen in regimes:
-            excess = _excess(*_fusion_sides(p1, p2, fused, gen))
-            columns += [excess > run.cfg.tolerance, excess]
-        return columns
+        return [_excess(*_fusion_sides(p1, p2, fused, gen)) for _, gen in regimes]
 
-    columns = _per_trial(run.cfg, body)
-    for (label, _), failed in zip(regimes, columns[::2]):
-        run.notes.append(f"{label}: {np.count_nonzero(failed)}/{run.cfg.trials} violations")
-    return _fail_report(run, np.concatenate(columns[::2]), np.concatenate(columns[1::2]))
+    excesses = _per_trial(run.cfg, body)
+    for (label, _), excess in zip(regimes, excesses):
+        run.notes.append(f"{label}: {np.count_nonzero(excess > run.cfg.tolerance)}/{run.cfg.trials} violations")
+    worst = np.maximum(*excesses)
+    return _fail_report(run, worst > run.cfg.tolerance, worst)
 
 
 def _random_maps(spec: EnsembleSpec, trials) -> tuple[np.ndarray, np.ndarray]:

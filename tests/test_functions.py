@@ -560,7 +560,11 @@ def test_ando_hiai_rejects_constant_lift():
     (lambda: tm.invert_fn(tm.power(2.0), math.nan), "target must be finite"),
     (lambda: tm.ando_hiai_g(tm.psi(1.0), 2), "needs a positive generator"),
     (lambda: tm.from_id("transpose"), "transpose needs an inner chain"),
-], ids=["unknown-tag", "invert-nan", "ando-hiai-sign-changing", "transpose-alone"])
+    # Passes the class probe, but is NaN at 1 +- 1e-5, where the derivative probes.
+    (lambda: tm.derivative_at_one(ConnectionFunction(
+        fn=lambda x: np.where((abs(x - 1) > 1e-6) & (abs(x - 1) < 1e-4), np.nan, x), label="gap")),
+     "gap: non-finite probes near 1"),
+], ids=["unknown-tag", "invert-nan", "ando-hiai-sign-changing", "transpose-alone", "derivative-non-finite"])
 def test_refusals(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tmlab as tm
+from tmlab import harness
 from tmlab.core import HermitianStack
 from tmlab.harness import (
     _SUITES,
@@ -325,6 +326,24 @@ class TestSuites:
         # Means at D = 36 reach scale ~1e7: the verdict's relative rule applies.
         report = run_suite("APP_Fusion", ExperimentConfig(trials=3, shape=(6, 6)))
         assert report.violations == 0, report.regime_notes
+
+    @pytest.mark.parametrize("failing, counts", [(None, ["5/5", "5/5"]), ("inverse_arithmetic", ["0/5", "5/5"])],
+                             ids=["both", "inverse_arithmetic"])
+    def test_fusion_counts_a_trial_failing_in_either_regime(self, monkeypatch, failing, counts):
+        # A doubled fused side fails its regime on every trial; a trial
+        # counts once however many of its regimes fail.
+        sides = harness._fusion_sides
+
+        def doubled(p1, p2, fused, g):
+            lhs, rhs = sides(p1, p2, fused, g)
+            return (2 * rhs, rhs) if failing in (None, g.label) else (lhs, rhs)
+
+        monkeypatch.setattr(harness, "_fusion_sides", doubled)
+        report = run_suite("APP_Fusion", ExperimentConfig(trials=5))
+        assert (report.violations, report.empirical_prob) == (5, 1.0)
+        assert [note.split(": ")[-1] for note in report.regime_notes if note.endswith(" violations")] == [
+            f"{count} violations" for count in counts]
+        assert not any("clamped" in note for note in report.regime_notes)
 
     def test_majorization_tc_reports_finite_fields_at_d64(self):
         report = run_suite("C4_MajorizationTC", ExperimentConfig(trials=2, shape=(8, 8))).to_dict()
