@@ -30,6 +30,7 @@ them as enforced.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -170,12 +171,11 @@ def _of_kind(name: str, value, kind, what: str):
 
 
 # SeedSequence's hash constants (NumPy's ``bit_generator.pyx``, stable by
-# NEP 19) and the 128-bit PCG64 multiplier (O'Neill 2014).
+# NEP 19).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = 2**32 - 1, 2**128 - 1
+_M32 = 2**32 - 1
 
 
 # The hash multipliers ``init * mult**k mod 2**32``: a spawned seed sequence
@@ -197,16 +197,31 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
+@functools.cache
+def _seed_words():
+    """numpy's seed-sequence interface over one trial's 4 ``uint64`` seed
+    words, which ``PCG64`` seeds from as from the ``SeedSequence`` that
+    hashed them.  Built on first use: numpy imports ``numpy.random`` lazily."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
 def _streams(seed: int, trials, role: int):
-    """One stream per trial: an iterator that yields a single reused
-    ``Generator(PCG64)``, set in turn to the state of
-    ``default_rng(SeedSequence(seed & (2**64 - 1), spawn_key=(t, role)))``
-    for each trial ``t``.  Take each stream's draws before advancing.
+    """One stream per trial: an iterator that yields a fresh
+    ``Generator(PCG64)`` for each trial ``t``, in the state of
+    ``default_rng(SeedSequence(seed & (2**64 - 1), spawn_key=(t, role)))``.
 
     The seed's pool of 4 words is numpy's own (``SeedSequence.pool``); only
     the spawn keys are hashed into it, for all trials at once on ``uint32``
-    arrays, and each PCG64 seeding step is done on Python 128-bit integers,
-    so the states are numpy's own bit for bit.  Trial and role must lie in
+    arrays, and numpy's ``PCG64`` seeds each stream from its 4 words, so the
+    states are numpy's own bit for bit.  Trial and role must lie in
     ``[0, 2**32)``: numpy would hash a wider key as two words.
     """
     keys = [int(t) for t in trials]
@@ -217,15 +232,11 @@ def _streams(seed: int, trials, role: int):
     pool = _mix(pool, _hashmix(np.array(keys, dtype=np.uint32), _SPAWN_A[:4], _SPAWN_A[1:5]))
     pool = _mix(pool, _hashmix(np.uint32(role), _SPAWN_A[4:8], _SPAWN_A[5:]))
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _CHAIN_B[:8], _CHAIN_B[1:])
-    seeds = np.ascontiguousarray(words.T).astype("<u4").view("<u8").tolist()
-    rng = np.random.Generator(np.random.PCG64(0))
-    bits = rng.bit_generator
-    for s_hi, s_lo, i_hi, i_lo in seeds:
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield rng
+    # PCG64 reads each row's memory as 4 native uint64s, paired from 32 bits as numpy pairs them.
+    seeds = np.ascontiguousarray(words.T).astype("<u4").view("<u8").astype(np.uint64)
+    generator, pcg64, seed_words = np.random.Generator, np.random.PCG64, _seed_words()
+    for row in seeds:
+        yield generator(pcg64(seed_words(row)))
 
 
 def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
@@ -233,7 +244,8 @@ def sample(spec: EnsembleSpec, trial: int, role: int = 0) -> HermitianTensor:
 
     ``role`` selects an independent stream for further draws of the same
     trial (the default 0 is the primary draw).  The batch of one of
-    :func:`_draw`, with the eigenpairs that a ``spectrum`` draw is born with.
+    :func:`_draw`, drawn from the trial's own generator, with the eigenpairs
+    that a ``spectrum`` draw is born with.
     """
     # The stream keys check the trial's range.
     return _draw(spec, (_number("trial", trial, integral=True),), role)._member(0)
@@ -271,17 +283,15 @@ def _draw(spec: EnsembleSpec, trials, role: int = 0) -> HermitianStack:
 
 def _stacked(seed: int, trials, role: int, *parts) -> list[np.ndarray]:
     """The draws of a run of trials, one stack per part ``(shape, span)``:
-    trial ``k`` fills row ``k`` of each from its stream, parts in order, with
-    uniforms ``m + (M - m) * U[0, 1)`` on ``span = (m, M)``, the formula and
-    so the bits of ``Generator.uniform``, or, when ``span`` is None, complex
-    Gaussians ``(re + 1j * im) / sqrt(2)`` drawn as re then im on axis -3."""
+    trial ``k`` fills row ``k`` of each from its own generator of
+    :func:`_streams`, parts in order, with uniforms ``m + (M - m) * U[0, 1)``
+    on ``span = (m, M)``, the formula and so the bits of
+    ``Generator.uniform``, or, when ``span`` is None, complex Gaussians
+    ``(re + 1j * im) / sqrt(2)`` drawn as re then im on axis -3."""
     stacks = [np.empty((len(trials), *shape)) for shape, _ in parts]
     for k, rng in enumerate(_streams(seed, trials, role)):
-        if not k:
-            fills = [(rng.standard_normal if span is None else rng.random, stack)
-                     for (_, span), stack in zip(parts, stacks)]
-        for fill, stack in fills:
-            fill(out=stack[k])
+        for (_, span), stack in zip(parts, stacks):
+            (rng.standard_normal if span is None else rng.random)(out=stack[k])
     return [(g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2.0) if span is None
             else span[0] + (span[1] - span[0]) * g for (_, span), g in zip(parts, stacks)]
 

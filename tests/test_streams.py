@@ -2,13 +2,19 @@
 
 Every draw of trial ``t`` in role ``r`` comes from
 ``default_rng(SeedSequence(seed & (2**64 - 1), spawn_key=(t, r)))``.  The
-harness builds those states in bulk (:func:`tmlab.harness._streams`) and
-fills every trial's draws into stacks in one loop (:func:`tmlab.harness._stacked`);
-these tests hold the states to numpy's own, every draw site to the per-trial
-code it replaced, kept here as the reference, and the loop to one function.
+harness hashes the seed words of all trials in bulk and lets numpy's
+``PCG64`` seed a fresh generator per trial from them
+(:func:`tmlab.harness._streams`), and fills every trial's draws into stacks
+in one loop (:func:`tmlab.harness._stacked`); these tests hold the states
+to numpy's own, each trial's generator to its own stream, every draw site
+to the per-trial code it replaced, kept here as the reference, the loop to
+one function, and the harness's import to numpy's lazy ``numpy.random``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +86,27 @@ def test_states_equal_numpy(seed):
         assert states == [_ref_rng(seed, t, role).bit_generator.state for t in TRIALS], role
 
 
-def test_one_generator_is_reused():
-    assert len({id(rng) for rng in _streams(5, range(4), 0)}) == 1
+@pytest.mark.parametrize("seed", SEEDS)
+def test_streams_are_independent(seed):
+    """Each trial's generator keeps its own state: drawn from in reverse
+    order, after every stream is made, each gives its own trial's draws."""
+    for role in ROLES:
+        rngs = list(_streams(seed, TRIALS, role))
+        for t, rng in reversed(list(zip(TRIALS, rngs))):
+            assert _same_bits(rng.standard_normal(3), _ref_rng(seed, t, role).standard_normal(3)), (role, t)
+
+
+def test_importing_the_harness_leaves_numpy_random_unloaded():
+    """numpy 2 imports ``numpy.random`` on first use, and the harness builds
+    its seed-words type only then; numpy 1.x imports it with numpy, so a
+    bare ``import numpy`` in the same fresh process is the baseline."""
+    probe = ("import sys, numpy; bare = 'numpy.random' in sys.modules; "
+             "import tmlab, tmlab.harness; print(bare, 'numpy.random' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-B", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    bare, after = proc.stdout.split()
+    assert after == bare
 
 
 # Uniform spans that hold the bulk rescale to ``Generator.uniform`` bit for
