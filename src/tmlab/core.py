@@ -1038,10 +1038,10 @@ def loewner_extremes(x: HermitianStack, y: HermitianStack, tol: float = PSD_RTOL
     """
     tol = _number("tol", tol, low=0)
     lam_min, lam_max = _loewner_gap(y, x)
-    lo, hi = (np.maximum(np.maximum(sx, sy), 1.0) for sx, sy in zip(_scale_bracket(x), _scale_bracket(y)))
+    lo, hi = (_pair_scale(sx, sy) for sx, sy in zip(_scale_bracket(x), _scale_bracket(y)))
     leq, geq = lam_min >= -tol * lo, lam_max <= tol * lo
     if _any((leq != (lam_min >= -tol * hi)) | (geq != (lam_max <= tol * hi))):
-        scale = np.maximum(np.maximum(_spectral_scale(x), _spectral_scale(y)), 1.0)
+        scale = _pair_scale(_spectral_scale(x), _spectral_scale(y))
         leq, geq = lam_min >= -tol * scale, lam_max <= tol * scale
     return lam_min, lam_max, leq, geq
 
@@ -1058,6 +1058,29 @@ def _loewner_gap(lhs, rhs):
         return ev[..., 0], ev[..., -1]
     a, b = (s._eigenvalues() if isinstance(s, HermitianStack) else np.asarray(s)[..., None] for s in (lhs, rhs))
     return a[..., 0] - b[..., -1], a[..., -1] - b[..., 0]
+
+
+def _pair_scale(a, b) -> np.ndarray:
+    """The one relative scale of a Loewner comparison: ``max(a, b, 1)`` per
+    matrix, for the sides' spectral scales ``a`` and ``b``."""
+    return np.maximum(np.maximum(a, b), 1.0)
+
+
+def _excess(lhs, rhs) -> np.ndarray:
+    """The one Loewner rule of the suites: the relative excess of ``lhs``
+    over ``rhs``, ``lambda_max(lhs - rhs) / max(|lhs|_sp, |rhs|_sp, 1)`` per
+    matrix, read from :func:`_loewner_gap` as :func:`loewner_compare` reads
+    it; ``lhs <= rhs`` fails when it is above the tolerance.  Either side
+    may be a stack or per-matrix numbers ``c`` standing for ``c I``.
+
+    A stack against a stack is first offered to :func:`_certified`: when
+    it certifies every matrix, every excess is ``<= 0`` and the rule
+    returns the floor 0 of ``max_violation`` without reading a spectrum.
+    """
+    if isinstance(lhs, HermitianStack) and isinstance(rhs, HermitianStack) and _certified(lhs, rhs):
+        return np.zeros(lhs.unfold().shape[:-2])
+    _, top = _loewner_gap(lhs, rhs)
+    return top / _pair_scale(_spectral_scale(lhs), _spectral_scale(rhs))
 
 
 def loewner_compare(x: HermitianTensor, y: HermitianTensor, tol: float = PSD_RTOL) -> LoewnerVerdict:

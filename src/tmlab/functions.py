@@ -68,7 +68,11 @@ _STEPS = tuple(_PROBE_POINTS[a] - _PROBE_POINTS[b] for a, b in ((_X, _Y), (_S, _
 DEFAULT_X_GRID = tuple(np.logspace(-3.0, 3.0, 41))
 DEFAULT_Q_GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0)
 
-VALID_TAGS = frozenset({"TMI", "TMD", "TC"})
+# The generator classes, in the order the class probe reads them: per tag,
+# the class a refusal names and the operator property its probe reads.
+_TAGS = {"TMI": ("monotone increasing", "monotonicity"), "TMD": ("monotone decreasing", "monotonicity"),
+         "TC": ("convex", "convexity")}
+VALID_TAGS = frozenset(_TAGS)
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ class ConnectionFunction:
             raise ValueError(f"{self.label}: not positive on probe grid")
         for tag, reading in _class_readings(values, self.tags).items():
             if not reading >= -_CLASS_TOL:
-                raise ValueError(f"{self.label}: {tag} tag fails the operator {_PROBE_NAMES[tag]} probe"
+                raise ValueError(f"{self.label}: {tag} tag fails the operator {_TAGS[tag][1]} probe"
                                  f" (reading {reading:.2g})")
 
     def __call__(self, x: float) -> float:
@@ -169,9 +173,6 @@ class ConnectionFunction:
 
     def __repr__(self) -> str:
         return f"ConnectionFunction({self.label!r})"
-
-
-_PROBE_NAMES = {"TMI": "monotonicity", "TMD": "monotonicity", "TC": "convexity"}
 
 
 def _class_readings(values, tags) -> dict:
@@ -213,7 +214,7 @@ def _class_readings(values, tags) -> dict:
     if "TC" in tags:
         mats["TC"] = divided(divided((values[_S], err[_S]), (values[_Y], err[_Y]), _STEPS[1]), loewner, _STEPS[2])
     readings = {}
-    for tag in [tag for tag in _PROBE_NAMES if tag in tags]:
+    for tag in [tag for tag in _TAGS if tag in tags]:
         m, bound = mats[tag]
         d = np.abs(np.diagonal(m, axis1=-2, axis2=-1))
         r = np.sqrt(np.where(d > 0.0, d, 1.0))
@@ -371,9 +372,6 @@ class UnsupportedFunctionError(ValueError):
     """The connection function has no finite limit at 0+ (PSD extension)."""
 
 
-_TAG_NAMES = {"TMI": "monotone increasing", "TMD": "monotone decreasing", "TC": "convex"}
-
-
 def _admit(g: ConnectionFunction, tag: str | None = None, zero_limit: bool = False,
            side: str = "left", normalized: bool = False) -> ConnectionFunction:
     """The one admissibility rule for a generator, shared by the suite table,
@@ -387,7 +385,7 @@ def _admit(g: ConnectionFunction, tag: str | None = None, zero_limit: bool = Fal
     if normalized and not g.normalized:
         raise ValueError(f"{g.label} is not normalized (value 1 at 1)")
     if tag is not None and tag not in g.tags:
-        raise ValueError(f"{g.label} is not tagged {_TAG_NAMES[tag]} ({tag})")
+        raise ValueError(f"{g.label} is not tagged {_TAGS[tag][0]} ({tag})")
     if zero_limit and side == "left" and not math.isfinite(g.value_at_0plus):
         raise UnsupportedFunctionError(f"{g.label} has no finite limit at 0+")
     if zero_limit and side == "right" and not math.isfinite(transpose_fn(g).value_at_0plus):

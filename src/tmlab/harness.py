@@ -7,7 +7,7 @@ frequencies, and Monte Carlo bound estimates.  Report semantics:
 - ordering suites (L1, L2, T1, C1, T65, APP_*): ``violations`` counts trials
   where the asserted Loewner relation ``lhs <= rhs`` fails, that is where its
   relative excess ``lambda_max(lhs - rhs) / max(|lhs|_sp, |rhs|_sp, 1)``
-  (:func:`_excess`) is above the tolerance; a trial that checks several
+  (:func:`core._excess`) is above the tolerance; a trial that checks several
   relations (L2, T65, APP_*) fails when any of them does; ``max_violation``
   is ``max(0, worst excess)``.
 - tail-bound suites (L3, T3, T7, T8, T9): ``violations`` counts
@@ -40,21 +40,18 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    FROBENIUS,
     HermitianStack,
     HermitianTensor,
     NotPositiveDefiniteError,
     TensorShape,
     _TINY,
     _ascending,
-    _certified,
     _composed,
     _ct,
+    _excess,
     _gate_pd,
-    _loewner_gap,
     _number,
     _quiet,
-    _spectral_scale,
     _symmetrize,
     apply_spectral,
     gauge_norm,
@@ -679,23 +676,6 @@ def _per_trial(cfg: ExperimentConfig, body) -> list:
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _excess(lhs, rhs) -> np.ndarray:
-    """The one Loewner rule of the suites: the relative excess of ``lhs``
-    over ``rhs``, ``lambda_max(lhs - rhs) / max(|lhs|_sp, |rhs|_sp, 1)`` per
-    matrix, read from ``core._loewner_gap`` as ``tmlab.loewner_compare``
-    reads it; ``lhs <= rhs`` fails when it is above the tolerance.  Either
-    side may be a stack or per-matrix numbers ``c`` standing for ``c I``.
-
-    A stack against a stack is first offered to ``core._certified``: when
-    it certifies every matrix, every excess is ``<= 0`` and the rule
-    returns the floor 0 of ``max_violation`` without reading a spectrum.
-    """
-    if isinstance(lhs, HermitianStack) and isinstance(rhs, HermitianStack) and _certified(lhs, rhs):
-        return np.zeros(lhs.unfold().shape[:-2])
-    _, top = _loewner_gap(lhs, rhs)
-    return top / np.maximum(np.maximum(_spectral_scale(lhs), _spectral_scale(rhs)), 1.0)
-
-
 def _tail_columns(cfg, checks) -> list:
     """Per-trial inputs of the tail rule for one chunk of trials.
 
@@ -876,11 +856,10 @@ def _suite_ando_hiai(run, direction):
 
 
 def _suite_t2(run):
-    q_grid = tuple(2.0**-k for k in range(1, 9))
     run.notes.append("q grid 2^-1 .. 2^-8; monotone with 5% slack; final relative error <= 1e-2")
 
     def body(trials):
-        study = convergence_study(*run.pair(trials), run.fn, q_grid, FROBENIUS)
+        study = convergence_study(*run.pair(trials), run.fn)
         return study.monotone, study.final_relative_error
 
     monotone, final = _per_trial(run.cfg, body)
@@ -1093,14 +1072,13 @@ def _suite_c4(run):
 
 
 def _suite_t63(run):
-    eps_grid = (1e-2, 1e-4, 1e-6, 1e-8)
     run.notes.append("epsilon grid 1e-2..1e-8; dominated x built inside range(y)")
     wishart = _dominating_spec(run.ex, run.ex.shape)
 
     def body(trials):
         y = _draw(run.ey, trials)
         x = _dominate(y, _draw(wishart, trials, _DOMINATED_ROLE))
-        limit, diag = epsilon_mean_limit(x, y, run.fn, eps_grid, FROBENIUS)
+        limit, diag = epsilon_mean_limit(x, y, run.fn)
         return diag.converged, diag.errors[-1] / np.maximum(1e-300, gauge_norm(limit))
 
     converged, rel = _per_trial(run.cfg, body)

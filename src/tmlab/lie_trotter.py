@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FROBENIUS,
-    GaugeNormKind,
     HermitianStack,
     HermitianTensor,
     LoewnerVerdict,
@@ -118,18 +116,17 @@ def convergence_study(
     y: HermitianStack,
     g: ConnectionFunction,
     q_grid=tuple(2.0**-k for k in range(1, 9)),
-    norm: GaugeNormKind = FROBENIUS,
 ) -> ConvergenceStudy:
-    """Distance of the product-formula expression from its limit per grid
-    point, for a pair of tensors or every pair of two stacks."""
+    """Frobenius distance of the product-formula expression from its limit
+    per grid point, for a pair of tensors or every pair of two stacks."""
     q_grid = _shrinking_grid(q_grid, "q")
     limit = lt_limit(x, y, g)
-    scale = np.maximum(1.0, gauge_norm(limit, norm))
-    distances = tuple(gauge_norm(lt_expression(q, x, y, g) - limit, norm) for q in q_grid)
+    scale = np.maximum(1.0, gauge_norm(limit))
+    distances = tuple(gauge_norm(lt_expression(q, x, y, g) - limit) for q in q_grid)
     monotone = np.full(np.shape(scale), True)
     for a, b in zip(distances, distances[1:]):
         monotone &= b <= 1.05 * a + 1e-12 * scale
-    return ConvergenceStudy(q_grid, distances, _per_item(monotone), distances[-1] / gauge_norm(limit, norm))
+    return ConvergenceStudy(q_grid, distances, _per_item(monotone), distances[-1] / gauge_norm(limit))
 
 
 def lt_ordering_check(

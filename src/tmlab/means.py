@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FROBENIUS,
-    GaugeNormKind,
     HermitianStack,
     HermitianTensor,
     RANK_RTOL,
@@ -339,11 +337,11 @@ def epsilon_mean_limit(
     y: HermitianStack,
     g: ConnectionFunction,
     eps_grid=(1e-2, 1e-4, 1e-6, 1e-8),
-    norm: GaugeNormKind = FROBENIUS,
     mode: str = "joint",
 ) -> tuple[HermitianStack, RttDiagnostic]:
     """Regularized means along ``eps_grid`` against the PSD-extended limit,
-    for a pair of tensors or every pair of two stacks.
+    at Frobenius distance, for a pair of tensors or every pair of two
+    stacks.
 
     ``mode="joint"`` perturbs both slots (``(x + eps I) # (y + eps I)``);
     ``mode="right"`` perturbs only the second slot, covering perturbation
@@ -373,8 +371,8 @@ def epsilon_mean_limit(
             approx = mean_pd(x_eps, y_eps, g)
         else:
             approx = _congruence_mean(x, y_eps, g)
-        errors.append(gauge_norm(approx - limit, norm))
-    scale = np.maximum(gauge_norm(limit, norm), 1e-300)
+        errors.append(gauge_norm(approx - limit))
+    scale = np.maximum(gauge_norm(limit), 1e-300)
     converged = errors[-1] <= 1e-3 * np.maximum(scale, 1.0)
     for a, b in zip(errors, errors[1:]):
         converged &= b <= a * (1.0 + 1e-9) + 1e-14 * scale

@@ -2,6 +2,7 @@
 test runs the benchmark."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -65,3 +66,14 @@ def test_each_seed_keeps_its_own_record():
     names = [tool.record_path("verify_d4", seed).name for seed in (None, 20260809, 7)]
     assert names == ["ab-verify_d4-default.json", "ab-verify_d4-20260809.json", "ab-verify_d4-7.json"]
     assert tool.record_path("verify_d4", None).parent == ROOT / "perfbench" / "out"
+
+
+def test_a_second_batch_at_the_same_workload_and_seed_keeps_the_first(tmp_path):
+    tool = _tool()
+    first = {"ref": "HEAD", "workload": "verify_d4", "seed": None, "runs": [{"pair": 0}]}
+    second = {**first, "ref": "main"}
+    third = {**first, "seed": 7}
+    paths = [tool.write_record(record, tmp_path / "out") for record in (first, second, first, third)]
+    assert [p.name for p in paths] == ["ab-verify_d4-default.json", "ab-verify_d4-default-2.json",
+                                       "ab-verify_d4-default-3.json", "ab-verify_d4-7.json"]
+    assert [json.loads(p.read_text(encoding="utf-8"))["ref"] for p in paths] == ["HEAD", "main", "HEAD", "HEAD"]

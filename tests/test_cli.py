@@ -83,6 +83,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "cannot read config" in err
 
+    def test_invalid_json_config_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"trials": 10,', encoding="utf-8")
+        assert main(["verify", "--suite", "L1", "--config", str(cfg_path)]) == 2
+        assert f"config {str(cfg_path)!r} is not valid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "payload",
         [

@@ -211,9 +211,9 @@ def test_t2_final_error_matches_oracle(monkeypatch):
     calls = []
     real = harness.convergence_study
 
-    def spy(x, y, g, q_grid, norm):
-        out = real(x, y, g, q_grid, norm)
-        calls.append((x, y, g, q_grid, out.final_relative_error))
+    def spy(x, y, g):
+        out = real(x, y, g)
+        calls.append((x, y, g, out.q_grid, out.final_relative_error))
         return out
 
     monkeypatch.setattr(harness, "convergence_study", spy)
@@ -247,9 +247,9 @@ def t63_draws():
     calls = []
     real = harness.epsilon_mean_limit
 
-    def spy(x, y, g, eps_grid, norm):
-        out = real(x, y, g, eps_grid, norm)
-        calls.append((x, y, g, eps_grid[-1], out))
+    def spy(x, y, g):
+        out = real(x, y, g)
+        calls.append((x, y, g, out[1].epsilon_grid[-1], out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:

@@ -15,7 +15,9 @@ this checkout / REF.
 ``correct`` and ``failed`` are printed for every run; a pair with a failed
 run is left out of the summary.  Every run's result line, in pair order,
 goes to ``perfbench/out/ab-<workload>-<seed>.json``, with ``default`` as
-the seed when no ``--seed`` is given.  Nothing else is written into the
+the seed when no ``--seed`` is given; a batch never overwrites an earlier
+one, but takes the first free name ``…-2.json``, ``…-3.json``, … and prints
+it.  Nothing else is written into the
 checkout beyond what ``run.py`` writes to ``perfbench/out/``, and Python
 writes no bytecode.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -51,6 +54,22 @@ def record_path(workload: str, seed: int | None) -> Path:
     """The record of a batch, one per workload and seed, with ``default``
     for run.py's own seed, so that a batch at another seed keeps its own."""
     return OUT / f"ab-{workload}-{'default' if seed is None else seed}.json"
+
+
+def write_record(record: dict, out: Path = OUT) -> Path:
+    """Write a batch's ``record`` under ``out`` by :func:`record_path`'s
+    name, or the first free one of ``<name>-2.json``, ``<name>-3.json``, …
+    when an earlier batch holds it, and return the path written."""
+    out.mkdir(parents=True, exist_ok=True)
+    stem = record_path(record["workload"], record["seed"]).stem
+    for n in itertools.count(1):
+        path = out / (f"{stem}.json" if n == 1 else f"{stem}-{n}.json")
+        try:
+            with path.open("x", encoding="utf-8") as f:
+                f.write(json.dumps(record, indent=1))
+            return path
+        except FileExistsError:
+            continue
 
 
 def run_once(checkout: Path, workload: str, seed: int | None) -> dict | None:
@@ -133,9 +152,8 @@ def main(argv=None) -> int:
             runs.append({"pair": i, "order": order, **got})
             if got["ref"] is not None and got["new"] is not None:
                 pairs.append((got["ref"], got["new"]))
-    OUT.mkdir(exist_ok=True)
     record = {"ref": args.ref, "workload": args.workload, "seed": args.seed, "runs": runs}
-    record_path(args.workload, args.seed).write_text(json.dumps(record, indent=1), encoding="utf-8")
+    print(f"record: {write_record(record)}")
     print(f"{'metric':<22} {'unit':>5} {'better':>6} {'ref median':>12} {'new median':>12} "
           f"{'W-L/pairs':>9} {'ref IQR':>10} {'new/ref':>8}")
     for row in summarize(specs, pairs):
